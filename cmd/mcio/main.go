@@ -211,7 +211,6 @@ func runBench(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 42, "seed for the availability variance and fault schedules")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent sweep cells; 1 = exact serial legacy path (ledgers are scheduling-invariant either way)")
 	outPath := fs.String("out", "", "write the run ledger JSON here (default: stdout)")
-	engine := fs.String("engine", "", cliutil.ChoiceFlagUsage("pricing engine override", bench.Engines)+" (default: the experiment's own)")
 	force := fs.Bool("force", false, "overwrite an existing -out ledger file")
 	archive := fs.String("archive", "", "append the record to this history directory under an auto-generated <seq>-<commit>-<exp>.json name")
 	name := "fig6"
@@ -230,10 +229,6 @@ func runBench(args []string, out io.Writer) error {
 		}
 	}
 	bench.SetParallelism(*parallel)
-	if err := bench.SetEngine(*engine); err != nil {
-		return err
-	}
-	defer bench.SetEngine("")
 	rec, err := bench.StampedLedger(name, *scale, *seed)
 	if err != nil {
 		return err

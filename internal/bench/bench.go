@@ -13,12 +13,9 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 
-	"mcio/internal/cliutil"
 	"mcio/internal/collio"
 	"mcio/internal/core"
-	"mcio/internal/fastsim"
 	"mcio/internal/machine"
 	"mcio/internal/mpi"
 	"mcio/internal/pfs"
@@ -31,64 +28,14 @@ import (
 // MB is a byte count shorthand for experiment parameters.
 const MB = int64(1) << 20
 
-// Engine names: the byte path replays one message per rank through the
-// simulator; the fast path prices the same rounds analytically from
-// aggregate per-route quantities (internal/fastsim). The two are
-// cross-checked to bit-identical results on every figure cell.
+// Engine names, kept for callers that still set Config.Engine.
+//
+// Deprecated: every experiment prices through collio's one pricing
+// loop; no code reads Config.Engine.
 const (
 	EngineBytes = "bytes"
 	EngineFast  = "fast"
 )
-
-// Engines lists the pricing engines a sweep can run on, in display
-// order — the single source of truth for the CLI's -engine usage text.
-var Engines = []string{EngineBytes, EngineFast}
-
-// engineOverride, when set, replaces every sweep Config's engine — how
-// `mcio bench -engine` forces a whole run onto one pricing path. Like
-// SetParallelism this cannot change any result: the engines price
-// bit-identically (the cross-check invariant); only run time differs.
-var engineOverride struct {
-	sync.Mutex
-	name string
-}
-
-// SetEngine sets the process-wide pricing-engine override; "" restores
-// each experiment's own choice. Unknown names are rejected against
-// Engines.
-func SetEngine(name string) error {
-	if name != "" && name != EngineBytes && name != EngineFast {
-		return cliutil.UnknownChoice("engine", name, Engines)
-	}
-	engineOverride.Lock()
-	defer engineOverride.Unlock()
-	engineOverride.name = name
-	return nil
-}
-
-// currentEngineOverride returns the process-wide engine override, or ""
-// when each experiment picks its own. Experiments that cannot honor an
-// override (the chaos campaigns execute real byte-level collectives)
-// read it to reject rather than silently ignore.
-func currentEngineOverride() string {
-	engineOverride.Lock()
-	defer engineOverride.Unlock()
-	return engineOverride.name
-}
-
-// engine resolves the pricing engine a sweep over c runs on: the
-// process-wide override when set, else c.Engine, else the byte path.
-func (c Config) engine() string {
-	engineOverride.Lock()
-	defer engineOverride.Unlock()
-	if engineOverride.name != "" {
-		return engineOverride.name
-	}
-	if c.Engine != "" {
-		return c.Engine
-	}
-	return EngineBytes
-}
 
 // Config fixes one experiment's platform and sweep.
 type Config struct {
@@ -126,8 +73,9 @@ type Config struct {
 	// Preset names the machine design point (machine.PresetNames); empty
 	// means the paper's testbed.
 	Preset string
-	// Engine selects the pricing engine (Engines); empty means the byte
-	// path.
+	// Engine is ignored.
+	//
+	// Deprecated: every experiment prices through one loop.
 	Engine string
 }
 
@@ -149,9 +97,6 @@ func (c Config) Validate() error {
 		if m <= 0 {
 			return fmt.Errorf("bench %s: memory size %d must be positive", c.Name, m)
 		}
-	}
-	if c.Engine != "" && c.Engine != EngineBytes && c.Engine != EngineFast {
-		return fmt.Errorf("bench %s: %w", c.Name, cliutil.UnknownChoice("engine", c.Engine, Engines))
 	}
 	preset, err := machine.Preset(c.Preset)
 	if err != nil {
@@ -336,9 +281,6 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 	// Per-round traces feed the run ledger's blame attribution; the cost
 	// is a few records per round, negligible next to the pricing itself.
 	opt.Trace = true
-	// Resolve the pricing engine once so all cells of a sweep agree even
-	// if the override changes mid-run.
-	engine := cfg.engine()
 	series := &Series{Name: cfg.Name, Workload: workloadName, Config: cfg}
 	// One standard-normal endowment per node for the whole sweep.
 	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
@@ -375,23 +317,13 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 		if err != nil {
 			return fmt.Errorf("bench %s: %s at %d MB: %w", cfg.Name, s.Name(), memMB, err)
 		}
-		// Both directions price from the same engine state: the fast path
-		// derives the plan's round shape once and reuses it for write and
-		// read, the byte path replays the rank messages per direction.
-		price := func(op collio.Op) (*collio.CostResult, error) {
-			return collio.Cost(ctx, plan, reqs, op, opt)
-		}
-		if engine == EngineFast {
-			fs, err := fastsim.New(ctx, plan, reqs)
-			if err != nil {
-				return err
-			}
-			price = func(op collio.Op) (*collio.CostResult, error) {
-				return fs.Cost(op, opt)
-			}
+		// Both directions price from one round structure, built once.
+		sh, err := collio.BuildShape(ctx, plan, reqs)
+		if err != nil {
+			return err
 		}
 		for _, op := range []collio.Op{collio.Write, collio.Read} {
-			res, err := price(op)
+			res, err := collio.CostShape(ctx, plan, sh, op, opt)
 			if err != nil {
 				return err
 			}

@@ -7,6 +7,10 @@ import (
 	"testing"
 
 	"mcio/internal/collio"
+	"mcio/internal/core"
+	"mcio/internal/sim"
+	"mcio/internal/stats"
+	"mcio/internal/twophase"
 )
 
 // testScale keeps package tests fast; shapes are scale-invariant.
@@ -434,86 +438,123 @@ func TestPlansAt(t *testing.T) {
 	}
 }
 
+// perRankSweep prices every cell of RunSweep(cfg, wl) with every node
+// walked per rank — the byte-level reference the bundled loop must
+// match bit for bit — and returns the results in RunSweep's point
+// order. CostAdaptive marks every node hot; with no injector it prices
+// a clean run.
+func perRankSweep(t *testing.T, cfg Config, wl Workload) []*collio.CostResult {
+	t.Helper()
+	reqs, err := wl.Requests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := sim.DefaultOptions()
+	opt.Overlap = cfg.Overlap
+	opt.NahOpt = cfg.nahOrDefault()
+	opt.Trace = true
+	r := stats.NewRNG(cfg.Seed)
+	zs := make([]float64, (cfg.Ranks+cfg.RanksPerNode-1)/cfg.RanksPerNode)
+	for i := range zs {
+		zs[i] = r.Normal(0, 1)
+	}
+	var out []*collio.CostResult
+	for _, memMB := range cfg.MemMB {
+		for _, s := range []collio.Strategy{twophase.New(), core.New()} {
+			ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := collio.CachedPlan(s, ctx, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, op := range []collio.Op{collio.Write, collio.Read} {
+				res, err := collio.CostAdaptive(ctx, plan, reqs, op, opt, nil, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, &res.CostResult)
+			}
+		}
+	}
+	return out
+}
+
+// matchPerRank fails on any cell where the bundled sweep and the
+// per-rank reference disagree — seconds, totals, blame traces,
+// everything in the CostResult.
+func matchPerRank(t *testing.T, name string, bundled *Series, ref []*collio.CostResult) {
+	t.Helper()
+	if len(bundled.Points) != len(ref) || len(ref) == 0 {
+		t.Fatalf("%s: point counts diverge: bundled %d, per-rank %d", name, len(bundled.Points), len(ref))
+	}
+	for i, p := range bundled.Points {
+		if !reflect.DeepEqual(p.Result, ref[i]) {
+			t.Errorf("%s cell %s/%s/mem=%d: bundled and per-rank pricing diverge",
+				name, p.Strategy, p.Op, p.MemMB)
+		}
+	}
+}
+
 // TestFigExaEnginesMatchSmall shrinks the fig-exa configuration to a
-// byte-path-feasible size and cross-checks that both engines price every
-// cell of the sweep identically — the fast path's exactness contract on
-// the exascale experiment's own workload shape.
+// size the per-rank walk prices quickly and cross-checks that RunSweep's
+// bundled pricing matches it on every cell of the sweep — the exactness
+// contract on the exascale experiment's own workload shape.
 func TestFigExaEnginesMatchSmall(t *testing.T) {
 	cfg := FigExaConfig(testScale, 42)
 	cfg.Ranks = 600
 	cfg.RanksPerNode = 6
 	cfg.Targets = 16
 	wl, name := FigExaWorkload(cfg)
-	fast, err := RunSweep(cfg, wl, name)
+	bundled, err := RunSweep(cfg, wl, name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine = EngineBytes
-	bytes, err := RunSweep(cfg, wl, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fast.Points) != len(bytes.Points) || len(fast.Points) == 0 {
-		t.Fatalf("point counts diverge: fast %d, bytes %d", len(fast.Points), len(bytes.Points))
-	}
-	for i := range fast.Points {
-		f, b := fast.Points[i], bytes.Points[i]
-		if !reflect.DeepEqual(f.Result, b.Result) {
-			t.Fatalf("cell %s/%s/mem=%d: engines diverge", f.Strategy, f.Op, f.MemMB)
-		}
-	}
+	matchPerRank(t, "fig-exa", bundled, perRankSweep(t, cfg, wl))
 }
 
-// TestEnginesMatchAllFigures cross-checks the two pricing engines on
-// every cell of every figure sweep: fig6, fig7 and fig8 priced under
-// the byte path and the fast path must agree bit for bit — seconds,
-// totals, blame traces, everything in the CostResult. This is the CI
-// cross-check gate; it drives the engines through the SetEngine
-// override, so the `mcio bench -engine` path is what is being proven.
+// TestEnginesMatchAllFigures cross-checks bundled against per-rank
+// pricing on every cell of every figure sweep: fig6, fig7 and fig8 as
+// Fig6, Fig7 and Fig8 price them must agree bit for bit with the same
+// cells walked per rank.
 func TestEnginesMatchAllFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full figure sweeps, twice each")
 	}
-	if err := SetEngine("warp"); err == nil {
-		t.Fatal("SetEngine accepted an unknown engine")
+	fig6Workload := func(cfg Config) (Workload, string) {
+		wl, name, err := Fig6Workload(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wl, name
 	}
-	defer SetEngine("")
 	figures := []struct {
-		name string
-		run  func(int64, uint64) (*Series, error)
-	}{{"fig6", Fig6}, {"fig7", Fig7}, {"fig8", Fig8}}
+		name     string
+		run      func(int64, uint64) (*Series, error)
+		config   func(int64, uint64) Config
+		workload func(Config) (Workload, string)
+	}{
+		{"fig6", Fig6, Fig6Config, fig6Workload},
+		{"fig7", Fig7, Fig7Config, Fig7Workload},
+		{"fig8", Fig8, Fig8Config, Fig8Workload},
+	}
 	for _, fig := range figures {
-		byEngine := map[string]*Series{}
-		for _, eng := range Engines {
-			if err := SetEngine(eng); err != nil {
-				t.Fatal(err)
-			}
-			s, err := fig.run(testScale, 42)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", fig.name, eng, err)
-			}
-			byEngine[eng] = s
+		bundled, err := fig.run(testScale, 42)
+		if err != nil {
+			t.Fatalf("%s: %v", fig.name, err)
 		}
-		fast, bytes := byEngine[EngineFast], byEngine[EngineBytes]
-		if len(fast.Points) != len(bytes.Points) || len(fast.Points) == 0 {
-			t.Fatalf("%s: point counts diverge: fast %d, bytes %d",
-				fig.name, len(fast.Points), len(bytes.Points))
-		}
-		for i := range fast.Points {
-			f, b := fast.Points[i], bytes.Points[i]
-			if !reflect.DeepEqual(f.Result, b.Result) {
-				t.Errorf("%s cell %s/%s/mem=%d: engines diverge",
-					fig.name, f.Strategy, f.Op, f.MemMB)
-			}
-		}
+		cfg := fig.config(testScale, 42)
+		wl, _ := fig.workload(cfg)
+		matchPerRank(t, fig.name, bundled, perRankSweep(t, cfg, wl))
 	}
 }
 
-// BenchmarkFastPathExa is the headline fast-path measurement: the full
-// fig-exa sweep — one million ranks on ten thousand exascale nodes, four
-// memory points, two strategies, write and read — priced analytically.
-// The acceptance bar is well under a minute per sweep; the byte path
-// cannot run this at all without materializing ~1M messages per round.
+// BenchmarkFastPathExa is the headline pricing-at-scale measurement: the
+// full fig-exa sweep — one million ranks on ten thousand exascale nodes,
+// four memory points, two strategies, write and read — priced from
+// per-node bundles. The acceptance bar is well under a minute per sweep;
+// a per-rank replay would materialize ~1M messages per round.
 func BenchmarkFastPathExa(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -521,30 +562,5 @@ func BenchmarkFastPathExa(b *testing.B) {
 		if _, err := FigExa(DefaultScale, 1); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFastVsByteFig6 compares the two pricing engines head to head
-// on the identical Figure 6 sweep: same plans, same results (the
-// cross-check tests assert bitwise equality), different cost to compute
-// them.
-func BenchmarkFastVsByteFig6(b *testing.B) {
-	for _, engine := range Engines {
-		b.Run(engine, func(b *testing.B) {
-			cfg := Fig6Config(testScale, 42)
-			cfg.Engine = engine
-			wl, name, err := Fig6Workload(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				collio.ResetPlanCache()
-				if _, err := RunSweep(cfg, wl, name); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -12,9 +12,9 @@ import (
 // FigExaFaultsConfig is the resilience counterpart of FigExaConfig: the
 // million-rank IOR write priced under injected faults. The memory axis
 // collapses to the paper sweep's middle point — the fault axes replace
-// it — and the fast path stays the default engine: pricing recovery at
-// this scale is exactly what the faulted fast path exists for (the byte
-// path would replay a million messages per round, per cell).
+// it. Only the few fault-touched nodes price per rank; the rest of the
+// machine stays bundled per node, which is what makes recovery at this
+// scale affordable.
 func FigExaFaultsConfig(scale int64, seed uint64) Config {
 	cfg := FigExaConfig(scale, seed)
 	cfg.Name = "fig-exa-faults"
@@ -115,8 +115,7 @@ func figExaFaultsRun(scale int64, seed uint64) ([]ExaFaultPoint, error) {
 }
 
 // figExaFaultsRunCfg is the configurable core of figExaFaultsRun; the
-// engine cross-check test shrinks the topology to a byte-path-feasible
-// size through it.
+// per-rank cross-check test shrinks the topology through it.
 func figExaFaultsRunCfg(cfg Config) ([]ExaFaultPoint, error) {
 	wl, _ := FigExaWorkload(cfg)
 	reqs, err := wl.Requests()
@@ -137,14 +136,13 @@ func figExaFaultsRunCfg(cfg Config) ([]ExaFaultPoint, error) {
 	opt.Overlap = cfg.Overlap
 	opt.NahOpt = cfg.nahOrDefault()
 	opt.Trace = true
-	engine := cfg.engine()
 
 	// Fault-free references per strategy set the horizon (4× the clean
 	// run) and the overhead denominator, as in the bench-scale sweep.
 	strategies := []string{"two-phase", "memory-conscious"}
 	refs := make([]float64, len(strategies))
 	err = ForEach(len(strategies), func(si int) error {
-		res, err := faultedRun(ctx, reqs, strategies[si], opt, faults.DefaultSpec(cfg.Seed, 1).WithRate(0), engine)
+		res, err := faultedRun(ctx, reqs, strategies[si], opt, faults.DefaultSpec(cfg.Seed, 1).WithRate(0))
 		if err != nil {
 			return err
 		}
@@ -162,7 +160,7 @@ func figExaFaultsRunCfg(cfg Config) ([]ExaFaultPoint, error) {
 		si := ci % len(strategies)
 		strategy := strategies[si]
 		spec := exaFaultSpec(cfg.Seed, refs[si]*4, nodes, cell)
-		res, err := faultedRun(ctx, reqs, strategy, opt, spec, engine)
+		res, err := faultedRun(ctx, reqs, strategy, opt, spec)
 		if err != nil {
 			return fmt.Errorf("bench fig-exa-faults: %s at crash=%g strag=%g sev=%g: %w",
 				strategy, cell.Crash, cell.Frac, cell.Sev, err)
@@ -193,7 +191,7 @@ func FigExaFaults(scale int64, seed uint64) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		Name: "exascale resilience: IOR write at 1M ranks under injected faults (fast path)",
+		Name: "exascale resilience: IOR write at 1M ranks under injected faults",
 		Header: []string{"crashes", "straggler", "collapse", "strategy", "MB/s",
 			"overhead", "recovery s", "failovers", "stalls", "replayed", "events"},
 	}

@@ -1,83 +1,98 @@
 package bench
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"mcio/internal/collio"
+	"mcio/internal/faults"
+	"mcio/internal/sim"
+	"mcio/internal/stats"
 )
 
 // TestFaultedExaEnginesMatchSmall shrinks the fig-exa-faults grid to a
-// byte-path-feasible size and cross-checks that both engines price
-// every cell — crash remerges, stalls, stragglers and all — bit for
-// bit. Like TestEnginesMatchAllFigures it drives the SetEngine
-// override, so the `mcio bench fig-exa-faults -engine` path is what is
-// being proven.
+// size the per-rank walk prices quickly and cross-checks that every cell
+// — crash remerges, stalls, stragglers and all — prices bit for bit as
+// it does with every node walked per rank. The reference runs each
+// cell's plan, injector and handler through CostAdaptive, which marks
+// every node hot, under an Adaptive with no detector, no breakers, no
+// proactive failover and hedging never armed: the static retry-only
+// response, walked per rank.
 func TestFaultedExaEnginesMatchSmall(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full fault grids, byte path included")
+		t.Skip("two full fault grids, one walked per rank")
 	}
 	cfg := FigExaFaultsConfig(testScale, 42)
 	cfg.Ranks = 600
 	cfg.RanksPerNode = 6
 	cfg.Targets = 16
-	defer SetEngine("")
-	byEngine := map[string][]ExaFaultPoint{}
-	for _, eng := range Engines {
-		if err := SetEngine(eng); err != nil {
+	bundled, err := figExaFaultsRunCfg(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wl, _ := FigExaWorkload(cfg)
+	reqs, err := wl.Requests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
+	r := stats.NewRNG(cfg.Seed)
+	zs := make([]float64, nodes)
+	for i := range zs {
+		zs[i] = r.Normal(0, 1)
+	}
+	ctx, err := cfg.context(cfg.scaled(int64(cfg.MemMB[0])*MB), zs, wl.TotalBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := sim.DefaultOptions()
+	opt.Overlap = cfg.Overlap
+	opt.NahOpt = cfg.nahOrDefault()
+	opt.Trace = true
+	perRank := func(strategy string, spec faults.Spec) *collio.FaultResult {
+		plan, inj, handler, err := faultedSetup(ctx, reqs, strategy, spec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		pts, err := figExaFaultsRunCfg(cfg)
+		res, err := collio.CostAdaptive(ctx, plan, reqs, collio.Write, opt, inj, handler,
+			&collio.Adaptive{HedgeMinSamples: math.MaxInt})
 		if err != nil {
-			t.Fatalf("%s: %v", eng, err)
+			t.Fatalf("%s: per-rank walk: %v", strategy, err)
 		}
-		byEngine[eng] = pts
+		return res
 	}
-	fast, bytes := byEngine[EngineFast], byEngine[EngineBytes]
-	if len(fast) != len(bytes) || len(fast) == 0 {
-		t.Fatalf("point counts diverge: fast %d, bytes %d", len(fast), len(bytes))
+
+	strategies := []string{"two-phase", "memory-conscious"}
+	cells := exaFaultCells()
+	if len(bundled) != len(cells)*len(strategies) {
+		t.Fatalf("point counts diverge: bundled %d, grid %d", len(bundled), len(cells)*len(strategies))
+	}
+	refs := map[string]float64{}
+	for _, strategy := range strategies {
+		refs[strategy] = perRank(strategy, faults.DefaultSpec(cfg.Seed, 1).WithRate(0)).Seconds
 	}
 	exercised := 0
-	for i := range fast {
-		f, b := fast[i], bytes[i]
-		if f.RefSeconds != b.RefSeconds {
-			t.Fatalf("cell %+v/%s: references diverge: fast %v, bytes %v",
-				f.Cell, f.Strategy, f.RefSeconds, b.RefSeconds)
+	for i, b := range bundled {
+		cell, strategy := cells[i/len(strategies)], strategies[i%len(strategies)]
+		if b.Cell != cell || b.Strategy != strategy {
+			t.Fatalf("point %d is %+v/%s, want %+v/%s", i, b.Cell, b.Strategy, cell, strategy)
 		}
-		if !reflect.DeepEqual(f.Res, b.Res) {
-			t.Fatalf("cell %+v/%s: engines diverge\nfast  %+v\nbytes %+v",
-				f.Cell, f.Strategy, f.Res, b.Res)
+		if b.RefSeconds != refs[strategy] {
+			t.Fatalf("cell %+v/%s: references diverge: bundled %v, per-rank %v",
+				cell, strategy, b.RefSeconds, refs[strategy])
 		}
-		exercised += f.Res.Failovers + f.Res.Stalls
+		want := perRank(strategy, exaFaultSpec(cfg.Seed, refs[strategy]*4, nodes, cell))
+		if !reflect.DeepEqual(b.Res, want) {
+			t.Fatalf("cell %+v/%s: bundled and per-rank pricing diverge\nbundled  %+v\nper-rank %+v",
+				cell, strategy, b.Res, want)
+		}
+		exercised += b.Res.Failovers + b.Res.Stalls
 	}
 	if exercised == 0 {
 		t.Fatal("no grid cell exercised a failover or stall; the cross-check proved nothing")
-	}
-}
-
-// TestChaosRejectsFastEngine pins satellite semantics: the chaos
-// campaigns execute byte-level collectives (hedging, dedup, breaker
-// decisions are per-message) and must refuse the analytical engine
-// with a clear error instead of silently pricing something else.
-func TestChaosRejectsFastEngine(t *testing.T) {
-	defer SetEngine("")
-	if err := SetEngine(EngineFast); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"chaos", "chaos-gray"} {
-		_, err := Ledger(name, testScale, 42)
-		if err == nil {
-			t.Fatalf("%s: Ledger accepted the fast engine", name)
-		}
-		if !strings.Contains(err.Error(), "cannot run on engine") {
-			t.Fatalf("%s: unhelpful rejection: %v", name, err)
-		}
-	}
-	// The byte engine, named explicitly, must still work.
-	if err := SetEngine(EngineBytes); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Ledger("chaos", testScale, 42); err != nil {
-		t.Fatalf("chaos on explicit byte engine: %v", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"mcio/internal/collio"
 	"mcio/internal/core"
-	"mcio/internal/fastsim"
 	"mcio/internal/faults"
 	"mcio/internal/obs"
 	"mcio/internal/sim"
@@ -19,19 +18,27 @@ import (
 // MTBFs.
 func faultRates() []float64 { return []float64{0, 0.5, 1, 2, 4} }
 
-// faultedRun prices one strategy under one fault schedule with the
-// requested engine. For the memory-conscious strategy the plan is
-// rebuilt per run — recovery mutates its partition trees — while the
-// baseline's static plan is reusable; both are deterministic functions
-// of (cfg, seed, rate), and both engines price any cell bit-identically
-// (the CI cross-check gate holds them to it).
+// faultedRun prices one strategy under one fault schedule.
 func faultedRun(ctx *collio.Context, reqs []collio.RankRequest, strategy string,
-	opt sim.Options, spec faults.Spec, engine string) (*collio.FaultResult, error) {
-	fplan, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
+	opt sim.Options, spec faults.Spec) (*collio.FaultResult, error) {
+	plan, inj, handler, err := faultedSetup(ctx, reqs, strategy, spec)
 	if err != nil {
 		return nil, err
 	}
-	inj := faults.NewInjector(fplan)
+	return collio.CostWithFaults(ctx, plan, reqs, collio.Write, opt, inj, handler)
+}
+
+// faultedSetup builds what one faulted run prices: the strategy's plan,
+// an injector over spec's schedule and the strategy's fault handler. For
+// the memory-conscious strategy the plan is rebuilt per run — recovery
+// mutates its partition trees — while the baseline's static plan is
+// reusable; both are deterministic functions of (cfg, seed, rate).
+func faultedSetup(ctx *collio.Context, reqs []collio.RankRequest, strategy string,
+	spec faults.Spec) (*collio.Plan, *faults.Injector, collio.FaultHandler, error) {
+	fplan, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	var plan *collio.Plan
 	var handler collio.FaultHandler
 	switch strategy {
@@ -39,27 +46,24 @@ func faultedRun(ctx *collio.Context, reqs []collio.RankRequest, strategy string,
 		s := core.New()
 		p, state, err := s.PlanWithState(ctx, reqs)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		plan = p
 		handler = &core.Failover{State: state, Detect: spec.DetectSeconds}
 	case "two-phase":
 		p, err := twophase.New().Plan(ctx, reqs)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 		plan = p
 		handler = twophase.NewStallRetry(ctx.Avail, spec.StallSeconds)
 	default:
-		return nil, fmt.Errorf("bench: unknown strategy %q", strategy)
+		return nil, nil, nil, fmt.Errorf("bench: unknown strategy %q", strategy)
 	}
 	if err := plan.Validate(reqs); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	if engine == EngineFast {
-		return fastsim.CostWithFaults(ctx, plan, reqs, collio.Write, opt, inj, handler)
-	}
-	return collio.CostWithFaults(ctx, plan, reqs, collio.Write, opt, inj, handler)
+	return plan, faults.NewInjector(fplan), handler, nil
 }
 
 // FaultPoint is one cell of the resilience sweep: a strategy priced at
@@ -98,7 +102,6 @@ func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
 	opt.Overlap = cfg.Overlap
 	opt.NahOpt = cfg.nahOrDefault()
 	opt.Trace = true
-	engine := cfg.engine()
 
 	// Fault-free reference per strategy: the overhead denominator and the
 	// fault horizon (schedules span 4× the clean run so mid-operation
@@ -109,7 +112,7 @@ func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
 	strategies := []string{"two-phase", "memory-conscious"}
 	refs := make([]float64, len(strategies))
 	err = ForEach(len(strategies), func(si int) error {
-		res, err := faultedRun(ctx, reqs, strategies[si], opt, faults.DefaultSpec(seed, 1).WithRate(0), engine)
+		res, err := faultedRun(ctx, reqs, strategies[si], opt, faults.DefaultSpec(seed, 1).WithRate(0))
 		if err != nil {
 			return err
 		}
@@ -127,7 +130,7 @@ func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
 		si := ci % len(strategies)
 		strategy := strategies[si]
 		spec := faults.DefaultSpec(seed, refs[si]*4).WithRate(rate)
-		res, err := faultedRun(ctx, reqs, strategy, opt, spec, engine)
+		res, err := faultedRun(ctx, reqs, strategy, opt, spec)
 		if err != nil {
 			return fmt.Errorf("bench faults: %s at rate %g: %w", strategy, rate, err)
 		}
@@ -217,7 +220,6 @@ func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float
 	opt.Trace = true
 	opt.Overlap = cfg.Overlap
 	opt.NahOpt = cfg.nahOrDefault()
-	engine := cfg.engine()
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "observe faults: %s, %s, %d MB per aggregator, fault rate %g\n",
@@ -226,12 +228,12 @@ func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float
 		// Clean reference for the horizon, without tracing noise.
 		refCtx := *ctx
 		refCtx.Obs = nil
-		refRes, err := faultedRun(&refCtx, reqs, strategy, opt, faults.DefaultSpec(seed, 1).WithRate(0), engine)
+		refRes, err := faultedRun(&refCtx, reqs, strategy, opt, faults.DefaultSpec(seed, 1).WithRate(0))
 		if err != nil {
 			return nil, err
 		}
 		spec := faults.DefaultSpec(seed, refRes.Seconds*4).WithRate(rate)
-		res, err := faultedRun(ctx, reqs, strategy, opt, spec, engine)
+		res, err := faultedRun(ctx, reqs, strategy, opt, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"mcio/internal/obs"
-	"mcio/internal/pfs"
 	"mcio/internal/sim"
 	"mcio/internal/stats"
 )
@@ -41,13 +40,13 @@ type CostResult struct {
 // the metadata exchange, as in ROMIO's flattened offset/length lists.
 const extentListEntryBytes = 16
 
-// costObs carries Cost's rank-level observability wiring: per-rank MPI
-// traffic counters (the engine only sees nodes) and per-domain shuffle
-// counters, pre-resolved so the per-round loop pays one atomic add per
-// update. Nil means disabled.
+// costObs carries the rank-level observability wiring of one priced
+// operation: per-rank MPI traffic counters (the engine only sees nodes)
+// and per-domain shuffle counters, pre-resolved so counting pays one
+// atomic add per update. They come from a counting walk over the
+// per-rank work that runs only when ctx.Obs is set; pricing never
+// depends on it. Nil means disabled.
 type costObs struct {
-	o     *obs.Observer
-	pid   int
 	sentB []*obs.Counter // bytes sent, by world rank
 	sentM []*obs.Counter // messages sent, by world rank
 	recvB []*obs.Counter // bytes received, by world rank
@@ -60,7 +59,7 @@ func newCostObs(ctx *Context, plan *Plan, op Op) *costObs {
 	if ctx.Obs == nil {
 		return nil
 	}
-	co := &costObs{o: ctx.Obs, pid: ctx.Obs.Tracer().PID(plan.Strategy)}
+	co := &costObs{}
 	base := []obs.Label{obs.L("strategy", plan.Strategy), obs.L("op", op.String())}
 	n := ctx.Topo.Size()
 	co.sentB = make([]*obs.Counter, n)
@@ -95,204 +94,49 @@ func (co *costObs) transfer(src, dst int, bytes int64) {
 	co.recvM[dst].Inc()
 }
 
+// shuffle counts one round of an item's shuffle per rank: each
+// contributor's even share to (write) or from (read) the aggregator.
+func (co *costObs) shuffle(it *faultItem, aggregator int, op Op) {
+	if co == nil {
+		return
+	}
+	for _, c := range it.Contribs {
+		per := evenShare(c.Bytes, it.Done, it.Rounds)
+		if per == 0 {
+			continue
+		}
+		if op == Read {
+			co.transfer(aggregator, c.Rank, per)
+		} else {
+			co.transfer(c.Rank, aggregator, per)
+		}
+		co.shuf[it.Domain].Add(per)
+	}
+}
+
 // Cost prices plan against the context's machine and storage models
 // without moving any data. The same plan and requests always produce the
-// same result.
+// same result. With ctx.Obs set it also counts per-rank MPI traffic and
+// per-domain shuffle bytes.
 func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) (*CostResult, error) {
-	if err := ctx.Validate(); err != nil {
-		return nil, err
-	}
-	st := sim.StorageParams{
-		Targets:         ctx.FS.Targets,
-		TargetBW:        ctx.FS.TargetBW,
-		ReqOverhead:     ctx.FS.ReqOverhead,
-		NoncontigFactor: ctx.FS.NoncontigFactor,
-		ReadBWFactor:    ctx.FS.ReadBWFactor,
-	}
-	eng, err := sim.NewEngine(ctx.Machine, st, opt)
+	res, err := costFaulted(ctx, plan, reqs, op, opt, faultEnv{})
 	if err != nil {
 		return nil, err
 	}
-	co := newCostObs(ctx, plan, op)
-	if co != nil {
-		eng.SetObserver(ctx.Obs, co.pid,
-			obs.L("strategy", plan.Strategy), obs.L("op", op.String()))
-	}
+	return &res.CostResult, nil
+}
 
-	placements := make([]sim.AggregatorPlacement, len(plan.Domains))
-	for i, d := range plan.Domains {
-		placements[i] = sim.AggregatorPlacement{
-			Node:          d.AggNode,
-			BufferBytes:   d.BufferBytes,
-			PagedSeverity: d.PagedSeverity,
-		}
+// CostShape prices one direction of plan from its prebuilt round
+// structure, bit-identical to Cost: build the shape once and price write
+// and read from it. A shape carries no ranks, so the per-rank counters
+// Cost emits under ctx.Obs are not emitted; engine-level metrics, spans
+// and traces are.
+func CostShape(ctx *Context, plan *Plan, sh *Shape, op Op, opt sim.Options) (*CostResult, error) {
+	res, err := sh.faultShape(plan).price(ctx, plan, op, opt, faultEnv{}, nil)
+	if err != nil {
+		return nil, err
 	}
-	eng.SetAggregators(placements)
-	tlAttach(ctx, eng, plan, op)
-	tlBufferGauges(ctx, plan.Domains, 0)
-
-	// Metadata exchange: within each group, every member rank ships its
-	// flattened offset/length list to each of the group's aggregators.
-	// The baseline has one group spanning all ranks, so this is the
-	// global request exchange of classic two-phase I/O; the
-	// memory-conscious strategy confines it to each group.
-	extCount := make(map[int]int, len(reqs))
-	for _, r := range reqs {
-		n := len(r.Extents)
-		if !pfs.IsNormalized(r.Extents) {
-			n = len(pfs.NormalizeExtents(r.Extents))
-		}
-		extCount[r.Rank] = n
-	}
-	aggsByGroup := make(map[int][]int)
-	for _, d := range plan.Domains {
-		aggsByGroup[d.Group] = append(aggsByGroup[d.Group], d.Aggregator)
-	}
-	meta := sim.Round{Kind: sim.RoundMetadata}
-	for g, ranks := range plan.GroupRanks {
-		aggs := dedupInts(aggsByGroup[g])
-		for _, r := range ranks {
-			bytes := int64(extCount[r]) * extentListEntryBytes
-			if bytes == 0 {
-				continue
-			}
-			for _, a := range aggs {
-				meta.Messages = append(meta.Messages, sim.Message{
-					SrcNode: ctx.Topo.NodeOf(r),
-					DstNode: ctx.Topo.NodeOf(a),
-					Bytes:   bytes,
-				})
-				co.transfer(r, a, bytes)
-			}
-		}
-	}
-	if len(meta.Messages) > 0 {
-		eng.RunRound(meta)
-	}
-
-	// Per-domain, per-rank contribution bytes (distributed evenly over the
-	// domain's rounds — the shuffle volume is exact, the per-round split
-	// is the even approximation). One merge-walk per rank against the
-	// domain index keeps this linear in the total extent count.
-	type contrib struct {
-		rank  int
-		node  int
-		bytes int64
-	}
-	domainContribs := make([][]contrib, len(plan.Domains))
-	buckets := make([][]pfs.Extent, len(plan.Domains))
-	maxRounds := 0
-	for i, d := range plan.Domains {
-		buckets[i] = d.Extents
-		if rd := d.Rounds(); rd > maxRounds {
-			maxRounds = rd
-		}
-	}
-	if len(plan.Domains) > 0 {
-		index := NewExtentIndex(buckets)
-		var overlaps []int64 // one scratch allocation for all requests
-		for _, r := range reqs {
-			if len(r.Extents) == 0 {
-				continue
-			}
-			node := ctx.Topo.NodeOf(r.Rank)
-			overlaps = index.OverlapBytesInto(overlaps, r.Extents)
-			for i, b := range overlaps {
-				if b > 0 {
-					domainContribs[i] = append(domainContribs[i], contrib{rank: r.Rank, node: node, bytes: b})
-				}
-			}
-		}
-	}
-
-	// The engine does not retain a Round's slices past RunRound, so one
-	// Round's backing arrays are recycled across the whole loop.
-	var round sim.Round
-	for k := 0; k < maxRounds; k++ {
-		round.Messages = round.Messages[:0]
-		round.IOOps = round.IOOps[:0]
-		for i, d := range plan.Domains {
-			rounds := d.Rounds()
-			if k >= rounds {
-				continue
-			}
-			// Shuffle phase: contributions to/from the aggregator.
-			for _, c := range domainContribs[i] {
-				per := c.bytes / int64(rounds)
-				if int64(k) < c.bytes%int64(rounds) {
-					per++
-				}
-				if per == 0 {
-					continue
-				}
-				m := sim.Message{SrcNode: c.node, DstNode: d.AggNode, Bytes: per}
-				if op == Read {
-					m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
-					co.transfer(d.Aggregator, c.rank, per)
-				} else {
-					co.transfer(c.rank, d.Aggregator, per)
-				}
-				if co != nil {
-					co.shuf[i].Add(per)
-				}
-				round.Messages = append(round.Messages, m)
-			}
-			// I/O phase: this round's slice of the domain through the
-			// collective buffer. Slices are staggered cyclically across
-			// domains: aggregators do not run in lockstep on a real
-			// machine, and without the stagger, stripe-cycle-aligned
-			// domains would hit the same storage target in every round —
-			// an artificial convoy the global-round pricing would
-			// otherwise create.
-			slice := pfs.SliceData(d.Extents, int64((k+i)%rounds)*d.BufferBytes, d.BufferBytes)
-			for _, acc := range ctx.FS.MapExtents(slice) {
-				round.IOOps = append(round.IOOps, sim.IOOp{
-					Target:     acc.Target,
-					Node:       d.AggNode,
-					Bytes:      acc.Bytes,
-					Requests:   acc.Requests,
-					Contiguous: acc.Contiguous,
-					Write:      op == Write,
-				})
-			}
-		}
-		eng.RunRound(round)
-	}
-
-	userBytes := plan.TotalBytes()
-	if co != nil {
-		span := ctx.Obs.Tracer().Begin(co.pid, sim.TIDTimeline,
-			plan.Strategy+" "+op.String(), 0,
-			obs.A("groups", strconv.Itoa(plan.Groups)),
-			obs.A("domains", strconv.Itoa(len(plan.Domains))),
-			obs.A("rounds", strconv.Itoa(maxRounds)),
-			obs.A("user_bytes", strconv.FormatInt(userBytes, 10)))
-		span.End(eng.Elapsed())
-	}
-	res := &CostResult{
-		Strategy:  plan.Strategy,
-		Op:        op,
-		UserBytes: userBytes,
-		Seconds:   eng.Elapsed(),
-		Bandwidth: eng.Bandwidth(userBytes),
-		Totals:    eng.Totals(),
-		Domains:   len(plan.Domains),
-		Groups:    plan.Groups,
-		MaxRounds: maxRounds,
-	}
-	res.Aggregators = len(plan.Aggregators())
-	buffers := make([]float64, 0, len(plan.Domains))
-	for _, d := range plan.Domains {
-		buffers = append(buffers, float64(d.BufferBytes))
-		if d.PagedSeverity > 0 {
-			res.PagedAggregators++
-		}
-	}
-	res.BufferSummary = stats.Summarize(buffers)
-	if opt.Trace {
-		res.Trace = eng.Trace()
-	}
-	return res, nil
+	return &res.CostResult, nil
 }
 
 // String renders the result in one line for experiment logs.

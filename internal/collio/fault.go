@@ -165,35 +165,70 @@ func (p *Plan) Compact() *Plan {
 // CostWithFaults prices plan like Cost, but with a fault injector
 // advancing in simulated time and a FaultHandler deciding where the
 // work of crashed or collapsed hosts goes. With a nil or empty injector
-// it delegates to Cost, so the result is byte-identical to the
-// fault-free path. The same plan, injector schedule and handler always
-// produce the same result — faulted runs are as reproducible as clean
-// ones.
+// the result is identical to Cost. The same plan, injector schedule and
+// handler always produce the same result — faulted runs are as
+// reproducible as clean ones.
 func CostWithFaults(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
 	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	return costFaulted(ctx, plan, reqs, op, opt, inj, handler, nil)
+	return costFaulted(ctx, plan, reqs, op, opt, faultEnv{inj: inj, handler: handler})
 }
 
-// costFaulted is the shared engine behind CostWithFaults (ad == nil:
-// the static retry-only policy) and CostAdaptive (ad != nil: health
-// observation, circuit breakers, hedging and proactive failover).
-// Fault *pricing* — including the gray kinds — is identical either
-// way; only the response policy differs.
-func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
-	inj *faults.Injector, handler FaultHandler, ad *Adaptive) (*FaultResult, error) {
-	if inj.Empty() {
-		res, err := Cost(ctx, plan, reqs, op, opt)
-		if err != nil {
-			return nil, err
-		}
-		return &FaultResult{CostResult: *res, Injected: map[string]int{}}, nil
-	}
-	if handler == nil {
+// faultEnv is the fault environment of one priced run; the zero value
+// is a clean run.
+type faultEnv struct {
+	inj     *faults.Injector
+	handler FaultHandler
+	ad      *Adaptive // nil: the static retry-only policy
+	// allHot walks every work item per rank, as if every node carried
+	// live injector state. CostAdaptive needs it (its hedge window takes
+	// every message's delay, in per-rank order); the exactness tests
+	// price against it as the reference.
+	allHot bool
+}
+
+// costFaulted is the entry behind Cost, CostWithFaults (the static
+// retry-only policy) and CostAdaptive (health observation, circuit
+// breakers, hedging and proactive failover). Fault *pricing* — including
+// the gray kinds — is identical either way; only the response policy
+// differs. An empty injector prices a clean run. Clean unobserved runs
+// price from the per-node Shape; faulted, all-hot and observed runs need
+// the per-rank contributor lists that recovery folds and the observer
+// counts.
+func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options, env faultEnv) (*FaultResult, error) {
+	if env.inj.Empty() {
+		env.inj, env.handler, env.ad = nil, nil, nil
+	} else if env.handler == nil {
 		return nil, fmt.Errorf("collio: fault injection without a FaultHandler")
 	}
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
+	if env.inj == nil && !env.allHot && ctx.Obs == nil {
+		sh, err := BuildShape(ctx, plan, reqs)
+		if err != nil {
+			return nil, err
+		}
+		return sh.faultShape(plan).price(ctx, plan, op, opt, env, nil)
+	}
+	co := newCostObs(ctx, plan, op)
+	return buildFaultShape(ctx, plan, reqs, co).price(ctx, plan, op, opt, env, co)
+}
+
+// price is the one pricing loop: one data round per iteration, fault
+// events applied at round boundaries.
+//
+// Healthy work items price as per-node bundles: one sim.AggMessage per
+// (node, item) per round, reconstructed exactly by
+// NodeContrib.RoundShare. The engine reduces messages to commutative
+// per-node integer loads, so a bundle prices bit-identically to its
+// constituent per-rank messages. An item touching a hot node — one with
+// live message-level injector state: a delay window, pending drop or
+// flip budgets, an active flaky-NIC cadence — walks that node's
+// contributors per rank instead, preserving the injector's per-node
+// query sequence and the order extra latency is summed in. Every
+// injector query against a non-hot node is a no-op, and events apply
+// only at round boundaries, so bundling the rest changes nothing.
+func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, env faultEnv, co *costObs) (*FaultResult, error) {
 	st := sim.StorageParams{
 		Targets:         ctx.FS.Targets,
 		TargetBW:        ctx.FS.TargetBW,
@@ -205,13 +240,16 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 	if err != nil {
 		return nil, err
 	}
-	co := newCostObs(ctx, plan, op)
-	if co != nil {
-		eng.SetObserver(ctx.Obs, co.pid,
-			obs.L("strategy", plan.Strategy), obs.L("op", op.String()))
+	base := []obs.Label{obs.L("strategy", plan.Strategy), obs.L("op", op.String())}
+	pid := 0
+	if ctx.Obs != nil {
+		pid = ctx.Obs.Tracer().PID(plan.Strategy)
+		eng.SetObserver(ctx.Obs, pid, base...)
 	}
-	inj.SetObserver(ctx.Obs)
-
+	inj, handler, ad := env.inj, env.handler, env.ad
+	if inj != nil {
+		inj.SetObserver(ctx.Obs)
+	}
 	placements := make([]sim.AggregatorPlacement, len(plan.Domains))
 	for i, d := range plan.Domains {
 		placements[i] = sim.AggregatorPlacement{
@@ -225,78 +263,51 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 	tlBufferGauges(ctx, plan.Domains, 0)
 	tlr := ctx.Timeline
 
-	// Metadata exchange, identical to Cost.
-	extCount := make(map[int]int, len(reqs))
-	for _, r := range reqs {
-		extCount[r.Rank] = len(pfs.NormalizeExtents(r.Extents))
-	}
-	aggsByGroup := make(map[int][]int)
-	for _, d := range plan.Domains {
-		aggsByGroup[d.Group] = append(aggsByGroup[d.Group], d.Aggregator)
-	}
-	meta := sim.Round{Kind: sim.RoundMetadata}
-	for g, ranks := range plan.GroupRanks {
-		aggs := dedupInts(aggsByGroup[g])
-		for _, r := range ranks {
-			bytes := int64(extCount[r]) * extentListEntryBytes
-			if bytes == 0 {
-				continue
-			}
-			for _, a := range aggs {
-				meta.Messages = append(meta.Messages, sim.Message{
-					SrcNode: ctx.Topo.NodeOf(r),
-					DstNode: ctx.Topo.NodeOf(a),
-					Bytes:   bytes,
-				})
-				co.transfer(r, a, bytes)
-			}
-		}
-	}
-	if len(meta.Messages) > 0 {
-		eng.RunRound(meta)
+	if len(fs.meta) > 0 {
+		eng.RunAggRound(sim.AggRound{Kind: sim.RoundMetadata, Exchanges: fs.meta})
 	}
 
 	// Live domain set (placements mutate on recovery) and work items.
-	live := append([]Domain(nil), plan.Domains...)
-	items := make([]*FaultItem, 0, len(live))
-	domainContribs := buildFaultContribs(ctx, live, reqs)
-	totalRounds := 0
-	for i, d := range live {
-		rounds := d.Rounds()
-		totalRounds += rounds
-		if rounds == 0 {
-			continue
-		}
-		items = append(items, &FaultItem{
-			Domain:   i,
-			Base:     d.Extents,
-			Bytes:    d.Bytes,
-			Buf:      d.BufferBytes,
-			Rounds:   rounds,
-			Rot:      i,
-			Contribs: domainContribs[i],
-		})
-	}
-
+	live := plan.Domains
+	items := fs.items
 	res := &FaultResult{}
-	spec := inj.Spec()
 	nodes := ctx.Topo.Nodes()
-	if ad != nil {
-		ad.init(spec)
-		ad.Detector.SetObserver(ctx.Obs)
-		ad.Breakers.SetObserver(ctx.Obs)
+	ioBW := ctx.FS.TargetBW
+	if op == Read && ctx.FS.ReadBWFactor > 0 {
+		ioBW *= ctx.FS.ReadBWFactor
 	}
+	// hot marks the nodes whose messages walk per rank this round; nil
+	// when no node can be hot.
+	var hot []bool
+	if env.allHot || inj != nil {
+		hot = make([]bool, nodes)
+		for n := range hot {
+			hot[n] = env.allHot
+		}
+	}
+	var spec faults.Spec
 	// leakFrac tracks the largest MemLeak fraction already applied per
 	// node; leakSev the paging severity that decay produced (kept apart
 	// from nodeSeverity so adaptive observation can attribute it).
-	leakFrac := make([]float64, nodes)
-	leakSev := make([]float64, nodes)
 	// nodeSeverity tracks the worst paging severity declared per node so
 	// recoveries never accidentally lower another domain's penalty.
-	nodeSeverity := map[int]float64{}
-	for _, d := range live {
-		if d.PagedSeverity > nodeSeverity[d.AggNode] {
-			nodeSeverity[d.AggNode] = d.PagedSeverity
+	var leakFrac, leakSev []float64
+	var nodeSeverity map[int]float64
+	if inj != nil {
+		live = append([]Domain(nil), live...)
+		spec = inj.Spec()
+		if ad != nil {
+			ad.init(spec)
+			ad.Detector.SetObserver(ctx.Obs)
+			ad.Breakers.SetObserver(ctx.Obs)
+		}
+		leakFrac = make([]float64, nodes)
+		leakSev = make([]float64, nodes)
+		nodeSeverity = map[int]float64{}
+		for _, d := range live {
+			if d.PagedSeverity > nodeSeverity[d.AggNode] {
+				nodeSeverity[d.AggNode] = d.PagedSeverity
+			}
 		}
 	}
 
@@ -345,12 +356,14 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 		}
 
 		var stall float64
-		var rec sim.Round
+		var rec sim.AggRound
 		// refold retires every item bound to domain src and re-creates
-		// its remaining work bound to domain dst, shipping the
-		// contributors' remaining extent lists to dst's aggregator as
-		// recovery-round metadata (each list approximated by the item's
-		// extent count, as in the initial exchange).
+		// its remaining work bound to domain dst. With reExchange the
+		// surviving contributors re-ship their remaining extent lists to
+		// dst's aggregator as a recovery round; every contributor of one
+		// folded item ships the same payload, so consecutive same-node
+		// senders bundle into one aggregate message (all hot, each
+		// contributor sends its own).
 		refold := func(src, dst int, reExchange bool) {
 			// Snapshot the length: folding appends successors, and when
 			// src == dst (an in-place re-placement) a successor would
@@ -361,7 +374,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 				if it.Domain != src || !it.Active() {
 					continue
 				}
-				nit := it.Fold(dst, live)
+				nit := it.fold(dst, live)
 				it.Done = it.Rounds // retire
 				if nit == nil {
 					continue
@@ -370,14 +383,20 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 				if !reExchange {
 					continue
 				}
-				bytes := nit.RecoveryMetaBytes()
+				bytes := nit.recoveryMetaBytes()
+				dstNode := live[dst].AggNode
 				for _, c := range nit.Contribs {
-					rec.Messages = append(rec.Messages, sim.Message{
-						SrcNode: c.Node,
-						DstNode: live[dst].AggNode,
-						Bytes:   bytes,
-					})
 					co.transfer(c.Rank, live[dst].Aggregator, bytes)
+					if k := len(rec.Messages); k > 0 && !env.allHot {
+						if m := &rec.Messages[k-1]; m.SrcNode == c.Node && m.DstNode == dstNode {
+							m.Bytes += bytes
+							m.Count++
+							continue
+						}
+					}
+					rec.Messages = append(rec.Messages, sim.AggMessage{
+						SrcNode: c.Node, DstNode: dstNode, Bytes: bytes, Count: 1,
+					})
 				}
 			}
 		}
@@ -425,18 +444,15 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 			eng.AddRecoveryLatency(stall, ev.Kind.String())
 		}
 		if len(rec.Messages) > 0 {
-			eng.RunRecoveryRound(rec)
+			eng.RunAggRecoveryRound(rec)
 		}
 		return len(ras), nil
 	}
 
-	// Main loop: one data round per iteration, fault events applied at
-	// round boundaries. The guard bounds pathological refold cascades;
-	// a correct handler converges far below it.
-	guard := 16*(totalRounds+1) + 1024
-	executed := 0
-	for {
-		now := eng.Elapsed()
+	// boundary applies everything the injector and the adaptive policy
+	// decide at a round boundary: host events, stragglers, gray storage,
+	// memory leaks, suspicion, breakers and proactive failover.
+	boundary := func(now float64) error {
 		for _, ev := range inj.Advance(now) {
 			if tlr != nil {
 				// The event's own schedule time, not the round boundary
@@ -447,7 +463,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 				continue
 			}
 			if _, err := handleHostEvent(ev, false); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		for n := 0; n < nodes; n++ {
@@ -491,61 +507,189 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 		// service signals this round boundary exposes, open breakers on
 		// newly suspected targets, and proactively move work off
 		// suspected hosts before a hard fault makes the decision for us.
-		if ad != nil && ad.Detector != nil {
-			unit := spec.DropTimeoutSeconds
-			if unit <= 0 {
-				unit = 0.01
+		if ad == nil || ad.Detector == nil {
+			return nil
+		}
+		unit := spec.DropTimeoutSeconds
+		if unit <= 0 {
+			unit = 0.01
+		}
+		for t := 0; t < ctx.FS.Targets; t++ {
+			wasSus := ad.Detector.Suspected("ost", t)
+			if ad.Detector.Observe("ost", t, inj.OSTSlowdownFactor(t, now)) {
+				// Every round a target stays suspected is one suspicion
+				// event against its breaker — the Nth opens it.
+				before := ad.Breakers.State(t)
+				ad.Breakers.OnFailure(t, now)
+				tlBreakerEvent(tlr, before, ad.Breakers.State(t), t, now)
 			}
-			for t := 0; t < ctx.FS.Targets; t++ {
-				wasSus := ad.Detector.Suspected("ost", t)
-				if ad.Detector.Observe("ost", t, inj.OSTSlowdownFactor(t, now)) {
-					// Every round a target stays suspected is one suspicion
-					// event against its breaker — the Nth opens it.
-					before := ad.Breakers.State(t)
-					ad.Breakers.OnFailure(t, now)
-					tlBreakerEvent(tlr, before, ad.Breakers.State(t), t, now)
+			tlSuspicion(tlr, ad.Detector, "ost", t, wasSus, now)
+		}
+		for n := 0; n < nodes; n++ {
+			sig := inj.NodeSlowdown(n, now) +
+				(inj.MsgDelaySeconds(n, now)+inj.NICDelaySeconds(n, now))/unit +
+				4*leakSev[n]
+			wasSus := ad.Detector.Suspected("node", n)
+			ad.Detector.Observe("node", n, sig)
+			tlSuspicion(tlr, ad.Detector, "node", n, wasSus, now)
+		}
+		if !ad.Proactive {
+			return nil
+		}
+		for _, n := range ad.Detector.SuspectedIDs("node") {
+			if ad.handled[n] {
+				continue
+			}
+			hasWork := false
+			for _, it := range items {
+				if it.Active() && live[it.Domain].AggNode == n {
+					hasWork = true
+					break
 				}
-				tlSuspicion(tlr, ad.Detector, "ost", t, wasSus, now)
 			}
-			for n := 0; n < nodes; n++ {
-				sig := inj.NodeSlowdown(n, now) +
-					(inj.MsgDelaySeconds(n, now)+inj.NICDelaySeconds(n, now))/unit +
-					4*leakSev[n]
-				wasSus := ad.Detector.Suspected("node", n)
-				ad.Detector.Observe("node", n, sig)
-				tlSuspicion(tlr, ad.Detector, "node", n, wasSus, now)
+			if !hasWork {
+				continue
 			}
-			if ad.Proactive {
-				for _, n := range ad.Detector.SuspectedIDs("node") {
-					if ad.handled[n] {
-						continue
-					}
-					hasWork := false
-					for _, it := range items {
-						if it.Active() && live[it.Domain].AggNode == n {
-							hasWork = true
-							break
-						}
-					}
-					if !hasWork {
-						continue
-					}
-					ad.handled[n] = true
-					ev := faults.Event{Kind: faults.Straggler, Time: now, Node: n, Severity: 1}
-					moved, err := handleHostEvent(ev, true)
-					if err != nil {
-						return nil, err
-					}
-					// A declined move (handler found no live host to take
-					// the work) counts as nothing: the node keeps its
-					// domains and its suspicion stays on record.
-					if moved > 0 {
-						res.ProactiveFailovers++
-					}
-				}
+			ad.handled[n] = true
+			ev := faults.Event{Kind: faults.Straggler, Time: now, Node: n, Severity: 1}
+			moved, err := handleHostEvent(ev, true)
+			if err != nil {
+				return err
+			}
+			// A declined move (handler found no live host to take the
+			// work) counts as nothing: the node keeps its domains and its
+			// suspicion stays on record.
+			if moved > 0 {
+				res.ProactiveFailovers++
 			}
 		}
+		return nil
+	}
 
+	// The round being built and its extra latency, which message adds to
+	// term by term: float addition order is part of the price.
+	var round sim.AggRound
+	var extraLat float64
+
+	// message applies the message-level fault state to one per-rank
+	// shuffle message from a hot node and charges the round its extra
+	// latency: delay windows (hedged under the adaptive policy), drops
+	// and flaky-NIC drops resent after the drop timeout, and corrupted
+	// messages re-requested after end-to-end verification. Every resend
+	// moves the bytes again.
+	message := func(m sim.AggMessage, now float64) {
+		if delay := inj.MsgDelaySeconds(m.SrcNode, now) + inj.NICDelaySeconds(m.SrcNode, now); delay > 0 {
+			charged := delay
+			if ad != nil {
+				if dl, armed := ad.hedgeDeadline(); armed && dl < delay {
+					// Hedge the straggler: at the quantile deadline a
+					// duplicate re-request goes out and the first arrival
+					// wins. The duplicate's bytes move on the wire but the
+					// checksum path discards the loser, so they never
+					// reach user accounting.
+					charged = dl
+					round.Messages = append(round.Messages, m)
+					res.HedgedMessages++
+					res.HedgedBytes += m.Bytes
+					res.DedupedBytes += m.Bytes
+					if tlr != nil {
+						tlr.J().Record(now, timeline.EvHedge, timeline.Ent("node", m.SrcNode),
+							fmt.Sprintf("%d bytes re-requested", m.Bytes))
+					}
+				}
+			}
+			extraLat += charged
+			res.DelayedMessages++
+		}
+		if ad != nil {
+			ad.window.Add(inj.MsgDelaySeconds(m.SrcNode, now) + inj.NICDelaySeconds(m.SrcNode, now))
+		}
+		if inj.TakeDrop(m.SrcNode) {
+			round.Messages = append(round.Messages, m)
+			extraLat += spec.DropTimeoutSeconds
+			res.DroppedMessages++
+		}
+		if inj.TakeNICDrop(m.SrcNode, now) {
+			round.Messages = append(round.Messages, m)
+			extraLat += spec.DropTimeoutSeconds
+			res.DroppedMessages++
+			res.FlakyDrops++
+		}
+		if inj.TakeMsgFlip(m.SrcNode) {
+			round.Messages = append(round.Messages, m)
+			extraLat += spec.DropTimeoutSeconds
+			res.CorruptedMessages++
+			if tlr != nil {
+				tlr.J().Record(now, timeline.EvRepair, timeline.Ent("node", m.SrcNode),
+					fmt.Sprintf("corrupted message re-requested (%d bytes)", m.Bytes))
+			}
+		}
+	}
+
+	// access applies the storage fault state to one access. An open
+	// breaker fails fast into degraded service: the access skips the
+	// retry ladder and pays only the degraded streaming factor. Otherwise
+	// the target's retry ladder and degraded mode apply, and the access
+	// feeds the breaker. A torn write is caught by the read-back verify
+	// and re-issued: one extra request on the target.
+	access := func(io *sim.IOOp, now float64) {
+		fastFail := false
+		if ad != nil {
+			// Allow may move the breaker Open -> HalfOpen at the probe
+			// deadline; the state diff journals it.
+			before := ad.Breakers.State(io.Target)
+			fastFail = !ad.Breakers.Allow(io.Target, now)
+			tlBreakerEvent(tlr, before, ad.Breakers.State(io.Target), io.Target, now)
+		}
+		if fastFail {
+			io.DelaySeconds = float64(io.Bytes) / ioBW * (max(spec.DegradedFactor, 1) - 1)
+			io.Degraded = true
+		} else {
+			retries, backoff, degraded := inj.OSTPenalty(io.Target, now)
+			io.DelaySeconds = backoff
+			if degraded {
+				io.DelaySeconds += float64(io.Bytes) / ioBW * (spec.DegradedFactor - 1)
+			}
+			io.Requests += retries
+			res.StorageRetries += retries
+			if ad != nil {
+				before := ad.Breakers.State(io.Target)
+				if retries > 0 {
+					ad.Breakers.OnFailure(io.Target, now)
+				} else if !inj.OSTWindowActive(io.Target, now) &&
+					!(ad.Detector != nil && ad.Detector.Suspected("ost", io.Target)) {
+					// A clean access only votes "healthy" when the detector
+					// agrees — a suspected-slow target must not have its
+					// breaker failure count washed out by accesses that
+					// merely completed (slowly).
+					ad.Breakers.OnSuccess(io.Target, now)
+				}
+				tlBreakerEvent(tlr, before, ad.Breakers.State(io.Target), io.Target, now)
+			}
+		}
+		if op == Write && inj.TakeTornWrite(io.Target) {
+			io.Requests++
+			res.TornWrites++
+			if tlr != nil {
+				tlr.J().Record(now, timeline.EvRepair, timeline.Ent("ost", io.Target),
+					"torn write re-issued")
+			}
+		}
+	}
+
+	// The guard bounds pathological refold cascades; a correct handler
+	// converges far below it.
+	guard := 16*(fs.totalRounds+1) + 1024
+	executed := 0
+	var slice []pfs.Extent
+	mapper := ctx.FS.NewMapper()
+	for {
+		now := eng.Elapsed()
+		if inj != nil {
+			if err := boundary(now); err != nil {
+				return nil, err
+			}
+		}
 		anyActive := false
 		for _, it := range items {
 			if it.Active() {
@@ -556,182 +700,104 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 		if !anyActive {
 			break
 		}
+		if inj != nil && !env.allHot {
+			for n := 0; n < nodes; n++ {
+				hot[n] = inj.MsgDelaySeconds(n, now)+inj.NICDelaySeconds(n, now) > 0 ||
+					inj.PendingDrops(n) > 0 || inj.PendingFlips(n) > 0 ||
+					inj.NICDropActive(n, now)
+			}
+		}
 
-		var round sim.Round
-		var extraLat float64
+		round.Messages = round.Messages[:0]
+		round.IOOps = round.IOOps[:0]
+		extraLat = 0
 		for _, it := range items {
 			if !it.Active() {
 				continue
 			}
-			d := live[it.Domain]
+			d := &live[it.Domain]
 			s := it.Done
-			for _, c := range it.Contribs {
-				per := EvenShare(c.Bytes, s, it.Rounds)
-				if per == 0 {
-					continue
-				}
-				m := sim.Message{SrcNode: c.Node, DstNode: d.AggNode, Bytes: per}
-				srcRank, dstRank := c.Rank, d.Aggregator
+			co.shuffle(it, d.Aggregator, op)
+			// An item is hot when any of its messages' source node is: the
+			// aggregator node on reads (every message originates there),
+			// any contributing node on writes.
+			itemHot := env.allHot
+			if hot != nil && !itemHot {
 				if op == Read {
-					m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
-					srcRank, dstRank = dstRank, srcRank
-				}
-				co.transfer(srcRank, dstRank, per)
-				if co != nil {
-					co.shuf[it.Domain].Add(per)
-				}
-				if delay := inj.MsgDelaySeconds(m.SrcNode, now) + inj.NICDelaySeconds(m.SrcNode, now); delay > 0 {
-					charged := delay
-					if ad != nil {
-						if dl, armed := ad.hedgeDeadline(); armed && dl < delay {
-							// Hedge the straggler: at the quantile deadline a
-							// duplicate re-request goes out and the first
-							// arrival wins. The duplicate's bytes move on the
-							// wire but the checksum path discards the loser,
-							// so they never reach user accounting.
-							charged = dl
-							round.Messages = append(round.Messages, m)
-							res.HedgedMessages++
-							res.HedgedBytes += m.Bytes
-							res.DedupedBytes += m.Bytes
-							if tlr != nil {
-								tlr.J().Record(now, timeline.EvHedge, timeline.Ent("node", m.SrcNode),
-									fmt.Sprintf("%d bytes re-requested", m.Bytes))
-							}
+					itemHot = hot[d.AggNode]
+				} else {
+					for _, nc := range it.nodeAggs() {
+						if hot[nc.Node] {
+							itemHot = true
+							break
 						}
 					}
-					extraLat += charged
-					res.DelayedMessages++
 				}
-				if ad != nil {
-					ad.window.Add(inj.MsgDelaySeconds(m.SrcNode, now) + inj.NICDelaySeconds(m.SrcNode, now))
-				}
-				if inj.TakeDrop(m.SrcNode) {
-					// Lost and resent after the drop timeout: the bytes
-					// move twice and the round absorbs the timeout.
-					round.Messages = append(round.Messages, m)
-					extraLat += spec.DropTimeoutSeconds
-					res.DroppedMessages++
-				}
-				if inj.TakeNICDrop(m.SrcNode, now) {
-					// A flaky-NIC burst drop, priced like any other drop.
-					round.Messages = append(round.Messages, m)
-					extraLat += spec.DropTimeoutSeconds
-					res.DroppedMessages++
-					res.FlakyDrops++
-				}
-				if inj.TakeMsgFlip(m.SrcNode) {
-					// Silently corrupted: end-to-end verification detects
-					// the flip and re-requests the chunk, so the bytes move
-					// twice and the round absorbs the detect+resend
-					// round-trip (priced like a drop timeout).
-					round.Messages = append(round.Messages, m)
-					extraLat += spec.DropTimeoutSeconds
-					res.CorruptedMessages++
-					if tlr != nil {
-						tlr.J().Record(now, timeline.EvRepair, timeline.Ent("node", m.SrcNode),
-							fmt.Sprintf("corrupted message re-requested (%d bytes)", m.Bytes))
-					}
-				}
-				round.Messages = append(round.Messages, m)
 			}
+			if itemHot {
+				// The hot branch: walk the hot sources per rank, in
+				// contributor order. Healthy-node messages are skipped here
+				// (their queries are no-ops and they add no latency) and
+				// bundled below.
+				for _, c := range it.Contribs {
+					m := sim.AggMessage{SrcNode: c.Node, DstNode: d.AggNode, Bytes: evenShare(c.Bytes, s, it.Rounds), Count: 1}
+					if op == Read {
+						m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
+					}
+					if m.Bytes == 0 || !hot[m.SrcNode] {
+						continue
+					}
+					if inj != nil {
+						message(m, now)
+					}
+					round.Messages = append(round.Messages, m)
+				}
+			}
+			if !env.allHot && (op == Write || !itemHot) {
+				aggs := it.nodeAggs()
+				for i := range aggs {
+					nc := &aggs[i]
+					if itemHot && hot[nc.Node] {
+						continue
+					}
+					bytes, msgs := nc.RoundShare(s)
+					if bytes == 0 {
+						continue
+					}
+					m := sim.AggMessage{SrcNode: nc.Node, DstNode: d.AggNode, Bytes: bytes, Count: msgs}
+					if op == Read {
+						m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
+					}
+					round.Messages = append(round.Messages, m)
+				}
+			}
+			// Storage: this round's staggered slice of the item through the
+			// collective buffer. Slices are staggered cyclically across
+			// domains: aggregators do not run in lockstep on a real
+			// machine, and without the stagger, stripe-cycle-aligned
+			// domains would hit the same storage target in every round.
 			idx := (s + it.Rot) % it.Rounds
-			slice := pfs.SliceData(it.Base, int64(idx)*it.Buf, it.Buf)
-			for _, acc := range ctx.FS.MapExtents(slice) {
-				fastFail := false
-				if ad != nil {
-					// Allow may move the breaker Open -> HalfOpen at the
-					// probe deadline; the state diff journals it.
-					before := ad.Breakers.State(acc.Target)
-					fastFail = !ad.Breakers.Allow(acc.Target, now)
-					tlBreakerEvent(tlr, before, ad.Breakers.State(acc.Target), acc.Target, now)
+			slice = pfs.SliceDataAppend(slice[:0], it.Base, int64(idx)*it.Buf, it.Buf)
+			for _, acc := range mapper.Map(slice) {
+				io := sim.IOOp{
+					Target:     acc.Target,
+					Node:       d.AggNode,
+					Bytes:      acc.Bytes,
+					Requests:   acc.Requests,
+					Contiguous: acc.Contiguous,
+					Write:      op == Write,
 				}
-				if fastFail {
-					// Open breaker: fail fast into degraded service. The
-					// access skips the retry ladder entirely and pays only
-					// the degraded streaming factor — the whole point of
-					// the breaker is not paying the full backoff walk per
-					// access against a target known to be sick.
-					bw := ctx.FS.TargetBW
-					if op == Read && ctx.FS.ReadBWFactor > 0 {
-						bw *= ctx.FS.ReadBWFactor
-					}
-					df := spec.DegradedFactor
-					if df < 1 {
-						df = 1
-					}
-					torn := 0
-					if op == Write && inj.TakeTornWrite(acc.Target) {
-						torn = 1
-						res.TornWrites++
-						if tlr != nil {
-							tlr.J().Record(now, timeline.EvRepair, timeline.Ent("ost", acc.Target),
-								"torn write re-issued")
-						}
-					}
-					round.IOOps = append(round.IOOps, sim.IOOp{
-						Target:       acc.Target,
-						Node:         d.AggNode,
-						Bytes:        acc.Bytes,
-						Requests:     acc.Requests + torn,
-						Contiguous:   acc.Contiguous,
-						Write:        op == Write,
-						DelaySeconds: float64(acc.Bytes) / bw * (df - 1),
-						Degraded:     true,
-					})
-					continue
+				if inj != nil {
+					access(&io, now)
 				}
-				retries, backoff, degraded := inj.OSTPenalty(acc.Target, now)
-				delay := backoff
-				if degraded {
-					bw := ctx.FS.TargetBW
-					if op == Read && ctx.FS.ReadBWFactor > 0 {
-						bw *= ctx.FS.ReadBWFactor
-					}
-					delay += float64(acc.Bytes) / bw * (spec.DegradedFactor - 1)
-				}
-				res.StorageRetries += retries
-				if ad != nil {
-					before := ad.Breakers.State(acc.Target)
-					if retries > 0 {
-						ad.Breakers.OnFailure(acc.Target, now)
-					} else if !inj.OSTWindowActive(acc.Target, now) &&
-						!(ad.Detector != nil && ad.Detector.Suspected("ost", acc.Target)) {
-						// A clean access only votes "healthy" when the
-						// detector agrees — a suspected-slow target must not
-						// have its breaker failure count washed out by
-						// accesses that merely completed (slowly).
-						ad.Breakers.OnSuccess(acc.Target, now)
-					}
-					tlBreakerEvent(tlr, before, ad.Breakers.State(acc.Target), acc.Target, now)
-				}
-				torn := 0
-				if op == Write && inj.TakeTornWrite(acc.Target) {
-					// A torn object write is caught by the read-back verify
-					// and re-issued: one extra request on the target.
-					torn = 1
-					res.TornWrites++
-					if tlr != nil {
-						tlr.J().Record(now, timeline.EvRepair, timeline.Ent("ost", acc.Target),
-							"torn write re-issued")
-					}
-				}
-				round.IOOps = append(round.IOOps, sim.IOOp{
-					Target:       acc.Target,
-					Node:         d.AggNode,
-					Bytes:        acc.Bytes,
-					Requests:     acc.Requests + retries + torn,
-					Contiguous:   acc.Contiguous,
-					Write:        op == Write,
-					DelaySeconds: delay,
-				})
+				round.IOOps = append(round.IOOps, io)
 			}
 			it.Done++
 		}
 		if extraLat > 0 {
 			eng.AddLatency(extraLat)
 		}
-		eng.RunRound(round)
+		eng.RunAggRound(round)
 		executed++
 		if executed > guard {
 			return nil, fmt.Errorf("collio: fault recovery did not converge after %d rounds", executed)
@@ -739,9 +805,12 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 	}
 
 	userBytes := plan.TotalBytes()
-	if co != nil {
-		span := ctx.Obs.Tracer().Begin(co.pid, sim.TIDTimeline,
-			plan.Strategy+" "+op.String()+" (faults)", 0,
+	if ctx.Obs != nil {
+		name := plan.Strategy + " " + op.String()
+		if inj != nil {
+			name += " (faults)"
+		}
+		span := ctx.Obs.Tracer().Begin(pid, sim.TIDTimeline, name, 0,
 			obs.A("groups", strconv.Itoa(plan.Groups)),
 			obs.A("domains", strconv.Itoa(len(plan.Domains))),
 			obs.A("rounds", strconv.Itoa(executed)),
@@ -772,6 +841,10 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 	if opt.Trace {
 		res.Trace = eng.Trace()
 	}
+	if inj == nil {
+		res.Injected = map[string]int{}
+		return res, nil
+	}
 	res.Injected = inj.Counts()
 	res.RecoverySeconds = totals.RecoverySeconds
 	res.RecoveryRounds = totals.RecoveryRounds
@@ -781,7 +854,6 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 		res.BreakerFastFails = ad.Breakers.FastFails()
 	}
 	if o := ctx.Obs; o != nil {
-		base := []obs.Label{obs.L("strategy", plan.Strategy), obs.L("op", op.String())}
 		o.Counter("faults.failovers", base...).Add(int64(res.Failovers))
 		o.Counter("faults.stalls", base...).Add(int64(res.Stalls))
 		o.Counter("faults.replayed_rounds", base...).Add(int64(res.ReplayedRounds))
@@ -802,7 +874,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 	return res, nil
 }
 
-// leakSeverity is the inline MemLeak fallback for handlers without
+// LeakSeverity is the inline MemLeak fallback for handlers without
 // memory accounting: the live domains' buffer reservations on node
 // against the decayed budget give the paged fraction.
 func LeakSeverity(live []Domain, avail int64, node int, frac float64) float64 {

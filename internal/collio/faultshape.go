@@ -1,32 +1,26 @@
 package collio
 
 import (
-	"sort"
-
 	"mcio/internal/pfs"
 	"mcio/internal/sim"
 )
 
-// FaultContrib is one rank's contribution to a fault-loop work item:
-// the per-rank granularity the faulted cost loop needs to replay, fold
-// and re-exchange work when hosts fail. It is the per-rank form of
-// NodeContrib.
-type FaultContrib struct {
+// faultContrib is one rank's contribution to a work item: the per-rank
+// granularity the hot branch walks and recovery folds.
+type faultContrib struct {
 	Rank  int
 	Node  int
 	Bytes int64
 }
 
-// FaultItem is a unit of remaining shuffle+I/O work in the faulted cost
-// loop. One item starts per plan domain; a recovery folds an item's
-// remaining work into a fresh item bound to the absorbing (or
+// faultItem is a unit of remaining shuffle+I/O work in the pricing
+// loop. One item starts per non-empty plan domain; a recovery folds an
+// item's remaining work into a fresh item bound to the absorbing (or
 // re-placed) domain. Items reference live domains by index for
 // placement, so later reassignments of the same domain move them too.
-// Both pricing engines share the type: the byte path walks Contribs
-// per rank each round, the fast path prices per-node aggregates (Aggs)
-// and falls back to the per-rank walk only where fault state demands
-// it.
-type FaultItem struct {
+// Healthy items price from per-node aggregates (aggs); items touching a
+// hot node walk Contribs per rank.
+type faultItem struct {
 	Domain   int // index into the live domain set; placement is read per round
 	Base     []pfs.Extent
 	Bytes    int64
@@ -34,30 +28,39 @@ type FaultItem struct {
 	Rounds   int
 	Done     int
 	Rot      int // slice stagger rotation (domain index at creation)
-	Contribs []FaultContrib
+	Contribs []faultContrib
 
-	aggs []NodeContrib // per-node aggregates, built on first Aggs call
+	aggs []NodeContrib // per-node aggregates, built from Contribs on first use
 }
 
 // Active reports whether the item still has rounds to run.
-func (it *FaultItem) Active() bool { return it.Bytes > 0 && it.Done < it.Rounds }
+func (it *faultItem) Active() bool { return it.Bytes > 0 && it.Done < it.Rounds }
 
-// Aggs returns the item's per-node contribution aggregates, building
+// nodeAggs returns the item's per-node contribution aggregates, building
 // them from Contribs on first use. Each NodeContrib reconstructs the
-// node's exact per-round share of the byte path's front-loaded even
-// split (RoundShare), so aggregate pricing is bit-identical to walking
-// the ranks.
-func (it *FaultItem) Aggs() []NodeContrib {
+// node's exact per-round share of the per-rank even split (RoundShare),
+// so aggregate pricing is bit-identical to walking the ranks.
+func (it *faultItem) nodeAggs() []NodeContrib {
 	if it.aggs == nil {
-		it.aggs = BuildAggs(it.Contribs, it.Rounds)
+		rounds := int64(max(it.Rounds, 1))
+		byNode := map[int]*NodeContrib{}
+		for _, c := range it.Contribs {
+			nc := byNode[c.Node]
+			if nc == nil {
+				nc = &NodeContrib{Node: c.Node}
+				byNode[c.Node] = nc
+			}
+			nc.add(c.Bytes, rounds)
+		}
+		it.aggs = sortedContribs(byNode)
 	}
 	return it.aggs
 }
 
-// EvenShare is the front-loaded even split Cost uses: step s of rounds
-// moves b/rounds bytes, plus one while s < b mod rounds. NodeContrib.
-// RoundShare is its exact per-node aggregate.
-func EvenShare(b int64, s, rounds int) int64 {
+// evenShare is the front-loaded even split of one rank's contribution:
+// step s of rounds moves b/rounds bytes, plus one while s < b mod
+// rounds. NodeContrib.RoundShare is its exact per-node aggregate.
+func evenShare(b int64, s, rounds int) int64 {
 	per := b / int64(rounds)
 	if int64(s) < b%int64(rounds) {
 		per++
@@ -68,7 +71,7 @@ func EvenShare(b int64, s, rounds int) int64 {
 // remaining returns the item's unmoved extents and per-contributor
 // bytes after the steps it has completed (slices are staggered, so the
 // remainder is the union of the uncompleted slices).
-func (it *FaultItem) remaining() ([]pfs.Extent, []FaultContrib) {
+func (it *faultItem) remaining() ([]pfs.Extent, []faultContrib) {
 	if it.Done == 0 {
 		return it.Base, it.Contribs
 	}
@@ -77,36 +80,26 @@ func (it *FaultItem) remaining() ([]pfs.Extent, []FaultContrib) {
 		idx := (j + it.Rot) % it.Rounds
 		rem = append(rem, pfs.SliceData(it.Base, int64(idx)*it.Buf, it.Buf)...)
 	}
-	var cs []FaultContrib
+	var cs []faultContrib
 	for _, c := range it.Contribs {
-		moved := int64(it.Done)*(c.Bytes/int64(it.Rounds)) + minI64(int64(it.Done), c.Bytes%int64(it.Rounds))
+		moved := int64(it.Done)*(c.Bytes/int64(it.Rounds)) + min(int64(it.Done), c.Bytes%int64(it.Rounds))
 		if left := c.Bytes - moved; left > 0 {
-			cs = append(cs, FaultContrib{Rank: c.Rank, Node: c.Node, Bytes: left})
+			cs = append(cs, faultContrib{Rank: c.Rank, Node: c.Node, Bytes: left})
 		}
 	}
 	return pfs.NormalizeExtents(rem), cs
 }
 
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// Fold builds the successor item carrying it's remaining work on the
+// fold builds the successor item carrying it's remaining work on the
 // (possibly re-placed) domain target. Returns nil when nothing remains.
-func (it *FaultItem) Fold(target int, live []Domain) *FaultItem {
+func (it *faultItem) fold(target int, live []Domain) *faultItem {
 	rem, cs := it.remaining()
 	bytes := pfs.TotalBytes(rem)
 	if bytes == 0 {
 		return nil
 	}
-	buf := live[target].BufferBytes
-	if buf < 1 {
-		buf = 1
-	}
-	return &FaultItem{
+	buf := max(live[target].BufferBytes, 1)
+	return &faultItem{
 		Domain:   target,
 		Base:     rem,
 		Bytes:    bytes,
@@ -117,95 +110,61 @@ func (it *FaultItem) Fold(target int, live []Domain) *FaultItem {
 	}
 }
 
-// RecoveryMetaBytes is the extent-list payload each surviving
+// recoveryMetaBytes is the extent-list payload each surviving
 // contributor re-ships to the absorbing aggregator after a fold: one
 // wire record per remaining extent, floored at one record so an empty
-// hand-off still costs a message. Both engines price recovery rounds
-// from it.
-func (it *FaultItem) RecoveryMetaBytes() int64 {
-	bytes := int64(len(it.Base)) * extentListEntryBytes
-	if bytes == 0 {
-		bytes = extentListEntryBytes
-	}
-	return bytes
+// hand-off still costs a message.
+func (it *faultItem) recoveryMetaBytes() int64 {
+	return max(int64(len(it.Base)), 1) * extentListEntryBytes
 }
 
-// BuildAggs folds per-rank contributions into per-node aggregates,
-// ascending by node — the same construction BuildShape performs for
-// fault-free domains, applied to a fault item's (possibly refolded)
-// contributor list.
-func BuildAggs(contribs []FaultContrib, rounds int) []NodeContrib {
-	if rounds < 1 {
-		rounds = 1
-	}
-	byNode := map[int]*NodeContrib{}
-	for _, c := range contribs {
-		nc := byNode[c.Node]
-		if nc == nil {
-			nc = &NodeContrib{Node: c.Node}
-			byNode[c.Node] = nc
+// faultShape is the per-rank round structure of a planned collective
+// operation: the metadata scatter in closed form plus one work item per
+// non-empty domain carrying its per-rank contributor list — what
+// recovery folds and the hot branch and the observer walk. It is
+// BuildShape's counterpart for faulted, adaptive and observed runs.
+type faultShape struct {
+	meta        []sim.Exchange
+	items       []*faultItem
+	totalRounds int // the initial items' round counts, for the divergence guard
+}
+
+// buildFaultShape derives plan's per-rank round structure for the
+// given requests (ctx already validated), walking each rank's request
+// list once. A non-nil co counts the metadata scatter per rank.
+func buildFaultShape(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) *faultShape {
+	fs := &faultShape{}
+	fs.meta, _ = buildMetaExchanges(ctx, plan, reqs, co)
+	contribs := make([][]faultContrib, len(plan.Domains))
+	if len(plan.Domains) > 0 {
+		// The sparse overlap walk visits only (rank, domain) pairs that
+		// actually overlap, near-linear in total extents; each domain's
+		// list comes out in request order, the order the hot branch walks.
+		buckets := make([][]pfs.Extent, len(plan.Domains))
+		for i, d := range plan.Domains {
+			buckets[i] = d.Extents
 		}
-		nc.Count++
-		nc.Bytes += c.Bytes
-		fl, rem := c.Bytes/int64(rounds), c.Bytes%int64(rounds)
-		nc.floorSum += fl
-		if fl > 0 {
-			nc.posFloor++
-		}
-		if rem > 0 {
-			nc.rems = append(nc.rems, rem)
-			if fl == 0 {
-				nc.remsZero = append(nc.remsZero, rem)
+		index := NewExtentIndex(buckets)
+		var overlaps []BucketBytes
+		for _, r := range reqs {
+			if len(r.Extents) == 0 {
+				continue
+			}
+			node := ctx.Topo.NodeOf(r.Rank)
+			overlaps = index.OverlapAppend(overlaps[:0], r.Extents)
+			for _, bb := range overlaps {
+				contribs[bb.Bucket] = append(contribs[bb.Bucket],
+					faultContrib{Rank: r.Rank, Node: node, Bytes: bb.Bytes})
 			}
 		}
 	}
-	out := make([]NodeContrib, 0, len(byNode))
-	for _, nc := range byNode {
-		sortInt64s(nc.rems)
-		sortInt64s(nc.remsZero)
-		out = append(out, *nc)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
-	return out
-}
-
-// FaultShape is the fault-loop round structure of a planned collective
-// operation: the metadata scatter in closed form plus one work item per
-// non-empty domain, carrying both the per-rank contributor lists the
-// recovery machinery folds and the per-node aggregates the fast path
-// prices. It is BuildShape's counterpart for faulted runs.
-type FaultShape struct {
-	// MetaExchanges is the metadata scatter, as in Shape.
-	MetaExchanges []sim.Exchange
-	// MetaMessages is the point-to-point message count the exchanges
-	// stand for.
-	MetaMessages int
-	// Items holds one work item per domain with at least one round,
-	// in domain order — the initial state of the faulted cost loop.
-	Items []*FaultItem
-	// TotalRounds sums the initial items' round counts; the loop's
-	// divergence guard keys on it.
-	TotalRounds int
-}
-
-// BuildFaultedShape derives the faulted round structure of plan for the
-// given requests: the same metadata exchanges BuildShape produces, plus
-// per-rank work items (the byte-path fault loop's state) with per-node
-// aggregates attached. Building it walks each rank's request list once.
-func BuildFaultedShape(ctx *Context, plan *Plan, reqs []RankRequest) (*FaultShape, error) {
-	if err := ctx.Validate(); err != nil {
-		return nil, err
-	}
-	fs := &FaultShape{}
-	fs.MetaExchanges, fs.MetaMessages = buildMetaExchanges(ctx, plan, reqs)
-	contribs := buildFaultContribs(ctx, plan.Domains, reqs)
 	for i, d := range plan.Domains {
 		rounds := d.Rounds()
-		fs.TotalRounds += rounds
+		fs.totalRounds += rounds
 		if rounds == 0 {
 			continue
 		}
-		fs.Items = append(fs.Items, &FaultItem{
+		fs.items = append(fs.items, &faultItem{
 			Domain:   i,
 			Base:     d.Extents,
 			Bytes:    d.Bytes,
@@ -215,35 +174,5 @@ func BuildFaultedShape(ctx *Context, plan *Plan, reqs []RankRequest) (*FaultShap
 			Contribs: contribs[i],
 		})
 	}
-	return fs, nil
-}
-
-// buildFaultContribs computes each domain's per-rank contributor list,
-// in request order (the order the faulted round loop walks). The sparse
-// overlap walk visits only (rank, domain) pairs that actually overlap,
-// so the build is near-linear in total extents rather than ranks ×
-// domains.
-func buildFaultContribs(ctx *Context, domains []Domain, reqs []RankRequest) [][]FaultContrib {
-	out := make([][]FaultContrib, len(domains))
-	if len(domains) == 0 {
-		return out
-	}
-	buckets := make([][]pfs.Extent, len(domains))
-	for i, d := range domains {
-		buckets[i] = d.Extents
-	}
-	index := NewExtentIndex(buckets)
-	var overlaps []BucketBytes
-	for _, r := range reqs {
-		if len(r.Extents) == 0 {
-			continue
-		}
-		node := ctx.Topo.NodeOf(r.Rank)
-		overlaps = index.OverlapAppend(overlaps[:0], r.Extents)
-		for _, bb := range overlaps {
-			out[bb.Bucket] = append(out[bb.Bucket],
-				FaultContrib{Rank: r.Rank, Node: node, Bytes: bb.Bytes})
-		}
-	}
-	return out
+	return fs
 }

@@ -10,15 +10,11 @@ import (
 // Shape is the round structure of a planned collective operation,
 // described without executing it: what the metadata exchange moves
 // between nodes, and what every data round shuffles and stores, as
-// aggregate per-route and per-node quantities. It is the plan-side half
-// of the analytical fast path (internal/fastsim): Cost derives the same
-// quantities implicitly by replaying one message per rank, Shape exposes
-// them in O(aggregators + contributing nodes) so an engine can price a
-// million-rank operation from a few thousand numbers.
+// aggregate per-route and per-node quantities. It holds O(aggregators +
+// contributing nodes) numbers, so a million-rank operation prices
+// without materializing one message per rank. Build it once with
+// BuildShape and price both directions from it with CostShape.
 type Shape struct {
-	// MaxRounds is the global round count: rounds are priced in lockstep
-	// across domains, and domain i is staggered by i buffer slots.
-	MaxRounds int
 	// MetaExchanges is the metadata scatter, one all-to-all exchange per
 	// group with aggregators and contributing members: each source node's
 	// extent-list bytes to each aggregator slot. The exchange form stays
@@ -44,8 +40,6 @@ type DomainShape struct {
 	// Rounds is Domain.Rounds(): collective-buffer cycles to drain the
 	// domain.
 	Rounds int
-	// AggNode hosts the domain's aggregator.
-	AggNode int
 	// BufferBytes is the aggregator's collective buffer.
 	BufferBytes int64
 	// Extents aliases the domain's (normalized) data extents.
@@ -56,11 +50,11 @@ type DomainShape struct {
 }
 
 // NodeContrib aggregates one node's shuffle contributions to a domain
-// across the domain's rounds. The byte path splits each rank's
-// contribution evenly over the rounds, giving round k
-// floor(bytes/rounds) plus one extra byte while k < bytes%rounds; the
-// per-node aggregate of that split is reconstructed exactly from the
-// floor sum and the sorted remainder multiset.
+// across the domain's rounds. Each rank's contribution is split evenly
+// over the rounds (evenShare): round k moves floor(bytes/rounds) plus
+// one extra byte while k < bytes%rounds. The per-node aggregate of that
+// split is reconstructed exactly from the floor sum and the sorted
+// remainder multiset.
 type NodeContrib struct {
 	// Node is the contributing compute node.
 	Node int
@@ -76,8 +70,8 @@ type NodeContrib struct {
 }
 
 // RoundShare returns the node's exact shuffle bytes and positive-byte
-// message count in round k of the domain — what the byte path's
-// per-rank even split produces, summed over the node's ranks.
+// message count in round k of the domain: the per-rank even split,
+// summed over the node's ranks.
 func (c *NodeContrib) RoundShare(k int) (bytes int64, msgs int) {
 	kk := int64(k)
 	extra := len(c.rems) - sort.Search(len(c.rems), func(i int) bool { return c.rems[i] > kk })
@@ -85,16 +79,35 @@ func (c *NodeContrib) RoundShare(k int) (bytes int64, msgs int) {
 	return c.floorSum + int64(extra), c.posFloor + zero
 }
 
-// RoundSlice returns the file extents the domain's aggregator drains in
-// round k: the staggered collective-buffer window the byte path uses.
-func (d *DomainShape) RoundSlice(k int) []pfs.Extent {
-	return d.RoundSliceAppend(nil, k)
+// add folds one rank's contribution of b bytes, split over rounds, into
+// the node aggregate.
+func (c *NodeContrib) add(b, rounds int64) {
+	c.Count++
+	c.Bytes += b
+	fl, rem := b/rounds, b%rounds
+	c.floorSum += fl
+	if fl > 0 {
+		c.posFloor++
+	}
+	if rem > 0 {
+		c.rems = append(c.rems, rem)
+		if fl == 0 {
+			c.remsZero = append(c.remsZero, rem)
+		}
+	}
 }
 
-// RoundSliceAppend is RoundSlice appending to a caller-owned slice, so a
-// pricing loop over every (domain, round) pair reuses one allocation.
-func (d *DomainShape) RoundSliceAppend(dst []pfs.Extent, k int) []pfs.Extent {
-	return pfs.SliceDataAppend(dst, d.Extents, int64((k+d.Index)%d.Rounds)*d.BufferBytes, d.BufferBytes)
+// sortedContribs seals per-node aggregates into a slice ascending by
+// node, ready for RoundShare.
+func sortedContribs(byNode map[int]*NodeContrib) []NodeContrib {
+	out := make([]NodeContrib, 0, len(byNode))
+	for _, nc := range byNode {
+		sortInt64s(nc.rems)
+		sortInt64s(nc.remsZero)
+		out = append(out, *nc)
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
+	return out
 }
 
 // BuildShape derives the round structure of plan for the given requests.
@@ -106,20 +119,15 @@ func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
 		return nil, err
 	}
 	sh := &Shape{}
-	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, reqs)
+	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, reqs, nil)
 	// Domain shapes: geometry plus per-node contribution aggregates.
 	sh.Domains = make([]DomainShape, len(plan.Domains))
 	buckets := make([][]pfs.Extent, len(plan.Domains))
 	contribs := make([]map[int]*NodeContrib, len(plan.Domains))
 	for i, d := range plan.Domains {
-		rd := d.Rounds()
-		if rd > sh.MaxRounds {
-			sh.MaxRounds = rd
-		}
 		sh.Domains[i] = DomainShape{
 			Index:       i,
-			Rounds:      rd,
-			AggNode:     d.AggNode,
+			Rounds:      d.Rounds(),
 			BufferBytes: d.BufferBytes,
 			Extents:     d.Extents,
 		}
@@ -136,50 +144,56 @@ func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
 			node := ctx.Topo.NodeOf(r.Rank)
 			overlaps = index.OverlapAppend(overlaps[:0], r.Extents)
 			for _, bb := range overlaps {
-				rounds := int64(sh.Domains[bb.Bucket].Rounds)
 				nc := contribs[bb.Bucket][node]
 				if nc == nil {
 					nc = &NodeContrib{Node: node}
 					contribs[bb.Bucket][node] = nc
 				}
-				nc.Count++
-				nc.Bytes += bb.Bytes
-				fl, rem := bb.Bytes/rounds, bb.Bytes%rounds
-				nc.floorSum += fl
-				if fl > 0 {
-					nc.posFloor++
-				}
-				if rem > 0 {
-					nc.rems = append(nc.rems, rem)
-					if fl == 0 {
-						nc.remsZero = append(nc.remsZero, rem)
-					}
-				}
+				nc.add(bb.Bytes, int64(sh.Domains[bb.Bucket].Rounds))
 			}
 		}
 	}
 	for i := range sh.Domains {
-		d := &sh.Domains[i]
-		d.Contribs = make([]NodeContrib, 0, len(contribs[i]))
-		for _, nc := range contribs[i] {
-			sortInt64s(nc.rems)
-			sortInt64s(nc.remsZero)
-			d.Contribs = append(d.Contribs, *nc)
-		}
-		sort.Slice(d.Contribs, func(a, b int) bool { return d.Contribs[a].Node < d.Contribs[b].Node })
+		sh.Domains[i].Contribs = sortedContribs(contribs[i])
 	}
 	return sh, nil
+}
+
+// faultShape returns the shape as fresh work items for the pricing
+// loop, in domain order, each carrying its per-node aggregates and no
+// per-rank list.
+func (sh *Shape) faultShape(plan *Plan) *faultShape {
+	fs := &faultShape{meta: sh.MetaExchanges, items: make([]*faultItem, 0, len(sh.Domains))}
+	backing := make([]faultItem, 0, len(sh.Domains))
+	for i := range sh.Domains {
+		d := &sh.Domains[i]
+		fs.totalRounds += d.Rounds
+		if d.Rounds == 0 {
+			continue
+		}
+		backing = append(backing, faultItem{
+			Domain: d.Index,
+			Base:   d.Extents,
+			Bytes:  plan.Domains[d.Index].Bytes,
+			Buf:    d.BufferBytes,
+			Rounds: d.Rounds,
+			Rot:    d.Index,
+			aggs:   d.Contribs,
+		})
+		fs.items = append(fs.items, &backing[len(backing)-1])
+	}
+	return fs
 }
 
 // buildMetaExchanges derives the metadata scatter in closed form, one
 // exchange per group: every member rank ships its flattened extent list
 // to each group aggregator. Ranks are folded per source node and
 // aggregators per destination node (duplicate aggregator ranks on one
-// node are slots, each counting, as on the byte path); the engine
-// prices the cross product in O(sources + destinations). Returns the
-// exchanges and the point-to-point message count they stand for. Both
-// BuildShape and BuildFaultedShape share it.
-func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest) ([]sim.Exchange, int) {
+// node are slots, each counting); the engine prices the cross product
+// in O(sources + destinations). Returns the exchanges and the
+// point-to-point message count they stand for. A non-nil co counts each
+// of those messages per rank.
+func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) ([]sim.Exchange, int) {
 	extCount := make(map[int]int, len(reqs))
 	for _, r := range reqs {
 		n := len(r.Extents)
@@ -214,6 +228,11 @@ func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest) ([]sim.Exc
 			}
 			f.Bytes += bytes
 			f.Count++
+			if co != nil {
+				for _, a := range aggs {
+					co.transfer(r, a, bytes)
+				}
+			}
 		}
 		if len(srcBytes) == 0 {
 			continue

@@ -13,7 +13,7 @@ import (
 
 // FuzzRemergeTiling drives the memory-conscious Failover handler with
 // arbitrary crash/collapse sequences and checks the recovery invariant
-// both cost engines rely on: after every event, the live domains'
+// faulted pricing relies on: after every event, the live domains'
 // extents still tile the original file region exactly — same union,
 // same total bytes, no overlap — and no surviving domain sits on a
 // failed host. Remerge chains, last-leaf relocations and repeated

@@ -1,40 +1,21 @@
-// Package fastsim is the analytical fast path for pricing collective
-// I/O: it prices a plan from the aggregate round structure
-// (collio.Shape) instead of replaying one message per rank, so a
-// 10k-node / million-rank sweep costs seconds and O(aggregators +
-// storage targets) memory where the byte path would materialize millions
-// of messages per round.
+// Package fastsim is the former home of the analytical pricing path.
+// collio now prices every run through one loop, bundling per-node
+// traffic wherever no fault state forbids it, so this package only
+// forwards to it.
 //
-// Both engines consume the same pricing core (internal/sim/pricing)
-// through the same sim.Engine: the fast path feeds it per-route
-// aggregates via RunAggRound, the byte path per-rank messages via
-// RunRound. The engine reduces messages to per-node byte loads before
-// pricing either way, so with the default integral MemCopyFactor the two
-// paths produce bit-identical seconds, totals and traces — an invariant
-// the cross-check tests (and the CI gate) enforce on every fig6/fig7/
-// fig8 cell.
-//
-// Differences from collio.Cost are observational only: the fast path
-// never sees individual ranks, so the per-rank mpi.* counters, the
-// per-domain collio.shuffle_bytes counters and the ctx.Timeline
-// buffer-occupancy gauges are not emitted. Engine-level metrics, spans
-// and traces are identical.
+// Deprecated: use collio.BuildShape with collio.CostShape, and
+// collio.CostWithFaults.
 package fastsim
 
 import (
-	"strconv"
-
 	"mcio/internal/collio"
-	"mcio/internal/obs"
-	"mcio/internal/pfs"
+	"mcio/internal/faults"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 )
 
-// Sim prices one planned collective operation analytically. Building it
-// derives the plan's round structure once; Cost can then price both
-// directions (and arbitrary engine options) without touching the
-// requests again.
+// Sim is a planned collective operation with its round structure built.
+//
+// Deprecated: use collio.BuildShape and collio.CostShape.
 type Sim struct {
 	ctx   *collio.Context
 	plan  *collio.Plan
@@ -42,6 +23,8 @@ type Sim struct {
 }
 
 // New derives the round structure of plan for the given requests.
+//
+// Deprecated: use collio.BuildShape.
 func New(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest) (*Sim, error) {
 	shape, err := collio.BuildShape(ctx, plan, reqs)
 	if err != nil {
@@ -50,134 +33,22 @@ func New(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest) (*Si
 	return &Sim{ctx: ctx, plan: plan, shape: shape}, nil
 }
 
-// Shape exposes the derived round structure (for inspection and tests).
+// Shape exposes the derived round structure.
+//
+// Deprecated: use collio.BuildShape.
 func (s *Sim) Shape() *collio.Shape { return s.shape }
 
-// Cost prices the operation. The result mirrors collio.Cost field for
-// field: same engine, same per-round quantities, same accounting.
+// Cost prices one direction of the operation.
+//
+// Deprecated: use collio.CostShape.
 func (s *Sim) Cost(op collio.Op, opt sim.Options) (*collio.CostResult, error) {
-	ctx, plan, sh := s.ctx, s.plan, s.shape
-	st := sim.StorageParams{
-		Targets:         ctx.FS.Targets,
-		TargetBW:        ctx.FS.TargetBW,
-		ReqOverhead:     ctx.FS.ReqOverhead,
-		NoncontigFactor: ctx.FS.NoncontigFactor,
-		ReadBWFactor:    ctx.FS.ReadBWFactor,
-	}
-	eng, err := sim.NewEngine(ctx.Machine, st, opt)
-	if err != nil {
-		return nil, err
-	}
-	pid := 0
-	if ctx.Obs != nil {
-		pid = ctx.Obs.Tracer().PID(plan.Strategy)
-		eng.SetObserver(ctx.Obs, pid,
-			obs.L("strategy", plan.Strategy), obs.L("op", op.String()))
-	}
-
-	placements := make([]sim.AggregatorPlacement, len(plan.Domains))
-	for i, d := range plan.Domains {
-		placements[i] = sim.AggregatorPlacement{
-			Node:          d.AggNode,
-			BufferBytes:   d.BufferBytes,
-			PagedSeverity: d.PagedSeverity,
-		}
-	}
-	eng.SetAggregators(placements)
-
-	// Metadata scatter: one all-to-all exchange per group, priced in
-	// closed form — the per-route product is dense for the single-group
-	// baseline and would dominate everything else at scale.
-	if len(sh.MetaExchanges) > 0 {
-		eng.RunAggRound(sim.AggRound{Kind: sim.RoundMetadata, Exchanges: sh.MetaExchanges})
-	}
-
-	// Data rounds: per domain, the node-aggregated shuffle share plus the
-	// storage accesses of the round's staggered buffer slice — the same
-	// quantities the byte path reduces its per-rank messages to. The
-	// AggRound backing arrays, the slice scratch and the stripe mapper
-	// are all recycled across the (domain, round) loop, so steady-state
-	// pricing allocates nothing per round.
-	var round sim.AggRound
-	var slice []pfs.Extent
-	mapper := ctx.FS.NewMapper()
-	for k := 0; k < sh.MaxRounds; k++ {
-		round.Messages = round.Messages[:0]
-		round.IOOps = round.IOOps[:0]
-		for i := range sh.Domains {
-			d := &sh.Domains[i]
-			if k >= d.Rounds {
-				continue
-			}
-			for ci := range d.Contribs {
-				c := &d.Contribs[ci]
-				bytes, msgs := c.RoundShare(k)
-				if bytes == 0 {
-					continue
-				}
-				m := sim.AggMessage{SrcNode: c.Node, DstNode: d.AggNode, Bytes: bytes, Count: msgs}
-				if op == collio.Read {
-					m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
-				}
-				round.Messages = append(round.Messages, m)
-			}
-			slice = d.RoundSliceAppend(slice[:0], k)
-			for _, acc := range mapper.Map(slice) {
-				round.IOOps = append(round.IOOps, sim.IOOp{
-					Target:     acc.Target,
-					Node:       d.AggNode,
-					Bytes:      acc.Bytes,
-					Requests:   acc.Requests,
-					Contiguous: acc.Contiguous,
-					Write:      op == collio.Write,
-				})
-			}
-		}
-		eng.RunAggRound(round)
-	}
-
-	userBytes := plan.TotalBytes()
-	if ctx.Obs != nil {
-		span := ctx.Obs.Tracer().Begin(pid, sim.TIDTimeline,
-			plan.Strategy+" "+op.String(), 0,
-			obs.A("groups", strconv.Itoa(plan.Groups)),
-			obs.A("domains", strconv.Itoa(len(plan.Domains))),
-			obs.A("rounds", strconv.Itoa(sh.MaxRounds)),
-			obs.A("user_bytes", strconv.FormatInt(userBytes, 10)))
-		span.End(eng.Elapsed())
-	}
-	res := &collio.CostResult{
-		Strategy:  plan.Strategy,
-		Op:        op,
-		UserBytes: userBytes,
-		Seconds:   eng.Elapsed(),
-		Bandwidth: eng.Bandwidth(userBytes),
-		Totals:    eng.Totals(),
-		Domains:   len(plan.Domains),
-		Groups:    plan.Groups,
-		MaxRounds: sh.MaxRounds,
-	}
-	res.Aggregators = len(plan.Aggregators())
-	buffers := make([]float64, 0, len(plan.Domains))
-	for _, d := range plan.Domains {
-		buffers = append(buffers, float64(d.BufferBytes))
-		if d.PagedSeverity > 0 {
-			res.PagedAggregators++
-		}
-	}
-	res.BufferSummary = stats.Summarize(buffers)
-	if opt.Trace {
-		res.Trace = eng.Trace()
-	}
-	return res, nil
+	return collio.CostShape(s.ctx, s.plan, s.shape, op, opt)
 }
 
-// Cost builds the shape and prices one operation in one call — the
-// drop-in analytical replacement for collio.Cost.
-func Cost(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest, op collio.Op, opt sim.Options) (*collio.CostResult, error) {
-	s, err := New(ctx, plan, reqs)
-	if err != nil {
-		return nil, err
-	}
-	return s.Cost(op, opt)
+// CostWithFaults prices a faulted run.
+//
+// Deprecated: use collio.CostWithFaults.
+func CostWithFaults(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest,
+	op collio.Op, opt sim.Options, inj *faults.Injector, handler collio.FaultHandler) (*collio.FaultResult, error) {
+	return collio.CostWithFaults(ctx, plan, reqs, op, opt, inj, handler)
 }

@@ -1,12 +1,14 @@
 package fastsim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"mcio/internal/collio"
 	"mcio/internal/core"
+	"mcio/internal/faults"
 	"mcio/internal/machine"
 	"mcio/internal/mpi"
 	"mcio/internal/pfs"
@@ -36,8 +38,21 @@ func testContext(t *testing.T, ranks, perNode, targets int, avail int64) *collio
 	}
 }
 
-// priceBoth prices the plan with both engines and fails the test on any
-// divergence in the full CostResult.
+// perRank prices like collio.CostWithFaults with every node walked per
+// rank: the byte-level reference the bundled loop behind this package's
+// forwarders must match bit for bit. CostAdaptive marks every node hot,
+// and an Adaptive with no detector, no breakers, no proactive failover
+// and hedging never armed responds exactly as the static retry-only
+// policy does. A nil injector prices a clean run.
+func perRank(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest, op collio.Op,
+	opt sim.Options, inj *faults.Injector, handler collio.FaultHandler) (*collio.FaultResult, error) {
+	return collio.CostAdaptive(ctx, plan, reqs, op, opt, inj, handler,
+		&collio.Adaptive{HedgeMinSamples: math.MaxInt})
+}
+
+// priceBoth prices the plan through Sim.Cost (bundled per node) and on
+// the per-rank walk, and fails the test on any divergence in the full
+// CostResult.
 func priceBoth(t *testing.T, ctx *collio.Context, s collio.Strategy, reqs []collio.RankRequest, opt sim.Options) {
 	t.Helper()
 	plan, err := collio.CachedPlan(s, ctx, reqs)
@@ -49,7 +64,7 @@ func priceBoth(t *testing.T, ctx *collio.Context, s collio.Strategy, reqs []coll
 		t.Fatal(err)
 	}
 	for _, op := range []collio.Op{collio.Write, collio.Read} {
-		want, err := collio.Cost(ctx, plan, reqs, op, opt)
+		want, err := perRank(ctx, plan, reqs, op, opt, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,15 +72,15 @@ func priceBoth(t *testing.T, ctx *collio.Context, s collio.Strategy, reqs []coll
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s %s: engines diverge\nfast: %+v\nbyte: %+v",
-				s.Name(), op, got, want)
+		if !reflect.DeepEqual(*got, want.CostResult) {
+			t.Fatalf("%s %s: bundled and per-rank pricing diverge\nbundled:  %+v\nper-rank: %+v",
+				s.Name(), op, got, want.CostResult)
 		}
 	}
 }
 
-// TestFastMatchesByteContiguous cross-checks both engines on a dense
-// contiguous workload under both strategies and both overlap modes.
+// TestFastMatchesByteContiguous cross-checks bundled against per-rank
+// pricing on a dense contiguous workload under both strategies and both overlap modes.
 func TestFastMatchesByteContiguous(t *testing.T) {
 	ctx := testContext(t, 12, 4, 4, 16<<10)
 	reqs := make([]collio.RankRequest, 12)
@@ -84,8 +99,9 @@ func TestFastMatchesByteContiguous(t *testing.T) {
 	}
 }
 
-// TestFastMatchesByteInterleaved cross-checks a strided pattern where
-// every round carries uneven remainders and multi-target stripe maps.
+// TestFastMatchesByteInterleaved cross-checks bundled against per-rank
+// pricing on a strided pattern where every round carries uneven
+// remainders and multi-target stripe maps.
 func TestFastMatchesByteInterleaved(t *testing.T) {
 	ctx := testContext(t, 16, 4, 8, 8<<10)
 	reqs := make([]collio.RankRequest, 16)
@@ -107,7 +123,8 @@ func TestFastMatchesByteInterleaved(t *testing.T) {
 
 // TestFastMatchesByteRandom is the property test: random small seeded
 // topologies and workloads (sparse, overlapping, some ranks idle) must
-// price identically under both engines, strategies and directions.
+// price identically bundled and per rank, under both strategies and
+// directions.
 func TestFastMatchesByteRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {

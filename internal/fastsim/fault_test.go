@@ -14,10 +14,10 @@ import (
 	"mcio/internal/twophase"
 )
 
-// faultedPlan builds a fresh plan and fault handler for one engine run.
+// faultedPlan builds a fresh plan and fault handler for one priced run.
 // Recovery mutates handler state (and, for the memory-conscious
 // strategy, the plan's partition trees), so cross-checks must never
-// share either between engines.
+// share either between runs.
 func faultedPlan(ctx *collio.Context, strategy string, reqs []collio.RankRequest,
 	spec faults.Spec) (*collio.Plan, collio.FaultHandler, error) {
 	switch strategy {
@@ -37,15 +37,16 @@ func faultedPlan(ctx *collio.Context, strategy string, reqs []collio.RankRequest
 	return nil, nil, fmt.Errorf("unknown strategy %q", strategy)
 }
 
-// priceFaultedBoth prices one faulted cell with both engines — each
-// from its own freshly built plan, injector and handler — and fails on
-// any divergence in the full FaultResult: costs, engine totals, fault
-// tallies, injected-event counts (the schedule must be engine-
-// invariant), and round traces.
+// priceFaultedBoth prices one faulted cell through CostWithFaults
+// (bundled wherever no fault state forbids it) and on the per-rank walk
+// — each from its own freshly built plan, injector and handler — and
+// fails on any divergence in the full FaultResult: costs, engine totals,
+// fault tallies, injected-event counts (the schedule must not depend on
+// bundling), and round traces.
 func priceFaultedBoth(t *testing.T, ctx *collio.Context, strategy string,
 	reqs []collio.RankRequest, op collio.Op, opt sim.Options, spec faults.Spec) *collio.FaultResult {
 	t.Helper()
-	run := func(engine func(*collio.Context, *collio.Plan, []collio.RankRequest, collio.Op,
+	run := func(cost func(*collio.Context, *collio.Plan, []collio.RankRequest, collio.Op,
 		sim.Options, *faults.Injector, collio.FaultHandler) (*collio.FaultResult, error)) (*collio.FaultResult, error) {
 		fplan, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
 		if err != nil {
@@ -58,24 +59,24 @@ func priceFaultedBoth(t *testing.T, ctx *collio.Context, strategy string,
 		if err := plan.Validate(reqs); err != nil {
 			t.Fatal(err)
 		}
-		return engine(ctx, plan, reqs, op, opt, faults.NewInjector(fplan), handler)
+		return cost(ctx, plan, reqs, op, opt, faults.NewInjector(fplan), handler)
 	}
-	want, wantErr := run(collio.CostWithFaults)
+	want, wantErr := run(perRank)
 	got, gotErr := run(CostWithFaults)
 	if wantErr != nil {
 		// A schedule can legitimately kill the whole cluster; the handler's
-		// refusal must surface identically from both engines.
+		// refusal must surface identically from both paths.
 		if gotErr == nil || gotErr.Error() != wantErr.Error() {
-			t.Fatalf("%s %s: error divergence\nfast: %v\nbyte: %v",
+			t.Fatalf("%s %s: error divergence\nbundled:  %v\nper-rank: %v",
 				strategy, op, gotErr, wantErr)
 		}
 		return nil
 	}
 	if gotErr != nil {
-		t.Fatalf("%s %s: fast path errored where byte path priced: %v", strategy, op, gotErr)
+		t.Fatalf("%s %s: bundled pricing errored where the per-rank walk priced: %v", strategy, op, gotErr)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s %s: faulted engines diverge\nfast: %+v\nbyte: %+v",
+		t.Fatalf("%s %s: faulted pricing diverges\nbundled:  %+v\nper-rank: %+v",
 			strategy, op, got, want)
 	}
 	return got
@@ -102,7 +103,7 @@ func TestFaultedEnginesMatchCrash(t *testing.T) {
 	opt.Trace = true
 	// Rate 5 survives under both strategies (remerges and stalls price to
 	// completion); rate 8 wipes the cluster under memory-conscious and
-	// must surface the identical handler error from both engines.
+	// must surface the identical handler error from both paths.
 	failovers := 0
 	for _, rate := range []float64{5, 8} {
 		for _, strategy := range []string{"two-phase", "memory-conscious"} {
@@ -129,8 +130,8 @@ func TestFaultedEnginesMatchCrash(t *testing.T) {
 // TestFaultedEnginesMatchRandom is the property test: random seeded
 // topologies, workloads and fault schedules — cycling plain, gray
 // (stragglers, flaky NICs, slow OSTs, leaks) and corruption (bit
-// flips, torn writes) profiles — must price identically under both
-// engines, strategies and directions.
+// flips, torn writes) profiles — must price identically bundled and per
+// rank, under both strategies and directions.
 func TestFaultedEnginesMatchRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	trials := 18
@@ -179,9 +180,9 @@ func TestFaultedEnginesMatchRandom(t *testing.T) {
 }
 
 // TestFaultedEmptyInjectorDelegates checks the inert paths: a nil or
-// event-free injector must reduce to the fault-free fast path (same
-// CostResult, empty Injected map), and a missing handler must be an
-// error, both exactly as on the byte path.
+// event-free injector must reduce to the clean run (same CostResult,
+// empty Injected map) on both paths, and a missing handler must be an
+// error.
 func TestFaultedEmptyInjectorDelegates(t *testing.T) {
 	ctx := testContext(t, 12, 4, 4, 16<<10)
 	reqs := make([]collio.RankRequest, 12)
@@ -222,12 +223,12 @@ func TestFaultedEmptyInjectorDelegates(t *testing.T) {
 }
 
 // TestFaultScheduleEngineInvariant pins a fault schedule and proves the
-// event stream both engines consume is the same object, not merely
+// event stream both paths consume is the same object, not merely
 // same-shaped: the generated plans are identical, and after a full
-// priced run each engine's injector has applied the same events — same
-// per-kind counts, same dead-node set, same escalations. Together with
-// the bit-identity checks this closes the loop: same schedule in, same
-// recovery out, regardless of engine.
+// priced run the bundled and the per-rank run's injectors have applied
+// the same events — same per-kind counts, same dead-node set, same
+// escalations. Together with the bit-identity checks this closes the
+// loop: same schedule in, same recovery out, bundled or not.
 func TestFaultScheduleEngineInvariant(t *testing.T) {
 	ctx := testContext(t, 24, 4, 8, 12<<10)
 	reqs := make([]collio.RankRequest, 24)
@@ -254,15 +255,15 @@ func TestFaultScheduleEngineInvariant(t *testing.T) {
 			t.Fatal("Generate is not a pure function of the spec: plans diverge")
 		}
 
-		type engineRun struct {
+		type pricedRun struct {
 			name string
 			cost func(*collio.Context, *collio.Plan, []collio.RankRequest, collio.Op,
 				sim.Options, *faults.Injector, collio.FaultHandler) (*collio.FaultResult, error)
 			inj *faults.Injector
 		}
-		runs := []engineRun{
-			{"byte", collio.CostWithFaults, faults.NewInjector(planA)},
-			{"fast", CostWithFaults, faults.NewInjector(planB)},
+		runs := []pricedRun{
+			{"per-rank", perRank, faults.NewInjector(planA)},
+			{"bundled", CostWithFaults, faults.NewInjector(planB)},
 		}
 		for i := range runs {
 			plan, handler, err := faultedPlan(ctx, strategy, reqs, spec)
@@ -273,21 +274,21 @@ func TestFaultScheduleEngineInvariant(t *testing.T) {
 				t.Fatalf("%s: %s: %v", strategy, runs[i].name, err)
 			}
 		}
-		byte_, fast := runs[0].inj, runs[1].inj
-		if !reflect.DeepEqual(fast.Counts(), byte_.Counts()) {
-			t.Fatalf("%s: applied-event counts diverge\nfast %v\nbyte %v",
-				strategy, fast.Counts(), byte_.Counts())
+		walked, bundled := runs[0].inj, runs[1].inj
+		if !reflect.DeepEqual(bundled.Counts(), walked.Counts()) {
+			t.Fatalf("%s: applied-event counts diverge\nbundled  %v\nper-rank %v",
+				strategy, bundled.Counts(), walked.Counts())
 		}
-		if len(byte_.Counts()) == 0 {
+		if len(walked.Counts()) == 0 {
 			t.Fatalf("%s: schedule applied no events — invariance proved vacuously", strategy)
 		}
-		if !reflect.DeepEqual(fast.DeadNodes(), byte_.DeadNodes()) {
-			t.Fatalf("%s: dead-node sets diverge: fast %v byte %v",
-				strategy, fast.DeadNodes(), byte_.DeadNodes())
+		if !reflect.DeepEqual(bundled.DeadNodes(), walked.DeadNodes()) {
+			t.Fatalf("%s: dead-node sets diverge: bundled %v per-rank %v",
+				strategy, bundled.DeadNodes(), walked.DeadNodes())
 		}
-		if fast.Escalations() != byte_.Escalations() {
-			t.Fatalf("%s: escalation counts diverge: fast %d byte %d",
-				strategy, fast.Escalations(), byte_.Escalations())
+		if bundled.Escalations() != walked.Escalations() {
+			t.Fatalf("%s: escalation counts diverge: bundled %d per-rank %d",
+				strategy, bundled.Escalations(), walked.Escalations())
 		}
 	}
 }

@@ -105,7 +105,7 @@ func NewInjector(plan *Plan) *Injector {
 func (in *Injector) Spec() Spec { return in.spec }
 
 // Empty reports whether the injector has no events at all; callers use
-// it to take the fault-free fast path (byte-identical to no injector).
+// it to price a fault-free run (identical to no injector).
 func (in *Injector) Empty() bool { return in == nil || len(in.events) == 0 }
 
 // SetObserver attaches metrics; injected events are counted under
@@ -268,8 +268,8 @@ func (in *Injector) TakeMsgFlip(node int) bool {
 
 // PendingDrops returns how many unconsumed MsgDrop events node carries.
 // While it is zero, TakeDrop on the node is a no-op returning false, so
-// the analytical fast path can skip the per-message query entirely for
-// nodes with no pending drops without changing any state or result.
+// the pricing loop can bundle the messages of nodes with no pending
+// drops without changing any state or result.
 func (in *Injector) PendingDrops(node int) int {
 	if in == nil {
 		return 0
@@ -290,7 +290,7 @@ func (in *Injector) PendingFlips(node int) int {
 // stateful: inside a flaky-NIC window with a positive drop cadence,
 // every query advances the node's in-window message counter. Outside
 // such a window (or with cadence 0) TakeNICDrop is a pure no-op, which
-// is what lets the fast path aggregate healthy nodes' messages.
+// is what lets the pricing loop bundle healthy nodes' messages.
 func (in *Injector) NICDropActive(node int, now float64) bool {
 	if in == nil {
 		return false

@@ -23,6 +23,30 @@ const (
 	Steady
 )
 
+// metricDirection classifies one key of a metrics-only entry. The
+// harness's host-cost metrics regress by rising; every other key is a
+// steady behavioural count.
+func metricDirection(key string) Direction {
+	if key == "host_wall_seconds" || key == "total_alloc_bytes" {
+		return LowerBetter
+	}
+	return Steady
+}
+
+// hostKey is the part of a record's host stamp that host wall time
+// depends on; records without a stamp share the zero key.
+type hostKey struct {
+	goVersion          string
+	gomaxprocs, numCPU int
+}
+
+func hostOf(r *obs.RunRecord) hostKey {
+	if r.Host == nil {
+		return hostKey{}
+	}
+	return hostKey{r.Host.GoVersion, r.Host.GOMAXPROCS, r.Host.NumCPU}
+}
+
 func (d Direction) String() string {
 	switch d {
 	case HigherBetter:
@@ -136,7 +160,11 @@ func (t *TrendResult) Flagged() []Verdict {
 // history (oldest first) and classifies each one. Entries are matched
 // across records by name; entries absent from some records simply
 // contribute shorter series (the pairwise diff gate already fails on
-// vanished entries). Single-point series are ok by definition.
+// vanished entries). Single-point series are ok by definition. Host
+// wall time only compares across like hosts: an entry's
+// host_wall_seconds series keeps just the records whose host
+// fingerprint (Go version, GOMAXPROCS, CPU count) matches that of the
+// newest record carrying the entry.
 func Trend(recs []RecordFile, opt Options) *TrendResult {
 	type key struct{ entry, metric string }
 	series := map[key]*Series{}
@@ -151,6 +179,12 @@ func Trend(recs []RecordFile, opt Options) *TrendResult {
 		}
 		s.Points = append(s.Points, Point{RecordIndex: ri, Value: val})
 	}
+	newestHost := map[string]hostKey{}
+	for _, rf := range recs {
+		for _, e := range rf.Rec.Entries {
+			newestHost[e.Name] = hostOf(rf.Rec)
+		}
+	}
 	for ri, rf := range recs {
 		for _, e := range rf.Rec.Entries {
 			tracked := false
@@ -163,15 +197,18 @@ func Trend(recs []RecordFile, opt Options) *TrendResult {
 				tracked = true
 			}
 			if !tracked {
-				// Metrics-only entries (chaos detection counts, repair
-				// bytes, degradation rungs): every key is a steady series.
+				// Metrics-only entries: chaos detection counts, repair
+				// bytes, degradation rungs, and the harness's host cost.
 				keys := make([]string, 0, len(e.Metrics))
 				for k := range e.Metrics {
 					keys = append(keys, k)
 				}
 				sort.Strings(keys)
 				for _, k := range keys {
-					add(e.Name, k, Steady, ri, e.Metrics[k])
+					if k == "host_wall_seconds" && hostOf(rf.Rec) != newestHost[e.Name] {
+						continue
+					}
+					add(e.Name, k, metricDirection(k), ri, e.Metrics[k])
 				}
 			}
 		}

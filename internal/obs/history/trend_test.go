@@ -200,3 +200,88 @@ func TestTrendRenderGolden(t *testing.T) {
 		}
 	}
 }
+
+// harnessRun is one fig-exa/harness record: its host, wall seconds and
+// allocated bytes.
+type harnessRun struct {
+	host        *obs.HostInfo
+	wall, alloc float64
+}
+
+var (
+	oneCPU = &obs.HostInfo{GoVersion: "go1.22", GOMAXPROCS: 1, NumCPU: 1}
+	twoCPU = &obs.HostInfo{GoVersion: "go1.22", GOMAXPROCS: 2, NumCPU: 2}
+)
+
+// harnessHistory builds one record per run, oldest first.
+func harnessHistory(runs ...harnessRun) []RecordFile {
+	var recs []RecordFile
+	for i, r := range runs {
+		rc := rec("fig-exa", int64(i+1), obs.RunEntry{
+			Name: "fig-exa/harness",
+			Metrics: map[string]float64{
+				"host_wall_seconds": r.wall,
+				"total_alloc_bytes": r.alloc,
+			},
+		})
+		rc.Host = r.host
+		recs = append(recs, RecordFile{Path: fmt.Sprintf("r%d", i), Rec: rc})
+	}
+	return recs
+}
+
+func harnessVerdicts(t *testing.T, recs []RecordFile) map[string]Verdict {
+	t.Helper()
+	out := map[string]Verdict{}
+	for _, v := range Trend(recs, Options{}).Verdicts {
+		out[v.Series.Metric] = v
+	}
+	return out
+}
+
+// TestHarnessOtherHostDoesNotFlag pins the host fingerprint: a record
+// from a faster host (half the wall time) flags nothing, and neither
+// does a slower host's, whose wall time is never compared against
+// another host's history.
+func TestHarnessOtherHostDoesNotFlag(t *testing.T) {
+	for _, recs := range [][]RecordFile{
+		harnessHistory(harnessRun{oneCPU, 49.2, 10.2e9}, harnessRun{twoCPU, 23.7, 10.2e9}),
+		harnessHistory(harnessRun{twoCPU, 23.7, 10.2e9}, harnessRun{oneCPU, 49.2, 10.2e9}),
+	} {
+		vs := harnessVerdicts(t, recs)
+		wall := vs["host_wall_seconds"]
+		if wall.Flagged() || wall.Series.Better != LowerBetter {
+			t.Fatalf("wall verdict %+v, want an unflagged lower-better series", wall)
+		}
+		if n := len(wall.Series.Points); n != 1 {
+			t.Fatalf("wall series kept %d points across hosts, want 1", n)
+		}
+		if alloc := vs["total_alloc_bytes"]; alloc.Flagged() || len(alloc.Series.Points) != 2 {
+			t.Fatalf("alloc verdict %+v, want an unflagged two-point series", alloc)
+		}
+	}
+}
+
+// TestHarnessAllocRiseFlags: on one host, allocations rising past
+// tolerance are a step regression.
+func TestHarnessAllocRiseFlags(t *testing.T) {
+	vs := harnessVerdicts(t, harnessHistory(
+		harnessRun{oneCPU, 49.2, 10.2e9}, harnessRun{oneCPU, 49.0, 10.2e9}, harnessRun{oneCPU, 49.1, 12e9}))
+	if v := vs["total_alloc_bytes"]; v.Kind != "step" || v.Series.Better != LowerBetter {
+		t.Fatalf("alloc rise verdict = %q (%s), want a lower-better step", v.Kind, v.Why)
+	}
+	if v := vs["host_wall_seconds"]; v.Flagged() {
+		t.Fatalf("flat wall time flagged: %s", v.Why)
+	}
+}
+
+// TestHarnessAllocDropDoesNotFlag: allocating less is an improvement.
+func TestHarnessAllocDropDoesNotFlag(t *testing.T) {
+	vs := harnessVerdicts(t, harnessHistory(
+		harnessRun{oneCPU, 49.2, 10.2e9}, harnessRun{oneCPU, 30.1, 6e9}, harnessRun{oneCPU, 25.3, 2e9}))
+	for metric, v := range vs {
+		if v.Flagged() {
+			t.Fatalf("%s improvement flagged: %s", metric, v.Why)
+		}
+	}
+}

@@ -8,9 +8,9 @@ import (
 	"mcio/internal/machine"
 )
 
-// aggregate folds a byte-path round into its aggregate form the way the
-// fast path does: one AggMessage per (src,dst) route with the total
-// bytes and the positive-byte message count.
+// aggregate folds a per-message round into its aggregate form: one
+// AggMessage per (src,dst) route with the total bytes and the
+// positive-byte message count.
 func aggregate(r Round) AggRound {
 	type route struct{ src, dst int }
 	idx := map[route]int{}
@@ -34,7 +34,7 @@ func aggregate(r Round) AggRound {
 // TestRunAggRoundMatchesRunRound feeds the same randomized traffic to
 // one engine as point-to-point messages and to a second as per-route
 // bundles, and demands bit-identical costs, totals and trace entries —
-// the invariant the analytical fast path rests on.
+// the invariant bundled pricing rests on.
 func TestRunAggRoundMatchesRunRound(t *testing.T) {
 	mc := machine.Testbed640()
 	st := StorageParams{Targets: 8, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
@@ -169,10 +169,10 @@ func TestAccExchangeMatchesMessages(t *testing.T) {
 	}
 }
 
-// TestAggRecoveryRoundAccounting pins the recovery attribution the
-// fault-aware fast path relies on: RunAggRecoveryRound prices exactly
-// like RunAggRound and additionally books the round's time as recovery,
-// matching the byte path's RunRecoveryRound; AddRecoveryLatency charges
+// TestAggRecoveryRoundAccounting pins the recovery attribution faulted
+// pricing relies on: RunAggRecoveryRound prices exactly like
+// RunAggRound and additionally books the round's time as recovery,
+// matching RunRecoveryRound; AddRecoveryLatency charges
 // wall time and recovery time together.
 func TestAggRecoveryRoundAccounting(t *testing.T) {
 	mc := machine.Testbed640()

@@ -1,11 +1,9 @@
-// Package pricing holds the pure cost formulas shared by the two
-// collective-I/O engines: the byte-accurate replayer (internal/sim
-// driven rank-by-rank by internal/collio) and the analytical fast path
-// (internal/fastsim, which feeds the same engine aggregate per-round
-// quantities). Every formula here is a pure function of its arguments —
-// no state, no maps, no observability — so both engines price a round
-// with literally the same floating-point expressions and the
-// fast-vs-byte cross-check can demand exact equality.
+// Package pricing holds the pure cost formulas of the simulator
+// (internal/sim), whether a round arrives as per-rank messages or as
+// per-node bundles. Every formula here is a pure function of its
+// arguments — no state, no maps, no observability — so both forms of a
+// round price with literally the same floating-point expressions and
+// the bundled-vs-per-rank property tests can demand exact equality.
 //
 // Floating-point note: the functions preserve the historical operation
 // order of the simulator (e.g. memBW / pagedSlow / nodeSlow, then the

@@ -614,8 +614,8 @@ func (e *Engine) RunRecoveryRound(r Round) RoundCost { return e.runRound(r, true
 
 // AggMessage is a bundle of same-route messages within a round: the
 // total payload and the number of positive-byte point-to-point messages
-// it stands for. The analytical fast path prices one AggMessage per
-// (source node, destination node) pair instead of one Message per rank.
+// it stands for. collio prices one AggMessage per (source node,
+// destination node) pair of a work item instead of one Message per rank.
 type AggMessage struct {
 	SrcNode int
 	DstNode int
@@ -650,8 +650,8 @@ type ExchangeDst struct {
 
 // AggRound is the aggregate form of a Round: per-route message bundles
 // and all-to-all exchanges, plus the same per-target IOOps (storage
-// accesses are already aggregated per target on the byte path, so they
-// need no new form).
+// accesses are already aggregated per target, so they need no new
+// form).
 type AggRound struct {
 	Messages  []AggMessage
 	Exchanges []Exchange
@@ -660,8 +660,8 @@ type AggRound struct {
 	Kind string
 	// TraceMessages is the number of point-to-point messages the round
 	// stands for including zero-byte ones the engine skips — what
-	// TraceEntry.Messages reports on the byte path. Zero means "use the
-	// sum of Count".
+	// TraceEntry.Messages reports for a Round. Zero means "use the sum
+	// of Count".
 	TraceMessages int
 }
 
@@ -676,9 +676,9 @@ type AggRound struct {
 func (e *Engine) RunAggRound(r AggRound) RoundCost { return e.runAggRound(r, false) }
 
 // RunAggRecoveryRound is RunAggRound attributed to recovery: the
-// aggregate form of RunRecoveryRound, used by the fault-aware fast path
-// to price a metadata re-exchange after a failover as per-node bundles
-// instead of one message per surviving contributor.
+// aggregate form of RunRecoveryRound, used to price a metadata
+// re-exchange after a failover as per-node bundles instead of one
+// message per surviving contributor.
 func (e *Engine) RunAggRecoveryRound(r AggRound) RoundCost { return e.runAggRound(r, true) }
 
 func (e *Engine) runAggRound(r AggRound, recovery bool) RoundCost {
@@ -759,7 +759,7 @@ func (e *Engine) target(t int) *targetLoad {
 
 // accMessage accumulates a message bundle (count positive-byte messages
 // totalling bytes on one src→dst route) into the round's node loads.
-// The byte path calls it with count 1 per Message.
+// RunRound calls it with count 1 per Message.
 func (e *Engine) accMessage(src, dst int, bytes int64, count int) {
 	if bytes < 0 {
 		panic("sim: negative message size")
