@@ -31,10 +31,11 @@
 // oldest record against the newest by timestamp; bench refuses to
 // overwrite an existing -out file unless -force is given, and -archive
 // appends the record to a history directory under an auto-sequenced
-// name:
+// name; -cpuprofile and -memprofile write pprof profiles of the run:
 //
 //	mcio bench fig6 -out BENCH_fig6.json
 //	mcio bench chaos -archive baselines/history
+//	mcio bench fig-exa -cpuprofile cpu.out -memprofile mem.out
 //	mcio diff baselines/BENCH_fig6.json BENCH_fig6.json -tol 0.05
 //	mcio diff baselines/history
 //
@@ -92,6 +93,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"mcio/internal/bench"
@@ -213,6 +215,8 @@ func runBench(args []string, out io.Writer) error {
 	outPath := fs.String("out", "", "write the run ledger JSON here (default: stdout)")
 	force := fs.Bool("force", false, "overwrite an existing -out ledger file")
 	archive := fs.String("archive", "", "append the record to this history directory under an auto-generated <seq>-<commit>-<exp>.json name")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run here (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of the run here (go tool pprof)")
 	name := "fig6"
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		name = args[0]
@@ -229,9 +233,25 @@ func runBench(args []string, out io.Writer) error {
 		}
 	}
 	bench.SetParallelism(*parallel)
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
 	rec, err := bench.StampedLedger(name, *scale, *seed)
 	if err != nil {
 		return err
+	}
+	if *memProfile != "" {
+		if err := writeAllocProfile(*memProfile); err != nil {
+			return err
+		}
 	}
 	if *outPath == "" && *archive == "" {
 		return obs.WriteRunRecord(out, rec)
@@ -250,6 +270,20 @@ func runBench(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "archived ledger %s (%d entries)\n", path, len(rec.Entries))
 	}
 	return nil
+}
+
+// writeAllocProfile writes the heap's allocation profile (every
+// allocation since the program started) to path.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runDiff is the `mcio diff` subcommand: compare run ledgers and report

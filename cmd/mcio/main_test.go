@@ -220,6 +220,26 @@ func TestRunDiffDirectoryNewestVsOldest(t *testing.T) {
 	}
 }
 
+func TestRunBenchWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	var out bytes.Buffer
+	err := runBench([]string{"fig7", "-scale", strconv.Itoa(testScale), "-seed", "1",
+		"-out", filepath.Join(dir, "BENCH.json"), "-cpuprofile", cpu, "-memprofile", mem}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{cpu, mem} {
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(p))
+		}
+	}
+}
+
 func TestRunBenchRefusesOverwriteWithoutForce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH.json")
 	if err := os.WriteFile(path, []byte(`{"version":1,"name":"old","entries":[]}`), 0o644); err != nil {

@@ -285,7 +285,7 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 			buf := make([]byte, reqs[i].Bytes())
 			fillChaosPattern(op, i, buf)
 			data[i] = collio.RankData{Req: reqs[i], Buf: buf}
-			for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+			for _, e := range pfs.Normalized(reqs[i].Extents) {
 				if e.End() > size {
 					size = e.End()
 				}
@@ -294,7 +294,7 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 		oracle := make([]byte, size)
 		for i := range data {
 			var pos int64
-			for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+			for _, e := range pfs.Normalized(reqs[i].Extents) {
 				copy(oracle[e.Offset:e.End()], data[i].Buf[pos:pos+e.Length])
 				pos += e.Length
 			}
@@ -367,7 +367,7 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 		readCheck:
 			for i := range readData {
 				var pos int64
-				for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+				for _, e := range pfs.Normalized(reqs[i].Extents) {
 					if !bytes.Equal(readData[i].Buf[pos:pos+e.Length], oracle[e.Offset:e.End()]) {
 						fail(op, "rank %d read differs from oracle at extent [%d,%d)", i, e.Offset, e.End())
 						break readCheck

@@ -408,7 +408,7 @@ func grayExecOp(ctx *collio.Context, s *core.Strategy, fsys *pfs.FileSystem,
 		buf := make([]byte, reqs[i].Bytes())
 		fillChaosPattern(op, i, buf)
 		data[i] = collio.RankData{Req: reqs[i], Buf: buf}
-		for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+		for _, e := range pfs.Normalized(reqs[i].Extents) {
 			if e.End() > size {
 				size = e.End()
 			}
@@ -417,7 +417,7 @@ func grayExecOp(ctx *collio.Context, s *core.Strategy, fsys *pfs.FileSystem,
 	oracle := make([]byte, size)
 	for i := range data {
 		var pos int64
-		for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+		for _, e := range pfs.Normalized(reqs[i].Extents) {
 			copy(oracle[e.Offset:e.End()], data[i].Buf[pos:pos+e.Length])
 			pos += e.Length
 		}
@@ -467,7 +467,7 @@ func grayExecOp(ctx *collio.Context, s *core.Strategy, fsys *pfs.FileSystem,
 		}
 		for i := range readData {
 			var pos int64
-			for _, e := range pfs.NormalizeExtents(reqs[i].Extents) {
+			for _, e := range pfs.Normalized(reqs[i].Extents) {
 				if !bytes.Equal(readData[i].Buf[pos:pos+e.Length], oracle[e.Offset:e.End()]) {
 					fail(op, "rank %d read differs from oracle at extent [%d,%d)", i, e.Offset, e.End())
 					return nil

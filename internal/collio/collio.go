@@ -55,7 +55,7 @@ type RankRequest struct {
 }
 
 // Bytes returns the total data bytes of the request.
-func (r RankRequest) Bytes() int64 { return pfs.TotalBytes(pfs.NormalizeExtents(r.Extents)) }
+func (r RankRequest) Bytes() int64 { return pfs.TotalBytes(pfs.Normalized(r.Extents)) }
 
 // Params carries the tunables the paper names.
 type Params struct {
@@ -217,19 +217,54 @@ func (p *Plan) TotalBytes() int64 {
 }
 
 // Validate checks the structural invariants every plan must satisfy:
-// domains are non-empty, disjoint, sorted, and they exactly cover the
-// union of the requested extents.
+// domains are non-empty, canonical (pfs.IsNormalized: pricing slices a
+// domain's data space assuming file order), disjoint, sorted, and they
+// exactly cover the union of the requested extents. Extents of negative
+// length, in a request or a domain, are errors.
+//
+// The check streams: sorted, disjoint, canonical domains yield their
+// extents in file order, so the domain side is coalesced on the fly and
+// compared with the merged request union extent by extent, without
+// building either side's concatenation.
 func (p *Plan) Validate(reqs []RankRequest) error {
-	var all []pfs.Extent
-	for _, r := range reqs {
-		all = append(all, r.Extents...)
+	lists := make([][]pfs.Extent, len(reqs))
+	for i, r := range reqs {
+		for _, e := range r.Extents {
+			if e.Length < 0 {
+				return fmt.Errorf("collio: plan %s: rank %d requests an extent of negative length %d",
+					p.Strategy, r.Rank, e.Length)
+			}
+		}
+		lists[i] = r.Extents
 	}
-	want := pfs.NormalizeExtents(all)
-	var got []pfs.Extent
+	want := pfs.Union(lists)
+	// cur is the covered extent being coalesced; n counts the finished
+	// ones, and bad is the index of the first that differs from want
+	// (-1 while none), badExt its value.
+	var cur, badExt pfs.Extent
+	n, bad := 0, -1
+	finish := func() {
+		if cur.Length == 0 {
+			return
+		}
+		if bad < 0 && n < len(want) && cur != want[n] {
+			bad, badExt = n, cur
+		}
+		n++
+	}
 	var prevEnd int64 = -1
 	for i, d := range p.Domains {
 		if len(d.Extents) == 0 || d.Bytes == 0 {
 			return fmt.Errorf("collio: plan %s: domain %d is empty", p.Strategy, i)
+		}
+		if !pfs.IsNormalized(d.Extents) {
+			for _, e := range d.Extents {
+				if e.Length < 0 {
+					return fmt.Errorf("collio: plan %s: domain %d has an extent of negative length %d",
+						p.Strategy, i, e.Length)
+				}
+			}
+			return fmt.Errorf("collio: plan %s: domain %d extents are not canonical", p.Strategy, i)
 		}
 		if d.Bytes != pfs.TotalBytes(d.Extents) {
 			return fmt.Errorf("collio: plan %s: domain %d bytes %d != extents %d",
@@ -249,18 +284,24 @@ func (p *Plan) Validate(reqs []RankRequest) error {
 			return fmt.Errorf("collio: plan %s: domain %d group %d outside [0,%d)",
 				p.Strategy, i, d.Group, p.Groups)
 		}
-		got = append(got, d.Extents...)
-	}
-	gotNorm := pfs.NormalizeExtents(got)
-	if len(gotNorm) != len(want) {
-		return fmt.Errorf("collio: plan %s: domains cover %d extents, requests need %d",
-			p.Strategy, len(gotNorm), len(want))
-	}
-	for i := range want {
-		if gotNorm[i] != want[i] {
-			return fmt.Errorf("collio: plan %s: coverage mismatch at extent %d: %v != %v",
-				p.Strategy, i, gotNorm[i], want[i])
+		// Only a domain's first extent can touch the one before it.
+		for _, e := range d.Extents {
+			if cur.Length > 0 && e.Offset == cur.End() {
+				cur.Length += e.Length
+				continue
+			}
+			finish()
+			cur = e
 		}
+	}
+	finish()
+	if n != len(want) {
+		return fmt.Errorf("collio: plan %s: domains cover %d extents, requests need %d",
+			p.Strategy, n, len(want))
+	}
+	if bad >= 0 {
+		return fmt.Errorf("collio: plan %s: coverage mismatch at extent %d: %v != %v",
+			p.Strategy, bad, badExt, want[bad])
 	}
 	return nil
 }

@@ -127,6 +127,14 @@ func TestPlanValidateRejects(t *testing.T) {
 			p.Domains[1].Extents = []pfs.Extent{{Offset: 120, Length: 70}}
 			p.Domains[1].Bytes = 70
 		},
+		// Same bytes, same coverage, but out of file order: pricing
+		// slices a domain's data space assuming file order.
+		"non-canonical domain": func(p *Plan) {
+			p.Domains[0].Extents = []pfs.Extent{{Offset: 60, Length: 60}, {Offset: 0, Length: 60}}
+		},
+		"negative domain extent": func(p *Plan) {
+			p.Domains[1].Extents = []pfs.Extent{{Offset: 120, Length: 90}, {Offset: 300, Length: -10}}
+		},
 	}
 	for name, mutate := range mutations {
 		plan, reqs := validPlan()
@@ -134,6 +142,30 @@ func TestPlanValidateRejects(t *testing.T) {
 		if err := plan.Validate(reqs); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// A negative request extent is an error naming the rank, not a panic.
+	plan, reqs := validPlan()
+	reqs[1].Extents = []pfs.Extent{{Offset: 100, Length: 100}, {Offset: 400, Length: -3}}
+	if err := plan.Validate(reqs); err == nil || !strings.Contains(err.Error(), "rank 1") {
+		t.Errorf("negative request extent: err = %v, want an error naming rank 1", err)
+	}
+	// The negative domain extent is named by its domain.
+	plan, reqs = validPlan()
+	plan.Domains[1].Extents = []pfs.Extent{{Offset: 120, Length: 90}, {Offset: 300, Length: -10}}
+	if err := plan.Validate(reqs); err == nil || !strings.Contains(err.Error(), "domain 1") {
+		t.Errorf("negative domain extent: err = %v, want an error naming domain 1", err)
+	}
+}
+
+// {5,5},{0,5} covers a {0,10} request byte for byte
+// but is not in file order.
+func TestPlanValidateRejectsUnsortedDomain(t *testing.T) {
+	reqs := []RankRequest{{Rank: 0, Extents: []pfs.Extent{{Offset: 0, Length: 10}}}}
+	plan := &Plan{Strategy: "test", Groups: 1, GroupRanks: [][]int{{0}}, Domains: []Domain{{
+		Extents: []pfs.Extent{{Offset: 5, Length: 5}, {Offset: 0, Length: 5}}, Bytes: 10, BufferBytes: 4,
+	}}}
+	if err := plan.Validate(reqs); err == nil || !strings.Contains(err.Error(), "not canonical") {
+		t.Fatalf("err = %v, want a non-canonical domain error", err)
 	}
 }
 

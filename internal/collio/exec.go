@@ -170,7 +170,7 @@ type domSched struct {
 func buildScheds(plan *Plan, data []RankData) (normReq [][]pfs.Extent, scheds []domSched) {
 	normReq = make([][]pfs.Extent, len(data))
 	for r := range data {
-		normReq[r] = pfs.NormalizeExtents(data[r].Req.Extents)
+		normReq[r] = pfs.Normalized(data[r].Req.Extents)
 	}
 	scheds = make([]domSched, len(plan.Domains))
 	for i, d := range plan.Domains {

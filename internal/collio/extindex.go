@@ -64,10 +64,7 @@ type BucketBytes struct {
 // pricing a million-rank operation and timing out on it.
 func (x *ExtentIndex) OverlapAppend(dst []BucketBytes, exts []pfs.Extent) []BucketBytes {
 	base := len(dst)
-	norm := exts
-	if !pfs.IsNormalized(exts) {
-		norm = pfs.NormalizeExtents(exts)
-	}
+	norm := pfs.Normalized(exts)
 	i, j := 0, 0
 	for i < len(norm) && j < len(x.flat) {
 		a := norm[i]
@@ -121,10 +118,7 @@ func (x *ExtentIndex) OverlapBytesInto(dst []int64, exts []pfs.Extent) []int64 {
 		clear(dst)
 	}
 	out := dst
-	norm := exts
-	if !pfs.IsNormalized(exts) {
-		norm = pfs.NormalizeExtents(exts)
-	}
+	norm := pfs.Normalized(exts)
 	i, j := 0, 0
 	for i < len(norm) && j < len(x.flat) {
 		a, b := norm[i], x.flat[j]

@@ -119,8 +119,7 @@ func applyReassignment(live []Domain, ra Reassignment) error {
 		}
 		v, a := &live[ra.Domain], &live[ra.MergeInto]
 		if v.Bytes > 0 {
-			a.Extents = pfs.NormalizeExtents(
-				append(append([]pfs.Extent(nil), a.Extents...), v.Extents...))
+			a.Extents = pfs.Union([][]pfs.Extent{a.Extents, v.Extents})
 			a.Bytes += v.Bytes
 		}
 		v.Extents, v.Bytes = nil, 0

@@ -33,7 +33,7 @@ func ExecIndependent(ctx *Context, data []RankData, file *pfs.File, op Op, chk *
 		}
 	}
 	for r := range data {
-		norm := pfs.NormalizeExtents(data[r].Req.Extents)
+		norm := pfs.Normalized(data[r].Req.Extents)
 		if len(norm) == 0 {
 			continue
 		}
@@ -85,7 +85,7 @@ func CostIndependent(ctx *Context, reqs []RankRequest, op Op, opt sim.Options) (
 	var round sim.Round
 	var userBytes int64
 	for _, r := range reqs {
-		norm := pfs.NormalizeExtents(r.Extents)
+		norm := pfs.Normalized(r.Extents)
 		if len(norm) == 0 {
 			continue
 		}

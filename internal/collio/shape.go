@@ -196,11 +196,7 @@ func (sh *Shape) faultShape(plan *Plan) *faultShape {
 func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) ([]sim.Exchange, int) {
 	extCount := make(map[int]int, len(reqs))
 	for _, r := range reqs {
-		n := len(r.Extents)
-		if !pfs.IsNormalized(r.Extents) {
-			n = len(pfs.NormalizeExtents(r.Extents))
-		}
-		extCount[r.Rank] = n
+		extCount[r.Rank] = len(pfs.Normalized(r.Extents))
 	}
 	aggsByGroup := make(map[int][]int)
 	for _, d := range plan.Domains {

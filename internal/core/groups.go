@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"mcio/internal/collio"
@@ -36,41 +37,35 @@ type Group struct {
 // is capped at half a group: boundaries fall back to pure offset
 // calculation, dividing the file region into MsgGroup-sized windows.
 func DivideGroups(ctx *collio.Context, reqs []collio.RankRequest) []Group {
-	var all []pfs.Extent
-	normReq := make(map[int][]pfs.Extent, len(reqs))
-	for _, r := range reqs {
-		n := pfs.NormalizeExtents(r.Extents)
-		if len(n) > 0 {
-			normReq[r.Rank] = n
-			all = append(all, n...)
-		}
+	// Requests are read in place when canonical, as generated ones are;
+	// normReq[i] is reqs[i]'s list.
+	normReq := make([][]pfs.Extent, len(reqs))
+	for i, r := range reqs {
+		normReq[i] = pfs.Normalized(r.Extents)
 	}
-	norm := pfs.NormalizeExtents(all)
+	norm := pfs.Union(normReq)
 	if len(norm) == 0 {
 		return nil
 	}
 
 	// Per-node data span (lowest start, highest end over the node's ranks).
 	type span struct{ lo, hi int64 }
-	nodeSpan := map[int]span{}
-	for rank, exts := range normReq {
-		node := ctx.Topo.NodeOf(rank)
-		s, ok := nodeSpan[node]
-		if !ok {
-			s = span{lo: exts[0].Offset, hi: exts[len(exts)-1].End()}
-		} else {
-			if exts[0].Offset < s.lo {
-				s.lo = exts[0].Offset
-			}
-			if e := exts[len(exts)-1].End(); e > s.hi {
-				s.hi = e
-			}
-		}
-		nodeSpan[node] = s
+	nodeSpan := make([]span, ctx.Topo.Nodes())
+	for i := range nodeSpan {
+		nodeSpan[i] = span{lo: math.MaxInt64, hi: math.MinInt64}
 	}
-	spans := make([]span, 0, len(nodeSpan))
+	for i, exts := range normReq {
+		if len(exts) > 0 {
+			s := &nodeSpan[ctx.Topo.NodeOf(reqs[i].Rank)]
+			s.lo = min(s.lo, exts[0].Offset)
+			s.hi = max(s.hi, exts[len(exts)-1].End())
+		}
+	}
+	spans := nodeSpan[:0] // the nodes with data
 	for _, s := range nodeSpan {
-		spans = append(spans, s)
+		if s.lo < s.hi {
+			spans = append(spans, s)
+		}
 	}
 
 	// Prefix sums over the aggregate extents turn the per-group "take
@@ -158,10 +153,13 @@ func DivideGroups(ctx *collio.Context, reqs []collio.RankRequest) []Group {
 	windowOf := func(x int64) int {
 		return sort.Search(len(groups), func(i int) bool { return groups[i].Region.End() > x })
 	}
-	for rank, exts := range normReq {
+	for i, exts := range normReq {
+		rank := reqs[i].Rank
 		for _, e := range exts {
 			for w, wj := windowOf(e.Offset), windowOf(e.End()-1); w <= wj; w++ {
-				groups[w].Ranks = append(groups[w].Ranks, rank)
+				if r := groups[w].Ranks; len(r) == 0 || r[len(r)-1] != rank {
+					groups[w].Ranks = append(r, rank)
+				}
 			}
 		}
 	}

@@ -61,11 +61,10 @@ func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest)
 		return plan, state, nil
 	}
 
-	normReq := make(map[int][]pfs.Extent, len(reqs))
+	// normReq[rank] is the rank's request, read in place when canonical.
+	normReq := make([][]pfs.Extent, ctx.Topo.Size())
 	for _, r := range reqs {
-		if n := pfs.NormalizeExtents(r.Extents); len(n) > 0 {
-			normReq[r.Rank] = n
-		}
+		normReq[r.Rank] = pfs.Normalized(r.Extents)
 	}
 
 	// Aggregator bookkeeping spans groups: a host's N_ah budget and its
@@ -113,7 +112,7 @@ func (s *Strategy) placeGroup(
 	ctx *collio.Context,
 	tree *PartitionTree,
 	g Group,
-	normReq map[int][]pfs.Extent,
+	normReq [][]pfs.Extent,
 	tracker *memmodel.Tracker,
 	aggsOnHost map[int]int,
 ) ([]collio.Domain, []*TreeNode, error) {

@@ -58,12 +58,14 @@ type PartitionTree struct {
 // at most msgInd bytes. Bisection is by data volume, not file span, so
 // sparse regions produce few large-span domains and dense regions many
 // small ones — "different number of file domains will be generated in each
-// group depending on the amount and distribution of data" (§3.2).
+// group depending on the amount and distribution of data" (§3.2). A
+// canonical exts is read in place: the root keeps it as its Extents, and
+// the tree never writes to an extent list.
 func BuildTree(exts []pfs.Extent, msgInd int64) (*PartitionTree, error) {
 	if msgInd <= 0 {
 		return nil, fmt.Errorf("core: msgInd %d must be positive", msgInd)
 	}
-	norm := pfs.NormalizeExtents(exts)
+	norm := pfs.Normalized(exts)
 	if len(norm) == 0 {
 		return &PartitionTree{}, nil
 	}
@@ -151,8 +153,7 @@ func (t *PartitionTree) Remerge(leaf *TreeNode) (*TreeNode, error) {
 			absorber = absorber.Right
 		}
 	}
-	absorber.Extents = pfs.NormalizeExtents(
-		append(append([]pfs.Extent(nil), absorber.Extents...), leaf.Extents...))
+	absorber.Extents = pfs.Union([][]pfs.Extent{absorber.Extents, leaf.Extents})
 	absorber.Bytes += leaf.Bytes
 
 	// Splice A's parent out: the sibling subtree takes the parent's place.

@@ -72,7 +72,7 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 	// Assign compute nodes to forwarders round-robin; gather each
 	// forwarder's merged extent set and per-client-node volumes.
 	type fwdState struct {
-		extents []pfs.Extent
+		lists   [][]pfs.Extent
 		clients map[int]int64 // compute node -> bytes
 	}
 	fwd := make([]*fwdState, fcfg.Forwarders)
@@ -81,7 +81,7 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 	}
 	var userBytes int64
 	for _, r := range reqs {
-		norm := pfs.NormalizeExtents(r.Extents)
+		norm := pfs.Normalized(r.Extents)
 		if len(norm) == 0 {
 			continue
 		}
@@ -89,7 +89,7 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 		userBytes += b
 		node := ctx.Topo.NodeOf(r.Rank)
 		f := fwd[node%fcfg.Forwarders]
-		f.extents = append(f.extents, norm...)
+		f.lists = append(f.lists, norm)
 		f.clients[node] += b
 	}
 	maxRounds := 0
@@ -102,7 +102,7 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 	}
 	plans := make([]fwdPlan, 0, fcfg.Forwarders)
 	for i, f := range fwd {
-		norm := pfs.NormalizeExtents(f.extents)
+		norm := pfs.Union(f.lists)
 		if len(norm) == 0 {
 			continue
 		}

@@ -40,18 +40,18 @@ func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio
 	if perNode <= 0 {
 		perNode = 1
 	}
-	var all []pfs.Extent
+	lists := make([][]pfs.Extent, len(reqs))
 	ranksWithData := make([]int, 0, len(reqs))
-	for _, r := range reqs {
+	for i, r := range reqs {
 		if r.Rank < 0 || r.Rank >= ctx.Topo.Size() {
 			return nil, fmt.Errorf("layoutaware: request for invalid rank %d", r.Rank)
 		}
+		lists[i] = r.Extents
 		if len(r.Extents) > 0 {
-			all = append(all, r.Extents...)
 			ranksWithData = append(ranksWithData, r.Rank)
 		}
 	}
-	norm := pfs.NormalizeExtents(all)
+	norm := pfs.Union(lists)
 	plan := &collio.Plan{Strategy: s.Name(), Groups: 1, GroupRanks: [][]int{ranksWithData}}
 	if len(norm) == 0 {
 		return plan, nil
@@ -114,7 +114,7 @@ func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio
 	if cur < span.End() && len(plan.Domains) > 0 {
 		last := &plan.Domains[len(plan.Domains)-1]
 		tail := pfs.Clip(norm, cur, span.End())
-		last.Extents = pfs.NormalizeExtents(append(append([]pfs.Extent(nil), last.Extents...), tail...))
+		last.Extents = pfs.Union([][]pfs.Extent{last.Extents, tail})
 		last.Bytes = pfs.TotalBytes(last.Extents)
 	}
 	return plan, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Extent is a contiguous range of file space.
@@ -39,9 +40,11 @@ func IsNormalized(exts []Extent) bool {
 	return true
 }
 
-// normalized returns exts itself when already canonical (read-only use
-// only: the result may alias the argument), else a normalized copy.
-func normalized(exts []Extent) []Extent {
+// Normalized returns exts itself when already canonical, else a
+// normalized copy. It is for read-only use: the result may alias the
+// argument, so a caller that writes to it, or keeps it while the owner of
+// exts may write, must use NormalizeExtents instead.
+func Normalized(exts []Extent) []Extent {
 	if IsNormalized(exts) {
 		return exts
 	}
@@ -76,6 +79,105 @@ func NormalizeExtents(exts []Extent) []Extent {
 	return merged
 }
 
+// Union returns the canonical form of the concatenation of lists, exactly
+// NormalizeExtents of it, without sorting the concatenation: each list is
+// a sorted run (a list that is not canonical is normalized first), and the
+// runs are merged pairwise, coalescing as they go. When the lists overlap
+// or abut, as the per-rank lists of a collective usually do, every merge
+// level is shorter than the last, so the cost follows the union's size
+// rather than the total input's. The merge levels alternate between two
+// pooled buffers that grow to the largest level's output, and only the
+// result is allocated. It never aliases a caller's list, and the lists
+// are not modified. Safe for concurrent use.
+func Union(lists [][]Extent) []Extent {
+	sc := unionPool.Get().(*unionScratch)
+	defer unionPool.Put(sc)
+	runs := sc.runs[:0]
+	for _, l := range lists {
+		if l = Normalized(l); len(l) > 0 {
+			runs = append(runs, l)
+		}
+	}
+	// Drop the references to the caller's lists before pooling.
+	defer func() { clear(runs[:cap(runs)]); sc.runs = runs[:0] }()
+	if len(runs) == 0 {
+		return nil
+	}
+	src, dst := sc.buf[0], sc.buf[1]
+	for len(runs) > 1 {
+		dst, sc.ends = dst[:0], sc.ends[:0]
+		for i := 0; i < len(runs); i += 2 {
+			if i+1 < len(runs) {
+				dst = mergeRuns(dst, runs[i], runs[i+1])
+			} else {
+				dst = append(dst, runs[i]...)
+			}
+			sc.ends = append(sc.ends, len(dst))
+		}
+		// Slice the runs only once the level is written: appending may
+		// have moved dst.
+		runs = runs[:len(sc.ends)]
+		for i, start := 0, 0; i < len(sc.ends); i++ {
+			runs[i], start = dst[start:sc.ends[i]], sc.ends[i]
+		}
+		src, dst = dst, src
+	}
+	sc.buf = [2][]Extent{src, dst}
+	return append([]Extent(nil), runs[0]...)
+}
+
+// unionScratch is Union's working memory, reused across calls.
+type unionScratch struct {
+	runs [][]Extent
+	ends []int
+	buf  [2][]Extent
+}
+
+var unionPool = sync.Pool{New: func() any { return new(unionScratch) }}
+
+// mergeRuns appends the canonical union of the canonical runs a and b to
+// dst. The extents appended are in file order, so only the last one
+// appended can touch or overlap the next. Once either run is spent, the
+// rest of the other is coalesced only until one of its extents starts
+// past the last appended end; from there on it is copied as it is.
+func mergeRuns(dst, a, b []Extent) []Extent {
+	start := len(dst)
+	// absorb folds e into the last extent appended when they touch.
+	absorb := func(e Extent) bool {
+		n := len(dst)
+		if n == start || e.Offset > dst[n-1].End() {
+			return false
+		}
+		if e.End() > dst[n-1].End() {
+			dst[n-1].Length = e.End() - dst[n-1].Offset
+		}
+		return true
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		e := b[j]
+		if a[i].Offset <= e.Offset {
+			e = a[i]
+			i++
+		} else {
+			j++
+		}
+		if !absorb(e) {
+			dst = append(dst, e)
+		}
+	}
+	rest := a[i:]
+	if j < len(b) {
+		rest = b[j:]
+	}
+	for k, e := range rest {
+		if !absorb(e) {
+			return append(dst, rest[k:]...)
+		}
+	}
+	return dst
+}
+
 // TotalBytes sums the lengths of the extents (assumed non-overlapping).
 func TotalBytes(exts []Extent) int64 {
 	var n int64
@@ -104,7 +206,7 @@ func SliceDataAppend(out []Extent, exts []Extent, dataOff, n int64) []Extent {
 		return out
 	}
 	var pos int64
-	for _, e := range normalized(exts) {
+	for _, e := range Normalized(exts) {
 		if n <= 0 {
 			break
 		}
@@ -131,7 +233,7 @@ func SliceDataAppend(out []Extent, exts []Extent, dataOff, n int64) []Extent {
 // Intersect returns the bytes present in both extent sets, normalized.
 // Inputs need not be normalized.
 func Intersect(a, b []Extent) []Extent {
-	na, nb := normalized(a), normalized(b)
+	na, nb := Normalized(a), Normalized(b)
 	var out []Extent
 	i, j := 0, 0
 	for i < len(na) && j < len(nb) {
@@ -166,7 +268,7 @@ func Clip(exts []Extent, lo, hi int64) []Extent {
 // Span returns the smallest extent covering all input extents, or the zero
 // Extent when the input holds no bytes.
 func Span(exts []Extent) Extent {
-	norm := normalized(exts)
+	norm := Normalized(exts)
 	if len(norm) == 0 {
 		return Extent{}
 	}
@@ -238,7 +340,7 @@ func (c Config) NewMapper() *Mapper {
 func (m *Mapper) Map(exts []Extent) []TargetAccess {
 	su := m.cfg.StripeUnit
 	tn := int64(m.cfg.Targets)
-	for _, e := range normalized(exts) {
+	for _, e := range Normalized(exts) {
 		off, end := e.Offset, e.End()
 		firstUnit := off / su
 		lastUnit := (end - 1) / su
@@ -299,7 +401,7 @@ func (c Config) mapExtentsByUnit(exts []Extent) []TargetAccess {
 	type objRange struct{ off, end int64 }
 	perTarget := make(map[int][]objRange)
 	su := c.StripeUnit
-	for _, e := range normalized(exts) {
+	for _, e := range Normalized(exts) {
 		off, remaining := e.Offset, e.Length
 		for remaining > 0 {
 			target, objOff := c.stripeLoc(off)

@@ -51,23 +51,23 @@ func TestIsNormalizedAgreesWithNormalize(t *testing.T) {
 	}
 }
 
-// normalized returns the input slice itself (no copy) when it is already
+// Normalized returns the input slice itself (no copy) when it is already
 // canonical — the read-only fast path — and a normalized copy otherwise.
 func TestNormalizedAliasesCanonicalInput(t *testing.T) {
 	canonical := []Extent{{Offset: 0, Length: 10}, {Offset: 20, Length: 5}}
-	if got := normalized(canonical); &got[0] != &canonical[0] {
-		t.Fatal("normalized copied an already-canonical slice")
+	if got := Normalized(canonical); &got[0] != &canonical[0] {
+		t.Fatal("Normalized copied an already-canonical slice")
 	}
 	messy := []Extent{{Offset: 20, Length: 5}, {Offset: 0, Length: 10}}
-	got := normalized(messy)
+	got := Normalized(messy)
 	if !IsNormalized(got) {
-		t.Fatalf("normalized(%v) = %v not canonical", messy, got)
+		t.Fatalf("Normalized(%v) = %v not canonical", messy, got)
 	}
 	if &got[0] == &messy[0] {
-		t.Fatal("normalized returned the messy slice unchanged")
+		t.Fatal("Normalized returned the messy slice unchanged")
 	}
 	// And the argument is untouched.
 	if !reflect.DeepEqual(messy, []Extent{{Offset: 20, Length: 5}, {Offset: 0, Length: 10}}) {
-		t.Fatal("normalized mutated its argument")
+		t.Fatal("Normalized mutated its argument")
 	}
 }

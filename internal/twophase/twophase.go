@@ -40,18 +40,18 @@ func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio
 		perNode = 1
 	}
 
-	var all []pfs.Extent
+	lists := make([][]pfs.Extent, len(reqs))
 	ranksWithData := make([]int, 0, len(reqs))
-	for _, r := range reqs {
+	for i, r := range reqs {
 		if r.Rank < 0 || r.Rank >= ctx.Topo.Size() {
 			return nil, fmt.Errorf("twophase: request for invalid rank %d", r.Rank)
 		}
+		lists[i] = r.Extents
 		if len(r.Extents) > 0 {
-			all = append(all, r.Extents...)
 			ranksWithData = append(ranksWithData, r.Rank)
 		}
 	}
-	norm := pfs.NormalizeExtents(all)
+	norm := pfs.Union(lists)
 	plan := &collio.Plan{Strategy: s.Name(), Groups: 1, GroupRanks: [][]int{ranksWithData}}
 	if len(norm) == 0 {
 		collio.RecordPlanMetrics(ctx.Obs, plan)
