@@ -218,7 +218,7 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 //
 // Healthy work items price as per-node bundles: one sim.AggMessage per
 // (node, item) per round, reconstructed exactly by
-// NodeContrib.RoundShare. The engine reduces messages to commutative
+// NodeContrib.share. The engine reduces messages to commutative
 // per-node integer loads, so a bundle prices bit-identically to its
 // constituent per-rank messages. An item touching a hot node — one with
 // live message-level injector state: a delay window, pending drop or
@@ -725,7 +725,8 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 				if op == Read {
 					itemHot = hot[d.AggNode]
 				} else {
-					for _, nc := range it.nodeAggs() {
+					aggs, _ := it.nodeAggs()
+					for _, nc := range aggs {
 						if hot[nc.Node] {
 							itemHot = true
 							break
@@ -753,13 +754,13 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 				}
 			}
 			if !env.allHot && (op == Write || !itemHot) {
-				aggs := it.nodeAggs()
+				aggs, cur := it.nodeAggs()
 				for i := range aggs {
 					nc := &aggs[i]
 					if itemHot && hot[nc.Node] {
 						continue
 					}
-					bytes, msgs := nc.RoundShare(s)
+					bytes, msgs := nc.share(&cur[i], s)
 					if bytes == 0 {
 						continue
 					}

@@ -31,35 +31,35 @@ type faultItem struct {
 	Contribs []faultContrib
 
 	aggs []NodeContrib // per-node aggregates, built from Contribs on first use
+	cur  []shareCursor // this run's position in each of aggs
 }
 
 // Active reports whether the item still has rounds to run.
 func (it *faultItem) Active() bool { return it.Bytes > 0 && it.Done < it.Rounds }
 
-// nodeAggs returns the item's per-node contribution aggregates, building
-// them from Contribs on first use. Each NodeContrib reconstructs the
-// node's exact per-round share of the per-rank even split (RoundShare),
-// so aggregate pricing is bit-identical to walking the ranks.
-func (it *faultItem) nodeAggs() []NodeContrib {
+// nodeAggs returns the item's per-node contribution aggregates and the
+// run's cursors into them, building both from Contribs on first use.
+// Each NodeContrib reconstructs the node's exact per-round share of the
+// per-rank even split (NodeContrib.share), so aggregate pricing is
+// bit-identical to walking the ranks.
+func (it *faultItem) nodeAggs() ([]NodeContrib, []shareCursor) {
 	if it.aggs == nil {
 		rounds := int64(max(it.Rounds, 1))
-		byNode := map[int]*NodeContrib{}
+		var cs []NodeContrib
 		for _, c := range it.Contribs {
-			nc := byNode[c.Node]
-			if nc == nil {
-				nc = &NodeContrib{Node: c.Node}
-				byNode[c.Node] = nc
-			}
-			nc.add(c.Bytes, rounds)
+			cs = addContrib(cs, c.Node, c.Bytes, rounds)
 		}
-		it.aggs = sortedContribs(byNode)
+		it.aggs = sealContribs(cs)
 	}
-	return it.aggs
+	if it.cur == nil {
+		it.cur = make([]shareCursor, len(it.aggs))
+	}
+	return it.aggs, it.cur
 }
 
 // evenShare is the front-loaded even split of one rank's contribution:
 // step s of rounds moves b/rounds bytes, plus one while s < b mod
-// rounds. NodeContrib.RoundShare is its exact per-node aggregate.
+// rounds. NodeContrib.share is its exact per-node aggregate.
 func evenShare(b int64, s, rounds int) int64 {
 	per := b / int64(rounds)
 	if int64(s) < b%int64(rounds) {

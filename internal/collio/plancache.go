@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/maphash"
 	"sync"
+
+	"mcio/internal/pfs"
 )
 
 // The plan cache memoizes validated plans. Sweeps re-derive identical
@@ -34,12 +36,16 @@ type planEntry struct {
 	err  error
 }
 
-// ResetPlanCache empties the cache — benchmarks use it to measure the
-// cold path.
+// ResetPlanCache returns planning to its cold state — benchmarks use it
+// to measure the cold path. It empties the cache and drops the scratch
+// pfs.Union keeps between calls, so the plans that follow compute and
+// allocate as the first plans of a fresh process do, however many ran
+// before.
 func ResetPlanCache() {
 	planCache.Lock()
 	planCache.m = map[string]*planEntry{}
 	planCache.Unlock()
+	pfs.ReleaseUnionScratch()
 }
 
 // planKeySeed seeds the fingerprint in planKey. Keys live only in this

@@ -1,7 +1,8 @@
 package collio
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mcio/internal/pfs"
 	"mcio/internal/sim"
@@ -31,8 +32,9 @@ type Shape struct {
 }
 
 // DomainShape is one file domain's round structure: its geometry plus
-// the per-node shuffle contributions, pre-split so any round's exact
-// share is a binary search away.
+// the per-node shuffle contributions, pre-split so a run walking the
+// rounds in order reads each round's exact share in amortized constant
+// time (NodeContrib.share).
 type DomainShape struct {
 	// Index is the domain's position in Plan.Domains; the cyclic round
 	// stagger is keyed on it.
@@ -54,7 +56,8 @@ type DomainShape struct {
 // over the rounds (evenShare): round k moves floor(bytes/rounds) plus
 // one extra byte while k < bytes%rounds. The per-node aggregate of that
 // split is reconstructed exactly from the floor sum and the sorted
-// remainder multiset.
+// remainder multiset. A NodeContrib is immutable once sealed; the
+// position a run has reached in it lives in a shareCursor.
 type NodeContrib struct {
 	// Node is the contributing compute node.
 	Node int
@@ -67,16 +70,63 @@ type NodeContrib struct {
 	posFloor int     // ranks whose floor share is positive
 	rems     []int64 // positive remainders rankBytes%rounds, sorted
 	remsZero []int64 // subset of rems where the floor share is zero, sorted
+	steps    []shareStep
 }
 
-// RoundShare returns the node's exact shuffle bytes and positive-byte
-// message count in round k of the domain: the per-rank even split,
-// summed over the node's ranks.
-func (c *NodeContrib) RoundShare(k int) (bytes int64, msgs int) {
+// shareStep marks a round where a node's share drops: from round at on
+// (until the next step) the node moves extra bytes beyond floorSum and
+// sends zero messages beyond posFloor — the ranks whose remainder
+// exceeds at, and those of them with no floor share. A NodeContrib has
+// one step per distinct remainder, ascending, so a run stepping through
+// the rounds crosses at most one step per round.
+type shareStep struct {
+	at          int64
+	extra, zero int
+}
+
+// shareCursor is one run's position in a NodeContrib: the number of its
+// steps at or before the round last priced. It belongs to the run, not
+// the shape, so both directions of CostShape and parallel cells read
+// one shape.
+type shareCursor int32
+
+// share returns the node's exact shuffle bytes and positive-byte message
+// count in round k of the domain — the per-rank even split summed over
+// the node's ranks — and moves cur to round k. The result depends only
+// on k; the cursor makes it cheap: the pricing loop steps k forward one
+// round at a time (Done), and back one round on a replay, and each such
+// move crosses at most one step.
+func (c *NodeContrib) share(cur *shareCursor, k int) (bytes int64, msgs int) {
 	kk := int64(k)
-	extra := len(c.rems) - sort.Search(len(c.rems), func(i int) bool { return c.rems[i] > kk })
-	zero := len(c.remsZero) - sort.Search(len(c.remsZero), func(i int) bool { return c.remsZero[i] > kk })
+	i := int(*cur)
+	for i < len(c.steps) && c.steps[i].at <= kk {
+		i++
+	}
+	for i > 0 && c.steps[i-1].at > kk {
+		i--
+	}
+	*cur = shareCursor(i)
+	extra, zero := len(c.rems), len(c.remsZero)
+	if i > 0 {
+		extra, zero = c.steps[i-1].extra, c.steps[i-1].zero
+	}
 	return c.floorSum + int64(extra), c.posFloor + zero
+}
+
+// appendSteps appends c's steps, derived from its sorted remainder
+// lists, to dst.
+func (c *NodeContrib) appendSteps(dst []shareStep) []shareStep {
+	z := 0
+	for i, r := range c.rems {
+		if i+1 < len(c.rems) && c.rems[i+1] == r {
+			continue // not the last of its run of equal remainders
+		}
+		for z < len(c.remsZero) && c.remsZero[z] <= r {
+			z++
+		}
+		dst = append(dst, shareStep{at: r, extra: len(c.rems) - i - 1, zero: len(c.remsZero) - z})
+	}
+	return dst
 }
 
 // add folds one rank's contribution of b bytes, split over rounds, into
@@ -97,16 +147,60 @@ func (c *NodeContrib) add(b, rounds int64) {
 	}
 }
 
-// sortedContribs seals per-node aggregates into a slice ascending by
-// node, ready for RoundShare.
-func sortedContribs(byNode map[int]*NodeContrib) []NodeContrib {
-	out := make([]NodeContrib, 0, len(byNode))
-	for _, nc := range byNode {
-		sortInt64s(nc.rems)
-		sortInt64s(nc.remsZero)
-		out = append(out, *nc)
+// merge folds o, the same node's aggregate over other ranks, into c.
+func (c *NodeContrib) merge(o *NodeContrib) {
+	c.Count += o.Count
+	c.Bytes += o.Bytes
+	c.floorSum += o.floorSum
+	c.posFloor += o.posFloor
+	c.rems = append(c.rems, o.rems...)
+	c.remsZero = append(c.remsZero, o.remsZero...)
+}
+
+// addContrib folds one rank's b bytes on node, split over rounds, into
+// cs, a domain's per-node aggregates in arrival order: a rank on the
+// node that arrived last extends its entry, any other starts a new one.
+// Ranks arrive in rank order, so under block placement every node
+// arrives once; sealContribs merges the repeats of other placements.
+func addContrib(cs []NodeContrib, node int, b, rounds int64) []NodeContrib {
+	if n := len(cs); n == 0 || cs[n-1].Node != node {
+		cs = append(cs, NodeContrib{Node: node})
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Node < out[b].Node })
+	cs[len(cs)-1].add(b, rounds)
+	return cs
+}
+
+// sealContribs orders addContrib's aggregates ascending by node, one
+// entry per node, sorts their remainder lists and derives their steps
+// (in one allocation for the domain), ready for share.
+// Every aggregate field is a sum or a sorted multiset, so the result
+// does not depend on the order the ranks arrived in.
+func sealContribs(cs []NodeContrib) []NodeContrib {
+	slices.SortFunc(cs, func(a, b NodeContrib) int { return cmp.Compare(a.Node, b.Node) })
+	out := cs[:0]
+	for i := range cs {
+		if n := len(out); n > 0 && out[n-1].Node == cs[i].Node {
+			out[n-1].merge(&cs[i])
+			continue
+		}
+		out = append(out, cs[i])
+	}
+	nsteps := 0
+	for i := range out {
+		slices.Sort(out[i].rems)
+		slices.Sort(out[i].remsZero)
+		for k, r := range out[i].rems {
+			if k == 0 || out[i].rems[k-1] != r {
+				nsteps++
+			}
+		}
+	}
+	steps := make([]shareStep, 0, nsteps) // never regrown: the subslices stay put
+	for i := range out {
+		start := len(steps)
+		steps = out[i].appendSteps(steps)
+		out[i].steps = steps[start:len(steps):len(steps)]
+	}
 	return out
 }
 
@@ -123,7 +217,6 @@ func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
 	// Domain shapes: geometry plus per-node contribution aggregates.
 	sh.Domains = make([]DomainShape, len(plan.Domains))
 	buckets := make([][]pfs.Extent, len(plan.Domains))
-	contribs := make([]map[int]*NodeContrib, len(plan.Domains))
 	for i, d := range plan.Domains {
 		sh.Domains[i] = DomainShape{
 			Index:       i,
@@ -132,7 +225,6 @@ func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
 			Extents:     d.Extents,
 		}
 		buckets[i] = d.Extents
-		contribs[i] = map[int]*NodeContrib{}
 	}
 	if len(plan.Domains) > 0 {
 		index := NewExtentIndex(buckets)
@@ -144,27 +236,28 @@ func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
 			node := ctx.Topo.NodeOf(r.Rank)
 			overlaps = index.OverlapAppend(overlaps[:0], r.Extents)
 			for _, bb := range overlaps {
-				nc := contribs[bb.Bucket][node]
-				if nc == nil {
-					nc = &NodeContrib{Node: node}
-					contribs[bb.Bucket][node] = nc
-				}
-				nc.add(bb.Bytes, int64(sh.Domains[bb.Bucket].Rounds))
+				d := &sh.Domains[bb.Bucket]
+				d.Contribs = addContrib(d.Contribs, node, bb.Bytes, int64(d.Rounds))
 			}
 		}
 	}
 	for i := range sh.Domains {
-		sh.Domains[i].Contribs = sortedContribs(contribs[i])
+		sh.Domains[i].Contribs = sealContribs(sh.Domains[i].Contribs)
 	}
 	return sh, nil
 }
 
 // faultShape returns the shape as fresh work items for the pricing
-// loop, in domain order, each carrying its per-node aggregates and no
-// per-rank list.
+// loop, in domain order, each carrying its per-node aggregates, fresh
+// cursors into them, and no per-rank list.
 func (sh *Shape) faultShape(plan *Plan) *faultShape {
 	fs := &faultShape{meta: sh.MetaExchanges, items: make([]*faultItem, 0, len(sh.Domains))}
 	backing := make([]faultItem, 0, len(sh.Domains))
+	ncur := 0
+	for i := range sh.Domains {
+		ncur += len(sh.Domains[i].Contribs)
+	}
+	cursors := make([]shareCursor, ncur)
 	for i := range sh.Domains {
 		d := &sh.Domains[i]
 		fs.totalRounds += d.Rounds
@@ -179,7 +272,9 @@ func (sh *Shape) faultShape(plan *Plan) *faultShape {
 			Rounds: d.Rounds,
 			Rot:    d.Index,
 			aggs:   d.Contribs,
+			cur:    cursors[:len(d.Contribs):len(d.Contribs)],
 		})
+		cursors = cursors[len(d.Contribs):]
 		fs.items = append(fs.items, &backing[len(backing)-1])
 	}
 	return fs
@@ -194,34 +289,43 @@ func (sh *Shape) faultShape(plan *Plan) *faultShape {
 // point-to-point message count they stand for. A non-nil co counts each
 // of those messages per rank.
 func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) ([]sim.Exchange, int) {
-	extCount := make(map[int]int, len(reqs))
+	// Extent counts by rank. A rank outside the topology has no node to
+	// send from, so only in-range ranks are counted.
+	extCount := make([]int, ctx.Topo.Size())
 	for _, r := range reqs {
-		extCount[r.Rank] = len(pfs.Normalized(r.Extents))
+		if uint(r.Rank) < uint(len(extCount)) {
+			extCount[r.Rank] = len(pfs.Normalized(r.Extents))
+		}
 	}
-	aggsByGroup := make(map[int][]int)
+	aggsByGroup := make([][]int, len(plan.GroupRanks))
 	for _, d := range plan.Domains {
-		aggsByGroup[d.Group] = append(aggsByGroup[d.Group], d.Aggregator)
+		if uint(d.Group) < uint(len(aggsByGroup)) {
+			aggsByGroup[d.Group] = append(aggsByGroup[d.Group], d.Aggregator)
+		}
 	}
 	var exchanges []sim.Exchange
 	messages := 0
-	srcBytes := map[int]*sim.ExchangeSrc{} // per-group scratch: src node -> bytes, rank count
+	// Per-group scratch: the group's source nodes in arrival order, and
+	// each node's position in it plus one (zero: not yet seen).
+	var srcs []sim.ExchangeSrc
+	srcAt := make([]int, ctx.Topo.Nodes())
 	for g, ranks := range plan.GroupRanks {
 		aggs := dedupInts(aggsByGroup[g])
 		if len(aggs) == 0 {
 			continue
 		}
-		clear(srcBytes)
+		srcs = srcs[:0]
 		for _, r := range ranks {
-			bytes := int64(extCount[r]) * extentListEntryBytes
-			if bytes == 0 {
+			if uint(r) >= uint(len(extCount)) || extCount[r] == 0 {
 				continue
 			}
+			bytes := int64(extCount[r]) * extentListEntryBytes
 			node := ctx.Topo.NodeOf(r)
-			f := srcBytes[node]
-			if f == nil {
-				f = &sim.ExchangeSrc{Node: node}
-				srcBytes[node] = f
+			if srcAt[node] == 0 {
+				srcs = append(srcs, sim.ExchangeSrc{Node: node})
+				srcAt[node] = len(srcs)
 			}
+			f := &srcs[srcAt[node]-1]
 			f.Bytes += bytes
 			f.Count++
 			if co != nil {
@@ -230,32 +334,28 @@ func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest, co *costOb
 				}
 			}
 		}
-		if len(srcBytes) == 0 {
+		if len(srcs) == 0 {
 			continue
 		}
-		x := sim.Exchange{Srcs: make([]sim.ExchangeSrc, 0, len(srcBytes))}
+		x := sim.Exchange{Srcs: slices.Clone(srcs)}
 		srcRanks := 0
-		for _, f := range srcBytes {
-			x.Srcs = append(x.Srcs, *f)
+		for _, f := range srcs {
+			srcAt[f.Node] = 0
 			srcRanks += f.Count
 		}
-		sort.Slice(x.Srcs, func(i, j int) bool { return x.Srcs[i].Node < x.Srcs[j].Node })
-		slots := map[int]int{}
+		slices.SortFunc(x.Srcs, func(a, b sim.ExchangeSrc) int { return cmp.Compare(a.Node, b.Node) })
+		// Receiving slots per aggregator node, kept sorted by node.
 		for _, a := range aggs {
-			slots[ctx.Topo.NodeOf(a)]++
+			node := ctx.Topo.NodeOf(a)
+			i, found := slices.BinarySearchFunc(x.Dsts, node, func(d sim.ExchangeDst, n int) int { return cmp.Compare(d.Node, n) })
+			if found {
+				x.Dsts[i].Slots++
+			} else {
+				x.Dsts = slices.Insert(x.Dsts, i, sim.ExchangeDst{Node: node, Slots: 1})
+			}
 		}
-		x.Dsts = make([]sim.ExchangeDst, 0, len(slots))
-		for node, n := range slots {
-			x.Dsts = append(x.Dsts, sim.ExchangeDst{Node: node, Slots: n})
-		}
-		sort.Slice(x.Dsts, func(i, j int) bool { return x.Dsts[i].Node < x.Dsts[j].Node })
 		exchanges = append(exchanges, x)
 		messages += srcRanks * len(aggs)
 	}
 	return exchanges, messages
-}
-
-// sortInt64s sorts xs ascending.
-func sortInt64s(xs []int64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }

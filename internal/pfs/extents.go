@@ -86,26 +86,34 @@ func NormalizeExtents(exts []Extent) []Extent {
 // or abut, as the per-rank lists of a collective usually do, every merge
 // level is shorter than the last, so the cost follows the union's size
 // rather than the total input's. The merge levels alternate between two
-// pooled buffers that grow to the largest level's output, and only the
+// scratch buffers that grow to the largest level's input, and only the
 // result is allocated. It never aliases a caller's list, and the lists
 // are not modified. Safe for concurrent use.
 func Union(lists [][]Extent) []Extent {
-	sc := unionPool.Get().(*unionScratch)
-	defer unionPool.Put(sc)
-	runs := sc.runs[:0]
+	sc := getUnionScratch()
+	defer putUnionScratch(sc)
+	runs := slices.Grow(sc.runs[:0], len(lists))
+	n := 0 // extents in runs
 	for _, l := range lists {
 		if l = Normalized(l); len(l) > 0 {
 			runs = append(runs, l)
+			n += len(l)
 		}
 	}
-	// Drop the references to the caller's lists before pooling.
-	defer func() { clear(runs[:cap(runs)]); sc.runs = runs[:0] }()
+	// Drop the references to the caller's lists before the scratch is
+	// reused. Merge levels only shrink runs, so nothing past used is ever
+	// set: a small call after a large one clears only its own slots.
+	used := len(runs)
+	defer func() { clear(runs[:used]); sc.runs = runs[:0] }()
 	if len(runs) == 0 {
 		return nil
 	}
 	src, dst := sc.buf[0], sc.buf[1]
 	for len(runs) > 1 {
-		dst, sc.ends = dst[:0], sc.ends[:0]
+		// A level's output is at most its input, so growing the buffers
+		// to the input up front grows them at most once per level, by
+		// the amount needed, instead of by append's repeated copies.
+		dst, sc.ends = slices.Grow(dst[:0], n), slices.Grow(sc.ends[:0], (len(runs)+1)/2)
 		for i := 0; i < len(runs); i += 2 {
 			if i+1 < len(runs) {
 				dst = mergeRuns(dst, runs[i], runs[i+1])
@@ -114,9 +122,7 @@ func Union(lists [][]Extent) []Extent {
 			}
 			sc.ends = append(sc.ends, len(dst))
 		}
-		// Slice the runs only once the level is written: appending may
-		// have moved dst.
-		runs = runs[:len(sc.ends)]
+		runs, n = runs[:len(sc.ends)], len(dst)
 		for i, start := 0, 0; i < len(sc.ends); i++ {
 			runs[i], start = dst[start:sc.ends[i]], sc.ends[i]
 		}
@@ -133,7 +139,45 @@ type unionScratch struct {
 	buf  [2][]Extent
 }
 
-var unionPool = sync.Pool{New: func() any { return new(unionScratch) }}
+// unionFree holds the idle scratches. Unlike a sync.Pool, a free list
+// is never emptied by the garbage collector, so Union allocates the
+// same bytes whenever a collection happens to run: a serial caller
+// reuses one scratch for good, and concurrent callers each take their
+// own, so parallel planning is not serialized. The list holds as many
+// scratches as Union ever ran concurrently.
+var unionFree struct {
+	sync.Mutex
+	idle []*unionScratch
+}
+
+func getUnionScratch() *unionScratch {
+	unionFree.Lock()
+	defer unionFree.Unlock()
+	n := len(unionFree.idle)
+	if n == 0 {
+		return new(unionScratch)
+	}
+	sc := unionFree.idle[n-1]
+	unionFree.idle[n-1] = nil
+	unionFree.idle = unionFree.idle[:n-1]
+	return sc
+}
+
+func putUnionScratch(sc *unionScratch) {
+	unionFree.Lock()
+	unionFree.idle = append(unionFree.idle, sc)
+	unionFree.Unlock()
+}
+
+// ReleaseUnionScratch drops the idle scratches, so the calls that follow
+// grow their working memory again as the first calls of a fresh process
+// do. Scratches in use by running calls are kept.
+func ReleaseUnionScratch() {
+	unionFree.Lock()
+	clear(unionFree.idle)
+	unionFree.idle = unionFree.idle[:0]
+	unionFree.Unlock()
+}
 
 // mergeRuns appends the canonical union of the canonical runs a and b to
 // dst. The extents appended are in file order, so only the last one

@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -137,4 +138,65 @@ func TestUnionConcurrent(t *testing.T) {
 		}(uint64(g))
 	}
 	wg.Wait()
+}
+
+// unionChain returns n one-extent lists, each overlapping the next, so
+// their union is a single extent: the shape of a collective's per-rank
+// lists over a contiguous file region.
+func unionChain(n int) [][]Extent {
+	lists := make([][]Extent, n)
+	for i := range lists {
+		lists[i] = []Extent{{Offset: int64(i) * 10, Length: 15}}
+	}
+	return lists
+}
+
+// A collection between calls must not change what Union allocates: its
+// scratch is owned, not pooled, so the allocation count (and with it the
+// heap a run reports) does not depend on when the collector ran. Two
+// collections are what it takes to empty a sync.Pool.
+func TestUnionAllocsSurviveGC(t *testing.T) {
+	lists := unionChain(100_000)
+	Union(lists) // grow the scratch once
+	plain := testing.AllocsPerRun(5, func() { Union(lists) })
+	afterGC := testing.AllocsPerRun(5, func() {
+		runtime.GC()
+		runtime.GC()
+		Union(lists)
+	})
+	if plain != afterGC {
+		t.Fatalf("Union allocates %v times per call, %v after two collections", plain, afterGC)
+	}
+}
+
+// BenchmarkUnionSmallAfterLarge times a two-list Union once a
+// million-list call has grown the scratch: the small call must pay for
+// its own two slots, not for clearing the large call's million.
+func BenchmarkUnionSmallAfterLarge(b *testing.B) {
+	Union(unionChain(1 << 20))
+	small := [][]Extent{{{Offset: 0, Length: 10}}, {{Offset: 5, Length: 10}}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		unionSink = Union(small)
+	}
+}
+
+// unionSink keeps the benchmarked calls from being optimized away.
+var unionSink []Extent
+
+// ReleaseUnionScratch returns Union to its cold state: the next call
+// grows its scratch again, as the first call of a process does, and so
+// allocates more than a call that reuses the kept scratch.
+func TestReleaseUnionScratch(t *testing.T) {
+	lists := unionChain(10_000)
+	Union(lists)
+	kept := testing.AllocsPerRun(5, func() { Union(lists) })
+	cold := testing.AllocsPerRun(5, func() {
+		ReleaseUnionScratch()
+		Union(lists)
+	})
+	if cold <= kept {
+		t.Fatalf("Union allocates %v times after ReleaseUnionScratch, %v with its scratch kept", cold, kept)
+	}
 }

@@ -23,7 +23,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"mcio/internal/machine"
@@ -295,31 +295,55 @@ type TraceEntry struct {
 
 // Engine prices rounds against a machine design point and storage
 // parameters. It is not safe for concurrent use.
+//
+// Engine state is dense: one nodeState per node ID and one targetState
+// per target ID, so the per-message and per-access hot path indexes a
+// slice instead of hashing. The node table is sized from
+// machine.Config.Nodes and grows when a larger node ID appears; target
+// IDs are bounded by StorageParams.Targets. Each round lists the IDs it
+// touched, so resetting costs what the round used, not the table size.
 type Engine struct {
-	mc       machine.Config
-	st       StorageParams
-	opt      Options
-	aggsPer  map[int]int     // node -> active aggregator count
-	paged    map[int]float64 // node -> worst paging severity present
-	slowdown map[int]float64 // node -> straggler bandwidth divisor (> 1)
-	tgtSlow  map[int]float64 // target -> gray service-time multiplier (> 1)
-	totals   Totals
-	trace    []TraceEntry
-	eo       *engineObs
-	rec      *timeline.Recorder
-	tlPhase  string // last phase journaled to the timeline recorder
+	mc      machine.Config
+	st      StorageParams
+	stp     pricing.Storage // st in the pricing core's form
+	opt     Options
+	nodes   []nodeState
+	targets []targetState
+	totals  Totals // PerNodeShuffle is built by Totals from nodes
+	trace   []TraceEntry
+	eo      *engineObs
+	rec     *timeline.Recorder
+	tlPhase string // last phase journaled to the timeline recorder
 
-	// runRound scratch, recycled round to round (the Engine is
-	// single-goroutine by contract). The maps are drained into the
-	// freelists at the start of each round; emitRound reads them
-	// synchronously, so nothing outlives the call that filled it.
-	scLoads     map[int]*nodeLoad
-	scTargets   map[int]*targetLoad
-	freeLoads   []*nodeLoad
-	freeTargets []*targetLoad
-	scNodeIDs   []int
-	scTargetIDs []int
-	scNodeTime  []float64
+	// The node and target IDs the current round touched, in touch order
+	// until finishRound sorts them; nodeTime is finishRound's per-node
+	// comm time, aligned with nodeIDs.
+	nodeIDs   []int
+	targetIDs []int
+	nodeTime  []float64
+}
+
+// nodeState is one node's engine state: what the operation declared
+// about it, its shuffle total, and the current round's accumulator.
+type nodeState struct {
+	aggs     int     // active aggregator count
+	paged    float64 // worst paging severity present
+	slowdown float64 // straggler bandwidth divisor, 1 = healthy
+	shuffle  int64   // Totals.PerNodeShuffle entry; zero = no entry
+	load     nodeLoad
+	touched  bool // load is in use this round (the node is in nodeIDs)
+	// accExchange scratch, zero outside an exchange: receiving slots
+	// hosted here, and the bytes and ranks sending from here.
+	xSlots int64
+	xBytes int64
+	xCount int
+}
+
+// targetState is one storage target's engine state.
+type targetState struct {
+	slow    float64 // gray service-time multiplier, 1 = healthy
+	load    targetLoad
+	touched bool // load is in use this round (the target is in targetIDs)
 }
 
 // Track id conventions for engine-emitted spans. Tid 1 holds the
@@ -423,9 +447,7 @@ func (e *Engine) Timeline() *timeline.Recorder { return e.rec }
 // Spans follow the trace-emission convention: communication starts at
 // the round start; storage starts after it, or alongside it when
 // phases overlap.
-func (e *Engine) recordRound(start float64, rc RoundCost, kind string, recovery bool,
-	nodeIDs []int, nodeTime []float64, loads map[int]*nodeLoad,
-	targetIDs []int, targets map[int]*targetLoad) {
+func (e *Engine) recordRound(start float64, rc RoundCost, kind string, recovery bool) {
 	rec := e.rec
 	phase := "data"
 	switch {
@@ -442,15 +464,15 @@ func (e *Engine) recordRound(start float64, rc RoundCost, kind string, recovery 
 	if e.opt.Overlap {
 		ioStart = start
 	}
-	for i, n := range nodeIDs {
+	for i, n := range e.nodeIDs {
 		ent := timeline.Ent("node", n)
-		rec.AddSpan(ent, "busy", commStart, commStart+nodeTime[i])
-		l := loads[n]
+		rec.AddSpan(ent, "busy", commStart, commStart+e.nodeTime[i])
+		l := &e.nodes[n].load
 		rec.AddRate(ent, "nic_bytes", commStart, float64(l.in+l.out))
 	}
-	for _, t := range targetIDs {
+	for _, t := range e.targetIDs {
 		ent := timeline.Ent("ost", t)
-		load := targets[t]
+		load := &e.targets[t].load
 		rec.AddSpan(ent, "busy", ioStart, ioStart+load.time)
 		rec.AddGauge(ent, "queue", ioStart, float64(load.requests))
 	}
@@ -468,28 +490,51 @@ func NewEngine(mc machine.Config, st StorageParams, opt Options) (*Engine, error
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{
-		mc:        mc,
-		st:        st,
-		opt:       opt,
-		aggsPer:   map[int]int{},
-		paged:     map[int]float64{},
-		slowdown:  map[int]float64{},
-		tgtSlow:   map[int]float64{},
-		totals:    Totals{PerNodeShuffle: map[int]int64{}},
-		scLoads:   map[int]*nodeLoad{},
-		scTargets: map[int]*targetLoad{},
-	}, nil
+	e := &Engine{mc: mc, st: st, stp: st.pricing(), opt: opt, targets: make([]targetState, st.Targets)}
+	for t := range e.targets {
+		e.targets[t].slow = 1
+	}
+	e.growNodes(mc.Nodes - 1)
+	return e, nil
+}
+
+// growNodes extends the node table to cover node ID n, doubling so a
+// run of rising IDs grows it a logarithmic number of times. Pointers
+// into the table do not survive it.
+func (e *Engine) growNodes(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: negative node %d", n))
+	}
+	if n < len(e.nodes) {
+		return
+	}
+	size := max(n+1, 2*len(e.nodes))
+	grown := make([]nodeState, size)
+	copy(grown, e.nodes)
+	for i := len(e.nodes); i < size; i++ {
+		grown[i].slowdown = 1
+	}
+	e.nodes = grown
+}
+
+// node returns node n's state, growing the table when n is past it.
+func (e *Engine) node(n int) *nodeState {
+	if uint(n) >= uint(len(e.nodes)) {
+		e.growNodes(n)
+	}
+	return &e.nodes[n]
 }
 
 // SetAggregators declares the aggregator placement for the operation being
 // priced. It resets any previous placement. Severities outside [0,1] are
 // clamped.
 func (e *Engine) SetAggregators(aggs []AggregatorPlacement) {
-	e.aggsPer = map[int]int{}
-	e.paged = map[int]float64{}
+	for n := range e.nodes {
+		e.nodes[n].aggs, e.nodes[n].paged = 0, 0
+	}
 	for _, a := range aggs {
-		e.aggsPer[a.Node]++
+		ns := e.node(a.Node)
+		ns.aggs++
 		s := a.PagedSeverity
 		if s < 0 {
 			s = 0
@@ -497,8 +542,8 @@ func (e *Engine) SetAggregators(aggs []AggregatorPlacement) {
 		if s > 1 {
 			s = 1
 		}
-		if s > e.paged[a.Node] {
-			e.paged[a.Node] = s
+		if s > ns.paged {
+			ns.paged = s
 		}
 		if eo := e.eo; eo != nil {
 			eo.counter("sim.aggregators", "node", a.Node).Inc()
@@ -517,10 +562,12 @@ func (e *Engine) SetAggregators(aggs []AggregatorPlacement) {
 // are divided by factor until the next call. Factor <= 1 clears it.
 func (e *Engine) SetNodeSlowdown(node int, factor float64) {
 	if factor <= 1 {
-		delete(e.slowdown, node)
+		if node >= 0 && node < len(e.nodes) {
+			e.nodes[node].slowdown = 1
+		}
 		return
 	}
-	e.slowdown[node] = factor
+	e.node(node).slowdown = factor
 }
 
 // SetNodePaged updates one node's paging severity mid-operation (e.g.
@@ -533,7 +580,7 @@ func (e *Engine) SetNodePaged(node int, severity float64) {
 	if severity > 1 {
 		severity = 1
 	}
-	e.paged[node] = severity
+	e.node(node).paged = severity
 }
 
 // SetTargetSlowdown declares a gray storage degradation: service time
@@ -541,29 +588,18 @@ func (e *Engine) SetNodePaged(node int, severity float64) {
 // Factor <= 1 clears it. The excess over healthy service time is
 // charged as injected delay, so blame attribution groups it with the
 // other fault-induced waiting rather than with honest streaming work.
+// A target outside [0, Targets) never serves an access (accIOOp rejects
+// it), so a slowdown declared on one has nothing to act on and is
+// dropped.
 func (e *Engine) SetTargetSlowdown(target int, factor float64) {
-	if factor <= 1 {
-		delete(e.tgtSlow, target)
+	if target < 0 || target >= len(e.targets) {
 		return
 	}
-	e.tgtSlow[target] = factor
-}
-
-// targetSlowdown returns target's gray service-time multiplier (1 = healthy).
-func (e *Engine) targetSlowdown(target int) float64 {
-	if f, ok := e.tgtSlow[target]; ok {
-		return f
-	}
-	return 1
+	e.targets[target].slow = max(factor, 1)
 }
 
 // nodeSlowdown returns node's straggler bandwidth divisor (1 = healthy).
-func (e *Engine) nodeSlowdown(node int) float64 {
-	if f, ok := e.slowdown[node]; ok {
-		return f
-	}
-	return 1
-}
+func (e *Engine) nodeSlowdown(node int) float64 { return e.nodes[node].slowdown }
 
 // pagedSlowdown returns the multiplicative slowdown of everything an
 // aggregator on this node touches once its buffer pages: a paged
@@ -573,14 +609,14 @@ func (e *Engine) nodeSlowdown(node int) float64 {
 // interpolates linearly between full speed (1x) and running the buffer at
 // PagedBandwidthFraction of DRAM speed.
 func (e *Engine) pagedSlowdown(node int) float64 {
-	return pricing.PagedSlowdown(e.paged[node], e.mc.PagedBandwidthFraction)
+	return pricing.PagedSlowdown(e.nodes[node].paged, e.mc.PagedBandwidthFraction)
 }
 
 // effMemBW returns the node's effective off-chip bandwidth for shuffle
 // traffic given paging state and aggregator contention.
 func (e *Engine) effMemBW(node int) float64 {
 	return pricing.EffMemBW(e.mc.MemBandwidth, e.pagedSlowdown(node), e.nodeSlowdown(node),
-		e.aggsPer[node], e.opt.NahOpt, e.opt.ContentionBeta)
+		e.nodes[node].aggs, e.opt.NahOpt, e.opt.ContentionBeta)
 }
 
 // nodeLoad accumulates one node's traffic within a round.
@@ -711,50 +747,41 @@ func (e *Engine) runAggRound(r AggRound, recovery bool) RoundCost {
 	return e.finishRound(r.Kind, recovery, nMsgs, len(r.IOOps), commBytes, ioBytes, ioDir)
 }
 
-// beginRound recycles the previous round's scratch: drained maps feed
-// the freelists so steady-state rounds allocate nothing.
+// beginRound resets the accumulators the previous round touched, and
+// only those, so steady-state rounds allocate nothing.
 func (e *Engine) beginRound() {
-	for n, l := range e.scLoads {
-		*l = nodeLoad{}
-		e.freeLoads = append(e.freeLoads, l)
-		delete(e.scLoads, n)
+	for _, n := range e.nodeIDs {
+		ns := &e.nodes[n]
+		ns.load, ns.touched = nodeLoad{}, false
 	}
-	for t, tl := range e.scTargets {
-		*tl = targetLoad{}
-		e.freeTargets = append(e.freeTargets, tl)
-		delete(e.scTargets, t)
+	for _, t := range e.targetIDs {
+		ts := &e.targets[t]
+		ts.load, ts.touched = targetLoad{}, false
 	}
+	e.nodeIDs, e.targetIDs = e.nodeIDs[:0], e.targetIDs[:0]
 }
 
-// load returns the round's accumulator for a node, creating it from the
-// freelist on first touch.
+// load returns the round's accumulator for a node, listing the node as
+// touched on first use. It may grow the node table, so a caller holding
+// another node's load must have grown the table first.
 func (e *Engine) load(n int) *nodeLoad {
-	l := e.scLoads[n]
-	if l == nil {
-		if k := len(e.freeLoads); k > 0 {
-			l = e.freeLoads[k-1]
-			e.freeLoads = e.freeLoads[:k-1]
-		} else {
-			l = &nodeLoad{}
-		}
-		e.scLoads[n] = l
+	ns := e.node(n)
+	if !ns.touched {
+		ns.touched = true
+		e.nodeIDs = append(e.nodeIDs, n)
 	}
-	return l
+	return &ns.load
 }
 
-// target is load's counterpart for storage targets.
-func (e *Engine) target(t int) *targetLoad {
-	tl := e.scTargets[t]
-	if tl == nil {
-		if k := len(e.freeTargets); k > 0 {
-			tl = e.freeTargets[k-1]
-			e.freeTargets = e.freeTargets[:k-1]
-		} else {
-			tl = &targetLoad{}
-		}
-		e.scTargets[t] = tl
+// target is load's counterpart for storage targets; t is in range
+// (accIOOp checks it).
+func (e *Engine) target(t int) *targetState {
+	ts := &e.targets[t]
+	if !ts.touched {
+		ts.touched = true
+		e.targetIDs = append(e.targetIDs, t)
 	}
-	return tl
+	return ts
 }
 
 // accMessage accumulates a message bundle (count positive-byte messages
@@ -767,8 +794,9 @@ func (e *Engine) accMessage(src, dst int, bytes int64, count int) {
 	if bytes == 0 {
 		return
 	}
+	e.growNodes(max(src, dst)) // the loads below must not move
 	e.totals.ShufBytes += bytes
-	e.totals.PerNodeShuffle[src] += bytes
+	e.nodes[src].shuffle += bytes
 	if src == dst {
 		// Intra-node: two extra DRAM crossings, no NIC.
 		l := e.load(src)
@@ -777,7 +805,7 @@ func (e *Engine) accMessage(src, dst int, bytes int64, count int) {
 		return
 	}
 	e.totals.NetBytes += bytes
-	e.totals.PerNodeShuffle[dst] += bytes
+	e.nodes[dst].shuffle += bytes
 	sl, dl := e.load(src), e.load(dst)
 	sl.out += bytes
 	dl.in += bytes
@@ -802,6 +830,7 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 			panic("sim: negative exchange slots")
 		}
 		slots += int64(d.Slots)
+		e.growNodes(d.Node)
 	}
 	var totalBytes int64
 	totalCount := 0
@@ -814,22 +843,21 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 		}
 		totalBytes += s.Bytes
 		totalCount += s.Count
+		e.growNodes(s.Node)
 	}
 	if slots == 0 || totalBytes == 0 {
 		return 0, 0
 	}
-	// Intra-node split inputs: receiving slots per source node, sent
-	// bytes per destination node.
-	slotsAt := make(map[int]int64, len(x.Dsts))
+	// Intra-node split inputs, in the node table's exchange scratch:
+	// receiving slots per source node, sent bytes per destination node.
+	// Both are zeroed again before returning.
 	for _, d := range x.Dsts {
-		slotsAt[d.Node] += int64(d.Slots)
+		e.nodes[d.Node].xSlots += int64(d.Slots)
 	}
-	sentAt := make(map[int]ExchangeSrc, len(x.Srcs))
 	for _, s := range x.Srcs {
-		a := sentAt[s.Node]
-		a.Bytes += s.Bytes
-		a.Count += s.Count
-		sentAt[s.Node] = a
+		ns := &e.nodes[s.Node]
+		ns.xBytes += s.Bytes
+		ns.xCount += s.Count
 	}
 	f := e.opt.MemCopyFactor
 	for _, s := range x.Srcs {
@@ -837,14 +865,15 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 			continue
 		}
 		e.totals.ShufBytes += s.Bytes * slots
-		e.totals.PerNodeShuffle[s.Node] += s.Bytes * slots
+		e.nodes[s.Node].shuffle += s.Bytes * slots
 		l := e.load(s.Node)
-		if ms := slotsAt[s.Node]; ms > 0 {
+		ms := e.nodes[s.Node].xSlots
+		if ms > 0 {
 			// Intra-node deliveries: two extra DRAM crossings, no NIC.
 			l.mem += pricing.IntraMemCopy(f, s.Bytes*ms)
 			l.msgs += s.Count * int(ms)
 		}
-		if inter := slots - slotsAt[s.Node]; inter > 0 {
+		if inter := slots - ms; inter > 0 {
 			e.totals.NetBytes += s.Bytes * inter
 			l.out += s.Bytes * inter
 			l.mem += pricing.MemCopy(f, s.Bytes*inter)
@@ -857,16 +886,23 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 		if d.Slots == 0 {
 			continue
 		}
-		own := sentAt[d.Node]
-		recvBytes := (totalBytes - own.Bytes) * int64(d.Slots)
+		own := &e.nodes[d.Node]
+		recvBytes := (totalBytes - own.xBytes) * int64(d.Slots)
 		if recvBytes == 0 {
 			continue
 		}
-		e.totals.PerNodeShuffle[d.Node] += recvBytes
+		own.shuffle += recvBytes
 		l := e.load(d.Node)
 		l.in += recvBytes
 		l.mem += pricing.MemCopy(f, recvBytes)
-		l.msgs += (totalCount - own.Count) * d.Slots
+		l.msgs += (totalCount - own.xCount) * d.Slots
+	}
+	for _, d := range x.Dsts {
+		e.nodes[d.Node].xSlots = 0
+	}
+	for _, s := range x.Srcs {
+		ns := &e.nodes[s.Node]
+		ns.xBytes, ns.xCount = 0, 0
 	}
 	return commBytes, msgs
 }
@@ -893,20 +929,21 @@ func (e *Engine) accIOOp(op IOOp) {
 		l.in += op.Bytes
 	}
 	l.mem += pricing.MemCopy(e.opt.MemCopyFactor, op.Bytes)
-	tl := e.target(op.Target)
+	ts := e.target(op.Target)
+	tl := &ts.load
 	if op.DelaySeconds < 0 {
 		panic("sim: negative I/O delay")
 	}
 	// A paged or straggling issuing node drains/fills its aggregation
 	// buffer at degraded speed, throttling the storage access it
 	// drives; injected retry/degradation delay is charged on top.
-	unpaged := e.st.pricing().ServiceTime(op.Bytes, op.Requests, op.Contiguous, op.Write) * e.nodeSlowdown(op.Node)
+	unpaged := e.stp.ServiceTime(op.Bytes, op.Requests, op.Contiguous, op.Write) * e.nodeSlowdown(op.Node)
 	delay := op.DelaySeconds
 	// A gray-degraded target serves every access slower; the excess
 	// over healthy service counts as fault delay, not honest work.
 	// Degraded (breaker fast-fail) accesses never waited on the
 	// slowed service path, so they skip the multiplier.
-	if f := e.targetSlowdown(op.Target); f > 1 && !op.Degraded {
+	if f := ts.slow; f > 1 && !op.Degraded {
 		delay += unpaged * (f - 1)
 	}
 	tl.time += unpaged*e.pagedSlowdown(op.Node) + delay
@@ -975,31 +1012,22 @@ func (e *Engine) runRound(r Round, recovery bool) RoundCost {
 // the trace entry; commBytes/ioBytes/ioDir summarize the round's
 // traffic for the same consumers.
 func (e *Engine) finishRound(kind string, recovery bool, traceMsgs, traceOps int, commBytes, ioBytes int64, ioDir string) RoundCost {
-	loads, targets := e.scLoads, e.scTargets
-
-	// Node iteration is sorted so bottleneck ties and emitted spans are
-	// deterministic run to run.
-	nodeIDs := e.scNodeIDs[:0]
-	for n := range loads {
-		nodeIDs = append(nodeIDs, n)
-	}
-	sort.Ints(nodeIDs)
-	e.scNodeIDs = nodeIDs
-	targetIDs := e.scTargetIDs[:0]
-	for t := range targets {
-		targetIDs = append(targetIDs, t)
-	}
-	sort.Ints(targetIDs)
-	e.scTargetIDs = targetIDs
+	// Nodes and targets are visited in ascending ID order, so the lowest
+	// ID wins a bottleneck tie and emitted spans are deterministic
+	// whatever order the round's traffic arrived in.
+	slices.Sort(e.nodeIDs)
+	slices.Sort(e.targetIDs)
+	nodeIDs, targetIDs := e.nodeIDs, e.targetIDs
 
 	binding := Binding{CommNode: -1, IOTarget: -1}
 	var comm, commPagedFrac float64
-	if cap(e.scNodeTime) < len(nodeIDs) {
-		e.scNodeTime = make([]float64, len(nodeIDs))
+	if cap(e.nodeTime) < len(nodeIDs) {
+		e.nodeTime = make([]float64, len(nodeIDs))
 	}
-	nodeTime := e.scNodeTime[:len(nodeIDs)] // every slot is written below
+	nodeTime := e.nodeTime[:len(nodeIDs)] // every slot is written below
+	e.nodeTime = nodeTime
 	for i, n := range nodeIDs {
-		l := loads[n]
+		l := &e.nodes[n].load
 		slow := e.pagedSlowdown(n) * e.nodeSlowdown(n)
 		t, res, tlat := pricing.CommTime(pricing.NodeLoad{In: l.in, Out: l.out, Mem: l.mem, Msgs: l.msgs},
 			e.mc.NICBandwidth, slow, e.effMemBW(n), e.mc.NetLatency)
@@ -1012,13 +1040,14 @@ func (e *Engine) finishRound(kind string, recovery bool, traceMsgs, traceOps int
 	}
 	var io, ioPagedFrac, ioDelayFrac float64
 	for _, t := range targetIDs {
-		if tt := targets[t].time; tt > io {
+		tl := &e.targets[t].load
+		if tt := tl.time; tt > io {
 			io = tt
 			binding.IOTarget = t
 			ioPagedFrac, ioDelayFrac = 0, 0
 			if tt > 0 {
-				ioPagedFrac = targets[t].pagedExcess / tt
-				ioDelayFrac = targets[t].delay / tt
+				ioPagedFrac = tl.pagedExcess / tt
+				ioDelayFrac = tl.delay / tt
 			}
 		}
 	}
@@ -1056,19 +1085,20 @@ func (e *Engine) finishRound(kind string, recovery bool, traceMsgs, traceOps int
 		})
 	}
 	if e.rec != nil {
-		e.recordRound(start, rc, kind, recovery, nodeIDs, nodeTime, loads, targetIDs, targets)
+		e.recordRound(start, rc, kind, recovery)
 	}
 	if eo := e.eo; eo != nil {
 		eo.emitRound(roundEmit{
-			round:    round,
-			start:    start,
-			rc:       rc,
-			overlap:  e.opt.Overlap,
-			binding:  binding,
-			nodeIDs:  nodeIDs,
-			nodeTime: nodeTime,
-			loads:    loads,
-			targets:  targets, targetIDs: targetIDs,
+			round:     round,
+			start:     start,
+			rc:        rc,
+			overlap:   e.opt.Overlap,
+			binding:   binding,
+			nodeIDs:   nodeIDs,
+			nodeTime:  nodeTime,
+			nodes:     e.nodes,
+			targetIDs: targetIDs,
+			targets:   e.targets,
 			commBytes: commBytes, ioBytes: ioBytes,
 			recovery:      recovery,
 			kind:          kind,
@@ -1090,9 +1120,9 @@ type roundEmit struct {
 	binding   Binding
 	nodeIDs   []int
 	nodeTime  []float64
-	loads     map[int]*nodeLoad
+	nodes     []nodeState // indexed by node ID
 	targetIDs []int
-	targets   map[int]*targetLoad
+	targets   []targetState // indexed by target ID
 	commBytes int64
 	ioBytes   int64
 	recovery  bool
@@ -1128,7 +1158,7 @@ func (eo *engineObs) emitRound(r roundEmit) {
 		eo.histogram("sim.recovery_seconds", "", 0).Observe(r.rc.Time)
 	}
 	for i, n := range r.nodeIDs {
-		l := r.loads[n]
+		l := &r.nodes[n].load
 		eo.counter("net.bytes_out", "node", n).Add(l.out)
 		eo.counter("net.bytes_in", "node", n).Add(l.in)
 		eo.counter("net.mem_bytes", "node", n).Add(l.mem)
@@ -1136,7 +1166,7 @@ func (eo *engineObs) emitRound(r roundEmit) {
 		eo.histogram("net.node_seconds", "node", n).Observe(r.nodeTime[i])
 	}
 	for _, t := range r.targetIDs {
-		tl := r.targets[t]
+		tl := &r.targets[t].load
 		eo.histogram("pfs.queue_depth", "ost", t).Observe(float64(tl.requests))
 		eo.histogram("pfs.target_seconds", "ost", t).Observe(tl.time)
 	}
@@ -1193,7 +1223,7 @@ func (eo *engineObs) emitRound(r roundEmit) {
 		if r.nodeTime[i] <= 0 {
 			continue
 		}
-		l := r.loads[n]
+		l := &r.nodes[n].load
 		eo.nameTID(tidNodeBase+n, fmt.Sprintf("node %d shuffle", n))
 		span := tr.Begin(eo.pid, tidNodeBase+n, "shuffle", commStart,
 			obs.A("out_bytes", strconv.FormatInt(l.out, 10)),
@@ -1203,7 +1233,7 @@ func (eo *engineObs) emitRound(r roundEmit) {
 		span.End(commStart + r.nodeTime[i])
 	}
 	for _, t := range r.targetIDs {
-		tl := r.targets[t]
+		tl := &r.targets[t].load
 		if tl.time <= 0 {
 			continue
 		}
@@ -1262,12 +1292,17 @@ func (e *Engine) AddRecoveryLatency(seconds float64, kind string) {
 	}
 }
 
-// Totals returns a copy of the accumulated accounting.
+// Totals returns a copy of the accumulated accounting. PerNodeShuffle
+// holds an entry for every node that shuffled bytes: every shuffle
+// charge is positive, so a nonzero total is exactly a node that was
+// charged.
 func (e *Engine) Totals() Totals {
 	t := e.totals
-	t.PerNodeShuffle = make(map[int]int64, len(e.totals.PerNodeShuffle))
-	for k, v := range e.totals.PerNodeShuffle {
-		t.PerNodeShuffle[k] = v
+	t.PerNodeShuffle = map[int]int64{}
+	for n := range e.nodes {
+		if b := e.nodes[n].shuffle; b != 0 {
+			t.PerNodeShuffle[n] = b
+		}
 	}
 	return t
 }
