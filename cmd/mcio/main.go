@@ -26,8 +26,10 @@
 // a stable versioned JSON record of bandwidth, wall time, per-phase
 // critical-path blame and host provenance (git commit, go version,
 // CPU counts, wall clock and allocator telemetry) — and diff compares
-// ledgers, exiting non-zero when the new one regresses beyond tolerance
-// (the CI perf gate). diff accepts directories and globs, comparing the
+// ledgers, exiting non-zero when the new one regresses beyond tolerance,
+// or with -exact when any price differs at all (the CI perf gate: prices
+// are deterministic, so only the /harness host-cost entries keep a
+// tolerance). diff accepts directories and globs, comparing the
 // oldest record against the newest by timestamp; bench refuses to
 // overwrite an existing -out file unless -force is given, and -archive
 // appends the record to a history directory under an auto-sequenced
@@ -37,6 +39,7 @@
 //	mcio bench chaos -archive baselines/history
 //	mcio bench fig-exa -cpuprofile cpu.out -memprofile mem.out
 //	mcio diff baselines/BENCH_fig6.json BENCH_fig6.json -tol 0.05
+//	mcio diff -exact baselines/BENCH_fig6.json BENCH_fig6.json
 //	mcio diff baselines/history
 //
 // The trend subcommand is the gate pairwise diff cannot provide: it
@@ -292,7 +295,8 @@ func writeAllocProfile(path string) error {
 // (two explicit files with no timestamps — v1 — keep their given
 // order), so `mcio diff baselines/history/` composes directly with the
 // archive layout. Returns the process exit code — 0 clean, 1 when the
-// new ledger regresses beyond tolerance — plus any hard error.
+// new ledger regresses beyond tolerance (with -exact, when any price
+// changed) — plus any hard error.
 func runDiff(args []string, out io.Writer) (int, error) {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	fs.Usage = func() {
@@ -301,6 +305,7 @@ func runDiff(args []string, out io.Writer) (int, error) {
 	}
 	tol := fs.Float64("tol", obs.DefaultDiffTol, "relative bandwidth-drop tolerance (0.05 = 5%)")
 	wallTol := fs.Float64("wall-tol", 0, "relative wall-time-rise tolerance (default: same as -tol)")
+	exact := fs.Bool("exact", false, "gate prices exactly: any changed field of a priced entry, or a priced entry added or missing, is a regression; tolerances apply only to /harness entries")
 	paths, err := parseInterleaved(fs, args)
 	if err != nil {
 		return 2, err
@@ -324,7 +329,7 @@ func runDiff(args []string, out io.Writer) (int, error) {
 	if wt == 0 {
 		wt = *tol
 	}
-	res := obs.DiffRunRecords(oldest.Rec, newest.Rec, obs.DiffOptions{BandwidthTol: *tol, WallTol: wt})
+	res := obs.DiffRunRecords(oldest.Rec, newest.Rec, obs.DiffOptions{BandwidthTol: *tol, WallTol: wt, Exact: *exact})
 	fmt.Fprint(out, res.Render())
 	if len(res.Regressions()) > 0 {
 		return 1, nil

@@ -103,6 +103,75 @@ func TestRunDiffFlagsInjectedRegression(t *testing.T) {
 	}
 }
 
+// TestRunDiffExactGate pins the exact price gate: four edits to the
+// committed fig6 ledger — one bandwidth up 10%, another down 3%, seven
+// more rounds on a third entry and a doubled blame term on a fourth —
+// all slip through the tolerant diff, fail the exact one, and each
+// changed field is named. A freshly priced fig6 ledger passes the exact
+// gate against the same baseline.
+func TestRunDiffExactGate(t *testing.T) {
+	const baseline = "../../baselines/BENCH_fig6.json"
+	dir := t.TempDir()
+	rec, err := obs.LoadRunRecord(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := rec.Entries
+	e[0].BandwidthMBps *= 1.10
+	e[1].BandwidthMBps *= 0.97
+	e[2].Rounds += 7
+	var term string
+	for k := range e[3].Blame {
+		if term == "" || k < term {
+			term = k
+		}
+	}
+	e[3].Blame[term] *= 2
+	perturbed := filepath.Join(dir, "perturbed.json")
+	if err := obs.SaveRunRecord(perturbed, rec); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code, err := runDiff([]string{baseline, perturbed}, &out); err != nil || code != 0 {
+		t.Fatalf("tolerant diff: code %d err %v, want 0 (the edits are inside its tolerance):\n%s", code, err, out.String())
+	}
+	out.Reset()
+	code, err := runDiff([]string{"-exact", baseline, perturbed}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 1 {
+		t.Fatalf("exact diff of the perturbed ledger exit %d, want 1:\n%s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "4 regression(s)") {
+		t.Errorf("exact diff should flag exactly the four edited entries:\n%s", out.String())
+	}
+	for i, field := range []string{"bandwidth_mbps", "bandwidth_mbps", "rounds", "blame." + term} {
+		var line string
+		for _, l := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(l, e[i].Name+" ") {
+				line = l
+			}
+		}
+		if !strings.Contains(line, "REGRESSION: changed "+field+" ") {
+			t.Errorf("entry %s: row does not name the changed %s:\n%s", e[i].Name, field, line)
+		}
+	}
+
+	fresh := filepath.Join(dir, "fresh.json")
+	if err := runBench([]string{"fig6", "-out", fresh}, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	code, err = runDiff([]string{"-exact", baseline, fresh}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 0 || !strings.Contains(out.String(), "no regressions") {
+		t.Fatalf("fresh fig6 ledger fails the exact gate (exit %d):\n%s", code, out.String())
+	}
+}
+
 func TestRunDiffErrors(t *testing.T) {
 	var out bytes.Buffer
 	if code, err := runDiff([]string{"only-one.json"}, &out); code != 2 || err == nil {

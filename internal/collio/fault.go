@@ -227,6 +227,13 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 // query sequence and the order extra latency is summed in. Every
 // injector query against a non-hot node is a no-op, and events apply
 // only at round boundaries, so bundling the rest changes nothing.
+//
+// Storage prices the same way: each round slice maps to stripe spans
+// (pfs.Mapper), and a span goes to the engine as one sim.IOOp. A
+// target with live storage fault state — an open transient window, a
+// due or applied permanent failure, pending torn writes — is hot; it
+// is split out of its span and its access passes the storage hook on
+// its own. Every hook call on a cold target is a no-op.
 func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, env faultEnv, co *costObs) (*FaultResult, error) {
 	st := sim.StorageParams{
 		Targets:         ctx.FS.Targets,
@@ -275,15 +282,22 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 	if op == Read && ctx.FS.ReadBWFactor > 0 {
 		ioBW *= ctx.FS.ReadBWFactor
 	}
-	// hot marks the nodes whose messages walk per rank this round; nil
-	// when no node can be hot.
-	var hot []bool
+	// hot marks the nodes whose messages walk per rank this round, and
+	// tgtHot the targets whose accesses go through the access hook one
+	// at a time; both nil when nothing can be hot. All-hot runs (the
+	// adaptive policy's breakers among them) mark everything.
+	var hot, tgtHot []bool
 	if env.allHot || inj != nil {
 		hot = make([]bool, nodes)
+		tgtHot = make([]bool, ctx.FS.Targets)
 		for n := range hot {
 			hot[n] = env.allHot
 		}
+		for t := range tgtHot {
+			tgtHot[t] = env.allHot
+		}
 	}
+	anyTgtHot := env.allHot
 	var spec faults.Spec
 	// leakFrac tracks the largest MemLeak fraction already applied per
 	// node; leakSev the paging severity that decay produced (kept apart
@@ -682,6 +696,12 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 	executed := 0
 	var slice []pfs.Extent
 	mapper := ctx.FS.NewMapper()
+	// active lists the items with rounds left, in item order. An item
+	// that is done never becomes active again — replays only rewind
+	// active items, refolds retire items and append their successors —
+	// so each round appends the successors and drops the finished.
+	var active []*faultItem
+	listed := 0
 	for {
 		now := eng.Elapsed()
 		if inj != nil {
@@ -689,31 +709,33 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 				return nil, err
 			}
 		}
-		anyActive := false
-		for _, it := range items {
+		active = append(active, items[listed:]...)
+		listed = len(items)
+		kept := active[:0]
+		for _, it := range active {
 			if it.Active() {
-				anyActive = true
-				break
+				kept = append(kept, it)
 			}
 		}
-		if !anyActive {
+		active = kept
+		if len(active) == 0 {
 			break
 		}
 		if inj != nil && !env.allHot {
-			for n := 0; n < nodes; n++ {
-				hot[n] = inj.MsgDelaySeconds(n, now)+inj.NICDelaySeconds(n, now) > 0 ||
-					inj.PendingDrops(n) > 0 || inj.PendingFlips(n) > 0 ||
-					inj.NICDropActive(n, now)
+			for n := range hot {
+				hot[n] = inj.MessageHot(n, now)
+			}
+			anyTgtHot = false
+			for t := range tgtHot {
+				tgtHot[t] = inj.StorageHot(t, now)
+				anyTgtHot = anyTgtHot || tgtHot[t]
 			}
 		}
 
 		round.Messages = round.Messages[:0]
 		round.IOOps = round.IOOps[:0]
 		extraLat = 0
-		for _, it := range items {
-			if !it.Active() {
-				continue
-			}
+		for _, it := range active {
 			d := &live[it.Domain]
 			s := it.Done
 			co.shuffle(it, d.Aggregator, op)
@@ -778,19 +800,44 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 			// domains would hit the same storage target in every round.
 			idx := (s + it.Rot) % it.Rounds
 			slice = pfs.SliceDataAppend(slice[:0], it.Base, int64(idx)*it.Buf, it.Buf)
+			// Each stripe span goes to the engine whole; a hot target is
+			// split out of it and passes the access hook on its own, in
+			// Map order. Every hook call on a cold target is a no-op, so
+			// the cold runs price as they are.
 			for _, acc := range mapper.Map(slice) {
 				io := sim.IOOp{
 					Target:     acc.Target,
+					Count:      acc.Count,
 					Node:       d.AggNode,
 					Bytes:      acc.Bytes,
 					Requests:   acc.Requests,
 					Contiguous: acc.Contiguous,
 					Write:      op == Write,
 				}
-				if inj != nil {
-					access(&io, now)
+				if !anyTgtHot {
+					round.IOOps = append(round.IOOps, io)
+					continue
 				}
-				round.IOOps = append(round.IOOps, io)
+				for t, end := acc.Target, acc.Target+acc.Count; t < end; {
+					h := t // the first hot target at or after t, or end
+					for h < end && !tgtHot[h] {
+						h++
+					}
+					if h > t {
+						io.Target, io.Count = t, h-t
+						round.IOOps = append(round.IOOps, io)
+					}
+					if h == end {
+						break
+					}
+					one := io
+					one.Target, one.Count = h, 1
+					if inj != nil {
+						access(&one, now)
+					}
+					round.IOOps = append(round.IOOps, one)
+					t = h + 1
+				}
 			}
 			it.Done++
 		}

@@ -43,9 +43,12 @@ func pricingCtx(t *testing.T, ranks, nodes, targets int, avail int64) *collio.Co
 		FS: pfs.DefaultConfig(targets), Params: collio.DefaultParams(avail)}
 }
 
-// pricingCases returns two pinned workloads — dense contiguous blocks
-// and a strided pattern with uneven round remainders — then n random
-// seeded topologies with sparse, overlapping requests and idle ranks.
+// pricingCases returns three pinned workloads — dense contiguous
+// blocks, a strided pattern with uneven round remainders, and
+// contiguous blocks over a small stripe unit, so each round slice
+// lands on a span of targets that wraps past the last one — then n
+// random seeded topologies with sparse, overlapping requests and idle
+// ranks, every other one striped finely too.
 func pricingCases(t *testing.T, n int) []pricingCase {
 	opt := sim.DefaultOptions()
 	opt.Trace = true
@@ -62,14 +65,25 @@ func pricingCases(t *testing.T, n int) []pricingCase {
 				pfs.Extent{Offset: int64(b*16+r) * 700, Length: 700})
 		}
 	}
+	striped := make([]collio.RankRequest, 16)
+	for r := range striped {
+		striped[r] = collio.RankRequest{Rank: r,
+			Extents: []pfs.Extent{{Offset: 700 + int64(r)*5000, Length: 5000}}}
+	}
+	stripedCtx := pricingCtx(t, 16, 4, 12, 16<<10)
+	stripedCtx.FS.StripeUnit = 1000
 	cases := []pricingCase{
 		{pricingCtx(t, 12, 4, 4, 16<<10), contiguous, opt},
 		{pricingCtx(t, 16, 4, 8, 8<<10), strided, opt},
+		{stripedCtx, striped, opt},
 	}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < n; i++ {
 		ranks := 4 + rng.Intn(16)
 		ctx := pricingCtx(t, ranks, 1+rng.Intn(4), 1+rng.Intn(6), int64(1+rng.Intn(16))<<9)
+		if i%2 == 1 {
+			ctx.FS.StripeUnit = 300
+		}
 		reqs := make([]collio.RankRequest, ranks)
 		for r := range reqs {
 			reqs[r].Rank = r
@@ -115,19 +129,21 @@ func freshPlan(t *testing.T, c pricingCase, strategy string, spec faults.Spec) (
 }
 
 // TestBundledPricingMatchesAllHot is the exactness property of the one
-// pricing loop: bundling healthy per-node traffic and walking only the
-// injector's hot nodes per rank prices bit-identically to walking every
-// node per rank. It covers pinned and random topologies × {clean,
-// crash/collapse, gray, corruption} schedules × {write, read} × both
-// strategies, and checks the whole FaultResult, error parity where a
-// schedule wipes the cluster, and that both runs consumed the same
-// fault schedule: same applied events, dead nodes and escalations.
+// pricing loop: bundling healthy per-node traffic, pricing stripe spans
+// whole, and walking only the injector's hot nodes per rank and hot
+// targets one at a time prices bit-identically to walking every node
+// per rank and every target access alone. It covers pinned and random
+// topologies × {clean, crash/collapse, gray, corruption, storage on a
+// few targets} schedules × {write, read} × both strategies, and checks
+// the whole FaultResult, error parity where a schedule wipes the
+// cluster, and that both runs consumed the same fault schedule: same
+// applied events, dead nodes and escalations.
 func TestBundledPricingMatchesAllHot(t *testing.T) {
 	trials := 24
 	if testing.Short() {
 		trials = 6
 	}
-	var failovers, wipes, msgFaults, gray, corrupt int
+	var failovers, wipes, msgFaults, gray, corrupt, storage int
 	for ci, c := range pricingCases(t, trials) {
 		seed := uint64(ci)*31 + 5
 		for _, strategy := range []string{"two-phase", "memory-conscious"} {
@@ -146,15 +162,17 @@ func TestBundledPricingMatchesAllHot(t *testing.T) {
 			schedules := []struct {
 				kind string
 				spec faults.Spec
+				keep func(faults.Event) bool
 			}{
-				{"crash", crash},
-				{"gray", crash.WithGray(1 + float64(ci%4))},
-				{"corruption", crash.WithCorruption(1 + float64(ci%4))},
+				{"crash", crash, nil},
+				{"gray", crash.WithGray(1 + float64(ci%4)), nil},
+				{"corruption", crash.WithCorruption(1 + float64(ci%4)), nil},
+				{"storage", crash.WithGray(2).WithCorruption(2), fewTargetsStorage},
 			}
 			for _, sc := range schedules {
 				for _, op := range []collio.Op{collio.Write, collio.Read} {
 					name := fmt.Sprintf("case %d %s %s %s", ci, strategy, op, sc.kind)
-					res, err := faultedParity(t, name, c, strategy, op, sc.spec)
+					res, err := faultedParity(t, name, c, strategy, op, sc.spec, sc.keep)
 					if err != nil {
 						wipes++
 						continue
@@ -163,14 +181,29 @@ func TestBundledPricingMatchesAllHot(t *testing.T) {
 					msgFaults += res.DroppedMessages + res.DelayedMessages
 					gray += res.FlakyDrops + res.LeakedNodes
 					corrupt += res.CorruptedMessages + res.TornWrites
+					if sc.keep != nil {
+						storage += res.StorageRetries + res.TornWrites
+					}
 				}
 			}
 		}
 	}
-	if failovers == 0 || wipes == 0 || msgFaults == 0 || gray == 0 || corrupt == 0 {
-		t.Fatalf("property exercised too little: failovers %d, wipes %d, message faults %d, gray %d, corruption %d",
-			failovers, wipes, msgFaults, gray, corrupt)
+	if failovers == 0 || wipes == 0 || msgFaults == 0 || gray == 0 || corrupt == 0 || storage == 0 {
+		t.Fatalf("property exercised too little: failovers %d, wipes %d, message faults %d, gray %d, corruption %d, storage %d",
+			failovers, wipes, msgFaults, gray, corrupt, storage)
 	}
+}
+
+// fewTargetsStorage keeps a schedule's storage events — transient
+// windows, permanent failures, torn writes and gray slowdowns — on every
+// third target only, so most of each stripe span stays cold and the hot
+// targets are split out of it.
+func fewTargetsStorage(ev faults.Event) bool {
+	switch ev.Kind {
+	case faults.OSTTransient, faults.OSTPermanent, faults.TornWrite, faults.OSTSlowdown:
+		return ev.Target%3 == 1
+	}
+	return false
 }
 
 // cleanParity checks the fault-free forms against each other: Cost,
@@ -222,19 +255,30 @@ func cleanParity(t *testing.T, name string, c pricingCase, strategy string, op c
 }
 
 // faultedParity prices one faulted cell bundled and all hot, each from
-// its own plan, handler and injector, and fails on any divergence. It
-// returns the bundled result, or the shared error when the schedule
-// kills the whole cluster.
-func faultedParity(t *testing.T, name string, c pricingCase, strategy string, op collio.Op, spec faults.Spec) (*collio.FaultResult, error) {
+// its own plan, handler and injector, and fails on any divergence. A
+// non-nil keep drops the schedule's other events. It returns the
+// bundled result, or the shared error when the schedule kills the
+// whole cluster.
+func faultedParity(t *testing.T, name string, c pricingCase, strategy string, op collio.Op, spec faults.Spec,
+	keep func(faults.Event) bool) (*collio.FaultResult, error) {
 	t.Helper()
-	planA, err := spec.Generate(c.ctx.Topo.Nodes(), c.ctx.FS.Targets)
-	if err != nil {
-		t.Fatal(err)
+	generate := func() *faults.Plan {
+		p, err := spec.Generate(c.ctx.Topo.Nodes(), c.ctx.FS.Targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keep != nil {
+			var kept []faults.Event
+			for _, ev := range p.Events {
+				if keep(ev) {
+					kept = append(kept, ev)
+				}
+			}
+			p.Events = kept
+		}
+		return p
 	}
-	planB, err := spec.Generate(c.ctx.Topo.Nodes(), c.ctx.FS.Targets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	planA, planB := generate(), generate()
 	if !reflect.DeepEqual(planA, planB) {
 		t.Fatalf("%s: Generate is not a pure function of the spec", name)
 	}

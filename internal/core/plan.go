@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mcio/internal/collio"
@@ -74,6 +75,7 @@ func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest)
 	memmodel.RecordAvailability(ctx.Obs, ctx.Avail[:ctx.Topo.Nodes()])
 	aggsOnHost := make(map[int]int)
 	strategyLabel := obs.L("strategy", s.Name())
+	var sc contribScratch
 
 	for _, g := range groups {
 		plan.GroupRanks = append(plan.GroupRanks, g.Ranks)
@@ -85,7 +87,7 @@ func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest)
 			ctx.Obs.Histogram("plan.group_bytes", strategyLabel).Observe(float64(pfs.TotalBytes(g.Extents)))
 			ctx.Obs.Histogram("plan.tree_leaves", strategyLabel).Observe(float64(len(tree.Leaves())))
 		}
-		domains, leaves, err := s.placeGroup(ctx, tree, g, normReq, tracker, aggsOnHost)
+		domains, leaves, err := s.placeGroup(ctx, tree, g, normReq, tracker, aggsOnHost, &sc)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -115,42 +117,14 @@ func (s *Strategy) placeGroup(
 	normReq [][]pfs.Extent,
 	tracker *memmodel.Tracker,
 	aggsOnHost map[int]int,
+	sc *contribScratch,
 ) ([]collio.Domain, []*TreeNode, error) {
 	placed := make(map[*TreeNode]*collio.Domain)
-
-	// contributions computes, for the current leaf set, each contributing
-	// rank's bytes per leaf in one merge-walk per rank. The overlap
-	// scratch is shared across remerge iterations.
-	var overlaps []int64
-	contributions := func(leaves []*TreeNode) [][]rankContribution {
-		buckets := make([][]pfs.Extent, len(leaves))
-		for i, l := range leaves {
-			buckets[i] = l.Extents
-		}
-		out := make([][]rankContribution, len(leaves))
-		if len(leaves) == 0 {
-			return out
-		}
-		index := collio.NewExtentIndex(buckets)
-		for _, r := range g.Ranks {
-			exts := normReq[r]
-			if len(exts) == 0 {
-				continue
-			}
-			overlaps = index.OverlapBytesInto(overlaps, exts)
-			for i, b := range overlaps {
-				if b > 0 {
-					out[i] = append(out[i], rankContribution{rank: r, bytes: b})
-				}
-			}
-		}
-		return out
-	}
 
 	for {
 		progressed := false
 		leaves := tree.Leaves()
-		contribs := contributions(leaves)
+		contribs := sc.contributions(g, normReq, leaves)
 		for li, leaf := range leaves {
 			if _, done := placed[leaf]; done {
 				continue
@@ -313,6 +287,62 @@ func capacityParams(ctx *collio.Context, reqs []collio.RankRequest) collio.Param
 type rankContribution struct {
 	rank  int
 	bytes int64
+}
+
+// contribScratch is the reusable storage of contributions, shared by
+// every group and remerge iteration of one plan, so it grows to the
+// largest leaf set instead of being allocated per call.
+type contribScratch struct {
+	overlaps []int64
+	listed   []leafContribution
+	backing  []rankContribution
+}
+
+// leafContribution is one rank's bytes in the leaf with index leaf.
+type leafContribution struct {
+	leaf int
+	rankContribution
+}
+
+// contributions computes, for the leaf set, each contributing rank of
+// g's bytes per leaf in one merge-walk per rank, listed in rank order.
+// A counting pass then gives each leaf's list its own stretch of one
+// backing array. The lists are valid until the next call.
+func (sc *contribScratch) contributions(g Group, normReq [][]pfs.Extent, leaves []*TreeNode) [][]rankContribution {
+	out := make([][]rankContribution, len(leaves))
+	if len(leaves) == 0 {
+		return out
+	}
+	buckets := make([][]pfs.Extent, len(leaves))
+	for i, l := range leaves {
+		buckets[i] = l.Extents
+	}
+	index := collio.NewExtentIndex(buckets)
+	counts := make([]int, len(leaves))
+	sc.listed = sc.listed[:0]
+	for _, r := range g.Ranks {
+		exts := normReq[r]
+		if len(exts) == 0 {
+			continue
+		}
+		sc.overlaps = index.OverlapBytesInto(sc.overlaps, exts)
+		for i, b := range sc.overlaps {
+			if b > 0 {
+				sc.listed = append(sc.listed, leafContribution{i, rankContribution{rank: r, bytes: b}})
+				counts[i]++
+			}
+		}
+	}
+	backing := slices.Grow(sc.backing[:0], len(sc.listed))[:len(sc.listed)]
+	sc.backing = backing
+	for i, n := range counts {
+		out[i] = backing[:0:n]
+		backing = backing[n:]
+	}
+	for _, c := range sc.listed {
+		out[c.leaf] = append(out[c.leaf], c.rankContribution)
+	}
+	return out
 }
 
 // locate implements §3.3's aggregator location for one file domain: among

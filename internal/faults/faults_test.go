@@ -284,3 +284,110 @@ func TestPendingQueriesAreStateless(t *testing.T) {
 		t.Fatal("delay-only flaky window reported drop-stateful")
 	}
 }
+
+// TestStorageHotBracketsNoOps pins the storage side of the hot-mask
+// contract: wherever StorageHot is false, OSTPenalty charges nothing
+// and TakeTornWrite returns false, and neither changes any state — so
+// the pricing loop may skip them for a cold target. A transient window
+// is hot while open, a permanent failure from its scheduled time on
+// (before the boundary that applies it), a torn write while pending; a
+// target no event names, past the injector's tables, is never hot.
+func TestStorageHotBracketsNoOps(t *testing.T) {
+	in := NewInjector(&Plan{
+		Spec: Spec{RetryBackoff: 0.01, MaxRetries: 8},
+		Events: []Event{
+			{Kind: OSTTransient, Time: 1, Node: -1, Target: 2, Duration: 0.5},
+			{Kind: TornWrite, Time: 1, Node: -1, Target: 5},
+			{Kind: OSTSlowdown, Time: 1, Node: -1, Target: 6, Duration: 5, Severity: 3},
+			{Kind: OSTPermanent, Time: 3, Node: -1, Target: 4},
+		},
+	})
+	hot := func(now float64) []int {
+		var out []int
+		for tg := 0; tg < 100; tg++ {
+			if in.StorageHot(tg, now) {
+				out = append(out, tg)
+			}
+		}
+		return out
+	}
+	// cold checks the no-op half of the contract on every cold target.
+	cold := func(now float64) {
+		t.Helper()
+		want := hot(now)
+		for tg := 0; tg < 100; tg++ {
+			if in.StorageHot(tg, now) {
+				continue
+			}
+			if r, b, d := in.OSTPenalty(tg, now); r != 0 || b != 0 || d {
+				t.Fatalf("cold target %d at %v: OSTPenalty = %d, %v, %v", tg, now, r, b, d)
+			}
+			if in.TakeTornWrite(tg) {
+				t.Fatalf("cold target %d at %v tore a write", tg, now)
+			}
+		}
+		if got := hot(now); !reflect.DeepEqual(got, want) || in.Escalations() != 0 {
+			t.Fatalf("cold queries at %v changed state: hot %v -> %v, escalations %d", now, want, got, in.Escalations())
+		}
+	}
+	for _, step := range []struct {
+		now  float64
+		want []int
+	}{
+		{0.5, nil},
+		{1.2, []int{2, 5}},
+		{2, []int{5}},
+		{3, []int{4, 5}}, // the permanent failure is due before Advance applies it
+	} {
+		if step.now < 3 {
+			in.Advance(step.now)
+		}
+		if got := hot(step.now); !reflect.DeepEqual(got, step.want) {
+			t.Fatalf("hot targets at %v = %v, want %v", step.now, got, step.want)
+		}
+		cold(step.now)
+	}
+	if !in.TakeTornWrite(5) || in.StorageHot(5, 3) {
+		t.Fatal("consuming the pending torn write should cool target 5")
+	}
+	if in.OSTSlowdownFactor(6, 2) != 3 || in.StorageHot(6, 2) {
+		t.Fatal("a gray slowdown is priced by the engine, not the access hook: target 6 must be slowed and cold")
+	}
+}
+
+// TestMessageHotBracketsNoOps is the message side: a node is hot while
+// a delay window or flaky NIC is open or drop and flip budgets are
+// pending, and nowhere else; node IDs past the tables are cold.
+func TestMessageHotBracketsNoOps(t *testing.T) {
+	in := NewInjector(&Plan{
+		Spec: Spec{NICFlakyDropEvery: 3},
+		Events: []Event{
+			{Kind: MsgDelay, Time: 1, Node: 0, Target: -1, Duration: 1, Severity: 0.1},
+			{Kind: MsgDrop, Time: 1, Node: 1, Target: -1},
+			{Kind: MsgBitFlip, Time: 1, Node: 2, Target: -1},
+			{Kind: NICFlaky, Time: 1, Node: 3, Target: -1, Duration: 1, Severity: 0.01},
+			{Kind: Straggler, Time: 1, Node: 4, Target: -1, Duration: 1, Severity: 2},
+		},
+	})
+	hot := func(now float64) []int {
+		var out []int
+		for n := 0; n < 50; n++ {
+			if in.MessageHot(n, now) {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
+	if got := hot(0.5); got != nil {
+		t.Fatalf("hot before any event: %v", got)
+	}
+	in.Advance(1.5)
+	if got := hot(1.5); !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
+		t.Fatalf("hot nodes = %v, want [0 1 2 3] (a straggler is priced by the engine)", got)
+	}
+	in.TakeDrop(1)
+	in.TakeMsgFlip(2)
+	if got := hot(2.5); got != nil {
+		t.Fatalf("hot after windows closed and budgets spent: %v", got)
+	}
+}

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"sort"
 
 	"mcio/internal/obs"
@@ -11,44 +12,21 @@ import (
 // since the last boundary, then queries per-node and per-target state
 // while building the round. All methods are deterministic given the
 // same call sequence; the Injector is not safe for concurrent use.
+//
+// Per-node and per-target state is dense: one entry per ID up to the
+// largest one the plan's events name, so the pricing loop's per-round
+// queries over every node and target index a slice. An ID past the
+// table carries no fault state. Times are simulated seconds, never
+// negative; a window's end stays 0 until an event opens it.
 type Injector struct {
 	spec   Spec
 	events []Event
 	next   int
 	now    float64
 
-	dead         map[int]bool    // crashed hosts
-	stragglerEnd map[int]float64 // node -> window end
-	stragglerFac map[int]float64 // node -> slowdown factor
-	delayEnd     map[int]float64 // node -> msg-delay window end
-	delaySec     map[int]float64 // node -> seconds added per message
-	dropPending  map[int]int     // node -> undelivered drop events
-	flipPending  map[int]int     // node -> unconsumed bit-flip events
-	tornPending  map[int]int     // target -> unconsumed torn-write events
-	ostWindowEnd map[int]float64 // target -> transient-error window end
-	ostDegraded  map[int]bool    // target -> permanently degraded
-	// ostPermAt is the scheduled time of each target's earliest
-	// OSTPermanent event, precomputed so queries between round
-	// boundaries see the degradation at event time, not at the next
-	// Advance (retry ladders walk forward in time mid-round).
-	ostPermAt map[int]float64
-	// ostLadderPaid is how far into simulated time each target's retry
-	// ladder has already walked: later accesses in the same round resume
-	// from here instead of re-paying the ladder from the round boundary,
-	// so a target that recovers mid-round is seen as recovered.
-	ostLadderPaid map[int]float64
-
-	// Gray-failure windows.
-	slowStart map[int]float64 // target -> slowdown window start
-	slowEnd   map[int]float64 // target -> slowdown window end
-	slowFac   map[int]float64 // target -> peak service-time multiplier
-	slowProf  map[int]Profile // target -> degradation curve shape
-	nicStart  map[int]float64 // node -> flaky window start
-	nicEnd    map[int]float64 // node -> flaky window end
-	nicSec    map[int]float64 // node -> latency added per message
-	nicEvery  map[int]int     // node -> every k-th in-window message dropped
-	nicSeen   map[int]int     // node -> in-window messages observed so far
-	leaks     map[int][]Event // node -> leak onsets (rare; summed on query)
+	dead    map[int]bool // crashed hosts
+	nodes   []nodeFaults
+	targets []targetFaults
 
 	counts    map[Kind]int
 	escalated int // transient windows that exhausted the retry budget
@@ -57,48 +35,93 @@ type Injector struct {
 	injected map[Kind]*obs.Counter
 }
 
+// nodeFaults is one host's fault state.
+type nodeFaults struct {
+	stragglerEnd float64 // straggler window end
+	stragglerFac float64 // straggler slowdown factor
+	delayEnd     float64 // msg-delay window end
+	delaySec     float64 // seconds added per message
+	dropPending  int     // undelivered drop events
+	flipPending  int     // unconsumed bit-flip events
+
+	// Flaky-NIC window: latency added per message and every k-th
+	// in-window message dropped, counted in nicSeen.
+	nicStart, nicEnd float64
+	nicSec           float64
+	nicEvery         int
+	nicSeen          int
+
+	leaks []Event // leak onsets (rare; summed on query)
+}
+
+// targetFaults is one storage target's fault state.
+type targetFaults struct {
+	tornPending int     // unconsumed torn-write events
+	windowEnd   float64 // transient-error window end
+	degraded    bool    // permanently degraded
+	// permAt is the scheduled time of the target's earliest
+	// OSTPermanent event (+Inf when none), precomputed so queries
+	// between round boundaries see the degradation at event time, not
+	// at the next Advance (retry ladders walk forward in time
+	// mid-round).
+	permAt float64
+	// ladderPaid is how far into simulated time the target's retry
+	// ladder has already walked: later accesses in the same round
+	// resume from here instead of re-paying the ladder from the round
+	// boundary, so a target that recovers mid-round is seen as
+	// recovered.
+	ladderPaid float64
+
+	// Gray slowdown window: start, end, peak service-time multiplier
+	// and degradation curve shape.
+	slowStart, slowEnd, slowFac float64
+	slowProf                    Profile
+}
+
 // NewInjector builds an injector for plan. A nil plan yields an empty
 // injector (Empty reports true and every query is a no-op).
 func NewInjector(plan *Plan) *Injector {
 	in := &Injector{
-		dead:          map[int]bool{},
-		stragglerEnd:  map[int]float64{},
-		stragglerFac:  map[int]float64{},
-		delayEnd:      map[int]float64{},
-		delaySec:      map[int]float64{},
-		dropPending:   map[int]int{},
-		flipPending:   map[int]int{},
-		tornPending:   map[int]int{},
-		ostWindowEnd:  map[int]float64{},
-		ostDegraded:   map[int]bool{},
-		ostPermAt:     map[int]float64{},
-		ostLadderPaid: map[int]float64{},
-		slowStart:     map[int]float64{},
-		slowEnd:       map[int]float64{},
-		slowFac:       map[int]float64{},
-		slowProf:      map[int]Profile{},
-		nicStart:      map[int]float64{},
-		nicEnd:        map[int]float64{},
-		nicSec:        map[int]float64{},
-		nicEvery:      map[int]int{},
-		nicSeen:       map[int]int{},
-		leaks:         map[int][]Event{},
-		counts:        map[Kind]int{},
-		injected:      map[Kind]*obs.Counter{},
+		dead:     map[int]bool{},
+		counts:   map[Kind]int{},
+		injected: map[Kind]*obs.Counter{},
 	}
-	if plan != nil {
-		in.spec = plan.Spec
-		in.events = plan.Events
-		for _, ev := range plan.Events {
-			if ev.Kind != OSTPermanent {
-				continue
-			}
-			if at, ok := in.ostPermAt[ev.Target]; !ok || ev.Time < at {
-				in.ostPermAt[ev.Target] = ev.Time
-			}
+	if plan == nil {
+		return in
+	}
+	in.spec = plan.Spec
+	in.events = plan.Events
+	nodes, targets := 0, 0
+	for _, ev := range plan.Events {
+		nodes, targets = max(nodes, ev.Node+1), max(targets, ev.Target+1)
+	}
+	in.nodes = make([]nodeFaults, nodes)
+	in.targets = make([]targetFaults, targets)
+	for t := range in.targets {
+		in.targets[t].permAt = math.Inf(1)
+	}
+	for _, ev := range plan.Events {
+		if ts := in.target(ev.Target); ev.Kind == OSTPermanent && ts != nil {
+			ts.permAt = min(ts.permAt, ev.Time)
 		}
 	}
 	return in
+}
+
+// node returns node's state, nil when no event names it (or in is nil).
+func (in *Injector) node(n int) *nodeFaults {
+	if in == nil || uint(n) >= uint(len(in.nodes)) {
+		return nil
+	}
+	return &in.nodes[n]
+}
+
+// target is node's counterpart for storage targets.
+func (in *Injector) target(t int) *targetFaults {
+	if in == nil || uint(t) >= uint(len(in.targets)) {
+		return nil
+	}
+	return &in.targets[t]
 }
 
 // Spec returns the spec the injector's plan was generated from.
@@ -149,55 +172,48 @@ func (in *Injector) apply(ev Event) {
 		}
 		c.Inc()
 	}
-	switch ev.Kind {
-	case NodeCrash:
+	if ev.Kind == NodeCrash {
 		in.dead[ev.Node] = true
-	case MemCollapse:
-		// State lives with the FaultHandler (it owns the memory model);
-		// the injector only counts and reports the event.
-	case Straggler:
-		end := ev.Time + ev.Duration
-		if end > in.stragglerEnd[ev.Node] {
-			in.stragglerEnd[ev.Node] = end
-			in.stragglerFac[ev.Node] = ev.Severity
+	}
+	// MemCollapse state lives with the FaultHandler (it owns the memory
+	// model); the injector only counts and reports the event.
+	if ns := in.node(ev.Node); ns != nil {
+		switch ev.Kind {
+		case Straggler:
+			if end := ev.Time + ev.Duration; end > ns.stragglerEnd {
+				ns.stragglerEnd, ns.stragglerFac = end, ev.Severity
+			}
+		case MsgDelay:
+			if end := ev.Time + ev.Duration; end > ns.delayEnd {
+				ns.delayEnd, ns.delaySec = end, ev.Severity
+			}
+		case MsgDrop:
+			ns.dropPending++
+		case MsgBitFlip:
+			ns.flipPending++
+		case NICFlaky:
+			if end := ev.Time + ev.Duration; end > ns.nicEnd {
+				ns.nicStart, ns.nicEnd, ns.nicSec = ev.Time, end, ev.Severity
+				ns.nicEvery = in.spec.NICFlakyDropEvery
+			}
+		case MemLeak:
+			ns.leaks = append(ns.leaks, ev)
 		}
-	case MsgDelay:
-		end := ev.Time + ev.Duration
-		if end > in.delayEnd[ev.Node] {
-			in.delayEnd[ev.Node] = end
-			in.delaySec[ev.Node] = ev.Severity
+	}
+	if ts := in.target(ev.Target); ts != nil {
+		switch ev.Kind {
+		case TornWrite:
+			ts.tornPending++
+		case OSTTransient:
+			ts.windowEnd = max(ts.windowEnd, ev.Time+ev.Duration)
+		case OSTPermanent:
+			ts.degraded = true
+		case OSTSlowdown:
+			if end := ev.Time + ev.Duration; end > ts.slowEnd {
+				ts.slowStart, ts.slowEnd = ev.Time, end
+				ts.slowFac, ts.slowProf = ev.Severity, ev.Profile
+			}
 		}
-	case MsgDrop:
-		in.dropPending[ev.Node]++
-	case MsgBitFlip:
-		in.flipPending[ev.Node]++
-	case TornWrite:
-		in.tornPending[ev.Target]++
-	case OSTTransient:
-		end := ev.Time + ev.Duration
-		if end > in.ostWindowEnd[ev.Target] {
-			in.ostWindowEnd[ev.Target] = end
-		}
-	case OSTPermanent:
-		in.ostDegraded[ev.Target] = true
-	case OSTSlowdown:
-		end := ev.Time + ev.Duration
-		if end > in.slowEnd[ev.Target] {
-			in.slowStart[ev.Target] = ev.Time
-			in.slowEnd[ev.Target] = end
-			in.slowFac[ev.Target] = ev.Severity
-			in.slowProf[ev.Target] = ev.Profile
-		}
-	case NICFlaky:
-		end := ev.Time + ev.Duration
-		if end > in.nicEnd[ev.Node] {
-			in.nicStart[ev.Node] = ev.Time
-			in.nicEnd[ev.Node] = end
-			in.nicSec[ev.Node] = ev.Severity
-			in.nicEvery[ev.Node] = in.spec.NICFlakyDropEvery
-		}
-	case MemLeak:
-		in.leaks[ev.Node] = append(in.leaks[ev.Node], ev)
 	}
 }
 
@@ -222,11 +238,8 @@ func (in *Injector) DeadNodes() []int {
 // NodeSlowdown returns the bandwidth divisor for node at time now: 1
 // when healthy, the straggler factor while inside a straggler window.
 func (in *Injector) NodeSlowdown(node int, now float64) float64 {
-	if in == nil {
-		return 1
-	}
-	if end, ok := in.stragglerEnd[node]; ok && now < end {
-		return in.stragglerFac[node]
+	if ns := in.node(node); ns != nil && now < ns.stragglerEnd {
+		return ns.stragglerFac
 	}
 	return 1
 }
@@ -234,11 +247,8 @@ func (in *Injector) NodeSlowdown(node int, now float64) float64 {
 // MsgDelaySeconds returns the per-message latency added to messages
 // leaving node at time now (0 when healthy).
 func (in *Injector) MsgDelaySeconds(node int, now float64) float64 {
-	if in == nil {
-		return 0
-	}
-	if end, ok := in.delayEnd[node]; ok && now < end {
-		return in.delaySec[node]
+	if ns := in.node(node); ns != nil && now < ns.delayEnd {
+		return ns.delaySec
 	}
 	return 0
 }
@@ -247,10 +257,11 @@ func (in *Injector) MsgDelaySeconds(node int, now float64) float64 {
 // a message leaving it is lost. Each MsgDrop event loses exactly one
 // message; consumption order is the (deterministic) query order.
 func (in *Injector) TakeDrop(node int) bool {
-	if in == nil || in.dropPending[node] == 0 {
+	ns := in.node(node)
+	if ns == nil || ns.dropPending == 0 {
 		return false
 	}
-	in.dropPending[node]--
+	ns.dropPending--
 	return true
 }
 
@@ -259,10 +270,11 @@ func (in *Injector) TakeDrop(node int) bool {
 // MsgBitFlip event corrupts exactly one message, in deterministic query
 // order.
 func (in *Injector) TakeMsgFlip(node int) bool {
-	if in == nil || in.flipPending[node] == 0 {
+	ns := in.node(node)
+	if ns == nil || ns.flipPending == 0 {
 		return false
 	}
-	in.flipPending[node]--
+	ns.flipPending--
 	return true
 }
 
@@ -271,19 +283,19 @@ func (in *Injector) TakeMsgFlip(node int) bool {
 // the pricing loop can bundle the messages of nodes with no pending
 // drops without changing any state or result.
 func (in *Injector) PendingDrops(node int) int {
-	if in == nil {
-		return 0
+	if ns := in.node(node); ns != nil {
+		return ns.dropPending
 	}
-	return in.dropPending[node]
+	return 0
 }
 
 // PendingFlips is PendingDrops's counterpart for MsgBitFlip events:
 // while zero, TakeMsgFlip on the node is a pure no-op.
 func (in *Injector) PendingFlips(node int) int {
-	if in == nil {
-		return 0
+	if ns := in.node(node); ns != nil {
+		return ns.flipPending
 	}
-	return in.flipPending[node]
+	return 0
 }
 
 // NICDropActive reports whether TakeNICDrop on node at time now is
@@ -292,21 +304,41 @@ func (in *Injector) PendingFlips(node int) int {
 // such a window (or with cadence 0) TakeNICDrop is a pure no-op, which
 // is what lets the pricing loop bundle healthy nodes' messages.
 func (in *Injector) NICDropActive(node int, now float64) bool {
-	if in == nil {
-		return false
-	}
-	end, ok := in.nicEnd[node]
-	return ok && now < end && now >= in.nicStart[node] && in.nicEvery[node] > 0
+	ns := in.node(node)
+	return ns != nil && now < ns.nicEnd && now >= ns.nicStart && ns.nicEvery > 0
+}
+
+// MessageHot reports whether any message-level query on node at time
+// now can charge or change anything: a delay window is open, drop or
+// flip budgets are pending, or a flaky-NIC drop cadence is running.
+// While it is false, MsgDelaySeconds and NICDelaySeconds are 0 and
+// TakeDrop, TakeMsgFlip and TakeNICDrop are no-ops returning false, so
+// the pricing loop bundles the node's messages.
+func (in *Injector) MessageHot(node int, now float64) bool {
+	return in.MsgDelaySeconds(node, now)+in.NICDelaySeconds(node, now) > 0 ||
+		in.PendingDrops(node) > 0 || in.PendingFlips(node) > 0 || in.NICDropActive(node, now)
+}
+
+// StorageHot is MessageHot's counterpart for storage target: whether a
+// transient window is open at now, a permanent failure is due or
+// applied, or torn writes are pending. While it is false, OSTPenalty
+// returns no retries, no backoff and no degradation and changes no
+// state, and TakeTornWrite is a no-op returning false, so the pricing
+// loop prices the target's accesses in bulk.
+func (in *Injector) StorageHot(target int, now float64) bool {
+	ts := in.target(target)
+	return ts != nil && (now < ts.windowEnd || now >= ts.permAt || ts.degraded || ts.tornPending > 0)
 }
 
 // TakeTornWrite consumes one pending torn write on target, reporting
 // whether an object write there lands truncated. Each TornWrite event
 // tears exactly one access, in deterministic query order.
 func (in *Injector) TakeTornWrite(target int) bool {
-	if in == nil || in.tornPending[target] == 0 {
+	ts := in.target(target)
+	if ts == nil || ts.tornPending == 0 {
 		return false
 	}
-	in.tornPending[target]--
+	ts.tornPending--
 	return true
 }
 
@@ -323,7 +355,8 @@ func (in *Injector) TakeTornWrite(target int) bool {
 // and later accesses pay nothing — they are not charged as if the
 // target stayed failed until the next round boundary.
 func (in *Injector) OSTPenalty(target int, now float64) (retries int, backoffSeconds float64, degraded bool) {
-	if in == nil {
+	ts := in.target(target)
+	if ts == nil {
 		return 0, 0, false
 	}
 	// An OSTPermanent event scheduled at or before the query time degrades
@@ -331,60 +364,51 @@ func (in *Injector) OSTPenalty(target int, now float64) (retries int, backoffSec
 	// formally apply (and count) it hasn't been reached yet: accesses and
 	// retry ladders walk forward in time mid-round and must see the
 	// degradation deterministically at event time, not a boundary late.
-	if at, ok := in.ostPermAt[target]; ok && now >= at {
-		in.ostDegraded[target] = true
+	if now >= ts.permAt {
+		ts.degraded = true
 	}
-	if end, ok := in.ostWindowEnd[target]; ok && now < end {
+	if end := ts.windowEnd; now < end {
 		// Resume from wherever the target's ladder already got to this
 		// round; a cursor at or past the window end means the target
 		// recovered mid-round and the access succeeds first try.
-		start := now
-		if paid := in.ostLadderPaid[target]; paid > start {
-			start = paid
-		}
+		start := max(now, ts.ladderPaid)
 		if start >= end {
-			return 0, 0, in.ostDegraded[target]
+			return 0, 0, ts.degraded
 		}
 		step := in.spec.RetryBackoff
 		if step <= 0 {
 			step = 1e-4
 		}
-		max := in.spec.MaxRetries
-		if max < 1 {
-			max = 1
-		}
-		for retries < max && start+backoffSeconds < end {
+		limit := max(in.spec.MaxRetries, 1)
+		for retries < limit && start+backoffSeconds < end {
 			backoffSeconds += step
 			step *= 2
 			retries++
 			// A ladder that backs off past the scheduled permanent failure
 			// finishes against a degraded target.
-			if at, ok := in.ostPermAt[target]; ok && start+backoffSeconds >= at {
-				in.ostDegraded[target] = true
+			if start+backoffSeconds >= ts.permAt {
+				ts.degraded = true
 			}
 		}
-		if cursor := start + backoffSeconds; cursor > in.ostLadderPaid[target] {
-			in.ostLadderPaid[target] = cursor
+		if cursor := start + backoffSeconds; cursor > ts.ladderPaid {
+			ts.ladderPaid = cursor
 		}
-		if start+backoffSeconds < end && !in.ostDegraded[target] {
+		if start+backoffSeconds < end && !ts.degraded {
 			// Retry budget exhausted inside the window: the target is
 			// failed over to degraded service for the rest of the run.
-			in.ostDegraded[target] = true
+			ts.degraded = true
 			in.escalated++
 		}
 	}
-	return retries, backoffSeconds, in.ostDegraded[target]
+	return retries, backoffSeconds, ts.degraded
 }
 
 // OSTWindowActive reports whether target is inside a transient-error
 // window at time now, without walking (or charging) the retry ladder.
 // Circuit breakers use it to probe schedule state cheaply.
 func (in *Injector) OSTWindowActive(target int, now float64) bool {
-	if in == nil {
-		return false
-	}
-	end, ok := in.ostWindowEnd[target]
-	return ok && now < end
+	ts := in.target(target)
+	return ts != nil && now < ts.windowEnd
 }
 
 // OSTSlowdownFactor returns the gray service-time multiplier for target
@@ -392,20 +416,16 @@ func (in *Injector) OSTWindowActive(target int, now float64) bool {
 // by its degradation profile (step holds peak, drip ramps linearly,
 // flap alternates healthy/degraded eighths of the window).
 func (in *Injector) OSTSlowdownFactor(target int, now float64) float64 {
-	if in == nil {
+	ts := in.target(target)
+	if ts == nil || now >= ts.slowEnd || now < ts.slowStart {
 		return 1
 	}
-	end, ok := in.slowEnd[target]
-	if !ok || now >= end || now < in.slowStart[target] {
-		return 1
-	}
-	start := in.slowStart[target]
-	peak := in.slowFac[target]
+	start, end, peak := ts.slowStart, ts.slowEnd, ts.slowFac
 	if peak <= 1 {
 		return 1
 	}
 	frac := (now - start) / (end - start)
-	switch in.slowProf[target] {
+	switch ts.slowProf {
 	case ProfileDrip:
 		return 1 + (peak-1)*frac
 	case ProfileFlap:
@@ -422,11 +442,8 @@ func (in *Injector) OSTSlowdownFactor(target int, now float64) float64 {
 // messages leaving node at time now (0 when healthy). It stacks with
 // MsgDelaySeconds: a flaky NIC inside a hard delay window pays both.
 func (in *Injector) NICDelaySeconds(node int, now float64) float64 {
-	if in == nil {
-		return 0
-	}
-	if end, ok := in.nicEnd[node]; ok && now < end && now >= in.nicStart[node] {
-		return in.nicSec[node]
+	if ns := in.node(node); ns != nil && now < ns.nicEnd && now >= ns.nicStart {
+		return ns.nicSec
 	}
 	return 0
 }
@@ -437,19 +454,12 @@ func (in *Injector) NICDelaySeconds(node int, now float64) float64 {
 // TakeDrop there is no fixed per-event budget — the burst lasts as long
 // as the window does.
 func (in *Injector) TakeNICDrop(node int, now float64) bool {
-	if in == nil {
+	if !in.NICDropActive(node, now) {
 		return false
 	}
-	end, ok := in.nicEnd[node]
-	if !ok || now >= end || now < in.nicStart[node] {
-		return false
-	}
-	every := in.nicEvery[node]
-	if every <= 0 {
-		return false
-	}
-	in.nicSeen[node]++
-	return in.nicSeen[node]%every == 0
+	ns := &in.nodes[node]
+	ns.nicSeen++
+	return ns.nicSeen%ns.nicEvery == 0
 }
 
 // MemLeakFraction returns the cumulative fraction of node's memory
@@ -458,11 +468,12 @@ func (in *Injector) TakeNICDrop(node int, now float64) bool {
 // total clamps at 0.95 so a leaking node keeps a sliver of budget (the
 // leak is gray — the node never actually dies).
 func (in *Injector) MemLeakFraction(node int, now float64) float64 {
-	if in == nil {
+	ns := in.node(node)
+	if ns == nil {
 		return 0
 	}
 	total := 0.0
-	for _, ev := range in.leaks[node] {
+	for _, ev := range ns.leaks {
 		if now <= ev.Time {
 			continue
 		}

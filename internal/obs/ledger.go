@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -161,7 +162,18 @@ func LoadRunRecord(path string) (*RunRecord, error) {
 type DiffOptions struct {
 	BandwidthTol float64 // relative bandwidth drop tolerated, e.g. 0.05
 	WallTol      float64 // relative wall-time rise tolerated
+	// Exact gates prices exactly: every field of every priced entry —
+	// bandwidth, simulated wall, rounds, blame and metrics — must equal
+	// the old ledger's, and the two ledgers must name the same entries.
+	// Prices are deterministic, so any change is a regression. Host
+	// entries (names ending in HarnessSuffix), whose host wall time and
+	// allocation vary from run to run, keep the tolerances.
+	Exact bool
 }
+
+// HarnessSuffix ends the name of a ledger entry that records the host
+// cost of producing the ledger rather than a price.
+const HarnessSuffix = "/harness"
 
 // DefaultDiffTol is the relative change tolerated before a metric
 // movement counts as a regression.
@@ -194,6 +206,9 @@ type EntryDelta struct {
 	Added         bool // absent in old, present in new
 	Regression    bool
 	RegressionWhy string
+	// Changed names each field that differs, old and new value, when
+	// the diff is exact.
+	Changed []string
 }
 
 // DiffResult is the outcome of comparing two run ledgers.
@@ -217,7 +232,9 @@ func (d *DiffResult) Regressions() []EntryDelta {
 // DiffRunRecords compares two ledgers entry-by-entry (matched by entry
 // name). A regression is a bandwidth drop beyond tolerance, a wall-time
 // rise beyond tolerance, or an entry that disappeared. New entries are
-// reported but are not regressions.
+// reported but are not regressions. With opt.Exact, any changed field
+// of a priced entry and any priced entry new to the new ledger are
+// regressions too.
 func DiffRunRecords(old, new *RunRecord, opt DiffOptions) *DiffResult {
 	res := &DiffResult{OldName: old.Name, NewName: new.Name}
 	newByName := make(map[string]RunEntry, len(new.Entries))
@@ -247,6 +264,12 @@ func DiffRunRecords(old, new *RunRecord, opt DiffOptions) *DiffResult {
 			d.WallRel = (ne.WallSeconds - oe.WallSeconds) / oe.WallSeconds
 		}
 		var why []string
+		if opt.Exact && !strings.HasSuffix(oe.Name, HarnessSuffix) {
+			d.Changed = changedFields(oe, ne)
+			if len(d.Changed) > 0 {
+				why = append(why, "changed "+strings.Join(d.Changed, ", "))
+			}
+		}
 		if d.BandwidthRel < -opt.bandwidthTol() {
 			why = append(why, fmt.Sprintf("bandwidth %.1f%% below baseline (tol %.1f%%)",
 				-d.BandwidthRel*100, opt.bandwidthTol()*100))
@@ -270,11 +293,56 @@ func DiffRunRecords(old, new *RunRecord, opt DiffOptions) *DiffResult {
 	sort.Strings(added)
 	for _, name := range added {
 		ne := newByName[name]
-		res.Deltas = append(res.Deltas, EntryDelta{
-			Name: name, NewBandwidth: ne.BandwidthMBps, NewWall: ne.WallSeconds, Added: true,
-		})
+		d := EntryDelta{Name: name, NewBandwidth: ne.BandwidthMBps, NewWall: ne.WallSeconds, Added: true}
+		if opt.Exact && !strings.HasSuffix(name, HarnessSuffix) {
+			d.Regression, d.RegressionWhy = true, "entry absent from old ledger"
+		}
+		res.Deltas = append(res.Deltas, d)
 	}
 	return res
+}
+
+// changedFields lists every priced field that differs between two
+// entries of the same name, as "field old -> new", floats compared and
+// printed exactly.
+func changedFields(old, new RunEntry) []string {
+	var out []string
+	num := func(field string, a, b float64, inOld, inNew bool) {
+		if a == b && inOld == inNew {
+			return
+		}
+		v := func(x float64, in bool) string {
+			if !in {
+				return "absent"
+			}
+			return strconv.FormatFloat(x, 'g', -1, 64)
+		}
+		out = append(out, fmt.Sprintf("%s %s -> %s", field, v(a, inOld), v(b, inNew)))
+	}
+	num("bandwidth_mbps", old.BandwidthMBps, new.BandwidthMBps, true, true)
+	num("wall_seconds", old.WallSeconds, new.WallSeconds, true, true)
+	num("rounds", float64(old.Rounds), float64(new.Rounds), true, true)
+	for _, m := range []struct {
+		field    string
+		old, new map[string]float64
+	}{{"blame", old.Blame, new.Blame}, {"metrics", old.Metrics, new.Metrics}} {
+		keys := make([]string, 0, len(m.old)+len(m.new))
+		for k := range m.old {
+			keys = append(keys, k)
+		}
+		for k := range m.new {
+			if _, ok := m.old[k]; !ok {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			a, inOld := m.old[k]
+			b, inNew := m.new[k]
+			num(m.field+"."+k, a, b, inOld, inNew)
+		}
+	}
+	return out
 }
 
 // Render formats the diff as an aligned text table, one row per entry,
@@ -287,12 +355,10 @@ func (d *DiffResult) Render() string {
 	for _, e := range d.Deltas {
 		status := "ok"
 		switch {
-		case e.Missing:
+		case e.Regression:
 			status = "REGRESSION: " + e.RegressionWhy
 		case e.Added:
 			status = "new entry"
-		case e.Regression:
-			status = "REGRESSION: " + e.RegressionWhy
 		}
 		fmt.Fprintf(&b, "%-28s %12s %12s %8s %10s %10s %8s  %s\n",
 			e.Name,

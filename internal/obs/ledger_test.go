@@ -2,6 +2,7 @@ package obs
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -165,5 +166,42 @@ func TestDiffReportsAddedEntries(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "new entry") {
 		t.Errorf("render missing added entry:\n%s", res.Render())
+	}
+}
+
+// The exact diff flags any changed priced field — a metric that
+// appeared, a blame term that moved by one ulp — and a priced entry new
+// to the new ledger, but keeps the tolerances for /harness host-cost
+// entries, whose wall clock and allocation vary between runs.
+func TestDiffExact(t *testing.T) {
+	exact := DiffOptions{Exact: true}
+	old, new := ledgerFixture(), ledgerFixture()
+	harness := RunEntry{Name: "fig6" + HarnessSuffix, Metrics: map[string]float64{"host_wall_seconds": 10}}
+	old.Entries = append(old.Entries, harness)
+	harness.Metrics = map[string]float64{"host_wall_seconds": 13}
+	new.Entries = append(new.Entries, harness)
+	if res := DiffRunRecords(old, new, exact); len(res.Regressions()) != 0 {
+		t.Fatalf("harness drift or identical prices flagged:\n%s", res.Render())
+	}
+
+	new.Entries[0].Blame["write"] = math.Nextafter(0.8, 1)
+	new.Entries[1].Metrics = map[string]float64{"domains": 3}
+	new.Entries = append(new.Entries, RunEntry{Name: "extra", BandwidthMBps: 1})
+	res := DiffRunRecords(old, new, exact)
+	if len(res.Regressions()) != 3 {
+		t.Fatalf("got %d regressions, want 3:\n%s", len(res.Regressions()), res.Render())
+	}
+	out := res.Render()
+	for _, want := range []string{
+		"changed blame.write 0.8 -> 0.8000000000000002",
+		"changed metrics.domains absent -> 3",
+		"entry absent from old ledger",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("render misses %q:\n%s", want, out)
+		}
+	}
+	if res := DiffRunRecords(old, new, DiffOptions{}); len(res.Regressions()) != 0 {
+		t.Fatalf("the tolerant diff flags changes inside its tolerance:\n%s", res.Render())
 	}
 }

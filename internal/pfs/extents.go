@@ -321,46 +321,53 @@ func Span(exts []Extent) Extent {
 }
 
 // TargetAccess summarizes the object-space traffic one set of file extents
-// generates on a single target: the payload bytes, how many distinct
+// generates on a run of targets: the payload bytes, how many distinct
 // object-space ranges (requests) it decomposes into after merging, and
-// whether the access is one contiguous object range.
+// whether the access is one contiguous object range. Count targets,
+// Target through Target+Count-1, each see that same access.
 type TargetAccess struct {
 	Target     int
+	Count      int
 	Bytes      int64
 	Requests   int
 	Contiguous bool
 }
 
-// MapExtents decomposes file-space extents into per-target accesses.
+// MapExtents decomposes file-space extents into per-target accesses,
+// one entry per touched target (Count 1), sorted by target; targets
+// untouched by the extents are absent. It is Mapper.Map with the spans
+// expanded.
 //
 // With round-robin striping, one contiguous file extent larger than a full
 // stripe cycle lands as one contiguous object-space range on every target —
 // this is why two-phase I/O's large merged requests are cheap. Fragmented
-// extents land as many small object ranges, each a separate request. The
-// returned slice is sorted by target; targets untouched by the extents are
-// absent.
+// extents land as many small object ranges, each a separate request.
 //
 // The decomposition is closed-form: one extent spanning stripe units
 // [first, last] touches min(units, Targets) targets, and on each the
 // units it owns (first+i, first+i+Targets, ...) occupy consecutive
 // object-space stripe slots, so they form exactly one object range —
 // trimmed at the extremes by the extent's partial head and tail units.
-// The cost is O(targets touched) per extent, independent of extent
-// length, which is what lets the analytical engine price exabyte-scale
-// accesses. (mapExtentsByUnit is the per-unit walk this replaces, kept
-// as the property-test oracle.)
+// The cost is independent of extent length, which is what lets the
+// analytical engine price exabyte-scale accesses. (mapExtentsByUnit is
+// the per-unit walk this replaces, kept as the property-test oracle.)
 func (c Config) MapExtents(exts []Extent) []TargetAccess {
-	out := c.NewMapper().Map(exts)
-	if out == nil {
-		out = []TargetAccess{}
+	out := []TargetAccess{}
+	for _, s := range c.NewMapper().Map(exts) {
+		for k := 0; k < s.Count; k++ {
+			a := s
+			a.Target, a.Count = s.Target+k, 1
+			out = append(out, a)
+		}
 	}
 	return out
 }
 
-// Mapper is MapExtents with reusable scratch: after warm-up a Map call
-// allocates nothing, which matters to the analytical engine mapping one
-// slice per domain per round — millions of calls at exascale. Not safe
-// for concurrent use; the returned slice is overwritten by the next Map.
+// Mapper is MapExtents with reusable scratch and spans left whole:
+// after warm-up a Map call allocates nothing, which matters to the
+// analytical engine mapping one slice per domain per round — millions
+// of calls at exascale. Not safe for concurrent use; the returned slice
+// is overwritten by the next Map.
 type Mapper struct {
 	cfg     Config
 	accs    []mapAcc
@@ -380,11 +387,21 @@ func (c Config) NewMapper() *Mapper {
 	return &Mapper{cfg: c, accs: make([]mapAcc, c.Targets)}
 }
 
-// Map decomposes the extents exactly as MapExtents does.
+// Map decomposes the extents into spans: runs of consecutive targets,
+// ascending and disjoint, each of whose targets sees the span's access.
+// Expanding the spans gives MapExtents. A single extent maps in closed
+// form to at most five spans whatever its length (see spanExtent); a
+// list of several extents maps target by target into spans of one.
 func (m *Mapper) Map(exts []Extent) []TargetAccess {
+	exts = Normalized(exts)
+	m.out = m.out[:0]
+	if len(exts) == 1 {
+		m.spanExtent(exts[0])
+		return m.out
+	}
 	su := m.cfg.StripeUnit
 	tn := int64(m.cfg.Targets)
-	for _, e := range Normalized(exts) {
+	for _, e := range exts {
 		off, end := e.Offset, e.End()
 		firstUnit := off / su
 		lastUnit := (end - 1) / su
@@ -423,11 +440,11 @@ func (m *Mapper) Map(exts []Extent) []TargetAccess {
 		}
 	}
 	sort.Ints(m.touched)
-	m.out = m.out[:0]
 	for _, t := range m.touched {
 		a := &m.accs[t]
 		m.out = append(m.out, TargetAccess{
 			Target:     t,
+			Count:      1,
 			Bytes:      a.bytes,
 			Requests:   a.requests,
 			Contiguous: a.requests == 1,
@@ -436,6 +453,65 @@ func (m *Mapper) Map(exts []Extent) []TargetAccess {
 	}
 	m.touched = m.touched[:0]
 	return m.out
+}
+
+// spanExtent maps one extent as spans. Offset i from the extent's first
+// target, first%Targets, holds units first+i, first+i+Targets, ...: of
+// the extent's n = q*Targets + r units, q+1 for i < r and q after, as
+// one contiguous object range. The head unit (i = 0) and the tail unit
+// (i = iTail, the last unit's offset) are trimmed, and iTail+1 = r
+// whenever r > 0, so the offsets fall into four runs of equal access,
+// [0,1), [1,iTail), [iTail,iTail+1) and [iTail+1,touched), some empty.
+// Each run is split where it wraps to target 0, at i = Targets -
+// first%Targets; wrapped pieces come first, so the spans ascend by
+// target.
+func (m *Mapper) spanExtent(e Extent) {
+	su, tn := m.cfg.StripeUnit, int64(m.cfg.Targets)
+	first, last := e.Offset/su, (e.End()-1)/su
+	head, tail := e.Offset-first*su, (last+1)*su-e.End()
+	n := last - first + 1
+	q, r := int64(0), n
+	if n >= tn {
+		q, r = n/tn, n%tn
+	}
+	iTail := r - 1
+	if r == 0 {
+		iTail = tn - 1
+	}
+	touched, wrap := min(n, tn), tn-first%tn
+	bounds := [...]int64{0, 1, max(iTail, 1), iTail + 1, touched}
+	for _, wrapped := range [2]bool{true, false} {
+		for k := 0; k+1 < len(bounds); k++ {
+			a, b, t := bounds[k], bounds[k+1], int64(0)
+			if wrapped {
+				a = max(a, wrap)
+				t = a - wrap
+			} else {
+				b = min(b, wrap)
+				t = tn - wrap + a
+			}
+			if a >= b {
+				continue
+			}
+			bytes := q * su
+			if a < r {
+				bytes += su
+			}
+			if a == 0 {
+				bytes -= head
+			}
+			if a == iTail {
+				bytes -= tail
+			}
+			if k := len(m.out); k > 0 {
+				if p := &m.out[k-1]; p.Target+p.Count == int(t) && p.Bytes == bytes {
+					p.Count += int(b - a)
+					continue
+				}
+			}
+			m.out = append(m.out, TargetAccess{Target: int(t), Count: int(b - a), Bytes: bytes, Requests: 1, Contiguous: true})
+		}
+	}
 }
 
 // mapExtentsByUnit is the original stripe-unit-by-stripe-unit
@@ -481,6 +557,7 @@ func (c Config) mapExtentsByUnit(exts []Extent) []TargetAccess {
 		}
 		out = append(out, TargetAccess{
 			Target:     t,
+			Count:      1,
 			Bytes:      bytes,
 			Requests:   len(merged),
 			Contiguous: len(merged) == 1,

@@ -64,3 +64,86 @@ func BenchmarkMapExtentsLarge(b *testing.B) {
 		cfg.MapExtents(exts)
 	}
 }
+
+// expandSpans lists spans target by target, checking on the way that
+// they ascend, do not overlap and stay inside [0, targets).
+func expandSpans(t *testing.T, spans []TargetAccess, targets int) []TargetAccess {
+	t.Helper()
+	out := []TargetAccess{}
+	next := 0
+	for _, s := range spans {
+		if s.Count < 1 || s.Target < next || s.Target+s.Count > targets {
+			t.Fatalf("span %+v out of order or range (next free target %d of %d): %+v", s, next, targets, spans)
+		}
+		next = s.Target + s.Count
+		for k := 0; k < s.Count; k++ {
+			a := s
+			a.Target, a.Count = s.Target+k, 1
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// FuzzMapSpans checks Mapper.Map's spans against the per-unit walk:
+// expanded, they are exactly mapExtentsByUnit's per-target accesses.
+// Extents start anywhere in a stripe cycle, so runs wrap past the last
+// target, and reach several cycles long; a script of more than one
+// extent exercises the multi-extent path. A single extent maps to at
+// most five spans whatever its length.
+func FuzzMapSpans(f *testing.F) {
+	f.Add(uint8(4), uint8(3), []byte{5, 40})
+	f.Add(uint8(7), uint8(16), []byte{200, 255, 255})
+	f.Add(uint8(3), uint8(1), []byte{2, 7, 9, 1, 30, 4})
+	f.Add(uint8(1), uint8(9), []byte{0, 0, 1})
+	m := map[Config]*Mapper{}
+	f.Fuzz(func(t *testing.T, targetsRaw, stripeRaw uint8, script []byte) {
+		cfg := Config{Targets: int(targetsRaw%16) + 1, StripeUnit: int64(stripeRaw%32) + 1}
+		var exts []Extent
+		for i := 0; i+3 <= len(script) && len(exts) < 8; i += 3 {
+			exts = append(exts, Extent{
+				Offset: int64(script[i])*int64(script[i+1]%8+1) + int64(i),
+				Length: int64(script[i+2]) * int64(script[i+1]%4+1),
+			})
+		}
+		mp := m[cfg]
+		if mp == nil {
+			mp = cfg.NewMapper()
+			m[cfg] = mp
+		}
+		spans := mp.Map(exts)
+		got := expandSpans(t, spans, cfg.Targets)
+		want := cfg.mapExtentsByUnit(exts)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("targets=%d su=%d exts=%v:\nspans:     %+v\nexpanded:  %+v\nunit walk: %+v",
+				cfg.Targets, cfg.StripeUnit, exts, spans, got, want)
+		}
+		if len(Normalized(exts)) == 1 && len(spans) > 5 {
+			t.Fatalf("one extent %v mapped to %d spans: %+v", exts, len(spans), spans)
+		}
+		if !reflect.DeepEqual(cfg.MapExtents(exts), want) {
+			t.Fatalf("MapExtents(%v) differs from the unit walk", exts)
+		}
+	})
+}
+
+// TestMapSpansLargeExtent: a 4 TiB extent starting mid-cycle maps to a
+// handful of spans covering every target once — the unit-count step,
+// the trimmed head and tail, and the wrap to target 0 are the only
+// breaks — and mapping it allocates nothing once the Mapper is warm.
+func TestMapSpansLargeExtent(t *testing.T) {
+	cfg := Config{Targets: 1024, StripeUnit: 1 << 20}
+	exts := []Extent{{Offset: 700<<20 + 12345, Length: 1 << 42}}
+	m := cfg.NewMapper()
+	spans := m.Map(exts)
+	got := expandSpans(t, spans, cfg.Targets)
+	if len(spans) > 5 || len(got) != cfg.Targets {
+		t.Fatalf("%d spans over %d targets, want at most 5 over %d: %+v", len(spans), len(got), cfg.Targets, spans)
+	}
+	if !reflect.DeepEqual(got, cfg.MapExtents(exts)) {
+		t.Fatal("spans disagree with MapExtents")
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Map(exts) }); n != 0 {
+		t.Fatalf("Map allocates %v times per call after warm-up, want 0", n)
+	}
+}

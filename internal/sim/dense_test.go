@@ -150,11 +150,15 @@ func TestEngineOrderAndTies(t *testing.T) {
 
 // Once warmed up, pricing a round allocates nothing: node and target
 // state is dense, the round resets only what it touched, and the
-// exchange's intra-node split lives in the node table.
+// exchange's intra-node split lives in the node table. The round also
+// carries stripe spans, priced in place without expanding them.
 func TestSteadyStateRoundsAllocateNothing(t *testing.T) {
 	e := denseEngine(t, 16)
 	e.opt.Trace = false // a trace grows by one entry per round
 	r := denseRound(20)
+	r.IOOps = append(r.IOOps,
+		IOOp{Target: 0, Count: 8, Node: 3, Bytes: 1 << 20, Requests: 1, Contiguous: true, Write: true},
+		IOOp{Target: 2, Count: 5, Node: 7, Bytes: 4 << 10, Requests: 2, Write: true, DelaySeconds: 1e-4})
 	e.SetAggregators([]AggregatorPlacement{{Node: 3, BufferBytes: 1 << 20, PagedSeverity: 0.5}})
 	for i := 0; i < 3; i++ {
 		e.RunAggRound(r)

@@ -129,24 +129,29 @@ type Message struct {
 	Bytes   int64
 }
 
-// IOOp is one storage access issued by an aggregator within a round.
+// IOOp is one storage access issued by an aggregator within a round,
+// or a span of them: Count consecutive targets, Target through
+// Target+Count-1, each receiving the same access, as pfs.Mapper reports
+// a stripe span. Count 0 means 1. The engine prices a span exactly as
+// the Count single-target accesses in ascending target order.
 type IOOp struct {
-	Target     int   // storage target (OST) index
+	Target     int   // storage target (OST) index, the first of the span
+	Count      int   // targets in the span; 0 means 1
 	Node       int   // compute node issuing the access
 	Bytes      int64 // payload bytes
 	Requests   int   // number of distinct requests this access costs
 	Contiguous bool  // whether the access streams contiguously
 	Write      bool  // direction; pricing is symmetric but totals separate
-	// DelaySeconds is extra service time charged to the target beyond
-	// the request/stream model — retry backoff or degraded-target
-	// penalties from fault injection. Zero for healthy accesses.
-	DelaySeconds float64
 	// Degraded marks a breaker fast-fail: the issuer did not wait on
 	// the target's normal service path (it streamed degraded instead,
 	// priced through DelaySeconds), so a gray target-slowdown
 	// multiplier does not apply — that waiting is exactly what the
 	// open breaker avoids.
 	Degraded bool
+	// DelaySeconds is extra service time charged to the target beyond
+	// the request/stream model — retry backoff or degraded-target
+	// penalties from fault injection. Zero for healthy accesses.
+	DelaySeconds float64
 }
 
 // Round kinds for blame attribution. A data round moves user bytes; a
@@ -737,14 +742,22 @@ func (e *Engine) runAggRound(r AggRound, recovery bool) RoundCost {
 	if r.TraceMessages > 0 {
 		nMsgs = r.TraceMessages
 	}
-	var ioBytes int64
-	ioDir := ""
-	for _, op := range r.IOOps {
-		e.accIOOp(op)
-		ioBytes += op.Bytes
-		ioDir = mergeIODir(ioDir, op.Write)
+	ops, ioBytes, ioDir := e.accIOOps(r.IOOps)
+	return e.finishRound(r.Kind, recovery, nMsgs, ops, commBytes, ioBytes, ioDir)
+}
+
+// accIOOps accumulates a round's storage accesses and summarizes them
+// for the trace: the number of single-target accesses they stand for,
+// their bytes and the round's direction tag.
+func (e *Engine) accIOOps(ops []IOOp) (n int, bytes int64, dir string) {
+	for i := range ops {
+		op := &ops[i]
+		k := e.accIOOp(op)
+		n += k
+		bytes += int64(k) * op.Bytes
+		dir = mergeIODir(dir, op.Write)
 	}
-	return e.finishRound(r.Kind, recovery, nMsgs, len(r.IOOps), commBytes, ioBytes, ioDir)
+	return n, bytes, dir
 }
 
 // beginRound resets the accumulators the previous round touched, and
@@ -907,66 +920,76 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 	return commBytes, msgs
 }
 
-// accIOOp accumulates one storage access into the round's node and
-// target loads. Storage accesses also traverse the issuing node's NIC
-// and DRAM.
-func (e *Engine) accIOOp(op IOOp) {
+// accIOOp accumulates one storage access, or one span of them, into
+// the round's node and target loads and returns the number of targets
+// it covers. Storage accesses also traverse the issuing node's NIC and
+// DRAM. A span's service time and the issuing node's slowdowns are
+// computed once; each target then gets the float adds a single access
+// would give it, in the same order, and the integer loads are
+// multiplied out, so a span prices bit-identically to its accesses.
+func (e *Engine) accIOOp(op *IOOp) int {
+	n := max(op.Count, 1)
 	if op.Bytes < 0 {
 		panic("sim: negative I/O size")
 	}
-	if op.Target < 0 || op.Target >= e.st.Targets {
-		panic(fmt.Sprintf("sim: I/O op for target %d outside [0,%d)", op.Target, e.st.Targets))
+	if op.Target < 0 || op.Target+n > e.st.Targets {
+		panic(fmt.Sprintf("sim: I/O op for targets [%d,%d) outside [0,%d)", op.Target, op.Target+n, e.st.Targets))
 	}
 	if op.Bytes == 0 && op.Requests == 0 {
-		return
+		return n
 	}
-	e.totals.IOBytes += op.Bytes
-	e.totals.Requests += op.Requests
-	l := e.load(op.Node)
-	if op.Write {
-		l.out += op.Bytes
-	} else {
-		l.in += op.Bytes
-	}
-	l.mem += pricing.MemCopy(e.opt.MemCopyFactor, op.Bytes)
-	ts := e.target(op.Target)
-	tl := &ts.load
 	if op.DelaySeconds < 0 {
 		panic("sim: negative I/O delay")
 	}
+	bytes := int64(n) * op.Bytes
+	e.totals.IOBytes += bytes
+	e.totals.Requests += n * op.Requests
+	l := e.load(op.Node)
+	if op.Write {
+		l.out += bytes
+	} else {
+		l.in += bytes
+	}
+	l.mem += int64(n) * pricing.MemCopy(e.opt.MemCopyFactor, op.Bytes)
 	// A paged or straggling issuing node drains/fills its aggregation
 	// buffer at degraded speed, throttling the storage access it
 	// drives; injected retry/degradation delay is charged on top.
 	unpaged := e.stp.ServiceTime(op.Bytes, op.Requests, op.Contiguous, op.Write) * e.nodeSlowdown(op.Node)
-	delay := op.DelaySeconds
-	// A gray-degraded target serves every access slower; the excess
-	// over healthy service counts as fault delay, not honest work.
-	// Degraded (breaker fast-fail) accesses never waited on the
-	// slowed service path, so they skip the multiplier.
-	if f := ts.slow; f > 1 && !op.Degraded {
-		delay += unpaged * (f - 1)
-	}
-	tl.time += unpaged*e.pagedSlowdown(op.Node) + delay
-	tl.pagedExcess += unpaged * (e.pagedSlowdown(op.Node) - 1)
-	tl.delay += delay
-	tl.bytes += op.Bytes
-	tl.requests += op.Requests
-	if !op.Contiguous {
-		tl.seek += op.Bytes
-	}
-	if eo := e.eo; eo != nil {
-		metric := "pfs.bytes_read"
-		if op.Write {
-			metric = "pfs.bytes_written"
+	paged := e.pagedSlowdown(op.Node)
+	for t := op.Target; t < op.Target+n; t++ {
+		ts := e.target(t)
+		tl := &ts.load
+		delay := op.DelaySeconds
+		// A gray-degraded target serves every access slower; the excess
+		// over healthy service counts as fault delay, not honest work.
+		// Degraded (breaker fast-fail) accesses never waited on the
+		// slowed service path, so they skip the multiplier.
+		if f := ts.slow; f > 1 && !op.Degraded {
+			delay += unpaged * (f - 1)
 		}
-		eo.counter(metric, "ost", op.Target).Add(op.Bytes)
-		eo.counter("pfs.requests", "ost", op.Target).Add(int64(op.Requests))
-		if op.Contiguous {
-			eo.counter("pfs.stream_bytes", "ost", op.Target).Add(op.Bytes)
-		} else {
-			eo.counter("pfs.noncontig_bytes", "ost", op.Target).Add(op.Bytes)
+		tl.time += unpaged*paged + delay
+		tl.pagedExcess += unpaged * (paged - 1)
+		tl.delay += delay
+		tl.bytes += op.Bytes
+		tl.requests += op.Requests
+		if !op.Contiguous {
+			tl.seek += op.Bytes
+		}
+		if eo := e.eo; eo != nil {
+			metric := "pfs.bytes_read"
+			if op.Write {
+				metric = "pfs.bytes_written"
+			}
+			eo.counter(metric, "ost", t).Add(op.Bytes)
+			eo.counter("pfs.requests", "ost", t).Add(int64(op.Requests))
+			if op.Contiguous {
+				eo.counter("pfs.stream_bytes", "ost", t).Add(op.Bytes)
+			} else {
+				eo.counter("pfs.noncontig_bytes", "ost", t).Add(op.Bytes)
+			}
 		}
 	}
+	return n
 }
 
 // mergeIODir folds one access's direction into the round's direction
@@ -991,19 +1014,12 @@ func (e *Engine) runRound(r Round, recovery bool) RoundCost {
 	for _, m := range r.Messages {
 		e.accMessage(m.SrcNode, m.DstNode, m.Bytes, 1)
 	}
-	for _, op := range r.IOOps {
-		e.accIOOp(op)
-	}
-	var commBytes, ioBytes int64
+	ops, ioBytes, ioDir := e.accIOOps(r.IOOps)
+	var commBytes int64
 	for _, m := range r.Messages {
 		commBytes += m.Bytes
 	}
-	ioDir := ""
-	for _, op := range r.IOOps {
-		ioBytes += op.Bytes
-		ioDir = mergeIODir(ioDir, op.Write)
-	}
-	return e.finishRound(r.Kind, recovery, len(r.Messages), len(r.IOOps), commBytes, ioBytes, ioDir)
+	return e.finishRound(r.Kind, recovery, len(r.Messages), ops, commBytes, ioBytes, ioDir)
 }
 
 // finishRound prices the accumulated node and target loads, folds the

@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"mcio/internal/collio"
 	"mcio/internal/datatype"
@@ -188,37 +189,44 @@ func (w IOR) Requests() ([]collio.RankRequest, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	segStride := int64(w.Ranks) * w.BlockSize
+	// Every rank's extents live in one backing array; each rank's list is
+	// capped at its own stretch, so appending to one cannot reach the next.
 	reqs := make([]collio.RankRequest, w.Ranks)
-	for r := 0; r < w.Ranks; r++ {
-		var exts []pfs.Extent
-		for s := 0; s < w.Segments; s++ {
-			base := int64(s)*segStride + int64(r)*w.BlockSize
-			exts = append(exts, pfs.Extent{Offset: base, Length: w.BlockSize})
-		}
-		reqs[r] = collio.RankRequest{Rank: r, Extents: exts}
-	}
 	if !w.Random {
+		segStride := int64(w.Ranks) * w.BlockSize
+		backing := make([]pfs.Extent, w.Ranks*w.Segments)
+		for r := range reqs {
+			exts := backing[r*w.Segments : (r+1)*w.Segments : (r+1)*w.Segments]
+			for s := range exts {
+				exts[s] = pfs.Extent{Offset: int64(s)*segStride + int64(r)*w.BlockSize, Length: w.BlockSize}
+			}
+			reqs[r] = collio.RankRequest{Rank: r, Extents: exts}
+		}
 		return reqs, nil
 	}
 	// Random mode: each rank's data volume is unchanged but lands at
 	// shuffled transfer-sized slots of the whole file region. Slots are
 	// partitioned among ranks by a seeded global permutation, keeping the
 	// per-rank volume and the file coverage identical to the interleaved
-	// mode (what IOR's random mode randomizes is locality).
+	// mode (what IOR's random mode randomizes is locality). A rank's
+	// slots, sorted, with adjacent ones merged, are its canonical list.
 	slots := w.TotalBytes() / w.TransferSize
-	perRank := w.BytesPerRank() / w.TransferSize
+	perRank := int(w.BytesPerRank() / w.TransferSize)
 	perm := stats.NewRNG(w.Seed).Perm(int(slots))
-	for r := 0; r < w.Ranks; r++ {
-		var exts []pfs.Extent
-		for i := int64(0); i < perRank; i++ {
-			slot := perm[int64(r)*perRank+i]
-			exts = append(exts, pfs.Extent{
-				Offset: int64(slot) * w.TransferSize,
-				Length: w.TransferSize,
-			})
+	backing := make([]pfs.Extent, w.Ranks*perRank)
+	for r := range reqs {
+		mine := perm[r*perRank : (r+1)*perRank]
+		slices.Sort(mine)
+		exts := backing[r*perRank : r*perRank : (r+1)*perRank]
+		for _, slot := range mine {
+			off := int64(slot) * w.TransferSize
+			if n := len(exts); n > 0 && exts[n-1].End() == off {
+				exts[n-1].Length += w.TransferSize
+				continue
+			}
+			exts = append(exts, pfs.Extent{Offset: off, Length: w.TransferSize})
 		}
-		reqs[r] = collio.RankRequest{Rank: r, Extents: pfs.NormalizeExtents(exts)}
+		reqs[r] = collio.RankRequest{Rank: r, Extents: exts}
 	}
 	return reqs, nil
 }

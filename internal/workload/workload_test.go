@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -297,5 +298,44 @@ func TestReversedNodes(t *testing.T) {
 	}
 	if !coversExactly(reqs, 300) {
 		t.Fatal("reversed requests do not tile")
+	}
+}
+
+// IOR builds every rank's list in one backing array. Each list must be
+// canonical and capped at its own stretch, so an append by one rank
+// never writes into the next rank's extents; random mode must equal
+// normalizing the rank's permuted slots.
+func TestIORListsOwnTheirStretch(t *testing.T) {
+	for _, w := range []IOR{
+		{Ranks: 5, BlockSize: 40, TransferSize: 10, Segments: 3},
+		{Ranks: 5, BlockSize: 40, TransferSize: 10, Segments: 3, Random: true, Seed: 3},
+	} {
+		reqs, err := w.Requests()
+		if err != nil {
+			t.Fatal(err)
+		}
+		perRank := w.BytesPerRank() / w.TransferSize
+		perm := stats.NewRNG(w.Seed).Perm(int(w.TotalBytes() / w.TransferSize))
+		for r, req := range reqs {
+			if !pfs.IsNormalized(req.Extents) {
+				t.Fatalf("random %v rank %d: list not canonical: %v", w.Random, r, req.Extents)
+			}
+			if w.Random {
+				var slots []pfs.Extent
+				for i := int64(0); i < perRank; i++ {
+					slots = append(slots, pfs.Extent{Offset: int64(perm[int64(r)*perRank+i]) * w.TransferSize, Length: w.TransferSize})
+				}
+				if want := pfs.NormalizeExtents(slots); !slices.Equal(req.Extents, want) {
+					t.Fatalf("rank %d: %v, want the normalized slots %v", r, req.Extents, want)
+				}
+			}
+		}
+		for r := 0; r+1 < len(reqs); r++ {
+			next := append([]pfs.Extent(nil), reqs[r+1].Extents...)
+			_ = append(reqs[r].Extents, pfs.Extent{Offset: -1, Length: 1})
+			if !slices.Equal(reqs[r+1].Extents, next) {
+				t.Fatalf("random %v: appending to rank %d's list changed rank %d's", w.Random, r, r+1)
+			}
+		}
 	}
 }
