@@ -162,17 +162,35 @@ func (c Config) nahOrDefault() int {
 	return 4
 }
 
-// context builds the planning context for one sweep point. zs is the
-// per-node standard-normal draw shared by the whole sweep (common random
-// numbers: the relative memory endowment of each node is a property of
-// the machine state, not of the sweep point, so curves stay smooth).
-// totalBytes is the workload volume, used to floor Msg_ind so the domain
-// count does not exceed the machine's aggregator slots (Nah per node).
-func (c Config) context(memMean int64, zs []float64, totalBytes int64) (*collio.Context, error) {
+// platform is what every point of one sweep shares: the rank topology,
+// read-only once built, and zs, the per-node standard-normal draw
+// (common random numbers: the relative memory endowment of each node is
+// a property of the machine state, not of the sweep point, so curves
+// stay smooth).
+type platform struct {
+	topo mpi.Topology
+	zs   []float64
+}
+
+// platform builds the sweep's topology and availability draw.
+func (c Config) platform() (*platform, error) {
 	topo, err := mpi.BlockTopology(c.Ranks, c.RanksPerNode)
 	if err != nil {
 		return nil, err
 	}
+	r := stats.NewRNG(c.Seed)
+	zs := make([]float64, topo.Nodes())
+	for i := range zs {
+		zs[i] = r.Normal(0, 1)
+	}
+	return &platform{topo: topo, zs: zs}, nil
+}
+
+// context builds the planning context for one sweep point on plat.
+// totalBytes is the workload volume, used to floor Msg_ind so the domain
+// count does not exceed the machine's aggregator slots (Nah per node).
+func (c Config) context(plat *platform, memMean int64, totalBytes int64) (*collio.Context, error) {
+	topo, zs := plat.topo, plat.zs
 	preset, err := machine.Preset(c.Preset)
 	if err != nil {
 		return nil, fmt.Errorf("bench %s: %w", c.Name, err)
@@ -282,12 +300,12 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 	// is a few records per round, negligible next to the pricing itself.
 	opt.Trace = true
 	series := &Series{Name: cfg.Name, Workload: workloadName, Config: cfg}
-	// One standard-normal endowment per node for the whole sweep.
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	// One request set, topology and endowment draw for the whole sweep:
+	// every cell plans, validates and prices the same requests.
+	rs := collio.NewRequestSet(reqs)
+	plat, err := cfg.platform()
+	if err != nil {
+		return nil, err
 	}
 	// Every (memory point × strategy) cell is an independent plan+cost
 	// simulation; ForEach fans them across the worker pool. Results land
@@ -309,16 +327,16 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 		// Same availability state for both strategies and both
 		// directions: they face the identical machine, as in the
 		// paper's runs.
-		ctx, err := cfg.context(memMean, zs, wl.TotalBytes())
+		ctx, err := cfg.context(plat, memMean, wl.TotalBytes())
 		if err != nil {
 			return err
 		}
-		plan, err := collio.CachedPlan(s, ctx, reqs)
+		plan, err := collio.CachedPlanSet(s, ctx, rs)
 		if err != nil {
 			return fmt.Errorf("bench %s: %s at %d MB: %w", cfg.Name, s.Name(), memMB, err)
 		}
 		// Both directions price from one round structure, built once.
-		sh, err := collio.BuildShape(ctx, plan, reqs)
+		sh, err := collio.BuildShapeSet(ctx, plan, rs)
 		if err != nil {
 			return err
 		}
@@ -389,14 +407,12 @@ func TuneWorkload(cfg Config, wl Workload) (*tuner.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	plat, err := cfg.platform()
+	if err != nil {
+		return nil, err
 	}
 	memMean := cfg.scaled(int64(cfg.MemMB[0]) * MB)
-	ctx, err := cfg.context(memMean, zs, wl.TotalBytes())
+	ctx, err := cfg.context(plat, memMean, wl.TotalBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -417,19 +433,18 @@ func PlansAt(cfg Config, memMB int) ([]*collio.Plan, mpi.Topology, error) {
 	if err != nil {
 		return nil, mpi.Topology{}, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	plat, err := cfg.platform()
+	if err != nil {
+		return nil, mpi.Topology{}, err
 	}
-	ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
 	if err != nil {
 		return nil, mpi.Topology{}, err
 	}
 	var plans []*collio.Plan
+	rs := collio.NewRequestSet(reqs)
 	for _, s := range []collio.Strategy{twophase.New(), core.New()} {
-		plan, err := collio.CachedPlan(s, ctx, reqs)
+		plan, err := collio.CachedPlanSet(s, ctx, rs)
 		if err != nil {
 			return nil, mpi.Topology{}, err
 		}

@@ -9,7 +9,6 @@ import (
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 	"mcio/internal/twophase"
 )
 
@@ -453,15 +452,14 @@ func perRankSweep(t *testing.T, cfg Config, wl Workload) []*collio.CostResult {
 	opt.Overlap = cfg.Overlap
 	opt.NahOpt = cfg.nahOrDefault()
 	opt.Trace = true
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, (cfg.Ranks+cfg.RanksPerNode-1)/cfg.RanksPerNode)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	plat, err := cfg.platform()
+	if err != nil {
+		t.Fatal(err)
 	}
 	var out []*collio.CostResult
 	for _, memMB := range cfg.MemMB {
 		for _, s := range []collio.Strategy{twophase.New(), core.New()} {
-			ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+			ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
 			if err != nil {
 				t.Fatal(err)
 			}

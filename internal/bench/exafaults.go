@@ -6,7 +6,6 @@ import (
 	"mcio/internal/collio"
 	"mcio/internal/faults"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 )
 
 // FigExaFaultsConfig is the resilience counterpart of FigExaConfig: the
@@ -122,13 +121,12 @@ func figExaFaultsRunCfg(cfg Config) ([]ExaFaultPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	rs := collio.NewRequestSet(reqs)
+	plat, err := cfg.platform()
+	if err != nil {
+		return nil, err
 	}
-	ctx, err := cfg.context(cfg.scaled(int64(cfg.MemMB[0])*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(plat, cfg.scaled(int64(cfg.MemMB[0])*MB), wl.TotalBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +140,7 @@ func figExaFaultsRunCfg(cfg Config) ([]ExaFaultPoint, error) {
 	strategies := []string{"two-phase", "memory-conscious"}
 	refs := make([]float64, len(strategies))
 	err = ForEach(len(strategies), func(si int) error {
-		res, err := faultedRun(ctx, reqs, strategies[si], opt, faults.DefaultSpec(cfg.Seed, 1).WithRate(0))
+		res, err := faultedRun(ctx, rs, strategies[si], opt, faults.DefaultSpec(cfg.Seed, 1).WithRate(0))
 		if err != nil {
 			return err
 		}
@@ -159,8 +157,8 @@ func figExaFaultsRunCfg(cfg Config) ([]ExaFaultPoint, error) {
 		cell := cells[ci/len(strategies)]
 		si := ci % len(strategies)
 		strategy := strategies[si]
-		spec := exaFaultSpec(cfg.Seed, refs[si]*4, nodes, cell)
-		res, err := faultedRun(ctx, reqs, strategy, opt, spec)
+		spec := exaFaultSpec(cfg.Seed, refs[si]*4, plat.topo.Nodes(), cell)
+		res, err := faultedRun(ctx, rs, strategy, opt, spec)
 		if err != nil {
 			return fmt.Errorf("bench fig-exa-faults: %s at crash=%g strag=%g sev=%g: %w",
 				strategy, cell.Crash, cell.Frac, cell.Sev, err)

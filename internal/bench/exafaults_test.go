@@ -9,7 +9,6 @@ import (
 	"mcio/internal/collio"
 	"mcio/internal/faults"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 )
 
 // TestFaultedExaEnginesMatchSmall shrinks the fig-exa-faults grid to a
@@ -38,13 +37,11 @@ func TestFaultedExaEnginesMatchSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	plat, err := cfg.platform()
+	if err != nil {
+		t.Fatal(err)
 	}
-	ctx, err := cfg.context(cfg.scaled(int64(cfg.MemMB[0])*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(plat, cfg.scaled(int64(cfg.MemMB[0])*MB), wl.TotalBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +50,7 @@ func TestFaultedExaEnginesMatchSmall(t *testing.T) {
 	opt.NahOpt = cfg.nahOrDefault()
 	opt.Trace = true
 	perRank := func(strategy string, spec faults.Spec) *collio.FaultResult {
-		plan, inj, handler, err := faultedSetup(ctx, reqs, strategy, spec)
+		plan, inj, handler, err := faultedSetup(ctx, collio.NewRequestSet(reqs), strategy, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +81,7 @@ func TestFaultedExaEnginesMatchSmall(t *testing.T) {
 			t.Fatalf("cell %+v/%s: references diverge: bundled %v, per-rank %v",
 				cell, strategy, b.RefSeconds, refs[strategy])
 		}
-		want := perRank(strategy, exaFaultSpec(cfg.Seed, refs[strategy]*4, nodes, cell))
+		want := perRank(strategy, exaFaultSpec(cfg.Seed, refs[strategy]*4, plat.topo.Nodes(), cell))
 		if !reflect.DeepEqual(b.Res, want) {
 			t.Fatalf("cell %+v/%s: bundled and per-rank pricing diverge\nbundled  %+v\nper-rank %+v",
 				cell, strategy, b.Res, want)

@@ -9,7 +9,6 @@ import (
 	"mcio/internal/faults"
 	"mcio/internal/obs"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 	"mcio/internal/twophase"
 )
 
@@ -19,13 +18,13 @@ import (
 func faultRates() []float64 { return []float64{0, 0.5, 1, 2, 4} }
 
 // faultedRun prices one strategy under one fault schedule.
-func faultedRun(ctx *collio.Context, reqs []collio.RankRequest, strategy string,
+func faultedRun(ctx *collio.Context, rs *collio.RequestSet, strategy string,
 	opt sim.Options, spec faults.Spec) (*collio.FaultResult, error) {
-	plan, inj, handler, err := faultedSetup(ctx, reqs, strategy, spec)
+	plan, inj, handler, err := faultedSetup(ctx, rs, strategy, spec)
 	if err != nil {
 		return nil, err
 	}
-	return collio.CostWithFaults(ctx, plan, reqs, collio.Write, opt, inj, handler)
+	return collio.CostWithFaultsSet(ctx, plan, rs, collio.Write, opt, inj, handler)
 }
 
 // faultedSetup builds what one faulted run prices: the strategy's plan,
@@ -33,7 +32,7 @@ func faultedRun(ctx *collio.Context, reqs []collio.RankRequest, strategy string,
 // the memory-conscious strategy the plan is rebuilt per run — recovery
 // mutates its partition trees — while the baseline's static plan is
 // reusable; both are deterministic functions of (cfg, seed, rate).
-func faultedSetup(ctx *collio.Context, reqs []collio.RankRequest, strategy string,
+func faultedSetup(ctx *collio.Context, rs *collio.RequestSet, strategy string,
 	spec faults.Spec) (*collio.Plan, *faults.Injector, collio.FaultHandler, error) {
 	fplan, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
 	if err != nil {
@@ -44,14 +43,14 @@ func faultedSetup(ctx *collio.Context, reqs []collio.RankRequest, strategy strin
 	switch strategy {
 	case "memory-conscious":
 		s := core.New()
-		p, state, err := s.PlanWithState(ctx, reqs)
+		p, state, err := s.PlanWithStateSet(ctx, rs)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		plan = p
 		handler = &core.Failover{State: state, Detect: spec.DetectSeconds}
 	case "two-phase":
-		p, err := twophase.New().Plan(ctx, reqs)
+		p, err := twophase.New().PlanSet(ctx, rs)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -60,7 +59,7 @@ func faultedSetup(ctx *collio.Context, reqs []collio.RankRequest, strategy strin
 	default:
 		return nil, nil, nil, fmt.Errorf("bench: unknown strategy %q", strategy)
 	}
-	if err := plan.Validate(reqs); err != nil {
+	if err := plan.ValidateSet(rs); err != nil {
 		return nil, nil, nil, err
 	}
 	return plan, faults.NewInjector(fplan), handler, nil
@@ -88,13 +87,12 @@ func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	rs := collio.NewRequestSet(reqs)
+	plat, err := cfg.platform()
+	if err != nil {
+		return nil, err
 	}
-	ctx, err := cfg.context(cfg.scaled(16*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(plat, cfg.scaled(16*MB), wl.TotalBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +110,7 @@ func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
 	strategies := []string{"two-phase", "memory-conscious"}
 	refs := make([]float64, len(strategies))
 	err = ForEach(len(strategies), func(si int) error {
-		res, err := faultedRun(ctx, reqs, strategies[si], opt, faults.DefaultSpec(seed, 1).WithRate(0))
+		res, err := faultedRun(ctx, rs, strategies[si], opt, faults.DefaultSpec(seed, 1).WithRate(0))
 		if err != nil {
 			return err
 		}
@@ -130,7 +128,7 @@ func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
 		si := ci % len(strategies)
 		strategy := strategies[si]
 		spec := faults.DefaultSpec(seed, refs[si]*4).WithRate(rate)
-		res, err := faultedRun(ctx, reqs, strategy, opt, spec)
+		res, err := faultedRun(ctx, rs, strategy, opt, spec)
 		if err != nil {
 			return fmt.Errorf("bench faults: %s at rate %g: %w", strategy, rate, err)
 		}
@@ -205,13 +203,12 @@ func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float
 	if err != nil {
 		return nil, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	rs := collio.NewRequestSet(reqs)
+	plat, err := cfg.platform()
+	if err != nil {
+		return nil, err
 	}
-	ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -228,12 +225,12 @@ func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float
 		// Clean reference for the horizon, without tracing noise.
 		refCtx := *ctx
 		refCtx.Obs = nil
-		refRes, err := faultedRun(&refCtx, reqs, strategy, opt, faults.DefaultSpec(seed, 1).WithRate(0))
+		refRes, err := faultedRun(&refCtx, rs, strategy, opt, faults.DefaultSpec(seed, 1).WithRate(0))
 		if err != nil {
 			return nil, err
 		}
 		spec := faults.DefaultSpec(seed, refRes.Seconds*4).WithRate(rate)
-		res, err := faultedRun(ctx, reqs, strategy, opt, spec)
+		res, err := faultedRun(ctx, rs, strategy, opt, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,6 @@ import (
 	"mcio/internal/faults"
 	"mcio/internal/obs"
 	"mcio/internal/pfs"
-	"mcio/internal/stats"
 )
 
 func TestFaultSweepShapeAndControlRow(t *testing.T) {
@@ -102,13 +101,11 @@ func TestE2EWriteReadUnderNodeAndOSTFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	plat, err := cfg.platform()
+	if err != nil {
+		t.Fatal(err)
 	}
-	ctx, err := cfg.context(cfg.scaled(16*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(plat, cfg.scaled(16*MB), wl.TotalBytes())
 	if err != nil {
 		t.Fatal(err)
 	}

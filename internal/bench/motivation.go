@@ -7,7 +7,6 @@ import (
 	"mcio/internal/core"
 	"mcio/internal/forwarding"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 	"mcio/internal/twophase"
 	"mcio/internal/workload"
 )
@@ -28,11 +27,9 @@ func Motivation(scale int64, seed uint64) (*Table, error) {
 			"block/rank", "independent", "io-forwarding", "two-phase", "memory-conscious", "collective gain",
 		},
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	plat, err := cfg.platform()
+	if err != nil {
+		return nil, err
 	}
 	opt := sim.DefaultOptions()
 	// Finer interleaving = more, smaller noncontiguous pieces per rank.
@@ -52,7 +49,8 @@ func Motivation(scale int64, seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctx, err := cfg.context(cfg.scaled(16*MB), zs, w.TotalBytes())
+		rs := collio.NewRequestSet(reqs)
+		ctx, err := cfg.context(plat, cfg.scaled(16*MB), w.TotalBytes())
 		if err != nil {
 			return nil, err
 		}
@@ -72,14 +70,14 @@ func Motivation(scale int64, seed uint64) (*Table, error) {
 			return nil, err
 		}
 		bw := func(s collio.Strategy) (float64, error) {
-			plan, err := s.Plan(ctx, reqs)
+			plan, err := s.PlanSet(ctx, rs)
 			if err != nil {
 				return 0, err
 			}
-			if err := plan.Validate(reqs); err != nil {
+			if err := plan.ValidateSet(rs); err != nil {
 				return 0, err
 			}
-			res, err := collio.Cost(ctx, plan, reqs, collio.Write, opt)
+			res, err := collio.CostSet(ctx, plan, rs, collio.Write, opt)
 			if err != nil {
 				return 0, err
 			}

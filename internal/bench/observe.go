@@ -11,7 +11,6 @@ import (
 	"mcio/internal/obs"
 	"mcio/internal/obs/analyze"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 	"mcio/internal/twophase"
 )
 
@@ -70,13 +69,12 @@ func Observe(figure string, scale int64, seed uint64, memMB int, op collio.Op) (
 	if err != nil {
 		return nil, err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	rs := collio.NewRequestSet(reqs)
+	plat, err := cfg.platform()
+	if err != nil {
+		return nil, err
 	}
-	ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
 	if err != nil {
 		return nil, err
 	}
@@ -97,14 +95,14 @@ func Observe(figure string, scale int64, seed uint64, memMB int, op collio.Op) (
 	summaries := make([]string, len(strategies))
 	err = ForEach(len(strategies), func(i int) error {
 		s := strategies[i]
-		plan, err := s.Plan(ctx, reqs)
+		plan, err := s.PlanSet(ctx, rs)
 		if err != nil {
 			return err
 		}
-		if err := plan.Validate(reqs); err != nil {
+		if err := plan.ValidateSet(rs); err != nil {
 			return err
 		}
-		res, err := collio.Cost(ctx, plan, reqs, op, opt)
+		res, err := collio.CostSet(ctx, plan, rs, op, opt)
 		if err != nil {
 			return err
 		}

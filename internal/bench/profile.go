@@ -9,7 +9,6 @@ import (
 	"mcio/internal/core"
 	"mcio/internal/obs/timeline"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 )
 
 // ProfileExperiments lists every `mcio profile` experiment, in display
@@ -103,13 +102,12 @@ func profileFigure(rec *timeline.Recorder, figure string, scale int64, seed uint
 	if err != nil {
 		return err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	rs := collio.NewRequestSet(reqs)
+	plat, err := cfg.platform()
+	if err != nil {
+		return err
 	}
-	ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
 	if err != nil {
 		return err
 	}
@@ -118,11 +116,11 @@ func profileFigure(rec *timeline.Recorder, figure string, scale int64, seed uint
 	opt.Overlap = cfg.Overlap
 
 	s := core.New()
-	plan, err := s.Plan(ctx, reqs)
+	plan, err := s.PlanSet(ctx, rs)
 	if err != nil {
 		return err
 	}
-	res, err := collio.Cost(ctx, plan, reqs, op, opt)
+	res, err := collio.CostSet(ctx, plan, rs, op, opt)
 	if err != nil {
 		return err
 	}

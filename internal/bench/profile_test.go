@@ -9,7 +9,6 @@ import (
 	"mcio/internal/core"
 	"mcio/internal/obs/timeline"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 )
 
 func TestProfileRejectsUnknownExperiment(t *testing.T) {
@@ -145,13 +144,11 @@ func TestCostUnchangedByTimeline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-		r := stats.NewRNG(cfg.Seed)
-		zs := make([]float64, nodes)
-		for i := range zs {
-			zs[i] = r.Normal(0, 1)
+		plat, err := cfg.platform()
+		if err != nil {
+			t.Fatal(err)
 		}
-		ctx, err := cfg.context(cfg.scaled(16*MB), zs, wl.TotalBytes())
+		ctx, err := cfg.context(plat, cfg.scaled(16*MB), wl.TotalBytes())
 		if err != nil {
 			t.Fatal(err)
 		}

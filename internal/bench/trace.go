@@ -7,7 +7,6 @@ import (
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/sim"
-	"mcio/internal/stats"
 	"mcio/internal/twophase"
 )
 
@@ -23,13 +22,12 @@ func RoundTrace(scale int64, seed uint64, memMB int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	r := stats.NewRNG(cfg.Seed)
-	zs := make([]float64, nodes)
-	for i := range zs {
-		zs[i] = r.Normal(0, 1)
+	rs := collio.NewRequestSet(reqs)
+	plat, err := cfg.platform()
+	if err != nil {
+		return "", err
 	}
-	ctx, err := cfg.context(cfg.scaled(int64(memMB)*MB), zs, wl.TotalBytes())
+	ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
 	if err != nil {
 		return "", err
 	}
@@ -39,14 +37,14 @@ func RoundTrace(scale int64, seed uint64, memMB int) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "round trace: %s at %d MB per aggregator\n", name, memMB)
 	for _, s := range []collio.Strategy{twophase.New(), core.New()} {
-		plan, err := s.Plan(ctx, reqs)
+		plan, err := s.PlanSet(ctx, rs)
 		if err != nil {
 			return "", err
 		}
-		if err := plan.Validate(reqs); err != nil {
+		if err := plan.ValidateSet(rs); err != nil {
 			return "", err
 		}
-		res, err := collio.Cost(ctx, plan, reqs, collio.Write, opt)
+		res, err := collio.CostSet(ctx, plan, rs, collio.Write, opt)
 		if err != nil {
 			return "", err
 		}

@@ -91,12 +91,13 @@ func trajectoryRun(scale int64, seed uint64) ([]TrajectoryPoint, error) {
 		opt.Trace = true
 		pt := TrajectoryPoint{T: tt, MemPerCore: mc.MemPerCore(),
 			Results: map[string]*collio.CostResult{}, Overlap: opt.Overlap}
+		rs := collio.NewRequestSet(reqs)
 		for _, s := range []collio.Strategy{twophase.New(), core.New()} {
-			plan, err := collio.CachedPlan(s, ctx, reqs)
+			plan, err := collio.CachedPlanSet(s, ctx, rs)
 			if err != nil {
 				return err
 			}
-			res, err := collio.Cost(ctx, plan, reqs, collio.Write, opt)
+			res, err := collio.CostSet(ctx, plan, rs, collio.Write, opt)
 			if err != nil {
 				return err
 			}

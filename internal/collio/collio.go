@@ -216,7 +216,10 @@ func (p *Plan) TotalBytes() int64 {
 	return n
 }
 
-// Validate checks the structural invariants every plan must satisfy:
+// Validate is ValidateSet over a set built from reqs.
+func (p *Plan) Validate(reqs []RankRequest) error { return p.ValidateSet(NewRequestSet(reqs)) }
+
+// ValidateSet checks the structural invariants every plan must satisfy:
 // domains are non-empty, canonical (pfs.IsNormalized: pricing slices a
 // domain's data space assuming file order), disjoint, sorted, and they
 // exactly cover the union of the requested extents. Extents of negative
@@ -224,20 +227,14 @@ func (p *Plan) TotalBytes() int64 {
 //
 // The check streams: sorted, disjoint, canonical domains yield their
 // extents in file order, so the domain side is coalesced on the fly and
-// compared with the merged request union extent by extent, without
-// building either side's concatenation.
-func (p *Plan) Validate(reqs []RankRequest) error {
-	lists := make([][]pfs.Extent, len(reqs))
-	for i, r := range reqs {
-		for _, e := range r.Extents {
-			if e.Length < 0 {
-				return fmt.Errorf("collio: plan %s: rank %d requests an extent of negative length %d",
-					p.Strategy, r.Rank, e.Length)
-			}
-		}
-		lists[i] = r.Extents
+// compared with the set's request union extent by extent, without
+// building the domains' concatenation.
+func (p *Plan) ValidateSet(rs *RequestSet) error {
+	if rank, e, ok := rs.NegativeExtent(); ok {
+		return fmt.Errorf("collio: plan %s: rank %d requests an extent of negative length %d",
+			p.Strategy, rank, e.Length)
 	}
-	want := pfs.Union(lists)
+	want := rs.Union()
 	// cur is the covered extent being coalesced; n counts the finished
 	// ones, and bad is the index of the first that differs from want
 	// (-1 while none), badExt its value.
@@ -338,8 +335,10 @@ func RecordPlanMetrics(o *obs.Observer, p *Plan) {
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// Plan decides groups, domains and aggregators for the given requests.
-	// Requests with no extents are permitted (ranks may sit out a
-	// collective call).
+	// Plan is PlanSet over a set built from reqs.
 	Plan(ctx *Context, reqs []RankRequest) (*Plan, error)
+	// PlanSet decides groups, domains and aggregators for the requests of
+	// rs. Requests with no extents are permitted (ranks may sit out a
+	// collective call).
+	PlanSet(ctx *Context, rs *RequestSet) (*Plan, error)
 }

@@ -114,12 +114,17 @@ func (co *costObs) shuffle(it *faultItem, aggregator int, op Op) {
 	}
 }
 
-// Cost prices plan against the context's machine and storage models
+// Cost is CostSet over a set built from reqs.
+func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) (*CostResult, error) {
+	return CostSet(ctx, plan, NewRequestSet(reqs), op, opt)
+}
+
+// CostSet prices plan against the context's machine and storage models
 // without moving any data. The same plan and requests always produce the
 // same result. With ctx.Obs set it also counts per-rank MPI traffic and
 // per-domain shuffle bytes.
-func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) (*CostResult, error) {
-	res, err := costFaulted(ctx, plan, reqs, op, opt, faultEnv{})
+func CostSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options) (*CostResult, error) {
+	res, err := costFaulted(ctx, plan, rs, op, opt, faultEnv{})
 	if err != nil {
 		return nil, err
 	}

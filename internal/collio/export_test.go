@@ -11,5 +11,5 @@ import (
 // per target: the reference the bundled loop must match bit for bit.
 func CostAllHot(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
 	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	return costFaulted(ctx, plan, reqs, op, opt, faultEnv{inj: inj, handler: handler, allHot: true})
+	return costFaulted(ctx, plan, NewRequestSet(reqs), op, opt, faultEnv{inj: inj, handler: handler, allHot: true})
 }

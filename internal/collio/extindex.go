@@ -56,15 +56,20 @@ type BucketBytes struct {
 	Bytes  int64
 }
 
-// OverlapAppend appends the non-zero overlaps of exts with the buckets
-// to dst, ascending by bucket id, and returns the extended slice. It is
-// the sparse counterpart of OverlapBytesInto: a request touching a
-// handful of the index's buckets costs O(extents + touched), not the
-// O(buckets) clear of a dense result row — the difference between
-// pricing a million-rank operation and timing out on it.
-func (x *ExtentIndex) OverlapAppend(dst []BucketBytes, exts []pfs.Extent) []BucketBytes {
+// RequestOverlapAppend appends the non-zero overlaps of request i of rs
+// with the buckets to dst, ascending by bucket id, and returns the
+// extended slice. It is the sparse counterpart of OverlapBytesInto: a
+// request touching a handful of the index's buckets costs O(extents +
+// touched), not the O(buckets) clear of a dense result row — the
+// difference between pricing a million-rank operation and timing out on
+// it. The set has already checked the list, so it is walked as it is.
+func (x *ExtentIndex) RequestOverlapAppend(dst []BucketBytes, rs *RequestSet, i int) []BucketBytes {
+	return x.overlapAppend(dst, rs.List(i))
+}
+
+// overlapAppend is RequestOverlapAppend of a canonical list.
+func (x *ExtentIndex) overlapAppend(dst []BucketBytes, norm []pfs.Extent) []BucketBytes {
 	base := len(dst)
-	norm := pfs.Normalized(exts)
 	i, j := 0, 0
 	for i < len(norm) && j < len(x.flat) {
 		a := norm[i]
@@ -107,9 +112,7 @@ func (x *ExtentIndex) OverlapAppend(dst []BucketBytes, exts []pfs.Extent) []Buck
 // OverlapBytesInto is OverlapBytes with a caller-owned scratch slice:
 // dst is grown (or allocated when nil/too small), zeroed, filled and
 // returned, so a caller querying many requests against one index reuses
-// a single allocation. Extents already in canonical form take a fast
-// path that skips the normalizing copy entirely — request lists in the
-// hot paths are generated normalized.
+// a single allocation. It is the dense view of the sparse walk.
 func (x *ExtentIndex) OverlapBytesInto(dst []int64, exts []pfs.Extent) []int64 {
 	if cap(dst) < x.n {
 		dst = make([]int64, x.n)
@@ -117,27 +120,8 @@ func (x *ExtentIndex) OverlapBytesInto(dst []int64, exts []pfs.Extent) []int64 {
 		dst = dst[:x.n]
 		clear(dst)
 	}
-	out := dst
-	norm := pfs.Normalized(exts)
-	i, j := 0, 0
-	for i < len(norm) && j < len(x.flat) {
-		a, b := norm[i], x.flat[j]
-		lo := a.Offset
-		if b.Offset > lo {
-			lo = b.Offset
-		}
-		hi := a.End()
-		if b.End() < hi {
-			hi = b.End()
-		}
-		if hi > lo {
-			out[x.bucket[j]] += hi - lo
-		}
-		if a.End() < b.End() {
-			i++
-		} else {
-			j++
-		}
+	for _, bb := range x.overlapAppend(nil, pfs.Normalized(exts)) {
+		dst[bb.Bucket] += bb.Bytes
 	}
-	return out
+	return dst
 }

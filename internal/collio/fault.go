@@ -169,7 +169,13 @@ func (p *Plan) Compact() *Plan {
 // reproducible as clean ones.
 func CostWithFaults(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
 	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	return costFaulted(ctx, plan, reqs, op, opt, faultEnv{inj: inj, handler: handler})
+	return CostWithFaultsSet(ctx, plan, NewRequestSet(reqs), op, opt, inj, handler)
+}
+
+// CostWithFaultsSet is CostWithFaults for the requests of rs.
+func CostWithFaultsSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options,
+	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
+	return costFaulted(ctx, plan, rs, op, opt, faultEnv{inj: inj, handler: handler})
 }
 
 // faultEnv is the fault environment of one priced run; the zero value
@@ -193,7 +199,7 @@ type faultEnv struct {
 // price from the per-node Shape; faulted, all-hot and observed runs need
 // the per-rank contributor lists that recovery folds and the observer
 // counts.
-func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options, env faultEnv) (*FaultResult, error) {
+func costFaulted(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options, env faultEnv) (*FaultResult, error) {
 	if env.inj.Empty() {
 		env.inj, env.handler, env.ad = nil, nil, nil
 	} else if env.handler == nil {
@@ -203,14 +209,14 @@ func costFaulted(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Op
 		return nil, err
 	}
 	if env.inj == nil && !env.allHot && ctx.Obs == nil {
-		sh, err := BuildShape(ctx, plan, reqs)
+		sh, err := BuildShapeSet(ctx, plan, rs)
 		if err != nil {
 			return nil, err
 		}
 		return sh.faultShape(plan).price(ctx, plan, op, opt, env, nil)
 	}
 	co := newCostObs(ctx, plan, op)
-	return buildFaultShape(ctx, plan, reqs, co).price(ctx, plan, op, opt, env, co)
+	return buildFaultShape(ctx, plan, rs, co).price(ctx, plan, op, opt, env, co)
 }
 
 // price is the one pricing loop: one data round per iteration, fault

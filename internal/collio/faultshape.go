@@ -132,9 +132,9 @@ type faultShape struct {
 // buildFaultShape derives plan's per-rank round structure for the
 // given requests (ctx already validated), walking each rank's request
 // list once. A non-nil co counts the metadata scatter per rank.
-func buildFaultShape(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) *faultShape {
+func buildFaultShape(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) *faultShape {
 	fs := &faultShape{}
-	fs.meta, _ = buildMetaExchanges(ctx, plan, reqs, co)
+	fs.meta, _ = buildMetaExchanges(ctx, plan, rs, co)
 	contribs := make([][]faultContrib, len(plan.Domains))
 	if len(plan.Domains) > 0 {
 		// The sparse overlap walk visits only (rank, domain) pairs that
@@ -146,15 +146,16 @@ func buildFaultShape(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) 
 		}
 		index := NewExtentIndex(buckets)
 		var overlaps []BucketBytes
-		for _, r := range reqs {
-			if len(r.Extents) == 0 {
+		for i := range rs.Len() {
+			if len(rs.List(i)) == 0 {
 				continue
 			}
-			node := ctx.Topo.NodeOf(r.Rank)
-			overlaps = index.OverlapAppend(overlaps[:0], r.Extents)
+			rank := rs.Rank(i)
+			node := ctx.Topo.NodeOf(rank)
+			overlaps = index.RequestOverlapAppend(overlaps[:0], rs, i)
 			for _, bb := range overlaps {
 				contribs[bb.Bucket] = append(contribs[bb.Bucket],
-					faultContrib{Rank: r.Rank, Node: node, Bytes: bb.Bytes})
+					faultContrib{Rank: rank, Node: node, Bytes: bb.Bytes})
 			}
 		}
 	}

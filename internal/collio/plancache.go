@@ -1,7 +1,6 @@
 package collio
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/maphash"
 	"sync"
@@ -48,67 +47,51 @@ func ResetPlanCache() {
 	pfs.ReleaseUnionScratch()
 }
 
-// planKeySeed seeds the fingerprint in planKey. Keys live only in this
-// process's cache, so a per-process seed suffices.
-var planKeySeed = maphash.MakeSeed()
-
-// planKey derives the cache key for one planning input. The fingerprint
-// hashes the little-endian bytes of every field, handed over in 64 KiB
-// chunks. It uses maphash rather than FNV-1a: FNV-1a multiplies once per
-// byte, in series, which makes fingerprinting a million-extent request
-// list over four times slower.
-func planKey(s Strategy, ctx *Context, reqs []RankRequest) string {
+// planKey derives the cache key for one planning input. The
+// fingerprint hashes the topology's rank→node map and the availability
+// vector, then folds in the request set's own fingerprint, which the set
+// computes once however many cells share it.
+func planKey(s Strategy, ctx *Context, rs *RequestSet) string {
 	var h maphash.Hash
-	h.SetSeed(planKeySeed)
-	buf := make([]byte, 0, 64<<10)
-	w := func(v int64) {
-		if len(buf) == cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
+	h.SetSeed(keySeed)
+	w := &hashWriter{h: &h}
 	for r := 0; r < ctx.Topo.Size(); r++ {
-		w(int64(ctx.Topo.NodeOf(r)))
+		w.add(int64(ctx.Topo.NodeOf(r)))
 	}
-	w(int64(len(ctx.Avail)))
+	w.add(int64(len(ctx.Avail)))
 	for _, a := range ctx.Avail {
-		w(a)
+		w.add(a)
 	}
-	w(int64(len(reqs)))
-	for _, r := range reqs {
-		w(int64(r.Rank))
-		w(int64(len(r.Extents)))
-		for _, e := range r.Extents {
-			w(e.Offset)
-			w(e.Length)
-		}
-	}
-	h.Write(buf)
+	w.add(int64(rs.fingerprint()))
 	return fmt.Sprintf("%T|%+v|%+v|%+v|%+v|%x",
-		s, s, ctx.Machine, ctx.FS, ctx.Params, h.Sum64())
+		s, s, ctx.Machine, ctx.FS, ctx.Params, w.sum())
 }
 
-// CachedPlan returns s.Plan(ctx, reqs) with the plan validated against
-// reqs, memoized. The returned *Plan is shared: callers must treat it as
-// immutable (Cost only reads it; fault-injected paths, whose recovery
-// mutates plans mid-operation, must keep planning directly). Safe for
-// concurrent use — concurrent misses on one key plan once.
+// CachedPlan is CachedPlanSet over a set built from reqs.
+func CachedPlan(s Strategy, ctx *Context, reqs []RankRequest) (*Plan, error) {
+	return CachedPlanSet(s, ctx, NewRequestSet(reqs))
+}
+
+// CachedPlanSet returns s.PlanSet(ctx, rs) with the plan validated
+// against rs, memoized. The returned *Plan is shared: callers must treat
+// it as immutable (Cost only reads it; fault-injected paths, whose
+// recovery mutates plans mid-operation, must keep planning directly).
+// Safe for concurrent use — concurrent misses on one key plan once.
 //
 // When ctx.Obs is set the cache is bypassed entirely: planning publishes
 // observer metrics and spans, which a cache hit would silently drop.
-func CachedPlan(s Strategy, ctx *Context, reqs []RankRequest) (*Plan, error) {
+func CachedPlanSet(s Strategy, ctx *Context, rs *RequestSet) (*Plan, error) {
 	if ctx.Obs != nil {
-		plan, err := s.Plan(ctx, reqs)
+		plan, err := s.PlanSet(ctx, rs)
 		if err != nil {
 			return nil, err
 		}
-		if err := plan.Validate(reqs); err != nil {
+		if err := plan.ValidateSet(rs); err != nil {
 			return nil, err
 		}
 		return plan, nil
 	}
-	key := planKey(s, ctx, reqs)
+	key := planKey(s, ctx, rs)
 	planCache.Lock()
 	e := planCache.m[key]
 	if e == nil {
@@ -120,9 +103,9 @@ func CachedPlan(s Strategy, ctx *Context, reqs []RankRequest) (*Plan, error) {
 	}
 	planCache.Unlock()
 	e.once.Do(func() {
-		e.plan, e.err = s.Plan(ctx, reqs)
+		e.plan, e.err = s.PlanSet(ctx, rs)
 		if e.err == nil {
-			e.err = e.plan.Validate(reqs)
+			e.err = e.plan.ValidateSet(rs)
 		}
 	})
 	if e.err != nil {

@@ -204,16 +204,21 @@ func sealContribs(cs []NodeContrib) []NodeContrib {
 	return out
 }
 
-// BuildShape derives the round structure of plan for the given requests.
-// The result is deterministic and self-contained: building it walks each
-// rank's request list once (metadata sizes and domain overlaps) and
-// never materializes per-rank rounds.
+// BuildShape is BuildShapeSet over a set built from reqs.
 func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
+	return BuildShapeSet(ctx, plan, NewRequestSet(reqs))
+}
+
+// BuildShapeSet derives the round structure of plan for the requests of
+// rs. The result is deterministic and self-contained: building it walks
+// each rank's request list once (metadata sizes and domain overlaps) and
+// never materializes per-rank rounds.
+func BuildShapeSet(ctx *Context, plan *Plan, rs *RequestSet) (*Shape, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
 	sh := &Shape{}
-	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, reqs, nil)
+	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, rs, nil)
 	// Domain shapes: geometry plus per-node contribution aggregates.
 	sh.Domains = make([]DomainShape, len(plan.Domains))
 	buckets := make([][]pfs.Extent, len(plan.Domains))
@@ -229,12 +234,12 @@ func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
 	if len(plan.Domains) > 0 {
 		index := NewExtentIndex(buckets)
 		var overlaps []BucketBytes // one scratch allocation for all requests
-		for _, r := range reqs {
-			if len(r.Extents) == 0 {
+		for i := range rs.Len() {
+			if len(rs.List(i)) == 0 {
 				continue
 			}
-			node := ctx.Topo.NodeOf(r.Rank)
-			overlaps = index.OverlapAppend(overlaps[:0], r.Extents)
+			node := ctx.Topo.NodeOf(rs.Rank(i))
+			overlaps = index.RequestOverlapAppend(overlaps[:0], rs, i)
 			for _, bb := range overlaps {
 				d := &sh.Domains[bb.Bucket]
 				d.Contribs = addContrib(d.Contribs, node, bb.Bytes, int64(d.Rounds))
@@ -288,13 +293,13 @@ func (sh *Shape) faultShape(plan *Plan) *faultShape {
 // in O(sources + destinations). Returns the exchanges and the
 // point-to-point message count they stand for. A non-nil co counts each
 // of those messages per rank.
-func buildMetaExchanges(ctx *Context, plan *Plan, reqs []RankRequest, co *costObs) ([]sim.Exchange, int) {
+func buildMetaExchanges(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) ([]sim.Exchange, int) {
 	// Extent counts by rank. A rank outside the topology has no node to
 	// send from, so only in-range ranks are counted.
 	extCount := make([]int, ctx.Topo.Size())
-	for _, r := range reqs {
-		if uint(r.Rank) < uint(len(extCount)) {
-			extCount[r.Rank] = len(pfs.Normalized(r.Extents))
+	for i := range rs.Len() {
+		if r := rs.Rank(i); uint(r) < uint(len(extCount)) {
+			extCount[r] = len(rs.List(i))
 		}
 	}
 	aggsByGroup := make([][]int, len(plan.GroupRanks))

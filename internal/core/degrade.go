@@ -40,8 +40,9 @@ func (s *Strategy) PlanWithDegradation(ctx *collio.Context, reqs []collio.RankRe
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
+	rs := collio.NewRequestSet(reqs)
 	if !starved(ctx) {
-		plan, state, err := s.PlanWithState(ctx, reqs)
+		plan, state, err := s.PlanWithStateSet(ctx, rs)
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +61,7 @@ func (s *Strategy) PlanWithDegradation(ctx *collio.Context, reqs []collio.RankRe
 		if starved(&eff) {
 			continue // still no host clears even the shrunk Mem_min
 		}
-		plan, state, err := s.PlanWithState(&eff, reqs)
+		plan, state, err := s.PlanWithStateSet(&eff, rs)
 		if err != nil {
 			continue
 		}

@@ -37,13 +37,13 @@ type Group struct {
 // is capped at half a group: boundaries fall back to pure offset
 // calculation, dividing the file region into MsgGroup-sized windows.
 func DivideGroups(ctx *collio.Context, reqs []collio.RankRequest) []Group {
-	// Requests are read in place when canonical, as generated ones are;
-	// normReq[i] is reqs[i]'s list.
-	normReq := make([][]pfs.Extent, len(reqs))
-	for i, r := range reqs {
-		normReq[i] = pfs.Normalized(r.Extents)
-	}
-	norm := pfs.Union(normReq)
+	return DivideGroupsSet(ctx, collio.NewRequestSet(reqs))
+}
+
+// DivideGroupsSet is DivideGroups for the requests of rs, reading their
+// shared union.
+func DivideGroupsSet(ctx *collio.Context, rs *collio.RequestSet) []Group {
+	norm := rs.Union()
 	if len(norm) == 0 {
 		return nil
 	}
@@ -54,9 +54,9 @@ func DivideGroups(ctx *collio.Context, reqs []collio.RankRequest) []Group {
 	for i := range nodeSpan {
 		nodeSpan[i] = span{lo: math.MaxInt64, hi: math.MinInt64}
 	}
-	for i, exts := range normReq {
-		if len(exts) > 0 {
-			s := &nodeSpan[ctx.Topo.NodeOf(reqs[i].Rank)]
+	for i := range rs.Len() {
+		if exts := rs.List(i); len(exts) > 0 {
+			s := &nodeSpan[ctx.Topo.NodeOf(rs.Rank(i))]
 			s.lo = min(s.lo, exts[0].Offset)
 			s.hi = max(s.hi, exts[len(exts)-1].End())
 		}
@@ -153,9 +153,9 @@ func DivideGroups(ctx *collio.Context, reqs []collio.RankRequest) []Group {
 	windowOf := func(x int64) int {
 		return sort.Search(len(groups), func(i int) bool { return groups[i].Region.End() > x })
 	}
-	for i, exts := range normReq {
-		rank := reqs[i].Rank
-		for _, e := range exts {
+	for i := range rs.Len() {
+		rank := rs.Rank(i)
+		for _, e := range rs.List(i) {
 			for w, wj := windowOf(e.Offset), windowOf(e.End()-1); w <= wj; w++ {
 				if r := groups[w].Ranks; len(r) == 0 || r[len(r)-1] != rank {
 					groups[w].Ranks = append(r, rank)

@@ -24,21 +24,29 @@ func (s *Strategy) Name() string { return "memory-conscious" }
 // order: aggregation group division, workload partition, portion
 // remerging, and aggregator location.
 func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio.Plan, error) {
-	plan, _, err := s.PlanWithState(ctx, reqs)
+	return s.PlanSet(ctx, collio.NewRequestSet(reqs))
+}
+
+// PlanSet implements collio.Strategy; Plan describes the components.
+func (s *Strategy) PlanSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.Plan, error) {
+	plan, _, err := s.PlanWithStateSet(ctx, rs)
 	return plan, err
 }
 
-// PlanWithState is Plan plus the recovery state a Failover handler needs
-// to remerge domains mid-operation: the partition trees, the leaf each
-// domain came from, and the live memory tracker.
+// PlanWithState is PlanWithStateSet over a set built from reqs.
 func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest) (*collio.Plan, *RecoveryState, error) {
+	return s.PlanWithStateSet(ctx, collio.NewRequestSet(reqs))
+}
+
+// PlanWithStateSet is PlanSet plus the recovery state a Failover handler
+// needs to remerge domains mid-operation: the partition trees, the leaf
+// each domain came from, and the live memory tracker.
+func (s *Strategy) PlanWithStateSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.Plan, *RecoveryState, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, nil, err
 	}
-	for _, r := range reqs {
-		if r.Rank < 0 || r.Rank >= ctx.Topo.Size() {
-			return nil, nil, fmt.Errorf("core: request for invalid rank %d", r.Rank)
-		}
+	if rank, ok := collio.InvalidRank(ctx, rs); ok {
+		return nil, nil, fmt.Errorf("core: request for invalid rank %d", rank)
 	}
 	// Determine the effective Msg_ind for this machine state, as §3's
 	// parameter-determination step does: a file domain must be backed by
@@ -47,10 +55,10 @@ func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest)
 	// per node, one CollBufSize buffer each). Planning with a smaller
 	// Msg_ind would only trigger immediate remerging or over-commit.
 	effCtx := *ctx
-	effCtx.Params = capacityParams(ctx, reqs)
+	effCtx.Params = capacityParams(ctx, rs)
 	ctx = &effCtx
 
-	groups := DivideGroups(ctx, reqs)
+	groups := DivideGroupsSet(ctx, rs)
 	plan := &collio.Plan{Strategy: s.Name(), Groups: len(groups)}
 	state := &RecoveryState{
 		leafDomain: make(map[*TreeNode]int),
@@ -60,12 +68,6 @@ func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest)
 		plan.GroupRanks = [][]int{}
 		state.groupRanks = plan.GroupRanks
 		return plan, state, nil
-	}
-
-	// normReq[rank] is the rank's request, read in place when canonical.
-	normReq := make([][]pfs.Extent, ctx.Topo.Size())
-	for _, r := range reqs {
-		normReq[r.Rank] = pfs.Normalized(r.Extents)
 	}
 
 	// Aggregator bookkeeping spans groups: a host's N_ah budget and its
@@ -87,7 +89,7 @@ func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest)
 			ctx.Obs.Histogram("plan.group_bytes", strategyLabel).Observe(float64(pfs.TotalBytes(g.Extents)))
 			ctx.Obs.Histogram("plan.tree_leaves", strategyLabel).Observe(float64(len(tree.Leaves())))
 		}
-		domains, leaves, err := s.placeGroup(ctx, tree, g, normReq, tracker, aggsOnHost, &sc)
+		domains, leaves, err := s.placeGroup(ctx, tree, g, rs, tracker, aggsOnHost, &sc)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -110,26 +112,28 @@ func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest)
 // tree, remerging leaves whose candidate hosts cannot satisfy Mem_min
 // (§3.2-3.3). It returns the group's domains in file order, along with
 // the tree leaf each domain was placed on (for mid-operation failover).
+// Each leaf's contributions are computed once; a remerge merges the
+// victim's into the absorber's.
 func (s *Strategy) placeGroup(
 	ctx *collio.Context,
 	tree *PartitionTree,
 	g Group,
-	normReq [][]pfs.Extent,
+	rs *collio.RequestSet,
 	tracker *memmodel.Tracker,
 	aggsOnHost map[int]int,
 	sc *contribScratch,
 ) ([]collio.Domain, []*TreeNode, error) {
 	placed := make(map[*TreeNode]*collio.Domain)
+	sc.contributions(g, rs, tree.Leaves())
 
 	for {
 		progressed := false
-		leaves := tree.Leaves()
-		contribs := sc.contributions(g, normReq, leaves)
-		for li, leaf := range leaves {
+		for _, leaf := range tree.Leaves() {
 			if _, done := placed[leaf]; done {
 				continue
 			}
-			host, rank, ok := s.locate(ctx, contribs[li], tracker, aggsOnHost)
+			contribs := sc.lists[leaf]
+			host, rank, ok := s.locate(ctx, contribs, tracker, aggsOnHost)
 			if ok {
 				buf := ctx.Params.CollBufSize
 				if avail := tracker.Avail(host); avail < buf {
@@ -167,7 +171,7 @@ func (s *Strategy) placeGroup(
 				// Fall back to the least-bad host — a real system must
 				// still perform the I/O — and record the over-commit so
 				// the cost model charges the paging it causes.
-				host, rank, ferr := s.fallback(ctx, contribs[li], g, tracker)
+				host, rank, ferr := s.fallback(ctx, contribs, g, tracker)
 				if ferr != nil {
 					return nil, nil, ferr
 				}
@@ -213,6 +217,7 @@ func (s *Strategy) placeGroup(
 				progressed = true
 				continue
 			}
+			sc.remerge(absorber, leaf)
 			if dom, ok := placed[absorber]; ok {
 				// The absorbing domain was already placed (Fig 5b with a
 				// left neighbour): its region simply grows.
@@ -253,12 +258,9 @@ func (s *Strategy) placeGroup(
 // capacityParams raises Msg_ind (and, transitively, Msg_group) so the
 // workload's domain count fits the aggregator slots the current
 // availability can host: slots = Σ_nodes min(N_ah, avail/CollBufSize).
-func capacityParams(ctx *collio.Context, reqs []collio.RankRequest) collio.Params {
+func capacityParams(ctx *collio.Context, rs *collio.RequestSet) collio.Params {
 	p := ctx.Params
-	var total int64
-	for _, r := range reqs {
-		total += r.Bytes()
-	}
+	total := rs.TotalBytes()
 	if total == 0 {
 		return p
 	}
@@ -289,13 +291,18 @@ type rankContribution struct {
 	bytes int64
 }
 
-// contribScratch is the reusable storage of contributions, shared by
-// every group and remerge iteration of one plan, so it grows to the
-// largest leaf set instead of being allocated per call.
+// contribScratch is the reusable storage of a plan's contributions,
+// shared by every group, so it grows to the largest group instead of
+// being allocated per group. lists maps each live leaf of the group
+// being placed to its contributions; they live in backing, which
+// remerges extend.
 type contribScratch struct {
-	overlaps []int64
+	overlaps []collio.BucketBytes
 	listed   []leafContribution
 	backing  []rankContribution
+	counts   []int
+	buckets  [][]pfs.Extent
+	lists    map[*TreeNode][]rankContribution
 }
 
 // leafContribution is one rank's bytes in the leaf with index leaf.
@@ -304,45 +311,77 @@ type leafContribution struct {
 	rankContribution
 }
 
-// contributions computes, for the leaf set, each contributing rank of
-// g's bytes per leaf in one merge-walk per rank, listed in rank order.
-// A counting pass then gives each leaf's list its own stretch of one
-// backing array. The lists are valid until the next call.
-func (sc *contribScratch) contributions(g Group, normReq [][]pfs.Extent, leaves []*TreeNode) [][]rankContribution {
-	out := make([][]rankContribution, len(leaves))
+// contributions computes, for the group's leaves, each contributing
+// rank's bytes per leaf, in one sparse walk per member rank, into
+// sc.lists: each leaf's list is in rank order, in its own stretch of
+// backing, and replaces the previous group's.
+func (sc *contribScratch) contributions(g Group, rs *collio.RequestSet, leaves []*TreeNode) {
+	if sc.lists == nil {
+		sc.lists = make(map[*TreeNode][]rankContribution, len(leaves))
+	}
+	clear(sc.lists)
+	sc.backing = sc.backing[:0]
 	if len(leaves) == 0 {
-		return out
+		return
 	}
-	buckets := make([][]pfs.Extent, len(leaves))
-	for i, l := range leaves {
-		buckets[i] = l.Extents
+	sc.buckets = sc.buckets[:0]
+	for _, l := range leaves {
+		sc.buckets = append(sc.buckets, l.Extents)
 	}
-	index := collio.NewExtentIndex(buckets)
-	counts := make([]int, len(leaves))
+	index := collio.NewExtentIndex(sc.buckets)
+	clear(sc.buckets) // drop the references to the leaves' extents
+	sc.counts = slices.Grow(sc.counts[:0], len(leaves))[:len(leaves)]
+	clear(sc.counts)
 	sc.listed = sc.listed[:0]
 	for _, r := range g.Ranks {
-		exts := normReq[r]
-		if len(exts) == 0 {
+		i := rs.IndexOfRank(r)
+		if i < 0 || len(rs.List(i)) == 0 {
 			continue
 		}
-		sc.overlaps = index.OverlapBytesInto(sc.overlaps, exts)
-		for i, b := range sc.overlaps {
-			if b > 0 {
-				sc.listed = append(sc.listed, leafContribution{i, rankContribution{rank: r, bytes: b}})
-				counts[i]++
-			}
+		sc.overlaps = index.RequestOverlapAppend(sc.overlaps[:0], rs, i)
+		for _, bb := range sc.overlaps {
+			sc.listed = append(sc.listed, leafContribution{bb.Bucket, rankContribution{rank: r, bytes: bb.Bytes}})
+			sc.counts[bb.Bucket]++
 		}
 	}
-	backing := slices.Grow(sc.backing[:0], len(sc.listed))[:len(sc.listed)]
+	backing := slices.Grow(sc.backing, len(sc.listed))[:len(sc.listed)]
 	sc.backing = backing
-	for i, n := range counts {
+	out := make([][]rankContribution, len(leaves))
+	for i, n := range sc.counts {
 		out[i] = backing[:0:n]
 		backing = backing[n:]
 	}
 	for _, c := range sc.listed {
 		out[c.leaf] = append(out[c.leaf], c.rankContribution)
 	}
-	return out
+	for i, l := range leaves {
+		sc.lists[l] = out[i]
+	}
+}
+
+// remerge moves victim's contributions into absorber's after a
+// Remerge: the two leaves are disjoint, so a rank's bytes in the merged
+// leaf are the sum of its bytes in each. The rank-ordered lists are
+// merged into backing.
+func (sc *contribScratch) remerge(absorber, victim *TreeNode) {
+	a, b := sc.lists[absorber], sc.lists[victim]
+	delete(sc.lists, victim)
+	start := len(sc.backing)
+	out := slices.Grow(sc.backing, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].rank < b[0].rank:
+			out, a = append(out, a[0]), a[1:]
+		case b[0].rank < a[0].rank:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out = append(out, rankContribution{rank: a[0].rank, bytes: a[0].bytes + b[0].bytes})
+			a, b = a[1:], b[1:]
+		}
+	}
+	out = append(append(out, a...), b...)
+	sc.backing = out
+	sc.lists[absorber] = out[start:len(out):len(out)]
 }
 
 // locate implements §3.3's aggregator location for one file domain: among

@@ -135,30 +135,32 @@ func (f *File) collective(args []CollArgs, op collio.Op) (*collio.CostResult, er
 	if err != nil {
 		return nil, err
 	}
-	plan, err := f.strategy.Plan(f.ctx, reqs)
+	rs := collio.NewRequestSet(reqs)
+	plan, err := f.strategy.PlanSet(f.ctx, rs)
 	if err != nil {
 		return nil, err
 	}
-	if err := plan.Validate(reqs); err != nil {
+	if err := plan.ValidateSet(rs); err != nil {
 		return nil, err
 	}
 	if err := collio.Exec(f.ctx, plan, data, f.file, op); err != nil {
 		return nil, err
 	}
-	return collio.Cost(f.ctx, plan, reqs, op, f.opt)
+	return collio.CostSet(f.ctx, plan, rs, op, f.opt)
 }
 
 // PlanOnly plans and prices a collective operation without moving bytes —
 // the benchmark harness uses this to run the paper's full-size experiments.
 func (f *File) PlanOnly(reqs []collio.RankRequest, op collio.Op) (*collio.CostResult, error) {
-	plan, err := f.strategy.Plan(f.ctx, reqs)
+	rs := collio.NewRequestSet(reqs)
+	plan, err := f.strategy.PlanSet(f.ctx, rs)
 	if err != nil {
 		return nil, err
 	}
-	if err := plan.Validate(reqs); err != nil {
+	if err := plan.ValidateSet(rs); err != nil {
 		return nil, err
 	}
-	return collio.Cost(f.ctx, plan, reqs, op, f.opt)
+	return collio.CostSet(f.ctx, plan, rs, op, f.opt)
 }
 
 // WriteAtRank performs independent (non-collective) I/O for one rank

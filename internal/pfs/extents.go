@@ -82,61 +82,106 @@ func NormalizeExtents(exts []Extent) []Extent {
 // Union returns the canonical form of the concatenation of lists, exactly
 // NormalizeExtents of it, without sorting the concatenation: each list is
 // a sorted run (a list that is not canonical is normalized first), and the
-// runs are merged pairwise, coalescing as they go. When the lists overlap
-// or abut, as the per-rank lists of a collective usually do, every merge
-// level is shorter than the last, so the cost follows the union's size
-// rather than the total input's. The merge levels alternate between two
-// scratch buffers that grow to the largest level's input, and only the
-// result is allocated. It never aliases a caller's list, and the lists
-// are not modified. Safe for concurrent use.
+// runs are merged pairwise, coalescing as they go. Only the result is
+// allocated; the merges work in scratch reused across calls. It never
+// aliases a caller's list, and the lists are not modified. Safe for
+// concurrent use.
 func Union(lists [][]Extent) []Extent {
-	sc := getUnionScratch()
-	defer putUnionScratch(sc)
-	runs := slices.Grow(sc.runs[:0], len(lists))
-	n := 0 // extents in runs
-	for _, l := range lists {
-		if l = Normalized(l); len(l) > 0 {
-			runs = append(runs, l)
-			n += len(l)
-		}
-	}
-	// Drop the references to the caller's lists before the scratch is
-	// reused. Merge levels only shrink runs, so nothing past used is ever
-	// set: a small call after a large one clears only its own slots.
-	used := len(runs)
-	defer func() { clear(runs[:used]); sc.runs = runs[:0] }()
-	if len(runs) == 0 {
-		return nil
-	}
-	src, dst := sc.buf[0], sc.buf[1]
-	for len(runs) > 1 {
-		// A level's output is at most its input, so growing the buffers
-		// to the input up front grows them at most once per level, by
-		// the amount needed, instead of by append's repeated copies.
-		dst, sc.ends = slices.Grow(dst[:0], n), slices.Grow(sc.ends[:0], (len(runs)+1)/2)
-		for i := 0; i < len(runs); i += 2 {
-			if i+1 < len(runs) {
-				dst = mergeRuns(dst, runs[i], runs[i+1])
-			} else {
-				dst = append(dst, runs[i]...)
-			}
-			sc.ends = append(sc.ends, len(dst))
-		}
-		runs, n = runs[:len(sc.ends)], len(dst)
-		for i, start := 0, 0; i < len(sc.ends); i++ {
-			runs[i], start = dst[start:sc.ends[i]], sc.ends[i]
-		}
-		src, dst = dst, src
-	}
-	sc.buf = [2][]Extent{src, dst}
-	return append([]Extent(nil), runs[0]...)
+	return UnionNormalized(len(lists), func(i int) []Extent { return Normalized(lists[i]) })
 }
 
-// unionScratch is Union's working memory, reused across calls.
+// UnionNormalized is Union over n lists that are already canonical,
+// list(i) returning the i-th: it merges them as they are, without
+// checking them, so a caller that has checked its lists once (as
+// collio.RequestSet does) does not pay for the check again. A list that
+// is not canonical gives an unspecified result.
+//
+// The runs are merged in a balanced binary tree, depth first, as a
+// binary counter: each list joins a stack of merged runs, and while the
+// top two runs hold equally many lists they are merged into one. When
+// the lists overlap or abut, as the per-rank lists of a collective
+// usually do, each merge is shorter than its inputs, so the runs alive
+// at any time stay small and the cost follows the union's size rather
+// than the total input's. Merged runs live in one scratch arena used as
+// a stack, and a merge whose inputs are in the arena first copies them
+// aside, so the scratch stays near the largest merge rather than the
+// whole input.
+func UnionNormalized(n int, list func(i int) []Extent) []Extent {
+	sc := getUnionScratch()
+	defer putUnionScratch(sc)
+	sc.arena = sc.arena[:0]
+	stack := sc.stack[:0]
+	// Drop the references to the caller's lists before the scratch is
+	// reused.
+	defer func() { clear(stack[:cap(stack)]); sc.stack = stack[:0] }()
+	for i := 0; i < n; i++ {
+		l := list(i)
+		if len(l) == 0 {
+			continue
+		}
+		stack = append(stack, unionRun{list: l})
+		for k := len(stack); k >= 2 && stack[k-1].level == stack[k-2].level; k = len(stack) {
+			stack = sc.mergeTop(stack)
+		}
+	}
+	for len(stack) >= 2 {
+		stack = sc.mergeTop(stack)
+	}
+	if len(stack) == 0 {
+		return nil
+	}
+	return append([]Extent(nil), sc.runOf(stack[0])...)
+}
+
+// unionRun is one run on UnionNormalized's stack: a caller's list, or
+// a merged run at arena[start:end]. level is the height of its merge
+// tree: until the final merges, a run holds 2^level lists.
+type unionRun struct {
+	list       []Extent
+	start, end int
+	level      int
+}
+
+// runOf returns the extents of r.
+func (sc *unionScratch) runOf(r unionRun) []Extent {
+	if r.list != nil {
+		return r.list
+	}
+	return sc.arena[r.start:r.end]
+}
+
+// mergeTop merges the top two runs of stack into one. Arena runs sit at
+// the arena's end in stack order, so the merged run is written from the
+// lower arena input's start, after the arena inputs are copied aside.
+func (sc *unionScratch) mergeTop(stack []unionRun) []unionRun {
+	x, y := stack[len(stack)-2], stack[len(stack)-1]
+	a, b := sc.runOf(x), sc.runOf(y)
+	base := len(sc.arena)
+	sc.aside = sc.aside[:0]
+	if x.list == nil {
+		base = x.start
+		sc.aside = append(sc.aside, a...)
+	}
+	if y.list == nil {
+		base = min(base, y.start)
+		sc.aside = append(sc.aside, b...)
+	}
+	if x.list == nil {
+		a = sc.aside[:len(a)]
+	}
+	if y.list == nil {
+		b = sc.aside[len(sc.aside)-len(b):]
+	}
+	sc.arena = mergeRuns(sc.arena[:base], a, b)
+	stack = stack[:len(stack)-2]
+	return append(stack, unionRun{start: base, end: len(sc.arena), level: x.level + 1})
+}
+
+// unionScratch is UnionNormalized's working memory, reused across calls.
 type unionScratch struct {
-	runs [][]Extent
-	ends []int
-	buf  [2][]Extent
+	stack []unionRun
+	arena []Extent
+	aside []Extent
 }
 
 // unionFree holds the idle scratches. Unlike a sync.Pool, a free list

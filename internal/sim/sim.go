@@ -23,6 +23,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -1022,6 +1023,24 @@ func (e *Engine) runRound(r Round, recovery bool) RoundCost {
 	return e.finishRound(r.Kind, recovery, len(r.Messages), ops, commBytes, ioBytes, ioDir)
 }
 
+// ascendingIDs puts ids, the distinct IDs of a table of n entries whose
+// touched flag is set, in ascending order. When sorting them would cost
+// about as much as reading every flag, it rewrites them by scanning the
+// flags in ID order instead; either way the result is the same list.
+func ascendingIDs(ids []int, n int, touched func(id int) bool) {
+	if len(ids)*bits.Len(uint(len(ids))) < n {
+		slices.Sort(ids)
+		return
+	}
+	k := 0
+	for id := 0; id < n && k < len(ids); id++ {
+		if touched(id) {
+			ids[k] = id
+			k++
+		}
+	}
+}
+
 // finishRound prices the accumulated node and target loads, folds the
 // round into the totals, and publishes trace/timeline/observability
 // records. traceMsgs/traceOps are the constituent counts reported in
@@ -1031,8 +1050,8 @@ func (e *Engine) finishRound(kind string, recovery bool, traceMsgs, traceOps int
 	// Nodes and targets are visited in ascending ID order, so the lowest
 	// ID wins a bottleneck tie and emitted spans are deterministic
 	// whatever order the round's traffic arrived in.
-	slices.Sort(e.nodeIDs)
-	slices.Sort(e.targetIDs)
+	ascendingIDs(e.nodeIDs, len(e.nodes), func(n int) bool { return e.nodes[n].touched })
+	ascendingIDs(e.targetIDs, len(e.targets), func(t int) bool { return e.targets[t].touched })
 	nodeIDs, targetIDs := e.nodeIDs, e.targetIDs
 
 	binding := Binding{CommNode: -1, IOTarget: -1}

@@ -69,6 +69,7 @@ func Tune(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 	}
 	grid = grid.withDefaults()
 	strategy := core.New()
+	rs := collio.NewRequestSet(reqs)
 	res := &Result{}
 	seen := map[string]bool{}
 	for _, nah := range grid.NahValues {
@@ -96,11 +97,11 @@ func Tune(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 				copt.NahOpt = nah
 				// Memoized: repeated tuner runs (and sweeps sharing a
 				// parameter combo) reuse the identical partition tree.
-				plan, err := collio.CachedPlan(strategy, &cctx, reqs)
+				plan, err := collio.CachedPlanSet(strategy, &cctx, rs)
 				if err != nil {
 					return nil, err
 				}
-				cost, err := collio.Cost(&cctx, plan, reqs, op, copt)
+				cost, err := collio.CostSet(&cctx, plan, rs, op, copt)
 				if err != nil {
 					return nil, err
 				}

@@ -32,6 +32,11 @@ func (s *Strategy) Name() string { return "two-phase" }
 
 // Plan implements collio.Strategy.
 func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio.Plan, error) {
+	return s.PlanSet(ctx, collio.NewRequestSet(reqs))
+}
+
+// PlanSet implements collio.Strategy.
+func (s *Strategy) PlanSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.Plan, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
@@ -39,19 +44,11 @@ func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio
 	if perNode <= 0 {
 		perNode = 1
 	}
-
-	lists := make([][]pfs.Extent, len(reqs))
-	ranksWithData := make([]int, 0, len(reqs))
-	for i, r := range reqs {
-		if r.Rank < 0 || r.Rank >= ctx.Topo.Size() {
-			return nil, fmt.Errorf("twophase: request for invalid rank %d", r.Rank)
-		}
-		lists[i] = r.Extents
-		if len(r.Extents) > 0 {
-			ranksWithData = append(ranksWithData, r.Rank)
-		}
+	if rank, ok := collio.InvalidRank(ctx, rs); ok {
+		return nil, fmt.Errorf("twophase: request for invalid rank %d", rank)
 	}
-	norm := pfs.Union(lists)
+	ranksWithData := collio.RanksWithData(rs)
+	norm := rs.Union()
 	plan := &collio.Plan{Strategy: s.Name(), Groups: 1, GroupRanks: [][]int{ranksWithData}}
 	if len(norm) == 0 {
 		collio.RecordPlanMetrics(ctx.Obs, plan)

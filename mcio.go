@@ -260,11 +260,12 @@ func (s *System) Open(name string, strategy Strategy) (*File, error) {
 // Plan runs a strategy's planner over explicit rank requests without
 // touching any file — useful for inspecting placement decisions.
 func (s *System) Plan(strategy Strategy, reqs []RankRequest) (*Plan, error) {
-	plan, err := strategy.Plan(s.ctx, reqs)
+	rs := collio.NewRequestSet(reqs)
+	plan, err := strategy.PlanSet(s.ctx, rs)
 	if err != nil {
 		return nil, err
 	}
-	if err := plan.Validate(reqs); err != nil {
+	if err := plan.ValidateSet(rs); err != nil {
 		return nil, err
 	}
 	return plan, nil
