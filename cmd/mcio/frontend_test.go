@@ -1,0 +1,113 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
+
+// TestMain lets the front-end tests drive the real command: with
+// MCIO_TEST_MAIN=1 in the environment the test binary runs main on its
+// arguments instead of the tests, so usage banners, error lines and
+// exit codes are checked exactly as a shell sees them.
+func TestMain(m *testing.M) {
+	if os.Getenv("MCIO_TEST_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs mcio with args in a subprocess and returns its stdout,
+// stderr and exit code.
+func runMain(t *testing.T, args ...string) (string, string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "MCIO_TEST_MAIN=1")
+	cmd.Dir = t.TempDir()
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return stdout.String(), stderr.String(), 0
+	case errors.As(err, &exit):
+		return stdout.String(), stderr.String(), exit.ExitCode()
+	}
+	t.Fatalf("mcio %s: %v", strings.Join(args, " "), err)
+	return "", "", 0
+}
+
+// TestExpAllGolden pins `mcio -exp all` byte for byte, serial and
+// parallel: every experiment's rendering, in display order.
+func TestExpAllGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "exp_all.golden")
+	for _, parallel := range []string{"1", "2"} {
+		out, stderr, code := runMain(t, "-exp", "all", "-parallel", parallel)
+		if code != 0 {
+			t.Fatalf("-parallel %s: exit %d: %s", parallel, code, stderr)
+		}
+		if *update && parallel == "1" {
+			if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("-parallel %s: output differs from %s (rerun with -update after an intended change)", parallel, golden)
+		}
+	}
+}
+
+// TestFrontEndChoices pins every front end's list of choices: the usage
+// banner and the unknown-name error line, with the exit code.
+func TestFrontEndChoices(t *testing.T) {
+	const (
+		exp     = "table1, fig2, fig4, fig5, fig6, fig7, fig8, motivation, comparison, random, plan, scaling, trajectory, blame, trace, tune, ablation, faults, all"
+		ledger  = "fig6, fig7, fig8, fig-exa, fig-exa-faults, trajectory, faults, chaos, chaos-gray"
+		figures = "fig6, fig7, fig8"
+		profile = "fig6, fig7, fig8, gray"
+		chaos   = "corruption, gray"
+	)
+	bar := func(list string) string { return strings.ReplaceAll(list, ", ", "|") }
+	cases := []struct {
+		args   []string
+		stderr string // the banner line for -h, the whole stderr otherwise
+		code   int
+	}{
+		{[]string{"-exp", "x"}, `mcio: unknown experiment "x" (valid: ` + exp + ")\n", 1},
+		{[]string{"bench", "-h"}, "usage: mcio bench [" + bar(ledger) + "] [flags]", 1},
+		{[]string{"bench", "x"}, `mcio bench: unknown experiment "x" (valid: ` + ledger + ")\n", 1},
+		{[]string{"observe", "-h"}, "usage: mcio observe [" + bar(figures) + "] [flags]", 0},
+		{[]string{"observe", "x"}, `mcio observe: unknown figure "x" (valid: ` + figures + ")\n", 1},
+		{[]string{"profile", "-h"}, "usage: mcio profile [" + bar(profile) + "] [flags]", 1},
+		{[]string{"profile", "x"}, `mcio profile: unknown profile experiment "x" (valid: ` + profile + ")\n", 1},
+		{[]string{"chaos", "-h"}, "usage: mcio chaos [" + bar(chaos) + "] [flags]", 2},
+		{[]string{"chaos", "x"}, `mcio chaos: unknown chaos campaign "x" (valid: ` + chaos + ")\n", 2},
+	}
+	for _, c := range cases {
+		_, stderr, code := runMain(t, c.args...)
+		got := stderr
+		if c.args[len(c.args)-1] == "-h" {
+			got, _, _ = strings.Cut(stderr, "\n")
+		}
+		if got != c.stderr || code != c.code {
+			t.Errorf("mcio %s: exit %d, stderr %q\nwant exit %d, %q", strings.Join(c.args, " "), code, got, c.code, c.stderr)
+		}
+	}
+	_, stderr, _ := runMain(t, "-h")
+	if want := "\texperiment: " + exp + ` (default "all")`; !strings.Contains(stderr, want) {
+		t.Errorf("mcio -h misses %q:\n%s", want, stderr)
+	}
+}

@@ -11,7 +11,12 @@
 //	mcio -exp fig2|fig4|fig5        # illustrative traces of the mechanisms
 //	mcio -exp ablation              # design-choice ablations
 //	mcio -exp faults                # resilience under injected faults
-//	mcio -exp all                   # everything above
+//	mcio -exp all                   # every -exp experiment, in order
+//
+// Every experiment name below — the -exp values and the bench, observe,
+// profile and chaos choices — comes from one registry table in
+// internal/bench; each front end offers the records that support it,
+// in table order, and `mcio <subcommand> -h` lists them.
 //
 // The observe subcommand runs one figure workload with full
 // observability and exports a Chrome/Perfetto trace (simulated time), a
@@ -67,7 +72,6 @@
 //	mcio chaos -seed 1 -ops 50
 //	mcio chaos -seed 7 -ops 200 -rate 4 -repair=false
 //	mcio chaos gray -seed 1 -ops 10
-//	mcio chaos -gray -seed 1 -ops 10
 //
 // The profile subcommand runs one experiment with the sampling timeline
 // recorder attached and writes a time-resolved report: per-OST
@@ -100,17 +104,11 @@ import (
 	"strings"
 
 	"mcio/internal/bench"
-	"mcio/internal/cliutil"
 	"mcio/internal/collio"
-	"mcio/internal/core"
-	"mcio/internal/machine"
-	"mcio/internal/mpi"
 	"mcio/internal/obs"
 	"mcio/internal/obs/analyze"
 	"mcio/internal/obs/history"
 	"mcio/internal/obs/timeline"
-	"mcio/internal/pfs"
-	"mcio/internal/twophase"
 )
 
 // observe is the `mcio observe` subcommand: run one figure workload under
@@ -121,7 +119,7 @@ import (
 func observe(args []string) error {
 	fs := flag.NewFlagSet("observe", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, cliutil.ChoiceUsage("mcio", "observe", bench.ObserveFigures))
+		fmt.Fprintln(os.Stderr, usage("observe", bench.ViewObserve))
 		fs.PrintDefaults()
 	}
 	scale := fs.Int64("scale", bench.DefaultScale, "scale divisor for byte sizes (1 = paper-exact)")
@@ -142,17 +140,11 @@ func observe(args []string) error {
 		return err
 	}
 	bench.SetParallelism(*parallel)
-	var op collio.Op
-	switch *opName {
-	case "write":
-		op = collio.Write
-	case "read":
-		op = collio.Read
-	default:
-		return fmt.Errorf("unknown op %q (want write or read)", *opName)
+	op, err := parseOp(*opName)
+	if err != nil {
+		return err
 	}
 	var res *bench.ObserveResult
-	var err error
 	switch {
 	case *faultRate < 0:
 		return fmt.Errorf("negative fault rate %g (want 0 for a clean run, or a positive MTBF multiplier like 1 or 4)", *faultRate)
@@ -177,14 +169,7 @@ func observe(args []string) error {
 		fmt.Printf("wrote trace %s\n", *traceOut)
 	}
 	if *metricsOut != "" {
-		write := func(f *os.File) error { return obs.WriteMetricsJSON(f, res.Obs.Metrics) }
-		switch {
-		case strings.HasSuffix(*metricsOut, ".csv"):
-			write = func(f *os.File) error { return obs.WriteMetricsCSV(f, res.Obs.Metrics) }
-		case strings.HasSuffix(*metricsOut, ".prom"):
-			write = func(f *os.File) error { return obs.WriteMetricsProm(f, res.Obs.Metrics) }
-		}
-		if err := writeFile(*metricsOut, write); err != nil {
+		if err := writeMetrics(*metricsOut, res.Obs.Metrics); err != nil {
 			return err
 		}
 		fmt.Printf("wrote metrics %s\n", *metricsOut)
@@ -209,7 +194,7 @@ func observe(args []string) error {
 func runBench(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, cliutil.ChoiceUsage("mcio", "bench", bench.LedgerExperiments))
+		fmt.Fprintln(os.Stderr, usage("bench", bench.ViewLedger))
 		fs.PrintDefaults()
 	}
 	scale := fs.Int64("scale", bench.DefaultScale, "scale divisor for byte sizes (1 = paper-exact)")
@@ -416,24 +401,20 @@ func runReport(args []string, out io.Writer) error {
 
 // runChaos is the `mcio chaos` subcommand: a seeded chaos campaign
 // through the integrity layer — the silent-corruption soak by default,
-// the gray-failure campaign with `gray` (or -gray). Campaign names come
-// from bench.ChaosCampaigns, the same single-source pattern bench and
-// observe use, so new campaigns appear in the usage and error text
-// automatically. Returns the process exit code — 0 when every invariant
-// held and nothing went undetected, 1 otherwise.
+// the gray-failure campaign with `gray`. Returns the process exit code —
+// 0 when every invariant held and nothing went undetected, 1 otherwise.
 func runChaos(args []string, out io.Writer) (int, error) {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, cliutil.ChoiceUsage("mcio", "chaos", bench.ChaosCampaigns))
+		fmt.Fprintln(os.Stderr, usage("chaos", bench.ViewChaos))
 		fs.PrintDefaults()
 	}
 	seed := fs.Uint64("seed", 1, "campaign seed; the same seed reproduces the campaign byte for byte")
 	ops := fs.Int("ops", 50, "randomized collective operations to run")
-	rate := fs.Float64("rate", 2, "fault-rate multiplier: silent corruption in the soak, gray faults + corruption in -gray (0 disables injection)")
+	rate := fs.Float64("rate", 2, "fault-rate multiplier: silent corruption in the soak, gray faults + corruption in the gray campaign (0 disables injection)")
 	repair := fs.Bool("repair", true, "repair detected corruptions (false proves detection of every injection instead)")
-	gray := fs.Bool("gray", false, "run the gray-failure campaign (suspicion, adaptive failover, hedging); same as the `gray` campaign argument")
 	metricsOut := fs.String("metrics-out", "", "write a metrics snapshot here (.csv selects CSV, .prom the Prometheus text format, otherwise JSON)")
-	campaign := bench.ChaosCampaigns[0]
+	campaign := bench.In(bench.ViewChaos)[0].Name
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		campaign = args[0]
 		args = args[1:]
@@ -441,54 +422,25 @@ func runChaos(args []string, out io.Writer) (int, error) {
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
-	if *gray {
-		campaign = "gray"
+	e, err := bench.Lookup(bench.ViewChaos, campaign)
+	if err != nil {
+		return 2, err
 	}
 	o := obs.New()
-	var (
-		summary    string
-		violations int
-		undetected int
-		err        error
-	)
-	switch campaign {
-	case "corruption":
-		var rep *bench.ChaosReport
-		rep, err = bench.Chaos(bench.ChaosConfig{
-			Seed: *seed, Ops: *ops, Rate: *rate, Repair: *repair, Obs: o,
-		})
-		if err == nil {
-			summary, violations, undetected = rep.String(), len(rep.Violations), rep.Undetected()
-		}
-	case "gray":
-		var rep *bench.GrayReport
-		rep, err = bench.Gray(bench.GrayConfig{
-			Seed: *seed, Ops: *ops, Rate: *rate, Repair: *repair, Obs: o,
-		})
-		if err == nil {
-			summary, violations, undetected = rep.String(), len(rep.Violations), rep.Undetected()
-		}
-	default:
-		return 2, cliutil.UnknownChoice("chaos campaign", campaign, bench.ChaosCampaigns)
-	}
+	summary, failed, err := e.Chaos(bench.ChaosConfig{
+		Seed: *seed, Ops: *ops, Rate: *rate, Repair: *repair, Obs: o,
+	})
 	if err != nil {
 		return 2, err
 	}
 	fmt.Fprint(out, summary)
 	if *metricsOut != "" {
-		write := func(f *os.File) error { return obs.WriteMetricsJSON(f, o.Metrics) }
-		switch {
-		case strings.HasSuffix(*metricsOut, ".csv"):
-			write = func(f *os.File) error { return obs.WriteMetricsCSV(f, o.Metrics) }
-		case strings.HasSuffix(*metricsOut, ".prom"):
-			write = func(f *os.File) error { return obs.WriteMetricsProm(f, o.Metrics) }
-		}
-		if err := writeFile(*metricsOut, write); err != nil {
+		if err := writeMetrics(*metricsOut, o.Metrics); err != nil {
 			return 2, err
 		}
 		fmt.Fprintf(out, "wrote metrics %s\n", *metricsOut)
 	}
-	if violations > 0 || undetected > 0 {
+	if failed {
 		return 1, nil
 	}
 	return 0, nil
@@ -498,13 +450,11 @@ func runChaos(args []string, out io.Writer) (int, error) {
 // the sampling timeline recorder attached and write the time-resolved
 // report — per-OST/per-NIC/per-node utilization lanes with the fault,
 // suspicion, breaker, failover and degradation events overlaid, plus
-// the saturation analysis. Experiment names come from
-// bench.ProfileExperiments, the same single-source pattern the other
-// subcommands use.
+// the saturation analysis.
 func runProfile(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("profile", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, cliutil.ChoiceUsage("mcio", "profile", bench.ProfileExperiments))
+		fmt.Fprintln(os.Stderr, usage("profile", bench.ViewProfile))
 		fs.PrintDefaults()
 	}
 	scale := fs.Int64("scale", bench.DefaultScale, "scale divisor for byte sizes (1 = paper-exact)")
@@ -514,7 +464,7 @@ func runProfile(args []string, out io.Writer) error {
 	tick := fs.Float64("tick", 0, "initial sample tick, simulated seconds (0 = automatic; the recorder coarsens it to stay inside the sample budget)")
 	outPath := fs.String("out", "", "write the self-contained HTML timeline report here")
 	csvPath := fs.String("csv", "", "write every sample bin and journal event as CSV here")
-	name := bench.ProfileExperiments[0]
+	name := bench.In(bench.ViewProfile)[0].Name
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		name = args[0]
 		args = args[1:]
@@ -522,24 +472,9 @@ func runProfile(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var op collio.Op
-	switch *opName {
-	case "write":
-		op = collio.Write
-	case "read":
-		op = collio.Read
-	default:
-		return fmt.Errorf("unknown op %q (want write or read)", *opName)
-	}
-	valid := false
-	for _, e := range bench.ProfileExperiments {
-		if name == e {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		return cliutil.UnknownChoice("profile experiment", name, bench.ProfileExperiments)
+	op, err := parseOp(*opName)
+	if err != nil {
+		return err
 	}
 	res, err := bench.Profile(name, *scale, *seed, *mem, op, *tick)
 	if err != nil {
@@ -598,29 +533,33 @@ func writeFile(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-// allExperiments lists every -exp value, in the order `-exp all` runs
-// them — the single source of truth for the -exp usage text and the
-// unknown-experiment error.
-var allExperiments = []string{
-	"table1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8",
-	"motivation", "comparison", "random", "plan", "scaling",
-	"trajectory", "blame", "trace", "tune", "ablation", "faults",
+// usage renders a subcommand's usage banner from its registry view.
+func usage(sub string, v bench.View) string {
+	return fmt.Sprintf("usage: mcio %s [%s] [flags]", sub, strings.Join(bench.Names(v), "|"))
 }
 
-// expChoices is allExperiments plus the "all" meta-experiment — the
-// value list the -exp usage text and unknown-experiment error share.
-func expChoices() []string {
-	return append(append([]string(nil), allExperiments...), "all")
+// parseOp parses the -op flag of observe and profile.
+func parseOp(name string) (collio.Op, error) {
+	switch name {
+	case "write":
+		return collio.Write, nil
+	case "read":
+		return collio.Read, nil
+	}
+	return 0, fmt.Errorf("unknown op %q (want write or read)", name)
 }
 
-// expUsage renders the -exp flag's usage text from allExperiments.
-func expUsage() string {
-	return cliutil.ChoiceFlagUsage("experiment", expChoices())
-}
-
-// unknownExpErr renders the unknown-experiment error from the same list.
-func unknownExpErr(name string) error {
-	return cliutil.UnknownChoice("experiment", name, expChoices())
+// writeMetrics writes a metrics snapshot to path: CSV for a .csv
+// suffix, the Prometheus text format for .prom, JSON otherwise.
+func writeMetrics(path string, m *obs.Registry) error {
+	write := obs.WriteMetricsJSON
+	switch {
+	case strings.HasSuffix(path, ".csv"):
+		write = obs.WriteMetricsCSV
+	case strings.HasSuffix(path, ".prom"):
+		write = obs.WriteMetricsProm
+	}
+	return writeFile(path, func(f *os.File) error { return write(f, m) })
 }
 
 func main() {
@@ -670,7 +609,7 @@ func main() {
 			return
 		}
 	}
-	exp := flag.String("exp", "all", expUsage())
+	exp := flag.String("exp", bench.All, "experiment: "+strings.Join(bench.Names(bench.ViewRender), ", "))
 	scale := flag.Int64("scale", bench.DefaultScale, "scale divisor for byte sizes (1 = paper-exact)")
 	seed := flag.Uint64("seed", 42, "seed for the availability variance")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for independent experiments and sweep cells; 1 = exact serial legacy path (results are scheduling-invariant either way)")
@@ -679,123 +618,28 @@ func main() {
 	flag.Parse()
 	bench.SetParallelism(*parallel)
 
+	exps := bench.In(bench.ViewRender)
+	if *exp != bench.All {
+		e, err := bench.Lookup(bench.ViewRender, *exp)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "mcio:", err)
+			os.Exit(1)
+		}
+		exps = []*bench.Experiment{e}
+	}
+	a := bench.Args{Scale: *scale, Seed: *seed, Details: *details, JSONPath: *jsonPath}
 	// Experiments render into a writer, not straight to stdout, so `-exp
 	// all` can fan whole experiments across the worker pool and still
 	// print them in the fixed order — byte-identical to the serial run.
-	run := func(name string, w io.Writer) error {
-		switch name {
-		case "table1":
-			fmt.Fprintln(w, "Table 1: potential exascale design vs 2010 HPC design")
-			fmt.Fprintln(w, machine.RenderTable1())
-		case "fig2":
-			return fig2(w)
-		case "fig4":
-			return fig4(w)
-		case "fig5":
-			return fig5(w)
-		case "fig6", "fig7", "fig8":
-			runner := map[string]func(int64, uint64) (*bench.Series, error){
-				"fig6": bench.Fig6, "fig7": bench.Fig7, "fig8": bench.Fig8,
-			}[name]
-			s, err := runner(*scale, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, bench.Render(s))
-			if *details {
-				fmt.Fprintln(w, bench.RenderDetails(s))
-			}
-			if *jsonPath != "" {
-				if err := s.SaveJSON(*jsonPath); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "saved %s\n", *jsonPath)
-			}
-		case "random":
-			t, err := bench.RandomVsInterleaved(*scale, *seed, 16)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, t.Render())
-		case "plan":
-			return describePlans(w, *scale, *seed)
-		case "trajectory":
-			t, err := bench.Trajectory(*scale, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, t.Render())
-		case "blame":
-			t, err := bench.TrajectoryBlame(*scale, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, t.Render())
-		case "trace":
-			out, err := bench.RoundTrace(*scale, *seed, 8)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, out)
-		case "comparison":
-			t, err := bench.StrategyComparison(*scale, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, t.Render())
-		case "scaling":
-			t, err := bench.ScalingSweep(*scale, *seed, 16)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, t.Render())
-		case "tune":
-			return tune(w, *scale, *seed)
-		case "motivation":
-			t, err := bench.Motivation(*scale, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, t.Render())
-		case "ablation":
-			for _, a := range []func(int64, uint64) (*bench.Table, error){
-				bench.AblationGrouping,
-				bench.AblationNah,
-				bench.AblationSigma,
-				bench.AblationOverlap,
-				bench.AblationAggsPerNode,
-			} {
-				t, err := a(*scale, *seed)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintln(w, t.Render())
-			}
-		case "faults":
-			t, err := bench.FaultSweep(*scale, *seed)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(w, t.Render())
-		default:
-			return unknownExpErr(name)
-		}
-		return nil
-	}
-
-	names := []string{*exp}
-	if *exp == "all" {
-		names = allExperiments
-	}
-	outs := make([]string, len(names))
-	errs := make([]error, len(names))
-	bench.ForEach(len(names), func(i int) error {
+	outs := make([]string, len(exps))
+	errs := make([]error, len(exps))
+	bench.ForEach(len(exps), func(i int) error {
 		var b strings.Builder
-		errs[i] = run(names[i], &b)
+		errs[i] = exps[i].Render(exps[i], &b, a)
 		outs[i] = b.String()
 		return errs[i]
 	})
-	for i := range names {
+	for i := range exps {
 		// Output computed before the first error still prints, as in the
 		// serial run; the first error (by experiment order) then exits.
 		os.Stdout.WriteString(outs[i])
@@ -804,151 +648,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// fig2 reproduces the paper's Figure 2 as a trace: six processes, two
-// aggregators, classic two-phase collective read.
-func fig2(w io.Writer) error {
-	fmt.Fprintln(w, "Figure 2: two-phase collective I/O (6 processes, 2 aggregator nodes)")
-	topo, err := mpi.BlockTopology(6, 3)
-	if err != nil {
-		return err
-	}
-	mc := machine.Testbed640()
-	mc.Nodes = topo.Nodes()
-	ctx := &collio.Context{
-		Topo:    topo,
-		Machine: mc,
-		Avail:   []int64{mc.MemPerNode, mc.MemPerNode},
-		FS:      pfs.DefaultConfig(4),
-		Params:  collio.DefaultParams(256),
-	}
-	var reqs []collio.RankRequest
-	for r := 0; r < 6; r++ {
-		reqs = append(reqs, collio.RankRequest{
-			Rank:    r,
-			Extents: []pfs.Extent{{Offset: int64(r) * 512, Length: 512}},
-		})
-	}
-	plan, err := twophase.New().Plan(ctx, reqs)
-	if err != nil {
-		return err
-	}
-	for i, d := range plan.Domains {
-		fmt.Fprintf(w, "  file domain %d: bytes %d..%d -> aggregator rank %d on node %d\n",
-			i, d.Extents[0].Offset, d.Extents[len(d.Extents)-1].End(), d.Aggregator, d.AggNode)
-	}
-	fmt.Fprintln(w, "  phase 1 (I/O): each aggregator reads its file domain in buffer-sized rounds")
-	fmt.Fprintln(w, "  phase 2 (communication): aggregators scatter the data to the requesting processes")
-	fmt.Fprintln(w)
-	return nil
-}
-
-// fig4 reproduces the paper's Figure 4: aggregation-group division across
-// nine processes on three compute nodes with a serial data distribution.
-func fig4(w io.Writer) error {
-	fmt.Fprintln(w, "Figure 4: aggregation group division (9 processes, 3 nodes, serial distribution)")
-	topo, err := mpi.BlockTopology(9, 3)
-	if err != nil {
-		return err
-	}
-	mc := machine.Testbed640()
-	mc.Nodes = topo.Nodes()
-	params := collio.DefaultParams(100)
-	params.MsgGroup = 800 // the tentative boundary lands mid-node and is extended
-	ctx := &collio.Context{
-		Topo:    topo,
-		Machine: mc,
-		Avail:   []int64{mc.MemPerNode, mc.MemPerNode, mc.MemPerNode},
-		FS:      pfs.DefaultConfig(4),
-		Params:  params,
-	}
-	var reqs []collio.RankRequest
-	for r := 0; r < 9; r++ {
-		reqs = append(reqs, collio.RankRequest{
-			Rank:    r,
-			Extents: []pfs.Extent{{Offset: int64(r) * 300, Length: 300}},
-		})
-	}
-	for _, g := range core.DivideGroups(ctx, reqs) {
-		ranks := make([]string, len(g.Ranks))
-		for i, r := range g.Ranks {
-			ranks[i] = fmt.Sprintf("P%d", r)
-		}
-		fmt.Fprintf(w, "  group %d: file [%d..%d) members %s (node boundary respected)\n",
-			g.Index, g.Region.Offset, g.Region.End(), strings.Join(ranks, " "))
-	}
-	fmt.Fprintln(w)
-	return nil
-}
-
-// fig5 demonstrates the two partition-tree remerge cases of Figures 5a/5b.
-func fig5(w io.Writer) error {
-	fmt.Fprintln(w, "Figure 5: file-domain remerge on the binary partition tree")
-	show := func(t *core.PartitionTree) {
-		for i, l := range t.Leaves() {
-			fmt.Fprintf(w, "    leaf %d: [%d..%d) %d bytes\n",
-				i, l.Extents[0].Offset, l.Extents[len(l.Extents)-1].End(), l.Bytes)
-		}
-	}
-	// Case 5a: sibling is a leaf.
-	t5a, err := core.BuildTree([]pfs.Extent{{Offset: 0, Length: 200}}, 100)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "  case 5a — before (sibling is a leaf):")
-	show(t5a)
-	if _, err := t5a.Remerge(t5a.Root.Left); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "  after removing the left leaf, its sibling takes over directly:")
-	show(t5a)
-
-	// Case 5b: sibling is an internal vertex; DFS finds the adjacent leaf.
-	t5b, err := core.BuildTree([]pfs.Extent{{Offset: 0, Length: 400}}, 100)
-	if err != nil {
-		return err
-	}
-	if _, err := t5b.Remerge(t5b.Root.Left.Left); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "  case 5b — before (left leaf's sibling subtree was further split):")
-	show(t5b)
-	if _, err := t5b.Remerge(t5b.Root.Left); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "  after removal, the DFS-adjacent leaf of the sibling subtree absorbs it:")
-	show(t5b)
-	fmt.Fprintln(w)
-	return nil
-}
-
-// tune runs the parameter auto-tuner (the paper's deferred "optimal
-// values" study) on the Figure 7 workload and prints the search table.
-func tune(w io.Writer, scale int64, seed uint64) error {
-	cfg := bench.Fig7Config(scale, seed)
-	cfg.MemMB = []int{16}
-	wl, name := bench.Fig7Workload(cfg)
-	res, err := bench.TuneWorkload(cfg, wl)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "parameter auto-tuning on %s\n", name)
-	fmt.Fprintln(w, res.Render(8))
-	return nil
-}
-
-// describePlans prints both strategies' placement decisions for the
-// Figure 7 workload at 8 MB — the "where did my aggregators go" view.
-func describePlans(w io.Writer, scale int64, seed uint64) error {
-	cfg := bench.Fig7Config(scale, seed)
-	cfg.MemMB = []int{8}
-	plans, topo, err := bench.PlansAt(cfg, 8)
-	if err != nil {
-		return err
-	}
-	for _, p := range plans {
-		fmt.Fprintln(w, p.Describe(topo))
-	}
-	return nil
 }

@@ -20,24 +20,6 @@ import (
 // testScale keeps CLI-level runs fast; shapes are scale-invariant.
 const testScale = 256
 
-func TestExperimentListSingleSource(t *testing.T) {
-	// The usage text and the unknown-experiment error must both be
-	// derived from allExperiments — every name appears in both.
-	usage := expUsage()
-	errMsg := unknownExpErr("bogus").Error()
-	for _, name := range allExperiments {
-		if !strings.Contains(usage, name) {
-			t.Errorf("usage text misses experiment %q: %s", name, usage)
-		}
-		if !strings.Contains(errMsg, name) {
-			t.Errorf("unknown-exp error misses experiment %q: %s", name, errMsg)
-		}
-	}
-	if !strings.HasSuffix(usage, ", all") || !strings.Contains(errMsg, ", all") {
-		t.Errorf("usage/error must offer 'all': %q / %q", usage, errMsg)
-	}
-}
-
 func TestRunBenchAndDiffCleanExit(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.json")

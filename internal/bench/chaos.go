@@ -99,6 +99,17 @@ func chaosMix(seed uint64, op int) uint64 {
 	return seed ^ (uint64(op)+1)*0x9e3779b97f4a7c15
 }
 
+// corruptionCampaign is the chaos view of the silent-corruption soak:
+// its summary, and whether any invariant failed or any corruption went
+// undetected.
+func corruptionCampaign(c ChaosConfig) (string, bool, error) {
+	rep, err := Chaos(c)
+	if err != nil {
+		return "", false, err
+	}
+	return rep.String(), len(rep.Violations) > 0 || rep.Undetected() > 0, nil
+}
+
 // Chaos runs a seeded randomized soak: every operation draws a fresh
 // workload, machine state and silent-corruption schedule, runs a real
 // write (collective, shrunk, or independent per the degradation ladder)

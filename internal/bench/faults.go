@@ -190,37 +190,23 @@ func FaultSweep(scale int64, seed uint64) (*Table, error) {
 // carries the recovery rounds/stall spans and the metrics snapshot the
 // faults.*, sim.recovery_* and pfs/mpi counters.
 func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float64) (*ObserveResult, error) {
-	if memMB <= 0 {
-		memMB = 16
-	}
 	if rate < 0 {
 		return nil, fmt.Errorf("bench: negative fault rate %g", rate)
 	}
-	cfg := Fig7Config(scale, seed)
-	cfg.MemMB = []int{memMB}
-	wl, name := Fig7Workload(cfg)
-	reqs, err := wl.Requests()
+	p, err := newPoint(fig7, Args{Scale: scale, Seed: seed, MemMB: memMB})
 	if err != nil {
 		return nil, err
 	}
-	rs := collio.NewRequestSet(reqs)
-	plat, err := cfg.platform()
-	if err != nil {
-		return nil, err
-	}
-	ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
-	if err != nil {
-		return nil, err
-	}
+	ctx, rs := p.ctx, p.rs
 	ctx.Obs = obs.New()
 	opt := sim.DefaultOptions()
 	opt.Trace = true
-	opt.Overlap = cfg.Overlap
-	opt.NahOpt = cfg.nahOrDefault()
+	opt.Overlap = p.cfg.Overlap
+	opt.NahOpt = p.cfg.nahOrDefault()
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "observe faults: %s, %s, %d MB per aggregator, fault rate %g\n",
-		name, op, memMB, rate)
+		p.name, op, p.memMB, rate)
 	for _, strategy := range []string{"two-phase", "memory-conscious"} {
 		// Clean reference for the horizon, without tracing noise.
 		refCtx := *ctx

@@ -51,13 +51,12 @@ func Fig6Workload(cfg Config) (Workload, string, error) {
 
 // Fig6 regenerates Figure 6: coll_perf write and read bandwidth vs
 // per-aggregator memory, two-phase vs memory-conscious, 120 processes.
-func Fig6(scale int64, seed uint64) (*Series, error) {
+func Fig6(scale int64, seed uint64) (*Series, error) { return sweep(fig6, scale, seed) }
+
+func fig6(scale int64, seed uint64) (Config, Workload, string, error) {
 	cfg := Fig6Config(scale, seed)
 	wl, name, err := Fig6Workload(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return RunSweep(cfg, wl, name)
+	return cfg, wl, name, err
 }
 
 // Fig7Config is the platform of Figure 7: IOR, 120 processes, 32 MB of
@@ -92,10 +91,12 @@ func Fig7Workload(cfg Config) (Workload, string) {
 
 // Fig7 regenerates Figure 7: IOR write and read bandwidth vs
 // per-aggregator memory at 120 cores.
-func Fig7(scale int64, seed uint64) (*Series, error) {
+func Fig7(scale int64, seed uint64) (*Series, error) { return sweep(fig7, scale, seed) }
+
+func fig7(scale int64, seed uint64) (Config, Workload, string, error) {
 	cfg := Fig7Config(scale, seed)
 	wl, name := Fig7Workload(cfg)
-	return RunSweep(cfg, wl, name)
+	return cfg, wl, name, nil
 }
 
 // Fig8Config is the platform of Figure 8: IOR at 1080 processes (90
@@ -129,10 +130,12 @@ func Fig8Workload(cfg Config) (Workload, string) {
 
 // Fig8 regenerates Figure 8: IOR write and read bandwidth vs
 // per-aggregator memory at 1080 cores.
-func Fig8(scale int64, seed uint64) (*Series, error) {
+func Fig8(scale int64, seed uint64) (*Series, error) { return sweep(fig8, scale, seed) }
+
+func fig8(scale int64, seed uint64) (Config, Workload, string, error) {
 	cfg := Fig8Config(scale, seed)
 	wl, name := Fig8Workload(cfg)
-	return RunSweep(cfg, wl, name)
+	return cfg, wl, name, nil
 }
 
 // FigExaConfig is the extrapolation experiment the paper argues toward
@@ -173,8 +176,20 @@ func FigExaWorkload(cfg Config) (Workload, string) {
 }
 
 // FigExa runs the exascale sweep.
-func FigExa(scale int64, seed uint64) (*Series, error) {
+func FigExa(scale int64, seed uint64) (*Series, error) { return sweep(figExa, scale, seed) }
+
+func figExa(scale int64, seed uint64) (Config, Workload, string, error) {
 	cfg := FigExaConfig(scale, seed)
 	wl, name := FigExaWorkload(cfg)
+	return cfg, wl, name, nil
+}
+
+// sweep runs a figure's full memory sweep from its (Config, Workload,
+// name) builder.
+func sweep(figure func(scale int64, seed uint64) (Config, Workload, string, error), scale int64, seed uint64) (*Series, error) {
+	cfg, wl, name, err := figure(scale, seed)
+	if err != nil {
+		return nil, err
+	}
 	return RunSweep(cfg, wl, name)
 }

@@ -19,17 +19,12 @@ import (
 	"mcio/internal/stats"
 )
 
-// ChaosCampaigns lists every `mcio chaos` campaign, in display order —
-// the single source of truth for the subcommand's usage text and its
-// unknown-campaign error, exactly as LedgerExperiments is for bench.
-var ChaosCampaigns = []string{"corruption", "gray"}
-
 // graySalt decorrelates the gray campaign's per-op seed stream from the
-// corruption soak's, so `chaos -gray -seed 1` and `chaos -seed 1` draw
+// corruption soak's, so `chaos gray -seed 1` and `chaos -seed 1` draw
 // independent workloads.
 const graySalt = 0x677261796661696c // "grayfail"
 
-// GrayConfig parameterizes a gray-failure campaign (mcio chaos -gray).
+// GrayConfig parameterizes a gray-failure campaign (mcio chaos gray).
 type GrayConfig struct {
 	// Seed makes the whole campaign — workloads, gray-fault schedules,
 	// corruption schedules, hedge picks — a pure function of one number.
@@ -150,6 +145,16 @@ func grayAdaptive() *collio.Adaptive {
 	ad.Detector = health.NewDetector(health.Config{Warmup: 2})
 	ad.HedgeMinSamples = 8
 	return ad
+}
+
+// grayCampaign is the chaos view of the gray-failure campaign, run with
+// the soak's seed, length, rate, repair switch and observer.
+func grayCampaign(c ChaosConfig) (string, bool, error) {
+	rep, err := Gray(GrayConfig{Seed: c.Seed, Ops: c.Ops, Rate: c.Rate, Repair: c.Repair, Obs: c.Obs})
+	if err != nil {
+		return "", false, err
+	}
+	return rep.String(), len(rep.Violations) > 0 || rep.Undetected() > 0, nil
 }
 
 // Gray runs a seeded gray-failure campaign. Every operation draws a

@@ -6,15 +6,10 @@ import (
 	"strconv"
 	"time"
 
-	"mcio/internal/cliutil"
 	"mcio/internal/collio"
 	"mcio/internal/obs"
 	"mcio/internal/obs/analyze"
 )
-
-// LedgerExperiments lists every experiment Ledger can run, in display
-// order — the single source of truth for the CLI's usage text.
-var LedgerExperiments = []string{"fig6", "fig7", "fig8", "fig-exa", "fig-exa-faults", "trajectory", "faults", "chaos", "chaos-gray"}
 
 // chaosLedgerOps is the campaign length of the chaos ledger run: long
 // enough that detection/repair/degradation counts are meaningful, short
@@ -26,119 +21,138 @@ const chaosLedgerOps = 50
 // it is shorter than the corruption soak for the same CI budget.
 const grayLedgerOps = 20
 
-// Ledger runs one experiment and returns its run ledger — the stable
+// Ledger runs one experiment of the ledger view (`mcio bench`, see
+// Names(ViewLedger)) and returns its run ledger — the stable
 // obs.RunRecord that `mcio bench -out` writes and `mcio diff` compares.
-// Supported experiments: fig6, fig7, fig8 (the bandwidth sweeps),
-// trajectory (Table 1 interpolation) and faults (the resilience sweep).
-// Every entry carries bandwidth, simulated wall time, round count and
-// the critical-path blame breakdown, so a ledger diff can say not just
-// "fig6 got slower" but "its paging share doubled".
+// Every priced entry carries bandwidth, simulated wall time, round count
+// and the critical-path blame breakdown, so a ledger diff can say not
+// just "fig6 got slower" but "its paging share doubled"; the chaos
+// campaigns record metrics-only entries.
 func Ledger(name string, scale int64, seed uint64) (*obs.RunRecord, error) {
+	e, err := Lookup(ViewLedger, name)
+	if err != nil {
+		return nil, err
+	}
+	return e.record(scale, seed)
+}
+
+// record runs the experiment's ledger view into a fresh run record.
+func (e *Experiment) record(scale int64, seed uint64) (*obs.RunRecord, error) {
 	rec := &obs.RunRecord{
-		Name: name,
+		Name: e.Name,
 		Params: map[string]string{
 			"scale": strconv.FormatInt(scale, 10),
 			"seed":  strconv.FormatUint(seed, 10),
 		},
 	}
-	switch name {
-	case "fig6", "fig7", "fig8", "fig-exa":
-		var (
-			series *Series
-			err    error
-		)
-		switch name {
-		case "fig6":
-			series, err = Fig6(scale, seed)
-		case "fig7":
-			series, err = Fig7(scale, seed)
-		case "fig8":
-			series, err = Fig8(scale, seed)
-		default:
-			series, err = FigExa(scale, seed)
-		}
-		if err != nil {
-			return nil, err
-		}
-		// Trend matches series across archived records by entry name, so
-		// experiments sharing one history directory need distinct names
-		// (the chaos/gray convention). fig-exa gets a prefix; fig6 keeps
-		// its legacy bare names, pinned by the committed baselines.
-		prefix := ""
-		if name == "fig-exa" {
-			prefix = "fig-exa/"
-		}
-		for _, p := range series.Points {
-			e := sweepEntry(p, series.Config.Overlap)
-			e.Name = prefix + e.Name
-			rec.Entries = append(rec.Entries, e)
-		}
-	case "trajectory":
-		points, err := trajectoryRun(scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, pt := range points {
-			for _, strategy := range []string{"two-phase", "memory-conscious"} {
-				res := pt.Results[strategy]
-				e := costEntry(fmt.Sprintf("t=%.2f/%s", pt.T, strategy), res, pt.Overlap)
-				e.Metrics["mem_per_core_bytes"] = float64(pt.MemPerCore)
-				rec.Entries = append(rec.Entries, e)
-			}
-		}
-	case "faults":
-		points, err := faultSweepRun(scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, pt := range points {
-			e := costEntry(fmt.Sprintf("rate=%g/%s", pt.Rate, pt.Strategy), &pt.Res.CostResult, pt.Overlap)
-			// Recovery the trace cannot see (detection stalls, reboot
-			// waits) tops up the blame; totals keep summing to wall time.
-			topUpRecovery(e.Blame, pt.Res.RecoverySeconds)
-			e.Metrics["failovers"] = float64(pt.Res.Failovers)
-			e.Metrics["stalls"] = float64(pt.Res.Stalls)
-			e.Metrics["replayed_rounds"] = float64(pt.Res.ReplayedRounds)
-			e.Metrics["recovery_seconds"] = pt.Res.RecoverySeconds
-			rec.Entries = append(rec.Entries, e)
-		}
-	case "fig-exa-faults":
-		points, err := figExaFaultsRun(scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		for _, pt := range points {
-			e := costEntry(fmt.Sprintf("fig-exa-faults/crash=%g,strag=%g,sev=%g/%s",
-				pt.Cell.Crash, pt.Cell.Frac, pt.Cell.Sev, pt.Strategy), &pt.Res.CostResult, pt.Overlap)
-			topUpRecovery(e.Blame, pt.Res.RecoverySeconds)
-			e.Metrics["failovers"] = float64(pt.Res.Failovers)
-			e.Metrics["stalls"] = float64(pt.Res.Stalls)
-			e.Metrics["replayed_rounds"] = float64(pt.Res.ReplayedRounds)
-			e.Metrics["recovery_seconds"] = pt.Res.RecoverySeconds
-			rec.Entries = append(rec.Entries, e)
-		}
-	case "chaos":
-		rep, err := Chaos(ChaosConfig{Seed: seed, Ops: chaosLedgerOps, Rate: 2, Repair: true})
-		if err != nil {
-			return nil, err
-		}
-		rec.Params["ops"] = strconv.Itoa(chaosLedgerOps)
-		rec.Params["rate"] = "2"
-		rec.Params["repair"] = "true"
-		rec.Entries = append(rec.Entries, chaosEntries(rep)...)
-	case "chaos-gray":
-		rep, err := Gray(GrayConfig{Seed: seed, Ops: grayLedgerOps, Rate: 2, Repair: true})
-		if err != nil {
-			return nil, err
-		}
-		rec.Params["ops"] = strconv.Itoa(grayLedgerOps)
-		rec.Params["rate"] = "2"
-		rec.Params["repair"] = "true"
-		rec.Entries = append(rec.Entries, grayEntries(rep)...)
-	default:
-		return nil, cliutil.UnknownChoice("experiment", name, LedgerExperiments)
+	if err := e.Ledger(e, rec, Args{Scale: scale, Seed: seed}); err != nil {
+		return nil, err
 	}
 	return rec, nil
+}
+
+// ledgerSweep records a figure sweep under bare entry names, pinned for
+// fig6-fig8 by the committed baselines.
+func ledgerSweep(e *Experiment, rec *obs.RunRecord, a Args) error {
+	return appendSweep(e, rec, a, "")
+}
+
+// ledgerNamedSweep records a figure sweep under "<name>/" entry names:
+// trend matches series across archived records by entry name, so
+// experiments sharing one history directory need distinct names.
+func ledgerNamedSweep(e *Experiment, rec *obs.RunRecord, a Args) error {
+	return appendSweep(e, rec, a, e.Name+"/")
+}
+
+func appendSweep(e *Experiment, rec *obs.RunRecord, a Args, prefix string) error {
+	series, err := sweep(e.Figure, a.Scale, a.Seed)
+	if err != nil {
+		return err
+	}
+	for _, p := range series.Points {
+		entry := sweepEntry(p, series.Config.Overlap)
+		entry.Name = prefix + entry.Name
+		rec.Entries = append(rec.Entries, entry)
+	}
+	return nil
+}
+
+func ledgerTrajectory(_ *Experiment, rec *obs.RunRecord, a Args) error {
+	points, err := trajectoryRun(a.Scale, a.Seed)
+	if err != nil {
+		return err
+	}
+	for _, pt := range points {
+		for _, strategy := range []string{"two-phase", "memory-conscious"} {
+			res := pt.Results[strategy]
+			e := costEntry(fmt.Sprintf("t=%.2f/%s", pt.T, strategy), res, pt.Overlap)
+			e.Metrics["mem_per_core_bytes"] = float64(pt.MemPerCore)
+			rec.Entries = append(rec.Entries, e)
+		}
+	}
+	return nil
+}
+
+func ledgerFaults(_ *Experiment, rec *obs.RunRecord, a Args) error {
+	points, err := faultSweepRun(a.Scale, a.Seed)
+	if err != nil {
+		return err
+	}
+	for _, pt := range points {
+		rec.Entries = append(rec.Entries, faultEntry(fmt.Sprintf("rate=%g/%s", pt.Rate, pt.Strategy), pt.Res, pt.Overlap))
+	}
+	return nil
+}
+
+func ledgerExaFaults(e *Experiment, rec *obs.RunRecord, a Args) error {
+	points, err := figExaFaultsRun(a.Scale, a.Seed)
+	if err != nil {
+		return err
+	}
+	for _, pt := range points {
+		rec.Entries = append(rec.Entries, faultEntry(fmt.Sprintf("%s/crash=%g,strag=%g,sev=%g/%s",
+			e.Name, pt.Cell.Crash, pt.Cell.Frac, pt.Cell.Sev, pt.Strategy), pt.Res, pt.Overlap))
+	}
+	return nil
+}
+
+// faultEntry is costEntry for a faulted run, plus its recovery counters.
+func faultEntry(name string, res *collio.FaultResult, overlap bool) obs.RunEntry {
+	e := costEntry(name, &res.CostResult, overlap)
+	// Recovery the trace cannot see (detection stalls, reboot waits)
+	// tops up the blame; totals keep summing to wall time.
+	topUpRecovery(e.Blame, res.RecoverySeconds)
+	e.Metrics["failovers"] = float64(res.Failovers)
+	e.Metrics["stalls"] = float64(res.Stalls)
+	e.Metrics["replayed_rounds"] = float64(res.ReplayedRounds)
+	e.Metrics["recovery_seconds"] = res.RecoverySeconds
+	return e
+}
+
+func ledgerChaos(_ *Experiment, rec *obs.RunRecord, a Args) error {
+	rep, err := Chaos(ChaosConfig{Seed: a.Seed, Ops: chaosLedgerOps, Rate: 2, Repair: true})
+	if err != nil {
+		return err
+	}
+	setCampaignParams(rec, chaosLedgerOps)
+	rec.Entries = append(rec.Entries, chaosEntries(rep)...)
+	return nil
+}
+
+func ledgerGray(_ *Experiment, rec *obs.RunRecord, a Args) error {
+	rep, err := Gray(GrayConfig{Seed: a.Seed, Ops: grayLedgerOps, Rate: 2, Repair: true})
+	if err != nil {
+		return err
+	}
+	setCampaignParams(rec, grayLedgerOps)
+	rec.Entries = append(rec.Entries, grayEntries(rep)...)
+	return nil
+}
+
+func setCampaignParams(rec *obs.RunRecord, ops int) {
+	rec.Params["ops"] = strconv.Itoa(ops)
+	rec.Params["rate"] = "2"
+	rec.Params["repair"] = "true"
 }
 
 // StampedLedger is Ledger plus provenance: it times the run on the
@@ -148,10 +162,14 @@ func Ledger(name string, scale int64, seed uint64) (*obs.RunRecord, error) {
 // of (name, scale, seed) — the parallel byte-identity tests rely on
 // that — so everything nondeterministic lives here.
 func StampedLedger(name string, scale int64, seed uint64) (*obs.RunRecord, error) {
+	e, err := Lookup(ViewLedger, name)
+	if err != nil {
+		return nil, err
+	}
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	rec, err := Ledger(name, scale, seed)
+	rec, err := e.record(scale, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -165,13 +183,13 @@ func StampedLedger(name string, scale int64, seed uint64) (*obs.RunRecord, error
 		PeakHeapBytes:   after.HeapSys,
 	}
 	// fig-exa exists to prove pricing at scale is affordable, so its
-	// ledger also carries the host-side cost of producing it as a
+	// ledger (like every HostCost record's) also carries the host-side cost of producing it as a
 	// metrics-only entry: the trend gate checks those series over
 	// history, turning a slowdown (against like hosts) or an allocation
 	// regression into a flagged series.
 	// (Metrics do not feed the step-regression diff, so cross-machine
 	// wall-clock noise cannot fail the baseline gate.)
-	if name == "fig-exa" || name == "fig-exa-faults" {
+	if e.HostCost {
 		rec.Entries = append(rec.Entries, obs.RunEntry{
 			Name: name + "/harness",
 			Metrics: map[string]float64{

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"mcio/internal/cliutil"
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/obs"
@@ -13,11 +12,6 @@ import (
 	"mcio/internal/sim"
 	"mcio/internal/twophase"
 )
-
-// ObserveFigures lists the figure workloads Observe can instrument, in
-// display order — the single source of truth for the `mcio observe`
-// usage text and the unknown-figure error.
-var ObserveFigures = []string{"fig6", "fig7", "fig8"}
 
 // ObserveResult is one instrumented run of a figure workload: both
 // strategies planned and priced with a shared Observer collecting metrics
@@ -39,49 +33,64 @@ type ObserveResult struct {
 // point where the baseline pages and the memory-conscious strategy
 // adapts — the contrast the trace is for.
 func Observe(figure string, scale int64, seed uint64, memMB int, op collio.Op) (*ObserveResult, error) {
-	if memMB <= 0 {
-		memMB = 16
-	}
-	var (
-		cfg  Config
-		wl   Workload
-		name string
-		err  error
-	)
-	switch figure {
-	case "fig6":
-		cfg = Fig6Config(scale, seed)
-		wl, name, err = Fig6Workload(cfg)
-		if err != nil {
-			return nil, err
-		}
-	case "fig7":
-		cfg = Fig7Config(scale, seed)
-		wl, name = Fig7Workload(cfg)
-	case "fig8":
-		cfg = Fig8Config(scale, seed)
-		wl, name = Fig8Workload(cfg)
-	default:
-		return nil, cliutil.UnknownChoice("figure", figure, ObserveFigures)
-	}
-	cfg.MemMB = []int{memMB}
-	reqs, err := wl.Requests()
+	e, err := Lookup(ViewObserve, figure)
 	if err != nil {
 		return nil, err
 	}
-	rs := collio.NewRequestSet(reqs)
-	plat, err := cfg.platform()
+	return e.Observe(e, Args{Scale: scale, Seed: seed, MemMB: memMB, Op: op})
+}
+
+// figurePoint is one memory point of a figure record: the workload's
+// request set and a fresh context at memMB per aggregator.
+type figurePoint struct {
+	cfg   Config
+	wl    Workload
+	name  string
+	memMB int
+	rs    *collio.RequestSet
+	ctx   *collio.Context
+}
+
+// newPoint builds a figure's point at a.MemMB (<= 0 picks 16 MB, where
+// the baseline pages and the memory-conscious strategy adapts).
+func newPoint(figure func(scale int64, seed uint64) (Config, Workload, string, error), a Args) (*figurePoint, error) {
+	p := &figurePoint{memMB: a.MemMB}
+	if p.memMB <= 0 {
+		p.memMB = 16
+	}
+	var err error
+	p.cfg, p.wl, p.name, err = figure(a.Scale, a.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
+	p.cfg.MemMB = []int{p.memMB}
+	reqs, err := p.wl.Requests()
 	if err != nil {
 		return nil, err
 	}
+	p.rs = collio.NewRequestSet(reqs)
+	plat, err := p.cfg.platform()
+	if err != nil {
+		return nil, err
+	}
+	p.ctx, err = p.cfg.context(plat, p.cfg.scaled(int64(p.memMB)*MB), p.wl.TotalBytes())
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// observeFigure is the observe view of a figure record.
+func observeFigure(e *Experiment, a Args) (*ObserveResult, error) {
+	p, err := newPoint(e.Figure, a)
+	if err != nil {
+		return nil, err
+	}
+	ctx, rs, wl := p.ctx, p.rs, p.wl
 	ctx.Obs = obs.New()
 	opt := sim.DefaultOptions()
 	opt.Trace = true
-	opt.Overlap = cfg.Overlap
+	opt.Overlap = p.cfg.Overlap
 
 	strategies := []collio.Strategy{twophase.New(), core.New()}
 	// The tracer assigns process ids in registration order; registering
@@ -102,7 +111,7 @@ func Observe(figure string, scale int64, seed uint64, memMB int, op collio.Op) (
 		if err := plan.ValidateSet(rs); err != nil {
 			return err
 		}
-		res, err := collio.CostSet(ctx, plan, rs, op, opt)
+		res, err := collio.CostSet(ctx, plan, rs, a.Op, opt)
 		if err != nil {
 			return err
 		}
@@ -121,7 +130,7 @@ func Observe(figure string, scale int64, seed uint64, memMB int, op collio.Op) (
 		return nil, err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "observe %s: %s, %s, %d MB per aggregator\n", figure, name, op, memMB)
+	fmt.Fprintf(&b, "observe %s: %s, %s, %d MB per aggregator\n", e.Name, p.name, a.Op, p.memMB)
 	for _, s := range summaries {
 		b.WriteString(s)
 	}

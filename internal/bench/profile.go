@@ -4,17 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"mcio/internal/cliutil"
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/obs/timeline"
 	"mcio/internal/sim"
 )
-
-// ProfileExperiments lists every `mcio profile` experiment, in display
-// order — the single source of truth for the subcommand's usage text
-// and its unknown-experiment error.
-var ProfileExperiments = []string{"fig6", "fig7", "fig8", "gray"}
 
 // ProfileResult is one time-resolved profiling run: the recorder
 // holding every utilization series and journal event, the saturation
@@ -38,19 +32,14 @@ type ProfileResult struct {
 // arguments always produce a byte-identical recorder, so reports
 // built from it diff clean across reruns.
 func Profile(name string, scale int64, seed uint64, memMB int, op collio.Op, tick float64) (*ProfileResult, error) {
+	e, err := Lookup(ViewProfile, name)
+	if err != nil {
+		return nil, err
+	}
 	rec := timeline.NewRecorder(tick, 0)
 	var summary strings.Builder
-	switch name {
-	case "fig6", "fig7", "fig8":
-		if err := profileFigure(rec, name, scale, seed, memMB, op, &summary); err != nil {
-			return nil, err
-		}
-	case "gray":
-		if err := profileGray(rec, &summary); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, cliutil.UnknownChoice("experiment", name, ProfileExperiments)
+	if err := e.Profile(e, rec, Args{Scale: scale, Seed: seed, MemMB: memMB, Op: op}, &summary); err != nil {
+		return nil, err
 	}
 	sat := timeline.Analyze(rec, timeline.SatOptions{})
 	summary.WriteString(sat.Render())
@@ -72,62 +61,28 @@ func Profile(name string, scale int64, seed uint64, memMB int, op collio.Op, tic
 // workload with the recorder attached. Only one strategy runs: a
 // timeline is a per-run artifact, and the memory-conscious run is the
 // one whose saturation behavior the paper's placement reasons about.
-func profileFigure(rec *timeline.Recorder, figure string, scale int64, seed uint64,
-	memMB int, op collio.Op, summary *strings.Builder) error {
-	if memMB <= 0 {
-		memMB = 16
-	}
-	var (
-		cfg  Config
-		wl   Workload
-		name string
-		err  error
-	)
-	switch figure {
-	case "fig6":
-		cfg = Fig6Config(scale, seed)
-		wl, name, err = Fig6Workload(cfg)
-		if err != nil {
-			return err
-		}
-	case "fig7":
-		cfg = Fig7Config(scale, seed)
-		wl, name = Fig7Workload(cfg)
-	default:
-		cfg = Fig8Config(scale, seed)
-		wl, name = Fig8Workload(cfg)
-	}
-	cfg.MemMB = []int{memMB}
-	reqs, err := wl.Requests()
+func profileFigure(e *Experiment, rec *timeline.Recorder, a Args, summary *strings.Builder) error {
+	p, err := newPoint(e.Figure, a)
 	if err != nil {
 		return err
 	}
-	rs := collio.NewRequestSet(reqs)
-	plat, err := cfg.platform()
-	if err != nil {
-		return err
-	}
-	ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
-	if err != nil {
-		return err
-	}
-	ctx.Timeline = rec
+	p.ctx.Timeline = rec
 	opt := sim.DefaultOptions()
-	opt.Overlap = cfg.Overlap
+	opt.Overlap = p.cfg.Overlap
 
 	s := core.New()
-	plan, err := s.PlanSet(ctx, rs)
+	plan, err := s.PlanSet(p.ctx, p.rs)
 	if err != nil {
 		return err
 	}
-	res, err := collio.CostSet(ctx, plan, rs, op, opt)
+	res, err := collio.CostSet(p.ctx, plan, p.rs, a.Op, opt)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(summary, "profile %s: %s, %s, %d MB per aggregator\n", figure, name, op, memMB)
+	fmt.Fprintf(summary, "profile %s: %s, %s, %d MB per aggregator\n", e.Name, p.name, a.Op, p.memMB)
 	fmt.Fprintf(summary, "%s: %d domains, %.4fs simulated (%.1f MB/s)\n",
 		s.Name(), len(plan.Domains), res.Seconds,
-		float64(wl.TotalBytes())/res.Seconds/1e6)
+		float64(p.wl.TotalBytes())/res.Seconds/1e6)
 	return nil
 }
 
@@ -135,7 +90,7 @@ func profileFigure(rec *timeline.Recorder, figure string, scale int64, seed uint
 // the adaptive run. Duel violations surface in the summary rather than
 // as errors — a profile of a failing duel is more useful than no
 // profile.
-func profileGray(rec *timeline.Recorder, summary *strings.Builder) error {
+func profileGray(_ *Experiment, rec *timeline.Recorder, _ Args, summary *strings.Builder) error {
 	rep := &GrayReport{}
 	fail := func(op int, format string, args ...any) {
 		rep.Violations = append(rep.Violations, fmt.Sprintf(format, args...))

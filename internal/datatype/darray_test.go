@@ -69,7 +69,7 @@ func TestDarrayCyclic1D(t *testing.T) {
 		Distribs: []Distribution{DistCyclic},
 		PSizes:   []int{3}, ElemBytes: 2,
 	}
-	want := []Block{{2, 2}, {8, 2}, {14, 2}}
+	want := []Block{{Offset: 2, Length: 2}, {Offset: 8, Length: 2}, {Offset: 14, Length: 2}}
 	if got := d.Flatten(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("cyclic flatten = %v, want %v", got, want)
 	}
@@ -86,7 +86,7 @@ func TestDarrayDistNone(t *testing.T) {
 		Distribs: []Distribution{DistNone, DistBlock},
 		PSizes:   []int{1, 2}, ElemBytes: 1,
 	}
-	want := []Block{{4, 4}, {12, 4}, {20, 4}}
+	want := []Block{{Offset: 4, Length: 4}, {Offset: 12, Length: 4}, {Offset: 20, Length: 4}}
 	if got := d.Flatten(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("flatten = %v, want %v", got, want)
 	}
@@ -181,7 +181,7 @@ func TestRepeated(t *testing.T) {
 	if rep.Size() != 12 || rep.Extent() != 18 {
 		t.Fatalf("size/extent = %d/%d", rep.Size(), rep.Extent())
 	}
-	want := []Block{{0, 2}, {4, 4}, {10, 4}, {16, 2}}
+	want := []Block{{Offset: 0, Length: 2}, {Offset: 4, Length: 4}, {Offset: 10, Length: 4}, {Offset: 16, Length: 2}}
 	// Tile 1: 0..2,4..6; tile 2 at 6: 6..8,10..12; tile 3 at 12: 12..14,16..18.
 	// 4..6 and 6..8 coalesce; 10..12 and 12..14 coalesce.
 	if got := rep.Flatten(); !reflect.DeepEqual(got, want) {

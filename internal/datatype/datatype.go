@@ -19,11 +19,9 @@ import (
 )
 
 // Block is a contiguous run within a datatype, relative to the type's
-// origin.
-type Block struct {
-	Offset int64
-	Length int64
-}
+// origin. It is a file extent, so a flattened type is a request list as
+// it stands.
+type Block = pfs.Extent
 
 // Type is a data layout: a (possibly holey) pattern of bytes.
 type Type interface {
@@ -222,7 +220,8 @@ func (s Subarray) Flatten() []Block {
 			idx[d] = 0
 		}
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Offset < blocks[j].Offset })
+	// The walk is row-major and Validate keeps every index inside its
+	// dimension, so the offsets already ascend strictly: no sort needed.
 	return coalesce(blocks)
 }
 

@@ -2,6 +2,7 @@ package datatype
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +15,7 @@ func TestContiguous(t *testing.T) {
 	if c.Size() != 10 || c.Extent() != 10 {
 		t.Fatal("size/extent")
 	}
-	if got := c.Flatten(); !reflect.DeepEqual(got, []Block{{0, 10}}) {
+	if got := c.Flatten(); !reflect.DeepEqual(got, []Block{{Offset: 0, Length: 10}}) {
 		t.Fatalf("flatten = %v", got)
 	}
 	if (Contiguous{}).Flatten() != nil {
@@ -30,7 +31,7 @@ func TestVector(t *testing.T) {
 	if v.Extent() != 24 { // 2*10 + 4
 		t.Fatalf("extent = %d", v.Extent())
 	}
-	want := []Block{{0, 4}, {10, 4}, {20, 4}}
+	want := []Block{{Offset: 0, Length: 4}, {Offset: 10, Length: 4}, {Offset: 20, Length: 4}}
 	if got := v.Flatten(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("flatten = %v", got)
 	}
@@ -39,7 +40,7 @@ func TestVector(t *testing.T) {
 func TestVectorDegenerate(t *testing.T) {
 	// Stride == BlockLen means no holes: one block.
 	v := Vector{Count: 5, BlockLen: 8, Stride: 8}
-	if got := v.Flatten(); !reflect.DeepEqual(got, []Block{{0, 40}}) {
+	if got := v.Flatten(); !reflect.DeepEqual(got, []Block{{Offset: 0, Length: 40}}) {
 		t.Fatalf("flatten = %v", got)
 	}
 	if (Vector{Count: 0, BlockLen: 4, Stride: 8}).Flatten() != nil {
@@ -51,12 +52,12 @@ func TestVectorDegenerate(t *testing.T) {
 }
 
 func TestIndexed(t *testing.T) {
-	x := Indexed{Blocks: []Block{{20, 5}, {0, 10}, {10, 10}}}
+	x := Indexed{Blocks: []Block{{Offset: 20, Length: 5}, {Offset: 0, Length: 10}, {Offset: 10, Length: 10}}}
 	if x.Size() != 25 || x.Extent() != 25 {
 		t.Fatalf("size/extent = %d/%d", x.Size(), x.Extent())
 	}
 	// 0..10 and 10..20 coalesce; 20..25 is adjacent too: all one block.
-	if got := x.Flatten(); !reflect.DeepEqual(got, []Block{{0, 25}}) {
+	if got := x.Flatten(); !reflect.DeepEqual(got, []Block{{Offset: 0, Length: 25}}) {
 		t.Fatalf("flatten = %v", got)
 	}
 }
@@ -67,12 +68,12 @@ func TestIndexedRejectsOverlap(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Indexed{Blocks: []Block{{0, 10}, {5, 10}}}.Flatten()
+	Indexed{Blocks: []Block{{Offset: 0, Length: 10}, {Offset: 5, Length: 10}}}.Flatten()
 }
 
 func TestIndexedDropsEmpty(t *testing.T) {
-	x := Indexed{Blocks: []Block{{5, 0}, {0, 3}}}
-	if got := x.Flatten(); !reflect.DeepEqual(got, []Block{{0, 3}}) {
+	x := Indexed{Blocks: []Block{{Offset: 5, Length: 0}, {Offset: 0, Length: 3}}}
+	if got := x.Flatten(); !reflect.DeepEqual(got, []Block{{Offset: 0, Length: 3}}) {
 		t.Fatalf("flatten = %v", got)
 	}
 }
@@ -88,7 +89,7 @@ func TestSubarray2D(t *testing.T) {
 	if s.Size() != 6 || s.Extent() != 24 {
 		t.Fatalf("size/extent = %d/%d", s.Size(), s.Extent())
 	}
-	want := []Block{{8, 3}, {14, 3}} // rows 1 and 2, cols 2..5
+	want := []Block{{Offset: 8, Length: 3}, {Offset: 14, Length: 3}} // rows 1 and 2, cols 2..5
 	if got := s.Flatten(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("flatten = %v, want %v", got, want)
 	}
@@ -104,7 +105,7 @@ func TestSubarray3D(t *testing.T) {
 	}
 	// plane stride = 2*4*2 = 16, row stride = 4*2 = 8.
 	// runs at plane 0 row 1 col 1 → 8+2=10, and plane 1 → 26. Each 4 bytes.
-	want := []Block{{10, 4}, {26, 4}}
+	want := []Block{{Offset: 10, Length: 4}, {Offset: 26, Length: 4}}
 	if got := s.Flatten(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("flatten = %v, want %v", got, want)
 	}
@@ -117,7 +118,7 @@ func TestSubarrayFullArrayIsContiguous(t *testing.T) {
 		Starts:    []int64{0, 0},
 		ElemBytes: 4,
 	}
-	if got := s.Flatten(); !reflect.DeepEqual(got, []Block{{0, 48}}) {
+	if got := s.Flatten(); !reflect.DeepEqual(got, []Block{{Offset: 0, Length: 48}}) {
 		t.Fatalf("full subarray should coalesce to one block: %v", got)
 	}
 }
@@ -156,7 +157,7 @@ func TestViewZeroLength(t *testing.T) {
 func TestViewVectorTiling(t *testing.T) {
 	// Filetype: 4 data bytes then 4-byte hole (vector count=1 blocklen=4
 	// stride=8 has extent 4 — use Indexed to get an explicit hole).
-	ft := Indexed{Blocks: []Block{{0, 4}}}
+	ft := Indexed{Blocks: []Block{{Offset: 0, Length: 4}}}
 	_ = ft
 	// Instead use a Vector with two blocks so extent includes the hole.
 	v := View{Disp: 100, Filetype: Vector{Count: 2, BlockLen: 4, Stride: 8}}
@@ -273,6 +274,61 @@ func TestSubarrayFlattenProperties(t *testing.T) {
 		}
 		return total == s.Size()
 	}, &quick.Config{MaxCount: 300, Rand: quickRand(r)})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flattenSorted is Subarray.Flatten as it was before the walk's order
+// was relied on: the same row-major run walk, then a sort by offset,
+// then coalescing. It is the reference the sort-free Flatten must match.
+func flattenSorted(s Subarray) []Block {
+	ndim := len(s.Sizes)
+	stride := make([]int64, ndim)
+	stride[ndim-1] = s.ElemBytes
+	for d := ndim - 2; d >= 0; d-- {
+		stride[d] = stride[d+1] * s.Sizes[d+1]
+	}
+	nRuns := int64(1)
+	for d := 0; d < ndim-1; d++ {
+		nRuns *= s.Subsizes[d]
+	}
+	var blocks []Block
+	idx := make([]int64, ndim-1)
+	for r := int64(0); r < nRuns; r++ {
+		off := s.Starts[ndim-1] * stride[ndim-1]
+		for d := 0; d < ndim-1; d++ {
+			off += (s.Starts[d] + idx[d]) * stride[d]
+		}
+		blocks = append(blocks, Block{Offset: off, Length: s.Subsizes[ndim-1] * s.ElemBytes})
+		for d := ndim - 2; d >= 0; d-- {
+			if idx[d]++; idx[d] < s.Subsizes[d] {
+				break
+			}
+			idx[d] = 0
+		}
+	}
+	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Offset < blocks[j].Offset })
+	return coalesce(blocks)
+}
+
+// Property: on random valid subarrays of up to four dimensions, the
+// sort-free Flatten equals the sort-then-coalesce reference.
+func TestSubarrayFlattenMatchesSortedReference(t *testing.T) {
+	r := stats.NewRNG(61)
+	err := quick.Check(func(seed uint64) bool {
+		rr := stats.NewRNG(seed)
+		ndim := rr.Intn(4) + 1
+		s := Subarray{ElemBytes: rr.Int63n(8) + 1}
+		for d := 0; d < ndim; d++ {
+			size := rr.Int63n(7) + 1
+			sub := rr.Int63n(size) + 1
+			s.Sizes = append(s.Sizes, size)
+			s.Subsizes = append(s.Subsizes, sub)
+			s.Starts = append(s.Starts, rr.Int63n(size-sub+1))
+		}
+		return reflect.DeepEqual(s.Flatten(), flattenSorted(s))
+	}, &quick.Config{MaxCount: 500, Rand: quickRand(r)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,11 +62,11 @@ func TestReportSelfContainedHTML(t *testing.T) {
 	}
 	for _, must := range []string{
 		"<!DOCTYPE html>", "<svg", "polyline", "DRIFT",
-		"mc/write/mem=16",                  // the drifting entry is named
-		"chaos/detection", "repair_bytes",  // chaos records flow through
-		"abc123def456", "go1.22",           // provenance surfaces
-		"prefers-color-scheme: dark",       // dark mode is selected, not flipped
-		"<title>",                          // native tooltips, no JS
+		"mc/write/mem=16",                 // the drifting entry is named
+		"chaos/detection", "repair_bytes", // chaos records flow through
+		"abc123def456", "go1.22", // provenance surfaces
+		"prefers-color-scheme: dark", // dark mode is selected, not flipped
+		"<title>",                    // native tooltips, no JS
 	} {
 		if !strings.Contains(out, must) {
 			t.Errorf("report missing %q", must)

@@ -81,12 +81,7 @@ func (c CollPerf) Requests() ([]collio.RankRequest, error) {
 					},
 					ElemBytes: c.ElemBytes,
 				}
-				blocks := sub.Flatten()
-				exts := make([]pfs.Extent, len(blocks))
-				for b, blk := range blocks {
-					exts[b] = pfs.Extent{Offset: blk.Offset, Length: blk.Length}
-				}
-				reqs = append(reqs, collio.RankRequest{Rank: rank, Extents: exts})
+				reqs = append(reqs, collio.RankRequest{Rank: rank, Extents: sub.Flatten()})
 				rank++
 			}
 		}
