@@ -70,6 +70,42 @@ func TestExpAllGolden(t *testing.T) {
 	}
 }
 
+// TestChaosGolden pins the corruption soak and the gray campaign byte
+// for byte, with repair on and off: every count in their summaries is a
+// pure function of the seed.
+func TestChaosGolden(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"chaos.golden", []string{"chaos", "-seed", "1", "-ops", "50"}},
+		{"chaos_norepair.golden", []string{"chaos", "-seed", "1", "-ops", "50", "-repair=false"}},
+		{"gray.golden", []string{"chaos", "gray", "-seed", "1", "-ops", "10"}},
+		{"gray_norepair.golden", []string{"chaos", "gray", "-seed", "1", "-ops", "10", "-repair=false"}},
+	}
+	for _, c := range cases {
+		out, stderr, code := runMain(t, c.args...)
+		if code != 0 {
+			t.Errorf("mcio %s: exit %d: %s", strings.Join(c.args, " "), code, stderr)
+			continue
+		}
+		golden := filepath.Join("testdata", c.golden)
+		if *update {
+			if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("mcio %s: output differs from %s (rerun with -update after an intended change):\n%s",
+				strings.Join(c.args, " "), golden, out)
+		}
+	}
+}
+
 // TestFrontEndChoices pins every front end's list of choices: the usage
 // banner and the unknown-name error line, with the exit code.
 func TestFrontEndChoices(t *testing.T) {
@@ -87,6 +123,8 @@ func TestFrontEndChoices(t *testing.T) {
 		code   int
 	}{
 		{[]string{"-exp", "x"}, `mcio: unknown experiment "x" (valid: ` + exp + ")\n", 1},
+		{[]string{"-exp", "all", "-json", "out.json"}, `mcio: -json needs -exp to name one figure (` + figures + `), not "all"` + "\n", 2},
+		{[]string{"-exp", "table1", "-json", "out.json"}, `mcio: -json needs -exp to name one figure (` + figures + `), not "table1"` + "\n", 2},
 		{[]string{"bench", "-h"}, "usage: mcio bench [" + bar(ledger) + "] [flags]", 1},
 		{[]string{"bench", "x"}, `mcio bench: unknown experiment "x" (valid: ` + ledger + ")\n", 1},
 		{[]string{"observe", "-h"}, "usage: mcio observe [" + bar(figures) + "] [flags]", 0},

@@ -627,6 +627,17 @@ func main() {
 		}
 		exps = []*bench.Experiment{e}
 	}
+	// -json names one file, so it takes exactly one figure's series.
+	if *jsonPath != "" && (len(exps) != 1 || exps[0].Figure == nil) {
+		var figures []string
+		for _, e := range bench.In(bench.ViewRender) {
+			if e.Figure != nil {
+				figures = append(figures, e.Name)
+			}
+		}
+		fmt.Fprintf(os.Stderr, "mcio: -json needs -exp to name one figure (%s), not %q\n", strings.Join(figures, ", "), *exp)
+		os.Exit(2)
+	}
 	a := bench.Args{Scale: *scale, Seed: *seed, Details: *details, JSONPath: *jsonPath}
 	// Experiments render into a writer, not straight to stdout, so `-exp
 	// all` can fan whole experiments across the worker pool and still

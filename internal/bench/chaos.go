@@ -17,26 +17,59 @@ import (
 	"mcio/internal/stats"
 )
 
-// ChaosConfig parameterizes a chaos-soak campaign (mcio chaos).
+// ChaosConfig parameterizes a chaos campaign: the corruption soak
+// (mcio chaos) or the gray-failure campaign (mcio chaos gray).
 type ChaosConfig struct {
-	// Seed makes the whole campaign — workloads, machine states,
-	// corruption schedules, bit positions — a pure function of one number.
+	// Seed makes the whole campaign — workloads, machine states, fault
+	// and corruption schedules, bit positions, hedge picks — a pure
+	// function of one number.
 	Seed uint64
-	// Ops is how many randomized collective operations the soak runs.
+	// Ops is how many randomized operations the campaign runs; 0 picks
+	// the campaign's default.
 	Ops int
 	// Rate scales the silent-corruption event rates (1 ≈ a couple of
-	// events per entity per operation); 0 disables corruption entirely.
+	// events per entity per operation) and, in the gray campaign, the
+	// gray-fault rates; 0 disables injection.
 	Rate float64
 	// Repair enables the detect→re-request→rewrite path. With it off the
 	// campaign instead proves that every injected corruption is detected.
+	// Hedged duplicates ride the re-request protocol, so the gray
+	// campaign's real-byte hedging only engages with repair on.
 	Repair bool
 	// Obs, when non-nil, receives the campaign counters (chaos.*,
-	// integrity.*) and the planners' metrics.
+	// health.*, integrity.*) and the planners' metrics.
 	Obs *obs.Observer
 	// Timeline, when non-nil, receives a sequence-ordered journal entry
 	// per op that detected corruption (the integrity layer is
-	// concurrent, so per-incident simulated timestamps do not exist).
+	// concurrent, so per-incident simulated timestamps do not exist);
+	// the gray campaign also records its pinned duel's adaptive run.
 	Timeline *timeline.Recorder
+}
+
+// corruptionTally counts a campaign's silent corruptions: what was
+// injected into its real-byte operations and what the integrity layer
+// did about it.
+type corruptionTally struct {
+	InjectedFlips int
+	InjectedTorn  int
+	Detected      int64
+	Repaired      int64
+	Unrepaired    int64
+}
+
+// Injected returns the total corruptions actually injected.
+func (t *corruptionTally) Injected() int { return t.InjectedFlips + t.InjectedTorn }
+
+// Undetected returns injected corruptions the integrity layer never
+// flagged — the number the campaigns exist to hold at zero.
+func (t *corruptionTally) Undetected() int {
+	return max(t.Injected()-int(t.Detected), 0)
+}
+
+// summary renders the tally as one report line.
+func (t *corruptionTally) summary() string {
+	return fmt.Sprintf("corruptions: %d injected (%d bit flips, %d torn writes), %d detected, %d repaired, %d unrepaired, %d undetected\n",
+		t.Injected(), t.InjectedFlips, t.InjectedTorn, t.Detected, t.Repaired, t.Unrepaired, t.Undetected())
 }
 
 // ChaosReport is the outcome of a campaign: what was injected, what the
@@ -48,28 +81,11 @@ type ChaosReport struct {
 	CollectiveOps  int // ops that ran the full aggregation path
 	ShrunkOps      int // ops placed only after shrinking the appetite
 	IndependentOps int // ops that fell back to independent I/O
-	InjectedFlips  int
-	InjectedTorn   int
-	Detected       int64
-	Repaired       int64
-	Unrepaired     int64
+	corruptionTally
 	RewrittenBytes int64
 	SumsStamped    int64
 	SumsVerified   int64
 	Violations     []string
-}
-
-// Injected returns the total corruptions actually injected.
-func (r *ChaosReport) Injected() int { return r.InjectedFlips + r.InjectedTorn }
-
-// Undetected returns injected corruptions the integrity layer never
-// flagged — the number the whole tentpole exists to hold at zero.
-func (r *ChaosReport) Undetected() int {
-	u := r.Injected() - int(r.Detected)
-	if u < 0 {
-		u = 0
-	}
-	return u
 }
 
 // String renders the campaign summary.
@@ -77,19 +93,23 @@ func (r *ChaosReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos: %d ops (%d collective, %d shrunk, %d independent)\n",
 		r.Ops, r.CollectiveOps, r.ShrunkOps, r.IndependentOps)
-	fmt.Fprintf(&b, "corruptions: %d injected (%d bit flips, %d torn writes), %d detected, %d repaired, %d unrepaired, %d undetected\n",
-		r.Injected(), r.InjectedFlips, r.InjectedTorn, r.Detected, r.Repaired, r.Unrepaired, r.Undetected())
+	b.WriteString(r.summary())
 	fmt.Fprintf(&b, "integrity: %d sums stamped, %d verified, %d bytes rewritten\n",
 		r.SumsStamped, r.SumsVerified, r.RewrittenBytes)
-	if len(r.Violations) == 0 {
-		fmt.Fprintf(&b, "invariants: all held\n")
-	} else {
-		fmt.Fprintf(&b, "invariants: %d VIOLATED\n", len(r.Violations))
-		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "  %s\n", v)
-		}
-	}
+	writeInvariants(&b, r.Violations)
 	return b.String()
+}
+
+// writeInvariants renders a campaign's invariant verdict.
+func writeInvariants(b *strings.Builder, violations []string) {
+	if len(violations) == 0 {
+		fmt.Fprintf(b, "invariants: all held\n")
+		return
+	}
+	fmt.Fprintf(b, "invariants: %d VIOLATED\n", len(violations))
+	for _, v := range violations {
+		fmt.Fprintf(b, "  %s\n", v)
+	}
 }
 
 // chaosMix mixes the campaign seed with an operation index into an
@@ -110,18 +130,17 @@ func corruptionCampaign(c ChaosConfig) (string, bool, error) {
 	return rep.String(), len(rep.Violations) > 0 || rep.Undetected() > 0, nil
 }
 
-// Chaos runs a seeded randomized soak: every operation draws a fresh
-// workload, machine state and silent-corruption schedule, runs a real
-// write (collective, shrunk, or independent per the degradation ladder)
-// followed by a real read-back, and checks the invariant battery —
-// domains tile the request union exactly once, chosen aggregators
-// respect Mem_min and N_ah when memory is ample, written bytes are
-// conserved (plan bytes + repair rewrites, even when writes are torn),
-// detected corruptions equal injected ones, and with repair enabled the
-// final file is byte-identical to the fault-free oracle and reads return
-// exactly what was written. Violations are collected, not fatal, so one
-// bad op cannot hide later ones. The campaign is deterministic: same
-// config, same report.
+// Chaos runs a seeded randomized soak (Ops defaults to 50): every
+// operation draws a fresh workload and machine state, plans it through
+// the degradation ladder, and runs a real write (collective, shrunk, or
+// independent) and read-back under a seeded silent-corruption schedule
+// through the soak's round trip. The invariant battery: domains tile the
+// request union exactly once, chosen aggregators respect Mem_min and
+// N_ah when memory is ample, and the round trip's byte-level checks —
+// written bytes conserved, detected corruptions equal to injected ones,
+// and with repair enabled a file and reads byte-identical to the
+// fault-free oracle. Violations are collected, not fatal. The campaign
+// is deterministic: same config, same report.
 func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 50
@@ -130,27 +149,16 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 		return nil, fmt.Errorf("bench: negative chaos corruption rate %g", cfg.Rate)
 	}
 
-	fsCfg := pfs.DefaultConfig(4)
-	fsCfg.StripeUnit = 64 // small stripes: several object accesses per extent
-	fsys, err := pfs.NewFileSystem(fsCfg)
-	if err != nil {
-		return nil, err
-	}
-
 	rep := &ChaosReport{Ops: cfg.Ops}
-	fail := func(op int, format string, args ...any) {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("op %d: %s", op, fmt.Sprintf(format, args...)))
-	}
-
 	// The campaign always runs observed: planner counters are how chaos
 	// learns whether a plan used fallback placements (which may lawfully
 	// exceed N_ah). A caller-supplied observer additionally exports
 	// everything.
-	o := cfg.Obs
-	if o == nil {
-		o = obs.New()
+	soak, err := newCorruptionSoak(cfg, "chaos", &rep.corruptionTally, &rep.Violations)
+	if err != nil {
+		return nil, err
 	}
+	o, fsCfg, fail := soak.o, soakFS(), soak.fail
 	o.Counter("chaos.ops").Add(int64(cfg.Ops))
 	cViol := o.Counter("chaos.invariant_violations")
 	cFallback := o.Counter("plan.fallback_placements", obs.L("strategy", core.New().Name()))
@@ -215,26 +223,6 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 			}
 		}
 
-		// Corruption schedule and its data-level replayer.
-		spec := faults.DefaultSpec(opSeed, 1).WithRate(0).WithCorruption(cfg.Rate)
-		fplan, err := spec.Generate(topo.Nodes(), fsCfg.Targets)
-		if err != nil {
-			return nil, err
-		}
-		ranksByNode := make([][]int, topo.Nodes())
-		for rank := 0; rank < ranks; rank++ {
-			n := topo.NodeOf(rank)
-			ranksByNode[n] = append(ranksByNode[n], rank)
-		}
-		corr := faults.NewCorrupter(fplan, ranksByNode)
-		fsys.SetCorrupter(corr)
-
-		// MaxRepairs well above any plausible per-rank pileup of pending
-		// flips: each resend consumes one more pending corruption event, so
-		// a budget larger than the pileup guarantees the chain ends clean.
-		chk := integrity.NewChecker(integrity.Config{Seed: opSeed, Repair: cfg.Repair, MaxRepairs: 32})
-		chk.SetObserver(o)
-
 		// Plan through the degradation ladder.
 		fallbackBefore := cFallback.Value()
 		dp, err := core.New().PlanWithDegradation(ctx, reqs)
@@ -289,118 +277,23 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 			expectedWritten = dp.Plan.TotalBytes()
 		}
 
-		// Build rank buffers and the oracle.
-		data := make([]collio.RankData, ranks)
-		var size int64
-		for i := range data {
-			buf := make([]byte, reqs[i].Bytes())
-			fillChaosPattern(op, i, buf)
-			data[i] = collio.RankData{Req: reqs[i], Buf: buf}
-			for _, e := range pfs.Normalized(reqs[i].Extents) {
-				if e.End() > size {
-					size = e.End()
-				}
+		exec := func(data []collio.RankData, file *pfs.File, dir collio.Op,
+			chk *integrity.Checker, corr *faults.Corrupter) error {
+			if dp.Independent {
+				return collio.ExecIndependent(&effCtx, data, file, dir, chk)
 			}
+			return collio.ExecVerified(&effCtx, dp.Plan, data, file, dir, chk, corr, nil)
 		}
-		oracle := make([]byte, size)
-		for i := range data {
-			var pos int64
-			for _, e := range pfs.Normalized(reqs[i].Extents) {
-				copy(oracle[e.Offset:e.End()], data[i].Buf[pos:pos+e.Length])
-				pos += e.Length
-			}
-		}
-
-		file := fsys.Open(fmt.Sprintf("chaos-%d", op))
-		writtenBefore := sumI64(fsys.Stats().Written())
-
-		if dp.Independent {
-			err = collio.ExecIndependent(&effCtx, data, file, collio.Write, chk)
-		} else {
-			err = collio.ExecVerified(&effCtx, dp.Plan, data, file, collio.Write, chk, corr)
-		}
+		crep, err := soak.roundTrip(op, opSeed, ctx, reqs, expectedWritten, exec)
 		if err != nil {
-			fail(op, "write failed: %v", err)
-			continue
+			return nil, err
 		}
-
-		// Invariant: written bytes are conserved — the plan's bytes plus
-		// repair rewrites, torn or not (a torn access still acknowledges
-		// its full request; that is what makes the tear silent).
-		writtenDelta := sumI64(fsys.Stats().Written()) - writtenBefore
-		if want := expectedWritten + chk.Report().RewrittenBytes; writtenDelta != want {
-			fail(op, "bytes-written conservation violated: delta %d != planned %d + rewritten %d",
-				writtenDelta, expectedWritten, want-expectedWritten)
+		if crep != nil {
+			rep.RewrittenBytes += crep.RewrittenBytes
+			rep.SumsStamped += crep.Stamped
+			rep.SumsVerified += crep.Verified
 		}
-
-		// Read back with fresh buffers through the same path.
-		readData := make([]collio.RankData, ranks)
-		for i := range readData {
-			readData[i] = collio.RankData{Req: reqs[i], Buf: make([]byte, len(data[i].Buf))}
-		}
-		if dp.Independent {
-			err = collio.ExecIndependent(&effCtx, readData, file, collio.Read, chk)
-		} else {
-			err = collio.ExecVerified(&effCtx, dp.Plan, readData, file, collio.Read, chk, corr)
-		}
-		if err != nil {
-			fail(op, "read failed: %v", err)
-			continue
-		}
-
-		crep := chk.Report()
-		crep.JournalInto(cfg.Timeline.J(), fmt.Sprintf("op %d", op))
-		injected := corr.Injected()
-
-		// Invariant: every injected corruption is detected — the torn-write
-		// consumption rule and the per-message flip accounting make this an
-		// exact equality, with and without repair.
-		if int(crep.Detected) != injected {
-			fail(op, "detection mismatch: %d corruptions injected, %d detected", injected, crep.Detected)
-		}
-
-		if cfg.Repair || injected == 0 {
-			// Invariant: with repair on (or nothing injected), the file
-			// equals the oracle and reads return what was written.
-			if crep.Unrepaired != 0 {
-				fail(op, "%d corruptions unrepaired with repair enabled", crep.Unrepaired)
-			}
-			got := make([]byte, size)
-			if _, err := file.ReadAt(got, 0); err != nil {
-				fail(op, "oracle readback failed: %v", err)
-			} else if !bytes.Equal(got, oracle) {
-				fail(op, "file contents differ from fault-free oracle")
-			}
-			// Each rank's read must return the oracle bytes at its extents
-			// (not necessarily its own written bytes: overlapping extents
-			// resolve in rank order, so a lower rank reads back the higher
-			// rank's data — in executor and oracle alike).
-		readCheck:
-			for i := range readData {
-				var pos int64
-				for _, e := range pfs.Normalized(reqs[i].Extents) {
-					if !bytes.Equal(readData[i].Buf[pos:pos+e.Length], oracle[e.Offset:e.End()]) {
-						fail(op, "rank %d read differs from oracle at extent [%d,%d)", i, e.Offset, e.End())
-						break readCheck
-					}
-					pos += e.Length
-				}
-			}
-		} else if injected > 0 && crep.Unrepaired == 0 {
-			// Repair off: every detection must be accounted unrepaired.
-			fail(op, "repair disabled but %d detections left no unrepaired count", crep.Detected)
-		}
-
-		rep.InjectedFlips += corr.InjectedFlips()
-		rep.InjectedTorn += corr.InjectedTorn()
-		rep.Detected += crep.Detected
-		rep.Repaired += crep.Repaired
-		rep.Unrepaired += crep.Unrepaired
-		rep.RewrittenBytes += crep.RewrittenBytes
-		rep.SumsStamped += crep.Stamped
-		rep.SumsVerified += crep.Verified
 	}
-	fsys.SetCorrupter(nil)
 
 	o.Counter("chaos.corruptions_injected").Add(int64(rep.Injected()))
 	o.Counter("chaos.corruptions_detected").Add(rep.Detected)
@@ -408,6 +301,190 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 	o.Counter("chaos.degraded_ops").Add(int64(rep.ShrunkOps + rep.IndependentOps))
 	cViol.Add(int64(len(rep.Violations)))
 	return rep, nil
+}
+
+// corruptionSoak is the real-byte half both chaos campaigns share: a
+// small-stripe file system, the campaign's config and observer, and
+// the report's corruption tally and violation list.
+type corruptionSoak struct {
+	cfg        ChaosConfig
+	prefix     string // file names are prefix-op
+	o          *obs.Observer
+	fsys       *pfs.FileSystem
+	tally      *corruptionTally
+	violations *[]string
+}
+
+// newCorruptionSoak builds a campaign's soak; a nil cfg.Obs gets a
+// private observer.
+func newCorruptionSoak(cfg ChaosConfig, prefix string, tally *corruptionTally, violations *[]string) (*corruptionSoak, error) {
+	fsys, err := pfs.NewFileSystem(soakFS())
+	if err != nil {
+		return nil, err
+	}
+	o := cfg.Obs
+	if o == nil {
+		o = obs.New()
+	}
+	return &corruptionSoak{cfg: cfg, prefix: prefix, o: o, fsys: fsys, tally: tally, violations: violations}, nil
+}
+
+// fail records an invariant violation of op, or of the gray campaign's
+// pinned duel when op < 0. Violations are collected, not fatal, so one
+// bad op cannot hide later ones.
+func (s *corruptionSoak) fail(op int, format string, args ...any) {
+	where := fmt.Sprintf("op %d", op)
+	if op < 0 {
+		where = "duel"
+	}
+	*s.violations = append(*s.violations, fmt.Sprintf("%s: %s", where, fmt.Sprintf(format, args...)))
+}
+
+// soakFS is the campaigns' file system: small stripes, so every extent
+// spans several object accesses.
+func soakFS() pfs.Config {
+	fsCfg := pfs.DefaultConfig(4)
+	fsCfg.StripeUnit = 64
+	return fsCfg
+}
+
+// execFunc runs one direction of an op's real-byte data path: the
+// collective executor, hedged or not, or independent I/O.
+type execFunc func(data []collio.RankData, file *pfs.File, dir collio.Op,
+	chk *integrity.Checker, corr *faults.Corrupter) error
+
+// roundTrip writes reqs through exec under the op's seeded
+// silent-corruption schedule, reads them back with fresh buffers through
+// the same path, and checks the byte-level invariant battery: written
+// bytes are conserved (the planned bytes plus repair rewrites, even when
+// writes are torn), every injected corruption is detected, with repair
+// off every detection stays unrepaired, and with repair on (or nothing
+// injected) the file equals the fault-free oracle and every rank reads
+// back the oracle's bytes. Violations go to the soak's sink. The op is
+// tallied and its integrity report returned unless the write or read
+// itself failed, which returns a nil report.
+func (s *corruptionSoak) roundTrip(op int, seed uint64, ctx *collio.Context,
+	reqs []collio.RankRequest, planned int64, exec execFunc) (*integrity.Report, error) {
+	topo := ctx.Topo
+	ranks := topo.Size()
+
+	// Corruption schedule and its data-level replayer.
+	spec := faults.DefaultSpec(seed, 1).WithRate(0).WithCorruption(s.cfg.Rate)
+	fplan, err := spec.Generate(topo.Nodes(), ctx.FS.Targets)
+	if err != nil {
+		return nil, err
+	}
+	ranksByNode := make([][]int, topo.Nodes())
+	for rank := 0; rank < ranks; rank++ {
+		n := topo.NodeOf(rank)
+		ranksByNode[n] = append(ranksByNode[n], rank)
+	}
+	corr := faults.NewCorrupter(fplan, ranksByNode)
+	s.fsys.SetCorrupter(corr)
+
+	// MaxRepairs well above any plausible per-rank pileup of pending
+	// flips: each resend consumes one more pending corruption event, so
+	// a budget larger than the pileup guarantees the chain ends clean.
+	chk := integrity.NewChecker(integrity.Config{Seed: seed, Repair: s.cfg.Repair, MaxRepairs: 32})
+	chk.SetObserver(s.o)
+
+	// Rank buffers and the fault-free oracle.
+	data := make([]collio.RankData, ranks)
+	var size int64
+	for i := range data {
+		buf := make([]byte, reqs[i].Bytes())
+		fillChaosPattern(op, i, buf)
+		data[i] = collio.RankData{Req: reqs[i], Buf: buf}
+		for _, e := range pfs.Normalized(reqs[i].Extents) {
+			size = max(size, e.End())
+		}
+	}
+	oracle := make([]byte, size)
+	for i := range data {
+		var pos int64
+		for _, e := range pfs.Normalized(reqs[i].Extents) {
+			copy(oracle[e.Offset:e.End()], data[i].Buf[pos:pos+e.Length])
+			pos += e.Length
+		}
+	}
+
+	file := s.fsys.Open(fmt.Sprintf("%s-%d", s.prefix, op))
+	writtenBefore := sumI64(s.fsys.Stats().Written())
+	if err := exec(data, file, collio.Write, chk, corr); err != nil {
+		s.fail(op, "write failed: %v", err)
+		return nil, nil
+	}
+
+	// Invariant: written bytes are conserved — the plan's bytes plus
+	// repair rewrites, torn or not (a torn access still acknowledges its
+	// full request; that is what makes the tear silent). Hedged
+	// duplicates are messages, never writes.
+	writtenDelta := sumI64(s.fsys.Stats().Written()) - writtenBefore
+	if rewritten := chk.Report().RewrittenBytes; writtenDelta != planned+rewritten {
+		s.fail(op, "bytes-written conservation violated: delta %d != planned %d + rewritten %d",
+			writtenDelta, planned, rewritten)
+	}
+
+	readData := make([]collio.RankData, ranks)
+	for i := range readData {
+		readData[i] = collio.RankData{Req: reqs[i], Buf: make([]byte, len(data[i].Buf))}
+	}
+	if err := exec(readData, file, collio.Read, chk, corr); err != nil {
+		s.fail(op, "read failed: %v", err)
+		return nil, nil
+	}
+
+	crep := chk.Report()
+	crep.JournalInto(s.cfg.Timeline.J(), fmt.Sprintf("op %d", op))
+	injected := corr.Injected()
+
+	// Invariant: every injected corruption is detected — the torn-write
+	// consumption rule and the per-message flip accounting make this an
+	// exact equality, with and without repair, fresh flips on resends
+	// and hedged duplicates included.
+	if int(crep.Detected) != injected {
+		s.fail(op, "detection mismatch: %d corruptions injected, %d detected", injected, crep.Detected)
+	}
+
+	if s.cfg.Repair || injected == 0 {
+		// Invariant: with repair on (or nothing injected), the file
+		// equals the oracle and reads return what was written.
+		if crep.Unrepaired != 0 {
+			s.fail(op, "%d corruptions unrepaired with repair enabled", crep.Unrepaired)
+		}
+		got := make([]byte, size)
+		if _, err := file.ReadAt(got, 0); err != nil {
+			s.fail(op, "oracle readback failed: %v", err)
+		} else if !bytes.Equal(got, oracle) {
+			s.fail(op, "file contents differ from fault-free oracle")
+		}
+		// Each rank's read must return the oracle bytes at its extents
+		// (not necessarily its own written bytes: overlapping extents
+		// resolve in rank order, so a lower rank reads back the higher
+		// rank's data — in executor and oracle alike).
+	readCheck:
+		for i := range readData {
+			var pos int64
+			for _, e := range pfs.Normalized(reqs[i].Extents) {
+				if !bytes.Equal(readData[i].Buf[pos:pos+e.Length], oracle[e.Offset:e.End()]) {
+					s.fail(op, "rank %d read differs from oracle at extent [%d,%d)", i, e.Offset, e.End())
+					break readCheck
+				}
+				pos += e.Length
+			}
+		}
+	} else if crep.Unrepaired == 0 {
+		// Repair off: every detection must be accounted unrepaired.
+		s.fail(op, "repair disabled but %d detections left no unrepaired count", crep.Detected)
+	}
+
+	t := s.tally
+	t.InjectedFlips += corr.InjectedFlips()
+	t.InjectedTorn += corr.InjectedTorn()
+	t.Detected += crep.Detected
+	t.Repaired += crep.Repaired
+	t.Unrepaired += crep.Unrepaired
+	return &crep, nil
 }
 
 // fillChaosPattern fills a rank buffer with bytes derived from the op,

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
@@ -23,34 +22,6 @@ import (
 // corruption soak's, so `chaos gray -seed 1` and `chaos -seed 1` draw
 // independent workloads.
 const graySalt = 0x677261796661696c // "grayfail"
-
-// GrayConfig parameterizes a gray-failure campaign (mcio chaos gray).
-type GrayConfig struct {
-	// Seed makes the whole campaign — workloads, gray-fault schedules,
-	// corruption schedules, hedge picks — a pure function of one number.
-	Seed uint64
-	// Ops is how many randomized operations the campaign runs. Each op
-	// prices a static and an adaptive run under the same gray schedule,
-	// replans through the health-driven degradation controller, and then
-	// executes a real hedged write/read with silent corruption.
-	Ops int
-	// Rate scales the gray-fault and silent-corruption event rates
-	// (1 ≈ a couple of events per entity per op horizon); 0 disables
-	// injection, leaving only the clean-path hedging checks.
-	Rate float64
-	// Repair enables the detect→re-request→rewrite path. Hedging only
-	// engages with repair on (a hedged duplicate rides the re-request
-	// protocol), so Repair=false reduces the byte-level section to pure
-	// detection accounting.
-	Repair bool
-	// Timeline, when non-nil, records the pinned duel's adaptive run —
-	// utilization series plus the fault/suspicion/breaker journal — so
-	// `mcio profile gray` can render onset → detection → reaction.
-	Timeline *timeline.Recorder
-	// Obs, when non-nil, receives the campaign counters (chaos.gray_*,
-	// health.*, integrity.*) and the planners' metrics.
-	Obs *obs.Observer
-}
 
 // GrayReport is the outcome of a gray campaign: what the adaptive
 // policy did (suspicion, proactive failover, breakers, hedging), what
@@ -86,29 +57,11 @@ type GrayReport struct {
 	DuelOnsetToReactionSeconds float64
 
 	// Byte-level hedged-execution accounting.
-	InjectedFlips     int
-	InjectedTorn      int
-	Detected          int64
-	Repaired          int64
-	Unrepaired        int64
+	corruptionTally
 	HedgedChunks      int64
 	DedupedChunkBytes int64
 
 	Violations []string
-}
-
-// Injected returns the total silent corruptions actually injected into
-// the byte-level section.
-func (r *GrayReport) Injected() int { return r.InjectedFlips + r.InjectedTorn }
-
-// Undetected returns injected corruptions the integrity layer never
-// flagged — held at zero by the campaign's detection invariant.
-func (r *GrayReport) Undetected() int {
-	u := r.Injected() - int(r.Detected)
-	if u < 0 {
-		u = 0
-	}
-	return u
 }
 
 // String renders the campaign summary.
@@ -123,16 +76,8 @@ func (r *GrayReport) String() string {
 	fmt.Fprintf(&b, "duel: static %.4fs vs adaptive %.4fs\n", r.DuelStaticSeconds, r.DuelAdaptiveSeconds)
 	fmt.Fprintf(&b, "duel detection lag: onset->suspect %.4fs, onset->reaction %.4fs\n",
 		r.DuelOnsetToSuspectSeconds, r.DuelOnsetToReactionSeconds)
-	fmt.Fprintf(&b, "corruptions: %d injected (%d bit flips, %d torn writes), %d detected, %d repaired, %d unrepaired, %d undetected\n",
-		r.Injected(), r.InjectedFlips, r.InjectedTorn, r.Detected, r.Repaired, r.Unrepaired, r.Undetected())
-	if len(r.Violations) == 0 {
-		fmt.Fprintf(&b, "invariants: all held\n")
-	} else {
-		fmt.Fprintf(&b, "invariants: %d VIOLATED\n", len(r.Violations))
-		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "  %s\n", v)
-		}
-	}
+	b.WriteString(r.summary())
+	writeInvariants(&b, r.Violations)
 	return b.String()
 }
 
@@ -147,18 +92,17 @@ func grayAdaptive() *collio.Adaptive {
 	return ad
 }
 
-// grayCampaign is the chaos view of the gray-failure campaign, run with
-// the soak's seed, length, rate, repair switch and observer.
+// grayCampaign is the chaos view of the gray-failure campaign.
 func grayCampaign(c ChaosConfig) (string, bool, error) {
-	rep, err := Gray(GrayConfig{Seed: c.Seed, Ops: c.Ops, Rate: c.Rate, Repair: c.Repair, Obs: c.Obs})
+	rep, err := Gray(c)
 	if err != nil {
 		return "", false, err
 	}
 	return rep.String(), len(rep.Violations) > 0 || rep.Undetected() > 0, nil
 }
 
-// Gray runs a seeded gray-failure campaign. Every operation draws a
-// fresh workload and gray-fault schedule (OST slowdowns, flaky NICs,
+// Gray runs a seeded gray-failure campaign (Ops defaults to 20). Every
+// operation draws a fresh workload and gray-fault schedule (OST slowdowns, flaky NICs,
 // memory leaks) and checks the invariant battery:
 //
 //   - pricing: the adaptive run moves exactly the user bytes the static
@@ -169,16 +113,15 @@ func grayCampaign(c ChaosConfig) (string, bool, error) {
 //     controller after the run never fails and still tiles the request
 //     union exactly once, with rung transitions recorded;
 //   - real bytes: a hedged verified write/read under silent corruption
-//     detects every injected corruption, conserves written bytes, and
-//     (with repair on) leaves the file byte-identical to the fault-free
-//     oracle — hedged duplicates are verified and discarded, never
-//     scattered into user buffers.
+//     passes the corruption soak's round-trip battery — hedged
+//     duplicates are verified and discarded, never written or scattered
+//     into user buffers.
 //
 // The campaign ends with the pinned duel — a degrading OST plus a
 // straggling aggregator host — where the adaptive run must be strictly
 // faster than the static retry-only baseline. Violations are collected,
 // not fatal. The campaign is deterministic: same config, same report.
-func Gray(cfg GrayConfig) (*GrayReport, error) {
+func Gray(cfg ChaosConfig) (*GrayReport, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 20
 	}
@@ -186,27 +129,13 @@ func Gray(cfg GrayConfig) (*GrayReport, error) {
 		return nil, fmt.Errorf("bench: negative gray fault rate %g", cfg.Rate)
 	}
 
-	fsCfg := pfs.DefaultConfig(4)
-	fsCfg.StripeUnit = 64
-	fsys, err := pfs.NewFileSystem(fsCfg)
+	rep := &GrayReport{Ops: cfg.Ops}
+
+	soak, err := newCorruptionSoak(cfg, "gray", &rep.corruptionTally, &rep.Violations)
 	if err != nil {
 		return nil, err
 	}
-
-	rep := &GrayReport{Ops: cfg.Ops}
-	fail := func(op int, format string, args ...any) {
-		where := fmt.Sprintf("op %d", op)
-		if op < 0 {
-			where = "duel"
-		}
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("%s: %s", where, fmt.Sprintf(format, args...)))
-	}
-
-	o := cfg.Obs
-	if o == nil {
-		o = obs.New()
-	}
+	o, fail := soak.o, soak.fail
 	s := core.New()
 
 	for op := 0; op < cfg.Ops; op++ {
@@ -221,19 +150,7 @@ func Gray(cfg GrayConfig) (*GrayReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		mc := machine.Testbed640()
-		mc.Nodes = topo.Nodes()
-		buf := int64(1 << (12 + r.Intn(3)))
-		params := collio.DefaultParams(buf)
-		params.MsgInd = 4 * buf
-		params.MsgGroup = 16 * buf
-		params.MemMin = buf / 2
-		avail := make([]int64, topo.Nodes())
-		for i := range avail {
-			avail[i] = mc.MemPerNode
-		}
-		ctx := &collio.Context{Topo: topo, Machine: mc, Avail: avail,
-			FS: fsCfg, Params: params, Obs: o}
+		ctx := grayContext(topo, int64(1<<(12+r.Intn(3))), o)
 
 		// Cost-level workload: contiguous per-rank regions, big enough
 		// that the run spans several rounds of the gray horizon.
@@ -257,24 +174,11 @@ func Gray(cfg GrayConfig) (*GrayReport, error) {
 		horizon := ref.Seconds * 4
 		spec := faults.DefaultSpec(opSeed, horizon).WithRate(0).WithGray(cfg.Rate)
 
-		runCost := func(ad *collio.Adaptive) (*collio.FaultResult, error) {
-			plan, state, err := s.PlanWithState(ctx, reqs)
-			if err != nil {
-				return nil, err
-			}
-			fplan, err := spec.Generate(topo.Nodes(), fsCfg.Targets)
-			if err != nil {
-				return nil, err
-			}
-			inj := faults.NewInjector(fplan)
-			handler := &core.Failover{State: state, Detect: spec.DetectSeconds}
-			if ad == nil {
-				return collio.CostWithFaults(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler)
-			}
-			return collio.CostAdaptive(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler, ad)
+		draw := func(*collio.Plan) (*faults.Plan, error) {
+			return spec.Generate(topo.Nodes(), ctx.FS.Targets)
 		}
 
-		static, err := runCost(nil)
+		static, err := priceGray(ctx, s, reqs, spec.DetectSeconds, nil, draw)
 		if err != nil {
 			fail(op, "static run failed: %v", err)
 			continue
@@ -287,7 +191,7 @@ func Gray(cfg GrayConfig) (*GrayReport, error) {
 			fail(op, "baseline controller plan failed: %v", err)
 			continue
 		}
-		adaptive, err := runCost(ad)
+		adaptive, err := priceGray(ctx, s, reqs, spec.DetectSeconds, ad, draw)
 		if err != nil {
 			fail(op, "adaptive run failed: %v", err)
 			continue
@@ -327,13 +231,31 @@ func Gray(cfg GrayConfig) (*GrayReport, error) {
 		rep.HedgedBytes += adaptive.HedgedBytes
 		rep.DedupedBytes += adaptive.DedupedBytes
 
-		// Byte-level section: a real hedged write/read under silent
-		// corruption, against the fault-free oracle.
-		if err := grayExecOp(ctx, s, fsys, o, rep, fail, op, opSeed, r, cfg); err != nil {
+		// Byte-level section: a real hedged write/read of a small
+		// permuted-block workload under silent corruption.
+		breqs := grayBlocks(r, ranks)
+		plan, err := s.Plan(ctx, breqs)
+		if err != nil {
+			fail(op, "byte-level planning failed: %v", err)
+			continue
+		}
+		if err := plan.Validate(breqs); err != nil {
+			fail(op, "byte-level plan tiling violated: %v", err)
+			continue
+		}
+		hed := &collio.Hedger{Seed: int64(opSeed), Every: 2}
+		crep, err := soak.roundTrip(op, opSeed, ctx, breqs, plan.TotalBytes(),
+			func(data []collio.RankData, file *pfs.File, dir collio.Op, chk *integrity.Checker, corr *faults.Corrupter) error {
+				return collio.ExecVerified(ctx, plan, data, file, dir, chk, corr, hed)
+			})
+		if err != nil {
 			return nil, err
 		}
+		if crep != nil {
+			rep.HedgedChunks += hed.Hedged()
+			rep.DedupedChunkBytes += hed.DedupedBytes()
+		}
 	}
-	fsys.SetCorrupter(nil)
 
 	// Campaign-level engagement check: with repair on, the Every=2
 	// hedger must have hedged real chunks somewhere — a silently inert
@@ -357,16 +279,9 @@ func Gray(cfg GrayConfig) (*GrayReport, error) {
 	return rep, nil
 }
 
-// grayExecOp runs one real hedged write/read with silent corruption and
-// checks the byte-level invariant battery: detection of every injected
-// corruption, bytes-written conservation, and (with repair on) oracle
-// byte-identity with every hedged duplicate discarded.
-func grayExecOp(ctx *collio.Context, s *core.Strategy, fsys *pfs.FileSystem,
-	o *obs.Observer, rep *GrayReport, fail func(int, string, ...any),
-	op int, opSeed uint64, r *stats.RNG, cfg GrayConfig) error {
-	ranks := ctx.Topo.Size()
-
-	// Small permuted-block workload (the shuffle moves real bytes).
+// grayBlocks draws the byte-level workload: a permuted block list dealt
+// round-robin to the ranks, with holes.
+func grayBlocks(r *stats.RNG, ranks int) []collio.RankRequest {
 	blocks := 12 + r.Intn(9)
 	blockLen := int64(24 + r.Intn(81))
 	reqs := make([]collio.RankRequest, ranks)
@@ -380,116 +295,44 @@ func grayExecOp(ctx *collio.Context, s *core.Strategy, fsys *pfs.FileSystem,
 		ext := pfs.Extent{Offset: int64(b) * blockLen, Length: blockLen}
 		reqs[i%ranks].Extents = append(reqs[i%ranks].Extents, ext)
 	}
+	return reqs
+}
 
-	spec := faults.DefaultSpec(opSeed, 1).WithRate(0).WithCorruption(cfg.Rate)
-	fplan, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
+// grayContext is the gray machine: one testbed node per topology node
+// with all its memory free, and message thresholds scaled to buf.
+func grayContext(topo mpi.Topology, buf int64, o *obs.Observer) *collio.Context {
+	mc := machine.Testbed640()
+	mc.Nodes = topo.Nodes()
+	params := collio.DefaultParams(buf)
+	params.MsgInd = 4 * buf
+	params.MsgGroup = 16 * buf
+	params.MemMin = buf / 2
+	avail := make([]int64, topo.Nodes())
+	for i := range avail {
+		avail[i] = mc.MemPerNode
+	}
+	return &collio.Context{Topo: topo, Machine: mc, Avail: avail, FS: soakFS(), Params: params, Obs: o}
+}
+
+// priceGray plans reqs with recovery state, injects the fault schedule
+// sched returns for that plan, and prices the write with failover:
+// static with ad nil, under the adaptive policy otherwise.
+func priceGray(ctx *collio.Context, s *core.Strategy, reqs []collio.RankRequest, detect float64,
+	ad *collio.Adaptive, sched func(*collio.Plan) (*faults.Plan, error)) (*collio.FaultResult, error) {
+	plan, state, err := s.PlanWithState(ctx, reqs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ranksByNode := make([][]int, ctx.Topo.Nodes())
-	for rank := 0; rank < ranks; rank++ {
-		n := ctx.Topo.NodeOf(rank)
-		ranksByNode[n] = append(ranksByNode[n], rank)
-	}
-	corr := faults.NewCorrupter(fplan, ranksByNode)
-	fsys.SetCorrupter(corr)
-	chk := integrity.NewChecker(integrity.Config{Seed: opSeed, Repair: cfg.Repair, MaxRepairs: 32})
-	chk.SetObserver(o)
-	hed := &collio.Hedger{Seed: int64(opSeed), Every: 2}
-
-	plan, err := s.Plan(ctx, reqs)
+	fplan, err := sched(plan)
 	if err != nil {
-		fail(op, "byte-level planning failed: %v", err)
-		return nil
+		return nil, err
 	}
-	if err := plan.Validate(reqs); err != nil {
-		fail(op, "byte-level plan tiling violated: %v", err)
-		return nil
+	inj := faults.NewInjector(fplan)
+	handler := &core.Failover{State: state, Detect: detect}
+	if ad == nil {
+		return collio.CostWithFaults(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler)
 	}
-
-	data := make([]collio.RankData, ranks)
-	var size int64
-	for i := range data {
-		buf := make([]byte, reqs[i].Bytes())
-		fillChaosPattern(op, i, buf)
-		data[i] = collio.RankData{Req: reqs[i], Buf: buf}
-		for _, e := range pfs.Normalized(reqs[i].Extents) {
-			if e.End() > size {
-				size = e.End()
-			}
-		}
-	}
-	oracle := make([]byte, size)
-	for i := range data {
-		var pos int64
-		for _, e := range pfs.Normalized(reqs[i].Extents) {
-			copy(oracle[e.Offset:e.End()], data[i].Buf[pos:pos+e.Length])
-			pos += e.Length
-		}
-	}
-
-	file := fsys.Open(fmt.Sprintf("gray-%d", op))
-	writtenBefore := sumI64(fsys.Stats().Written())
-	if err := collio.ExecVerifiedHedged(ctx, plan, data, file, collio.Write, chk, corr, hed); err != nil {
-		fail(op, "hedged write failed: %v", err)
-		return nil
-	}
-
-	// Invariant: hedged duplicates are messages, never writes — written
-	// bytes stay the plan's bytes plus repair rewrites.
-	writtenDelta := sumI64(fsys.Stats().Written()) - writtenBefore
-	if want := plan.TotalBytes() + chk.Report().RewrittenBytes; writtenDelta != want {
-		fail(op, "bytes-written conservation violated: delta %d != planned %d + rewritten %d",
-			writtenDelta, plan.TotalBytes(), chk.Report().RewrittenBytes)
-	}
-
-	readData := make([]collio.RankData, ranks)
-	for i := range readData {
-		readData[i] = collio.RankData{Req: reqs[i], Buf: make([]byte, len(data[i].Buf))}
-	}
-	if err := collio.ExecVerifiedHedged(ctx, plan, readData, file, collio.Read, chk, corr, hed); err != nil {
-		fail(op, "hedged read failed: %v", err)
-		return nil
-	}
-
-	crep := chk.Report()
-	crep.JournalInto(cfg.Timeline.J(), fmt.Sprintf("op %d", op))
-	injected := corr.Injected()
-	// Invariant: every injected corruption is detected — including
-	// fresh flips landing on hedged duplicates.
-	if int(crep.Detected) != injected {
-		fail(op, "detection mismatch: %d corruptions injected, %d detected", injected, crep.Detected)
-	}
-	if cfg.Repair || injected == 0 {
-		if crep.Unrepaired != 0 {
-			fail(op, "%d corruptions unrepaired with repair enabled", crep.Unrepaired)
-		}
-		got := make([]byte, size)
-		if _, err := file.ReadAt(got, 0); err != nil {
-			fail(op, "oracle readback failed: %v", err)
-		} else if !bytes.Equal(got, oracle) {
-			fail(op, "file contents differ from fault-free oracle under gray hedging")
-		}
-		for i := range readData {
-			var pos int64
-			for _, e := range pfs.Normalized(reqs[i].Extents) {
-				if !bytes.Equal(readData[i].Buf[pos:pos+e.Length], oracle[e.Offset:e.End()]) {
-					fail(op, "rank %d read differs from oracle at extent [%d,%d)", i, e.Offset, e.End())
-					return nil
-				}
-				pos += e.Length
-			}
-		}
-	}
-
-	rep.InjectedFlips += corr.InjectedFlips()
-	rep.InjectedTorn += corr.InjectedTorn()
-	rep.Detected += crep.Detected
-	rep.Repaired += crep.Repaired
-	rep.Unrepaired += crep.Unrepaired
-	rep.HedgedChunks += hed.Hedged()
-	rep.DedupedChunkBytes += hed.DedupedBytes()
-	return nil
+	return collio.CostAdaptive(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler, ad)
 }
 
 // grayDuel runs the pinned acceptance scenario on a fixed machine: a
@@ -511,20 +354,7 @@ func grayDuel(rep *GrayReport, fail func(int, string, ...any), rec *timeline.Rec
 	if err != nil {
 		return err
 	}
-	mc := machine.Testbed640()
-	mc.Nodes = topo.Nodes()
-	buf := int64(1 << 16)
-	params := collio.DefaultParams(buf)
-	params.MsgInd = 4 * buf
-	params.MsgGroup = 16 * buf
-	params.MemMin = buf / 2
-	avail := make([]int64, topo.Nodes())
-	for i := range avail {
-		avail[i] = mc.MemPerNode
-	}
-	fsCfg := pfs.DefaultConfig(4)
-	fsCfg.StripeUnit = 64
-	ctx := &collio.Context{Topo: topo, Machine: mc, Avail: avail, FS: fsCfg, Params: params}
+	ctx := grayContext(topo, 1<<16, nil)
 	reqs := make([]collio.RankRequest, 12)
 	for i := range reqs {
 		reqs[i] = collio.RankRequest{Rank: i,
@@ -551,23 +381,15 @@ func grayDuel(rep *GrayReport, fail func(int, string, ...any), rec *timeline.Rec
 		if ad != nil {
 			cctx.Timeline = rec
 		}
-		plan, state, err := s.PlanWithState(&cctx, reqs)
-		if err != nil {
-			return nil, err
-		}
-		victim := plan.Domains[0].AggNode
-		sched := &faults.Plan{Spec: spec, Events: []faults.Event{
-			{Kind: faults.Straggler, Time: onset, Node: victim, Target: -1,
-				Duration: horizon, Severity: 8},
-			{Kind: faults.OSTSlowdown, Time: onset, Node: -1, Target: 0,
-				Duration: horizon, Severity: 5, Profile: faults.ProfileStep},
-		}}
-		inj := faults.NewInjector(sched)
-		handler := &core.Failover{State: state, Detect: spec.DetectSeconds}
-		if ad == nil {
-			return collio.CostWithFaults(&cctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler)
-		}
-		return collio.CostAdaptive(&cctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler, ad)
+		return priceGray(&cctx, s, reqs, spec.DetectSeconds, ad, func(plan *collio.Plan) (*faults.Plan, error) {
+			victim := plan.Domains[0].AggNode
+			return &faults.Plan{Spec: spec, Events: []faults.Event{
+				{Kind: faults.Straggler, Time: onset, Node: victim, Target: -1,
+					Duration: horizon, Severity: 8},
+				{Kind: faults.OSTSlowdown, Time: onset, Node: -1, Target: 0,
+					Duration: horizon, Severity: 5, Profile: faults.ProfileStep},
+			}}, nil
+		})
 	}
 
 	static, err := run(nil)

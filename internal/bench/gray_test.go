@@ -13,7 +13,7 @@ import (
 // oracles, and the pinned duel ends with the adaptive plan strictly
 // faster.
 func TestGrayCampaignClean(t *testing.T) {
-	rep, err := Gray(GrayConfig{Seed: 1, Ops: 12, Rate: 2, Repair: true})
+	rep, err := Gray(ChaosConfig{Seed: 1, Ops: 12, Rate: 2, Repair: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,14 +47,40 @@ func TestGrayCampaignClean(t *testing.T) {
 	}
 }
 
-// Same config twice: the gray campaign is a pure function of its
-// config.
-func TestGrayDeterministic(t *testing.T) {
-	a, err := Gray(GrayConfig{Seed: 11, Ops: 6, Rate: 2, Repair: true})
+// The gray campaign's repair-off run: the shared round trip must detect
+// every injected corruption exactly and account each detection
+// unrepaired, and hedging — which rides the repair protocol — must stay
+// idle.
+func TestGrayRepairOffDetectsEveryInjection(t *testing.T) {
+	rep, err := Gray(ChaosConfig{Seed: 7, Ops: 10, Rate: 4, Repair: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Gray(GrayConfig{Seed: 11, Ops: 6, Rate: 2, Repair: true})
+	if len(rep.Violations) != 0 {
+		t.Fatalf("invariant violations:\n%s", strings.Join(rep.Violations, "\n"))
+	}
+	if rep.Injected() == 0 {
+		t.Fatal("campaign injected nothing")
+	}
+	if int(rep.Detected) != rep.Injected() {
+		t.Fatalf("detected %d of %d injected corruptions", rep.Detected, rep.Injected())
+	}
+	if rep.Repaired != 0 || rep.HedgedChunks != 0 {
+		t.Fatalf("repair or real-byte hedging ran with repair disabled: %+v", rep)
+	}
+	if rep.Unrepaired != rep.Detected {
+		t.Fatalf("unrepaired %d != detected %d", rep.Unrepaired, rep.Detected)
+	}
+}
+
+// Same config twice: the gray campaign is a pure function of its
+// config.
+func TestGrayDeterministic(t *testing.T) {
+	a, err := Gray(ChaosConfig{Seed: 11, Ops: 6, Rate: 2, Repair: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Gray(ChaosConfig{Seed: 11, Ops: 6, Rate: 2, Repair: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +93,7 @@ func TestGrayDeterministic(t *testing.T) {
 // clean-path checks (hedged dedup, oracle identity, the duel) still
 // run and hold.
 func TestGrayZeroRateClean(t *testing.T) {
-	rep, err := Gray(GrayConfig{Seed: 3, Ops: 4, Rate: 0, Repair: true})
+	rep, err := Gray(ChaosConfig{Seed: 3, Ops: 4, Rate: 0, Repair: true})
 	if err != nil {
 		t.Fatal(err)
 	}

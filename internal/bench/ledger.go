@@ -140,7 +140,7 @@ func ledgerChaos(_ *Experiment, rec *obs.RunRecord, a Args) error {
 }
 
 func ledgerGray(_ *Experiment, rec *obs.RunRecord, a Args) error {
-	rep, err := Gray(GrayConfig{Seed: a.Seed, Ops: grayLedgerOps, Rate: 2, Repair: true})
+	rep, err := Gray(ChaosConfig{Seed: a.Seed, Ops: grayLedgerOps, Rate: 2, Repair: true})
 	if err != nil {
 		return err
 	}

@@ -106,7 +106,7 @@ func TestProfileGrayJournalOrdering(t *testing.T) {
 // trend gate consumes: the gray campaign's report converts into a
 // gray/latency entry with both lag metrics measured.
 func TestGrayLedgerCarriesDetectionLag(t *testing.T) {
-	rep, err := Gray(GrayConfig{Seed: 42, Ops: 2, Rate: 2, Repair: true})
+	rep, err := Gray(ChaosConfig{Seed: 42, Ops: 2, Rate: 2, Repair: true})
 	if err != nil {
 		t.Fatal(err)
 	}

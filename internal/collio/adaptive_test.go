@@ -235,7 +235,7 @@ func TestExecVerifiedHedgedDedups(t *testing.T) {
 	chk := integrity.NewChecker(integrity.Config{Seed: 9, Repair: true})
 	hed := &collio.Hedger{Seed: 42, Every: 2}
 
-	if err := collio.ExecVerifiedHedged(ctx, plan, data, file, collio.Write, chk, nil, hed); err != nil {
+	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, nil, hed); err != nil {
 		t.Fatal(err)
 	}
 	if hed.Hedged() == 0 {
@@ -257,7 +257,7 @@ func TestExecVerifiedHedgedDedups(t *testing.T) {
 	for i := range readData {
 		readData[i] = collio.RankData{Req: reqs[i], Buf: make([]byte, len(data[i].Buf))}
 	}
-	if err := collio.ExecVerifiedHedged(ctx, plan, readData, file, collio.Read, chk, nil, hed); err != nil {
+	if err := collio.ExecVerified(ctx, plan, readData, file, collio.Read, chk, nil, hed); err != nil {
 		t.Fatal(err)
 	}
 	for i := range readData {
@@ -269,7 +269,7 @@ func TestExecVerifiedHedgedDedups(t *testing.T) {
 		t.Fatalf("clean hedged run reported corruption: %+v", rep)
 	}
 
-	// A nil hedger must leave ExecVerifiedHedged exactly ExecVerified.
+	// A nil hedger writes exactly the unhedged bytes.
 	file2 := fsys.Open("unhedged")
 	data2 := make([]collio.RankData, len(data))
 	for i := range data2 {
@@ -277,7 +277,7 @@ func TestExecVerifiedHedgedDedups(t *testing.T) {
 		copy(buf, data[i].Buf)
 		data2[i] = collio.RankData{Req: reqs[i], Buf: buf}
 	}
-	if err := collio.ExecVerifiedHedged(ctx, plan, data2, file2, collio.Write, chk, nil, nil); err != nil {
+	if err := collio.ExecVerified(ctx, plan, data2, file2, collio.Write, chk, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got2 := make([]byte, len(oracle))

@@ -12,10 +12,13 @@
 //     the algorithmic content of both the baseline and the paper's
 //     memory-conscious strategy, and it is pure metadata: it works
 //     unchanged whether the operation covers kilobytes or terabytes.
-//  2. Execute — either really move the bytes (Exec, used by the library
-//     API and the correctness tests) or price the movement on the machine
-//     model (Cost, used by the benchmark harness at the paper's full data
-//     sizes, where materializing the bytes would be pointless).
+//  2. Execute — either really move the bytes or price the movement on
+//     the machine model (Cost, used by the benchmark harness at the
+//     paper's full data sizes, where materializing the bytes would be
+//     pointless). One data executor moves the bytes: ExecVerified, whose
+//     integrity checker, silent-corruption replayer and hedger are each
+//     optional; Exec, used by the library API and the correctness tests,
+//     is ExecVerified with all three off.
 package collio
 
 import (

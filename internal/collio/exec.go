@@ -5,16 +5,15 @@ import (
 	"sort"
 	"sync"
 
-	"mcio/internal/mpi"
 	"mcio/internal/pfs"
 )
 
-// stagePool recycles the gather/scatter staging buffers of Exec. Ranks
-// run as goroutines and a collective write churns one chunk per
-// (domain, contributor) plus one domain buffer per aggregator; pooling
-// them keeps the shuffle hot path allocation-free after warm-up. A chunk
-// handed to mpi.Proc.Send transfers ownership with the message — the
-// receiver releases it after scattering.
+// stagePool recycles the gather/scatter staging buffers of the data
+// executor. Ranks run as goroutines and a collective write churns one
+// chunk per (domain, contributor) plus one domain buffer per aggregator;
+// pooling them keeps the shuffle hot path allocation-free after warm-up.
+// A chunk handed to mpi.Proc.Send transfers ownership with the message —
+// the receiver releases it after scattering.
 var stagePool sync.Pool
 
 // getStage returns a length-n buffer with unspecified contents — every
@@ -52,109 +51,10 @@ type RankData struct {
 
 // Exec really performs the collective operation described by plan: ranks
 // run as goroutines, shuffle their contributions to the plan's
-// aggregators, and the aggregators read or write the striped file. On
-// write, each aggregator assembles its whole file domain in memory before
-// issuing the writes; tests run at sizes where that is the simplest
-// faithful rendering of the data path (the cost executor models the
-// buffer-cycling rounds).
-//
-// For overlapping write requests the lowest-ranked writer's bytes may be
-// overwritten by higher ranks, matching the unspecified outcome MPI gives
-// concurrent overlapping collective writes.
+// aggregators, and the aggregators read or write the striped file. It is
+// ExecVerified with no checker, corrupter or hedger.
 func Exec(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op Op) error {
-	if err := ctx.Validate(); err != nil {
-		return err
-	}
-	if len(data) != ctx.Topo.Size() {
-		return fmt.Errorf("collio: Exec got %d rank buffers for %d ranks", len(data), ctx.Topo.Size())
-	}
-	for r, d := range data {
-		if d.Req.Rank != r {
-			return fmt.Errorf("collio: rank buffer %d labeled rank %d", r, d.Req.Rank)
-		}
-		if want := d.Req.Bytes(); int64(len(d.Buf)) != want {
-			return fmt.Errorf("collio: rank %d buffer is %d bytes, request needs %d", r, len(d.Buf), want)
-		}
-	}
-
-	normReq, scheds := buildScheds(plan, data)
-
-	world := mpi.NewWorld(ctx.Topo)
-	world.SetObserver(ctx.Obs)
-	return world.Run(func(p *mpi.Proc) {
-		me := p.Rank()
-		for i, d := range plan.Domains {
-			sched := &scheds[i]
-			myIdx := -1
-			for j, r := range sched.contributors {
-				if r == me {
-					myIdx = j
-					break
-				}
-			}
-			if op == Write {
-				// Contributors ship their overlap bytes to the aggregator,
-				// which releases the chunk once scattered.
-				if myIdx >= 0 && me != d.Aggregator {
-					p.Send(d.Aggregator, i, gather(normReq[me], data[me].Buf, sched.overlap[myIdx]))
-				}
-				if me != d.Aggregator {
-					continue
-				}
-				// Zeroed: domain bytes no contributor covers must land on
-				// disk as zeros, exactly as a fresh allocation would.
-				domBuf := getStage(d.Bytes)
-				clear(domBuf)
-				for j, r := range sched.contributors {
-					var chunk []byte
-					if r == me {
-						chunk = gather(normReq[me], data[me].Buf, sched.overlap[j])
-					} else {
-						chunk = p.Recv(r, i)
-					}
-					scatter(d.Extents, domBuf, sched.overlap[j], chunk)
-					putStage(chunk)
-				}
-				var pos int64
-				for _, e := range d.Extents {
-					if _, err := file.WriteAt(domBuf[pos:pos+e.Length], e.Offset); err != nil {
-						panic(err)
-					}
-					pos += e.Length
-				}
-				putStage(domBuf)
-				continue
-			}
-			// Read: the aggregator loads the domain and distributes. The
-			// extents sum to d.Bytes, so the reads fill the whole buffer —
-			// no zeroing needed.
-			if me == d.Aggregator {
-				domBuf := getStage(d.Bytes)
-				var pos int64
-				for _, e := range d.Extents {
-					if _, err := file.ReadAt(domBuf[pos:pos+e.Length], e.Offset); err != nil {
-						panic(err)
-					}
-					pos += e.Length
-				}
-				for j, r := range sched.contributors {
-					chunk := gather(d.Extents, domBuf, sched.overlap[j])
-					if r == me {
-						scatter(normReq[me], data[me].Buf, sched.overlap[j], chunk)
-						putStage(chunk)
-					} else {
-						p.Send(r, i, chunk)
-					}
-				}
-				putStage(domBuf)
-			}
-			if myIdx >= 0 && me != d.Aggregator {
-				chunk := p.Recv(d.Aggregator, i)
-				scatter(normReq[me], data[me].Buf, sched.overlap[myIdx], chunk)
-				putStage(chunk)
-			}
-		}
-	})
+	return ExecVerified(ctx, plan, data, file, op, nil, nil, nil)
 }
 
 // domSched lists, for one domain, each contributing rank and the extents

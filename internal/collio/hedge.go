@@ -2,10 +2,6 @@ package collio
 
 import (
 	"sync/atomic"
-
-	"mcio/internal/faults"
-	"mcio/internal/integrity"
-	"mcio/internal/pfs"
 )
 
 // Hedger injects hedged duplicate deliveries into ExecVerified's
@@ -80,13 +76,4 @@ func (h *Hedger) DedupedBytes() int64 {
 		return 0
 	}
 	return h.deduped.Load()
-}
-
-// ExecVerifiedHedged is ExecVerified with a Hedger active on the
-// verified shuffle. A nil (or disabled) hedger makes it exactly
-// ExecVerified; hedging additionally requires chk with repair enabled,
-// since duplicates flow over the repair protocol.
-func ExecVerifiedHedged(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op Op,
-	chk *integrity.Checker, corr *faults.Corrupter, h *Hedger) error {
-	return execVerified(ctx, plan, data, file, op, chk, corr, h)
 }

@@ -10,10 +10,10 @@ import (
 	"mcio/internal/pfs"
 )
 
-// The verified shuffle adds three message classes on top of Exec's data
+// The verified shuffle adds four message classes on top of the data
 // chunks, all addressed with tag arithmetic over nd = len(plan.Domains):
 //
-//	data     tag i        the chunk itself (same as Exec)
+//	data     tag i        the chunk itself
 //	sums     tag nd+i     the producer's stamped checksums for the chunk
 //	ack      tag 2nd+i    verifier -> producer: ackOK or ackResend
 //	re-data  tag 3nd+i    a re-requested chunk (repair path)
@@ -30,14 +30,26 @@ const (
 	ackOK     = 1
 )
 
-// ExecVerified is Exec with the end-to-end integrity layer threaded
-// through the data path: producers stamp seeded checksums on every chunk
-// they ship, verifiers re-check them after the shuffle, and aggregators
-// read their file domains back after write-back and compare against the
-// staged bytes, object access by object access. When chk has repair
-// enabled, a chunk that fails verification is re-requested from its
-// producer and a torn object access is rewritten, each up to the
-// checker's repair budget.
+// ExecVerified is the data executor: it really performs the collective
+// operation described by plan. Ranks run as goroutines, shuffle their
+// contributions to the plan's aggregators, and the aggregators read or
+// write the striped file. On write, each aggregator assembles its whole
+// file domain in memory before issuing the writes; tests run at sizes
+// where that is the simplest faithful rendering of the data path (the
+// cost executor models the buffer-cycling rounds).
+//
+// For overlapping write requests the lowest-ranked writer's bytes may be
+// overwritten by higher ranks, matching the unspecified outcome MPI gives
+// concurrent overlapping collective writes.
+//
+// chk, when non-nil, threads the end-to-end integrity layer through the
+// data path: producers stamp seeded checksums on every chunk they ship,
+// verifiers re-check them after the shuffle, and aggregators read their
+// file domains back after write-back and compare against the staged
+// bytes, object access by object access. When chk has repair enabled, a
+// chunk that fails verification is re-requested from its producer and a
+// torn object access is rewritten, each up to the checker's repair
+// budget.
 //
 // corr, when non-nil, replays the plan's silent-corruption events on the
 // real bytes: one bit flip per scheduled MsgBitFlip on a data chunk
@@ -45,23 +57,19 @@ const (
 // TornWrite on the affected target (installed on the file system by the
 // caller via pfs.SetCorrupter).
 //
-// A nil chk and nil corr make ExecVerified exactly Exec — the fault-free
-// hot path pays nothing.
+// hed, when non-nil, requests hedged duplicate deliveries of the chunks
+// it picks; duplicates ride the repair protocol, so hedging needs chk
+// with repair enabled.
+//
+// With all three nil, as Exec calls it, the shuffle ships each chunk
+// once, with no checksum, ack or duplicate messages.
 func ExecVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op Op,
-	chk *integrity.Checker, corr *faults.Corrupter) error {
-	return execVerified(ctx, plan, data, file, op, chk, corr, nil)
-}
-
-func execVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op Op,
 	chk *integrity.Checker, corr *faults.Corrupter, hed *Hedger) error {
-	if chk == nil && corr == nil {
-		return Exec(ctx, plan, data, file, op)
-	}
 	if err := ctx.Validate(); err != nil {
 		return err
 	}
 	if len(data) != ctx.Topo.Size() {
-		return fmt.Errorf("collio: ExecVerified got %d rank buffers for %d ranks", len(data), ctx.Topo.Size())
+		return fmt.Errorf("collio: got %d rank buffers for %d ranks", len(data), ctx.Topo.Size())
 	}
 	for r, d := range data {
 		if d.Req.Rank != r {
@@ -97,6 +105,8 @@ func execVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 				if me != d.Aggregator {
 					continue
 				}
+				// Zeroed: domain bytes no contributor covers must land on
+				// disk as zeros, exactly as a fresh allocation would.
 				domBuf := getStage(d.Bytes)
 				clear(domBuf)
 				for j, r := range sched.contributors {
@@ -125,7 +135,9 @@ func execVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 				continue
 			}
 			// Read: the aggregator loads the domain and distributes; each
-			// consumer verifies its slice and may re-request it.
+			// consumer verifies its slice and may re-request it. The
+			// extents sum to d.Bytes, so the reads fill the whole buffer —
+			// no zeroing needed.
 			if me == d.Aggregator {
 				domBuf := getStage(d.Bytes)
 				var pos int64

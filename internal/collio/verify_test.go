@@ -81,7 +81,7 @@ func TestExecVerifiedCleanRoundTrip(t *testing.T) {
 	file := fsys.Open("clean")
 	chk := integrity.NewChecker(integrity.Config{Seed: 3, Repair: true})
 
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, nil); err != nil {
+	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(oracle))
@@ -96,7 +96,7 @@ func TestExecVerifiedCleanRoundTrip(t *testing.T) {
 	for i := range readData {
 		readData[i] = collio.RankData{Req: reqs[i], Buf: make([]byte, len(data[i].Buf))}
 	}
-	if err := collio.ExecVerified(ctx, plan, readData, file, collio.Read, chk, nil); err != nil {
+	if err := collio.ExecVerified(ctx, plan, readData, file, collio.Read, chk, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range readData {
@@ -121,7 +121,7 @@ func TestExecVerifiedNilCheckerIsExec(t *testing.T) {
 		t.Fatal(err)
 	}
 	file := fsys.Open("legacy")
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, nil, nil); err != nil {
+	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(oracle))
@@ -143,7 +143,7 @@ func TestExecVerifiedRepairsMessageFlips(t *testing.T) {
 	corr := faults.NewCorrupter(flipPlan(ctx.Topo.Nodes(), 2), ranksByNode(ctx))
 	chk := integrity.NewChecker(integrity.Config{Seed: 5, Repair: true, MaxRepairs: 16})
 
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, corr); err != nil {
+	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, corr, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(oracle))
@@ -175,7 +175,7 @@ func TestExecVerifiedDetectsFlipsWithoutRepair(t *testing.T) {
 	corr := faults.NewCorrupter(flipPlan(ctx.Topo.Nodes(), 2), ranksByNode(ctx))
 	chk := integrity.NewChecker(integrity.Config{Seed: 5})
 
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, corr); err != nil {
+	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, corr, nil); err != nil {
 		t.Fatal(err)
 	}
 	rep := chk.Report()
@@ -205,7 +205,7 @@ func TestExecVerifiedRepairsTornWrites(t *testing.T) {
 	defer fsys.SetCorrupter(nil)
 	chk := integrity.NewChecker(integrity.Config{Seed: 9, Repair: true, MaxRepairs: 16})
 
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, corr); err != nil {
+	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, corr, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(oracle))
