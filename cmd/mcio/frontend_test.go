@@ -133,6 +133,15 @@ func TestFrontEndChoices(t *testing.T) {
 		{[]string{"profile", "x"}, `mcio profile: unknown profile experiment "x" (valid: ` + profile + ")\n", 1},
 		{[]string{"chaos", "-h"}, "usage: mcio chaos [" + bar(chaos) + "] [flags]", 2},
 		{[]string{"chaos", "x"}, `mcio chaos: unknown chaos campaign "x" (valid: ` + chaos + ")\n", 2},
+		// A name after the flags is read, not ignored; a second name is refused.
+		{[]string{"bench", "-parallel", "1", "x"}, `mcio bench: unknown experiment "x" (valid: ` + ledger + ")\n", 1},
+		{[]string{"bench", "fig6", "-parallel", "1", "x"}, `mcio bench: usage: one experiment name at most, got ["fig6" "x"]` + "\n", 2},
+		{[]string{"observe", "-mem", "8", "x"}, `mcio observe: unknown figure "x" (valid: ` + figures + ")\n", 1},
+		{[]string{"observe", "fig6", "x"}, `mcio observe: usage: one experiment name at most, got ["fig6" "x"]` + "\n", 2},
+		{[]string{"profile", "-op", "read", "x"}, `mcio profile: unknown profile experiment "x" (valid: ` + profile + ")\n", 1},
+		{[]string{"profile", "fig6", "x"}, `mcio profile: usage: one experiment name at most, got ["fig6" "x"]` + "\n", 2},
+		{[]string{"chaos", "-ops", "2", "x"}, `mcio chaos: unknown chaos campaign "x" (valid: ` + chaos + ")\n", 2},
+		{[]string{"chaos", "gray", "-ops", "2", "x"}, `mcio chaos: usage: one experiment name at most, got ["gray" "x"]` + "\n", 2},
 	}
 	for _, c := range cases {
 		_, stderr, code := runMain(t, c.args...)

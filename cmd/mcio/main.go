@@ -95,6 +95,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -131,12 +132,8 @@ func observe(args []string) error {
 	traceOut := fs.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file here")
 	metricsOut := fs.String("metrics-out", "", "write a metrics snapshot here (.csv selects CSV, .prom the Prometheus text format, otherwise JSON)")
 	flameOut := fs.String("flame-out", "", "write a collapsed-stack flamegraph of the critical path here (flamegraph.pl / inferno / speedscope input)")
-	figure := "fig7"
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		figure = args[0]
-		args = args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
+	figure, err := onePositional(fs, args, "fig7")
+	if err != nil {
 		return err
 	}
 	bench.SetParallelism(*parallel)
@@ -205,12 +202,8 @@ func runBench(args []string, out io.Writer) error {
 	archive := fs.String("archive", "", "append the record to this history directory under an auto-generated <seq>-<commit>-<exp>.json name")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run here (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write an allocation profile of the run here (go tool pprof)")
-	name := "fig6"
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		name = args[0]
-		args = args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
+	name, err := onePositional(fs, args, "fig6")
+	if err != nil {
 		return err
 	}
 	// Refuse to clobber an existing ledger before spending minutes
@@ -414,12 +407,8 @@ func runChaos(args []string, out io.Writer) (int, error) {
 	rate := fs.Float64("rate", 2, "fault-rate multiplier: silent corruption in the soak, gray faults + corruption in the gray campaign (0 disables injection)")
 	repair := fs.Bool("repair", true, "repair detected corruptions (false proves detection of every injection instead)")
 	metricsOut := fs.String("metrics-out", "", "write a metrics snapshot here (.csv selects CSV, .prom the Prometheus text format, otherwise JSON)")
-	campaign := bench.In(bench.ViewChaos)[0].Name
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		campaign = args[0]
-		args = args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
+	campaign, err := onePositional(fs, args, bench.In(bench.ViewChaos)[0].Name)
+	if err != nil {
 		return 2, err
 	}
 	e, err := bench.Lookup(bench.ViewChaos, campaign)
@@ -464,12 +453,8 @@ func runProfile(args []string, out io.Writer) error {
 	tick := fs.Float64("tick", 0, "initial sample tick, simulated seconds (0 = automatic; the recorder coarsens it to stay inside the sample budget)")
 	outPath := fs.String("out", "", "write the self-contained HTML timeline report here")
 	csvPath := fs.String("csv", "", "write every sample bin and journal event as CSV here")
-	name := bench.In(bench.ViewProfile)[0].Name
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		name = args[0]
-		args = args[1:]
-	}
-	if err := fs.Parse(args); err != nil {
+	name, err := onePositional(fs, args, bench.In(bench.ViewProfile)[0].Name)
+	if err != nil {
 		return err
 	}
 	op, err := parseOp(*opName)
@@ -520,6 +505,34 @@ func parseInterleaved(fs *flag.FlagSet, args []string) ([]string, error) {
 	}
 }
 
+// errUsage marks a command line a subcommand refuses; main exits 2 on it.
+var errUsage = errors.New("usage")
+
+// onePositional parses fs over args like parseInterleaved and returns
+// the one experiment name among them, or def when there is none. More
+// than one is refused with errUsage.
+func onePositional(fs *flag.FlagSet, args []string, def string) (string, error) {
+	pos, err := parseInterleaved(fs, args)
+	switch {
+	case err != nil:
+		return "", err
+	case len(pos) == 0:
+		return def, nil
+	case len(pos) > 1:
+		return "", fmt.Errorf("%w: one experiment name at most, got %q", errUsage, pos)
+	}
+	return pos[0], nil
+}
+
+// exitCode is the exit status of a subcommand that failed with err:
+// 2 for a refused command line, 1 otherwise.
+func exitCode(err error) int {
+	if errors.Is(err, errUsage) {
+		return 2
+	}
+	return 1
+}
+
 // writeFile creates path, runs write on it, and reports the first error.
 func writeFile(path string, write func(*os.File) error) error {
 	f, err := os.Create(path)
@@ -568,13 +581,13 @@ func main() {
 		case "observe":
 			if err := observe(os.Args[2:]); err != nil {
 				fmt.Fprintln(os.Stderr, "mcio observe:", err)
-				os.Exit(1)
+				os.Exit(exitCode(err))
 			}
 			return
 		case "bench":
 			if err := runBench(os.Args[2:], os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "mcio bench:", err)
-				os.Exit(1)
+				os.Exit(exitCode(err))
 			}
 			return
 		case "diff":
@@ -604,7 +617,7 @@ func main() {
 		case "profile":
 			if err := runProfile(os.Args[2:], os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "mcio profile:", err)
-				os.Exit(1)
+				os.Exit(exitCode(err))
 			}
 			return
 		}

@@ -100,7 +100,7 @@ func (co *costObs) shuffle(it *faultItem, aggregator int, op Op) {
 	if co == nil {
 		return
 	}
-	for _, c := range it.Contribs {
+	for _, c := range it.rankContribs() {
 		per := evenShare(c.Bytes, it.Done, it.Rounds)
 		if per == 0 {
 			continue
@@ -137,7 +137,7 @@ func CostSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options) (
 // Cost emits under ctx.Obs are not emitted; engine-level metrics, spans
 // and traces are.
 func CostShape(ctx *Context, plan *Plan, sh *Shape, op Op, opt sim.Options) (*CostResult, error) {
-	res, err := sh.faultShape(plan).price(ctx, plan, op, opt, faultEnv{}, nil)
+	res, err := sh.faultShape(plan, nil).price(ctx, plan, op, opt, faultEnv{}, nil)
 	if err != nil {
 		return nil, err
 	}

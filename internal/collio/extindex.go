@@ -109,6 +109,30 @@ func (x *ExtentIndex) overlapAppend(dst []BucketBytes, norm []pfs.Extent) []Buck
 	return dst
 }
 
+// overlapBytes returns the bytes two canonical extent lists share: a
+// two-pointer walk that gallops past the extents of either list wholly
+// before the other's current one, and allocates nothing.
+func overlapBytes(a, b []pfs.Extent) int64 {
+	var n int64
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i].End() <= b[j].Offset:
+			i += sort.Search(len(a)-i, func(k int) bool { return a[i+k].End() > b[j].Offset })
+		case b[j].End() <= a[i].Offset:
+			j += sort.Search(len(b)-j, func(k int) bool { return b[j+k].End() > a[i].Offset })
+		default:
+			n += min(a[i].End(), b[j].End()) - max(a[i].Offset, b[j].Offset)
+			if a[i].End() < b[j].End() {
+				i++
+			} else {
+				j++
+			}
+		}
+	}
+	return n
+}
+
 // OverlapBytesInto is OverlapBytes with a caller-owned scratch slice:
 // dst is grown (or allocated when nil/too small), zeroed, filled and
 // returned, so a caller querying many requests against one index reuses

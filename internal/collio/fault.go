@@ -195,10 +195,9 @@ type faultEnv struct {
 // retry-only policy) and CostAdaptive (health observation, circuit
 // breakers, hedging and proactive failover). Fault *pricing* — including
 // the gray kinds — is identical either way; only the response policy
-// differs. An empty injector prices a clean run. Clean unobserved runs
-// price from the per-node Shape; faulted, all-hot and observed runs need
-// the per-rank contributor lists that recovery folds and the observer
-// counts.
+// differs. An empty injector prices a clean run. Every run prices from
+// the per-node Shape; a work item derives its per-rank contributor list
+// only when it turns hot, recovery folds it, or the observer counts it.
 func costFaulted(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options, env faultEnv) (*FaultResult, error) {
 	if env.inj.Empty() {
 		env.inj, env.handler, env.ad = nil, nil, nil
@@ -208,15 +207,9 @@ func costFaulted(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Option
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
-	if env.inj == nil && !env.allHot && ctx.Obs == nil {
-		sh, err := BuildShapeSet(ctx, plan, rs)
-		if err != nil {
-			return nil, err
-		}
-		return sh.faultShape(plan).price(ctx, plan, op, opt, env, nil)
-	}
 	co := newCostObs(ctx, plan, op)
-	return buildFaultShape(ctx, plan, rs, co).price(ctx, plan, op, opt, env, co)
+	src := &rankSource{rs: rs, topo: &ctx.Topo}
+	return buildShape(ctx, plan, rs, co).faultShape(plan, src).price(ctx, plan, op, opt, env, co)
 }
 
 // price is the one pricing loop: one data round per iteration, fault
@@ -252,6 +245,13 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 	if err != nil {
 		return nil, err
 	}
+	// A clean run prices its longest item's rounds plus the metadata
+	// round; recovery rounds, if any, grow the trace past that.
+	maxRounds := 0
+	for _, it := range fs.items {
+		maxRounds = max(maxRounds, it.Rounds)
+	}
+	eng.ReserveTrace(maxRounds + 1)
 	base := []obs.Label{obs.L("strategy", plan.Strategy), obs.L("op", op.String())}
 	pid := 0
 	if ctx.Obs != nil {
@@ -404,7 +404,7 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 				}
 				bytes := nit.recoveryMetaBytes()
 				dstNode := live[dst].AggNode
-				for _, c := range nit.Contribs {
+				for _, c := range nit.rankContribs() {
 					co.transfer(c.Rank, live[dst].Aggregator, bytes)
 					if k := len(rec.Messages); k > 0 && !env.allHot {
 						if m := &rec.Messages[k-1]; m.SrcNode == c.Node && m.DstNode == dstNode {
@@ -767,7 +767,7 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 				// contributor order. Healthy-node messages are skipped here
 				// (their queries are no-ops and they add no latency) and
 				// bundled below.
-				for _, c := range it.Contribs {
+				for _, c := range it.rankContribs() {
 					m := sim.AggMessage{SrcNode: c.Node, DstNode: d.AggNode, Bytes: evenShare(c.Bytes, s, it.Rounds), Count: 1}
 					if op == Read {
 						m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
@@ -892,7 +892,7 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 	}
 	res.BufferSummary = stats.Summarize(buffers)
 	if opt.Trace {
-		res.Trace = eng.Trace()
+		res.Trace = eng.TakeTrace()
 	}
 	if inj == nil {
 		res.Injected = map[string]int{}

@@ -1,6 +1,11 @@
 package collio
 
 import (
+	"cmp"
+	"slices"
+	"sync/atomic"
+
+	"mcio/internal/mpi"
 	"mcio/internal/pfs"
 	"mcio/internal/sim"
 )
@@ -14,31 +19,100 @@ type faultContrib struct {
 }
 
 // faultItem is a unit of remaining shuffle+I/O work in the pricing
-// loop. One item starts per non-empty plan domain; a recovery folds an
-// item's remaining work into a fresh item bound to the absorbing (or
-// re-placed) domain. Items reference live domains by index for
-// placement, so later reassignments of the same domain move them too.
-// Healthy items price from per-node aggregates (aggs); items touching a
-// hot node walk Contribs per rank.
+// loop. One item starts per non-empty domain of the run's Shape; a
+// recovery folds an item's remaining work into a fresh item bound to
+// the absorbing (or re-placed) domain. Items reference live domains by
+// index for placement, so later reassignments of the same domain move
+// them too.
+//
+// Healthy items price from per-node aggregates (aggs). The per-rank
+// contributor list exists only where it is read: the hot branch walks
+// it, recovery folds it (remaining), and the observer counts it
+// (costObs.shuffle and the refold re-exchange). An item built from a
+// Shape derives it from its aggregates on the first of those reads
+// (rankContribs); a folded item is built from its parent's list and
+// derives its aggregates from it instead (nodeAggs).
 type faultItem struct {
-	Domain   int // index into the live domain set; placement is read per round
-	Base     []pfs.Extent
-	Bytes    int64
-	Buf      int64
-	Rounds   int
-	Done     int
-	Rot      int // slice stagger rotation (domain index at creation)
-	Contribs []faultContrib
+	Domain int // index into the live domain set; placement is read per round
+	Base   []pfs.Extent
+	Bytes  int64
+	Buf    int64
+	Rounds int
+	Done   int
+	Rot    int // slice stagger rotation (domain index at creation)
 
-	aggs []NodeContrib // per-node aggregates, built from Contribs on first use
-	cur  []shareCursor // this run's position in each of aggs
+	contribs []faultContrib // per-rank list in request order; see rankContribs
+	src      *rankSource    // non-nil until contribs is derived from aggs
+	aggs     []NodeContrib  // per-node aggregates, from the Shape or built from contribs
+	cur      []shareCursor  // this run's position in each of aggs
 }
+
+// rankSource is what an item derives its per-rank list from: the run's
+// requests and their ranks' placement on nodes.
+type rankSource struct {
+	rs   *RequestSet
+	topo *mpi.Topology
+}
+
+// derivedLists counts the per-rank lists items have derived.
+var derivedLists atomic.Int64
 
 // Active reports whether the item still has rounds to run.
 func (it *faultItem) Active() bool { return it.Bytes > 0 && it.Done < it.Rounds }
 
+// rankContribs returns the item's per-rank contributor list, in request
+// order: the order the hot branch queries the injector and sums extra
+// latency in. An item built from a Shape derives it on first use.
+func (it *faultItem) rankContribs() []faultContrib {
+	if it.src != nil {
+		it.contribs = it.src.derive(it.Base, it.aggs)
+		it.src = nil
+	}
+	return it.contribs
+}
+
+// derive lists, in request order, every request of a rank on the nodes
+// of aggs that overlaps base, with the bytes it shares with base: the
+// per-rank form of aggs, one entry per counted contribution. A rank
+// with two requests contributes once per request. The list is sized
+// exactly from the aggregates' counts, and nothing else is allocated.
+func (src *rankSource) derive(base []pfs.Extent, aggs []NodeContrib) []faultContrib {
+	n := 0
+	for i := range aggs {
+		n += aggs[i].Count
+	}
+	cs := make([]faultContrib, 0, n)
+	rs := src.rs
+	for i := range aggs {
+		node := aggs[i].Node
+		for _, r := range src.topo.RanksOnNode(node) {
+			lo, hi := rs.rankRequests(r)
+			for k := lo; k < hi; k++ {
+				q := rs.byRankAt(k)
+				if b := overlapBytes(rs.List(q), base); b > 0 {
+					// Rank holds the request index until the list is in
+					// request order.
+					cs = append(cs, faultContrib{Rank: q, Node: node, Bytes: b})
+				}
+			}
+		}
+	}
+	// Nodes ascending, then ranks ascending, is request order already
+	// for block placement with requests in rank order.
+	byRequest := func(a, b faultContrib) int { return cmp.Compare(a.Rank, b.Rank) }
+	if !slices.IsSortedFunc(cs, byRequest) {
+		slices.SortFunc(cs, byRequest)
+	}
+	for i := range cs {
+		cs[i].Rank = rs.Rank(cs[i].Rank)
+	}
+	derivedLists.Add(1)
+	return cs
+}
+
 // nodeAggs returns the item's per-node contribution aggregates and the
-// run's cursors into them, building both from Contribs on first use.
+// run's cursors into them; a folded item builds both from its per-rank
+// list on first use.
 // Each NodeContrib reconstructs the node's exact per-round share of the
 // per-rank even split (NodeContrib.share), so aggregate pricing is
 // bit-identical to walking the ranks.
@@ -46,7 +120,7 @@ func (it *faultItem) nodeAggs() ([]NodeContrib, []shareCursor) {
 	if it.aggs == nil {
 		rounds := int64(max(it.Rounds, 1))
 		var cs []NodeContrib
-		for _, c := range it.Contribs {
+		for _, c := range it.contribs {
 			cs = addContrib(cs, c.Node, c.Bytes, rounds)
 		}
 		it.aggs = sealContribs(cs)
@@ -73,7 +147,7 @@ func evenShare(b int64, s, rounds int) int64 {
 // remainder is the union of the uncompleted slices).
 func (it *faultItem) remaining() ([]pfs.Extent, []faultContrib) {
 	if it.Done == 0 {
-		return it.Base, it.Contribs
+		return it.Base, it.rankContribs()
 	}
 	var rem []pfs.Extent
 	for j := it.Done; j < it.Rounds; j++ {
@@ -81,7 +155,7 @@ func (it *faultItem) remaining() ([]pfs.Extent, []faultContrib) {
 		rem = append(rem, pfs.SliceData(it.Base, int64(idx)*it.Buf, it.Buf)...)
 	}
 	var cs []faultContrib
-	for _, c := range it.Contribs {
+	for _, c := range it.rankContribs() {
 		moved := int64(it.Done)*(c.Bytes/int64(it.Rounds)) + min(int64(it.Done), c.Bytes%int64(it.Rounds))
 		if left := c.Bytes - moved; left > 0 {
 			cs = append(cs, faultContrib{Rank: c.Rank, Node: c.Node, Bytes: left})
@@ -106,7 +180,7 @@ func (it *faultItem) fold(target int, live []Domain) *faultItem {
 		Buf:      buf,
 		Rounds:   int((bytes + buf - 1) / buf),
 		Rot:      target,
-		Contribs: cs,
+		contribs: cs,
 	}
 }
 
@@ -118,62 +192,13 @@ func (it *faultItem) recoveryMetaBytes() int64 {
 	return max(int64(len(it.Base)), 1) * extentListEntryBytes
 }
 
-// faultShape is the per-rank round structure of a planned collective
-// operation: the metadata scatter in closed form plus one work item per
-// non-empty domain carrying its per-rank contributor list — what
-// recovery folds and the hot branch and the observer walk. It is
-// BuildShape's counterpart for faulted, adaptive and observed runs.
+// faultShape is one priced run's view of a Shape: the metadata scatter
+// plus fresh work items, one per non-empty domain, each with its own
+// cursors into the shape's per-node aggregates. Clean, faulted,
+// adaptive and observed runs all start from it (Shape.faultShape); an
+// item derives its per-rank list only when a run reads it.
 type faultShape struct {
 	meta        []sim.Exchange
 	items       []*faultItem
 	totalRounds int // the initial items' round counts, for the divergence guard
-}
-
-// buildFaultShape derives plan's per-rank round structure for the
-// given requests (ctx already validated), walking each rank's request
-// list once. A non-nil co counts the metadata scatter per rank.
-func buildFaultShape(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) *faultShape {
-	fs := &faultShape{}
-	fs.meta, _ = buildMetaExchanges(ctx, plan, rs, co)
-	contribs := make([][]faultContrib, len(plan.Domains))
-	if len(plan.Domains) > 0 {
-		// The sparse overlap walk visits only (rank, domain) pairs that
-		// actually overlap, near-linear in total extents; each domain's
-		// list comes out in request order, the order the hot branch walks.
-		buckets := make([][]pfs.Extent, len(plan.Domains))
-		for i, d := range plan.Domains {
-			buckets[i] = d.Extents
-		}
-		index := NewExtentIndex(buckets)
-		var overlaps []BucketBytes
-		for i := range rs.Len() {
-			if len(rs.List(i)) == 0 {
-				continue
-			}
-			rank := rs.Rank(i)
-			node := ctx.Topo.NodeOf(rank)
-			overlaps = index.RequestOverlapAppend(overlaps[:0], rs, i)
-			for _, bb := range overlaps {
-				contribs[bb.Bucket] = append(contribs[bb.Bucket],
-					faultContrib{Rank: rank, Node: node, Bytes: bb.Bytes})
-			}
-		}
-	}
-	for i, d := range plan.Domains {
-		rounds := d.Rounds()
-		fs.totalRounds += rounds
-		if rounds == 0 {
-			continue
-		}
-		fs.items = append(fs.items, &faultItem{
-			Domain:   i,
-			Base:     d.Extents,
-			Bytes:    d.Bytes,
-			Buf:      d.BufferBytes,
-			Rounds:   rounds,
-			Rot:      i,
-			Contribs: contribs[i],
-		})
-	}
-	return fs
 }

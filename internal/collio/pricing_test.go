@@ -43,12 +43,15 @@ func pricingCtx(t *testing.T, ranks, nodes, targets int, avail int64) *collio.Co
 		FS: pfs.DefaultConfig(targets), Params: collio.DefaultParams(avail)}
 }
 
-// pricingCases returns three pinned workloads — dense contiguous
-// blocks, a strided pattern with uneven round remainders, and
-// contiguous blocks over a small stripe unit, so each round slice
-// lands on a span of targets that wraps past the last one — then n
-// random seeded topologies with sparse, overlapping requests and idle
-// ranks, every other one striped finely too.
+// pricingCases returns five pinned workloads — dense contiguous
+// blocks, a strided pattern with uneven round remainders, contiguous
+// blocks over a small stripe unit, so each round slice lands on a span
+// of targets that wraps past the last one, the strided pattern on ranks
+// placed round-robin over the nodes, and uneven blocks requested in
+// shuffled rank order with idle ranks — then n random seeded topologies
+// with sparse, overlapping requests and idle ranks, every other one
+// striped finely too. The round-robin and shuffled cases are the ones
+// whose per-rank lists are not in node order.
 func pricingCases(t *testing.T, n int) []pricingCase {
 	opt := sim.DefaultOptions()
 	opt.Trace = true
@@ -72,10 +75,33 @@ func pricingCases(t *testing.T, n int) []pricingCase {
 	}
 	stripedCtx := pricingCtx(t, 16, 4, 12, 16<<10)
 	stripedCtx.FS.StripeUnit = 1000
+	interleavedCtx := pricingCtx(t, 16, 4, 8, 8<<10)
+	roundRobin := make([]int, 16)
+	for r := range roundRobin {
+		roundRobin[r] = r % 4
+	}
+	topo, err := mpi.ExplicitTopology(roundRobin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interleavedCtx.Topo = topo
+	var shuffled []collio.RankRequest
+	var off int64
+	for r := 0; r < 16; r++ {
+		if r%5 == 3 {
+			continue // idle
+		}
+		n := int64(1+r%3) * 1500
+		shuffled = append(shuffled, collio.RankRequest{Rank: r, Extents: []pfs.Extent{{Offset: off, Length: n}}})
+		off += n
+	}
+	rand.New(rand.NewSource(23)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	cases := []pricingCase{
 		{pricingCtx(t, 12, 4, 4, 16<<10), contiguous, opt},
 		{pricingCtx(t, 16, 4, 8, 8<<10), strided, opt},
 		{stripedCtx, striped, opt},
+		{interleavedCtx, strided, opt},
+		{pricingCtx(t, 16, 4, 6, 4<<10), shuffled, opt},
 	}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < n; i++ {
@@ -307,10 +333,25 @@ func faultedParity(t *testing.T, name string, c pricingCase, strategy string, op
 // TestObservedPricingMatchesUnobserved pins that observation never
 // steers pricing: Cost and CostWithFaults with ctx.Obs set return what
 // the same runs return unobserved, and on a clean run the per-rank
-// mpi.bytes_sent counters add up to the engine's shuffle bytes.
+// mpi.bytes_sent counters add up to the engine's shuffle bytes. It runs
+// the strided case on block and on round-robin placement, and the
+// shuffled-request case.
 func TestObservedPricingMatchesUnobserved(t *testing.T) {
-	c := pricingCases(t, 0)[1]
+	pinned := pricingCases(t, 0)
 	faulted := 0
+	for _, c := range []pricingCase{pinned[1], pinned[3], pinned[4]} {
+		observedParity(t, c, &faulted)
+	}
+	if faulted == 0 {
+		t.Fatal("no faulted run priced: the observed fault path went unchecked")
+	}
+}
+
+// observedParity prices c's clean and faulted runs observed and
+// unobserved, both strategies and directions, and counts the faulted
+// runs in *faulted.
+func observedParity(t *testing.T, c pricingCase, faulted *int) {
+	t.Helper()
 	for _, strategy := range []string{"two-phase", "memory-conscious"} {
 		clean := faults.DefaultSpec(3, 1).WithRate(0)
 		for _, op := range []collio.Op{collio.Write, collio.Read} {
@@ -357,11 +398,8 @@ func TestObservedPricingMatchesUnobserved(t *testing.T) {
 				t.Fatalf("%s %s: observed CostWithFaults differs\nobserved:   %+v\nunobserved: %+v", strategy, op, fgot, fwant)
 			}
 			if fgot != nil && len(fgot.Injected) > 0 {
-				faulted++
+				*faulted++
 			}
 		}
-	}
-	if faulted == 0 {
-		t.Fatal("no faulted run priced: the observed fault path went unchecked")
 	}
 }

@@ -1,9 +1,11 @@
 package collio
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/maphash"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -50,7 +52,9 @@ type RequestSet struct {
 	fpOnce    sync.Once
 	fp        uint64
 	rankOnce  sync.Once
-	byRank    map[int]int
+	// byRank lists the request indices ordered by rank, then index,
+	// when the ranks are not in order; built on first use.
+	byRank []int32
 }
 
 // NewRequestSet checks every request list once and wraps them. A list
@@ -154,22 +158,43 @@ func RanksWithData(rs *RequestSet) []int {
 // IndexOfRank returns the index of the last request for rank, or -1 when
 // the rank requests nothing.
 func (s *RequestSet) IndexOfRank(rank int) int {
-	if s.ranksInOrder {
-		if uint(rank) < uint(len(s.reqs)) {
-			return rank
-		}
+	lo, hi := s.rankRequests(rank)
+	if lo == hi {
 		return -1
 	}
-	s.rankOnce.Do(func() {
-		s.byRank = make(map[int]int, len(s.reqs))
-		for i, r := range s.reqs {
-			s.byRank[r.Rank] = i
+	return s.byRankAt(hi - 1)
+}
+
+// rankRequests returns the run [lo, hi) of the set's by-rank order that
+// holds rank's requests: byRankAt(k) for k in the run is each of their
+// indices, ascending.
+func (s *RequestSet) rankRequests(rank int) (lo, hi int) {
+	if s.ranksInOrder {
+		if uint(rank) < uint(len(s.reqs)) {
+			return rank, rank + 1
 		}
-	})
-	if i, ok := s.byRank[rank]; ok {
-		return i
+		return 0, 0
 	}
-	return -1
+	s.rankOnce.Do(func() {
+		s.byRank = make([]int32, len(s.reqs))
+		for i := range s.byRank {
+			s.byRank[i] = int32(i)
+		}
+		slices.SortStableFunc(s.byRank, func(a, b int32) int { return cmp.Compare(s.reqs[a].Rank, s.reqs[b].Rank) })
+	})
+	rankAt := func(k int) int { return s.reqs[s.byRank[k]].Rank }
+	lo = sort.Search(len(s.byRank), func(k int) bool { return rankAt(k) >= rank })
+	hi = lo + sort.Search(len(s.byRank)-lo, func(k int) bool { return rankAt(lo+k) > rank })
+	return lo, hi
+}
+
+// byRankAt returns the request index at position k of the set's by-rank
+// order.
+func (s *RequestSet) byRankAt(k int) int {
+	if s.ranksInOrder {
+		return k
+	}
+	return int(s.byRank[k])
 }
 
 // NegativeExtent returns the first extent of negative length in request

@@ -66,11 +66,20 @@ type NodeContrib struct {
 	// Bytes is the node's total contribution to the domain.
 	Bytes int64
 
-	floorSum int64   // Σ floor(rankBytes/rounds) over the node's ranks
-	posFloor int     // ranks whose floor share is positive
-	rems     []int64 // positive remainders rankBytes%rounds, sorted
-	remsZero []int64 // subset of rems where the floor share is zero, sorted
+	floorSum int64    // Σ floor(rankBytes/rounds) over the node's ranks
+	posFloor int      // ranks whose floor share is positive
+	extra    int      // ranks with a positive remainder rankBytes%rounds
+	zero     int      // of those, the ranks whose floor share is zero
+	rems     []remRun // the positive remainders as a multiset; sorted, one run per value, once sealed
 	steps    []shareStep
+}
+
+// remRun is n ranks' equal positive remainder, zero of them with no
+// floor share. Ranks of equal block sizes share their remainder, so a
+// node's ranks arriving one after another mostly extend one run.
+type remRun struct {
+	rem     int64
+	n, zero int32
 }
 
 // shareStep marks a round where a node's share drops: from round at on
@@ -106,25 +115,21 @@ func (c *NodeContrib) share(cur *shareCursor, k int) (bytes int64, msgs int) {
 		i--
 	}
 	*cur = shareCursor(i)
-	extra, zero := len(c.rems), len(c.remsZero)
+	extra, zero := c.extra, c.zero
 	if i > 0 {
 		extra, zero = c.steps[i-1].extra, c.steps[i-1].zero
 	}
 	return c.floorSum + int64(extra), c.posFloor + zero
 }
 
-// appendSteps appends c's steps, derived from its sorted remainder
-// lists, to dst.
+// appendSteps appends c's steps, derived from its sealed remainder
+// runs, to dst.
 func (c *NodeContrib) appendSteps(dst []shareStep) []shareStep {
-	z := 0
-	for i, r := range c.rems {
-		if i+1 < len(c.rems) && c.rems[i+1] == r {
-			continue // not the last of its run of equal remainders
-		}
-		for z < len(c.remsZero) && c.remsZero[z] <= r {
-			z++
-		}
-		dst = append(dst, shareStep{at: r, extra: len(c.rems) - i - 1, zero: len(c.remsZero) - z})
+	extra, zero := c.extra, c.zero
+	for _, r := range c.rems {
+		extra -= int(r.n)
+		zero -= int(r.zero)
+		dst = append(dst, shareStep{at: r.rem, extra: extra, zero: zero})
 	}
 	return dst
 }
@@ -139,12 +144,21 @@ func (c *NodeContrib) add(b, rounds int64) {
 	if fl > 0 {
 		c.posFloor++
 	}
-	if rem > 0 {
-		c.rems = append(c.rems, rem)
-		if fl == 0 {
-			c.remsZero = append(c.remsZero, rem)
-		}
+	if rem == 0 {
+		return
 	}
+	var zero int32
+	if fl == 0 {
+		zero = 1
+	}
+	c.extra++
+	c.zero += int(zero)
+	if k := len(c.rems); k > 0 && c.rems[k-1].rem == rem {
+		c.rems[k-1].n++
+		c.rems[k-1].zero += zero
+		return
+	}
+	c.rems = append(c.rems, remRun{rem: rem, n: 1, zero: zero})
 }
 
 // merge folds o, the same node's aggregate over other ranks, into c.
@@ -153,8 +167,25 @@ func (c *NodeContrib) merge(o *NodeContrib) {
 	c.Bytes += o.Bytes
 	c.floorSum += o.floorSum
 	c.posFloor += o.posFloor
+	c.extra += o.extra
+	c.zero += o.zero
 	c.rems = append(c.rems, o.rems...)
-	c.remsZero = append(c.remsZero, o.remsZero...)
+}
+
+// sealRems sorts c's remainder runs by value and merges the runs of
+// equal value in place.
+func (c *NodeContrib) sealRems() {
+	slices.SortFunc(c.rems, func(a, b remRun) int { return cmp.Compare(a.rem, b.rem) })
+	out := c.rems[:0]
+	for _, r := range c.rems {
+		if n := len(out); n > 0 && out[n-1].rem == r.rem {
+			out[n-1].n += r.n
+			out[n-1].zero += r.zero
+			continue
+		}
+		out = append(out, r)
+	}
+	c.rems = out
 }
 
 // addContrib folds one rank's b bytes on node, split over rounds, into
@@ -187,13 +218,8 @@ func sealContribs(cs []NodeContrib) []NodeContrib {
 	}
 	nsteps := 0
 	for i := range out {
-		slices.Sort(out[i].rems)
-		slices.Sort(out[i].remsZero)
-		for k, r := range out[i].rems {
-			if k == 0 || out[i].rems[k-1] != r {
-				nsteps++
-			}
-		}
+		out[i].sealRems()
+		nsteps += len(out[i].rems)
 	}
 	steps := make([]shareStep, 0, nsteps) // never regrown: the subslices stay put
 	for i := range out {
@@ -217,8 +243,14 @@ func BuildShapeSet(ctx *Context, plan *Plan, rs *RequestSet) (*Shape, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
+	return buildShape(ctx, plan, rs, nil), nil
+}
+
+// buildShape is BuildShapeSet for a validated ctx. A non-nil co counts
+// the metadata scatter per rank.
+func buildShape(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) *Shape {
 	sh := &Shape{}
-	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, rs, nil)
+	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, rs, co)
 	// Domain shapes: geometry plus per-node contribution aggregates.
 	sh.Domains = make([]DomainShape, len(plan.Domains))
 	buckets := make([][]pfs.Extent, len(plan.Domains))
@@ -249,13 +281,15 @@ func BuildShapeSet(ctx *Context, plan *Plan, rs *RequestSet) (*Shape, error) {
 	for i := range sh.Domains {
 		sh.Domains[i].Contribs = sealContribs(sh.Domains[i].Contribs)
 	}
-	return sh, nil
+	return sh
 }
 
 // faultShape returns the shape as fresh work items for the pricing
-// loop, in domain order, each carrying its per-node aggregates, fresh
-// cursors into them, and no per-rank list.
-func (sh *Shape) faultShape(plan *Plan) *faultShape {
+// loop, in domain order, each carrying its per-node aggregates and
+// fresh cursors into them. An item derives its per-rank list from src
+// when the run first reads it; a nil src serves only runs that never
+// do: clean and unobserved.
+func (sh *Shape) faultShape(plan *Plan, src *rankSource) *faultShape {
 	fs := &faultShape{meta: sh.MetaExchanges, items: make([]*faultItem, 0, len(sh.Domains))}
 	backing := make([]faultItem, 0, len(sh.Domains))
 	ncur := 0
@@ -276,6 +310,7 @@ func (sh *Shape) faultShape(plan *Plan) *faultShape {
 			Buf:    d.BufferBytes,
 			Rounds: d.Rounds,
 			Rot:    d.Index,
+			src:    src,
 			aggs:   d.Contribs,
 			cur:    cursors[:len(d.Contribs):len(d.Contribs)],
 		})
@@ -294,14 +329,6 @@ func (sh *Shape) faultShape(plan *Plan) *faultShape {
 // point-to-point message count they stand for. A non-nil co counts each
 // of those messages per rank.
 func buildMetaExchanges(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) ([]sim.Exchange, int) {
-	// Extent counts by rank. A rank outside the topology has no node to
-	// send from, so only in-range ranks are counted.
-	extCount := make([]int, ctx.Topo.Size())
-	for i := range rs.Len() {
-		if r := rs.Rank(i); uint(r) < uint(len(extCount)) {
-			extCount[r] = len(rs.List(i))
-		}
-	}
 	aggsByGroup := make([][]int, len(plan.GroupRanks))
 	for _, d := range plan.Domains {
 		if uint(d.Group) < uint(len(aggsByGroup)) {
@@ -321,10 +348,13 @@ func buildMetaExchanges(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) (
 		}
 		srcs = srcs[:0]
 		for _, r := range ranks {
-			if uint(r) >= uint(len(extCount)) || extCount[r] == 0 {
+			// A rank outside the topology has no node to send from; a
+			// rank ships its last request's list.
+			i := rs.IndexOfRank(r)
+			if uint(r) >= uint(ctx.Topo.Size()) || i < 0 || len(rs.List(i)) == 0 {
 				continue
 			}
-			bytes := int64(extCount[r]) * extentListEntryBytes
+			bytes := int64(len(rs.List(i))) * extentListEntryBytes
 			node := ctx.Topo.NodeOf(r)
 			if srcAt[node] == 0 {
 				srcs = append(srcs, sim.ExchangeSrc{Node: node})

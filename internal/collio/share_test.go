@@ -3,19 +3,23 @@ package collio
 import (
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
+	"mcio/internal/mpi"
 	"mcio/internal/pfs"
 	"mcio/internal/stats"
 )
 
 // RoundShare is the cursor-free oracle for NodeContrib.share: round k's
-// exact share read from the sorted remainder lists by binary search.
+// exact share counted from the remainder runs.
 func (c *NodeContrib) RoundShare(k int) (bytes int64, msgs int) {
-	kk := int64(k)
-	extra := len(c.rems) - sort.Search(len(c.rems), func(i int) bool { return c.rems[i] > kk })
-	zero := len(c.remsZero) - sort.Search(len(c.remsZero), func(i int) bool { return c.remsZero[i] > kk })
+	var extra, zero int
+	for _, r := range c.rems {
+		if r.rem > int64(k) {
+			extra += int(r.n)
+			zero += int(r.zero)
+		}
+	}
 	return c.floorSum + int64(extra), c.posFloor + zero
 }
 
@@ -23,7 +27,7 @@ func (c *NodeContrib) RoundShare(k int) (bytes int64, msgs int) {
 // the hot branch would send rank by rank, and the positive-byte
 // messages among them.
 func perRankShare(it *faultItem, node, k int) (bytes int64, msgs int) {
-	for _, c := range it.Contribs {
+	for _, c := range it.rankContribs() {
 		if c.Node != node {
 			continue
 		}
@@ -61,7 +65,7 @@ func randomItem(r *stats.RNG) *faultItem {
 		Bytes:    total,
 		Buf:      buf,
 		Rounds:   int((total + buf - 1) / buf),
-		Contribs: cs,
+		contribs: cs,
 	}
 }
 
@@ -110,6 +114,7 @@ func TestShareCursorMatchesRoundShare(t *testing.T) {
 
 // Walking a shape's items moves only the run's cursors: the shape, which
 // both directions of CostShape and parallel cells share, is unchanged.
+// Each run's item derives the per-rank list the shape was built from.
 func TestShareCursorsLeaveShapeUnchanged(t *testing.T) {
 	r := stats.NewRNG(5)
 	src := randomItem(r)
@@ -117,9 +122,26 @@ func TestShareCursorsLeaveShapeUnchanged(t *testing.T) {
 	sh := &Shape{Domains: []DomainShape{{Rounds: src.Rounds, BufferBytes: src.Buf, Extents: src.Base, Contribs: aggs}}}
 	before := cloneShape(sh)
 	plan := &Plan{Domains: []Domain{{Extents: src.Base, Bytes: src.Bytes, BufferBytes: src.Buf}}}
+	// Rank c.Rank requests the next c.Bytes bytes of the item's one
+	// extent on node c.Node, so its overlap with the item is c.Bytes.
+	nodeOf := make([]int, len(src.contribs))
+	reqs := make([]RankRequest, len(src.contribs))
+	var off int64
+	for i, c := range src.contribs {
+		nodeOf[i] = c.Node
+		reqs[i] = RankRequest{Rank: c.Rank, Extents: []pfs.Extent{{Offset: off, Length: c.Bytes}}}
+		off += c.Bytes
+	}
+	topo, err := mpi.ExplicitTopology(nodeOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranks := &rankSource{rs: NewRequestSet(reqs), topo: &topo}
 	for run := 0; run < 2; run++ {
-		it := sh.faultShape(plan).items[0]
-		it.Contribs = src.Contribs // for the per-rank oracle
+		it := sh.faultShape(plan, ranks).items[0]
+		if got := it.rankContribs(); !reflect.DeepEqual(got, src.contribs) {
+			t.Fatalf("run %d: derived per-rank list %v, want %v", run, got, src.contribs)
+		}
 		for ; it.Active(); it.Done++ {
 			checkShares(t, run, it)
 		}
@@ -136,7 +158,6 @@ func cloneShape(sh *Shape) *Shape {
 		cs := append([]NodeContrib(nil), c.Domains[i].Contribs...)
 		for k := range cs {
 			cs[k].rems = slices.Clone(cs[k].rems)
-			cs[k].remsZero = slices.Clone(cs[k].remsZero)
 			cs[k].steps = slices.Clone(cs[k].steps)
 		}
 		c.Domains[i].Contribs = cs

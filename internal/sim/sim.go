@@ -1281,10 +1281,26 @@ func (eo *engineObs) emitRound(r roundEmit) {
 	}
 }
 
-// Trace returns the per-round records collected so far; empty unless
-// Options.Trace was set.
+// Trace returns a copy of the per-round records collected so far;
+// empty unless Options.Trace was set.
 func (e *Engine) Trace() []TraceEntry {
 	return append([]TraceEntry(nil), e.trace...)
+}
+
+// ReserveTrace sizes the trace for n rounds when Options.Trace is set,
+// so a run that knows its round count records without regrowing it.
+func (e *Engine) ReserveTrace(n int) {
+	if e.opt.Trace {
+		e.trace = slices.Grow(e.trace, n)
+	}
+}
+
+// TakeTrace hands the per-round records collected so far to the caller
+// without copying them; the engine starts a fresh trace.
+func (e *Engine) TakeTrace() []TraceEntry {
+	tr := e.trace
+	e.trace = nil
+	return tr
 }
 
 // AddLatency charges a flat latency (e.g. collective metadata exchange)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -347,6 +348,25 @@ func TestTraceRecordsRounds(t *testing.T) {
 	tr[0].Messages = 99
 	if e.Trace()[0].Messages == 99 {
 		t.Fatal("Trace leaked internal slice")
+	}
+}
+
+// A reserved trace records the same rounds, and TakeTrace hands them
+// over as Trace reports them, leaving the engine a fresh trace.
+func TestReserveAndTakeTrace(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Trace = true
+	e := testEngine(t, opt)
+	e.ReserveTrace(2)
+	e.RunRound(Round{Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 100}}})
+	e.RunRound(Round{Messages: []Message{{SrcNode: 1, DstNode: 0, Bytes: 50}}})
+	want := e.Trace()
+	got := e.TakeTrace()
+	if !reflect.DeepEqual(got, want) || len(got) != 2 || cap(got) != 2 {
+		t.Fatalf("TakeTrace = %+v (cap %d), want the two rounds Trace reports, %+v", got, cap(got), want)
+	}
+	if len(e.Trace()) != 0 {
+		t.Fatal("the engine kept the trace it handed over")
 	}
 }
 
