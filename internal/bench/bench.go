@@ -28,14 +28,12 @@ import (
 // MB is a byte count shorthand for experiment parameters.
 const MB = int64(1) << 20
 
-// Engine names, kept for callers that still set Config.Engine.
+// EngineFast is the engine name FigExaConfig sets, kept for callers
+// that still read Config.Engine.
 //
 // Deprecated: every experiment prices through collio's one pricing
-// loop; no code reads Config.Engine.
-const (
-	EngineBytes = "bytes"
-	EngineFast  = "fast"
-)
+// loop; no code in this package reads Config.Engine.
+const EngineFast = "fast"
 
 // Config fixes one experiment's platform and sweep.
 type Config struct {
@@ -162,6 +160,16 @@ func (c Config) nahOrDefault() int {
 	return 4
 }
 
+// options are the pricing options of every run on c: the default cost
+// model with c's overlap and N_ah. Callers that want round traces set
+// Trace.
+func (c Config) options() sim.Options {
+	opt := sim.DefaultOptions()
+	opt.Overlap = c.Overlap
+	opt.NahOpt = c.nahOrDefault()
+	return opt
+}
+
 // platform is what every point of one sweep shares: the rank topology,
 // read-only once built, and zs, the per-node standard-normal draw
 // (common random numbers: the relative memory endowment of each node is
@@ -271,6 +279,46 @@ func (c Config) context(plat *platform, memMean int64, totalBytes int64) (*colli
 	}, nil
 }
 
+// figurePoint is one memory point of an experiment: its workload's
+// requests, checked and merged once into a request set, and a fresh
+// context at memMB per aggregator.
+type figurePoint struct {
+	cfg   Config
+	wl    Workload
+	name  string
+	memMB int
+	reqs  []collio.RankRequest
+	rs    *collio.RequestSet
+	ctx   *collio.Context
+}
+
+// newPoint validates cfg narrowed to memMB (<= 0 picks 16 MB, where the
+// baseline pages and the memory-conscious strategy adapts) and builds
+// its point on wl.
+func newPoint(cfg Config, wl Workload, name string, memMB int) (*figurePoint, error) {
+	if memMB <= 0 {
+		memMB = 16
+	}
+	cfg.MemMB = []int{memMB}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	reqs, err := wl.Requests()
+	if err != nil {
+		return nil, err
+	}
+	plat, err := cfg.platform()
+	if err != nil {
+		return nil, err
+	}
+	ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
+	if err != nil {
+		return nil, err
+	}
+	return &figurePoint{cfg: cfg, wl: wl, name: name, memMB: memMB,
+		reqs: reqs, rs: collio.NewRequestSet(reqs), ctx: ctx}, nil
+}
+
 // RunSweep runs the full (strategy × op × memory) grid for one workload,
 // comparing the two-phase baseline against the memory-conscious strategy.
 func RunSweep(cfg Config, wl Workload, workloadName string) (*Series, error) {
@@ -293,9 +341,7 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 	if err != nil {
 		return nil, err
 	}
-	opt := sim.DefaultOptions()
-	opt.Overlap = cfg.Overlap
-	opt.NahOpt = cfg.nahOrDefault()
+	opt := cfg.options()
 	// Per-round traces feed the run ledger's blame attribution; the cost
 	// is a few records per round, negligible next to the pricing itself.
 	opt.Trace = true
@@ -397,58 +443,35 @@ func (s *Series) Improvement(op string) float64 {
 }
 
 // TuneWorkload runs the parameter auto-tuner over one workload at the
-// 16 MB sweep point of cfg, exposing the paper's deferred
+// first memory point of cfg, exposing the paper's deferred
 // parameter-determination study as an experiment.
 func TuneWorkload(cfg Config, wl Workload) (*tuner.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	if len(cfg.MemMB) == 0 {
+		return nil, cfg.Validate() // names the empty sweep
 	}
-	reqs, err := wl.Requests()
+	p, err := newPoint(cfg, wl, "", cfg.MemMB[0])
 	if err != nil {
 		return nil, err
 	}
-	plat, err := cfg.platform()
-	if err != nil {
-		return nil, err
-	}
-	memMean := cfg.scaled(int64(cfg.MemMB[0]) * MB)
-	ctx, err := cfg.context(plat, memMean, wl.TotalBytes())
-	if err != nil {
-		return nil, err
-	}
-	opt := sim.DefaultOptions()
-	opt.Overlap = cfg.Overlap
-	return tuner.Tune(ctx, reqs, collio.Write, opt, tuner.Grid{})
+	return tuner.Tune(p.ctx, p.reqs, collio.Write, cfg.options(), tuner.Grid{})
 }
 
 // PlansAt plans the Figure 7 workload at one memory point with both
 // strategies and returns the plans plus the topology, for inspection
 // (cmd/mcio -exp plan).
 func PlansAt(cfg Config, memMB int) ([]*collio.Plan, mpi.Topology, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, mpi.Topology{}, err
-	}
-	wl, _ := Fig7Workload(cfg)
-	reqs, err := wl.Requests()
-	if err != nil {
-		return nil, mpi.Topology{}, err
-	}
-	plat, err := cfg.platform()
-	if err != nil {
-		return nil, mpi.Topology{}, err
-	}
-	ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
+	wl, name := Fig7Workload(cfg)
+	p, err := newPoint(cfg, wl, name, memMB)
 	if err != nil {
 		return nil, mpi.Topology{}, err
 	}
 	var plans []*collio.Plan
-	rs := collio.NewRequestSet(reqs)
 	for _, s := range []collio.Strategy{twophase.New(), core.New()} {
-		plan, err := collio.CachedPlanSet(s, ctx, rs)
+		plan, err := collio.CachedPlanSet(s, p.ctx, p.rs)
 		if err != nil {
 			return nil, mpi.Topology{}, err
 		}
 		plans = append(plans, plan)
 	}
-	return plans, ctx.Topo, nil
+	return plans, p.ctx.Topo, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"mcio/internal/collio"
 	"mcio/internal/core"
-	"mcio/internal/sim"
 	"mcio/internal/twophase"
 )
 
@@ -448,9 +447,7 @@ func perRankSweep(t *testing.T, cfg Config, wl Workload) []*collio.CostResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := sim.DefaultOptions()
-	opt.Overlap = cfg.Overlap
-	opt.NahOpt = cfg.nahOrDefault()
+	opt := cfg.options()
 	opt.Trace = true
 	plat, err := cfg.platform()
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 
 	"mcio/internal/collio"
 	"mcio/internal/faults"
-	"mcio/internal/sim"
 )
 
 // TestFaultedExaEnginesMatchSmall shrinks the fig-exa-faults grid to a
@@ -23,38 +22,23 @@ func TestFaultedExaEnginesMatchSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full fault grids, one walked per rank")
 	}
-	cfg := FigExaFaultsConfig(testScale, 42)
-	cfg.Ranks = 600
-	cfg.RanksPerNode = 6
-	cfg.Targets = 16
-	bundled, err := figExaFaultsRunCfg(cfg)
+	cells := exaFaultCells()
+	bundled, err := runFaultGrid(smallExaPoint(t), collio.Write, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	wl, _ := FigExaWorkload(cfg)
-	reqs, err := wl.Requests()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plat, err := cfg.platform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := cfg.context(plat, cfg.scaled(int64(cfg.MemMB[0])*MB), wl.TotalBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := sim.DefaultOptions()
-	opt.Overlap = cfg.Overlap
-	opt.NahOpt = cfg.nahOrDefault()
+	// The reference builds its own point: nothing the grid run left in
+	// its context or request set reaches the per-rank walk.
+	p := smallExaPoint(t)
+	opt := p.cfg.options()
 	opt.Trace = true
 	perRank := func(strategy string, spec faults.Spec) *collio.FaultResult {
-		plan, inj, handler, err := faultedSetup(ctx, collio.NewRequestSet(reqs), strategy, spec)
+		plan, inj, handler, err := faultedSetup(p.ctx, collio.NewRequestSet(p.reqs), strategy, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := collio.CostAdaptive(ctx, plan, reqs, collio.Write, opt, inj, handler,
+		res, err := collio.CostAdaptive(p.ctx, plan, p.reqs, collio.Write, opt, inj, handler,
 			&collio.Adaptive{HedgeMinSamples: math.MaxInt})
 		if err != nil {
 			t.Fatalf("%s: per-rank walk: %v", strategy, err)
@@ -63,34 +47,50 @@ func TestFaultedExaEnginesMatchSmall(t *testing.T) {
 	}
 
 	strategies := []string{"two-phase", "memory-conscious"}
-	cells := exaFaultCells()
 	if len(bundled) != len(cells)*len(strategies) {
 		t.Fatalf("point counts diverge: bundled %d, grid %d", len(bundled), len(cells)*len(strategies))
 	}
 	refs := map[string]float64{}
 	for _, strategy := range strategies {
-		refs[strategy] = perRank(strategy, faults.DefaultSpec(cfg.Seed, 1).WithRate(0)).Seconds
+		refs[strategy] = perRank(strategy, faults.DefaultSpec(p.cfg.Seed, 1).WithRate(0)).Seconds
 	}
 	exercised := 0
 	for i, b := range bundled {
 		cell, strategy := cells[i/len(strategies)], strategies[i%len(strategies)]
-		if b.Cell != cell || b.Strategy != strategy {
-			t.Fatalf("point %d is %+v/%s, want %+v/%s", i, b.Cell, b.Strategy, cell, strategy)
+		if b.cell != cell.name || b.Strategy != strategy {
+			t.Fatalf("point %d is %s/%s, want %s/%s", i, b.cell, b.Strategy, cell.name, strategy)
 		}
 		if b.RefSeconds != refs[strategy] {
-			t.Fatalf("cell %+v/%s: references diverge: bundled %v, per-rank %v",
-				cell, strategy, b.RefSeconds, refs[strategy])
+			t.Fatalf("cell %s/%s: references diverge: bundled %v, per-rank %v",
+				cell.name, strategy, b.RefSeconds, refs[strategy])
 		}
-		want := perRank(strategy, exaFaultSpec(cfg.Seed, refs[strategy]*4, plat.topo.Nodes(), cell))
+		want := perRank(strategy, cell.spec(p.cfg.Seed, refs[strategy]*4, p.ctx.Topo.Nodes()))
 		if !reflect.DeepEqual(b.Res, want) {
-			t.Fatalf("cell %+v/%s: bundled and per-rank pricing diverge\nbundled  %+v\nper-rank %+v",
-				cell, strategy, b.Res, want)
+			t.Fatalf("cell %s/%s: bundled and per-rank pricing diverge\nbundled  %+v\nper-rank %+v",
+				cell.name, strategy, b.Res, want)
 		}
 		exercised += b.Res.Failovers + b.Res.Stalls
 	}
 	if exercised == 0 {
 		t.Fatal("no grid cell exercised a failover or stall; the cross-check proved nothing")
 	}
+}
+
+// smallExaPoint is the fig-exa-faults point shrunk to 600 ranks, six
+// per node, on 16 targets: the exascale grid's workload shape at a size
+// the per-rank walk prices quickly.
+func smallExaPoint(t testing.TB) *figurePoint {
+	t.Helper()
+	cfg := FigExaFaultsConfig(testScale, 42)
+	cfg.Ranks = 600
+	cfg.RanksPerNode = 6
+	cfg.Targets = 16
+	wl, name := FigExaWorkload(cfg)
+	p, err := newPoint(cfg, wl, name, cfg.MemMB[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // TestValidatePresetConflicts pins the preset × sweep validation: a

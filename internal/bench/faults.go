@@ -17,14 +17,14 @@ import (
 // MTBFs.
 func faultRates() []float64 { return []float64{0, 0.5, 1, 2, 4} }
 
-// faultedRun prices one strategy under one fault schedule.
-func faultedRun(ctx *collio.Context, rs *collio.RequestSet, strategy string,
+// faultedRun prices one strategy's op under one fault schedule.
+func faultedRun(ctx *collio.Context, rs *collio.RequestSet, strategy string, op collio.Op,
 	opt sim.Options, spec faults.Spec) (*collio.FaultResult, error) {
 	plan, inj, handler, err := faultedSetup(ctx, rs, strategy, spec)
 	if err != nil {
 		return nil, err
 	}
-	return collio.CostWithFaultsSet(ctx, plan, rs, collio.Write, opt, inj, handler)
+	return collio.CostWithFaultsSet(ctx, plan, rs, op, opt, inj, handler)
 }
 
 // faultedSetup builds what one faulted run prices: the strategy's plan,
@@ -65,52 +65,64 @@ func faultedSetup(ctx *collio.Context, rs *collio.RequestSet, strategy string,
 	return plan, faults.NewInjector(fplan), handler, nil
 }
 
-// FaultPoint is one cell of the resilience sweep: a strategy priced at
-// a fault-rate multiplier, with its fault-free reference time.
+// faultCell is one cell of a fault grid: the label its ledger entries
+// carry and the schedule it prices. spec draws the schedule from the
+// run's seed, the fault horizon (4× the strategy's clean run, so
+// schedules outlive recovery-extended runs) and the machine's node
+// count.
+type faultCell struct {
+	name string
+	spec func(seed uint64, horizon float64, nodes int) faults.Spec
+}
+
+// rateCells are the resilience sweep's cells: the default fault
+// environment with every MTBF scaled by rate.
+func rateCells(rates ...float64) []faultCell {
+	cells := make([]faultCell, len(rates))
+	for i, rate := range rates {
+		cells[i] = faultCell{
+			name: fmt.Sprintf("rate=%g", rate),
+			spec: func(seed uint64, horizon float64, _ int) faults.Spec {
+				return faults.DefaultSpec(seed, horizon).WithRate(rate)
+			},
+		}
+	}
+	return cells
+}
+
+// FaultPoint is one cell of a fault grid: a strategy priced under the
+// cell's schedule, with its fault-free reference time.
 type FaultPoint struct {
-	Rate       float64
+	cell       string // the cell's label, e.g. "rate=0.5"
 	Strategy   string
 	RefSeconds float64 // fault-free run, the overhead denominator
 	Res        *collio.FaultResult
 	Overlap    bool
 }
 
-// faultSweepRun prices the IOR write workload of Figure 7 under
-// increasing fault rates for both strategies. Everything is a
-// deterministic function of (scale, seed).
-func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
-	cfg := Fig7Config(scale, seed)
-	cfg.Name = "faults"
-	cfg.MemMB = []int{16}
-	wl, _ := Fig7Workload(cfg)
-	reqs, err := wl.Requests()
-	if err != nil {
-		return nil, err
-	}
-	rs := collio.NewRequestSet(reqs)
-	plat, err := cfg.platform()
-	if err != nil {
-		return nil, err
-	}
-	ctx, err := cfg.context(plat, cfg.scaled(16*MB), wl.TotalBytes())
-	if err != nil {
-		return nil, err
-	}
-	opt := sim.DefaultOptions()
-	opt.Overlap = cfg.Overlap
-	opt.NahOpt = cfg.nahOrDefault()
-	opt.Trace = true
-
-	// Fault-free reference per strategy: the overhead denominator and the
-	// fault horizon (schedules span 4× the clean run so mid-operation
-	// faults actually land mid-operation). The two references and then
-	// every (rate × strategy) cell are independent runs — each rebuilds
-	// its own plan, injector and engine from the shared read-only ctx —
-	// so both fan out across the worker pool, collected by index.
+// runFaultGrid prices op on p under every cell's schedule for both
+// strategies and returns the points cell by cell, two-phase first
+// within a cell. A fault-free reference per strategy comes
+// first: it is every cell's overhead denominator and sets the fault
+// horizon. The references run without p's observer, so an observed
+// grid traces and counts its cells only. The references, and then
+// every (cell × strategy) run, are independent — each rebuilds its own
+// plan, injector and engine from the shared read-only context — so both
+// fan out across the worker pool, collected by index.
+func runFaultGrid(p *figurePoint, op collio.Op, cells []faultCell) ([]FaultPoint, error) {
 	strategies := []string{"two-phase", "memory-conscious"}
+	opt := p.cfg.options()
+	opt.Trace = true
+	seed, nodes := p.cfg.Seed, p.ctx.Topo.Nodes()
+	ref := p.ctx
+	if ref.Obs != nil {
+		unobserved := *ref
+		unobserved.Obs = nil
+		ref = &unobserved
+	}
 	refs := make([]float64, len(strategies))
-	err = ForEach(len(strategies), func(si int) error {
-		res, err := faultedRun(ctx, rs, strategies[si], opt, faults.DefaultSpec(seed, 1).WithRate(0))
+	err := ForEach(len(strategies), func(si int) error {
+		res, err := faultedRun(ref, p.rs, strategies[si], op, opt, faults.DefaultSpec(seed, 1).WithRate(0))
 		if err != nil {
 			return err
 		}
@@ -121,19 +133,25 @@ func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
 		return nil, err
 	}
 
-	rates := faultRates()
-	points := make([]FaultPoint, len(rates)*len(strategies))
+	// The tracer numbers processes in registration order; registering
+	// the strategies up front keeps an observed grid's trace identical
+	// at any worker count.
+	if p.ctx.Obs != nil {
+		for _, strategy := range strategies {
+			p.ctx.Obs.Tracer().PID(strategy)
+		}
+	}
+	points := make([]FaultPoint, len(cells)*len(strategies))
 	err = ForEach(len(points), func(ci int) error {
-		rate := rates[ci/len(strategies)]
+		cell := cells[ci/len(strategies)]
 		si := ci % len(strategies)
 		strategy := strategies[si]
-		spec := faults.DefaultSpec(seed, refs[si]*4).WithRate(rate)
-		res, err := faultedRun(ctx, rs, strategy, opt, spec)
+		res, err := faultedRun(p.ctx, p.rs, strategy, op, opt, cell.spec(seed, refs[si]*4, nodes))
 		if err != nil {
-			return fmt.Errorf("bench faults: %s at rate %g: %w", strategy, rate, err)
+			return fmt.Errorf("bench %s: %s at %s: %w", p.cfg.Name, strategy, cell.name, err)
 		}
 		points[ci] = FaultPoint{
-			Rate: rate, Strategy: strategy, RefSeconds: refs[si],
+			cell: cell.name, Strategy: strategy, RefSeconds: refs[si],
 			Res: res, Overlap: opt.Overlap,
 		}
 		return nil
@@ -142,6 +160,20 @@ func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
 		return nil, err
 	}
 	return points, nil
+}
+
+// faultSweepRun prices the IOR write workload of Figure 7 under
+// increasing fault rates for both strategies. Everything is a
+// deterministic function of (scale, seed).
+func faultSweepRun(scale int64, seed uint64) ([]FaultPoint, error) {
+	cfg := Fig7Config(scale, seed)
+	cfg.Name = "faults"
+	wl, name := Fig7Workload(cfg)
+	p, err := newPoint(cfg, wl, name, 16)
+	if err != nil {
+		return nil, err
+	}
+	return runFaultGrid(p, collio.Write, rateCells(faultRates()...))
 }
 
 // FaultSweep is the resilience experiment (mcio -exp faults): the IOR
@@ -169,7 +201,7 @@ func FaultSweep(scale int64, seed uint64) (*Table, error) {
 			events += n
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%g", pt.Rate),
+			strings.TrimPrefix(pt.cell, "rate="),
 			pt.Strategy,
 			fmt.Sprintf("%.1f", res.Bandwidth/1e6),
 			fmt.Sprintf("%+.1f%%", (res.Seconds/pt.RefSeconds-1)*100),
@@ -184,8 +216,8 @@ func FaultSweep(scale int64, seed uint64) (*Table, error) {
 	return t, nil
 }
 
-// ObserveFaults is Observe's resilience variant: one faulted run of the
-// Figure 7 workload per strategy at the given fault rate, with round
+// ObserveFaults is Observe's resilience variant: one faulted op run of
+// the Figure 7 workload per strategy at the given fault rate, with round
 // tracing and the full observer attached, so the exported Chrome trace
 // carries the recovery rounds/stall spans and the metrics snapshot the
 // faults.*, sim.recovery_* and pfs/mpi counters.
@@ -193,35 +225,25 @@ func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float
 	if rate < 0 {
 		return nil, fmt.Errorf("bench: negative fault rate %g", rate)
 	}
-	p, err := newPoint(fig7, Args{Scale: scale, Seed: seed, MemMB: memMB})
+	cfg := Fig7Config(scale, seed)
+	wl, name := Fig7Workload(cfg)
+	p, err := newPoint(cfg, wl, name, memMB)
 	if err != nil {
 		return nil, err
 	}
-	ctx, rs := p.ctx, p.rs
-	ctx.Obs = obs.New()
-	opt := sim.DefaultOptions()
-	opt.Trace = true
-	opt.Overlap = p.cfg.Overlap
-	opt.NahOpt = p.cfg.nahOrDefault()
+	p.ctx.Obs = obs.New()
+	points, err := runFaultGrid(p, op, rateCells(rate))
+	if err != nil {
+		return nil, err
+	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "observe faults: %s, %s, %d MB per aggregator, fault rate %g\n",
 		p.name, op, p.memMB, rate)
-	for _, strategy := range []string{"two-phase", "memory-conscious"} {
-		// Clean reference for the horizon, without tracing noise.
-		refCtx := *ctx
-		refCtx.Obs = nil
-		refRes, err := faultedRun(&refCtx, rs, strategy, opt, faults.DefaultSpec(seed, 1).WithRate(0))
-		if err != nil {
-			return nil, err
-		}
-		spec := faults.DefaultSpec(seed, refRes.Seconds*4).WithRate(rate)
-		res, err := faultedRun(ctx, rs, strategy, opt, spec)
-		if err != nil {
-			return nil, err
-		}
+	for _, pt := range points {
+		res := pt.Res
 		fmt.Fprintf(&b, "%s: %d rounds, %.4fs simulated (%.1f MB/s), %.4fs in recovery\n",
-			strategy, len(res.Trace), res.Seconds, res.Bandwidth/1e6, res.RecoverySeconds)
+			pt.Strategy, len(res.Trace), res.Seconds, res.Bandwidth/1e6, res.RecoverySeconds)
 		fmt.Fprintf(&b, "  failovers %d, stalls %d, replayed rounds %d, ost retries %d, messages delayed %d dropped %d\n",
 			res.Failovers, res.Stalls, res.ReplayedRounds, res.StorageRetries,
 			res.DelayedMessages, res.DroppedMessages)
@@ -232,5 +254,5 @@ func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float
 			fmt.Fprintf(&b, "  %s\n", line)
 		}
 	}
-	return &ObserveResult{Obs: ctx.Obs, Summary: b.String()}, nil
+	return &ObserveResult{Obs: p.ctx.Obs, Summary: b.String()}, nil
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"reflect"
+	"regexp"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -95,20 +96,12 @@ func TestObserveFaultsExportsRecoveryTelemetry(t *testing.T) {
 // never bytes.
 func TestE2EWriteReadUnderNodeAndOSTFaults(t *testing.T) {
 	cfg := Fig7Config(testScale, 3)
-	cfg.MemMB = []int{16}
-	wl, _ := Fig7Workload(cfg)
-	reqs, err := wl.Requests()
+	wl, name := Fig7Workload(cfg)
+	p, err := newPoint(cfg, wl, name, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat, err := cfg.platform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := cfg.context(plat, cfg.scaled(16*MB), wl.TotalBytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx, reqs := p.ctx, p.reqs
 
 	plan, state, err := core.New().PlanWithState(ctx, reqs)
 	if err != nil {
@@ -231,23 +224,42 @@ func TestE2EWriteReadUnderNodeAndOSTFaults(t *testing.T) {
 }
 
 // A zero fault rate leaves the ObserveFaults run identical in elapsed
-// time and bandwidth to the clean Observe path for the same workload.
+// time and bandwidth to the clean Observe path for the same workload,
+// in either direction.
 func TestObserveFaultsZeroRateMatchesClean(t *testing.T) {
-	faulted, err := ObserveFaults(testScale, 9, 16, collio.Write, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faulted.Summary == "" {
-		t.Fatal("empty summary")
-	}
-	// No recovery of any kind may appear at rate 0.
-	snap := faulted.Obs.Metrics.Snapshot()
-	for _, m := range snap {
-		switch m.Name {
-		case "faults.injected", "faults.failovers", "faults.stalls", "sim.recovery_rounds":
-			t.Fatalf("metric %s present in a zero-rate run", m.Name)
+	for _, op := range []collio.Op{collio.Write, collio.Read} {
+		faulted, err := ObserveFaults(testScale, 9, 16, op, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, err := Observe("fig7", testScale, 9, 16, op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := summaryPrices(faulted.Summary), summaryPrices(clean.Summary)
+		if len(want) != 2 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: zero-rate faulted prices %v, clean prices %v\nfaulted:\n%s\nclean:\n%s",
+				op, got, want, faulted.Summary, clean.Summary)
+		}
+		// No recovery of any kind may appear at rate 0.
+		for _, m := range faulted.Obs.Metrics.Snapshot() {
+			switch m.Name {
+			case "faults.injected", "faults.failovers", "faults.stalls", "sim.recovery_rounds":
+				t.Fatalf("%s: metric %s present in a zero-rate run", op, m.Name)
+			}
 		}
 	}
+}
+
+// summaryPrices maps each strategy of an observe summary to the
+// simulated seconds and MB/s its headline line prints.
+func summaryPrices(summary string) map[string]string {
+	line := regexp.MustCompile(`(?m)^([a-z-]+): .*?([0-9.]+s simulated \([0-9.]+ MB/s\))`)
+	out := map[string]string{}
+	for _, m := range line.FindAllStringSubmatch(summary, -1) {
+		out[m[1]] = m[2]
+	}
+	return out
 }
 
 var errTransient = errorString("EIO: injected transient")

@@ -93,27 +93,23 @@ func ledgerTrajectory(_ *Experiment, rec *obs.RunRecord, a Args) error {
 	return nil
 }
 
-func ledgerFaults(_ *Experiment, rec *obs.RunRecord, a Args) error {
-	points, err := faultSweepRun(a.Scale, a.Seed)
-	if err != nil {
-		return err
+// faultLedger records a fault grid as "<cell>/<strategy>" entries;
+// named prefixes them with "<name>/", as ledgerNamedSweep does.
+func faultLedger(run func(scale int64, seed uint64) ([]FaultPoint, error), named bool) func(*Experiment, *obs.RunRecord, Args) error {
+	return func(e *Experiment, rec *obs.RunRecord, a Args) error {
+		points, err := run(a.Scale, a.Seed)
+		if err != nil {
+			return err
+		}
+		prefix := ""
+		if named {
+			prefix = e.Name + "/"
+		}
+		for _, pt := range points {
+			rec.Entries = append(rec.Entries, faultEntry(prefix+pt.cell+"/"+pt.Strategy, pt.Res, pt.Overlap))
+		}
+		return nil
 	}
-	for _, pt := range points {
-		rec.Entries = append(rec.Entries, faultEntry(fmt.Sprintf("rate=%g/%s", pt.Rate, pt.Strategy), pt.Res, pt.Overlap))
-	}
-	return nil
-}
-
-func ledgerExaFaults(e *Experiment, rec *obs.RunRecord, a Args) error {
-	points, err := figExaFaultsRun(a.Scale, a.Seed)
-	if err != nil {
-		return err
-	}
-	for _, pt := range points {
-		rec.Entries = append(rec.Entries, faultEntry(fmt.Sprintf("%s/crash=%g,strag=%g,sev=%g/%s",
-			e.Name, pt.Cell.Crash, pt.Cell.Frac, pt.Cell.Sev, pt.Strategy), pt.Res, pt.Overlap))
-	}
-	return nil
 }
 
 // faultEntry is costEntry for a faulted run, plus its recovery counters.

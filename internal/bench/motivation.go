@@ -6,7 +6,6 @@ import (
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/forwarding"
-	"mcio/internal/sim"
 	"mcio/internal/twophase"
 	"mcio/internal/workload"
 )
@@ -19,7 +18,6 @@ import (
 func Motivation(scale int64, seed uint64) (*Table, error) {
 	cfg := Fig7Config(scale, seed)
 	cfg.Name = "motivation"
-	cfg.MemMB = []int{16}
 
 	t := &Table{
 		Name: "motivation: independent vs forwarded vs collective I/O (IOR write, 120 ranks, MB/s)",
@@ -27,11 +25,7 @@ func Motivation(scale int64, seed uint64) (*Table, error) {
 			"block/rank", "independent", "io-forwarding", "two-phase", "memory-conscious", "collective gain",
 		},
 	}
-	plat, err := cfg.platform()
-	if err != nil {
-		return nil, err
-	}
-	opt := sim.DefaultOptions()
+	opt := cfg.options()
 	// Finer interleaving = more, smaller noncontiguous pieces per rank.
 	for _, blockKB := range []int64{64, 256, 1024, 4096} {
 		block := cfg.scaled(blockKB << 10)
@@ -45,15 +39,11 @@ func Motivation(scale int64, seed uint64) (*Table, error) {
 			TransferSize: block,
 			Segments:     segments,
 		}
-		reqs, err := w.Requests()
+		p, err := newPoint(cfg, w, "", 16)
 		if err != nil {
 			return nil, err
 		}
-		rs := collio.NewRequestSet(reqs)
-		ctx, err := cfg.context(plat, cfg.scaled(16*MB), w.TotalBytes())
-		if err != nil {
-			return nil, err
-		}
+		ctx, reqs, rs := p.ctx, p.reqs, p.rs
 		indep, err := collio.CostIndependent(ctx, reqs, collio.Write, opt)
 		if err != nil {
 			return nil, err

@@ -40,57 +40,20 @@ func Observe(figure string, scale int64, seed uint64, memMB int, op collio.Op) (
 	return e.Observe(e, Args{Scale: scale, Seed: seed, MemMB: memMB, Op: op})
 }
 
-// figurePoint is one memory point of a figure record: the workload's
-// request set and a fresh context at memMB per aggregator.
-type figurePoint struct {
-	cfg   Config
-	wl    Workload
-	name  string
-	memMB int
-	rs    *collio.RequestSet
-	ctx   *collio.Context
-}
-
-// newPoint builds a figure's point at a.MemMB (<= 0 picks 16 MB, where
-// the baseline pages and the memory-conscious strategy adapts).
-func newPoint(figure func(scale int64, seed uint64) (Config, Workload, string, error), a Args) (*figurePoint, error) {
-	p := &figurePoint{memMB: a.MemMB}
-	if p.memMB <= 0 {
-		p.memMB = 16
-	}
-	var err error
-	p.cfg, p.wl, p.name, err = figure(a.Scale, a.Seed)
-	if err != nil {
-		return nil, err
-	}
-	p.cfg.MemMB = []int{p.memMB}
-	reqs, err := p.wl.Requests()
-	if err != nil {
-		return nil, err
-	}
-	p.rs = collio.NewRequestSet(reqs)
-	plat, err := p.cfg.platform()
-	if err != nil {
-		return nil, err
-	}
-	p.ctx, err = p.cfg.context(plat, p.cfg.scaled(int64(p.memMB)*MB), p.wl.TotalBytes())
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // observeFigure is the observe view of a figure record.
 func observeFigure(e *Experiment, a Args) (*ObserveResult, error) {
-	p, err := newPoint(e.Figure, a)
+	cfg, wl, name, err := e.Figure(a.Scale, a.Seed)
 	if err != nil {
 		return nil, err
 	}
-	ctx, rs, wl := p.ctx, p.rs, p.wl
+	p, err := newPoint(cfg, wl, name, a.MemMB)
+	if err != nil {
+		return nil, err
+	}
+	ctx, rs := p.ctx, p.rs
 	ctx.Obs = obs.New()
-	opt := sim.DefaultOptions()
+	opt := p.cfg.options()
 	opt.Trace = true
-	opt.Overlap = p.cfg.Overlap
 
 	strategies := []collio.Strategy{twophase.New(), core.New()}
 	// The tracer assigns process ids in registration order; registering

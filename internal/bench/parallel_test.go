@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -67,41 +68,45 @@ func TestParallelLedgerByteIdentical(t *testing.T) {
 	}
 }
 
-// The resilience sweep fans (rate × strategy) cells out too; its points
-// must come back in the serial order with the serial values.
+// Both fault grids fan (cell × strategy) runs out too; their points
+// must come back in the serial order with the serial values, down to
+// every trace entry and counter.
 func TestParallelFaultSweepIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two fault sweeps")
+		t.Skip("two runs of each fault grid")
 	}
 	defer SetParallelism(0)
-	SetParallelism(1)
-	want, err := faultSweepRun(testScale, 42)
-	if err != nil {
-		t.Fatal(err)
+	grids := []struct {
+		name string
+		run  func() ([]FaultPoint, error)
+	}{
+		{"faults", func() ([]FaultPoint, error) { return faultSweepRun(testScale, 42) }},
+		{"fig-exa-faults at 600 ranks", func() ([]FaultPoint, error) {
+			return runFaultGrid(smallExaPoint(t), collio.Write, exaFaultCells())
+		}},
 	}
-	SetParallelism(4)
-	got, err := faultSweepRun(testScale, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("point counts differ: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		w, g := want[i], got[i]
-		if g.Rate != w.Rate || g.Strategy != w.Strategy ||
-			g.RefSeconds != w.RefSeconds || g.Res.Seconds != w.Res.Seconds ||
-			g.Res.RecoverySeconds != w.Res.RecoverySeconds {
-			t.Fatalf("point %d differs: serial %+v parallel %+v", i, w, g)
+	for _, g := range grids {
+		SetParallelism(1)
+		want, err := g.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		SetParallelism(4)
+		got, err := g.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the parallel grid differs from the serial one", g.name)
 		}
 	}
 }
 
-// observeArtifacts renders everything an Observe run exports: the
+// observeArtifacts renders everything an observe run exports: the
 // summary, the Chrome trace and the metrics snapshot.
-func observeArtifacts(t testing.TB) string {
+func observeArtifacts(t testing.TB, run func() (*ObserveResult, error)) string {
 	t.Helper()
-	res, err := Observe("fig7", testScale, 42, 16, collio.Write)
+	res, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,18 +121,32 @@ func observeArtifacts(t testing.TB) string {
 	return b.String()
 }
 
-// Observe fans both strategies out against one shared Observer; the
-// exported trace and metrics must still be byte-identical to the serial
-// run (tracer PIDs are pre-registered, spans sort deterministically,
-// shared counters are commutative adds). Run under -race in CI, this is
-// also the race-cleanliness assertion for concurrent obs usage.
+// Observe and ObserveFaults fan both strategies out against one shared
+// Observer; the exported trace and metrics must still be byte-identical
+// to the serial run (tracer PIDs are pre-registered, spans sort
+// deterministically, shared counters are commutative adds). Run under
+// -race in CI, this is also the race-cleanliness assertion for
+// concurrent obs usage.
 func TestParallelObserveByteIdentical(t *testing.T) {
 	defer SetParallelism(0)
-	SetParallelism(1)
-	want := observeArtifacts(t)
-	SetParallelism(4)
-	if got := observeArtifacts(t); got != want {
-		t.Fatal("observe artifacts differ between serial and parallel runs")
+	runs := []struct {
+		name string
+		run  func() (*ObserveResult, error)
+	}{
+		{"observe fig7", func() (*ObserveResult, error) {
+			return Observe("fig7", testScale, 42, 16, collio.Write)
+		}},
+		{"observe fig7 -faults 2 -op read", func() (*ObserveResult, error) {
+			return ObserveFaults(testScale, 42, 16, collio.Read, 2)
+		}},
+	}
+	for _, r := range runs {
+		SetParallelism(1)
+		want := observeArtifacts(t, r.run)
+		SetParallelism(4)
+		if got := observeArtifacts(t, r.run); got != want {
+			t.Errorf("%s: artifacts differ between serial and parallel runs", r.name)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/obs/timeline"
-	"mcio/internal/sim"
 )
 
 // ProfileResult is one time-resolved profiling run: the recorder
@@ -62,13 +61,16 @@ func Profile(name string, scale int64, seed uint64, memMB int, op collio.Op, tic
 // timeline is a per-run artifact, and the memory-conscious run is the
 // one whose saturation behavior the paper's placement reasons about.
 func profileFigure(e *Experiment, rec *timeline.Recorder, a Args, summary *strings.Builder) error {
-	p, err := newPoint(e.Figure, a)
+	cfg, wl, name, err := e.Figure(a.Scale, a.Seed)
+	if err != nil {
+		return err
+	}
+	p, err := newPoint(cfg, wl, name, a.MemMB)
 	if err != nil {
 		return err
 	}
 	p.ctx.Timeline = rec
-	opt := sim.DefaultOptions()
-	opt.Overlap = p.cfg.Overlap
+	opt := p.cfg.options()
 
 	s := core.New()
 	plan, err := s.PlanSet(p.ctx, p.rs)

@@ -56,7 +56,7 @@ var experiments = []Experiment{
 	{Name: "fig7", Figure: fig7, Render: renderSweep, Ledger: ledgerSweep, Observe: observeFigure, Profile: profileFigure},
 	{Name: "fig8", Figure: fig8, Render: renderSweep, Ledger: ledgerSweep, Observe: observeFigure, Profile: profileFigure},
 	{Name: "fig-exa", Figure: figExa, HostCost: true, Ledger: ledgerNamedSweep},
-	{Name: "fig-exa-faults", HostCost: true, Ledger: ledgerExaFaults},
+	{Name: "fig-exa-faults", HostCost: true, Ledger: faultLedger(figExaFaultsRun, true)},
 	{Name: "motivation", Render: tables(Motivation)},
 	{Name: "comparison", Render: tables(StrategyComparison)},
 	{Name: "random", Render: tables(func(scale int64, seed uint64) (*Table, error) { return RandomVsInterleaved(scale, seed, 16) })},
@@ -67,7 +67,7 @@ var experiments = []Experiment{
 	{Name: "trace", Render: renderTrace},
 	{Name: "tune", Render: renderTune},
 	{Name: "ablation", Render: tables(AblationGrouping, AblationNah, AblationSigma, AblationOverlap, AblationAggsPerNode)},
-	{Name: "faults", Render: tables(FaultSweep), Ledger: ledgerFaults},
+	{Name: "faults", Render: tables(FaultSweep), Ledger: faultLedger(faultSweepRun, false)},
 	{Name: "chaos", Ledger: ledgerChaos},
 	{Name: "chaos-gray", Ledger: ledgerGray},
 	{Name: "corruption", Chaos: corruptionCampaign},

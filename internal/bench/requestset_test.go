@@ -33,6 +33,14 @@ func TestSweepComputesOneUnion(t *testing.T) {
 	if n := collio.RequestUnions() - before; n != 1 {
 		t.Fatalf("the fault sweep computed %d request unions, want 1", n)
 	}
+	p := smallExaPoint(t)
+	before = collio.RequestUnions()
+	if _, err := runFaultGrid(p, collio.Write, exaFaultCells()); err != nil {
+		t.Fatal(err)
+	}
+	if n := collio.RequestUnions() - before; n != 1 {
+		t.Fatalf("the exascale fault grid computed %d request unions, want 1", n)
+	}
 }
 
 // Parallel cells share the sweep's request set, whose union and plan

@@ -16,22 +16,13 @@ import (
 // diagnostic view of what the cost engine actually charges.
 func RoundTrace(scale int64, seed uint64, memMB int) (string, error) {
 	cfg := Fig7Config(scale, seed)
-	cfg.MemMB = []int{memMB}
 	wl, name := Fig7Workload(cfg)
-	reqs, err := wl.Requests()
+	p, err := newPoint(cfg, wl, name, memMB)
 	if err != nil {
 		return "", err
 	}
-	rs := collio.NewRequestSet(reqs)
-	plat, err := cfg.platform()
-	if err != nil {
-		return "", err
-	}
-	ctx, err := cfg.context(plat, cfg.scaled(int64(memMB)*MB), wl.TotalBytes())
-	if err != nil {
-		return "", err
-	}
-	opt := sim.DefaultOptions()
+	ctx, rs := p.ctx, p.rs
+	opt := p.cfg.options()
 	opt.Trace = true
 
 	var b strings.Builder
