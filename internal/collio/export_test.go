@@ -62,3 +62,7 @@ func DerivedContribs(ctx *Context, plan *Plan, rs *RequestSet) [][]RankContrib {
 // DerivedLists returns how many per-rank lists work items have derived
 // in this process.
 func DerivedLists() int64 { return derivedLists.Load() }
+
+// RegrownRuns returns how many priced runs in this process outgrew
+// their presized round buffers.
+func RegrownRuns() int64 { return regrownRuns.Load() }

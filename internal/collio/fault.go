@@ -586,9 +586,20 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 	}
 
 	// The round being built and its extra latency, which message adds to
-	// term by term: float addition order is part of the price.
+	// term by term: float addition order is part of the price. Its
+	// buffers are sized once for the run from the initial items: a round
+	// without a hot node sends at most one bundle per (item, node) and
+	// issues at most spanBound accesses per item. Hot, faulted and
+	// refolded rounds may pass that and grow them.
 	var round sim.AggRound
 	var extraLat float64
+	msgCap, ioCap := 0, 0
+	for _, it := range fs.items {
+		msgCap += len(it.aggs)
+		ioCap += it.spanBound(ctx.FS)
+	}
+	round.Messages = make([]sim.AggMessage, 0, msgCap)
+	round.IOOps = make([]sim.IOOp, 0, ioCap)
 
 	// message applies the message-level fault state to one per-rank
 	// shuffle message from a hot node and charges the round its extra
@@ -855,6 +866,10 @@ func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, en
 		if executed > guard {
 			return nil, fmt.Errorf("collio: fault recovery did not converge after %d rounds", executed)
 		}
+	}
+
+	if cap(round.Messages) != msgCap || cap(round.IOOps) != ioCap {
+		regrownRuns.Add(1)
 	}
 
 	userBytes := plan.TotalBytes()

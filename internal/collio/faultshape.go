@@ -57,6 +57,10 @@ type rankSource struct {
 // derivedLists counts the per-rank lists items have derived.
 var derivedLists atomic.Int64
 
+// regrownRuns counts the priced runs whose round buffers outgrew the
+// size they were given before the first round.
+var regrownRuns atomic.Int64
+
 // Active reports whether the item still has rounds to run.
 func (it *faultItem) Active() bool { return it.Bytes > 0 && it.Done < it.Rounds }
 
@@ -108,6 +112,19 @@ func (src *rankSource) derive(base []pfs.Extent, aggs []NodeContrib) []faultCont
 	}
 	derivedLists.Add(1)
 	return cs
+}
+
+// spanBound bounds the stripe spans one round slice of the item maps
+// to (pfs.Mapper.Map): at most Buf bytes of Base. A single extent maps
+// to at most five spans. Several extents map to one span per target
+// they touch, and an extent of L bytes touches at most L/StripeUnit+2
+// stripe units.
+func (it *faultItem) spanBound(c pfs.Config) int {
+	n := int64(c.Targets)
+	if len(it.Base) == 1 {
+		n = min(n, 5)
+	}
+	return int(min(n, it.Buf/c.StripeUnit+2*int64(len(it.Base))))
 }
 
 // nodeAggs returns the item's per-node contribution aggregates and the

@@ -54,7 +54,9 @@ type RequestSet struct {
 	rankOnce  sync.Once
 	// byRank lists the request indices ordered by rank, then index,
 	// when the ranks are not in order; built on first use.
-	byRank []int32
+	byRank   []int32
+	dataOnce sync.Once
+	withData []int
 }
 
 // NewRequestSet checks every request list once and wraps them. A list
@@ -143,16 +145,22 @@ func InvalidRank(ctx *Context, rs *RequestSet) (rank int, ok bool) {
 	return 0, false
 }
 
-// RanksWithData lists, in request order, the ranks of rs whose request
-// names any extent.
-func RanksWithData(rs *RequestSet) []int {
-	ranks := make([]int, 0, len(rs.reqs))
-	for _, r := range rs.reqs {
-		if len(r.Extents) > 0 {
-			ranks = append(ranks, r.Rank)
+// RanksWithData lists, in request order, the ranks of the set whose
+// request names any extent, derived on first use. The list is shared
+// by every caller, as the one group of the planners that divide no
+// groups, and must not be modified; its capacity is capped, so an
+// append copies it.
+func (s *RequestSet) RanksWithData() []int {
+	s.dataOnce.Do(func() {
+		ranks := make([]int, 0, len(s.reqs))
+		for _, r := range s.reqs {
+			if len(r.Extents) > 0 {
+				ranks = append(ranks, r.Rank)
+			}
 		}
-	}
-	return ranks
+		s.withData = slices.Clip(ranks)
+	})
+	return s.withData
 }
 
 // IndexOfRank returns the index of the last request for rank, or -1 when

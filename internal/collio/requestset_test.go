@@ -127,6 +127,15 @@ func checkSet(t *testing.T, reqs []RankRequest) {
 			t.Fatalf("IndexOfRank(%d) = %d, want %d", r.Rank, got, last)
 		}
 	}
+	var withData []int
+	for _, r := range reqs {
+		if len(r.Extents) > 0 {
+			withData = append(withData, r.Rank)
+		}
+	}
+	if got := rs.RanksWithData(); !slices.Equal(got, withData) || cap(got) != len(got) {
+		t.Fatalf("RanksWithData = %v (cap %d), want %v at capped capacity", got, cap(got), withData)
+	}
 	if got := rs.IndexOfRank(len(reqs) + 7); got != -1 {
 		t.Fatalf("IndexOfRank of an absent rank = %d, want -1", got)
 	}
@@ -167,7 +176,8 @@ func TestRequestSetCanonicalIsInPlace(t *testing.T) {
 	}
 }
 
-// Parallel readers of one set see one union and one fingerprint.
+// Parallel readers of one set see one union, one fingerprint and one
+// list of ranks with data.
 func TestRequestSetConcurrentReaders(t *testing.T) {
 	reqs := randomRequests(stats.NewRNG(3), false)
 	reqs = append(reqs, RankRequest{Rank: len(reqs), Extents: []pfs.Extent{{Offset: 5, Length: 9}}})
@@ -189,6 +199,9 @@ func TestRequestSetConcurrentReaders(t *testing.T) {
 			}
 			if got := rs.fingerprint(); got != wantFP {
 				t.Errorf("fingerprint %x, want %x", got, wantFP)
+			}
+			if got := rs.RanksWithData(); got[len(got)-1] != len(reqs)-1 {
+				t.Errorf("RanksWithData %v misses the last rank %d", got, len(reqs)-1)
 			}
 		}()
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"mcio/internal/collio"
@@ -41,7 +43,7 @@ func DivideGroups(ctx *collio.Context, reqs []collio.RankRequest) []Group {
 }
 
 // DivideGroupsSet is DivideGroups for the requests of rs, reading their
-// shared union.
+// shared union. Every list it returns is built once, at its final size.
 func DivideGroupsSet(ctx *collio.Context, rs *collio.RequestSet) []Group {
 	norm := rs.Union()
 	if len(norm) == 0 {
@@ -61,11 +63,21 @@ func DivideGroupsSet(ctx *collio.Context, rs *collio.RequestSet) []Group {
 			s.hi = max(s.hi, exts[len(exts)-1].End())
 		}
 	}
-	spans := nodeSpan[:0] // the nodes with data
+	reach := nodeSpan[:0] // the nodes with data
 	for _, s := range nodeSpan {
 		if s.lo < s.hi {
-			spans = append(spans, s)
+			reach = append(reach, s)
 		}
+	}
+	// The Fig 4 extension at boundary b is the highest end of the spans
+	// straddling b. Sorted by start, the spans starting before b are a
+	// prefix, and the prefix maximum of their ends answers it: when that
+	// maximum lies past b, it is the end of a straddling span, and no
+	// span straddles b otherwise. So each boundary costs one binary
+	// search instead of a scan over every node.
+	slices.SortFunc(reach, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for k := 1; k < len(reach); k++ {
+		reach[k].hi = max(reach[k].hi, reach[k-1].hi)
 	}
 
 	// Prefix sums over the aggregate extents turn the per-group "take
@@ -126,10 +138,8 @@ func DivideGroupsSet(ctx *collio.Context, rs *collio.RequestSet) []Group {
 			// node straddling the boundary, unless that extension exceeds
 			// half a group (interleaved pattern guard).
 			var ext int64
-			for _, s := range spans {
-				if s.lo < b && s.hi > b && s.hi > ext {
-					ext = s.hi
-				}
+			if k := sort.Search(len(reach), func(k int) bool { return reach[k].lo >= b }); k > 0 && reach[k-1].hi > b {
+				ext = reach[k-1].hi
 			}
 			if ext > b && ext-b <= msgGroup/2 {
 				b = ext
@@ -146,17 +156,49 @@ func DivideGroupsSet(ctx *collio.Context, rs *collio.RequestSet) []Group {
 		cur = b
 	}
 
-	// Membership: the group windows tile [norm[0].Offset, end), so an
-	// extent belongs to exactly the windows its [Offset, End) range
-	// overlaps — two binary searches per extent instead of clipping every
-	// rank's request list against every window.
-	windowOf := func(x int64) int {
-		return sort.Search(len(groups), func(i int) bool { return groups[i].Region.End() > x })
+	// Membership: an extent belongs to exactly the windows its [Offset,
+	// End) range overlaps. A rank enters a window's list once per run of
+	// its extents there (the adjacent-duplicate test); the sort and dedup
+	// below drop the rest. The lists are counted before they are filled:
+	// two passes of the same window walk, the counting pass applying the
+	// same test, so each count is exact and the fill pass writes into one
+	// backing array carved per window. ends[w] is window w's end: the
+	// windows tile [norm[0].Offset, end).
+	ends := make([]int64, len(groups))
+	for w, g := range groups {
+		ends[w] = g.Region.End()
+	}
+	counts := make([]int, len(groups))
+	last := make([]int, len(groups))
+	for i := range rs.Len() {
+		rank, prev := rs.Rank(i), -1
+		for _, e := range rs.List(i) {
+			w, wj := windowRange(ends, e, prev)
+			for prev = wj; w <= wj; w++ {
+				if counts[w] == 0 || last[w] != rank {
+					counts[w]++
+					last[w] = rank
+				}
+			}
+		}
+	}
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	backing := make([]int, n)
+	off := 0
+	for w, c := range counts {
+		if c > 0 {
+			groups[w].Ranks = backing[off : off : off+c]
+		}
+		off += c
 	}
 	for i := range rs.Len() {
-		rank := rs.Rank(i)
+		rank, prev := rs.Rank(i), -1
 		for _, e := range rs.List(i) {
-			for w, wj := windowOf(e.Offset), windowOf(e.End()-1); w <= wj; w++ {
+			w, wj := windowRange(ends, e, prev)
+			for prev = wj; w <= wj; w++ {
 				if r := groups[w].Ranks; len(r) == 0 || r[len(r)-1] != rank {
 					groups[w].Ranks = append(r, rank)
 				}
@@ -175,4 +217,39 @@ func DivideGroupsSet(ctx *collio.Context, rs *collio.RequestSet) []Group {
 		groups[i].Ranks = dedup
 	}
 	return groups
+}
+
+// windowRange returns the first and last window the extent e overlaps,
+// given the windows' ascending ends; e must lie inside the tiling. prev
+// is the last window the previous extent of e's list overlapped, or -1
+// for the first extent. Lists are canonical, so an extent ending inside
+// window prev lies inside it, and its rank is already that window's
+// last entry: the range is empty (first > last) and nothing is
+// searched. Otherwise the second search runs only when e reaches past
+// its first window.
+func windowRange(ends []int64, e pfs.Extent, prev int) (first, last int) {
+	if prev >= 0 && e.End() <= ends[prev] {
+		return prev + 1, prev
+	}
+	first = windowOf(ends, e.Offset)
+	if ends[first] >= e.End() {
+		return first, first
+	}
+	return first, first + 1 + windowOf(ends[first+1:], e.End()-1)
+}
+
+// windowOf returns the index of the first end past x: the window holding
+// file offset x. It is sort.Search over a dense slice, written out so
+// the million-extent membership walk pays no call per probe.
+func windowOf(ends []int64, x int64) int {
+	lo, hi := 0, len(ends)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if ends[h] <= x {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
 }

@@ -48,9 +48,8 @@ func (s *Strategy) PlanSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.
 	if rank, ok := collio.InvalidRank(ctx, rs); ok {
 		return nil, fmt.Errorf("layoutaware: request for invalid rank %d", rank)
 	}
-	ranksWithData := collio.RanksWithData(rs)
 	norm := rs.Union()
-	plan := &collio.Plan{Strategy: s.Name(), Groups: 1, GroupRanks: [][]int{ranksWithData}}
+	plan := &collio.Plan{Strategy: s.Name(), Groups: 1, GroupRanks: [][]int{rs.RanksWithData()}}
 	if len(norm) == 0 {
 		return plan, nil
 	}
