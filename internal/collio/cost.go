@@ -133,15 +133,30 @@ func CostSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options) (
 
 // CostShape prices one direction of plan from its prebuilt round
 // structure, bit-identical to Cost: build the shape once and price write
-// and read from it. A shape carries no ranks, so the per-rank counters
-// Cost emits under ctx.Obs are not emitted; engine-level metrics, spans
-// and traces are.
+// and read from it. sh must have been built from plan. A shape carries
+// no ranks, so the per-rank counters Cost emits under ctx.Obs are not
+// emitted; engine-level metrics, spans and traces are.
 func CostShape(ctx *Context, plan *Plan, sh *Shape, op Op, opt sim.Options) (*CostResult, error) {
+	if len(sh.Contribs) != len(plan.Domains) {
+		return nil, fmt.Errorf("collio: shape of %d domains priced with a plan of %d", len(sh.Contribs), len(plan.Domains))
+	}
 	res, err := sh.faultShape(plan, nil).price(ctx, plan, op, opt, faultEnv{}, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &res.CostResult, nil
+}
+
+// NewEngine builds a pricing engine for the context's machine and file
+// system under options opt.
+func (c *Context) NewEngine(opt sim.Options) (*sim.Engine, error) {
+	return sim.NewEngine(c.Machine, sim.StorageParams{
+		Targets:         c.FS.Targets,
+		TargetBW:        c.FS.TargetBW,
+		ReqOverhead:     c.FS.ReqOverhead,
+		NoncontigFactor: c.FS.NoncontigFactor,
+		ReadBWFactor:    c.FS.ReadBWFactor,
+	}, opt)
 }
 
 // String renders the result in one line for experiment logs.

@@ -16,7 +16,6 @@ import (
 type ExtentIndex struct {
 	flat   []pfs.Extent // all bucket extents, ascending, disjoint
 	bucket []int        // bucket id per flat extent
-	n      int          // number of buckets
 }
 
 // NewExtentIndex builds an index over the buckets. Each bucket's extents
@@ -25,7 +24,7 @@ type ExtentIndex struct {
 // partition-tree leaves are by construction. It panics otherwise, as that
 // indicates a planner bug.
 func NewExtentIndex(buckets [][]pfs.Extent) *ExtentIndex {
-	idx := &ExtentIndex{n: len(buckets)}
+	idx := &ExtentIndex{}
 	var prevEnd int64 = -1
 	for b, exts := range buckets {
 		for _, e := range exts {
@@ -43,14 +42,7 @@ func NewExtentIndex(buckets [][]pfs.Extent) *ExtentIndex {
 	return idx
 }
 
-// OverlapBytes returns the bytes of exts (normalized or not) landing in
-// each bucket, indexed by bucket id.
-func (x *ExtentIndex) OverlapBytes(exts []pfs.Extent) []int64 {
-	return x.OverlapBytesInto(nil, exts)
-}
-
-// BucketBytes is one bucket's overlap with a request: the sparse form
-// of an OverlapBytes result row.
+// BucketBytes is one bucket's overlap with a request.
 type BucketBytes struct {
 	Bucket int
 	Bytes  int64
@@ -58,17 +50,13 @@ type BucketBytes struct {
 
 // RequestOverlapAppend appends the non-zero overlaps of request i of rs
 // with the buckets to dst, ascending by bucket id, and returns the
-// extended slice. It is the sparse counterpart of OverlapBytesInto: a
-// request touching a handful of the index's buckets costs O(extents +
-// touched), not the O(buckets) clear of a dense result row — the
-// difference between pricing a million-rank operation and timing out on
-// it. The set has already checked the list, so it is walked as it is.
+// extended slice. The result is sparse: a request touching a handful of
+// the index's buckets costs O(extents + touched), not the O(buckets)
+// clear of a dense row with one entry per bucket — the difference
+// between pricing a million-rank operation and timing out on it. The
+// set has already checked the list, so it is walked as it is.
 func (x *ExtentIndex) RequestOverlapAppend(dst []BucketBytes, rs *RequestSet, i int) []BucketBytes {
-	return x.overlapAppend(dst, rs.List(i))
-}
-
-// overlapAppend is RequestOverlapAppend of a canonical list.
-func (x *ExtentIndex) overlapAppend(dst []BucketBytes, norm []pfs.Extent) []BucketBytes {
+	norm := rs.List(i)
 	base := len(dst)
 	i, j := 0, 0
 	for i < len(norm) && j < len(x.flat) {
@@ -131,21 +119,4 @@ func overlapBytes(a, b []pfs.Extent) int64 {
 		}
 	}
 	return n
-}
-
-// OverlapBytesInto is OverlapBytes with a caller-owned scratch slice:
-// dst is grown (or allocated when nil/too small), zeroed, filled and
-// returned, so a caller querying many requests against one index reuses
-// a single allocation. It is the dense view of the sparse walk.
-func (x *ExtentIndex) OverlapBytesInto(dst []int64, exts []pfs.Extent) []int64 {
-	if cap(dst) < x.n {
-		dst = make([]int64, x.n)
-	} else {
-		dst = dst[:x.n]
-		clear(dst)
-	}
-	for _, bb := range x.overlapAppend(nil, pfs.Normalized(exts)) {
-		dst[bb.Bucket] += bb.Bytes
-	}
-	return dst
 }

@@ -16,7 +16,7 @@ func TestExtentIndexEmptyBucketAmongOthers(t *testing.T) {
 		{}, // empty bucket
 		{{Offset: 20, Length: 10}},
 	})
-	got := idx.OverlapBytes([]pfs.Extent{{Offset: 0, Length: 30}})
+	got := overlapRow(t, idx, 3, []pfs.Extent{{Offset: 0, Length: 30}})
 	if !reflect.DeepEqual(got, []int64{10, 0, 10}) {
 		t.Fatalf("overlaps = %v, want [10 0 10]", got)
 	}
@@ -26,7 +26,7 @@ func TestExtentIndexEmptyBucketAmongOthers(t *testing.T) {
 // them away rather than miscount or loop.
 func TestExtentIndexZeroLengthQueryExtents(t *testing.T) {
 	idx := NewExtentIndex([][]pfs.Extent{{{Offset: 10, Length: 10}}})
-	got := idx.OverlapBytes([]pfs.Extent{
+	got := overlapRow(t, idx, 1, []pfs.Extent{
 		{Offset: 12, Length: 0},
 		{Offset: 15, Length: 2},
 		{Offset: 30, Length: 0},
@@ -34,7 +34,7 @@ func TestExtentIndexZeroLengthQueryExtents(t *testing.T) {
 	if got[0] != 2 {
 		t.Fatalf("overlaps = %v, want [2]", got)
 	}
-	if got := idx.OverlapBytes([]pfs.Extent{{Offset: 12, Length: 0}}); got[0] != 0 {
+	if got := overlapRow(t, idx, 1, []pfs.Extent{{Offset: 12, Length: 0}}); got[0] != 0 {
 		t.Fatalf("all-empty query overlaps = %v, want [0]", got)
 	}
 }
@@ -46,49 +46,51 @@ func TestExtentIndexAdjacentNotOverlapping(t *testing.T) {
 		{{Offset: 0, Length: 10}},
 		{{Offset: 10, Length: 10}}, // starts exactly at bucket 0's end
 	})
-	if got := idx.OverlapBytes([]pfs.Extent{{Offset: 5, Length: 5}}); got[0] != 5 || got[1] != 0 {
+	if got := overlapRow(t, idx, 2, []pfs.Extent{{Offset: 5, Length: 5}}); got[0] != 5 || got[1] != 0 {
 		t.Fatalf("query ending at boundary: overlaps = %v, want [5 0]", got)
 	}
-	if got := idx.OverlapBytes([]pfs.Extent{{Offset: 10, Length: 3}}); got[0] != 0 || got[1] != 3 {
+	if got := overlapRow(t, idx, 2, []pfs.Extent{{Offset: 10, Length: 3}}); got[0] != 0 || got[1] != 3 {
 		t.Fatalf("query starting at boundary: overlaps = %v, want [0 3]", got)
 	}
-	if got := idx.OverlapBytes([]pfs.Extent{{Offset: 20, Length: 5}}); got[0] != 0 || got[1] != 0 {
+	if got := overlapRow(t, idx, 2, []pfs.Extent{{Offset: 20, Length: 5}}); got[0] != 0 || got[1] != 0 {
 		t.Fatalf("query past all buckets: overlaps = %v, want [0 0]", got)
 	}
 }
 
-// OverlapBytesInto must reuse the caller's scratch (no realloc when the
-// capacity suffices), zero stale contents, and agree with OverlapBytes.
-func TestOverlapBytesIntoReusesScratch(t *testing.T) {
+// RequestOverlapAppend appends after what dst holds, leaving it as it
+// was, and writes into dst's spare capacity instead of allocating.
+func TestRequestOverlapAppendReusesScratch(t *testing.T) {
 	idx := NewExtentIndex([][]pfs.Extent{
 		{{Offset: 0, Length: 10}},
 		{{Offset: 20, Length: 10}},
 	})
-	q1 := []pfs.Extent{{Offset: 0, Length: 30}}
-	q2 := []pfs.Extent{{Offset: 25, Length: 100}}
-
-	dst := idx.OverlapBytesInto(nil, q1)
-	if !reflect.DeepEqual(dst, []int64{10, 10}) {
+	rs := NewRequestSet([]RankRequest{
+		{Rank: 0, Extents: []pfs.Extent{{Offset: 0, Length: 30}}},
+		{Rank: 1, Extents: []pfs.Extent{{Offset: 25, Length: 100}}},
+	})
+	dst := idx.RequestOverlapAppend(nil, rs, 0)
+	if !reflect.DeepEqual(dst, []BucketBytes{{0, 10}, {1, 10}}) {
 		t.Fatalf("first query = %v", dst)
 	}
 	p := &dst[0]
-	dst = idx.OverlapBytesInto(dst, q2)
+	dst = idx.RequestOverlapAppend(dst[:0], rs, 1)
 	if &dst[0] != p {
 		t.Fatal("second query reallocated instead of reusing scratch")
 	}
-	if !reflect.DeepEqual(dst, []int64{0, 5}) {
-		t.Fatalf("second query = %v (stale bytes not cleared?)", dst)
+	if !reflect.DeepEqual(dst, []BucketBytes{{1, 5}}) {
+		t.Fatalf("second query = %v", dst)
 	}
-	// Oversized scratch is trimmed to the bucket count.
-	big := make([]int64, 64)
-	out := idx.OverlapBytesInto(big, q1)
-	if len(out) != 2 || !reflect.DeepEqual(out, []int64{10, 10}) {
-		t.Fatalf("oversized scratch result = %v", out)
+	prefix := []BucketBytes{{7, -1}}
+	if got := idx.RequestOverlapAppend(prefix, rs, 1); !reflect.DeepEqual(got, []BucketBytes{{7, -1}, {1, 5}}) {
+		t.Fatalf("append after a prefix = %v", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { dst = idx.RequestOverlapAppend(dst[:0], rs, 0) }); n != 0 {
+		t.Fatalf("query into spare capacity allocated %v times", n)
 	}
 }
 
-// Unnormalized queries (overlapping, unsorted, empty extents) take the
-// normalizing slow path and must match the canonical answer.
+// Unnormalized queries (overlapping, unsorted, empty extents) are
+// normalized by the request set and must match the canonical answer.
 func TestOverlapBytesUnnormalizedQuery(t *testing.T) {
 	idx := NewExtentIndex([][]pfs.Extent{
 		{{Offset: 0, Length: 50}},
@@ -101,9 +103,8 @@ func TestOverlapBytesUnnormalizedQuery(t *testing.T) {
 		{Offset: 5, Length: 0},   // empty
 	}
 	canonical := pfs.NormalizeExtents(messy)
-	if !reflect.DeepEqual(idx.OverlapBytes(messy), idx.OverlapBytes(canonical)) {
-		t.Fatalf("messy %v != canonical %v",
-			idx.OverlapBytes(messy), idx.OverlapBytes(canonical))
+	if got, want := overlapRow(t, idx, 2, messy), overlapRow(t, idx, 2, canonical); !reflect.DeepEqual(got, want) {
+		t.Fatalf("messy %v != canonical %v", got, want)
 	}
 }
 
@@ -130,21 +131,13 @@ func benchIndex(buckets, extsPer int) (*ExtentIndex, []pfs.Extent) {
 	return NewExtentIndex(all), query
 }
 
-func BenchmarkOverlapBytes(b *testing.B) {
+func BenchmarkRequestOverlapAppend(b *testing.B) {
 	idx, query := benchIndex(64, 16)
+	rs := NewRequestSet([]RankRequest{{Rank: 0, Extents: query}})
+	var scratch []BucketBytes
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.OverlapBytes(query)
-	}
-}
-
-func BenchmarkOverlapBytesInto(b *testing.B) {
-	idx, query := benchIndex(64, 16)
-	var scratch []int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scratch = idx.OverlapBytesInto(scratch, query)
+		scratch = idx.RequestOverlapAppend(scratch[:0], rs, 0)
 	}
 }

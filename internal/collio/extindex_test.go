@@ -11,12 +11,30 @@ import (
 	"mcio/internal/stats"
 )
 
+// overlapRow queries idx for query as shape build and placement do,
+// through RequestOverlapAppend on a one-request set, checks the sparse
+// result's form (buckets ascending and in range, bytes positive) and
+// spreads it into one entry per bucket of the n the index holds.
+func overlapRow(t testing.TB, idx *ExtentIndex, n int, query []pfs.Extent) []int64 {
+	t.Helper()
+	rs := NewRequestSet([]RankRequest{{Rank: 0, Extents: query}})
+	row := make([]int64, n)
+	prev := -1
+	for _, bb := range idx.RequestOverlapAppend(nil, rs, 0) {
+		if bb.Bucket <= prev || bb.Bucket >= n || bb.Bytes <= 0 {
+			t.Fatalf("overlap %+v after bucket %d of %d", bb, prev, n)
+		}
+		row[bb.Bucket], prev = bb.Bytes, bb.Bucket
+	}
+	return row
+}
+
 func TestExtentIndexBasic(t *testing.T) {
 	idx := NewExtentIndex([][]pfs.Extent{
 		{{Offset: 0, Length: 10}, {Offset: 20, Length: 10}},
 		{{Offset: 40, Length: 20}},
 	})
-	got := idx.OverlapBytes([]pfs.Extent{{Offset: 5, Length: 40}})
+	got := overlapRow(t, idx, 2, []pfs.Extent{{Offset: 5, Length: 40}})
 	// Bucket 0: bytes 5..10 and 20..30 = 15; bucket 1: 40..45 = 5.
 	if !reflect.DeepEqual(got, []int64{15, 5}) {
 		t.Fatalf("overlaps = %v", got)
@@ -25,7 +43,7 @@ func TestExtentIndexBasic(t *testing.T) {
 
 func TestExtentIndexNoOverlap(t *testing.T) {
 	idx := NewExtentIndex([][]pfs.Extent{{{Offset: 100, Length: 10}}})
-	got := idx.OverlapBytes([]pfs.Extent{{Offset: 0, Length: 50}})
+	got := overlapRow(t, idx, 1, []pfs.Extent{{Offset: 0, Length: 50}})
 	if got[0] != 0 {
 		t.Fatalf("overlaps = %v", got)
 	}
@@ -33,7 +51,7 @@ func TestExtentIndexNoOverlap(t *testing.T) {
 
 func TestExtentIndexEmptyBuckets(t *testing.T) {
 	idx := NewExtentIndex(nil)
-	if got := idx.OverlapBytes([]pfs.Extent{{Offset: 0, Length: 5}}); len(got) != 0 {
+	if got := overlapRow(t, idx, 0, []pfs.Extent{{Offset: 0, Length: 5}}); len(got) != 0 {
 		t.Fatalf("overlaps = %v", got)
 	}
 }
@@ -63,7 +81,7 @@ func TestExtentIndexPanics(t *testing.T) {
 	}
 }
 
-// Property: OverlapBytes agrees with the naive per-bucket Intersect.
+// Property: the sparse walk agrees with the naive per-bucket Intersect.
 func TestExtentIndexMatchesNaive(t *testing.T) {
 	r := stats.NewRNG(79)
 	err := quick.Check(func(seed uint64) bool {
@@ -88,7 +106,7 @@ func TestExtentIndexMatchesNaive(t *testing.T) {
 			query = append(query, pfs.Extent{Offset: rr.Int63n(int64(cur)), Length: rr.Int63n(60)})
 		}
 		idx := NewExtentIndex(buckets)
-		got := idx.OverlapBytes(query)
+		got := overlapRow(t, idx, len(buckets), query)
 		for b := range buckets {
 			want := pfs.TotalBytes(pfs.Intersect(query, buckets[b]))
 			if got[b] != want {

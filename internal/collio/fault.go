@@ -234,14 +234,7 @@ func costFaulted(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Option
 // is split out of its span and its access passes the storage hook on
 // its own. Every hook call on a cold target is a no-op.
 func (fs *faultShape) price(ctx *Context, plan *Plan, op Op, opt sim.Options, env faultEnv, co *costObs) (*FaultResult, error) {
-	st := sim.StorageParams{
-		Targets:         ctx.FS.Targets,
-		TargetBW:        ctx.FS.TargetBW,
-		ReqOverhead:     ctx.FS.ReqOverhead,
-		NoncontigFactor: ctx.FS.NoncontigFactor,
-		ReadBWFactor:    ctx.FS.ReadBWFactor,
-	}
-	eng, err := sim.NewEngine(ctx.Machine, st, opt)
+	eng, err := ctx.NewEngine(opt)
 	if err != nil {
 		return nil, err
 	}

@@ -1,15 +1,17 @@
 package collio
 
 import (
+	"slices"
 	"testing"
 
 	"mcio/internal/pfs"
 )
 
-// FuzzExtentIndexOverlapBytes cross-checks the merge-walk against the
-// naive per-bucket intersection for arbitrary bucket shapes and arbitrary
-// (possibly unnormalized) queries, and checks OverlapBytesInto's scratch
-// reuse agrees with the allocating path.
+// FuzzExtentIndexOverlapBytes cross-checks the sparse merge-walk
+// (RequestOverlapAppend) against the naive per-bucket intersection for
+// arbitrary bucket shapes and arbitrary (possibly unnormalized) queries,
+// and checks that appending after a dirty prefix leaves the prefix and
+// appends the same overlaps.
 func FuzzExtentIndexOverlapBytes(f *testing.F) {
 	// Seed corpus: a plain interleave, an adjacency-heavy layout, a
 	// single-bucket index with an empty/overlapping query, and an empty
@@ -51,26 +53,20 @@ func FuzzExtentIndexOverlapBytes(f *testing.F) {
 		}
 
 		idx := NewExtentIndex(buckets)
-		got := idx.OverlapBytes(query)
-		if len(got) != len(buckets) {
-			t.Fatalf("%d buckets, %d results", len(buckets), len(got))
-		}
+		got := overlapRow(t, idx, len(buckets), query)
 		for b := range buckets {
 			want := pfs.TotalBytes(pfs.Intersect(query, buckets[b]))
 			if got[b] != want {
 				t.Fatalf("bucket %d: got %d, naive %d", b, got[b], want)
 			}
 		}
-		// Scratch reuse (dirty and undersized) agrees with the fresh path.
-		scratch := make([]int64, len(buckets)/2)
-		for i := range scratch {
-			scratch[i] = -1
-		}
-		again := idx.OverlapBytesInto(scratch, query)
-		for b := range got {
-			if again[b] != got[b] {
-				t.Fatalf("bucket %d: Into %d != fresh %d", b, again[b], got[b])
-			}
+		// Appending after a dirty prefix keeps it and adds the same overlaps.
+		rs := NewRequestSet([]RankRequest{{Rank: 0, Extents: query}})
+		fresh := idx.RequestOverlapAppend(nil, rs, 0)
+		prefix := []BucketBytes{{Bucket: -1, Bytes: -1}}
+		again := idx.RequestOverlapAppend(prefix, rs, 0)
+		if again[0] != prefix[0] || !slices.Equal(again[1:], fresh) {
+			t.Fatalf("append after a prefix = %v, fresh %v", again, fresh)
 		}
 	})
 }

@@ -71,26 +71,24 @@ func CostIndependent(ctx *Context, reqs []RankRequest, op Op, opt sim.Options) (
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
-	st := sim.StorageParams{
-		Targets:         ctx.FS.Targets,
-		TargetBW:        ctx.FS.TargetBW,
-		ReqOverhead:     ctx.FS.ReqOverhead,
-		NoncontigFactor: ctx.FS.NoncontigFactor,
-		ReadBWFactor:    ctx.FS.ReadBWFactor,
+	rs := NewRequestSet(reqs)
+	if rank, ok := InvalidRank(ctx, rs); ok {
+		return nil, fmt.Errorf("collio: independent request for invalid rank %d", rank)
 	}
-	eng, err := sim.NewEngine(ctx.Machine, st, opt)
+	if rank, e, ok := rs.NegativeExtent(); ok {
+		return nil, fmt.Errorf("collio: rank %d requests an extent of negative length %d", rank, e.Length)
+	}
+	eng, err := ctx.NewEngine(opt)
 	if err != nil {
 		return nil, err
 	}
-	var round sim.Round
-	var userBytes int64
-	for _, r := range reqs {
-		norm := pfs.Normalized(r.Extents)
+	var round sim.AggRound
+	for i := range rs.Len() {
+		norm := rs.List(i)
 		if len(norm) == 0 {
 			continue
 		}
-		userBytes += pfs.TotalBytes(norm)
-		node := ctx.Topo.NodeOf(r.Rank)
+		node := ctx.Topo.NodeOf(rs.Rank(i))
 		for _, acc := range ctx.FS.MapExtents(norm) {
 			round.IOOps = append(round.IOOps, sim.IOOp{
 				Target:     acc.Target,
@@ -102,7 +100,8 @@ func CostIndependent(ctx *Context, reqs []RankRequest, op Op, opt sim.Options) (
 			})
 		}
 	}
-	eng.RunRound(round)
+	eng.RunAggRound(round)
+	userBytes := rs.TotalBytes()
 	return &CostResult{
 		Strategy:  "independent",
 		Op:        op,

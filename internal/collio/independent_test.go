@@ -83,6 +83,23 @@ func TestCostIndependentValidatesContext(t *testing.T) {
 	}
 }
 
+// TestCostIndependentRejectsBadRequests checks that a rank outside the
+// topology, or an extent of negative length, is an error rather than a
+// panic.
+func TestCostIndependentRejectsBadRequests(t *testing.T) {
+	ctx := testContext(t)
+	ok := RankRequest{Rank: 0, Extents: []pfs.Extent{{Offset: 0, Length: 64}}}
+	for name, bad := range map[string]RankRequest{
+		"rank -1":        {Rank: -1, Extents: []pfs.Extent{{Offset: 64, Length: 64}}},
+		"rank Size":      {Rank: ctx.Topo.Size(), Extents: []pfs.Extent{{Offset: 64, Length: 64}}},
+		"negative bytes": {Rank: 1, Extents: []pfs.Extent{{Offset: 64, Length: -1}}},
+	} {
+		if _, err := CostIndependent(ctx, []RankRequest{ok, bad}, Write, simOptions()); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestExecErrorPaths(t *testing.T) {
 	ctx := testContext(t)
 	reqs := []RankRequest{

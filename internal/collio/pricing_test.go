@@ -403,3 +403,23 @@ func observedParity(t *testing.T, c pricingCase, faulted *int) {
 		}
 	}
 }
+
+// TestCostShapeRejectsOtherPlan checks that a shape priced with a plan
+// of another domain count is an error: the shape holds no geometry of
+// its own, so it must be priced with the plan it was built from.
+func TestCostShapeRejectsOtherPlan(t *testing.T) {
+	c := pricingCases(t, 0)[1]
+	plan, err := twophase.New().Plan(c.ctx, c.reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := collio.BuildShape(c.ctx, plan, c.reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fewer := *plan
+	fewer.Domains = plan.Domains[:len(plan.Domains)-1]
+	if _, err := collio.CostShape(c.ctx, &fewer, sh, collio.Write, c.opt); err == nil {
+		t.Fatal("a shape of another plan was priced")
+	}
+}

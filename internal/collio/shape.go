@@ -10,11 +10,13 @@ import (
 
 // Shape is the round structure of a planned collective operation,
 // described without executing it: what the metadata exchange moves
-// between nodes, and what every data round shuffles and stores, as
-// aggregate per-route and per-node quantities. It holds O(aggregators +
-// contributing nodes) numbers, so a million-rank operation prices
-// without materializing one message per rank. Build it once with
-// BuildShape and price both directions from it with CostShape.
+// between nodes, and what each domain's rounds shuffle, as aggregate
+// per-route and per-node quantities. The domains' geometry (extents,
+// buffer, round count) stays in the plan the shape was built from. A
+// shape holds O(aggregators + contributing nodes) numbers, so a
+// million-rank operation prices without materializing one message per
+// rank. Build it once with BuildShape and price both directions from it
+// with CostShape, passing the same plan.
 type Shape struct {
 	// MetaExchanges is the metadata scatter, one all-to-all exchange per
 	// group with aggregators and contributing members: each source node's
@@ -26,29 +28,11 @@ type Shape struct {
 	// MetaMessages is the number of point-to-point metadata messages the
 	// exchanges stand for (one per member rank per group aggregator).
 	MetaMessages int
-	// Domains holds one entry per plan domain, aligned with
-	// Plan.Domains.
-	Domains []DomainShape
-}
-
-// DomainShape is one file domain's round structure: its geometry plus
-// the per-node shuffle contributions, pre-split so a run walking the
-// rounds in order reads each round's exact share in amortized constant
-// time (NodeContrib.share).
-type DomainShape struct {
-	// Index is the domain's position in Plan.Domains; the cyclic round
-	// stagger is keyed on it.
-	Index int
-	// Rounds is Domain.Rounds(): collective-buffer cycles to drain the
-	// domain.
-	Rounds int
-	// BufferBytes is the aggregator's collective buffer.
-	BufferBytes int64
-	// Extents aliases the domain's (normalized) data extents.
-	Extents []pfs.Extent
-	// Contribs lists the nodes shuffling data with the aggregator,
-	// ascending by node.
-	Contribs []NodeContrib
+	// Contribs holds, for each plan domain (aligned with Plan.Domains),
+	// the nodes shuffling data with its aggregator, ascending by node,
+	// pre-split so a run walking the rounds in order reads each round's
+	// exact share in amortized constant time (NodeContrib.share).
+	Contribs [][]NodeContrib
 }
 
 // NodeContrib aggregates one node's shuffle contributions to a domain
@@ -236,9 +220,9 @@ func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
 }
 
 // BuildShapeSet derives the round structure of plan for the requests of
-// rs. The result is deterministic and self-contained: building it walks
-// each rank's request list once (metadata sizes and domain overlaps) and
-// never materializes per-rank rounds.
+// rs. The result is deterministic and is priced together with plan:
+// building it walks each rank's request list once (metadata sizes and
+// domain overlaps) and never materializes per-rank rounds.
 func BuildShapeSet(ctx *Context, plan *Plan, rs *RequestSet) (*Shape, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
@@ -249,18 +233,12 @@ func BuildShapeSet(ctx *Context, plan *Plan, rs *RequestSet) (*Shape, error) {
 // buildShape is BuildShapeSet for a validated ctx. A non-nil co counts
 // the metadata scatter per rank.
 func buildShape(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) *Shape {
-	sh := &Shape{}
+	sh := &Shape{Contribs: make([][]NodeContrib, len(plan.Domains))}
 	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, rs, co)
-	// Domain shapes: geometry plus per-node contribution aggregates.
-	sh.Domains = make([]DomainShape, len(plan.Domains))
+	rounds := make([]int64, len(plan.Domains))
 	buckets := make([][]pfs.Extent, len(plan.Domains))
 	for i, d := range plan.Domains {
-		sh.Domains[i] = DomainShape{
-			Index:       i,
-			Rounds:      d.Rounds(),
-			BufferBytes: d.BufferBytes,
-			Extents:     d.Extents,
-		}
+		rounds[i] = int64(d.Rounds())
 		buckets[i] = d.Extents
 	}
 	if len(plan.Domains) > 0 {
@@ -273,48 +251,49 @@ func buildShape(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) *Shape {
 			node := ctx.Topo.NodeOf(rs.Rank(i))
 			overlaps = index.RequestOverlapAppend(overlaps[:0], rs, i)
 			for _, bb := range overlaps {
-				d := &sh.Domains[bb.Bucket]
-				d.Contribs = addContrib(d.Contribs, node, bb.Bytes, int64(d.Rounds))
+				sh.Contribs[bb.Bucket] = addContrib(sh.Contribs[bb.Bucket], node, bb.Bytes, rounds[bb.Bucket])
 			}
 		}
 	}
-	for i := range sh.Domains {
-		sh.Domains[i].Contribs = sealContribs(sh.Domains[i].Contribs)
+	for i := range sh.Contribs {
+		sh.Contribs[i] = sealContribs(sh.Contribs[i])
 	}
 	return sh
 }
 
-// faultShape returns the shape as fresh work items for the pricing
-// loop, in domain order, each carrying its per-node aggregates and
-// fresh cursors into them. An item derives its per-rank list from src
-// when the run first reads it; a nil src serves only runs that never
-// do: clean and unobserved.
+// faultShape returns the shape of plan, the plan it was built from, as
+// fresh work items for the pricing loop, in domain order, each carrying
+// the domain's geometry, its per-node aggregates and fresh cursors into
+// them. An item derives its per-rank list from src when the run first
+// reads it; a nil src serves only runs that never do: clean and
+// unobserved.
 func (sh *Shape) faultShape(plan *Plan, src *rankSource) *faultShape {
-	fs := &faultShape{meta: sh.MetaExchanges, items: make([]*faultItem, 0, len(sh.Domains))}
-	backing := make([]faultItem, 0, len(sh.Domains))
+	fs := &faultShape{meta: sh.MetaExchanges, items: make([]*faultItem, 0, len(plan.Domains))}
+	backing := make([]faultItem, 0, len(plan.Domains))
 	ncur := 0
-	for i := range sh.Domains {
-		ncur += len(sh.Domains[i].Contribs)
+	for _, cs := range sh.Contribs {
+		ncur += len(cs)
 	}
 	cursors := make([]shareCursor, ncur)
-	for i := range sh.Domains {
-		d := &sh.Domains[i]
-		fs.totalRounds += d.Rounds
-		if d.Rounds == 0 {
+	for i, d := range plan.Domains {
+		rounds := d.Rounds()
+		fs.totalRounds += rounds
+		if rounds == 0 {
 			continue
 		}
+		cs := sh.Contribs[i]
 		backing = append(backing, faultItem{
-			Domain: d.Index,
+			Domain: i,
 			Base:   d.Extents,
-			Bytes:  plan.Domains[d.Index].Bytes,
+			Bytes:  d.Bytes,
 			Buf:    d.BufferBytes,
-			Rounds: d.Rounds,
-			Rot:    d.Index,
+			Rounds: rounds,
+			Rot:    i,
 			src:    src,
-			aggs:   d.Contribs,
-			cur:    cursors[:len(d.Contribs):len(d.Contribs)],
+			aggs:   cs,
+			cur:    cursors[:len(cs):len(cs)],
 		})
-		cursors = cursors[len(d.Contribs):]
+		cursors = cursors[len(cs):]
 		fs.items = append(fs.items, &backing[len(backing)-1])
 	}
 	return fs

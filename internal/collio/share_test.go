@@ -119,7 +119,7 @@ func TestShareCursorsLeaveShapeUnchanged(t *testing.T) {
 	r := stats.NewRNG(5)
 	src := randomItem(r)
 	aggs, _ := src.nodeAggs()
-	sh := &Shape{Domains: []DomainShape{{Rounds: src.Rounds, BufferBytes: src.Buf, Extents: src.Base, Contribs: aggs}}}
+	sh := &Shape{Contribs: [][]NodeContrib{aggs}}
 	before := cloneShape(sh)
 	plan := &Plan{Domains: []Domain{{Extents: src.Base, Bytes: src.Bytes, BufferBytes: src.Buf}}}
 	// Rank c.Rank requests the next c.Bytes bytes of the item's one
@@ -153,14 +153,14 @@ func TestShareCursorsLeaveShapeUnchanged(t *testing.T) {
 
 // cloneShape deep-copies sh's domain contributions.
 func cloneShape(sh *Shape) *Shape {
-	c := &Shape{Domains: append([]DomainShape(nil), sh.Domains...)}
-	for i := range c.Domains {
-		cs := append([]NodeContrib(nil), c.Domains[i].Contribs...)
+	c := &Shape{Contribs: make([][]NodeContrib, len(sh.Contribs))}
+	for i := range sh.Contribs {
+		cs := slices.Clone(sh.Contribs[i])
 		for k := range cs {
 			cs[k].rems = slices.Clone(cs[k].rems)
 			cs[k].steps = slices.Clone(cs[k].steps)
 		}
-		c.Domains[i].Contribs = cs
+		c.Contribs[i] = cs
 	}
 	return c
 }

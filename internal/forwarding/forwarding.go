@@ -57,14 +57,14 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 		return nil, fmt.Errorf("forwarding: machine has %d nodes, need %d compute + %d forwarders",
 			ctx.Machine.Nodes, computeNodes, fcfg.Forwarders)
 	}
-	st := sim.StorageParams{
-		Targets:         ctx.FS.Targets,
-		TargetBW:        ctx.FS.TargetBW,
-		ReqOverhead:     ctx.FS.ReqOverhead,
-		NoncontigFactor: ctx.FS.NoncontigFactor,
-		ReadBWFactor:    ctx.FS.ReadBWFactor,
+	rs := collio.NewRequestSet(reqs)
+	if rank, ok := collio.InvalidRank(ctx, rs); ok {
+		return nil, fmt.Errorf("forwarding: request for invalid rank %d", rank)
 	}
-	eng, err := sim.NewEngine(ctx.Machine, st, opt)
+	if rank, e, ok := rs.NegativeExtent(); ok {
+		return nil, fmt.Errorf("forwarding: rank %d requests an extent of negative length %d", rank, e.Length)
+	}
+	eng, err := ctx.NewEngine(opt)
 	if err != nil {
 		return nil, err
 	}
@@ -79,15 +79,13 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 	for i := range fwd {
 		fwd[i] = &fwdState{clients: map[int]int64{}}
 	}
-	var userBytes int64
-	for _, r := range reqs {
-		norm := pfs.Normalized(r.Extents)
+	for i := range rs.Len() {
+		norm := rs.List(i)
 		if len(norm) == 0 {
 			continue
 		}
 		b := pfs.TotalBytes(norm)
-		userBytes += b
-		node := ctx.Topo.NodeOf(r.Rank)
+		node := ctx.Topo.NodeOf(rs.Rank(i))
 		f := fwd[node%fcfg.Forwarders]
 		f.lists = append(f.lists, norm)
 		f.clients[node] += b
@@ -121,7 +119,7 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 	}
 
 	for k := 0; k < maxRounds; k++ {
-		var round sim.Round
+		var round sim.AggRound
 		for i, p := range plans {
 			if k >= p.rounds {
 				continue
@@ -134,7 +132,7 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 				if per == 0 {
 					continue
 				}
-				m := sim.Message{SrcNode: client, DstNode: p.node, Bytes: per}
+				m := sim.AggMessage{SrcNode: client, DstNode: p.node, Bytes: per, Count: 1}
 				if op == collio.Read {
 					m.SrcNode, m.DstNode = m.DstNode, m.SrcNode
 				}
@@ -152,8 +150,9 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 				})
 			}
 		}
-		eng.RunRound(round)
+		eng.RunAggRound(round)
 	}
+	userBytes := rs.TotalBytes()
 	return &collio.CostResult{
 		Strategy:    "io-forwarding",
 		Op:          op,

@@ -123,6 +123,22 @@ func TestCostEmptyRequests(t *testing.T) {
 	}
 }
 
+// TestCostRejectsBadRequests checks that a rank outside the topology,
+// or an extent of negative length, is an error rather than a panic.
+func TestCostRejectsBadRequests(t *testing.T) {
+	ctx, reqs := testContext(t, 2)
+	cfg := Config{Forwarders: 2, BufferBytes: 1 << 20}
+	for name, bad := range map[string]collio.RankRequest{
+		"rank -1":        {Rank: -1, Extents: []pfs.Extent{{Offset: 0, Length: 64}}},
+		"rank Size":      {Rank: ctx.Topo.Size(), Extents: []pfs.Extent{{Offset: 0, Length: 64}}},
+		"negative bytes": {Rank: 1, Extents: []pfs.Extent{{Offset: 0, Length: -1}}},
+	} {
+		if _, err := Cost(ctx, append(reqs[:len(reqs):len(reqs)], bad), collio.Write, sim.DefaultOptions(), cfg); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 func TestBufferSizeControlsRounds(t *testing.T) {
 	ctx, reqs := testContext(t, 2)
 	big, err := Cost(ctx, reqs, collio.Write, sim.DefaultOptions(), Config{Forwarders: 2, BufferBytes: 64 << 20})

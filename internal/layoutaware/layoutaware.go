@@ -51,6 +51,7 @@ func (s *Strategy) PlanSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.
 	norm := rs.Union()
 	plan := &collio.Plan{Strategy: s.Name(), Groups: 1, GroupRanks: [][]int{rs.RanksWithData()}}
 	if len(norm) == 0 {
+		collio.RecordPlanMetrics(ctx.Obs, plan)
 		return plan, nil
 	}
 
@@ -114,5 +115,6 @@ func (s *Strategy) PlanSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.
 		last.Extents = pfs.Union([][]pfs.Extent{last.Extents, tail})
 		last.Bytes = pfs.TotalBytes(last.Extents)
 	}
+	collio.RecordPlanMetrics(ctx.Obs, plan)
 	return plan, nil
 }

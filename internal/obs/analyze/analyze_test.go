@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"mcio/internal/collio"
 	"mcio/internal/machine"
 	"mcio/internal/obs"
+	"mcio/internal/pfs"
 	"mcio/internal/sim"
 )
 
@@ -144,11 +146,11 @@ func engineRun(t *testing.T, overlap bool) (*obs.Observer, []sim.TraceEntry, flo
 	t.Helper()
 	mc := machine.Testbed640()
 	mc.Nodes = 8
-	st := sim.StorageParams{Targets: 4, TargetBW: 300e6, ReqOverhead: 1e-4, NoncontigFactor: 2}
+	ctx := &collio.Context{Machine: mc, FS: pfs.Config{Targets: 4, TargetBW: 300e6, ReqOverhead: 1e-4, NoncontigFactor: 2}}
 	opt := sim.DefaultOptions()
 	opt.Trace = true
 	opt.Overlap = overlap
-	e, err := sim.NewEngine(mc, st, opt)
+	e, err := ctx.NewEngine(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,15 +160,15 @@ func engineRun(t *testing.T, overlap bool) (*obs.Observer, []sim.TraceEntry, flo
 		{Node: 1, BufferBytes: 8 << 20, PagedSeverity: 0.6},
 		{Node: 2, BufferBytes: 8 << 20},
 	})
-	e.RunRound(sim.Round{Kind: sim.RoundMetadata, Messages: []sim.Message{
-		{SrcNode: 0, DstNode: 1, Bytes: 4 << 10},
-		{SrcNode: 3, DstNode: 2, Bytes: 4 << 10},
+	e.RunAggRound(sim.AggRound{Kind: sim.RoundMetadata, Messages: []sim.AggMessage{
+		{SrcNode: 0, DstNode: 1, Bytes: 4 << 10, Count: 1},
+		{SrcNode: 3, DstNode: 2, Bytes: 4 << 10, Count: 1},
 	}})
 	for i := 0; i < 3; i++ {
-		e.RunRound(sim.Round{
-			Messages: []sim.Message{
-				{SrcNode: 0, DstNode: 1, Bytes: 8 << 20},
-				{SrcNode: 3, DstNode: 2, Bytes: 4 << 20},
+		e.RunAggRound(sim.AggRound{
+			Messages: []sim.AggMessage{
+				{SrcNode: 0, DstNode: 1, Bytes: 8 << 20, Count: 1},
+				{SrcNode: 3, DstNode: 2, Bytes: 4 << 20, Count: 1},
 			},
 			IOOps: []sim.IOOp{
 				{Target: 1, Node: 1, Bytes: 8 << 20, Requests: 2, Contiguous: true, Write: true},
@@ -175,8 +177,8 @@ func engineRun(t *testing.T, overlap bool) (*obs.Observer, []sim.TraceEntry, flo
 		})
 	}
 	e.AddRecoveryLatency(0.005, "node-crash")
-	e.RunRecoveryRound(sim.Round{Messages: []sim.Message{{SrcNode: 0, DstNode: 2, Bytes: 1 << 10}}})
-	return o, e.Trace(), e.Elapsed()
+	e.RunAggRecoveryRound(sim.AggRound{Messages: []sim.AggMessage{{SrcNode: 0, DstNode: 2, Bytes: 1 << 10, Count: 1}}})
+	return o, e.TakeTrace(), e.Elapsed()
 }
 
 func TestAnalyzeMatchesEngine(t *testing.T) {

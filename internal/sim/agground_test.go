@@ -8,15 +8,20 @@ import (
 	"mcio/internal/machine"
 )
 
-// aggregate folds a per-message round into its aggregate form: one
-// AggMessage per (src,dst) route with the total bytes and the
-// positive-byte message count.
-func aggregate(r Round) AggRound {
-	type route struct{ src, dst int }
+// aggregate folds a round of single messages (Count 1 each) into
+// per-route bundles: one AggMessage per (src,dst) route with the total
+// bytes and the count of its positive-byte messages, and one zero-byte
+// bundle per route counting its zero-byte messages, which move nothing
+// but show in the trace.
+func aggregate(r AggRound) AggRound {
+	type route struct {
+		src, dst int
+		zero     bool
+	}
 	idx := map[route]int{}
-	agg := AggRound{Kind: r.Kind, IOOps: r.IOOps, TraceMessages: len(r.Messages)}
+	agg := AggRound{Kind: r.Kind, IOOps: r.IOOps}
 	for _, m := range r.Messages {
-		k := route{m.SrcNode, m.DstNode}
+		k := route{m.SrcNode, m.DstNode, m.Bytes == 0}
 		i, ok := idx[k]
 		if !ok {
 			i = len(agg.Messages)
@@ -24,18 +29,17 @@ func aggregate(r Round) AggRound {
 			agg.Messages = append(agg.Messages, AggMessage{SrcNode: m.SrcNode, DstNode: m.DstNode})
 		}
 		agg.Messages[i].Bytes += m.Bytes
-		if m.Bytes > 0 {
-			agg.Messages[i].Count++
-		}
+		agg.Messages[i].Count += m.Count
 	}
 	return agg
 }
 
-// TestRunAggRoundMatchesRunRound feeds the same randomized traffic to
-// one engine as point-to-point messages and to a second as per-route
-// bundles, and demands bit-identical costs, totals and trace entries —
-// the invariant bundled pricing rests on.
-func TestRunAggRoundMatchesRunRound(t *testing.T) {
+// TestRunAggRoundBundlesMatchSingleMessages feeds the same randomized
+// traffic to one engine as single point-to-point messages (Count 1
+// each) and to a second as per-route bundles, and demands bit-identical
+// costs, totals and trace entries — the invariant bundled pricing rests
+// on.
+func TestRunAggRoundBundlesMatchSingleMessages(t *testing.T) {
 	mc := machine.Testbed640()
 	st := StorageParams{Targets: 8, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
 	for _, overlap := range []bool{false, true} {
@@ -65,7 +69,7 @@ func TestRunAggRoundMatchesRunRound(t *testing.T) {
 
 		rng := rand.New(rand.NewSource(7))
 		for round := 0; round < 20; round++ {
-			var r Round
+			var r AggRound
 			if round%5 == 0 {
 				r.Kind = RoundMetadata
 			}
@@ -75,8 +79,8 @@ func TestRunAggRoundMatchesRunRound(t *testing.T) {
 				if rng.Intn(8) == 0 {
 					b = 0 // zero-byte messages are skipped but trace-counted
 				}
-				r.Messages = append(r.Messages, Message{
-					SrcNode: rng.Intn(6), DstNode: rng.Intn(6), Bytes: b,
+				r.Messages = append(r.Messages, AggMessage{
+					SrcNode: rng.Intn(6), DstNode: rng.Intn(6), Bytes: b, Count: 1,
 				})
 			}
 			if r.Kind == RoundData {
@@ -93,7 +97,7 @@ func TestRunAggRoundMatchesRunRound(t *testing.T) {
 				}
 			}
 			got := aggEng.RunAggRound(aggregate(r))
-			want := byteEng.RunRound(r)
+			want := byteEng.RunAggRound(r)
 			if got != want {
 				t.Fatalf("overlap=%v round %d: agg cost %+v != byte cost %+v", overlap, round, got, want)
 			}
@@ -101,16 +105,17 @@ func TestRunAggRoundMatchesRunRound(t *testing.T) {
 		if gt, wt := aggEng.Totals(), byteEng.Totals(); !reflect.DeepEqual(gt, wt) {
 			t.Fatalf("overlap=%v: totals diverge:\nagg:  %+v\nbyte: %+v", overlap, gt, wt)
 		}
-		if gt, wt := aggEng.Trace(), byteEng.Trace(); !reflect.DeepEqual(gt, wt) {
+		if gt, wt := aggEng.TakeTrace(), byteEng.TakeTrace(); !reflect.DeepEqual(gt, wt) {
 			t.Fatalf("overlap=%v: traces diverge", overlap)
 		}
 	}
 }
 
 // TestAccExchangeMatchesMessages expands randomized all-to-all bundles
-// into their constituent per-rank messages and demands that an Exchange
-// prices bit-identically to the dense message form — including sources
-// that are themselves destination nodes (intra-node deliveries).
+// into their constituent per-rank messages (Count 1 each) and demands
+// that an Exchange prices bit-identically to the dense message form —
+// including sources that are themselves destination nodes (intra-node
+// deliveries).
 func TestAccExchangeMatchesMessages(t *testing.T) {
 	mc := machine.Testbed640()
 	st := StorageParams{Targets: 4, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
@@ -130,7 +135,7 @@ func TestAccExchangeMatchesMessages(t *testing.T) {
 		// Random exchange: a handful of source nodes, each with 1-3
 		// sending ranks, and destination slots that overlap the sources.
 		var x Exchange
-		var msgs Round
+		var msgs AggRound
 		msgs.Kind = RoundMetadata
 		nSrc := 1 + rng.Intn(5)
 		nDst := 1 + rng.Intn(4)
@@ -150,12 +155,12 @@ func TestAccExchangeMatchesMessages(t *testing.T) {
 			for _, d := range x.Dsts {
 				for s := 0; s < d.Slots; s++ {
 					for _, b := range perRank {
-						msgs.Messages = append(msgs.Messages, Message{SrcNode: node, DstNode: d.Node, Bytes: b})
+						msgs.Messages = append(msgs.Messages, AggMessage{SrcNode: node, DstNode: d.Node, Bytes: b, Count: 1})
 					}
 				}
 			}
 		}
-		want := byteEng.RunRound(msgs)
+		want := byteEng.RunAggRound(msgs)
 		got := exEng.RunAggRound(AggRound{Kind: RoundMetadata, Exchanges: []Exchange{x}})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: round costs diverge\nexchange: %+v\nmessages: %+v", trial, got, want)
@@ -163,7 +168,7 @@ func TestAccExchangeMatchesMessages(t *testing.T) {
 		if !reflect.DeepEqual(exEng.Totals(), byteEng.Totals()) {
 			t.Fatalf("trial %d: totals diverge\nexchange: %+v\nmessages: %+v", trial, exEng.Totals(), byteEng.Totals())
 		}
-		if !reflect.DeepEqual(exEng.Trace(), byteEng.Trace()) {
+		if !reflect.DeepEqual(exEng.TakeTrace(), byteEng.TakeTrace()) {
 			t.Fatalf("trial %d: traces diverge", trial)
 		}
 	}
@@ -171,9 +176,8 @@ func TestAccExchangeMatchesMessages(t *testing.T) {
 
 // TestAggRecoveryRoundAccounting pins the recovery attribution faulted
 // pricing relies on: RunAggRecoveryRound prices exactly like
-// RunAggRound and additionally books the round's time as recovery,
-// matching RunRecoveryRound; AddRecoveryLatency charges
-// wall time and recovery time together.
+// RunAggRound and additionally books the round's time as recovery;
+// AddRecoveryLatency charges wall time and recovery time together.
 func TestAggRecoveryRoundAccounting(t *testing.T) {
 	mc := machine.Testbed640()
 	st := StorageParams{Targets: 4, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}

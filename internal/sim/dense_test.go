@@ -50,7 +50,7 @@ func denseRound(far int) AggRound {
 // a target's service time is a float sum, whose order is part of the
 // price; every node quantity is an integer sum and takes any order.
 func shuffled(r AggRound, rng *rand.Rand) AggRound {
-	out := AggRound{Kind: r.Kind, TraceMessages: r.TraceMessages}
+	out := AggRound{Kind: r.Kind}
 	out.Messages = append([]AggMessage(nil), r.Messages...)
 	rng.Shuffle(len(out.Messages), func(i, j int) { out.Messages[i], out.Messages[j] = out.Messages[j], out.Messages[i] })
 	for _, x := range r.Exchanges {
@@ -105,7 +105,7 @@ func runDense(e *Engine, far int, order func(AggRound) AggRound) ([]RoundCost, [
 	for i := 0; i < 3; i++ {
 		costs = append(costs, e.RunAggRound(order(denseRound(far))))
 	}
-	return costs, e.Trace(), e.Totals()
+	return costs, e.TakeTrace(), e.Totals()
 }
 
 // Feeding a round's traffic in any order prices it bit-identically: the

@@ -16,11 +16,11 @@ func tracedEngine(t *testing.T) *Engine {
 
 func TestBindingIOBound(t *testing.T) {
 	e := tracedEngine(t)
-	e.RunRound(Round{
-		Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 1 << 10}},
+	e.RunAggRound(AggRound{
+		Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 1 << 10, Count: 1}},
 		IOOps:    []IOOp{{Target: 3, Node: 1, Bytes: 512 << 20, Requests: 1, Contiguous: true, Write: true}},
 	})
-	tr := e.Trace()
+	tr := e.TakeTrace()
 	if len(tr) != 1 {
 		t.Fatalf("got %d trace entries, want 1", len(tr))
 	}
@@ -38,11 +38,11 @@ func TestBindingIOBound(t *testing.T) {
 
 func TestBindingCommBound(t *testing.T) {
 	e := tracedEngine(t)
-	e.RunRound(Round{
-		Messages: []Message{{SrcNode: 2, DstNode: 5, Bytes: 512 << 20}},
+	e.RunAggRound(AggRound{
+		Messages: []AggMessage{{SrcNode: 2, DstNode: 5, Bytes: 512 << 20, Count: 1}},
 		IOOps:    []IOOp{{Target: 0, Node: 5, Bytes: 1 << 10, Requests: 1, Contiguous: true, Write: true}},
 	})
-	b := e.Trace()[0].Binding
+	b := e.TakeTrace()[0].Binding
 	if !b.CommBound {
 		t.Fatalf("512 MB of comm vs 1 KB of storage classified io-bound: %v", b)
 	}
@@ -60,8 +60,8 @@ func TestBindingPagedNodeAttributed(t *testing.T) {
 	// touches; the binding must attribute the round to that node (its
 	// DRAM or its now-degraded NIC), not to the healthy sender.
 	e.SetAggregators([]AggregatorPlacement{{Node: 1, BufferBytes: 1 << 20, PagedSeverity: 1}})
-	e.RunRound(Round{Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 64 << 20}}})
-	b := e.Trace()[0].Binding
+	e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 64 << 20, Count: 1}}})
+	b := e.TakeTrace()[0].Binding
 	if !b.CommBound || b.CommNode != 1 {
 		t.Fatalf("paged destination should bind on node 1, got %v", b)
 	}
@@ -82,8 +82,8 @@ func TestEngineObserver(t *testing.T) {
 		{Node: 2, BufferBytes: 1 << 20},
 	})
 	for i := 0; i < 2; i++ {
-		e.RunRound(Round{
-			Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 4 << 20}},
+		e.RunAggRound(AggRound{
+			Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 4 << 20, Count: 1}},
 			IOOps:    []IOOp{{Target: 3, Node: 1, Bytes: 8 << 20, Requests: 2, Contiguous: true, Write: true}},
 		})
 	}

@@ -8,12 +8,12 @@ import (
 func TestNodeSlowdownScalesRound(t *testing.T) {
 	opt := DefaultOptions()
 	base := testEngine(t, opt)
-	msg := Round{Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 1 << 30}}}
-	rc0 := base.RunRound(msg)
+	msg := AggRound{Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 1 << 30, Count: 1}}}
+	rc0 := base.RunAggRound(msg)
 
 	slow := testEngine(t, opt)
 	slow.SetNodeSlowdown(0, 4)
-	rc1 := slow.RunRound(msg)
+	rc1 := slow.RunAggRound(msg)
 	if rc1.CommTime <= rc0.CommTime {
 		t.Fatalf("straggler round not slower: %v vs %v", rc1.CommTime, rc0.CommTime)
 	}
@@ -22,7 +22,7 @@ func TestNodeSlowdownScalesRound(t *testing.T) {
 	slow2 := testEngine(t, opt)
 	slow2.SetNodeSlowdown(0, 4)
 	slow2.SetNodeSlowdown(0, 1)
-	rc2 := slow2.RunRound(msg)
+	rc2 := slow2.RunAggRound(msg)
 	if math.Abs(rc2.CommTime-rc0.CommTime) > 1e-12 {
 		t.Fatalf("cleared straggler still priced: %v vs %v", rc2.CommTime, rc0.CommTime)
 	}
@@ -32,12 +32,12 @@ func TestIOOpDelaySeconds(t *testing.T) {
 	opt := DefaultOptions()
 	op := IOOp{Target: 0, Node: 0, Bytes: 1 << 20, Requests: 1, Contiguous: true, Write: true}
 	base := testEngine(t, opt)
-	rc0 := base.RunRound(Round{IOOps: []IOOp{op}})
+	rc0 := base.RunAggRound(AggRound{IOOps: []IOOp{op}})
 
 	delayed := op
 	delayed.DelaySeconds = 0.25
 	e := testEngine(t, opt)
-	rc1 := e.RunRound(Round{IOOps: []IOOp{delayed}})
+	rc1 := e.RunAggRound(AggRound{IOOps: []IOOp{delayed}})
 	if got := rc1.IOTime - rc0.IOTime; math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("delay charged %v, want 0.25", got)
 	}
@@ -47,8 +47,8 @@ func TestRecoveryAttribution(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Trace = true
 	e := testEngine(t, opt)
-	e.RunRound(Round{Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 1 << 20}}})
-	rc := e.RunRecoveryRound(Round{Messages: []Message{{SrcNode: 1, DstNode: 2, Bytes: 1 << 16}}})
+	e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 1 << 20, Count: 1}}})
+	rc := e.RunAggRecoveryRound(AggRound{Messages: []AggMessage{{SrcNode: 1, DstNode: 2, Bytes: 1 << 16, Count: 1}}})
 	e.AddRecoveryLatency(0.5, "detect")
 
 	tot := e.Totals()
@@ -59,7 +59,7 @@ func TestRecoveryAttribution(t *testing.T) {
 	if math.Abs(tot.RecoverySeconds-want) > 1e-12 {
 		t.Fatalf("RecoverySeconds = %v, want %v", tot.RecoverySeconds, want)
 	}
-	tr := e.Trace()
+	tr := e.TakeTrace()
 	if len(tr) != 2 || tr[0].Recovery || !tr[1].Recovery {
 		t.Fatalf("trace recovery flags wrong: %+v", tr)
 	}
@@ -70,20 +70,20 @@ func TestRecoveryAttribution(t *testing.T) {
 
 func TestSetNodePaged(t *testing.T) {
 	opt := DefaultOptions()
-	msg := Round{Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 1 << 30}}}
+	msg := AggRound{Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 1 << 30, Count: 1}}}
 	base := testEngine(t, opt)
-	rc0 := base.RunRound(msg)
+	rc0 := base.RunAggRound(msg)
 
 	e := testEngine(t, opt)
 	e.SetNodePaged(0, 0.8)
-	rc1 := e.RunRound(msg)
+	rc1 := e.RunAggRound(msg)
 	if rc1.CommTime <= rc0.CommTime {
 		t.Fatalf("paged node not slower: %v vs %v", rc1.CommTime, rc0.CommTime)
 	}
 	// Zero-severity update is inert.
 	e2 := testEngine(t, opt)
 	e2.SetNodePaged(0, 0)
-	rc2 := e2.RunRound(msg)
+	rc2 := e2.RunAggRound(msg)
 	if rc2.CommTime != rc0.CommTime {
 		t.Fatalf("zero-severity SetNodePaged changed pricing: %v vs %v", rc2.CommTime, rc0.CommTime)
 	}

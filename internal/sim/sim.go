@@ -85,7 +85,7 @@ type Options struct {
 	// concurrently (pipelined collective buffering). ROMIO's classic
 	// two-phase is blocking, so the default (false) sums the phases.
 	Overlap bool
-	// Trace records a TraceEntry per round, retrievable via Trace().
+	// Trace records a TraceEntry per round, retrievable via TakeTrace.
 	// Off by default: operations can run hundreds of rounds.
 	Trace bool
 	// MemCopyFactor is how many times each shuffled byte crosses a node's
@@ -122,14 +122,6 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Message is one network transfer within a round. Intra-node transfers
-// (SrcNode == DstNode) skip the NIC and only consume memory bandwidth.
-type Message struct {
-	SrcNode int
-	DstNode int
-	Bytes   int64
-}
-
 // IOOp is one storage access issued by an aggregator within a round,
 // or a span of them: Count consecutive targets, Target through
 // Target+Count-1, each receiving the same access, as pfs.Mapper reports
@@ -157,20 +149,11 @@ type IOOp struct {
 
 // Round kinds for blame attribution. A data round moves user bytes; a
 // metadata round carries the request-list exchange that precedes them.
-// Recovery traffic is marked by RunRecoveryRound, not by kind.
+// Recovery traffic is marked by RunAggRecoveryRound, not by kind.
 const (
 	RoundData     = ""
 	RoundMetadata = "metadata"
 )
-
-// Round is one step of a collective operation.
-type Round struct {
-	Messages []Message
-	IOOps    []IOOp
-	// Kind tags the round for critical-path blame attribution; the zero
-	// value is a data round, RoundMetadata marks a request exchange.
-	Kind string
-}
 
 // AggregatorPlacement declares one aggregator for the duration of an
 // operation: which node hosts it, how large its aggregation buffer is, and
@@ -214,7 +197,7 @@ type Totals struct {
 	// detection stalls, reboot waits, and recovery rounds. Included in
 	// Time; zero on fault-free runs.
 	RecoverySeconds float64
-	// RecoveryRounds counts rounds priced via RunRecoveryRound.
+	// RecoveryRounds counts rounds priced via RunAggRecoveryRound.
 	RecoveryRounds int
 	// PerNodeShuffle records shuffled bytes through each node that hosted
 	// an aggregator or endpoint, for memory-pressure reporting.
@@ -278,10 +261,10 @@ type TraceEntry struct {
 	IOBytes   int64
 	// Binding is the round's bottleneck attribution.
 	Binding Binding
-	// Recovery marks rounds priced via RunRecoveryRound (failure
+	// Recovery marks rounds priced via RunAggRecoveryRound (failure
 	// handling, not user data movement).
 	Recovery bool
-	// Kind is the round's Round.Kind (RoundData or RoundMetadata).
+	// Kind is the round's AggRound.Kind (RoundData or RoundMetadata).
 	Kind string
 	// CommPagedFrac is the fraction of CommTime the bound node spent
 	// waiting on paging — the excess over the same traffic at full DRAM
@@ -645,24 +628,18 @@ type targetLoad struct {
 	delay       float64
 }
 
-// RunRound prices one round and accumulates it into the totals.
-func (e *Engine) RunRound(r Round) RoundCost { return e.runRound(r, false) }
-
-// RunRecoveryRound prices a round of failure-handling traffic (e.g. the
-// metadata re-exchange after an aggregator failover). It is priced by
-// the same bottleneck model but attributed to recovery in the totals
-// and trace.
-func (e *Engine) RunRecoveryRound(r Round) RoundCost { return e.runRound(r, true) }
-
-// AggMessage is a bundle of same-route messages within a round: the
-// total payload and the number of positive-byte point-to-point messages
-// it stands for. collio prices one AggMessage per (source node,
-// destination node) pair of a work item instead of one Message per rank.
+// AggMessage is a bundle of same-route network transfers within a
+// round: the total payload and the number of point-to-point messages it
+// stands for. A single transfer is a bundle with Count 1. Intra-node
+// bundles (SrcNode == DstNode) skip the NIC and only consume memory
+// bandwidth. collio prices one AggMessage per (source node, destination
+// node) pair of a work item instead of one per rank. A zero-byte bundle
+// moves nothing; its Count still shows in the round's trace entry.
 type AggMessage struct {
 	SrcNode int
 	DstNode int
 	Bytes   int64 // total payload across the constituent messages
-	Count   int   // number of positive-byte constituent messages
+	Count   int   // number of constituent messages
 }
 
 // Exchange is an all-to-all bundle within a round: every source entry
@@ -690,37 +667,30 @@ type ExchangeDst struct {
 	Slots int // receiving slots (aggregators) hosted on the node
 }
 
-// AggRound is the aggregate form of a Round: per-route message bundles
-// and all-to-all exchanges, plus the same per-target IOOps (storage
-// accesses are already aggregated per target, so they need no new
-// form).
+// AggRound is one step of a collective operation: per-route message
+// bundles and all-to-all exchanges, plus per-target storage accesses.
 type AggRound struct {
 	Messages  []AggMessage
 	Exchanges []Exchange
 	IOOps     []IOOp
-	// Kind tags the round for blame attribution, as in Round.
+	// Kind tags the round for critical-path blame attribution; the zero
+	// value is a data round, RoundMetadata marks a request exchange.
 	Kind string
-	// TraceMessages is the number of point-to-point messages the round
-	// stands for including zero-byte ones the engine skips — what
-	// TraceEntry.Messages reports for a Round. Zero means "use the sum
-	// of Count".
-	TraceMessages int
 }
 
-// RunAggRound prices one aggregate round and accumulates it into the
-// totals, exactly as if RunRound had been fed the constituent
-// point-to-point messages. The engine reduces messages to per-node byte
-// loads before pricing, so the only rounding difference is the DRAM
-// charge int64(MemCopyFactor*bytes), computed once per bundle instead of
-// once per message: for integral MemCopyFactor (the default 2) the two
-// are bit-identical; otherwise they differ by at most one byte per
-// constituent message.
+// RunAggRound prices one round and accumulates it into the totals. The
+// engine reduces messages to per-node byte loads before pricing, so a
+// bundle prices as its constituent messages sent one by one (Count 1
+// each) would, except for the DRAM charge int64(MemCopyFactor*bytes),
+// computed once per bundle instead of once per message: for integral
+// MemCopyFactor (the default 2) the two are bit-identical; otherwise
+// they differ by at most one byte per constituent message.
 func (e *Engine) RunAggRound(r AggRound) RoundCost { return e.runAggRound(r, false) }
 
-// RunAggRecoveryRound is RunAggRound attributed to recovery: the
-// aggregate form of RunRecoveryRound, used to price a metadata
-// re-exchange after a failover as per-node bundles instead of one
-// message per surviving contributor.
+// RunAggRecoveryRound prices a round of failure-handling traffic (e.g.
+// the metadata re-exchange after an aggregator failover) by the same
+// bottleneck model as RunAggRound, attributed to recovery in the totals
+// and trace.
 func (e *Engine) RunAggRecoveryRound(r AggRound) RoundCost { return e.runAggRound(r, true) }
 
 func (e *Engine) runAggRound(r AggRound, recovery bool) RoundCost {
@@ -739,9 +709,6 @@ func (e *Engine) runAggRound(r AggRound, recovery bool) RoundCost {
 		cb, n := e.accExchange(x)
 		commBytes += cb
 		nMsgs += n
-	}
-	if r.TraceMessages > 0 {
-		nMsgs = r.TraceMessages
 	}
 	ops, ioBytes, ioDir := e.accIOOps(r.IOOps)
 	return e.finishRound(r.Kind, recovery, nMsgs, ops, commBytes, ioBytes, ioDir)
@@ -798,9 +765,8 @@ func (e *Engine) target(t int) *targetState {
 	return ts
 }
 
-// accMessage accumulates a message bundle (count positive-byte messages
-// totalling bytes on one src→dst route) into the round's node loads.
-// RunRound calls it with count 1 per Message.
+// accMessage accumulates a message bundle (count messages totalling
+// bytes on one src→dst route) into the round's node loads.
 func (e *Engine) accMessage(src, dst int, bytes int64, count int) {
 	if bytes < 0 {
 		panic("sim: negative message size")
@@ -1008,19 +974,6 @@ func mergeIODir(dir string, write bool) string {
 	default:
 		return "mixed"
 	}
-}
-
-func (e *Engine) runRound(r Round, recovery bool) RoundCost {
-	e.beginRound()
-	for _, m := range r.Messages {
-		e.accMessage(m.SrcNode, m.DstNode, m.Bytes, 1)
-	}
-	ops, ioBytes, ioDir := e.accIOOps(r.IOOps)
-	var commBytes int64
-	for _, m := range r.Messages {
-		commBytes += m.Bytes
-	}
-	return e.finishRound(r.Kind, recovery, len(r.Messages), ops, commBytes, ioBytes, ioDir)
 }
 
 // ascendingIDs puts ids, the distinct IDs of a table of n entries whose
@@ -1279,12 +1232,6 @@ func (eo *engineObs) emitRound(r roundEmit) {
 			obs.A("seek_bytes", strconv.FormatInt(tl.seek, 10)))
 		span.End(ioStart + tl.time)
 	}
-}
-
-// Trace returns a copy of the per-round records collected so far;
-// empty unless Options.Trace was set.
-func (e *Engine) Trace() []TraceEntry {
-	return append([]TraceEntry(nil), e.trace...)
 }
 
 // ReserveTrace sizes the trace for n rounds when Options.Trace is set,

@@ -58,7 +58,7 @@ func TestNewEngineValidates(t *testing.T) {
 func TestSingleMessageCost(t *testing.T) {
 	e := testEngine(t, DefaultOptions())
 	const bytes = 1 << 30
-	rc := e.RunRound(Round{Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: bytes}}})
+	rc := e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: bytes, Count: 1}}})
 	// NIC at 2 GB/s is the bottleneck vs 25 GB/s DRAM with factor 2.
 	wantNIC := float64(bytes) / (2 * float64(machine.GB))
 	if math.Abs(rc.CommTime-wantNIC) > 1e-9 {
@@ -72,7 +72,7 @@ func TestSingleMessageCost(t *testing.T) {
 func TestIntraNodeMessageSkipsNIC(t *testing.T) {
 	e := testEngine(t, DefaultOptions())
 	const bytes = 1 << 30
-	rc := e.RunRound(Round{Messages: []Message{{SrcNode: 3, DstNode: 3, Bytes: bytes}}})
+	rc := e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 3, DstNode: 3, Bytes: bytes, Count: 1}}})
 	// Intra-node: 2*MemCopyFactor crossings at 25 GB/s, no NIC term.
 	want := 4 * float64(bytes) / (25 * float64(machine.GB))
 	if math.Abs(rc.CommTime-want) > 1e-9 {
@@ -91,7 +91,7 @@ func TestPagedNodeSlower(t *testing.T) {
 	mk := func(severity float64) float64 {
 		e := testEngine(t, DefaultOptions())
 		e.SetAggregators([]AggregatorPlacement{{Node: 0, BufferBytes: 1 << 20, PagedSeverity: severity}})
-		rc := e.RunRound(Round{Messages: []Message{{SrcNode: 0, DstNode: 0, Bytes: 1 << 30}}})
+		rc := e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 0, DstNode: 0, Bytes: 1 << 30, Count: 1}}})
 		return rc.CommTime
 	}
 	fast, half, slow := mk(0), mk(0.5), mk(1)
@@ -123,7 +123,7 @@ func TestAggregatorContention(t *testing.T) {
 			aggs[i] = AggregatorPlacement{Node: 0, BufferBytes: 1 << 20}
 		}
 		e.SetAggregators(aggs)
-		rc := e.RunRound(Round{Messages: []Message{{SrcNode: 0, DstNode: 0, Bytes: 1 << 30}}})
+		rc := e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 0, DstNode: 0, Bytes: 1 << 30, Count: 1}}})
 		return rc.CommTime
 	}
 	atOpt := cost(4) // NahOpt = 4: no contention
@@ -145,7 +145,7 @@ func TestIOOpCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := e.RunRound(Round{IOOps: []IOOp{
+	rc := e.RunAggRound(AggRound{IOOps: []IOOp{
 		{Target: 0, Node: 0, Bytes: 100e6, Requests: 10, Contiguous: true, Write: true},
 	}})
 	want := 0.001*10 + 1.0
@@ -154,7 +154,7 @@ func TestIOOpCost(t *testing.T) {
 	}
 	// Noncontiguous inflates the streaming term by 4x.
 	e2, _ := NewEngine(mc, st, DefaultOptions())
-	rc2 := e2.RunRound(Round{IOOps: []IOOp{
+	rc2 := e2.RunAggRound(AggRound{IOOps: []IOOp{
 		{Target: 0, Node: 0, Bytes: 100e6, Requests: 10, Contiguous: false, Write: true},
 	}})
 	want2 := 0.001*10 + 4.0
@@ -166,7 +166,7 @@ func TestIOOpCost(t *testing.T) {
 func TestTargetsRunInParallel(t *testing.T) {
 	e := testEngine(t, DefaultOptions())
 	// The same volume on one target vs spread over 4: parallel spread is 4x faster.
-	one := e.RunRound(Round{IOOps: []IOOp{
+	one := e.RunAggRound(AggRound{IOOps: []IOOp{
 		{Target: 0, Node: 0, Bytes: 400e6, Requests: 1, Contiguous: true},
 	}})
 	e2 := testEngine(t, DefaultOptions())
@@ -174,7 +174,7 @@ func TestTargetsRunInParallel(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ops = append(ops, IOOp{Target: i, Node: 0, Bytes: 100e6, Requests: 1, Contiguous: true})
 	}
-	four := e2.RunRound(Round{IOOps: ops})
+	four := e2.RunAggRound(AggRound{IOOps: ops})
 	if math.Abs(four.IOTime*4-one.IOTime) > 1e-9 {
 		t.Fatalf("4 targets: %v, 1 target: %v — want 4x speedup", four.IOTime, one.IOTime)
 	}
@@ -182,15 +182,15 @@ func TestTargetsRunInParallel(t *testing.T) {
 
 func TestOverlapOption(t *testing.T) {
 	opt := DefaultOptions()
-	round := Round{
-		Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 1 << 30}},
+	round := AggRound{
+		Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 1 << 30, Count: 1}},
 		IOOps:    []IOOp{{Target: 0, Node: 2, Bytes: 250e6, Requests: 1, Contiguous: true}},
 	}
 	blocking := testEngine(t, opt)
-	bc := blocking.RunRound(round)
+	bc := blocking.RunAggRound(round)
 	opt.Overlap = true
 	overlapped := testEngine(t, opt)
-	oc := overlapped.RunRound(round)
+	oc := overlapped.RunAggRound(round)
 	if math.Abs(bc.Time-(bc.CommTime+bc.IOTime)) > 1e-12 {
 		t.Fatalf("blocking round time %v != comm+io %v", bc.Time, bc.CommTime+bc.IOTime)
 	}
@@ -210,7 +210,7 @@ func TestLatencyCharge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := e.RunRound(Round{Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 1}}})
+	rc := e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 1, Count: 1}}})
 	if rc.CommTime < 1e-3 {
 		t.Fatalf("per-message latency not charged: %v", rc.CommTime)
 	}
@@ -222,11 +222,11 @@ func TestLatencyCharge(t *testing.T) {
 
 func TestTotalsAccumulate(t *testing.T) {
 	e := testEngine(t, DefaultOptions())
-	e.RunRound(Round{
-		Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 100}},
+	e.RunAggRound(AggRound{
+		Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 100, Count: 1}},
 		IOOps:    []IOOp{{Target: 0, Node: 1, Bytes: 200, Requests: 3, Contiguous: true, Write: true}},
 	})
-	e.RunRound(Round{Messages: []Message{{SrcNode: 1, DstNode: 0, Bytes: 50}}})
+	e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 1, DstNode: 0, Bytes: 50, Count: 1}}})
 	tot := e.Totals()
 	if tot.Rounds != 2 {
 		t.Fatalf("rounds = %d", tot.Rounds)
@@ -252,7 +252,7 @@ func TestBandwidth(t *testing.T) {
 	if e.Bandwidth(100) != 0 {
 		t.Fatal("bandwidth before any round should be 0")
 	}
-	e.RunRound(Round{IOOps: []IOOp{{Target: 0, Node: 0, Bytes: 500e6, Requests: 1, Contiguous: true}}})
+	e.RunAggRound(AggRound{IOOps: []IOOp{{Target: 0, Node: 0, Bytes: 500e6, Requests: 1, Contiguous: true}}})
 	bw := e.Bandwidth(500e6)
 	want := 500e6 / e.Elapsed()
 	if math.Abs(bw-want) > 1e-6 {
@@ -267,8 +267,8 @@ func TestBandwidth(t *testing.T) {
 
 func TestZeroByteWorkIsFree(t *testing.T) {
 	e := testEngine(t, DefaultOptions())
-	rc := e.RunRound(Round{
-		Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 0}},
+	rc := e.RunAggRound(AggRound{
+		Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 0, Count: 1}},
 		IOOps:    []IOOp{{Target: 0, Node: 0, Bytes: 0, Requests: 0, Contiguous: true}},
 	})
 	if rc.Time != 0 {
@@ -277,8 +277,9 @@ func TestZeroByteWorkIsFree(t *testing.T) {
 }
 
 func TestPanicsOnBadInput(t *testing.T) {
-	for name, round := range map[string]Round{
-		"negative message": {Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: -1}}},
+	for name, round := range map[string]AggRound{
+		"negative message": {Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: -1, Count: 1}}},
+		"negative count":   {Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 1, Count: -1}}},
 		"negative io":      {IOOps: []IOOp{{Target: 0, Bytes: -1}}},
 		"bad target":       {IOOps: []IOOp{{Target: 99, Bytes: 1, Requests: 1}}},
 	} {
@@ -289,7 +290,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 					t.Errorf("%s: expected panic", name)
 				}
 			}()
-			e.RunRound(round)
+			e.RunAggRound(round)
 		}()
 	}
 	e := testEngine(t, DefaultOptions())
@@ -312,7 +313,7 @@ func TestMonotoneInBytes(t *testing.T) {
 		}
 		cost := func(b int64) float64 {
 			e := testEngine(t, DefaultOptions())
-			return e.RunRound(Round{Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: b}}}).Time
+			return e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: b, Count: 1}}}).Time
 		}
 		c1, c2 := cost(b1), cost(b2)
 		return c1 >= 0 && c2 >= 0 && c1 <= c2
@@ -326,12 +327,12 @@ func TestTraceRecordsRounds(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Trace = true
 	e := testEngine(t, opt)
-	e.RunRound(Round{
-		Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 100}},
+	e.RunAggRound(AggRound{
+		Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 100, Count: 1}},
 		IOOps:    []IOOp{{Target: 0, Node: 1, Bytes: 200, Requests: 1, Contiguous: true}},
 	})
-	e.RunRound(Round{Messages: []Message{{SrcNode: 1, DstNode: 0, Bytes: 50}}})
-	tr := e.Trace()
+	e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 1, DstNode: 0, Bytes: 50, Count: 1}}})
+	tr := e.TakeTrace()
 	if len(tr) != 2 {
 		t.Fatalf("trace length = %d", len(tr))
 	}
@@ -344,36 +345,35 @@ func TestTraceRecordsRounds(t *testing.T) {
 	if tr[1].Cost.Time <= 0 {
 		t.Fatal("entry cost missing")
 	}
-	// Trace returns a copy.
-	tr[0].Messages = 99
-	if e.Trace()[0].Messages == 99 {
-		t.Fatal("Trace leaked internal slice")
-	}
 }
 
-// A reserved trace records the same rounds, and TakeTrace hands them
-// over as Trace reports them, leaving the engine a fresh trace.
+// A reserved trace records the same rounds as an unreserved one, in
+// the reserved capacity, and TakeTrace hands them over, leaving the
+// engine a fresh trace.
 func TestReserveAndTakeTrace(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Trace = true
-	e := testEngine(t, opt)
-	e.ReserveTrace(2)
-	e.RunRound(Round{Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 100}}})
-	e.RunRound(Round{Messages: []Message{{SrcNode: 1, DstNode: 0, Bytes: 50}}})
-	want := e.Trace()
-	got := e.TakeTrace()
-	if !reflect.DeepEqual(got, want) || len(got) != 2 || cap(got) != 2 {
-		t.Fatalf("TakeTrace = %+v (cap %d), want the two rounds Trace reports, %+v", got, cap(got), want)
+	var traces [2][]TraceEntry
+	for i, reserve := range []int{0, 2} {
+		e := testEngine(t, opt)
+		e.ReserveTrace(reserve)
+		e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 100, Count: 1}}})
+		e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 1, DstNode: 0, Bytes: 50, Count: 1}}})
+		traces[i] = e.TakeTrace()
+		if len(e.TakeTrace()) != 0 {
+			t.Fatal("the engine kept the trace it handed over")
+		}
 	}
-	if len(e.Trace()) != 0 {
-		t.Fatal("the engine kept the trace it handed over")
+	got, want := traces[1], traces[0]
+	if !reflect.DeepEqual(got, want) || len(got) != 2 || cap(got) != 2 {
+		t.Fatalf("reserved trace = %+v (cap %d), want the two rounds of the unreserved one, %+v", got, cap(got), want)
 	}
 }
 
 func TestTraceOffByDefault(t *testing.T) {
 	e := testEngine(t, DefaultOptions())
-	e.RunRound(Round{Messages: []Message{{SrcNode: 0, DstNode: 1, Bytes: 100}}})
-	if len(e.Trace()) != 0 {
+	e.RunAggRound(AggRound{Messages: []AggMessage{{SrcNode: 0, DstNode: 1, Bytes: 100, Count: 1}}})
+	if len(e.TakeTrace()) != 0 {
 		t.Fatal("tracing should be off by default")
 	}
 }

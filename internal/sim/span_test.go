@@ -82,7 +82,7 @@ func TestSpanPricesAsItsAccesses(t *testing.T) {
 			for _, r := range rounds {
 				costs = append(costs, e.RunAggRound(feed(r)))
 			}
-			return costs, e.Trace(), e.Totals(), o.Metrics.Snapshot()
+			return costs, e.TakeTrace(), e.Totals(), o.Metrics.Snapshot()
 		}
 		costs, trace, totals, metrics := run(func(r AggRound) AggRound { return r })
 		wantCosts, wantTrace, wantTotals, wantMetrics := run(expanded)
