@@ -10,27 +10,35 @@ import (
 	"mcio/internal/faults"
 )
 
-// TestFaultedExaEnginesMatchSmall shrinks the fig-exa-faults grid to a
-// size the per-rank walk prices quickly and cross-checks that every cell
-// — crash remerges, stalls, stragglers and all — prices bit for bit as
-// it does with every node walked per rank. The reference runs each
-// cell's plan, injector and handler through CostAdaptive, which marks
-// every node hot, under an Adaptive with no detector, no breakers, no
-// proactive failover and hedging never armed: the static retry-only
-// response, walked per rank.
+// TestFaultedExaEnginesMatchSmall shrinks the fig-exa-faults grid to
+// 600 ranks, a size the per-rank walk prices quickly, and cross-checks
+// it against the walk (checkExaGridMatchesWalk).
 func TestFaultedExaEnginesMatchSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full fault grids, one walked per rank")
 	}
+	checkExaGridMatchesWalk(t, 600, 100, 16)
+}
+
+// checkExaGridMatchesWalk prices the fig-exa-faults grid on a point of
+// ranks ranks, nodes nodes and targets targets, and checks that every
+// cell — crash remerges, stalls, stragglers and all — prices bit for bit
+// as it does with every node walked per rank. The reference runs each
+// cell's plan, injector and handler through CostAdaptive, which marks
+// every node hot, under an Adaptive with no detector, no breakers, no
+// proactive failover and hedging never armed: the static retry-only
+// response, walked per rank.
+func checkExaGridMatchesWalk(t *testing.T, ranks, nodes, targets int) {
+	t.Helper()
 	cells := exaFaultCells()
-	bundled, err := runFaultGrid(smallExaPoint(t), collio.Write, cells)
+	bundled, err := runFaultGrid(smallExaPoint(t, ranks, nodes, targets), collio.Write, cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The reference builds its own point: nothing the grid run left in
 	// its context or request set reaches the per-rank walk.
-	p := smallExaPoint(t)
+	p := smallExaPoint(t, ranks, nodes, targets)
 	opt := p.cfg.options()
 	opt.Trace = true
 	perRank := func(strategy string, spec faults.Spec) *collio.FaultResult {
@@ -76,19 +84,23 @@ func TestFaultedExaEnginesMatchSmall(t *testing.T) {
 	}
 }
 
-// smallExaPoint is the fig-exa-faults point shrunk to 600 ranks, six
-// per node, on 16 targets: the exascale grid's workload shape at a size
-// the per-rank walk prices quickly.
-func smallExaPoint(t testing.TB) *figurePoint {
+// smallExaPoint is the fig-exa-faults point shrunk to ranks ranks, on
+// nodes nodes (block placement, ranks/nodes per node) and targets
+// targets: the exascale grid's workload shape at a size the per-rank
+// walk can price.
+func smallExaPoint(t testing.TB, ranks, nodes, targets int) *figurePoint {
 	t.Helper()
 	cfg := FigExaFaultsConfig(testScale, 42)
-	cfg.Ranks = 600
-	cfg.RanksPerNode = 6
-	cfg.Targets = 16
+	cfg.Ranks = ranks
+	cfg.RanksPerNode = ranks / nodes
+	cfg.Targets = targets
 	wl, name := FigExaWorkload(cfg)
 	p, err := newPoint(cfg, wl, name, cfg.MemMB[0])
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := p.ctx.Topo.Nodes(); got != nodes {
+		t.Fatalf("point has %d nodes, want %d", got, nodes)
 	}
 	return p
 }

@@ -82,7 +82,7 @@ func TestParallelFaultSweepIdentical(t *testing.T) {
 	}{
 		{"faults", func() ([]FaultPoint, error) { return faultSweepRun(testScale, 42) }},
 		{"fig-exa-faults at 600 ranks", func() ([]FaultPoint, error) {
-			return runFaultGrid(smallExaPoint(t), collio.Write, exaFaultCells())
+			return runFaultGrid(smallExaPoint(t, 600, 100, 16), collio.Write, exaFaultCells())
 		}},
 	}
 	for _, g := range grids {

@@ -33,7 +33,7 @@ func TestSweepComputesOneUnion(t *testing.T) {
 	if n := collio.RequestUnions() - before; n != 1 {
 		t.Fatalf("the fault sweep computed %d request unions, want 1", n)
 	}
-	p := smallExaPoint(t)
+	p := smallExaPoint(t, 600, 100, 16)
 	before = collio.RequestUnions()
 	if _, err := runFaultGrid(p, collio.Write, exaFaultCells()); err != nil {
 		t.Fatal(err)
