@@ -140,7 +140,11 @@ func CostShape(ctx *Context, plan *Plan, sh *Shape, op Op, opt sim.Options) (*Co
 	if len(sh.Contribs) != len(plan.Domains) {
 		return nil, fmt.Errorf("collio: shape of %d domains priced with a plan of %d", len(sh.Contribs), len(plan.Domains))
 	}
-	res, err := sh.faultShape(plan, nil).price(ctx, plan, op, opt, faultEnv{}, nil)
+	r, err := newPricingRun(ctx, plan, sh, nil, op, opt, faultEnv{}, nil)
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.price()
 	if err != nil {
 		return nil, err
 	}

@@ -51,9 +51,9 @@ func WalkContribs(ctx *Context, plan *Plan, rs *RequestSet) [][]RankContrib {
 // the per-rank list each work item derives on first use; a domain
 // without an item (no rounds) gets nil.
 func DerivedContribs(ctx *Context, plan *Plan, rs *RequestSet) [][]RankContrib {
-	fs := buildShape(ctx, plan, rs, nil).faultShape(plan, &rankSource{rs: rs, topo: &ctx.Topo})
+	items, _ := buildShape(ctx, plan, rs, nil).workItems(plan, &rankSource{rs: rs, topo: &ctx.Topo})
 	out := make([][]RankContrib, len(plan.Domains))
-	for _, it := range fs.items {
+	for _, it := range items {
 		out[it.Domain] = it.rankContribs()
 	}
 	return out

@@ -7,7 +7,6 @@ import (
 
 	"mcio/internal/mpi"
 	"mcio/internal/pfs"
-	"mcio/internal/sim"
 )
 
 // faultContrib is one rank's contribution to a work item: the per-rank
@@ -207,15 +206,4 @@ func (it *faultItem) fold(target int, live []Domain) *faultItem {
 // hand-off still costs a message.
 func (it *faultItem) recoveryMetaBytes() int64 {
 	return max(int64(len(it.Base)), 1) * extentListEntryBytes
-}
-
-// faultShape is one priced run's view of a Shape: the metadata scatter
-// plus fresh work items, one per non-empty domain, each with its own
-// cursors into the shape's per-node aggregates. Clean, faulted,
-// adaptive and observed runs all start from it (Shape.faultShape); an
-// item derives its per-rank list only when a run reads it.
-type faultShape struct {
-	meta        []sim.Exchange
-	items       []*faultItem
-	totalRounds int // the initial items' round counts, for the divergence guard
 }

@@ -261,14 +261,14 @@ func buildShape(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) *Shape {
 	return sh
 }
 
-// faultShape returns the shape of plan, the plan it was built from, as
-// fresh work items for the pricing loop, in domain order, each carrying
-// the domain's geometry, its per-node aggregates and fresh cursors into
-// them. An item derives its per-rank list from src when the run first
-// reads it; a nil src serves only runs that never do: clean and
-// unobserved.
-func (sh *Shape) faultShape(plan *Plan, src *rankSource) *faultShape {
-	fs := &faultShape{meta: sh.MetaExchanges, items: make([]*faultItem, 0, len(plan.Domains))}
+// workItems returns the shape of plan, the plan it was built from, as
+// fresh work items for one pricing run, in domain order, and the
+// domains' total round count. Each item carries the domain's geometry,
+// its per-node aggregates and fresh cursors into them. An item derives
+// its per-rank list from src when the run first reads it; a nil src
+// serves only runs that never do: clean and unobserved.
+func (sh *Shape) workItems(plan *Plan, src *rankSource) (items []*faultItem, totalRounds int) {
+	items = make([]*faultItem, 0, len(plan.Domains))
 	backing := make([]faultItem, 0, len(plan.Domains))
 	ncur := 0
 	for _, cs := range sh.Contribs {
@@ -277,7 +277,7 @@ func (sh *Shape) faultShape(plan *Plan, src *rankSource) *faultShape {
 	cursors := make([]shareCursor, ncur)
 	for i, d := range plan.Domains {
 		rounds := d.Rounds()
-		fs.totalRounds += rounds
+		totalRounds += rounds
 		if rounds == 0 {
 			continue
 		}
@@ -294,9 +294,9 @@ func (sh *Shape) faultShape(plan *Plan, src *rankSource) *faultShape {
 			cur:    cursors[:len(cs):len(cs)],
 		})
 		cursors = cursors[len(cs):]
-		fs.items = append(fs.items, &backing[len(backing)-1])
+		items = append(items, &backing[len(backing)-1])
 	}
-	return fs
+	return items, totalRounds
 }
 
 // buildMetaExchanges derives the metadata scatter in closed form, one

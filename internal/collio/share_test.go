@@ -138,7 +138,8 @@ func TestShareCursorsLeaveShapeUnchanged(t *testing.T) {
 	}
 	ranks := &rankSource{rs: NewRequestSet(reqs), topo: &topo}
 	for run := 0; run < 2; run++ {
-		it := sh.faultShape(plan, ranks).items[0]
+		items, _ := sh.workItems(plan, ranks)
+		it := items[0]
 		if got := it.rankContribs(); !reflect.DeepEqual(got, src.contribs) {
 			t.Fatalf("run %d: derived per-rank list %v, want %v", run, got, src.contribs)
 		}

@@ -2,26 +2,10 @@ package collio
 
 import (
 	"fmt"
-	"strconv"
 
 	"mcio/internal/health"
 	"mcio/internal/obs/timeline"
-	"mcio/internal/sim"
 )
-
-// tlAttach wires ctx.Timeline into the engine and stamps the run-level
-// metadata. A nil recorder leaves everything off; pricing never
-// depends on the recorder's presence.
-func tlAttach(ctx *Context, eng *sim.Engine, plan *Plan, op Op) {
-	rec := ctx.Timeline
-	if rec == nil {
-		return
-	}
-	eng.SetTimeline(rec)
-	rec.SetMeta("strategy", plan.Strategy)
-	rec.SetMeta("op", op.String())
-	rec.SetMeta("mem_min_bytes", strconv.FormatInt(ctx.Params.MemMin, 10))
-}
 
 // tlBufferGauges samples each aggregator node's staging-buffer
 // occupancy and its memory pressure against the node's available
