@@ -377,7 +377,10 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 		if err != nil {
 			return err
 		}
-		plan, err := collio.CachedPlanSet(s, ctx, rs)
+		plan, err := s.PlanSet(ctx, rs)
+		if err == nil {
+			err = plan.ValidateSet(rs)
+		}
 		if err != nil {
 			return fmt.Errorf("bench %s: %s at %d MB: %w", cfg.Name, s.Name(), memMB, err)
 		}
@@ -467,8 +470,11 @@ func PlansAt(cfg Config, memMB int) ([]*collio.Plan, mpi.Topology, error) {
 	}
 	var plans []*collio.Plan
 	for _, s := range []collio.Strategy{twophase.New(), core.New()} {
-		plan, err := collio.CachedPlanSet(s, p.ctx, p.rs)
+		plan, err := s.PlanSet(p.ctx, p.rs)
 		if err != nil {
+			return nil, mpi.Topology{}, err
+		}
+		if err := plan.ValidateSet(p.rs); err != nil {
 			return nil, mpi.Topology{}, err
 		}
 		plans = append(plans, plan)

@@ -453,6 +453,7 @@ func perRankSweep(t *testing.T, cfg Config, wl Workload) []*collio.CostResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs := collio.NewRequestSet(reqs)
 	var out []*collio.CostResult
 	for _, memMB := range cfg.MemMB {
 		for _, s := range []collio.Strategy{twophase.New(), core.New()} {
@@ -460,8 +461,11 @@ func perRankSweep(t *testing.T, cfg Config, wl Workload) []*collio.CostResult {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := collio.CachedPlan(s, ctx, reqs)
+			plan, err := s.PlanSet(ctx, rs)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := plan.ValidateSet(rs); err != nil {
 				t.Fatal(err)
 			}
 			for _, op := range []collio.Op{collio.Write, collio.Read} {
@@ -553,9 +557,39 @@ func TestEnginesMatchAllFigures(t *testing.T) {
 func BenchmarkFastPathExa(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		collio.ResetPlanCache()
 		if _, err := FigExa(DefaultScale, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// overlapStrategy plans as two-phase, then appends a copy of the first
+// domain, which overlaps the domains before it: a plan that must fail
+// Plan.ValidateSet.
+type overlapStrategy struct{ *twophase.Strategy }
+
+func (s overlapStrategy) PlanSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.Plan, error) {
+	plan, err := s.Strategy.PlanSet(ctx, rs)
+	if err != nil {
+		return nil, err
+	}
+	plan.Domains = append(plan.Domains, plan.Domains[0])
+	return plan, nil
+}
+
+// A sweep validates every plan before pricing it: a strategy whose plan
+// fails validation fails the sweep with the validation error.
+func TestSweepRejectsInvalidPlan(t *testing.T) {
+	cfg := Fig6Config(testScale, 5)
+	wl, _, err := Fig6Workload(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := runSweep(cfg, wl, "collperf", []collio.Strategy{overlapStrategy{twophase.New()}})
+	if err == nil || s != nil {
+		t.Fatalf("runSweep with an overlapping plan = %v, %v; want the validation error", s, err)
+	}
+	if !strings.Contains(err.Error(), "overlaps or is out of order") {
+		t.Fatalf("runSweep error %q, want the plan's overlap", err)
 	}
 }

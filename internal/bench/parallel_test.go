@@ -151,9 +151,9 @@ func TestParallelObserveByteIdentical(t *testing.T) {
 }
 
 // BenchmarkFig6Sweep measures the full Figure 6 sweep end to end at
-// several worker budgets. The plan cache is reset each iteration so every
-// run pays the full plan+cost path; expect ~min(workers, cores)× speedup
-// on a multi-core runner and parity on a single-core host.
+// several worker budgets: every run plans, validates and prices each
+// cell. Expect ~min(workers, cores)× speedup on a multi-core runner and
+// parity on a single-core host.
 func BenchmarkFig6Sweep(b *testing.B) {
 	defer SetParallelism(0)
 	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
@@ -161,29 +161,10 @@ func BenchmarkFig6Sweep(b *testing.B) {
 			SetParallelism(workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				collio.ResetPlanCache()
 				if _, err := Fig6(testScale, 42); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkFig6SweepWarmCache isolates the plan memoization win: after
-// the first sweep, every cell's partition tree comes from the cache and
-// only the cost engine runs.
-func BenchmarkFig6SweepWarmCache(b *testing.B) {
-	defer SetParallelism(0)
-	SetParallelism(1)
-	collio.ResetPlanCache()
-	if _, err := Fig6(testScale, 42); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fig6(testScale, 42); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -18,7 +18,6 @@ func TestSweepComputesOneUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collio.ResetPlanCache()
 	before := collio.RequestUnions()
 	if _, err := RunSweep(cfg, wl, "collperf"); err != nil {
 		t.Fatal(err)
@@ -43,9 +42,8 @@ func TestSweepComputesOneUnion(t *testing.T) {
 	}
 }
 
-// Parallel cells share the sweep's request set, whose union and plan
-// cache fingerprint are computed lazily by whichever cell reads them
-// first. Under -race this exercises that sharing; the series must equal
+// Parallel cells share the sweep's request set, whose union and other
+// derived lists are computed lazily by whichever cell reads them first. Under -race this exercises that sharing; the series must equal
 // the serial sweep's.
 func TestSharedRequestSetSweepParallel(t *testing.T) {
 	defer SetParallelism(0)
@@ -56,7 +54,6 @@ func TestSharedRequestSetSweepParallel(t *testing.T) {
 	}
 	run := func(workers int) *Series {
 		SetParallelism(workers)
-		collio.ResetPlanCache()
 		s, err := RunSweep(cfg, wl, "collperf")
 		if err != nil {
 			t.Fatal(err)

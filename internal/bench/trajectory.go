@@ -93,8 +93,11 @@ func trajectoryRun(scale int64, seed uint64) ([]TrajectoryPoint, error) {
 			Results: map[string]*collio.CostResult{}, Overlap: opt.Overlap}
 		rs := collio.NewRequestSet(reqs)
 		for _, s := range []collio.Strategy{twophase.New(), core.New()} {
-			plan, err := collio.CachedPlanSet(s, ctx, rs)
+			plan, err := s.PlanSet(ctx, rs)
 			if err != nil {
+				return err
+			}
+			if err := plan.ValidateSet(rs); err != nil {
 				return err
 			}
 			res, err := collio.CostSet(ctx, plan, rs, collio.Write, opt)

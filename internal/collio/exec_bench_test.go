@@ -73,39 +73,3 @@ func BenchmarkExecRead(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkCachedPlan prices the memoized planning path against a cold
-// plan each iteration.
-func BenchmarkCachedPlan(b *testing.B) {
-	params := collio.DefaultParams(128)
-	params.MemMin = 16
-	ctx := buildContext(b, 24, 4, params, nil)
-	reqs := make([]collio.RankRequest, 24)
-	for r := range reqs {
-		reqs[r] = collio.RankRequest{
-			Rank:    r,
-			Extents: []pfs.Extent{{Offset: int64(r) * 4096, Length: 4096}},
-		}
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			collio.ResetPlanCache()
-			if _, err := collio.CachedPlan(core.New(), ctx, reqs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		collio.ResetPlanCache()
-		if _, err := collio.CachedPlan(core.New(), ctx, reqs); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := collio.CachedPlan(core.New(), ctx, reqs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	collio.ResetPlanCache()
-}

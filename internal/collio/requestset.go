@@ -2,13 +2,10 @@ package collio
 
 import (
 	"cmp"
-	"encoding/binary"
-	"hash/maphash"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"mcio/internal/pfs"
 )
@@ -17,16 +14,16 @@ import (
 // sweep plans, validates and prices the same requests many times —
 // every memory point, every strategy, both directions — and each of
 // those consumers used to re-derive the same facts from the raw lists:
-// whether each is canonical, their union, their byte total, their
-// fingerprint for the plan cache. A set derives them once and every
-// consumer reads them.
+// whether each is canonical, their union, their byte total. A set
+// derives them once and every consumer reads them: the planners, the
+// plan's validation and the shape build.
 //
 // NewRequestSet checks every list at construction. Canonical lists (as
 // generated workloads produce) are read in place; only a list that is
 // not canonical gets a normalized copy, so an all-canonical set holds
-// nothing per rank. The union and the fingerprint are computed on first
-// use. A set never changes after construction and is safe for
-// concurrent use, so parallel sweep cells share one.
+// nothing per rank. The union is computed on first use. A set never
+// changes after construction and is safe for concurrent use, so
+// parallel sweep cells share one.
 //
 // The set aliases the caller's lists: they must not be modified while
 // the set is in use.
@@ -49,8 +46,6 @@ type RequestSet struct {
 
 	unionOnce sync.Once
 	union     []pfs.Extent
-	fpOnce    sync.Once
-	fp        uint64
 	rankOnce  sync.Once
 	// byRank lists the request indices ordered by rank, then index,
 	// when the ranks are not in order; built on first use.
@@ -230,78 +225,3 @@ var requestUnions atomic.Int64
 // set across its cells adds one, where building a set per call adds
 // one per planner and per validation.
 func RequestUnions() int64 { return requestUnions.Load() }
-
-// keySeed seeds the request fingerprint and the plan-cache key. Both
-// live only in this process's plan cache, so a per-process seed
-// suffices.
-var keySeed = maphash.MakeSeed()
-
-// fingerprint hashes the requests as given — rank, list length and every
-// extent's offset and length, in the host's byte order — on first use.
-// Fingerprints never leave the process, so the host's order serves, and
-// an extent list is hashed as the memory it occupies. It uses maphash
-// rather than FNV-1a: FNV-1a multiplies once per byte, in series, which
-// makes fingerprinting a million-extent request list over four times
-// slower.
-func (s *RequestSet) fingerprint() uint64 {
-	s.fpOnce.Do(func() {
-		var h maphash.Hash
-		h.SetSeed(keySeed)
-		w := &hashWriter{h: &h}
-		w.add(int64(len(s.reqs)))
-		for _, r := range s.reqs {
-			w.add(int64(r.Rank))
-			w.add(int64(len(r.Extents)))
-			w.write(extentBytes(r.Extents))
-		}
-		s.fp = w.sum()
-	})
-	return s.fp
-}
-
-// extentBytes views exts as the bytes it occupies: per extent, its
-// offset then its length, eight bytes each in the host's byte order.
-func extentBytes(exts []pfs.Extent) []byte {
-	if len(exts) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&exts[0])), len(exts)*int(unsafe.Sizeof(exts[0])))
-}
-
-// hashWriter feeds a maphash.Hash through a 64 KiB buffer, so the many
-// small writes of a fingerprint reach the hash as few large ones.
-type hashWriter struct {
-	h   *maphash.Hash
-	n   int
-	buf [64 << 10]byte
-}
-
-// add writes v in the host's byte order.
-func (w *hashWriter) add(v int64) {
-	if w.n+8 > len(w.buf) {
-		w.flush()
-	}
-	binary.NativeEndian.PutUint64(w.buf[w.n:], uint64(v))
-	w.n += 8
-}
-
-func (w *hashWriter) write(b []byte) {
-	if w.n+len(b) > len(w.buf) {
-		w.flush()
-		if len(b) > len(w.buf) {
-			w.h.Write(b)
-			return
-		}
-	}
-	w.n += copy(w.buf[w.n:], b)
-}
-
-func (w *hashWriter) flush() {
-	w.h.Write(w.buf[:w.n])
-	w.n = 0
-}
-
-func (w *hashWriter) sum() uint64 {
-	w.flush()
-	return w.h.Sum64()
-}

@@ -1,8 +1,6 @@
 package collio
 
 import (
-	"encoding/binary"
-	"hash/maphash"
 	"reflect"
 	"slices"
 	"sync"
@@ -43,27 +41,6 @@ func randomRequests(r *stats.RNG, neg bool) []RankRequest {
 // list a set reads for a request holding one.
 func nonNegative(exts []pfs.Extent) []pfs.Extent {
 	return slices.DeleteFunc(slices.Clone(exts), func(e pfs.Extent) bool { return e.Length < 0 })
-}
-
-// oracleFingerprint is the request half of the plan-cache key computed
-// per call: every field of every request, in the host's byte order,
-// hashed in order.
-func oracleFingerprint(reqs []RankRequest) uint64 {
-	var h maphash.Hash
-	h.SetSeed(keySeed)
-	var buf []byte
-	w := func(v int64) { buf = binary.NativeEndian.AppendUint64(buf, uint64(v)) }
-	w(int64(len(reqs)))
-	for _, r := range reqs {
-		w(int64(r.Rank))
-		w(int64(len(r.Extents)))
-		for _, e := range r.Extents {
-			w(e.Offset)
-			w(e.Length)
-		}
-	}
-	h.Write(buf)
-	return h.Sum64()
 }
 
 // checkSet compares everything a set derives from reqs with the same
@@ -109,9 +86,6 @@ func checkSet(t *testing.T, reqs []RankRequest) {
 	if rs.TotalBytes() != total {
 		t.Fatalf("TotalBytes %d, want %d", rs.TotalBytes(), total)
 	}
-	if got, want := rs.fingerprint(), oracleFingerprint(reqs); got != want {
-		t.Fatalf("fingerprint %x, want %x", got, want)
-	}
 	rank, e, ok := rs.NegativeExtent()
 	if ok != wantNeg || (ok && (rank != negRank || e != negExt)) {
 		t.Fatalf("NegativeExtent = (%d, %v, %v), want (%d, %v, %v)", rank, e, ok, negRank, negExt, wantNeg)
@@ -141,9 +115,8 @@ func checkSet(t *testing.T, reqs []RankRequest) {
 	}
 }
 
-// A set's lists, union, per-rank bytes, fingerprint and negative extent
-// equal what per-call normalization, pfs.Union and the per-call key
-// compute.
+// A set's lists, union, per-rank bytes and negative extent equal what
+// per-call normalization and pfs.Union compute.
 func TestRequestSetMatchesPerCall(t *testing.T) {
 	r := stats.NewRNG(7)
 	for trial := 0; trial < 3000; trial++ {
@@ -176,19 +149,19 @@ func TestRequestSetCanonicalIsInPlace(t *testing.T) {
 	}
 }
 
-// Parallel readers of one set see one union, one fingerprint and one
-// list of ranks with data.
+// Parallel readers of one set see one union and one list of ranks with
+// data.
 func TestRequestSetConcurrentReaders(t *testing.T) {
 	reqs := randomRequests(stats.NewRNG(3), false)
 	reqs = append(reqs, RankRequest{Rank: len(reqs), Extents: []pfs.Extent{{Offset: 5, Length: 9}}})
 	rs := NewRequestSet(reqs)
-	want, wantFP := pfs.Union(func() [][]pfs.Extent {
+	want := pfs.Union(func() [][]pfs.Extent {
 		var l [][]pfs.Extent
 		for _, r := range reqs {
 			l = append(l, r.Extents)
 		}
 		return l
-	}()), oracleFingerprint(reqs)
+	}())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -196,9 +169,6 @@ func TestRequestSetConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			if got := rs.Union(); !reflect.DeepEqual(got, want) {
 				t.Errorf("Union %v, want %v", got, want)
-			}
-			if got := rs.fingerprint(); got != wantFP {
-				t.Errorf("fingerprint %x, want %x", got, wantFP)
 			}
 			if got := rs.RanksWithData(); got[len(got)-1] != len(reqs)-1 {
 				t.Errorf("RanksWithData %v misses the last rank %d", got, len(reqs)-1)

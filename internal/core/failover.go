@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"mcio/internal/collio"
 	"mcio/internal/faults"
@@ -31,16 +30,6 @@ type RecoveryState struct {
 // Down reports whether a node has been declared failed (crashed, or
 // memory-collapsed past hosting aggregators).
 func (st *RecoveryState) Down(node int) bool { return st.down[node] }
-
-// DownNodes returns the failed nodes in ascending order.
-func (st *RecoveryState) DownNodes() []int {
-	out := make([]int, 0, len(st.down))
-	for n := range st.down {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // Failover is the memory-conscious strategy's mid-operation recovery
 // policy (collio.FaultHandler): when an aggregator's host crashes or

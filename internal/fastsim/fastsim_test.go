@@ -55,8 +55,12 @@ func perRank(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest, 
 // CostResult.
 func priceBoth(t *testing.T, ctx *collio.Context, s collio.Strategy, reqs []collio.RankRequest, opt sim.Options) {
 	t.Helper()
-	plan, err := collio.CachedPlan(s, ctx, reqs)
+	rs := collio.NewRequestSet(reqs)
+	plan, err := s.PlanSet(ctx, rs)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.ValidateSet(rs); err != nil {
 		t.Fatal(err)
 	}
 	fs, err := New(ctx, plan, reqs)

@@ -511,17 +511,6 @@ func (s Spec) Generate(nodes, targets int) (*Plan, error) {
 	return p, nil
 }
 
-// Crashes returns how many NodeCrash events the plan schedules.
-func (p *Plan) Crashes() int {
-	n := 0
-	for _, e := range p.Events {
-		if e.Kind == NodeCrash {
-			n++
-		}
-	}
-	return n
-}
-
 // streamRNG derives the independent generator for one (kind, entity)
 // pair. The mixing constants are the SplitMix64 increments, so distinct
 // pairs land in well-separated seed space.

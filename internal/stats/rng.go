@@ -95,11 +95,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// LogNormal returns exp(Normal(mu, sigma)).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Pareto returns a Pareto-distributed value with scale xm > 0 and shape
 // alpha > 0. Heavy-tailed; used for adversarial memory-variance scenarios.
 func (r *RNG) Pareto(xm, alpha float64) float64 {

@@ -95,10 +95,11 @@ func Tune(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 				cctx.Params = params
 				copt := opt
 				copt.NahOpt = nah
-				// Memoized: repeated tuner runs (and sweeps sharing a
-				// parameter combo) reuse the identical partition tree.
-				plan, err := collio.CachedPlanSet(strategy, &cctx, rs)
+				plan, err := strategy.PlanSet(&cctx, rs)
 				if err != nil {
+					return nil, err
+				}
+				if err := plan.ValidateSet(rs); err != nil {
 					return nil, err
 				}
 				cost, err := collio.CostSet(&cctx, plan, rs, op, copt)
