@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -151,12 +152,14 @@ func TestParallelObserveByteIdentical(t *testing.T) {
 }
 
 // BenchmarkFig6Sweep measures the full Figure 6 sweep end to end at
-// several worker budgets: every run plans, validates and prices each
-// cell. Expect ~min(workers, cores)× speedup on a multi-core runner and
-// parity on a single-core host.
+// each distinct worker budget of 1, 2, 4 and GOMAXPROCS: every run
+// plans, validates and prices each cell. Expect ~min(workers, cores)×
+// speedup on a multi-core runner and parity on a single-core host.
 func BenchmarkFig6Sweep(b *testing.B) {
 	defer SetParallelism(0)
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
+	budgets := []int{1, 2, 4, runtime.GOMAXPROCS(0)}
+	slices.Sort(budgets)
+	for _, workers := range slices.Compact(budgets) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			SetParallelism(workers)
 			b.ResetTimer()

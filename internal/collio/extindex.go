@@ -11,8 +11,11 @@ import (
 // each bucket" in one merge-walk per rank, where the buckets (file domains
 // or partition-tree leaves) are disjoint and ascending in file order. The
 // naive per-bucket intersection is O(buckets × extents) per rank, which is
-// prohibitive for coll_perf-scale requests; the index makes it
-// O(extents + bucket extents).
+// prohibitive for coll_perf-scale requests. The walk takes one step per
+// run of request extents inside one bucket extent, one per extent that
+// straddles a bucket boundary or lies in a gap, and one gallop per jump
+// over bucket extents; only the run's tight summing loop touches every
+// extent.
 type ExtentIndex struct {
 	flat   []pfs.Extent // all bucket extents, ascending, disjoint
 	bucket []int        // bucket id per flat extent
@@ -70,28 +73,32 @@ func (x *ExtentIndex) RequestOverlapAppend(dst []BucketBytes, rs *RequestSet, i 
 			j += sort.Search(len(x.flat)-j, func(k int) bool { return x.flat[j+k].End() > a.Offset })
 			continue
 		}
-		b := x.flat[j]
-		lo := a.Offset
-		if b.Offset > lo {
-			lo = b.Offset
-		}
-		hi := a.End()
-		if b.End() < hi {
-			hi = b.End()
-		}
-		if hi > lo {
-			// A bucket's flat extents are contiguous and j only advances,
-			// so hits for one bucket are consecutive: accumulate in place.
-			if bk := x.bucket[j]; len(dst) > base && dst[len(dst)-1].Bucket == bk {
-				dst[len(dst)-1].Bytes += hi - lo
+		b, bk := x.flat[j], x.bucket[j]
+		var n int64
+		if bEnd := b.End(); a.Offset >= b.Offset && a.End() <= bEnd {
+			// A run of request extents inside the bucket extent: each
+			// lies wholly in it, so its bytes are the run's summed
+			// lengths, taken in one pass instead of one step per extent.
+			n = a.Length
+			for i++; i < len(norm) && norm[i].End() <= bEnd; i++ {
+				n += norm[i].Length
+			}
+		} else {
+			n = min(a.End(), bEnd) - max(a.Offset, b.Offset)
+			if a.End() < bEnd {
+				i++
 			} else {
-				dst = append(dst, BucketBytes{Bucket: bk, Bytes: hi - lo})
+				j++
 			}
 		}
-		if a.End() < b.End() {
-			i++
-		} else {
-			j++
+		if n > 0 {
+			// A bucket's flat extents are contiguous and j only advances,
+			// so hits for one bucket are consecutive: accumulate in place.
+			if len(dst) > base && dst[len(dst)-1].Bucket == bk {
+				dst[len(dst)-1].Bytes += n
+			} else {
+				dst = append(dst, BucketBytes{Bucket: bk, Bytes: n})
+			}
 		}
 	}
 	return dst

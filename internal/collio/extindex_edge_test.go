@@ -2,6 +2,7 @@ package collio
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"mcio/internal/pfs"
@@ -105,6 +106,61 @@ func TestOverlapBytesUnnormalizedQuery(t *testing.T) {
 	canonical := pfs.NormalizeExtents(messy)
 	if got, want := overlapRow(t, idx, 2, messy), overlapRow(t, idx, 2, canonical); !reflect.DeepEqual(got, want) {
 		t.Fatalf("messy %v != canonical %v", got, want)
+	}
+}
+
+// stride returns n extents of length 1 at stride 2 from off: a run of
+// short request extents, as coll_perf's rows are.
+func stride(off int64, n int) []pfs.Extent {
+	exts := make([]pfs.Extent, n)
+	for i := range exts {
+		exts[i] = pfs.Extent{Offset: off + 2*int64(i), Length: 1}
+	}
+	return exts
+}
+
+// Long bucket extents against many short request extents: the walk
+// sums a run of request extents inside one bucket extent in one pass.
+// Every case checks the walk against the naive per-bucket intersection
+// and against the bytes worked out by hand.
+func TestExtentIndexDenseRuns(t *testing.T) {
+	// Bucket 0 is two extents with a gap between them, bucket 1 starts
+	// after another gap, and bucket 2 touches bucket 1's end.
+	buckets := [][]pfs.Extent{
+		{{Offset: 0, Length: 100}, {Offset: 200, Length: 100}},
+		{{Offset: 400, Length: 600}},
+		{{Offset: 1000, Length: 100}},
+	}
+	idx := NewExtentIndex(buckets)
+	for _, c := range []struct {
+		name  string
+		query []pfs.Extent
+		want  []int64
+	}{
+		{"run of one", stride(10, 1), []int64{1, 0, 0}},
+		{"run of two", stride(10, 2), []int64{2, 0, 0}},
+		{"run of many", stride(400, 300), []int64{0, 300, 0}},
+		{"run ending at a bucket extent's end", stride(91, 5), []int64{5, 0, 0}},
+		{"run ending at a bucket's end, the next bucket adjacent", slices.Concat(stride(991, 5), stride(1000, 3)), []int64{0, 5, 3}},
+		{"run reaching the end of the list", slices.Concat(stride(10, 3), stride(500, 40)), []int64{3, 40, 0}},
+		{"straddle right after a run", slices.Concat(stride(410, 5), []pfs.Extent{{Offset: 990, Length: 20}}), []int64{0, 15, 10}},
+		{"straddle out of a bucket extent into a gap", slices.Concat(stride(80, 5), []pfs.Extent{{Offset: 95, Length: 10}}, stride(210, 2)), []int64{12, 0, 0}},
+		{"run starting in a gap between a bucket's extents", slices.Concat(stride(150, 20), stride(200, 4)), []int64{4, 0, 0}},
+		{"run starting in a gap between buckets", slices.Concat(stride(310, 40), stride(410, 2)), []int64{0, 2, 0}},
+		{"run crossing from a gap into a bucket", stride(310, 60), []int64{0, 15, 0}},
+		{"extent from a gap into a bucket, then a run", slices.Concat([]pfs.Extent{{Offset: 390, Length: 20}}, stride(420, 8)), []int64{0, 18, 0}},
+		{"runs in every bucket extent", slices.Concat(stride(0, 50), stride(200, 50), stride(400, 300), stride(1000, 50)), []int64{100, 300, 50}},
+		{"past every bucket", stride(1100, 10), []int64{0, 0, 0}},
+	} {
+		got := overlapRow(t, idx, len(buckets), c.query)
+		for b := range buckets {
+			if want := pfs.TotalBytes(pfs.Intersect(c.query, buckets[b])); got[b] != want {
+				t.Errorf("%s: bucket %d got %d, naive %d", c.name, b, got[b], want)
+			}
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: overlaps = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

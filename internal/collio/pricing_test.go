@@ -220,6 +220,56 @@ func TestBundledPricingMatchesAllHot(t *testing.T) {
 	}
 }
 
+// TestSingleKindSchedulesMatchAllHot prices schedules that hold one
+// fault kind each. The loop skips the scans of every fault family a
+// schedule lacks: the per-node message and per-target storage hot
+// masks, the OST slowdown and the memory-leak boundary loops. The
+// bundled run must still match the all-hot walk, which marks every
+// node and target hot, and the two gray kinds priced at the boundary
+// must still take effect: a slowed target lengthens some run, and a
+// leak pages some node.
+func TestSingleKindSchedulesMatchAllHot(t *testing.T) {
+	trials := 8
+	if testing.Short() {
+		trials = 3
+	}
+	kinds := []faults.Kind{faults.NodeCrash, faults.MemCollapse, faults.Straggler, faults.OSTTransient,
+		faults.OSTPermanent, faults.MsgDelay, faults.MsgDrop, faults.MsgBitFlip, faults.TornWrite,
+		faults.OSTSlowdown, faults.NICFlaky, faults.MemLeak}
+	fired := map[faults.Kind]int{}
+	var slowed, leaked int
+	for ci, c := range pricingCases(t, trials) {
+		seed := uint64(ci)*31 + 5
+		for _, strategy := range []string{"two-phase", "memory-conscious"} {
+			for _, op := range []collio.Op{collio.Write, collio.Read} {
+				name := fmt.Sprintf("case %d %s %s", ci, strategy, op)
+				clean := cleanParity(t, name+" clean", c, strategy, op, faults.DefaultSpec(seed, 1).WithRate(0))
+				spec := faults.DefaultSpec(seed, max(clean.Seconds*4, 1e-9)).WithRate(4).WithGray(2).WithCorruption(2)
+				for _, k := range kinds {
+					only := func(ev faults.Event) bool { return ev.Kind == k }
+					res, err := faultedParity(t, fmt.Sprintf("%s %v only", name, k), c, strategy, op, spec, only)
+					if err != nil || res.Injected[k.String()] == 0 {
+						continue
+					}
+					fired[k]++
+					if k == faults.OSTSlowdown && res.Seconds > clean.Seconds {
+						slowed++
+					}
+					leaked += res.LeakedNodes
+				}
+			}
+		}
+	}
+	for _, k := range kinds {
+		if fired[k] == 0 {
+			t.Errorf("no run priced a schedule holding only %v", k)
+		}
+	}
+	if slowed == 0 || leaked == 0 {
+		t.Errorf("gray boundary faults took no effect: %d runs slowed by OST slowdown, %d nodes leaked", slowed, leaked)
+	}
+}
+
 // fewTargetsStorage keeps a schedule's storage events — transient
 // windows, permanent failures, torn writes and gray slowdowns — on every
 // third target only, so most of each stripe span stays cold and the hot

@@ -47,7 +47,8 @@ type pricingRun struct {
 
 	// hot marks the nodes whose messages walk per rank this round, and
 	// tgtHot the targets whose accesses pass the storage hook one at a
-	// time; both nil when nothing can be hot.
+	// time; each is nil when nothing it marks can be hot: a clean run,
+	// or a schedule without message (or storage) faults.
 	hot, tgtHot []bool
 	node        []nodeFault // by node; nil on a clean run
 
@@ -108,6 +109,14 @@ func newPricingRun(ctx *Context, plan *Plan, sh *Shape, src *rankSource, op Op, 
 	r.ioBW = ctx.FS.TargetBW
 	if op == Read && ctx.FS.ReadBWFactor > 0 {
 		r.ioBW *= ctx.FS.ReadBWFactor
+	}
+	// Only a fault that can make a node's messages, or a target's
+	// accesses, cost more gives the run a hot set to decide.
+	if r.allHot || r.inj.Holds(faults.MsgDelay, faults.MsgDrop, faults.MsgBitFlip, faults.NICFlaky) {
+		r.hot = make([]bool, r.nodes)
+	}
+	if r.allHot || r.inj.Holds(faults.TornWrite, faults.OSTTransient, faults.OSTPermanent) {
+		r.tgtHot = make([]bool, ctx.FS.Targets)
 	}
 	if r.inj != nil {
 		r.inj.SetObserver(ctx.Obs)
@@ -220,10 +229,23 @@ func (r *pricingRun) boundary(now float64) error {
 	}
 	// Gray-fault pricing, identical for static and adaptive runs: a
 	// slowed-down OST stretches honest streaming (the excess lands in
-	// delay blame), a leaking node pages harder every round.
-	for t := 0; t < r.ctx.FS.Targets; t++ {
-		r.eng.SetTargetSlowdown(t, r.inj.OSTSlowdownFactor(t, now))
+	// delay blame), a leaking node pages harder every round. A schedule
+	// without the fault leaves every target at 1× and every node
+	// unleaked, which the scans would only confirm.
+	if r.inj.Holds(faults.OSTSlowdown) {
+		for t := 0; t < r.ctx.FS.Targets; t++ {
+			r.eng.SetTargetSlowdown(t, r.inj.OSTSlowdownFactor(t, now))
+		}
 	}
+	if r.inj.Holds(faults.MemLeak) {
+		r.leak(now)
+	}
+	return r.detect(now)
+}
+
+// leak applies the memory-leak decay at a boundary: each node whose
+// leaked fraction grew pages harder.
+func (r *pricingRun) leak(now float64) {
 	for n := range r.node {
 		frac, nf := r.inj.MemLeakFraction(n, now), &r.node[n]
 		if frac <= nf.leakFrac {
@@ -250,7 +272,6 @@ func (r *pricingRun) boundary(now float64) error {
 		}
 		r.eng.SetNodePaged(n, nf.severity)
 	}
-	return r.detect(now)
 }
 
 // leakSeverity is the MemLeak fallback for handlers without memory
@@ -457,12 +478,6 @@ func (r *pricingRun) refold(rec *sim.AggRound, src, dst int, reExchange bool) {
 // policy's breakers among them), those with live injector state in a
 // run with an injector, and none in a clean run.
 func (r *pricingRun) decideHot(now float64) bool {
-	if !r.allHot && r.inj == nil {
-		return false
-	}
-	if r.hot == nil {
-		r.hot, r.tgtHot = make([]bool, r.nodes), make([]bool, r.ctx.FS.Targets)
-	}
 	for n := range r.hot {
 		r.hot[n] = r.allHot || r.inj.MessageHot(n, now)
 	}

@@ -159,11 +159,14 @@ func DivideGroupsSet(ctx *collio.Context, rs *collio.RequestSet) []Group {
 	// Membership: an extent belongs to exactly the windows its [Offset,
 	// End) range overlaps. A rank enters a window's list once per run of
 	// its extents there (the adjacent-duplicate test); the sort and dedup
-	// below drop the rest. The lists are counted before they are filled:
-	// two passes of the same window walk, the counting pass applying the
-	// same test, so each count is exact and the fill pass writes into one
-	// backing array carved per window. ends[w] is window w's end: the
-	// windows tile [norm[0].Offset, end).
+	// below drop the rest. Each step of the walk takes one extent's
+	// windows and skips the run of extents ending inside its last window
+	// (windowRange), so a rank costs one step per window it reaches, not
+	// one per extent. The lists are counted before they are
+	// filled: two passes of the same window walk, the counting pass
+	// applying the same test, so each count is exact and the fill pass
+	// writes into one backing array carved per window. ends[w] is window
+	// w's end: the windows tile [norm[0].Offset, end).
 	ends := make([]int64, len(groups))
 	for w, g := range groups {
 		ends[w] = g.Region.End()
@@ -171,15 +174,16 @@ func DivideGroupsSet(ctx *collio.Context, rs *collio.RequestSet) []Group {
 	counts := make([]int, len(groups))
 	last := make([]int, len(groups))
 	for i := range rs.Len() {
-		rank, prev := rs.Rank(i), -1
-		for _, e := range rs.List(i) {
-			w, wj := windowRange(ends, e, prev)
-			for prev = wj; w <= wj; w++ {
+		rank, exts := rs.Rank(i), rs.List(i)
+		for k := 0; k < len(exts); {
+			w, wj, next := windowRange(ends, exts, k)
+			for ; w <= wj; w++ {
 				if counts[w] == 0 || last[w] != rank {
 					counts[w]++
 					last[w] = rank
 				}
 			}
+			k = next
 		}
 	}
 	n := 0
@@ -195,14 +199,15 @@ func DivideGroupsSet(ctx *collio.Context, rs *collio.RequestSet) []Group {
 		off += c
 	}
 	for i := range rs.Len() {
-		rank, prev := rs.Rank(i), -1
-		for _, e := range rs.List(i) {
-			w, wj := windowRange(ends, e, prev)
-			for prev = wj; w <= wj; w++ {
+		rank, exts := rs.Rank(i), rs.List(i)
+		for k := 0; k < len(exts); {
+			w, wj, next := windowRange(ends, exts, k)
+			for ; w <= wj; w++ {
 				if r := groups[w].Ranks; len(r) == 0 || r[len(r)-1] != rank {
 					groups[w].Ranks = append(r, rank)
 				}
 			}
+			k = next
 		}
 	}
 	for i := range groups {
@@ -219,23 +224,40 @@ func DivideGroupsSet(ctx *collio.Context, rs *collio.RequestSet) []Group {
 	return groups
 }
 
-// windowRange returns the first and last window the extent e overlaps,
-// given the windows' ascending ends; e must lie inside the tiling. prev
-// is the last window the previous extent of e's list overlapped, or -1
-// for the first extent. Lists are canonical, so an extent ending inside
-// window prev lies inside it, and its rank is already that window's
-// last entry: the range is empty (first > last) and nothing is
-// searched. Otherwise the second search runs only when e reaches past
-// its first window.
-func windowRange(ends []int64, e pfs.Extent, prev int) (first, last int) {
-	if prev >= 0 && e.End() <= ends[prev] {
-		return prev + 1, prev
-	}
-	first = windowOf(ends, e.Offset)
+// windowRange returns the first and last window that extent k of the
+// canonical list exts overlaps, given the windows' ascending ends, and
+// next, the index of the first later extent ending past window last
+// (len(exts) when none does). The extents in between lie inside window
+// last, whose list already holds the rank, so they add no member: the
+// membership walk calls windowRange once per run of a rank's extents,
+// not once per extent. The second window search runs only when extent
+// k reaches past its first window. The run is skipped by an exponential
+// probe and then a binary search of the bracket it finds: O(log m) for
+// a run of m extents, and one comparison when the run is empty, as on
+// lists of one or two extents.
+func windowRange(ends []int64, exts []pfs.Extent, k int) (first, last, next int) {
+	e := exts[k]
+	first, last = windowOf(ends, e.Offset), 0
 	if ends[first] >= e.End() {
-		return first, first
+		last = first
+	} else {
+		last = first + 1 + windowOf(ends[first+1:], e.End()-1)
 	}
-	return first, first + 1 + windowOf(ends[first+1:], e.End()-1)
+	end := ends[last]
+	lo, hi := k+1, k+1 // every extent before lo ends at or before end
+	for step := 1; hi < len(exts) && exts[hi].End() <= end; step <<= 1 {
+		lo, hi = hi+1, hi+step
+	}
+	hi = min(hi, len(exts))
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if exts[h].End() <= end {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return first, last, lo
 }
 
 // windowOf returns the index of the first end past x: the window holding

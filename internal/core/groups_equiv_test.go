@@ -11,6 +11,7 @@ import (
 	"mcio/internal/machine"
 	"mcio/internal/mpi"
 	"mcio/internal/pfs"
+	"mcio/internal/workload"
 )
 
 // divideGroupsNaive is the pre-optimization reference: boundary search by
@@ -113,11 +114,12 @@ type divideMix struct {
 	idle       bool // some ranks request nothing, or send no request
 	roundRobin bool // ranks placed round-robin over the nodes
 	long       bool // extents long enough to span several windows
+	dense      bool // coll_perf-shaped: hundreds of short extents per window
 }
 
 func (m divideMix) String() string {
-	return fmt.Sprintf("shuffled=%v twice=%v idle=%v roundRobin=%v long=%v",
-		m.shuffled, m.twice, m.idle, m.roundRobin, m.long)
+	return fmt.Sprintf("shuffled=%v twice=%v idle=%v roundRobin=%v long=%v dense=%v",
+		m.shuffled, m.twice, m.idle, m.roundRobin, m.long, m.dense)
 }
 
 // randomDivideCase draws a topology, MsgGroup and request lists of mix m.
@@ -143,9 +145,24 @@ func randomDivideCase(t *testing.T, rng *rand.Rand, m divideMix) (*collio.Contex
 		msgGroup = int64(16 + rng.Intn(256))
 		maxLen = 8 << 10
 	}
+	// A dense mix interleaves the ranks' rows as coll_perf's 3-D blocks
+	// do: every rank holds rows of a few bytes, one per stride of ranks
+	// rows, and two to five windows split the file, so each rank has
+	// hundreds of extents in every window it reaches.
+	rows, rowLen := 0, int64(0)
+	if m.dense {
+		rows, rowLen = 200+rng.Intn(600), int64(1+rng.Intn(8))
+		msgGroup = int64(ranks*rows) * rowLen / int64(2+rng.Intn(4))
+	}
 	var reqs []collio.RankRequest
 	draw := func(rank int) collio.RankRequest {
 		r := collio.RankRequest{Rank: rank}
+		if m.dense {
+			for i := range rows {
+				r.Extents = append(r.Extents, pfs.Extent{Offset: int64(i*ranks+rank) * rowLen, Length: rowLen})
+			}
+			return r
+		}
 		for i, n := 0, rng.Intn(5); i < n; i++ {
 			r.Extents = append(r.Extents, pfs.Extent{
 				Offset: int64(rng.Intn(16 << 10)),
@@ -181,13 +198,14 @@ func randomDivideCase(t *testing.T, rng *rand.Rand, m divideMix) (*collio.Contex
 // Fig 4 extension both where it fires and where it falls back.
 func TestDivideGroupsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 640; trial++ {
+	for trial := 0; trial < 640+64; trial++ {
 		m := divideMix{
 			shuffled:   trial&1 != 0,
 			twice:      trial&2 != 0,
 			idle:       trial&4 != 0,
 			roundRobin: trial&8 != 0,
 			long:       trial&16 != 0,
+			dense:      trial >= 640,
 		}
 		ctx, reqs := randomDivideCase(t, rng, m)
 		got := DivideGroups(ctx, reqs)
@@ -244,6 +262,53 @@ func TestDivideGroupsMatchesNaive(t *testing.T) {
 			t.Fatalf("%s: window ends %v, want %v", c.name, ends, c.ends)
 		}
 	}
+
+	// Runs of exactly 1, 2, 2^k−1, 2^k and 2^k+1 extents inside one
+	// window, where the membership walk's exponential search can be off
+	// by one. Rank 0 covers the file [0, 4096) and spans every boundary
+	// by more than half a group, so the windows are exactly the 256-byte
+	// tiles. Each other rank holds a run of one-byte extents at stride 2
+	// in one tile, and after it nothing (the run ends the list), an
+	// extent reaching one byte into the next tile, an extent two tiles
+	// on, or a one-byte extent at the next tile's start; a fifth kind
+	// enters the run's tile by straddling in from the tile before. A
+	// skip past the run's end, even by one extent or one byte, drops the
+	// rank from a window.
+	const tile = 256
+	runReqs := []collio.RankRequest{{Rank: 0, Extents: []pfs.Extent{{Offset: 0, Length: 16 * tile}}}}
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65} {
+		for kind := range 5 {
+			w := int64(1 + len(runReqs)%13)
+			r := collio.RankRequest{Rank: len(runReqs)}
+			if kind == 4 {
+				r.Extents = append(r.Extents, pfs.Extent{Offset: w*tile - 4, Length: 5})
+			}
+			for i := range n {
+				r.Extents = append(r.Extents, pfs.Extent{Offset: w*tile + 2 + 2*int64(i), Length: 1})
+			}
+			switch kind {
+			case 1, 4:
+				r.Extents = append(r.Extents, pfs.Extent{Offset: (w+1)*tile - 1, Length: 2})
+			case 2:
+				r.Extents = append(r.Extents, pfs.Extent{Offset: (w+2)*tile + 5, Length: 1})
+			case 3:
+				r.Extents = append(r.Extents, pfs.Extent{Offset: (w + 1) * tile, Length: 1})
+			}
+			runReqs = append(runReqs, r)
+		}
+	}
+	runTopo, err := mpi.BlockTopology(len(runReqs), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := groupsCtx(runTopo, tile)
+	got := DivideGroups(ctx, runReqs)
+	if want := divideGroupsNaive(ctx, runReqs); !reflect.DeepEqual(got, want) {
+		t.Fatalf("runs: groups diverge\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if len(got) != 16 {
+		t.Fatalf("runs: %d windows, want the 16 tiles", len(got))
+	}
 }
 
 // FuzzDivideGroups checks group division against the reference on
@@ -252,10 +317,17 @@ func TestDivideGroupsMatchesNaive(t *testing.T) {
 // following byte triple is a (rank, offset, length) extent, joined to
 // the previous request when it names the same rank and opening a new
 // request otherwise, so ranks come out of order and may request twice.
+// A rank byte with its top bit set makes the triple a run instead, as
+// coll_perf's rows are: 1 to 256 one-byte extents at stride 2 from the
+// offset, the length byte giving the count.
 func FuzzDivideGroups(f *testing.F) {
 	f.Add([]byte{15, 3, 40, 0, 0, 25, 1, 25, 25, 2, 50, 25, 3, 75, 25, 4, 100, 25})
 	f.Add([]byte{7, 1, 9, 3, 10, 200, 1, 0, 30, 3, 90, 5, 0, 40, 40, 2, 5, 5})
 	f.Add([]byte{11, 2, 200, 5, 0, 250, 5, 30, 10, 0, 100, 255, 9, 3, 1})
+	// Runs of 1, 2, 15, 16, 17 and 256 extents against 64- and 16-byte
+	// groups, the last ones ending their lists.
+	f.Add([]byte{3, 1, 14, 0, 0, 255, 129, 2, 0, 129, 10, 1, 130, 4, 14, 130, 40, 15, 128, 70, 16, 2, 90, 3})
+	f.Add([]byte{5, 2, 3, 128, 0, 255, 129, 1, 64, 129, 60, 2, 130, 3, 30, 131, 9, 15, 132, 20, 16})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -277,13 +349,20 @@ func FuzzDivideGroups(f *testing.F) {
 		ctx := groupsCtx(topo, 8+int64(data[2]>>1)*8)
 		var reqs []collio.RankRequest
 		for i := 3; i+3 <= len(data); i += 3 {
-			rank := int(data[i]) % ranks
-			e := pfs.Extent{Offset: int64(data[i+1]) * 8, Length: int64(data[i+2]) * 4}
+			rank := int(data[i]&127) % ranks
+			off := int64(data[i+1]) * 8
+			exts := []pfs.Extent{{Offset: off, Length: int64(data[i+2]) * 4}}
+			if data[i]&128 != 0 {
+				exts = make([]pfs.Extent, 1+int(data[i+2]))
+				for k := range exts {
+					exts[k] = pfs.Extent{Offset: off + 2*int64(k), Length: 1}
+				}
+			}
 			if n := len(reqs); n > 0 && reqs[n-1].Rank == rank {
-				reqs[n-1].Extents = append(reqs[n-1].Extents, e)
+				reqs[n-1].Extents = append(reqs[n-1].Extents, exts...)
 				continue
 			}
-			reqs = append(reqs, collio.RankRequest{Rank: rank, Extents: []pfs.Extent{e}})
+			reqs = append(reqs, collio.RankRequest{Rank: rank, Extents: exts})
 		}
 		got := DivideGroups(ctx, reqs)
 		if want := divideGroupsNaive(ctx, reqs); !reflect.DeepEqual(got, want) {
@@ -318,5 +397,34 @@ func TestDivideGroupsAllocsIndependentOfRanks(t *testing.T) {
 	}
 	if small, large := allocs(1_000), allocs(10_000); small != large {
 		t.Fatalf("group division allocates %v times for 1k ranks and %v for 10k over the same windows", small, large)
+	}
+}
+
+// BenchmarkDivideGroupsSetCollPerf divides the coll_perf request set of
+// Figure 6 at the default scale, a 512³ array of 4-byte elements over
+// 120 ranks on 10 nodes (about 9k extents of 512 bytes per rank), into
+// windows of a sixteenth of the file: each rank has hundreds of extents
+// in every window it reaches.
+func BenchmarkDivideGroupsSetCollPerf(b *testing.B) {
+	grid, err := workload.DimsCreate(120)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := workload.CollPerf{ArrayDim: 512, ElemBytes: 4, Grid: grid}
+	reqs, err := c.Requests()
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo, err := mpi.BlockTopology(120, 12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := groupsCtx(topo, c.TotalBytes()/16)
+	rs := collio.NewRequestSet(reqs)
+	rs.Union() // computed once per set, as a sweep does
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		DivideGroupsSet(ctx, rs)
 	}
 }

@@ -391,3 +391,25 @@ func TestMessageHotBracketsNoOps(t *testing.T) {
 		t.Fatalf("hot after windows closed and budgets spent: %v", got)
 	}
 }
+
+// TestInjectorHolds pins the family query the pricing loop gates its
+// scans on: it names exactly the kinds the plan's events carry, before
+// any of them fires, and a nil or empty injector holds none.
+func TestInjectorHolds(t *testing.T) {
+	in := NewInjector(&Plan{Events: []Event{
+		{Kind: MemLeak, Time: 5, Node: 2, Target: -1, Duration: 1, Severity: 0.5},
+		{Kind: TornWrite, Time: 7, Node: -1, Target: 3},
+	}})
+	for k := range Kind(numKinds) {
+		if got, want := in.Holds(k), k == MemLeak || k == TornWrite; got != want {
+			t.Errorf("Holds(%v) = %v, want %v", k, got, want)
+		}
+	}
+	if !in.Holds(OSTTransient, OSTPermanent, TornWrite) || in.Holds(MsgDelay, MsgDrop, NICFlaky) || in.Holds() {
+		t.Error("Holds over several kinds must report whether any of them is held")
+	}
+	var none *Injector
+	if none.Holds(MemLeak) || NewInjector(nil).Holds(MemLeak) {
+		t.Error("a nil or empty injector holds no kind")
+	}
+}

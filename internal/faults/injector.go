@@ -29,7 +29,8 @@ type Injector struct {
 	targets []targetFaults
 
 	counts    map[Kind]int
-	escalated int // transient windows that exhausted the retry budget
+	escalated int    // transient windows that exhausted the retry budget
+	kinds     uint32 // bit k set when the plan holds an event of Kind k
 
 	o        *obs.Observer
 	injected map[Kind]*obs.Counter
@@ -94,6 +95,7 @@ func NewInjector(plan *Plan) *Injector {
 	nodes, targets := 0, 0
 	for _, ev := range plan.Events {
 		nodes, targets = max(nodes, ev.Node+1), max(targets, ev.Target+1)
+		in.kinds |= 1 << ev.Kind
 	}
 	in.nodes = make([]nodeFaults, nodes)
 	in.targets = make([]targetFaults, targets)
@@ -130,6 +132,22 @@ func (in *Injector) Spec() Spec { return in.spec }
 // Empty reports whether the injector has no events at all; callers use
 // it to price a fault-free run (identical to no injector).
 func (in *Injector) Empty() bool { return in == nil || len(in.events) == 0 }
+
+// Holds reports whether the injector's plan holds an event of any of
+// kinds. Where it holds none of a fault family, every per-node or
+// per-target query of that family answers healthy for the whole run, so
+// the pricing loop skips those scans.
+func (in *Injector) Holds(kinds ...Kind) bool {
+	if in == nil {
+		return false
+	}
+	for _, k := range kinds {
+		if in.kinds&(1<<k) != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // SetObserver attaches metrics; injected events are counted under
 // faults.injected{kind}.
