@@ -1,13 +1,16 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mcio/internal/collio"
+	"mcio/internal/core"
 	"mcio/internal/faults"
+	"mcio/internal/twophase"
 )
 
 // TestFaultedExaEnginesMatchSmall shrinks the fig-exa-faults grid to
@@ -42,7 +45,7 @@ func checkExaGridMatchesWalk(t *testing.T, ranks, nodes, targets int) {
 	opt := p.cfg.options()
 	opt.Trace = true
 	perRank := func(strategy string, spec faults.Spec) *collio.FaultResult {
-		plan, inj, handler, err := faultedSetup(p.ctx, collio.NewRequestSet(p.reqs), strategy, spec)
+		plan, inj, handler, err := freshFaultedSetup(p.ctx, collio.NewRequestSet(p.reqs), strategy, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,6 +85,42 @@ func checkExaGridMatchesWalk(t *testing.T, ranks, nodes, targets int) {
 	if exercised == 0 {
 		t.Fatal("no grid cell exercised a failover or stall; the cross-check proved nothing")
 	}
+}
+
+// freshFaultedSetup builds everything one faulted run prices anew,
+// sharing nothing with any other run: the strategy's plan,
+// planned and validated anew, an injector over spec's schedule and the
+// strategy's fault handler over the plan's own recovery state. It is
+// the oracle the grid's shared plans and forked states are checked
+// against.
+func freshFaultedSetup(ctx *collio.Context, rs *collio.RequestSet, strategy string,
+	spec faults.Spec) (*collio.Plan, *faults.Injector, collio.FaultHandler, error) {
+	fplan, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var plan *collio.Plan
+	var handler collio.FaultHandler
+	switch strategy {
+	case "memory-conscious":
+		p, state, err := core.New().PlanWithStateSet(ctx, rs)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		plan, handler = p, &core.Failover{State: state, Detect: spec.DetectSeconds}
+	case "two-phase":
+		p, err := twophase.New().PlanSet(ctx, rs)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		plan, handler = p, twophase.NewStallRetry(ctx.Avail, spec.StallSeconds)
+	default:
+		return nil, nil, nil, fmt.Errorf("unknown strategy %q", strategy)
+	}
+	if err := plan.ValidateSet(rs); err != nil {
+		return nil, nil, nil, err
+	}
+	return plan, faults.NewInjector(fplan), handler, nil
 }
 
 // smallExaPoint is the fig-exa-faults point shrunk to ranks ranks, on

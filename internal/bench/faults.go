@@ -17,52 +17,58 @@ import (
 // MTBFs.
 func faultRates() []float64 { return []float64{0, 0.5, 1, 2, 4} }
 
-// faultedRun prices one strategy's op under one fault schedule.
-func faultedRun(ctx *collio.Context, rs *collio.RequestSet, strategy string, op collio.Op,
-	opt sim.Options, spec faults.Spec) (*collio.FaultResult, error) {
-	plan, inj, handler, err := faultedSetup(ctx, rs, strategy, spec)
+// gridPlan is one strategy's side of a fault grid: its plan, validated,
+// and the plan's shape, which every run of the grid prices from. The
+// memory-conscious strategy also keeps the recovery state its planning
+// left; each run recovers on a fork of it, so the shared plan, shape
+// and state stay the clean control every cell starts from.
+type gridPlan struct {
+	plan  *collio.Plan
+	shape *collio.Shape
+	state *core.RecoveryState // memory-conscious only
+}
+
+// planGrid plans, validates and shapes strategy's side of a fault grid
+// over rs.
+func planGrid(ctx *collio.Context, rs *collio.RequestSet, strategy string) (*gridPlan, error) {
+	g := &gridPlan{}
+	var err error
+	switch strategy {
+	case "memory-conscious":
+		g.plan, g.state, err = core.New().PlanWithStateSet(ctx, rs)
+	case "two-phase":
+		g.plan, err = twophase.New().PlanSet(ctx, rs)
+	default:
+		err = fmt.Errorf("bench: unknown strategy %q", strategy)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return collio.CostWithFaultsSet(ctx, plan, rs, op, opt, inj, handler)
+	if err := g.plan.ValidateSet(rs); err != nil {
+		return nil, err
+	}
+	if g.shape, err = collio.BuildShapeSet(ctx, g.plan, rs); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
-// faultedSetup builds what one faulted run prices: the strategy's plan,
-// an injector over spec's schedule and the strategy's fault handler. For
-// the memory-conscious strategy the plan is rebuilt per run — recovery
-// mutates its partition trees — while the baseline's static plan is
-// reusable; both are deterministic functions of (cfg, seed, rate).
-func faultedSetup(ctx *collio.Context, rs *collio.RequestSet, strategy string,
-	spec faults.Spec) (*collio.Plan, *faults.Injector, collio.FaultHandler, error) {
+// run prices op under spec's schedule with a fresh injector and a fresh
+// fault handler: a Failover over a fork of the recovery state, or the
+// baseline's stall-and-retry.
+func (g *gridPlan) run(ctx *collio.Context, rs *collio.RequestSet, op collio.Op, opt sim.Options,
+	spec faults.Spec) (*collio.FaultResult, error) {
 	fplan, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	var plan *collio.Plan
 	var handler collio.FaultHandler
-	switch strategy {
-	case "memory-conscious":
-		s := core.New()
-		p, state, err := s.PlanWithStateSet(ctx, rs)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		plan = p
-		handler = &core.Failover{State: state, Detect: spec.DetectSeconds}
-	case "two-phase":
-		p, err := twophase.New().PlanSet(ctx, rs)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		plan = p
+	if g.state != nil {
+		handler = &core.Failover{State: g.state.Fork(), Detect: spec.DetectSeconds}
+	} else {
 		handler = twophase.NewStallRetry(ctx.Avail, spec.StallSeconds)
-	default:
-		return nil, nil, nil, fmt.Errorf("bench: unknown strategy %q", strategy)
 	}
-	if err := plan.ValidateSet(rs); err != nil {
-		return nil, nil, nil, err
-	}
-	return plan, faults.NewInjector(fplan), handler, nil
+	return collio.CostWithFaultsShape(ctx, g.plan, g.shape, rs, op, opt, faults.NewInjector(fplan), handler)
 }
 
 // faultCell is one cell of a fault grid: the label its ledger entries
@@ -102,12 +108,13 @@ type FaultPoint struct {
 
 // runFaultGrid prices op on p under every cell's schedule for both
 // strategies and returns the points cell by cell, two-phase first
-// within a cell. A fault-free reference per strategy comes
-// first: it is every cell's overhead denominator and sets the fault
-// horizon. The references run without p's observer, so an observed
-// grid traces and counts its cells only. The references, and then
-// every (cell × strategy) run, are independent — each rebuilds its own
-// plan, injector and engine from the shared read-only context — so both
+// within a cell. Each strategy is planned, validated and shaped once
+// (planGrid); a fault-free reference per strategy comes first: it is
+// every cell's overhead denominator and sets the fault horizon. The
+// references run without p's observer, so an observed grid traces and
+// counts its planning and cells only. The strategies, and then every
+// (cell × strategy) run, are independent — each run prices the shared
+// plan and shape with its own injector, handler and engine — so both
 // fan out across the worker pool, collected by index.
 func runFaultGrid(p *figurePoint, op collio.Op, cells []faultCell) ([]FaultPoint, error) {
 	strategies := []string{"two-phase", "memory-conscious"}
@@ -116,37 +123,40 @@ func runFaultGrid(p *figurePoint, op collio.Op, cells []faultCell) ([]FaultPoint
 	seed, nodes := p.cfg.Seed, p.ctx.Topo.Nodes()
 	ref := p.ctx
 	if ref.Obs != nil {
+		// The tracer numbers processes in registration order;
+		// registering the strategies up front keeps an observed grid's
+		// trace identical at any worker count.
+		for _, strategy := range strategies {
+			p.ctx.Obs.Tracer().PID(strategy)
+		}
 		unobserved := *ref
 		unobserved.Obs = nil
 		ref = &unobserved
 	}
+	plans := make([]*gridPlan, len(strategies))
 	refs := make([]float64, len(strategies))
 	err := ForEach(len(strategies), func(si int) error {
-		res, err := faultedRun(ref, p.rs, strategies[si], op, opt, faults.DefaultSpec(seed, 1).WithRate(0))
+		g, err := planGrid(p.ctx, p.rs, strategies[si])
 		if err != nil {
 			return err
 		}
-		refs[si] = res.Seconds
+		res, err := g.run(ref, p.rs, op, opt, faults.DefaultSpec(seed, 1).WithRate(0))
+		if err != nil {
+			return err
+		}
+		plans[si], refs[si] = g, res.Seconds
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// The tracer numbers processes in registration order; registering
-	// the strategies up front keeps an observed grid's trace identical
-	// at any worker count.
-	if p.ctx.Obs != nil {
-		for _, strategy := range strategies {
-			p.ctx.Obs.Tracer().PID(strategy)
-		}
-	}
 	points := make([]FaultPoint, len(cells)*len(strategies))
 	err = ForEach(len(points), func(ci int) error {
 		cell := cells[ci/len(strategies)]
 		si := ci % len(strategies)
 		strategy := strategies[si]
-		res, err := faultedRun(p.ctx, p.rs, strategy, op, opt, cell.spec(seed, refs[si]*4, nodes))
+		res, err := plans[si].run(p.ctx, p.rs, op, opt, cell.spec(seed, refs[si]*4, nodes))
 		if err != nil {
 			return fmt.Errorf("bench %s: %s at %s: %w", p.cfg.Name, strategy, cell.name, err)
 		}

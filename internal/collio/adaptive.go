@@ -102,5 +102,5 @@ func CostAdaptive(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.O
 	if ad == nil {
 		ad = NewAdaptive()
 	}
-	return costFaulted(ctx, plan, NewRequestSet(reqs), op, opt, faultEnv{inj: inj, handler: handler, ad: ad, allHot: true})
+	return costSet(ctx, plan, NewRequestSet(reqs), op, opt, faultEnv{inj: inj, handler: handler, ad: ad, allHot: true})
 }

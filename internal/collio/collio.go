@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"mcio/internal/machine"
 	"mcio/internal/mpi"
@@ -306,11 +307,20 @@ func (p *Plan) ValidateSet(rs *RequestSet) error {
 	return nil
 }
 
+// planBuilds counts the plans RecordPlanMetrics has published.
+var planBuilds atomic.Int64
+
+// PlanBuilds returns how many plans this process's planners have built:
+// each planner publishes every plan it returns through
+// RecordPlanMetrics, which counts it, observed or not.
+func PlanBuilds() int64 { return planBuilds.Load() }
+
 // RecordPlanMetrics publishes a plan's shape — group count, domain count,
 // aggregator placement, buffer sizing, paging exposure — into an
 // observer, labelled by strategy so runs comparing strategies on one
 // registry stay separable. Nil-safe; planners call this unconditionally.
 func RecordPlanMetrics(o *obs.Observer, p *Plan) {
+	planBuilds.Add(1)
 	if o == nil {
 		return
 	}

@@ -94,6 +94,29 @@ func (co *costObs) transfer(src, dst int, bytes int64) {
 	co.recvM[dst].Inc()
 }
 
+// meta counts the metadata scatter per rank: every member rank with
+// data ships its extent list to each of its group's aggregators, as
+// buildMetaExchanges prices it.
+func (co *costObs) meta(ctx *Context, plan *Plan, rs *RequestSet) {
+	if co == nil {
+		return
+	}
+	for g, aggs := range groupAggregators(plan) {
+		if len(aggs) == 0 {
+			continue
+		}
+		for _, r := range plan.GroupRanks[g] {
+			bytes, ok := metaBytes(ctx, rs, r)
+			if !ok {
+				continue
+			}
+			for _, a := range aggs {
+				co.transfer(r, a, bytes)
+			}
+		}
+	}
+}
+
 // shuffle counts one round of an item's shuffle per rank: each
 // contributor's even share to (write) or from (read) the aggregator.
 func (co *costObs) shuffle(it *faultItem, aggregator int, op Op) {
@@ -124,7 +147,7 @@ func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) 
 // same result. With ctx.Obs set it also counts per-rank MPI traffic and
 // per-domain shuffle bytes.
 func CostSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options) (*CostResult, error) {
-	res, err := costFaulted(ctx, plan, rs, op, opt, faultEnv{})
+	res, err := costSet(ctx, plan, rs, op, opt, faultEnv{})
 	if err != nil {
 		return nil, err
 	}
@@ -137,8 +160,8 @@ func CostSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options) (
 // no ranks, so the per-rank counters Cost emits under ctx.Obs are not
 // emitted; engine-level metrics, spans and traces are.
 func CostShape(ctx *Context, plan *Plan, sh *Shape, op Op, opt sim.Options) (*CostResult, error) {
-	if len(sh.Contribs) != len(plan.Domains) {
-		return nil, fmt.Errorf("collio: shape of %d domains priced with a plan of %d", len(sh.Contribs), len(plan.Domains))
+	if err := sh.check(plan); err != nil {
+		return nil, err
 	}
 	r, err := newPricingRun(ctx, plan, sh, nil, op, opt, faultEnv{}, nil)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // per target: the reference the bundled loop must match bit for bit.
 func CostAllHot(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
 	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	return costFaulted(ctx, plan, NewRequestSet(reqs), op, opt, faultEnv{inj: inj, handler: handler, allHot: true})
+	return costSet(ctx, plan, NewRequestSet(reqs), op, opt, faultEnv{inj: inj, handler: handler, allHot: true})
 }
 
 // RankContrib is one rank's contribution to a work item.
@@ -51,7 +51,7 @@ func WalkContribs(ctx *Context, plan *Plan, rs *RequestSet) [][]RankContrib {
 // the per-rank list each work item derives on first use; a domain
 // without an item (no rounds) gets nil.
 func DerivedContribs(ctx *Context, plan *Plan, rs *RequestSet) [][]RankContrib {
-	items, _ := buildShape(ctx, plan, rs, nil).workItems(plan, &rankSource{rs: rs, topo: &ctx.Topo})
+	items, _ := buildShape(ctx, plan, rs).workItems(plan, &rankSource{rs: rs, topo: &ctx.Topo})
 	out := make([][]RankContrib, len(plan.Domains))
 	for _, it := range items {
 		out[it.Domain] = it.rankContribs()

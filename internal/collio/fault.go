@@ -164,13 +164,20 @@ func (p *Plan) Compact() *Plan {
 // reproducible as clean ones.
 func CostWithFaults(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
 	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	return CostWithFaultsSet(ctx, plan, NewRequestSet(reqs), op, opt, inj, handler)
+	return costSet(ctx, plan, NewRequestSet(reqs), op, opt, faultEnv{inj: inj, handler: handler})
 }
 
-// CostWithFaultsSet is CostWithFaults for the requests of rs.
-func CostWithFaultsSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options,
+// CostWithFaultsShape is CostWithFaults for the requests of rs, priced
+// from sh, the prebuilt shape of plan over rs. Neither is changed, so a
+// fault grid builds its plan and shape once and prices every cell from
+// them, each with its own injector and handler. sh must have been built
+// from plan, as for CostShape.
+func CostWithFaultsShape(ctx *Context, plan *Plan, sh *Shape, rs *RequestSet, op Op, opt sim.Options,
 	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	return costFaulted(ctx, plan, rs, op, opt, faultEnv{inj: inj, handler: handler})
+	if err := sh.check(plan); err != nil {
+		return nil, err
+	}
+	return costFaulted(ctx, plan, sh, rs, op, opt, faultEnv{inj: inj, handler: handler})
 }
 
 // faultEnv is the fault environment of one priced run; the zero value
@@ -186,23 +193,31 @@ type faultEnv struct {
 	allHot bool
 }
 
+// costSet builds plan's shape over rs and prices it under env.
+func costSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options, env faultEnv) (*FaultResult, error) {
+	sh, err := BuildShapeSet(ctx, plan, rs)
+	if err != nil {
+		return nil, err
+	}
+	return costFaulted(ctx, plan, sh, rs, op, opt, env)
+}
+
 // costFaulted is the entry behind Cost, CostWithFaults (the static
 // retry-only policy) and CostAdaptive (health observation, circuit
-// breakers, hedging and proactive failover). Fault *pricing* — including
-// the gray kinds — is identical either way; only the response policy
-// differs. An empty injector prices a clean run.
-func costFaulted(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options, env faultEnv) (*FaultResult, error) {
+// breakers, hedging and proactive failover), pricing plan from sh, its
+// shape over rs. Fault *pricing* — including the gray kinds — is
+// identical either way; only the response policy differs. An empty
+// injector prices a clean run.
+func costFaulted(ctx *Context, plan *Plan, sh *Shape, rs *RequestSet, op Op, opt sim.Options, env faultEnv) (*FaultResult, error) {
 	if env.inj.Empty() {
 		env.inj, env.handler, env.ad = nil, nil, nil
 	} else if env.handler == nil {
 		return nil, fmt.Errorf("collio: fault injection without a FaultHandler")
 	}
-	if err := ctx.Validate(); err != nil {
-		return nil, err
-	}
 	co := newCostObs(ctx, plan, op)
+	co.meta(ctx, plan, rs)
 	src := &rankSource{rs: rs, topo: &ctx.Topo}
-	r, err := newPricingRun(ctx, plan, buildShape(ctx, plan, rs, co), src, op, opt, env, co)
+	r, err := newPricingRun(ctx, plan, sh, src, op, opt, env, co)
 	if err != nil {
 		return nil, err
 	}

@@ -103,7 +103,11 @@ func TestRequestSetPathMatchesWrappers(t *testing.T) {
 				inj := faults.NewInjector(crashPlan(spec, 1, 1e-4))
 				var res *collio.FaultResult
 				if set {
-					res, err = collio.CostWithFaultsSet(ctx, plan, rs, collio.Write, opt, inj, handler)
+					sh, serr := collio.BuildShapeSet(ctx, plan, rs)
+					if serr != nil {
+						t.Fatal(serr)
+					}
+					res, err = collio.CostWithFaultsShape(ctx, plan, sh, rs, collio.Write, opt, inj, handler)
 				} else {
 					res, err = collio.CostWithFaults(ctx, plan, reqs, collio.Write, opt, inj, handler)
 				}
@@ -113,7 +117,7 @@ func TestRequestSetPathMatchesWrappers(t *testing.T) {
 				return res
 			}
 			if got, want := price(true), price(false); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%s: CostWithFaultsSet differs from CostWithFaults:\n got %+v\nwant %+v",
+				t.Fatalf("%s/%s: CostWithFaultsShape differs from CostWithFaults:\n got %+v\nwant %+v",
 					name, strategy, got, want)
 			}
 		}

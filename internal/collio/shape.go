@@ -2,7 +2,9 @@ package collio
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"mcio/internal/pfs"
 	"mcio/internal/sim"
@@ -227,14 +229,32 @@ func BuildShapeSet(ctx *Context, plan *Plan, rs *RequestSet) (*Shape, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
-	return buildShape(ctx, plan, rs, nil), nil
+	return buildShape(ctx, plan, rs), nil
 }
 
-// buildShape is BuildShapeSet for a validated ctx. A non-nil co counts
-// the metadata scatter per rank.
-func buildShape(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) *Shape {
+// shapeBuilds counts the shapes built.
+var shapeBuilds atomic.Int64
+
+// ShapeBuilds returns how many shapes this process has built: one per
+// BuildShapeSet call and one per pricing call that is not given a
+// shape.
+func ShapeBuilds() int64 { return shapeBuilds.Load() }
+
+// check reports whether sh can be priced with plan: a shape holds no
+// domain geometry of its own, so it must come from a plan with as many
+// domains.
+func (sh *Shape) check(plan *Plan) error {
+	if len(sh.Contribs) != len(plan.Domains) {
+		return fmt.Errorf("collio: shape of %d domains priced with a plan of %d", len(sh.Contribs), len(plan.Domains))
+	}
+	return nil
+}
+
+// buildShape is BuildShapeSet for a validated ctx.
+func buildShape(ctx *Context, plan *Plan, rs *RequestSet) *Shape {
+	shapeBuilds.Add(1)
 	sh := &Shape{Contribs: make([][]NodeContrib, len(plan.Domains))}
-	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, rs, co)
+	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, rs)
 	rounds := make([]int64, len(plan.Domains))
 	buckets := make([][]pfs.Extent, len(plan.Domains))
 	for i, d := range plan.Domains {
@@ -305,35 +325,26 @@ func (sh *Shape) workItems(plan *Plan, src *rankSource) (items []*faultItem, tot
 // aggregators per destination node (duplicate aggregator ranks on one
 // node are slots, each counting); the engine prices the cross product
 // in O(sources + destinations). Returns the exchanges and the
-// point-to-point message count they stand for. A non-nil co counts each
-// of those messages per rank.
-func buildMetaExchanges(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) ([]sim.Exchange, int) {
-	aggsByGroup := make([][]int, len(plan.GroupRanks))
-	for _, d := range plan.Domains {
-		if uint(d.Group) < uint(len(aggsByGroup)) {
-			aggsByGroup[d.Group] = append(aggsByGroup[d.Group], d.Aggregator)
-		}
-	}
+// point-to-point message count they stand for; costObs.meta counts
+// those messages per rank.
+func buildMetaExchanges(ctx *Context, plan *Plan, rs *RequestSet) ([]sim.Exchange, int) {
 	var exchanges []sim.Exchange
 	messages := 0
 	// Per-group scratch: the group's source nodes in arrival order, and
 	// each node's position in it plus one (zero: not yet seen).
 	var srcs []sim.ExchangeSrc
 	srcAt := make([]int, ctx.Topo.Nodes())
-	for g, ranks := range plan.GroupRanks {
-		aggs := dedupInts(aggsByGroup[g])
+	for g, aggs := range groupAggregators(plan) {
+		ranks := plan.GroupRanks[g]
 		if len(aggs) == 0 {
 			continue
 		}
 		srcs = srcs[:0]
 		for _, r := range ranks {
-			// A rank outside the topology has no node to send from; a
-			// rank ships its last request's list.
-			i := rs.IndexOfRank(r)
-			if uint(r) >= uint(ctx.Topo.Size()) || i < 0 || len(rs.List(i)) == 0 {
+			bytes, ok := metaBytes(ctx, rs, r)
+			if !ok {
 				continue
 			}
-			bytes := int64(len(rs.List(i))) * extentListEntryBytes
 			node := ctx.Topo.NodeOf(r)
 			if srcAt[node] == 0 {
 				srcs = append(srcs, sim.ExchangeSrc{Node: node})
@@ -342,11 +353,6 @@ func buildMetaExchanges(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) (
 			f := &srcs[srcAt[node]-1]
 			f.Bytes += bytes
 			f.Count++
-			if co != nil {
-				for _, a := range aggs {
-					co.transfer(r, a, bytes)
-				}
-			}
 		}
 		if len(srcs) == 0 {
 			continue
@@ -372,4 +378,31 @@ func buildMetaExchanges(ctx *Context, plan *Plan, rs *RequestSet, co *costObs) (
 		messages += srcRanks * len(aggs)
 	}
 	return exchanges, messages
+}
+
+// metaBytes is the extent-list payload rank r ships in the metadata
+// scatter: its last request's list, one wire record per extent. A rank
+// outside the topology has no node to send from, and a rank without
+// data sends nothing; ok is false for both.
+func metaBytes(ctx *Context, rs *RequestSet, r int) (bytes int64, ok bool) {
+	i := rs.IndexOfRank(r)
+	if uint(r) >= uint(ctx.Topo.Size()) || i < 0 || len(rs.List(i)) == 0 {
+		return 0, false
+	}
+	return int64(len(rs.List(i))) * extentListEntryBytes, true
+}
+
+// groupAggregators lists each group's distinct aggregator ranks,
+// ascending, indexed like plan.GroupRanks.
+func groupAggregators(plan *Plan) [][]int {
+	aggs := make([][]int, len(plan.GroupRanks))
+	for _, d := range plan.Domains {
+		if uint(d.Group) < uint(len(aggs)) {
+			aggs[d.Group] = append(aggs[d.Group], d.Aggregator)
+		}
+	}
+	for g := range aggs {
+		aggs[g] = dedupInts(aggs[g])
+	}
+	return aggs
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"mcio/internal/collio"
 	"mcio/internal/faults"
@@ -30,6 +31,49 @@ type RecoveryState struct {
 // Down reports whether a node has been declared failed (crashed, or
 // memory-collapsed past hosting aggregators).
 func (st *RecoveryState) Down(node int) bool { return st.down[node] }
+
+// Fork returns a copy of st that recovers independently: a Failover
+// over the fork never changes st, so one plan's state serves any number
+// of faulted runs, each from its own fork. The partition trees are
+// copied node by node, with the domain↔leaf maps moved onto the copy;
+// the down set, the leak bases and the memory tracker (observer
+// included) are copied. The extent lists stay shared, since a remerge
+// gives its absorber a fresh union and never writes into a list, and so
+// do the read-only group tables.
+func (st *RecoveryState) Fork() *RecoveryState {
+	f := &RecoveryState{
+		trees:       make([]*PartitionTree, len(st.trees)),
+		domainLeaf:  make([]*TreeNode, len(st.domainLeaf)),
+		leafDomain:  make(map[*TreeNode]int, len(st.leafDomain)),
+		domainGroup: st.domainGroup,
+		groupRanks:  st.groupRanks,
+		down:        maps.Clone(st.down),
+		leakBase:    maps.Clone(st.leakBase),
+	}
+	if st.tracker != nil {
+		f.tracker = st.tracker.Clone()
+	}
+	// Every domain's leaf is a leaf of its group's tree and the two maps
+	// are inverses, so each copied leaf finds its domain through st's map.
+	var clone func(n, parent *TreeNode) *TreeNode
+	clone = func(n, parent *TreeNode) *TreeNode {
+		if n == nil {
+			return nil
+		}
+		c := &TreeNode{Extents: n.Extents, Bytes: n.Bytes, Parent: parent}
+		if di, ok := st.leafDomain[n]; ok {
+			f.domainLeaf[di] = c
+			f.leafDomain[c] = di
+		}
+		c.Left = clone(n.Left, c)
+		c.Right = clone(n.Right, c)
+		return c
+	}
+	for i, t := range st.trees {
+		f.trees[i] = &PartitionTree{Root: clone(t.Root, nil)}
+	}
+	return f
+}
 
 // Failover is the memory-conscious strategy's mid-operation recovery
 // policy (collio.FaultHandler): when an aggregator's host crashes or

@@ -67,6 +67,7 @@ func (s *Strategy) PlanWithStateSet(ctx *collio.Context, rs *collio.RequestSet) 
 	if len(groups) == 0 {
 		plan.GroupRanks = [][]int{}
 		state.groupRanks = plan.GroupRanks
+		collio.RecordPlanMetrics(ctx.Obs, plan)
 		return plan, state, nil
 	}
 

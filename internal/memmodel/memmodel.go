@@ -14,6 +14,7 @@ package memmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"mcio/internal/machine"
@@ -143,6 +144,16 @@ func NewTrackerFromAvail(avail []int64) *Tracker {
 		overrun:  make([]int64, len(avail)),
 	}
 	return t
+}
+
+// Clone returns an independent copy of t, attached to t's observer.
+func (t *Tracker) Clone() *Tracker {
+	return &Tracker{
+		avail:    slices.Clone(t.avail),
+		reserved: slices.Clone(t.reserved),
+		overrun:  slices.Clone(t.overrun),
+		o:        t.o,
+	}
 }
 
 // SetObserver attaches metrics to the tracker: every reservation that
