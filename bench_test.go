@@ -8,8 +8,8 @@ package mcio
 //
 //	go test -bench=. -benchmem
 //
-// benchScale divides the paper's byte sizes (see internal/bench); shapes
-// are scale-invariant, so benchmarks run at a high scale to stay fast.
+// benchScale divides the paper's byte sizes (see internal/bench); the
+// benchmarks run at a high scale to stay fast.
 
 import (
 	"testing"
@@ -153,14 +153,15 @@ func BenchmarkPlanMemoryConscious(b *testing.B) {
 // operation at 120 ranks.
 func BenchmarkCost(b *testing.B) {
 	ctx, reqs := benchContext(b, 120, 12)
-	plan, err := core.New().Plan(ctx, reqs)
+	rs := collio.NewRequestSet(reqs)
+	plan, err := core.New().PlanSet(ctx, rs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	opt := sim.DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := collio.Cost(ctx, plan, reqs, collio.Write, opt); err != nil {
+		if _, err := collio.CostSet(ctx, plan, rs, collio.Write, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 	"mcio/internal/obs/analyze"
 )
 
-// testScale keeps CLI-level runs fast; shapes are scale-invariant.
+// testScale divides the byte sizes so CLI-level runs are fast.
 const testScale = 256
 
 func TestRunBenchAndDiffCleanExit(t *testing.T) {

@@ -377,20 +377,18 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 		if err != nil {
 			return err
 		}
+		// Both directions price from one round structure, built once;
+		// building it validates the plan.
 		plan, err := s.PlanSet(ctx, rs)
+		var sh *collio.Shape
 		if err == nil {
-			err = plan.ValidateSet(rs)
+			sh, err = collio.BuildShapeSet(ctx, plan, rs)
 		}
 		if err != nil {
 			return fmt.Errorf("bench %s: %s at %d MB: %w", cfg.Name, s.Name(), memMB, err)
 		}
-		// Both directions price from one round structure, built once.
-		sh, err := collio.BuildShapeSet(ctx, plan, rs)
-		if err != nil {
-			return err
-		}
 		for _, op := range []collio.Op{collio.Write, collio.Read} {
-			res, err := collio.CostShape(ctx, plan, sh, op, opt)
+			res, err := collio.CostShape(ctx, plan, sh, rs, op, opt, collio.FaultEnv{})
 			if err != nil {
 				return err
 			}
@@ -399,7 +397,7 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 				Strategy: s.Name(),
 				Op:       op.String(),
 				MBps:     res.Bandwidth / 1e6,
-				Result:   res,
+				Result:   &res.CostResult,
 			})
 		}
 		return nil

@@ -11,7 +11,7 @@ import (
 	"mcio/internal/twophase"
 )
 
-// testScale keeps package tests fast; shapes are scale-invariant.
+// testScale divides the byte sizes so package tests run fast.
 const testScale = 256
 
 func TestConfigValidate(t *testing.T) {
@@ -439,8 +439,8 @@ func TestPlansAt(t *testing.T) {
 // perRankSweep prices every cell of RunSweep(cfg, wl) with every node
 // walked per rank — the byte-level reference the bundled loop must
 // match bit for bit — and returns the results in RunSweep's point
-// order. CostAdaptive marks every node hot; with no injector it prices
-// a clean run.
+// order. An Adaptive in the env marks every node hot; with no injector
+// it prices a clean run.
 func perRankSweep(t *testing.T, cfg Config, wl Workload) []*collio.CostResult {
 	t.Helper()
 	reqs, err := wl.Requests()
@@ -465,11 +465,12 @@ func perRankSweep(t *testing.T, cfg Config, wl Workload) []*collio.CostResult {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := plan.ValidateSet(rs); err != nil {
+			sh, err := collio.BuildShapeSet(ctx, plan, rs)
+			if err != nil {
 				t.Fatal(err)
 			}
 			for _, op := range []collio.Op{collio.Write, collio.Read} {
-				res, err := collio.CostAdaptive(ctx, plan, reqs, op, opt, nil, nil, nil)
+				res, err := collio.CostShape(ctx, plan, sh, rs, op, opt, collio.FaultEnv{Adaptive: &collio.Adaptive{}})
 				if err != nil {
 					t.Fatal(err)
 				}

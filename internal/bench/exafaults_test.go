@@ -10,6 +10,7 @@ import (
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/faults"
+	"mcio/internal/sim"
 	"mcio/internal/twophase"
 )
 
@@ -27,10 +28,10 @@ func TestFaultedExaEnginesMatchSmall(t *testing.T) {
 // ranks ranks, nodes nodes and targets targets, and checks that every
 // cell — crash remerges, stalls, stragglers and all — prices bit for bit
 // as it does with every node walked per rank. The reference runs each
-// cell's plan, injector and handler through CostAdaptive, which marks
-// every node hot, under an Adaptive with no detector, no breakers, no
-// proactive failover and hedging never armed: the static retry-only
-// response, walked per rank.
+// cell's plan, injector and handler with an Adaptive in the env, which
+// marks every node hot: one with no detector, no breakers, no proactive
+// failover and hedging never armed, so the response is the static
+// retry-only one, walked per rank.
 func checkExaGridMatchesWalk(t *testing.T, ranks, nodes, targets int) {
 	t.Helper()
 	cells := exaFaultCells()
@@ -44,13 +45,14 @@ func checkExaGridMatchesWalk(t *testing.T, ranks, nodes, targets int) {
 	p := smallExaPoint(t, ranks, nodes, targets)
 	opt := p.cfg.options()
 	opt.Trace = true
+	rs := collio.NewRequestSet(p.reqs)
 	perRank := func(strategy string, spec faults.Spec) *collio.FaultResult {
-		plan, inj, handler, err := freshFaultedSetup(p.ctx, collio.NewRequestSet(p.reqs), strategy, spec)
+		plan, inj, handler, err := freshFaultedSetup(p.ctx, rs, strategy, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := collio.CostAdaptive(p.ctx, plan, p.reqs, collio.Write, opt, inj, handler,
-			&collio.Adaptive{HedgeMinSamples: math.MaxInt})
+		res, err := costFresh(p.ctx, plan, rs, collio.Write, opt,
+			collio.FaultEnv{Injector: inj, Handler: handler, Adaptive: &collio.Adaptive{HedgeMinSamples: math.MaxInt}})
 		if err != nil {
 			t.Fatalf("%s: per-rank walk: %v", strategy, err)
 		}
@@ -88,11 +90,10 @@ func checkExaGridMatchesWalk(t *testing.T, ranks, nodes, targets int) {
 }
 
 // freshFaultedSetup builds everything one faulted run prices anew,
-// sharing nothing with any other run: the strategy's plan,
-// planned and validated anew, an injector over spec's schedule and the
-// strategy's fault handler over the plan's own recovery state. It is
-// the oracle the grid's shared plans and forked states are checked
-// against.
+// sharing nothing with any other run: the strategy's plan, planned
+// anew, an injector over spec's schedule and the strategy's fault
+// handler over the plan's own recovery state. With costFresh it is the
+// oracle the grid's shared plans and forked states are checked against.
 func freshFaultedSetup(ctx *collio.Context, rs *collio.RequestSet, strategy string,
 	spec faults.Spec) (*collio.Plan, *faults.Injector, collio.FaultHandler, error) {
 	fplan, err := spec.Generate(ctx.Topo.Nodes(), ctx.FS.Targets)
@@ -117,10 +118,18 @@ func freshFaultedSetup(ctx *collio.Context, rs *collio.RequestSet, strategy stri
 	default:
 		return nil, nil, nil, fmt.Errorf("unknown strategy %q", strategy)
 	}
-	if err := plan.ValidateSet(rs); err != nil {
-		return nil, nil, nil, err
-	}
 	return plan, faults.NewInjector(fplan), handler, nil
+}
+
+// costFresh prices plan over rs under env from a shape built, and the
+// plan validated, for this run alone.
+func costFresh(ctx *collio.Context, plan *collio.Plan, rs *collio.RequestSet, op collio.Op, opt sim.Options,
+	env collio.FaultEnv) (*collio.FaultResult, error) {
+	sh, err := collio.BuildShapeSet(ctx, plan, rs)
+	if err != nil {
+		return nil, err
+	}
+	return collio.CostShape(ctx, plan, sh, rs, op, opt, env)
 }
 
 // smallExaPoint is the fig-exa-faults point shrunk to ranks ranks, on

@@ -143,7 +143,7 @@ func forkedGridMatchesFresh(t *testing.T, p *figurePoint, seed int64, tally map[
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantErr := collio.CostWithFaults(p.ctx, plan, p.reqs, j.op, opt, inj, handler)
+		want, wantErr := costFresh(p.ctx, plan, p.rs, j.op, opt, collio.FaultEnv{Injector: inj, Handler: handler})
 		if j.err != nil || wantErr != nil {
 			if fmt.Sprint(j.err) != fmt.Sprint(wantErr) {
 				t.Fatalf("%s: forked error %v, fresh error %v", name, j.err, wantErr)

@@ -28,8 +28,8 @@ type gridPlan struct {
 	state *core.RecoveryState // memory-conscious only
 }
 
-// planGrid plans, validates and shapes strategy's side of a fault grid
-// over rs.
+// planGrid plans and shapes strategy's side of a fault grid over rs;
+// building the shape validates the plan.
 func planGrid(ctx *collio.Context, rs *collio.RequestSet, strategy string) (*gridPlan, error) {
 	g := &gridPlan{}
 	var err error
@@ -42,9 +42,6 @@ func planGrid(ctx *collio.Context, rs *collio.RequestSet, strategy string) (*gri
 		err = fmt.Errorf("bench: unknown strategy %q", strategy)
 	}
 	if err != nil {
-		return nil, err
-	}
-	if err := g.plan.ValidateSet(rs); err != nil {
 		return nil, err
 	}
 	if g.shape, err = collio.BuildShapeSet(ctx, g.plan, rs); err != nil {
@@ -68,7 +65,8 @@ func (g *gridPlan) run(ctx *collio.Context, rs *collio.RequestSet, op collio.Op,
 	} else {
 		handler = twophase.NewStallRetry(ctx.Avail, spec.StallSeconds)
 	}
-	return collio.CostWithFaultsShape(ctx, g.plan, g.shape, rs, op, opt, faults.NewInjector(fplan), handler)
+	return collio.CostShape(ctx, g.plan, g.shape, rs, op, opt,
+		collio.FaultEnv{Injector: faults.NewInjector(fplan), Handler: handler})
 }
 
 // faultCell is one cell of a fault grid: the label its ledger entries

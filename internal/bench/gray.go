@@ -161,12 +161,13 @@ func Gray(cfg ChaosConfig) (*GrayReport, error) {
 				Extents: []pfs.Extent{{Offset: int64(i) * per, Length: per}}}
 		}
 
-		refPlan, err := s.Plan(ctx, reqs)
+		rs := collio.NewRequestSet(reqs)
+		refPlan, err := s.PlanSet(ctx, rs)
 		if err != nil {
 			fail(op, "planning failed: %v", err)
 			continue
 		}
-		ref, err := collio.Cost(ctx, refPlan, reqs, collio.Write, sim.DefaultOptions())
+		ref, err := collio.CostSet(ctx, refPlan, rs, collio.Write, sim.DefaultOptions())
 		if err != nil {
 			fail(op, "reference pricing failed: %v", err)
 			continue
@@ -178,7 +179,7 @@ func Gray(cfg ChaosConfig) (*GrayReport, error) {
 			return spec.Generate(topo.Nodes(), ctx.FS.Targets)
 		}
 
-		static, err := priceGray(ctx, s, reqs, spec.DetectSeconds, nil, draw)
+		static, err := priceGray(ctx, s, rs, spec.DetectSeconds, nil, draw)
 		if err != nil {
 			fail(op, "static run failed: %v", err)
 			continue
@@ -191,7 +192,7 @@ func Gray(cfg ChaosConfig) (*GrayReport, error) {
 			fail(op, "baseline controller plan failed: %v", err)
 			continue
 		}
-		adaptive, err := priceGray(ctx, s, reqs, spec.DetectSeconds, ad, draw)
+		adaptive, err := priceGray(ctx, s, rs, spec.DetectSeconds, ad, draw)
 		if err != nil {
 			fail(op, "adaptive run failed: %v", err)
 			continue
@@ -314,12 +315,16 @@ func grayContext(topo mpi.Topology, buf int64, o *obs.Observer) *collio.Context 
 	return &collio.Context{Topo: topo, Machine: mc, Avail: avail, FS: soakFS(), Params: params, Obs: o}
 }
 
-// priceGray plans reqs with recovery state, injects the fault schedule
+// priceGray plans rs with recovery state, injects the fault schedule
 // sched returns for that plan, and prices the write with failover:
 // static with ad nil, under the adaptive policy otherwise.
-func priceGray(ctx *collio.Context, s *core.Strategy, reqs []collio.RankRequest, detect float64,
+func priceGray(ctx *collio.Context, s *core.Strategy, rs *collio.RequestSet, detect float64,
 	ad *collio.Adaptive, sched func(*collio.Plan) (*faults.Plan, error)) (*collio.FaultResult, error) {
-	plan, state, err := s.PlanWithState(ctx, reqs)
+	plan, state, err := s.PlanWithStateSet(ctx, rs)
+	if err != nil {
+		return nil, err
+	}
+	sh, err := collio.BuildShapeSet(ctx, plan, rs)
 	if err != nil {
 		return nil, err
 	}
@@ -327,12 +332,11 @@ func priceGray(ctx *collio.Context, s *core.Strategy, reqs []collio.RankRequest,
 	if err != nil {
 		return nil, err
 	}
-	inj := faults.NewInjector(fplan)
-	handler := &core.Failover{State: state, Detect: detect}
-	if ad == nil {
-		return collio.CostWithFaults(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler)
-	}
-	return collio.CostAdaptive(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler, ad)
+	return collio.CostShape(ctx, plan, sh, rs, collio.Write, sim.DefaultOptions(), collio.FaultEnv{
+		Injector: faults.NewInjector(fplan),
+		Handler:  &core.Failover{State: state, Detect: detect},
+		Adaptive: ad,
+	})
 }
 
 // grayDuel runs the pinned acceptance scenario on a fixed machine: a
@@ -361,12 +365,13 @@ func grayDuel(rep *GrayReport, fail func(int, string, ...any), rec *timeline.Rec
 			Extents: []pfs.Extent{{Offset: int64(i) << 18, Length: 1 << 18}}}
 	}
 
+	rs := collio.NewRequestSet(reqs)
 	s := core.New()
-	refPlan, err := s.Plan(ctx, reqs)
+	refPlan, err := s.PlanSet(ctx, rs)
 	if err != nil {
 		return err
 	}
-	ref, err := collio.Cost(ctx, refPlan, reqs, collio.Write, sim.DefaultOptions())
+	ref, err := collio.CostSet(ctx, refPlan, rs, collio.Write, sim.DefaultOptions())
 	if err != nil {
 		return err
 	}
@@ -381,7 +386,7 @@ func grayDuel(rep *GrayReport, fail func(int, string, ...any), rec *timeline.Rec
 		if ad != nil {
 			cctx.Timeline = rec
 		}
-		return priceGray(&cctx, s, reqs, spec.DetectSeconds, ad, func(plan *collio.Plan) (*faults.Plan, error) {
+		return priceGray(&cctx, s, rs, spec.DetectSeconds, ad, func(plan *collio.Plan) (*faults.Plan, error) {
 			victim := plan.Domains[0].AggNode
 			return &faults.Plan{Spec: spec, Events: []faults.Event{
 				{Kind: faults.Straggler, Time: onset, Node: victim, Target: -1,

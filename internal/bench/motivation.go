@@ -64,9 +64,6 @@ func Motivation(scale int64, seed uint64) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			if err := plan.ValidateSet(rs); err != nil {
-				return 0, err
-			}
 			res, err := collio.CostSet(ctx, plan, rs, collio.Write, opt)
 			if err != nil {
 				return 0, err

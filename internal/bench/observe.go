@@ -71,9 +71,6 @@ func observeFigure(e *Experiment, a Args) (*ObserveResult, error) {
 		if err != nil {
 			return err
 		}
-		if err := plan.ValidateSet(rs); err != nil {
-			return err
-		}
 		res, err := collio.CostSet(ctx, plan, rs, a.Op, opt)
 		if err != nil {
 			return err

@@ -155,11 +155,12 @@ func TestCostUnchangedByTimeline(t *testing.T) {
 		ctx.Timeline = rec
 		opt := sim.DefaultOptions()
 		opt.Overlap = cfg.Overlap
-		plan, err := core.New().Plan(ctx, reqs)
+		rs := collio.NewRequestSet(reqs)
+		plan, err := core.New().PlanSet(ctx, rs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := collio.Cost(ctx, plan, reqs, collio.Write, opt)
+		res, err := collio.CostSet(ctx, plan, rs, collio.Write, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,9 +32,6 @@ func RoundTrace(scale int64, seed uint64, memMB int) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		if err := plan.ValidateSet(rs); err != nil {
-			return "", err
-		}
 		res, err := collio.CostSet(ctx, plan, rs, collio.Write, opt)
 		if err != nil {
 			return "", err

@@ -97,9 +97,6 @@ func trajectoryRun(scale int64, seed uint64) ([]TrajectoryPoint, error) {
 			if err != nil {
 				return err
 			}
-			if err := plan.ValidateSet(rs); err != nil {
-				return err
-			}
 			res, err := collio.CostSet(ctx, plan, rs, collio.Write, opt)
 			if err != nil {
 				return err

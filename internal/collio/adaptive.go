@@ -4,16 +4,15 @@ import (
 	"mcio/internal/faults"
 	"mcio/internal/health"
 	"mcio/internal/pfs"
-	"mcio/internal/sim"
 )
 
-// Adaptive is the health-driven response policy CostAdaptive layers on
-// the faulted cost loop: a suspicion detector observing per-node and
+// Adaptive is the health-driven response policy FaultEnv.Adaptive
+// layers on the faulted cost loop: a suspicion detector observing per-node and
 // per-target service signals, circuit breakers taking chronically
 // degraded storage targets out of normal service, hedged re-requests
 // for straggling shuffle messages, and proactive aggregator
-// re-placement off suspected hosts. Fault *pricing* is identical to
-// CostWithFaults — only the response differs — so an adaptive run and
+// re-placement off suspected hosts. Fault *pricing* is identical to the
+// static policy's — only the response differs — so an adaptive run and
 // a static run of the same schedule are directly comparable.
 type Adaptive struct {
 	// Detector accrues per-entity suspicion; nil disables observation,
@@ -89,18 +88,4 @@ func (ad *Adaptive) hedgeDeadline() (float64, bool) {
 // from the live domains' buffer reservations against ctx.Avail.
 type MemDecayHandler interface {
 	OnMemDecay(node int, leaked float64) float64
-}
-
-// CostAdaptive prices plan like CostWithFaults but with the adaptive
-// response policy ad active: suspicion-driven proactive failover,
-// per-OST circuit breakers under the retry ladder, and hedged
-// re-requests for straggling shuffle messages. A nil ad gets
-// NewAdaptive defaults. Deterministic like every cost path: same plan,
-// schedule, handler and policy — same result.
-func CostAdaptive(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
-	inj *faults.Injector, handler FaultHandler, ad *Adaptive) (*FaultResult, error) {
-	if ad == nil {
-		ad = NewAdaptive()
-	}
-	return costSet(ctx, plan, NewRequestSet(reqs), op, opt, faultEnv{inj: inj, handler: handler, ad: ad, allHot: true})
 }

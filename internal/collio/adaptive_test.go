@@ -23,9 +23,9 @@ func testAdaptive() *collio.Adaptive {
 	return ad
 }
 
-// With no faults scheduled, CostAdaptive must be byte-identical to
-// Cost — the whole policy is inert.
-func TestCostAdaptiveInertWithoutFaults(t *testing.T) {
+// With no faults scheduled, an adaptive run must be byte-identical to
+// the clean run — the whole policy is inert.
+func TestAdaptiveInertWithoutFaults(t *testing.T) {
 	ctx := faultCtx(t)
 	reqs := faultReqs(12, 1<<18)
 	s := core.New()
@@ -33,7 +33,7 @@ func TestCostAdaptiveInertWithoutFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := collio.Cost(ctx, plan, reqs, collio.Write, sim.DefaultOptions())
+	want, err := collio.CostSet(ctx, plan, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +42,13 @@ func TestCostAdaptiveInertWithoutFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := collio.CostAdaptive(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
-		faults.NewInjector(fplan), &core.Failover{State: state, Detect: 0.01}, testAdaptive())
+	got, err := costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), collio.FaultEnv{
+		Injector: faults.NewInjector(fplan), Handler: &core.Failover{State: state, Detect: 0.01}, Adaptive: testAdaptive()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.CostResult, *want) {
-		t.Fatalf("zero-fault CostAdaptive differs from Cost:\n got %+v\nwant %+v", got.CostResult, *want)
+		t.Fatalf("zero-fault adaptive run differs from the clean run:\n got %+v\nwant %+v", got.CostResult, *want)
 	}
 	if got.ProactiveFailovers != 0 || got.HedgedMessages != 0 || got.BreakerOpens != 0 {
 		t.Fatalf("zero-fault adaptive run reported policy work: %+v", got)
@@ -76,7 +76,7 @@ func TestAdaptiveBeatsStaticUnderGraySchedule(t *testing.T) {
 	reqs := faultReqs(12, 1<<18)
 	s := core.New()
 
-	ref, err := collio.Cost(ctx, mustPlan(t, s, ctx, reqs), reqs, collio.Write, sim.DefaultOptions())
+	ref, err := collio.CostSet(ctx, mustPlan(t, s, ctx, reqs), collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,15 @@ func TestAdaptiveBeatsStaticUnderGraySchedule(t *testing.T) {
 		inj := faults.NewInjector(grayDuelSchedule(spec, victim, ref.Seconds/3, horizon))
 		handler := &core.Failover{State: state, Detect: spec.DetectSeconds}
 		if !adaptive {
-			res, err := collio.CostWithFaults(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler)
+			res, err := costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
+				collio.FaultEnv{Injector: inj, Handler: handler})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		res, err := collio.CostAdaptive(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler, testAdaptive())
+		res, err := costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
+			collio.FaultEnv{Injector: inj, Handler: handler, Adaptive: testAdaptive()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +128,7 @@ func TestAdaptiveBeatsStaticUnderGraySchedule(t *testing.T) {
 
 // Same schedule, same policy, twice: adaptive runs must be fully
 // deterministic.
-func TestCostAdaptiveDeterministic(t *testing.T) {
+func TestAdaptiveDeterministic(t *testing.T) {
 	ctx := faultCtx(t)
 	reqs := faultReqs(12, 1<<18)
 	run := func() *collio.FaultResult {
@@ -140,8 +142,11 @@ func TestCostAdaptiveDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := collio.CostAdaptive(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
-			faults.NewInjector(fplan), &core.Failover{State: state, Detect: spec.DetectSeconds}, testAdaptive())
+		res, err := costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), collio.FaultEnv{
+			Injector: faults.NewInjector(fplan),
+			Handler:  &core.Failover{State: state, Detect: spec.DetectSeconds},
+			Adaptive: testAdaptive(),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,12 +162,12 @@ func TestCostAdaptiveDeterministic(t *testing.T) {
 // requested, their bytes counted and deduped, and the hedged run beats
 // the static one because stragglers are charged the hedge deadline,
 // not the full delay.
-func TestCostAdaptiveHedgesStragglingMessages(t *testing.T) {
+func TestAdaptiveHedgesStragglingMessages(t *testing.T) {
 	ctx := faultCtx(t)
 	reqs := faultReqs(12, 1<<18)
 	s := core.New()
 
-	ref, err := collio.Cost(ctx, mustPlan(t, s, ctx, reqs), reqs, collio.Write, sim.DefaultOptions())
+	ref, err := collio.CostSet(ctx, mustPlan(t, s, ctx, reqs), collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +189,12 @@ func TestCostAdaptiveHedgesStragglingMessages(t *testing.T) {
 		handler := &core.Failover{State: state, Detect: spec.DetectSeconds}
 		var res *collio.FaultResult
 		if ad == nil {
-			res, err = collio.CostWithFaults(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler)
+			res, err = costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
+				collio.FaultEnv{Injector: inj, Handler: handler})
 		} else {
 			ad.Proactive = false // isolate hedging from failover
-			res, err = collio.CostAdaptive(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler, ad)
+			res, err = costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
+				collio.FaultEnv{Injector: inj, Handler: handler, Adaptive: ad})
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -13,9 +13,9 @@
 //     memory-conscious strategy, and it is pure metadata: it works
 //     unchanged whether the operation covers kilobytes or terabytes.
 //  2. Execute — either really move the bytes or price the movement on
-//     the machine model (Cost, used by the benchmark harness at the
-//     paper's full data sizes, where materializing the bytes would be
-//     pointless). One data executor moves the bytes: ExecVerified, whose
+//     the machine model (CostSet, or CostShape from a prebuilt shape,
+//     used by the experiment harness at the paper's full data sizes,
+//     where materializing the bytes would be pointless). One data executor moves the bytes: ExecVerified, whose
 //     integrity checker, silent-corruption replayer and hedger are each
 //     optional; Exec, used by the library API and the correctness tests,
 //     is ExecVerified with all three off.
@@ -124,7 +124,7 @@ type Context struct {
 	FS     pfs.Config
 	Params Params
 	// Obs, when non-nil, receives metrics and spans from planning and
-	// execution: planners publish placement decisions, Cost publishes the
+	// execution: planners publish placement decisions, pricing publishes the
 	// per-round timeline and traffic counters, Exec wires the mpi runtime.
 	// Nil disables observability at near-zero cost.
 	Obs *obs.Observer

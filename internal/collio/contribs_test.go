@@ -174,7 +174,7 @@ func FuzzLazyContribs(f *testing.F) {
 // list per item.
 func TestContribsDerivedOnlyWhenRead(t *testing.T) {
 	c := pricingCases(t, 0)[0]
-	plan, err := twophase.New().Plan(c.ctx, c.reqs)
+	plan, err := twophase.New().PlanSet(c.ctx, c.rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,8 +188,8 @@ func TestContribsDerivedOnlyWhenRead(t *testing.T) {
 	// no node turns hot and nothing fails over.
 	sched := &faults.Plan{Events: []faults.Event{{Kind: faults.Straggler, Node: 1, Duration: 1, Severity: 2}}}
 	before := collio.DerivedLists()
-	res, err := collio.CostWithFaults(c.ctx, plan, c.reqs, collio.Write, sim.DefaultOptions(),
-		faults.NewInjector(sched), twophase.NewStallRetry(c.ctx.Avail, 0))
+	res, err := costReqs(c.ctx, plan, c.reqs, collio.Write, sim.DefaultOptions(),
+		collio.FaultEnv{Injector: faults.NewInjector(sched), Handler: twophase.NewStallRetry(c.ctx.Avail, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestContribsDerivedOnlyWhenRead(t *testing.T) {
 	octx := *c.ctx
 	octx.Obs = obs.New()
 	before = collio.DerivedLists()
-	if _, err := collio.Cost(&octx, plan, c.reqs, collio.Write, sim.DefaultOptions()); err != nil {
+	if _, err := collio.CostSet(&octx, plan, c.rs, collio.Write, sim.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	if n := collio.DerivedLists() - before; n != int64(items) || items == 0 {

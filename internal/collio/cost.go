@@ -137,41 +137,46 @@ func (co *costObs) shuffle(it *faultItem, aggregator int, op Op) {
 	}
 }
 
-// Cost is CostSet over a set built from reqs.
-func Cost(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options) (*CostResult, error) {
-	return CostSet(ctx, plan, NewRequestSet(reqs), op, opt)
-}
-
 // CostSet prices plan against the context's machine and storage models
-// without moving any data. The same plan and requests always produce the
-// same result. With ctx.Obs set it also counts per-rank MPI traffic and
-// per-domain shuffle bytes.
+// without moving any data: BuildShapeSet, which refuses a plan that
+// does not tile rs, then a clean CostShape. The same plan and requests
+// always produce the same result.
 func CostSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options) (*CostResult, error) {
-	res, err := costSet(ctx, plan, rs, op, opt, faultEnv{})
+	sh, err := BuildShapeSet(ctx, plan, rs)
+	if err != nil {
+		return nil, err
+	}
+	res, err := CostShape(ctx, plan, sh, rs, op, opt, FaultEnv{})
 	if err != nil {
 		return nil, err
 	}
 	return &res.CostResult, nil
 }
 
-// CostShape prices one direction of plan from its prebuilt round
-// structure, bit-identical to Cost: build the shape once and price write
-// and read from it. sh must have been built from plan. A shape carries
-// no ranks, so the per-rank counters Cost emits under ctx.Obs are not
-// emitted; engine-level metrics, spans and traces are.
-func CostShape(ctx *Context, plan *Plan, sh *Shape, op Op, opt sim.Options) (*CostResult, error) {
+// CostShape prices one direction of plan from sh, its shape over rs,
+// under env; the zero env is the clean run. Neither plan nor sh is
+// changed, so one shape serves both directions and every cell of a
+// fault grid, each with its own injector and handler. The same inputs
+// always produce the same result; with ctx.Obs set the run also counts
+// per-rank MPI traffic and per-domain shuffle bytes.
+func CostShape(ctx *Context, plan *Plan, sh *Shape, rs *RequestSet, op Op, opt sim.Options, env FaultEnv) (*FaultResult, error) {
 	if err := sh.check(plan); err != nil {
 		return nil, err
 	}
-	r, err := newPricingRun(ctx, plan, sh, nil, op, opt, faultEnv{}, nil)
+	env.allHot = env.allHot || env.Adaptive != nil
+	if env.Injector.Empty() {
+		env.Injector, env.Handler, env.Adaptive = nil, nil, nil
+	} else if env.Handler == nil {
+		return nil, fmt.Errorf("collio: fault injection without a FaultHandler")
+	}
+	co := newCostObs(ctx, plan, op)
+	co.meta(ctx, plan, rs)
+	src := &rankSource{rs: rs, topo: &ctx.Topo}
+	r, err := newPricingRun(ctx, plan, sh, src, op, opt, env, co)
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.price()
-	if err != nil {
-		return nil, err
-	}
-	return &res.CostResult, nil
+	return r.price()
 }
 
 // NewEngine builds a pricing engine for the context's machine and file

@@ -1,18 +1,14 @@
 package collio
 
-import (
-	"mcio/internal/faults"
-	"mcio/internal/pfs"
-	"mcio/internal/sim"
-)
+import "mcio/internal/pfs"
 
-// CostAllHot prices like CostWithFaults (like Cost with a nil injector)
-// with every node and every target hot, so every work item walks its
-// contributors per rank and every stripe span is split into one access
-// per target: the reference the bundled loop must match bit for bit.
-func CostAllHot(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
-	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	return costSet(ctx, plan, NewRequestSet(reqs), op, opt, faultEnv{inj: inj, handler: handler, allHot: true})
+// AllHot returns env with every node and every target hot, so every
+// work item walks its contributors per rank and every stripe span is
+// split into one access per target: priced with CostShape, the
+// reference the bundled loop must match bit for bit.
+func AllHot(env FaultEnv) FaultEnv {
+	env.allHot = true
+	return env
 }
 
 // RankContrib is one rank's contribution to a work item.
@@ -51,7 +47,11 @@ func WalkContribs(ctx *Context, plan *Plan, rs *RequestSet) [][]RankContrib {
 // the per-rank list each work item derives on first use; a domain
 // without an item (no rounds) gets nil.
 func DerivedContribs(ctx *Context, plan *Plan, rs *RequestSet) [][]RankContrib {
-	items, _ := buildShape(ctx, plan, rs).workItems(plan, &rankSource{rs: rs, topo: &ctx.Topo})
+	sh, err := buildShape(ctx, plan, rs)
+	if err != nil {
+		panic(err)
+	}
+	items, _ := sh.workItems(plan, &rankSource{rs: rs, topo: &ctx.Topo})
 	out := make([][]RankContrib, len(plan.Domains))
 	for _, it := range items {
 		out[it.Domain] = it.rankContribs()

@@ -5,7 +5,6 @@ import (
 
 	"mcio/internal/faults"
 	"mcio/internal/pfs"
-	"mcio/internal/sim"
 )
 
 // HostFault is one host-level fault (crash or memory collapse)
@@ -84,13 +83,13 @@ type FaultResult struct {
 	// budget a MemLeak decayed.
 	FlakyDrops  int
 	LeakedNodes int
-	// Hedging accounting (CostAdaptive only). A hedged message's bytes
+	// Hedging accounting (adaptive runs only). A hedged message's bytes
 	// move twice — original and re-request — and the checksum path
 	// discards the loser, so DedupedBytes never reach user accounting.
 	HedgedMessages int
 	HedgedBytes    int64
 	DedupedBytes   int64
-	// Adaptive-failover accounting (CostAdaptive only).
+	// Adaptive-failover accounting (adaptive runs only).
 	ProactiveFailovers int
 	SuspectEvents      int
 	BreakerOpens       int
@@ -131,7 +130,7 @@ func applyReassignment(live []Domain, ra Reassignment) error {
 }
 
 // ApplyReassignments rewrites a domain set after host faults, the same
-// bookkeeping CostWithFaults performs: merges fold the victim's extents
+// bookkeeping a faulted CostShape performs: merges fold the victim's extents
 // into the absorber and empty the victim (indices stay stable);
 // standalone entries rewrite placement. Use Plan.Compact afterwards to
 // drop the emptied victims before Validate or Exec.
@@ -156,70 +155,22 @@ func (p *Plan) Compact() *Plan {
 	return q
 }
 
-// CostWithFaults prices plan like Cost, but with a fault injector
-// advancing in simulated time and a FaultHandler deciding where the
-// work of crashed or collapsed hosts goes. With a nil or empty injector
-// the result is identical to Cost. The same plan, injector schedule and
-// handler always produce the same result — faulted runs are as
-// reproducible as clean ones.
-func CostWithFaults(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim.Options,
-	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	return costSet(ctx, plan, NewRequestSet(reqs), op, opt, faultEnv{inj: inj, handler: handler})
-}
-
-// CostWithFaultsShape is CostWithFaults for the requests of rs, priced
-// from sh, the prebuilt shape of plan over rs. Neither is changed, so a
-// fault grid builds its plan and shape once and prices every cell from
-// them, each with its own injector and handler. sh must have been built
-// from plan, as for CostShape.
-func CostWithFaultsShape(ctx *Context, plan *Plan, sh *Shape, rs *RequestSet, op Op, opt sim.Options,
-	inj *faults.Injector, handler FaultHandler) (*FaultResult, error) {
-	if err := sh.check(plan); err != nil {
-		return nil, err
-	}
-	return costFaulted(ctx, plan, sh, rs, op, opt, faultEnv{inj: inj, handler: handler})
-}
-
-// faultEnv is the fault environment of one priced run; the zero value
-// is a clean run.
-type faultEnv struct {
-	inj     *faults.Injector
-	handler FaultHandler
-	ad      *Adaptive // nil: the static retry-only policy
+// FaultEnv is the fault environment of one priced run; the zero value
+// is the clean run.
+type FaultEnv struct {
+	// Injector advances the fault schedule in simulated time; nil or
+	// empty prices a clean run.
+	Injector *faults.Injector
+	// Handler decides where the work of crashed or collapsed hosts goes.
+	// A non-empty injector needs one.
+	Handler FaultHandler
+	// Adaptive, when non-nil, layers the health-driven response policy
+	// on the faulted run; nil is the static retry-only policy.
+	Adaptive *Adaptive
 	// allHot walks every work item per rank, as if every node carried
-	// live injector state. CostAdaptive needs it (its hedge window takes
-	// every message's delay, in per-rank order); the exactness tests
-	// price against it as the reference.
+	// live injector state. An adaptive run needs it (its hedge window
+	// takes every message's delay, in per-rank order), so a non-nil
+	// Adaptive sets it; the exactness tests price against it as the
+	// reference.
 	allHot bool
-}
-
-// costSet builds plan's shape over rs and prices it under env.
-func costSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options, env faultEnv) (*FaultResult, error) {
-	sh, err := BuildShapeSet(ctx, plan, rs)
-	if err != nil {
-		return nil, err
-	}
-	return costFaulted(ctx, plan, sh, rs, op, opt, env)
-}
-
-// costFaulted is the entry behind Cost, CostWithFaults (the static
-// retry-only policy) and CostAdaptive (health observation, circuit
-// breakers, hedging and proactive failover), pricing plan from sh, its
-// shape over rs. Fault *pricing* — including the gray kinds — is
-// identical either way; only the response policy differs. An empty
-// injector prices a clean run.
-func costFaulted(ctx *Context, plan *Plan, sh *Shape, rs *RequestSet, op Op, opt sim.Options, env faultEnv) (*FaultResult, error) {
-	if env.inj.Empty() {
-		env.inj, env.handler, env.ad = nil, nil, nil
-	} else if env.handler == nil {
-		return nil, fmt.Errorf("collio: fault injection without a FaultHandler")
-	}
-	co := newCostObs(ctx, plan, op)
-	co.meta(ctx, plan, rs)
-	src := &rankSource{rs: rs, topo: &ctx.Topo}
-	r, err := newPricingRun(ctx, plan, sh, src, op, opt, env, co)
-	if err != nil {
-		return nil, err
-	}
-	return r.price()
 }

@@ -42,7 +42,7 @@ func TestCostWithFaultsInertWithoutFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := collio.Cost(ctx, plan, reqs, collio.Write, sim.DefaultOptions())
+		want, err := collio.CostSet(ctx, plan, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,8 @@ func TestCostWithFaultsInertWithoutFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, inj := range []*faults.Injector{nil, faults.NewInjector(fplan)} {
-			got, err := collio.CostWithFaults(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, nil)
+			got, err := costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
+				collio.FaultEnv{Injector: inj})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +87,7 @@ func TestNodeCrashFailsOverToSibling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := collio.Cost(ctx, clean, reqs, collio.Write, sim.DefaultOptions())
+	ref, err := collio.CostSet(ctx, clean, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,8 @@ func TestNodeCrashFailsOverToSibling(t *testing.T) {
 	inj := faults.NewInjector(crashPlan(spec, victim, ref.Seconds/2))
 	handler := &core.Failover{State: state, Detect: spec.DetectSeconds}
 
-	res, err := collio.CostWithFaults(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler)
+	res, err := costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
+		collio.FaultEnv{Injector: inj, Handler: handler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestBaselineStallsInPlaceOnCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := collio.Cost(ctx, plan, reqs, collio.Write, sim.DefaultOptions())
+	ref, err := collio.CostSet(ctx, plan, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,8 @@ func TestBaselineStallsInPlaceOnCrash(t *testing.T) {
 	inj := faults.NewInjector(crashPlan(spec, victim, ref.Seconds/2))
 	handler := twophase.NewStallRetry(ctx.Avail, spec.StallSeconds)
 
-	res, err := collio.CostWithFaults(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, handler)
+	res, err := costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
+		collio.FaultEnv{Injector: inj, Handler: handler})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +177,8 @@ func TestFaultedCostDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := collio.CostWithFaults(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
-			faults.NewInjector(fplan), &core.Failover{State: state, Detect: spec.DetectSeconds})
+		res, err := costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
+			collio.FaultEnv{Injector: faults.NewInjector(fplan), Handler: &core.Failover{State: state, Detect: spec.DetectSeconds}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +241,7 @@ func TestOSTTransientRetriesPriced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := collio.Cost(ctx, plan, reqs, collio.Write, sim.DefaultOptions())
+	ref, err := collio.CostSet(ctx, plan, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +249,8 @@ func TestOSTTransientRetriesPriced(t *testing.T) {
 	fplan := &faults.Plan{Spec: spec, Events: []faults.Event{
 		{Kind: faults.OSTTransient, Time: 0, Target: 0, Duration: ref.Seconds * 4},
 	}}
-	res, err := collio.CostWithFaults(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
-		faults.NewInjector(fplan), &core.Failover{State: state, Detect: spec.DetectSeconds})
+	res, err := costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
+		collio.FaultEnv{Injector: faults.NewInjector(fplan), Handler: &core.Failover{State: state, Detect: spec.DetectSeconds}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -279,7 +279,7 @@ func TestMemConsciousBeatsBaselineUnderPressure(t *testing.T) {
 		if err := plan.Validate(reqs); err != nil {
 			t.Fatal(err)
 		}
-		res, err := collio.Cost(ctx, plan, reqs, collio.Write, sim.DefaultOptions())
+		res, err := collio.CostSet(ctx, plan, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,11 +18,35 @@ import (
 	"mcio/internal/twophase"
 )
 
-// pricingCase is one topology and workload the property test prices.
+// pricingCase is one topology and workload the property test prices,
+// with its requests held in one set.
 type pricingCase struct {
 	ctx  *collio.Context
 	reqs []collio.RankRequest
+	rs   *collio.RequestSet
 	opt  sim.Options
+}
+
+// price builds plan's shape over the case's set and prices op under
+// env: the one form every priced run of these tests goes through.
+func (c pricingCase) price(ctx *collio.Context, plan *collio.Plan, op collio.Op, env collio.FaultEnv) (*collio.FaultResult, error) {
+	sh, err := collio.BuildShapeSet(ctx, plan, c.rs)
+	if err != nil {
+		return nil, err
+	}
+	return collio.CostShape(ctx, plan, sh, c.rs, op, c.opt, env)
+}
+
+// costReqs prices plan over a set built from reqs under env through the
+// one form: BuildShapeSet, which validates plan, then CostShape.
+func costReqs(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest, op collio.Op, opt sim.Options,
+	env collio.FaultEnv) (*collio.FaultResult, error) {
+	rs := collio.NewRequestSet(reqs)
+	sh, err := collio.BuildShapeSet(ctx, plan, rs)
+	if err != nil {
+		return nil, err
+	}
+	return collio.CostShape(ctx, plan, sh, rs, op, opt, env)
 }
 
 // pricingCtx builds a small self-consistent context: ranks on nodes
@@ -97,11 +121,11 @@ func pricingCases(t *testing.T, n int) []pricingCase {
 	}
 	rand.New(rand.NewSource(23)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	cases := []pricingCase{
-		{pricingCtx(t, 12, 4, 4, 16<<10), contiguous, opt},
-		{pricingCtx(t, 16, 4, 8, 8<<10), strided, opt},
-		{stripedCtx, striped, opt},
-		{interleavedCtx, strided, opt},
-		{pricingCtx(t, 16, 4, 6, 4<<10), shuffled, opt},
+		{pricingCtx(t, 12, 4, 4, 16<<10), contiguous, collio.NewRequestSet(contiguous), opt},
+		{pricingCtx(t, 16, 4, 8, 8<<10), strided, collio.NewRequestSet(strided), opt},
+		{stripedCtx, striped, collio.NewRequestSet(striped), opt},
+		{interleavedCtx, strided, collio.NewRequestSet(strided), opt},
+		{pricingCtx(t, 16, 4, 6, 4<<10), shuffled, collio.NewRequestSet(shuffled), opt},
 	}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < n; i++ {
@@ -122,36 +146,31 @@ func pricingCases(t *testing.T, n int) []pricingCase {
 		}
 		o := opt
 		o.Overlap = i%2 == 0
-		cases = append(cases, pricingCase{ctx, reqs, o})
+		cases = append(cases, pricingCase{ctx, reqs, collio.NewRequestSet(reqs), o})
 	}
 	return cases
 }
 
 // freshPlan builds a plan and fault handler for one run. Recovery
 // mutates handler state (and the memory-conscious plan's partition
-// trees), so the two runs of a comparison never share either.
+// trees), so the two runs of a comparison never share either. Pricing
+// validates the plan when it builds the shape.
 func freshPlan(t *testing.T, c pricingCase, strategy string, spec faults.Spec) (*collio.Plan, collio.FaultHandler) {
 	t.Helper()
-	var plan *collio.Plan
-	var handler collio.FaultHandler
 	switch strategy {
 	case "memory-conscious":
-		p, state, err := core.New().PlanWithState(c.ctx, c.reqs)
+		plan, state, err := core.New().PlanWithStateSet(c.ctx, c.rs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, handler = p, &core.Failover{State: state, Detect: spec.DetectSeconds}
+		return plan, &core.Failover{State: state, Detect: spec.DetectSeconds}
 	default:
-		p, err := twophase.New().Plan(c.ctx, c.reqs)
+		plan, err := twophase.New().PlanSet(c.ctx, c.rs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, handler = p, twophase.NewStallRetry(c.ctx.Avail, spec.StallSeconds)
+		return plan, twophase.NewStallRetry(c.ctx.Avail, spec.StallSeconds)
 	}
-	if err := plan.Validate(c.reqs); err != nil {
-		t.Fatal(err)
-	}
-	return plan, handler
 }
 
 // TestBundledPricingMatchesAllHot is the exactness property of the one
@@ -282,41 +301,44 @@ func fewTargetsStorage(ev faults.Event) bool {
 	return false
 }
 
-// cleanParity checks the fault-free forms against each other: Cost,
-// CostShape over a prebuilt shape, CostWithFaults with a nil and with
-// an event-free injector, and the all-hot walk. It returns the result.
+// cleanParity checks the fault-free forms against each other: CostSet,
+// CostShape over a prebuilt shape with the zero env, with a nil and
+// with an event-free injector, and the all-hot walk. It returns the
+// result.
 func cleanParity(t *testing.T, name string, c pricingCase, strategy string, op collio.Op, spec faults.Spec) *collio.CostResult {
 	t.Helper()
 	plan, handler := freshPlan(t, c, strategy, spec)
-	want, err := collio.Cost(c.ctx, plan, c.reqs, op, c.opt)
+	want, err := collio.CostSet(c.ctx, plan, c.rs, op, c.opt)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	sh, err := collio.BuildShape(c.ctx, plan, c.reqs)
+	sh, err := collio.BuildShapeSet(c.ctx, plan, c.rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shaped, err := collio.CostShape(c.ctx, plan, sh, op, c.opt)
+	shaped, err := collio.CostShape(c.ctx, plan, sh, c.rs, op, c.opt, collio.FaultEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(shaped, want) {
-		t.Fatalf("%s: CostShape diverges from Cost\nshape: %+v\ncost:  %+v", name, shaped, want)
+	if !reflect.DeepEqual(&shaped.CostResult, want) {
+		t.Fatalf("%s: CostShape diverges from CostSet\nshape: %+v\ncost:  %+v", name, shaped, want)
 	}
 	fplan, err := spec.Generate(c.ctx.Topo.Nodes(), c.ctx.FS.Targets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, inj := range []*faults.Injector{nil, faults.NewInjector(fplan)} {
-		for hot, cost := range map[bool]func(*collio.Context, *collio.Plan, []collio.RankRequest, collio.Op,
-			sim.Options, *faults.Injector, collio.FaultHandler) (*collio.FaultResult, error){
-			false: collio.CostWithFaults, true: collio.CostAllHot} {
-			got, err := cost(c.ctx, plan, c.reqs, op, c.opt, inj, handler)
+		for _, hot := range []bool{false, true} {
+			env := collio.FaultEnv{Injector: inj, Handler: handler}
+			if hot {
+				env = collio.AllHot(env)
+			}
+			got, err := collio.CostShape(c.ctx, plan, sh, c.rs, op, c.opt, env)
 			if err != nil {
 				t.Fatalf("%s (all hot %v): %v", name, hot, err)
 			}
 			if !reflect.DeepEqual(got.CostResult, *want) || len(got.Injected) != 0 || got.Injected == nil {
-				t.Fatalf("%s (all hot %v): event-free run differs from Cost\ngot:  %+v\nwant: %+v", name, hot, got, want)
+				t.Fatalf("%s (all hot %v): event-free run differs from CostSet\ngot:  %+v\nwant: %+v", name, hot, got, want)
 			}
 		}
 	}
@@ -324,7 +346,7 @@ func cleanParity(t *testing.T, name string, c pricingCase, strategy string, op c
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := collio.CostWithFaults(c.ctx, plan, c.reqs, op, c.opt, faults.NewInjector(busy), nil); err == nil {
+	if _, err := c.price(c.ctx, plan, op, collio.FaultEnv{Injector: faults.NewInjector(busy)}); err == nil {
 		t.Fatalf("%s: faulted pricing without a handler should error", name)
 	}
 	return want
@@ -360,9 +382,9 @@ func faultedParity(t *testing.T, name string, c pricingCase, strategy string, op
 	}
 	injA, injB := faults.NewInjector(planA), faults.NewInjector(planB)
 	plan, handler := freshPlan(t, c, strategy, spec)
-	got, gotErr := collio.CostWithFaults(c.ctx, plan, c.reqs, op, c.opt, injA, handler)
+	got, gotErr := c.price(c.ctx, plan, op, collio.FaultEnv{Injector: injA, Handler: handler})
 	plan, handler = freshPlan(t, c, strategy, spec)
-	want, wantErr := collio.CostAllHot(c.ctx, plan, c.reqs, op, c.opt, injB, handler)
+	want, wantErr := c.price(c.ctx, plan, op, collio.AllHot(collio.FaultEnv{Injector: injB, Handler: handler}))
 	if gotErr != nil || wantErr != nil {
 		if gotErr == nil || wantErr == nil || gotErr.Error() != wantErr.Error() {
 			t.Fatalf("%s: error divergence\nbundled: %v\nall hot: %v", name, gotErr, wantErr)
@@ -381,7 +403,7 @@ func faultedParity(t *testing.T, name string, c pricingCase, strategy string, op
 }
 
 // TestObservedPricingMatchesUnobserved pins that observation never
-// steers pricing: Cost and CostWithFaults with ctx.Obs set return what
+// steers pricing: clean and faulted runs with ctx.Obs set return what
 // the same runs return unobserved, and on a clean run the per-rank
 // mpi.bytes_sent counters add up to the engine's shuffle bytes. It runs
 // the strided case on block and on round-robin placement, and the
@@ -406,18 +428,18 @@ func observedParity(t *testing.T, c pricingCase, faulted *int) {
 		clean := faults.DefaultSpec(3, 1).WithRate(0)
 		for _, op := range []collio.Op{collio.Write, collio.Read} {
 			plan, _ := freshPlan(t, c, strategy, clean)
-			want, err := collio.Cost(c.ctx, plan, c.reqs, op, c.opt)
+			want, err := collio.CostSet(c.ctx, plan, c.rs, op, c.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			octx := *c.ctx
 			octx.Obs = obs.New()
-			got, err := collio.Cost(&octx, plan, c.reqs, op, c.opt)
+			got, err := collio.CostSet(&octx, plan, c.rs, op, c.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s %s: observed Cost differs\nobserved:   %+v\nunobserved: %+v", strategy, op, got, want)
+				t.Fatalf("%s %s: observed CostSet differs\nobserved:   %+v\nunobserved: %+v", strategy, op, got, want)
 			}
 			var sent int64
 			for r := 0; r < c.ctx.Topo.Size(); r++ {
@@ -436,7 +458,7 @@ func observedParity(t *testing.T, c pricingCase, faulted *int) {
 					t.Fatal(err)
 				}
 				plan, handler := freshPlan(t, c, strategy, spec)
-				return collio.CostWithFaults(ctx, plan, c.reqs, op, c.opt, faults.NewInjector(fplan), handler)
+				return c.price(ctx, plan, op, collio.FaultEnv{Injector: faults.NewInjector(fplan), Handler: handler})
 			}
 			fwant, wantErr := run(c.ctx)
 			octx.Obs = obs.New()
@@ -445,7 +467,7 @@ func observedParity(t *testing.T, c pricingCase, faulted *int) {
 				t.Fatalf("%s %s: observed error %v, unobserved %v", strategy, op, gotErr, wantErr)
 			}
 			if !reflect.DeepEqual(fgot, fwant) {
-				t.Fatalf("%s %s: observed CostWithFaults differs\nobserved:   %+v\nunobserved: %+v", strategy, op, fgot, fwant)
+				t.Fatalf("%s %s: observed faulted run differs\nobserved:   %+v\nunobserved: %+v", strategy, op, fgot, fwant)
 			}
 			if fgot != nil && len(fgot.Injected) > 0 {
 				*faulted++
@@ -459,17 +481,17 @@ func observedParity(t *testing.T, c pricingCase, faulted *int) {
 // its own, so it must be priced with the plan it was built from.
 func TestCostShapeRejectsOtherPlan(t *testing.T) {
 	c := pricingCases(t, 0)[1]
-	plan, err := twophase.New().Plan(c.ctx, c.reqs)
+	plan, err := twophase.New().PlanSet(c.ctx, c.rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := collio.BuildShape(c.ctx, plan, c.reqs)
+	sh, err := collio.BuildShapeSet(c.ctx, plan, c.rs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fewer := *plan
 	fewer.Domains = plan.Domains[:len(plan.Domains)-1]
-	if _, err := collio.CostShape(c.ctx, &fewer, sh, collio.Write, c.opt); err == nil {
+	if _, err := collio.CostShape(c.ctx, &fewer, sh, c.rs, collio.Write, c.opt, collio.FaultEnv{}); err == nil {
 		t.Fatal("a shape of another plan was priced")
 	}
 }

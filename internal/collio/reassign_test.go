@@ -37,7 +37,7 @@ func TestReassignmentOutOfRangeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := collio.Cost(ctx, plan, reqs, collio.Write, sim.DefaultOptions())
+	ref, err := collio.CostSet(ctx, plan, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,8 @@ func TestReassignmentOutOfRangeRejected(t *testing.T) {
 	for _, c := range cases {
 		name := fmt.Sprintf("%+v", c.ra)
 		inj := faults.NewInjector(crashPlan(spec, victim, ref.Seconds/2))
-		res, err := collio.CostWithFaults(ctx, plan, reqs, collio.Write, sim.DefaultOptions(), inj, fixedHandler{c.ra})
+		res, err := costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
+			collio.FaultEnv{Injector: inj, Handler: fixedHandler{c.ra}})
 		switch {
 		case c.valid && err != nil:
 			t.Fatalf("%s: %v", name, err)

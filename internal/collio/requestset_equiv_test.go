@@ -107,7 +107,8 @@ func TestRequestSetPathMatchesWrappers(t *testing.T) {
 					if serr != nil {
 						t.Fatal(serr)
 					}
-					res, err = collio.CostWithFaultsShape(ctx, plan, sh, rs, collio.Write, opt, inj, handler)
+					res, err = collio.CostShape(ctx, plan, sh, rs, collio.Write, opt,
+						collio.FaultEnv{Injector: inj, Handler: handler})
 				} else {
 					res, err = collio.CostWithFaults(ctx, plan, reqs, collio.Write, opt, inj, handler)
 				}
@@ -117,7 +118,7 @@ func TestRequestSetPathMatchesWrappers(t *testing.T) {
 				return res
 			}
 			if got, want := price(true), price(false); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/%s: CostWithFaultsShape differs from CostWithFaults:\n got %+v\nwant %+v",
+				t.Fatalf("%s/%s: CostShape differs from CostWithFaults:\n got %+v\nwant %+v",
 					name, strategy, got, want)
 			}
 		}

@@ -23,7 +23,7 @@ func TestRoundBuffersSizedOnce(t *testing.T) {
 				name := fmt.Sprintf("case %d %s %s", ci, strategy, op)
 				plan, _ := freshPlan(t, c, strategy, clean)
 				before := collio.RegrownRuns()
-				if _, err := collio.Cost(c.ctx, plan, c.reqs, op, c.opt); err != nil {
+				if _, err := collio.CostSet(c.ctx, plan, c.rs, op, c.opt); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				if n := collio.RegrownRuns() - before; n != 0 {
@@ -36,7 +36,7 @@ func TestRoundBuffersSizedOnce(t *testing.T) {
 	c := pricingCases(t, 0)[1]
 	plan, handler := freshPlan(t, c, "two-phase", clean)
 	before := collio.RegrownRuns()
-	if _, err := collio.CostAllHot(c.ctx, plan, c.reqs, collio.Write, c.opt, nil, handler); err != nil {
+	if _, err := c.price(c.ctx, plan, collio.Write, collio.AllHot(collio.FaultEnv{Handler: handler})); err != nil {
 		t.Fatal(err)
 	}
 	if collio.RegrownRuns() == before {

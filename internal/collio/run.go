@@ -15,14 +15,14 @@ import (
 // pricingRun is one priced run of a plan: the access-list exchange (the
 // shape's metadata scatter), then one data round per step, each a
 // shuffle phase and a storage phase, with fault events applied at round
-// boundaries. Its faultEnv is the one variable; the zero env is the
+// boundaries. Its FaultEnv is the one variable; the zero env is the
 // clean run. Items and stripe spans touching no hot node or target
 // price as per-node bundles and whole spans; hot ones walk per rank and
 // per target through the injector hooks, in the order the injector is
 // queried and extra latency is summed in (DESIGN.md, "Pricing: one
 // loop, bundled where exact, per rank where hot").
 type pricingRun struct {
-	faultEnv
+	FaultEnv
 	ctx  *Context
 	plan *Plan
 	op   Op
@@ -71,15 +71,14 @@ type nodeFault struct {
 }
 
 // newPricingRun readies a run of plan priced from sh, the shape built
-// from it. src derives the items' per-rank lists; it is nil only for
-// runs that never read them (clean and unobserved).
+// from it. src derives the items' per-rank lists.
 func newPricingRun(ctx *Context, plan *Plan, sh *Shape, src *rankSource, op Op, opt sim.Options,
-	env faultEnv, co *costObs) (*pricingRun, error) {
+	env FaultEnv, co *costObs) (*pricingRun, error) {
 	eng, err := ctx.NewEngine(opt)
 	if err != nil {
 		return nil, err
 	}
-	r := &pricingRun{faultEnv: env, ctx: ctx, plan: plan, op: op, opt: opt, eng: eng, co: co,
+	r := &pricingRun{FaultEnv: env, ctx: ctx, plan: plan, op: op, opt: opt, eng: eng, co: co,
 		nodes: ctx.Topo.Nodes(), meta: sh.MetaExchanges, live: plan.Domains, res: &FaultResult{}}
 	r.items, r.totalRounds = sh.workItems(plan, src)
 	// A clean run prices its longest item's rounds plus the metadata
@@ -112,20 +111,20 @@ func newPricingRun(ctx *Context, plan *Plan, sh *Shape, src *rankSource, op Op, 
 	}
 	// Only a fault that can make a node's messages, or a target's
 	// accesses, cost more gives the run a hot set to decide.
-	if r.allHot || r.inj.Holds(faults.MsgDelay, faults.MsgDrop, faults.MsgBitFlip, faults.NICFlaky) {
+	if r.allHot || r.Injector.Holds(faults.MsgDelay, faults.MsgDrop, faults.MsgBitFlip, faults.NICFlaky) {
 		r.hot = make([]bool, r.nodes)
 	}
-	if r.allHot || r.inj.Holds(faults.TornWrite, faults.OSTTransient, faults.OSTPermanent) {
+	if r.allHot || r.Injector.Holds(faults.TornWrite, faults.OSTTransient, faults.OSTPermanent) {
 		r.tgtHot = make([]bool, ctx.FS.Targets)
 	}
-	if r.inj != nil {
-		r.inj.SetObserver(ctx.Obs)
+	if r.Injector != nil {
+		r.Injector.SetObserver(ctx.Obs)
 		r.live = append([]Domain(nil), r.live...)
-		r.spec = r.inj.Spec()
-		if r.ad != nil {
-			r.ad.init(r.spec)
-			r.ad.Detector.SetObserver(ctx.Obs)
-			r.ad.Breakers.SetObserver(ctx.Obs)
+		r.spec = r.Injector.Spec()
+		if r.Adaptive != nil {
+			r.Adaptive.init(r.spec)
+			r.Adaptive.Detector.SetObserver(ctx.Obs)
+			r.Adaptive.Breakers.SetObserver(ctx.Obs)
 		}
 		r.node = make([]nodeFault, r.nodes)
 		for i, d := range r.live {
@@ -162,7 +161,7 @@ func (r *pricingRun) price() (*FaultResult, error) {
 	guard := 16*(r.totalRounds+1) + 1024
 	for {
 		now := r.eng.Elapsed()
-		if r.inj != nil {
+		if r.Injector != nil {
 			if err := r.boundary(now); err != nil {
 				return nil, err
 			}
@@ -212,7 +211,7 @@ func (r *pricingRun) itemsOn(node int) []*faultItem {
 // a round boundary, in this order: host events, stragglers, OST
 // slowdown, memory leaks, then the suspicion detector.
 func (r *pricingRun) boundary(now float64) error {
-	for _, ev := range r.inj.Advance(now) {
+	for _, ev := range r.Injector.Advance(now) {
 		if r.tlr != nil {
 			// The event's own schedule time, not the round boundary
 			// that discovered it: detection lag is measured from here.
@@ -225,19 +224,19 @@ func (r *pricingRun) boundary(now float64) error {
 		}
 	}
 	for n := 0; n < r.nodes; n++ {
-		r.eng.SetNodeSlowdown(n, r.inj.NodeSlowdown(n, now))
+		r.eng.SetNodeSlowdown(n, r.Injector.NodeSlowdown(n, now))
 	}
 	// Gray-fault pricing, identical for static and adaptive runs: a
 	// slowed-down OST stretches honest streaming (the excess lands in
 	// delay blame), a leaking node pages harder every round. A schedule
 	// without the fault leaves every target at 1× and every node
 	// unleaked, which the scans would only confirm.
-	if r.inj.Holds(faults.OSTSlowdown) {
+	if r.Injector.Holds(faults.OSTSlowdown) {
 		for t := 0; t < r.ctx.FS.Targets; t++ {
-			r.eng.SetTargetSlowdown(t, r.inj.OSTSlowdownFactor(t, now))
+			r.eng.SetTargetSlowdown(t, r.Injector.OSTSlowdownFactor(t, now))
 		}
 	}
-	if r.inj.Holds(faults.MemLeak) {
+	if r.Injector.Holds(faults.MemLeak) {
 		r.leak(now)
 	}
 	return r.detect(now)
@@ -247,7 +246,7 @@ func (r *pricingRun) boundary(now float64) error {
 // leaked fraction grew pages harder.
 func (r *pricingRun) leak(now float64) {
 	for n := range r.node {
-		frac, nf := r.inj.MemLeakFraction(n, now), &r.node[n]
+		frac, nf := r.Injector.MemLeakFraction(n, now), &r.node[n]
 		if frac <= nf.leakFrac {
 			continue
 		}
@@ -259,7 +258,7 @@ func (r *pricingRun) leak(now float64) {
 			r.tlr.AddGauge(timeline.Ent("node", n), "leak_frac", now, frac)
 		}
 		var sev float64
-		if mh, ok := r.handler.(MemDecayHandler); ok {
+		if mh, ok := r.Handler.(MemDecayHandler); ok {
 			sev = mh.OnMemDecay(n, frac)
 		} else {
 			sev = r.leakSeverity(n, frac)
@@ -296,7 +295,7 @@ func (r *pricingRun) leakSeverity(node int, frac float64) float64 {
 // suspected targets, and moves work off suspected hosts before a hard
 // fault makes the decision for it.
 func (r *pricingRun) detect(now float64) error {
-	inj, ad, tlr := r.inj, r.ad, r.tlr
+	inj, ad, tlr := r.Injector, r.Adaptive, r.tlr
 	if ad == nil || ad.Detector == nil {
 		return nil
 	}
@@ -367,7 +366,7 @@ func (r *pricingRun) hostEvent(ev faults.Event, proactive bool) (int, error) {
 			r.res.ReplayedRounds++
 		}
 	}
-	ras, err := r.handler.OnHostFault(r.ctx, HostFault{Node: ev.Node, Kind: ev.Kind, Time: ev.Time,
+	ras, err := r.Handler.OnHostFault(r.ctx, HostFault{Node: ev.Node, Kind: ev.Kind, Time: ev.Time,
 		Severity: ev.Severity, Proactive: proactive}, r.live, affected)
 	if err != nil {
 		return 0, err
@@ -479,11 +478,11 @@ func (r *pricingRun) refold(rec *sim.AggRound, src, dst int, reExchange bool) {
 // run with an injector, and none in a clean run.
 func (r *pricingRun) decideHot(now float64) bool {
 	for n := range r.hot {
-		r.hot[n] = r.allHot || r.inj.MessageHot(n, now)
+		r.hot[n] = r.allHot || r.Injector.MessageHot(n, now)
 	}
 	anyHot := false
 	for t := range r.tgtHot {
-		r.tgtHot[t] = r.allHot || r.inj.StorageHot(t, now)
+		r.tgtHot[t] = r.allHot || r.Injector.StorageHot(t, now)
 		anyHot = anyHot || r.tgtHot[t]
 	}
 	return anyHot
@@ -540,7 +539,7 @@ func (r *pricingRun) assembleShuffle(it *faultItem, d *Domain, now float64) {
 			if m.Bytes == 0 || !r.hot[m.SrcNode] {
 				continue
 			}
-			if r.inj != nil {
+			if r.Injector != nil {
 				r.message(m, now)
 			}
 			r.round.Messages = append(r.round.Messages, m)
@@ -600,7 +599,7 @@ func (r *pricingRun) assembleStorage(it *faultItem, d *Domain, anyTgtHot bool, n
 			}
 			one := io
 			one.Target, one.Count = h, 1
-			if r.inj != nil {
+			if r.Injector != nil {
 				r.access(&one, now)
 			}
 			ops = append(ops, one)
@@ -616,7 +615,7 @@ func (r *pricingRun) assembleStorage(it *faultItem, d *Domain, anyTgtHot bool, n
 // flaky-NIC drops and corrupted messages, each resent after the drop
 // timeout. Every resend moves the bytes again.
 func (r *pricingRun) message(m sim.AggMessage, now float64) {
-	inj, ad, res := r.inj, r.ad, r.res
+	inj, ad, res := r.Injector, r.Adaptive, r.res
 	delay := inj.MsgDelaySeconds(m.SrcNode, now) + inj.NICDelaySeconds(m.SrcNode, now)
 	if delay > 0 {
 		charged := delay
@@ -673,7 +672,7 @@ func (r *pricingRun) message(m sim.AggMessage, now float64) {
 // breaker. A torn write is caught by the read-back verify and re-issued:
 // one extra request on the target.
 func (r *pricingRun) access(io *sim.IOOp, now float64) {
-	inj, ad, tlr := r.inj, r.ad, r.tlr
+	inj, ad, tlr := r.Injector, r.Adaptive, r.tlr
 	fastFail := false
 	if ad != nil {
 		// Allow may move the breaker Open -> HalfOpen at the probe
@@ -727,7 +726,7 @@ func (r *pricingRun) finish() *FaultResult {
 	userBytes := plan.TotalBytes()
 	if r.ctx.Obs != nil {
 		name := plan.Strategy + " " + r.op.String()
-		if r.inj != nil {
+		if r.Injector != nil {
 			name += " (faults)"
 		}
 		span := r.ctx.Obs.Tracer().Begin(r.pid, sim.TIDTimeline, name, 0,
@@ -752,16 +751,16 @@ func (r *pricingRun) finish() *FaultResult {
 	if r.opt.Trace {
 		res.Trace = r.eng.TakeTrace()
 	}
-	if r.inj == nil {
+	if r.Injector == nil {
 		res.Injected = map[string]int{}
 		return res
 	}
-	res.Injected = r.inj.Counts()
+	res.Injected = r.Injector.Counts()
 	res.RecoverySeconds, res.RecoveryRounds = totals.RecoverySeconds, totals.RecoveryRounds
-	if r.ad != nil {
-		res.SuspectEvents = r.ad.Detector.Transitions()
-		res.BreakerOpens = r.ad.Breakers.Opens()
-		res.BreakerFastFails = r.ad.Breakers.FastFails()
+	if r.Adaptive != nil {
+		res.SuspectEvents = r.Adaptive.Detector.Transitions()
+		res.BreakerOpens = r.Adaptive.Breakers.Opens()
+		res.BreakerFastFails = r.Adaptive.Breakers.FastFails()
 	}
 	o := r.ctx.Obs
 	if o == nil {
@@ -777,7 +776,7 @@ func (r *pricingRun) finish() *FaultResult {
 	o.Counter("faults.torn_writes", r.base...).Add(int64(res.TornWrites))
 	o.Counter("faults.flaky_drops", r.base...).Add(int64(res.FlakyDrops))
 	o.Counter("faults.leaked_nodes", r.base...).Add(int64(res.LeakedNodes))
-	if r.ad != nil {
+	if r.Adaptive != nil {
 		o.Counter("faults.hedged_messages", r.base...).Add(int64(res.HedgedMessages))
 		o.Counter("faults.hedged_bytes", r.base...).Add(res.HedgedBytes)
 		o.Counter("faults.deduped_bytes", r.base...).Add(res.DedupedBytes)

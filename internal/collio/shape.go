@@ -17,8 +17,8 @@ import (
 // buffer, round count) stays in the plan the shape was built from. A
 // shape holds O(aggregators + contributing nodes) numbers, so a
 // million-rank operation prices without materializing one message per
-// rank. Build it once with BuildShape and price both directions from it
-// with CostShape, passing the same plan.
+// rank. Build it once with BuildShapeSet and price both directions from
+// it with CostShape, passing the same plan and request set.
 type Shape struct {
 	// MetaExchanges is the metadata scatter, one all-to-all exchange per
 	// group with aggregators and contributing members: each source node's
@@ -216,28 +216,25 @@ func sealContribs(cs []NodeContrib) []NodeContrib {
 	return out
 }
 
-// BuildShape is BuildShapeSet over a set built from reqs.
-func BuildShape(ctx *Context, plan *Plan, reqs []RankRequest) (*Shape, error) {
-	return BuildShapeSet(ctx, plan, NewRequestSet(reqs))
-}
-
 // BuildShapeSet derives the round structure of plan for the requests of
-// rs. The result is deterministic and is priced together with plan:
-// building it walks each rank's request list once (metadata sizes and
-// domain overlaps) and never materializes per-rank rounds.
+// rs. It first checks that plan tiles rs (Plan.ValidateSet), so a shape
+// exists only for a valid plan and every price is of one. The result is
+// deterministic and is priced together with plan: building it walks
+// each rank's request list once (metadata sizes and domain overlaps)
+// and never materializes per-rank rounds.
 func BuildShapeSet(ctx *Context, plan *Plan, rs *RequestSet) (*Shape, error) {
-	if err := ctx.Validate(); err != nil {
+	if err := plan.ValidateSet(rs); err != nil {
 		return nil, err
 	}
-	return buildShape(ctx, plan, rs), nil
+	return buildShape(ctx, plan, rs)
 }
 
 // shapeBuilds counts the shapes built.
 var shapeBuilds atomic.Int64
 
 // ShapeBuilds returns how many shapes this process has built: one per
-// BuildShapeSet call and one per pricing call that is not given a
-// shape.
+// BuildShapeSet or CostSet call, and one per call of the deprecated
+// []RankRequest shims.
 func ShapeBuilds() int64 { return shapeBuilds.Load() }
 
 // check reports whether sh can be priced with plan: a shape holds no
@@ -250,8 +247,12 @@ func (sh *Shape) check(plan *Plan) error {
 	return nil
 }
 
-// buildShape is BuildShapeSet for a validated ctx.
-func buildShape(ctx *Context, plan *Plan, rs *RequestSet) *Shape {
+// buildShape is BuildShapeSet without the plan check, which the
+// deprecated []RankRequest shims skip.
+func buildShape(ctx *Context, plan *Plan, rs *RequestSet) (*Shape, error) {
+	if err := ctx.Validate(); err != nil {
+		return nil, err
+	}
 	shapeBuilds.Add(1)
 	sh := &Shape{Contribs: make([][]NodeContrib, len(plan.Domains))}
 	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, rs)
@@ -278,15 +279,14 @@ func buildShape(ctx *Context, plan *Plan, rs *RequestSet) *Shape {
 	for i := range sh.Contribs {
 		sh.Contribs[i] = sealContribs(sh.Contribs[i])
 	}
-	return sh
+	return sh, nil
 }
 
 // workItems returns the shape of plan, the plan it was built from, as
 // fresh work items for one pricing run, in domain order, and the
 // domains' total round count. Each item carries the domain's geometry,
 // its per-node aggregates and fresh cursors into them. An item derives
-// its per-rank list from src when the run first reads it; a nil src
-// serves only runs that never do: clean and unobserved.
+// its per-rank list from src when the run first reads it.
 func (sh *Shape) workItems(plan *Plan, src *rankSource) (items []*faultItem, totalRounds int) {
 	items = make([]*faultItem, 0, len(plan.Domains))
 	backing := make([]faultItem, 0, len(plan.Domains))

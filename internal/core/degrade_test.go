@@ -209,8 +209,13 @@ func TestFailoverUnderCombinedFaultSchedule(t *testing.T) {
 	}
 
 	handler := &Failover{State: state, Detect: 0.01}
-	res, err := collio.CostWithFaults(ctx, plan, reqs, collio.Write,
-		sim.DefaultOptions(), faults.NewInjector(fplan), handler)
+	rs := collio.NewRequestSet(reqs)
+	sh, err := collio.BuildShapeSet(ctx, plan, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := collio.CostShape(ctx, plan, sh, rs, collio.Write, sim.DefaultOptions(),
+		collio.FaultEnv{Injector: faults.NewInjector(fplan), Handler: handler})
 	if err != nil {
 		t.Fatalf("combined fault schedule did not complete: %v", err)
 	}

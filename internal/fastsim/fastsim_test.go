@@ -40,14 +40,19 @@ func testContext(t *testing.T, ranks, perNode, targets int, avail int64) *collio
 
 // perRank prices like collio.CostWithFaults with every node walked per
 // rank: the byte-level reference the bundled loop behind this package's
-// forwarders must match bit for bit. CostAdaptive marks every node hot,
-// and an Adaptive with no detector, no breakers, no proactive failover
-// and hedging never armed responds exactly as the static retry-only
-// policy does. A nil injector prices a clean run.
+// forwarders must match bit for bit. An Adaptive in the env marks every
+// node hot, and one with no detector, no breakers, no proactive
+// failover and hedging never armed responds exactly as the static
+// retry-only policy does. A nil injector prices a clean run.
 func perRank(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest, op collio.Op,
 	opt sim.Options, inj *faults.Injector, handler collio.FaultHandler) (*collio.FaultResult, error) {
-	return collio.CostAdaptive(ctx, plan, reqs, op, opt, inj, handler,
-		&collio.Adaptive{HedgeMinSamples: math.MaxInt})
+	rs := collio.NewRequestSet(reqs)
+	sh, err := collio.BuildShapeSet(ctx, plan, rs)
+	if err != nil {
+		return nil, err
+	}
+	return collio.CostShape(ctx, plan, sh, rs, op, opt,
+		collio.FaultEnv{Injector: inj, Handler: handler, Adaptive: &collio.Adaptive{HedgeMinSamples: math.MaxInt}})
 }
 
 // priceBoth prices the plan through Sim.Cost (bundled per node) and on

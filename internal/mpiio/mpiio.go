@@ -140,13 +140,20 @@ func (f *File) collective(args []CollArgs, op collio.Op) (*collio.CostResult, er
 	if err != nil {
 		return nil, err
 	}
-	if err := plan.ValidateSet(rs); err != nil {
+	// The shape build validates the plan, so nothing moves under an
+	// invalid one.
+	sh, err := collio.BuildShapeSet(f.ctx, plan, rs)
+	if err != nil {
 		return nil, err
 	}
 	if err := collio.Exec(f.ctx, plan, data, f.file, op); err != nil {
 		return nil, err
 	}
-	return collio.CostSet(f.ctx, plan, rs, op, f.opt)
+	res, err := collio.CostShape(f.ctx, plan, sh, rs, op, f.opt, collio.FaultEnv{})
+	if err != nil {
+		return nil, err
+	}
+	return &res.CostResult, nil
 }
 
 // PlanOnly plans and prices a collective operation without moving bytes —
@@ -155,9 +162,6 @@ func (f *File) PlanOnly(reqs []collio.RankRequest, op collio.Op) (*collio.CostRe
 	rs := collio.NewRequestSet(reqs)
 	plan, err := f.strategy.PlanSet(f.ctx, rs)
 	if err != nil {
-		return nil, err
-	}
-	if err := plan.ValidateSet(rs); err != nil {
 		return nil, err
 	}
 	return collio.CostSet(f.ctx, plan, rs, op, f.opt)

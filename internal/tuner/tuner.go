@@ -99,9 +99,6 @@ func Tune(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 				if err != nil {
 					return nil, err
 				}
-				if err := plan.ValidateSet(rs); err != nil {
-					return nil, err
-				}
 				cost, err := collio.CostSet(&cctx, plan, rs, op, copt)
 				if err != nil {
 					return nil, err
