@@ -377,8 +377,8 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 		if err != nil {
 			return err
 		}
-		// Both directions price from one round structure, built once;
-		// building it validates the plan.
+		// Both directions price from one round structure, built once
+		// (building it validates the plan), in one walk of its rounds.
 		plan, err := s.PlanSet(ctx, rs)
 		var sh *collio.Shape
 		if err == nil {
@@ -387,15 +387,16 @@ func runSweep(cfg Config, wl Workload, workloadName string, strategies []collio.
 		if err != nil {
 			return fmt.Errorf("bench %s: %s at %d MB: %w", cfg.Name, s.Name(), memMB, err)
 		}
-		for _, op := range []collio.Op{collio.Write, collio.Read} {
-			res, err := collio.CostShape(ctx, plan, sh, rs, op, opt, collio.FaultEnv{})
-			if err != nil {
-				return err
-			}
+		ops := []collio.Op{collio.Write, collio.Read}
+		results, err := collio.CostShape(ctx, plan, sh, rs, ops, opt, collio.FaultEnv{})
+		if err != nil {
+			return err
+		}
+		for i, res := range results {
 			cellResults[ci] = append(cellResults[ci], Point{
 				MemMB:    memMB,
 				Strategy: s.Name(),
-				Op:       op.String(),
+				Op:       ops[i].String(),
 				MBps:     res.Bandwidth / 1e6,
 				Result:   &res.CostResult,
 			})

@@ -470,11 +470,11 @@ func perRankSweep(t *testing.T, cfg Config, wl Workload) []*collio.CostResult {
 				t.Fatal(err)
 			}
 			for _, op := range []collio.Op{collio.Write, collio.Read} {
-				res, err := collio.CostShape(ctx, plan, sh, rs, op, opt, collio.FaultEnv{Adaptive: &collio.Adaptive{}})
+				res, err := collio.CostShape(ctx, plan, sh, rs, []collio.Op{op}, opt, collio.FaultEnv{Adaptive: &collio.Adaptive{}})
 				if err != nil {
 					t.Fatal(err)
 				}
-				out = append(out, &res.CostResult)
+				out = append(out, &res[0].CostResult)
 			}
 		}
 	}

@@ -129,7 +129,11 @@ func costFresh(ctx *collio.Context, plan *collio.Plan, rs *collio.RequestSet, op
 	if err != nil {
 		return nil, err
 	}
-	return collio.CostShape(ctx, plan, sh, rs, op, opt, env)
+	res, err := collio.CostShape(ctx, plan, sh, rs, []collio.Op{op}, opt, env)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // smallExaPoint is the fig-exa-faults point shrunk to ranks ranks, on

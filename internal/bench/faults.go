@@ -65,8 +65,12 @@ func (g *gridPlan) run(ctx *collio.Context, rs *collio.RequestSet, op collio.Op,
 	} else {
 		handler = twophase.NewStallRetry(ctx.Avail, spec.StallSeconds)
 	}
-	return collio.CostShape(ctx, g.plan, g.shape, rs, op, opt,
+	res, err := collio.CostShape(ctx, g.plan, g.shape, rs, []collio.Op{op}, opt,
 		collio.FaultEnv{Injector: faults.NewInjector(fplan), Handler: handler})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // faultCell is one cell of a fault grid: the label its ledger entries

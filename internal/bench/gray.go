@@ -332,11 +332,15 @@ func priceGray(ctx *collio.Context, s *core.Strategy, rs *collio.RequestSet, det
 	if err != nil {
 		return nil, err
 	}
-	return collio.CostShape(ctx, plan, sh, rs, collio.Write, sim.DefaultOptions(), collio.FaultEnv{
+	res, err := collio.CostShape(ctx, plan, sh, rs, []collio.Op{collio.Write}, sim.DefaultOptions(), collio.FaultEnv{
 		Injector: faults.NewInjector(fplan),
 		Handler:  &core.Failover{State: state, Detect: detect},
 		Adaptive: ad,
 	})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // grayDuel runs the pinned acceptance scenario on a fixed machine: a

@@ -146,21 +146,34 @@ func CostSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options) (
 	if err != nil {
 		return nil, err
 	}
-	res, err := CostShape(ctx, plan, sh, rs, op, opt, FaultEnv{})
+	res, err := CostShape(ctx, plan, sh, rs, []Op{op}, opt, FaultEnv{})
 	if err != nil {
 		return nil, err
 	}
-	return &res.CostResult, nil
+	return &res[0].CostResult, nil
 }
 
-// CostShape prices one direction of plan from sh, its shape over rs,
-// under env; the zero env is the clean run. Neither plan nor sh is
-// changed, so one shape serves both directions and every cell of a
-// fault grid, each with its own injector and handler. The same inputs
-// always produce the same result; with ctx.Obs set the run also counts
-// per-rank MPI traffic and per-domain shuffle bytes.
-func CostShape(ctx *Context, plan *Plan, sh *Shape, rs *RequestSet, op Op, opt sim.Options, env FaultEnv) (*FaultResult, error) {
+// CostShape prices plan from sh, its shape over rs, in each direction of
+// ops — one, or write and read in either order — under env, and returns
+// one result per direction, in order; the zero env is the clean run. Neither plan nor sh is changed, so one
+// shape serves both directions and every cell of a fault grid, each
+// with its own injector and handler. The same inputs always produce the
+// same result; with ctx.Obs set the run also counts per-rank MPI
+// traffic and per-domain shuffle bytes.
+//
+// Both directions price in one walk: each round is built once, for the
+// first, and run on one engine per direction, mirrored for the second
+// (sim.Engine.RunAggRoundMirrored), so each result is bit-identical to
+// pricing its direction alone. A clean round's two directions differ in
+// nothing else; a faulted or adaptive round's do (the injector is asked
+// about the sending node), and the observer and timeline record one
+// direction. So a walk of both directions needs a clean env, and
+// ctx.Obs and ctx.Timeline nil; otherwise CostShape returns an error.
+func CostShape(ctx *Context, plan *Plan, sh *Shape, rs *RequestSet, ops []Op, opt sim.Options, env FaultEnv) ([]*FaultResult, error) {
 	if err := sh.check(plan); err != nil {
+		return nil, err
+	}
+	if err := checkDirections(ctx, ops, env); err != nil {
 		return nil, err
 	}
 	env.allHot = env.allHot || env.Adaptive != nil
@@ -169,14 +182,40 @@ func CostShape(ctx *Context, plan *Plan, sh *Shape, rs *RequestSet, op Op, opt s
 	} else if env.Handler == nil {
 		return nil, fmt.Errorf("collio: fault injection without a FaultHandler")
 	}
-	co := newCostObs(ctx, plan, op)
+	co := newCostObs(ctx, plan, ops[0])
 	co.meta(ctx, plan, rs)
 	src := &rankSource{rs: rs, topo: &ctx.Topo}
-	r, err := newPricingRun(ctx, plan, sh, src, op, opt, env, co)
+	r, err := newPricingRun(ctx, plan, sh, src, ops, opt, env, co)
 	if err != nil {
 		return nil, err
 	}
 	return r.price()
+}
+
+// checkDirections reports why ops cannot be priced in one walk under
+// env, or nil: ops must be one direction, or two opposite ones for a
+// clean, unobserved run.
+func checkDirections(ctx *Context, ops []Op, env FaultEnv) error {
+	var conflict string
+	switch {
+	case len(ops) == 1:
+		return nil
+	case len(ops) != 2 || ops[0] == ops[1]:
+		return fmt.Errorf("collio: directions %v: price one, or write and read", ops)
+	case !env.Injector.Empty():
+		conflict = "a fault injector"
+	case env.Adaptive != nil:
+		conflict = "an adaptive policy"
+	case env.allHot:
+		conflict = "the all-hot walk"
+	case ctx.Obs != nil:
+		conflict = "an observer"
+	case ctx.Timeline != nil:
+		conflict = "a timeline"
+	default:
+		return nil
+	}
+	return fmt.Errorf("collio: both directions priced in one walk with %s; price each alone", conflict)
 }
 
 // NewEngine builds a pricing engine for the context's machine and file

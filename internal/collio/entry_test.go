@@ -106,7 +106,7 @@ func TestCostShapeObservedMatchesCostSet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := collio.CostShape(&shapeCtx, plan, sh, c.rs, op, c.opt, collio.FaultEnv{})
+			got, err := costOne(&shapeCtx, plan, sh, c.rs, op, c.opt, collio.FaultEnv{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -114,16 +114,21 @@ func (src *rankSource) derive(base []pfs.Extent, aggs []NodeContrib) []faultCont
 }
 
 // spanBound bounds the stripe spans one round slice of the item maps
-// to (pfs.Mapper.Map): at most Buf bytes of Base. A single extent maps
-// to at most five spans. Several extents map to one span per target
-// they touch, and an extent of L bytes touches at most L/StripeUnit+2
-// stripe units.
+// to (pfs.Mapper.Map): at most Buf bytes of Base. An extent of L bytes
+// touches at most L/StripeUnit+2 stripe units. A single extent maps to
+// at most four spans when it touches no more units than there are
+// targets, and to at most five beyond that. Several extents map to one
+// span per target they touch.
 func (it *faultItem) spanBound(c pfs.Config) int {
-	n := int64(c.Targets)
+	n, units := int64(c.Targets), it.Buf/c.StripeUnit+2*int64(len(it.Base))
 	if len(it.Base) == 1 {
-		n = min(n, 5)
+		spans := int64(5)
+		if units <= n {
+			spans = 4
+		}
+		n = min(n, spans)
 	}
-	return int(min(n, it.Buf/c.StripeUnit+2*int64(len(it.Base))))
+	return int(min(n, units))
 }
 
 // nodeAggs returns the item's per-node contribution aggregates and the

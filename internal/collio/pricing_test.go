@@ -34,7 +34,17 @@ func (c pricingCase) price(ctx *collio.Context, plan *collio.Plan, op collio.Op,
 	if err != nil {
 		return nil, err
 	}
-	return collio.CostShape(ctx, plan, sh, c.rs, op, c.opt, env)
+	return costOne(ctx, plan, sh, c.rs, op, c.opt, env)
+}
+
+// costOne prices the one direction op through CostShape.
+func costOne(ctx *collio.Context, plan *collio.Plan, sh *collio.Shape, rs *collio.RequestSet, op collio.Op,
+	opt sim.Options, env collio.FaultEnv) (*collio.FaultResult, error) {
+	res, err := collio.CostShape(ctx, plan, sh, rs, []collio.Op{op}, opt, env)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // costReqs prices plan over a set built from reqs under env through the
@@ -46,7 +56,7 @@ func costReqs(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest,
 	if err != nil {
 		return nil, err
 	}
-	return collio.CostShape(ctx, plan, sh, rs, op, opt, env)
+	return costOne(ctx, plan, sh, rs, op, opt, env)
 }
 
 // pricingCtx builds a small self-consistent context: ranks on nodes
@@ -316,7 +326,7 @@ func cleanParity(t *testing.T, name string, c pricingCase, strategy string, op c
 	if err != nil {
 		t.Fatal(err)
 	}
-	shaped, err := collio.CostShape(c.ctx, plan, sh, c.rs, op, c.opt, collio.FaultEnv{})
+	shaped, err := costOne(c.ctx, plan, sh, c.rs, op, c.opt, collio.FaultEnv{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +343,7 @@ func cleanParity(t *testing.T, name string, c pricingCase, strategy string, op c
 			if hot {
 				env = collio.AllHot(env)
 			}
-			got, err := collio.CostShape(c.ctx, plan, sh, c.rs, op, c.opt, env)
+			got, err := costOne(c.ctx, plan, sh, c.rs, op, c.opt, env)
 			if err != nil {
 				t.Fatalf("%s (all hot %v): %v", name, hot, err)
 			}
@@ -491,7 +501,7 @@ func TestCostShapeRejectsOtherPlan(t *testing.T) {
 	}
 	fewer := *plan
 	fewer.Domains = plan.Domains[:len(plan.Domains)-1]
-	if _, err := collio.CostShape(c.ctx, &fewer, sh, c.rs, collio.Write, c.opt, collio.FaultEnv{}); err == nil {
+	if _, err := costOne(c.ctx, &fewer, sh, c.rs, collio.Write, c.opt, collio.FaultEnv{}); err == nil {
 		t.Fatal("a shape of another plan was priced")
 	}
 }

@@ -107,7 +107,7 @@ func TestRequestSetPathMatchesWrappers(t *testing.T) {
 					if serr != nil {
 						t.Fatal(serr)
 					}
-					res, err = collio.CostShape(ctx, plan, sh, rs, collio.Write, opt,
+					res, err = costOne(ctx, plan, sh, rs, collio.Write, opt,
 						collio.FaultEnv{Injector: inj, Handler: handler})
 				} else {
 					res, err = collio.CostWithFaults(ctx, plan, reqs, collio.Write, opt, inj, handler)

@@ -21,17 +21,23 @@ import (
 // per target through the injector hooks, in the order the injector is
 // queried and extra latency is summed in (DESIGN.md, "Pricing: one
 // loop, bundled where exact, per rank where hot").
+//
+// A run prices one direction, or both. Its rounds are built for the
+// first, whose engine and result fault state and recovery act on; the
+// mirror direction's engine, when there is one, runs each round
+// mirrored. Only a clean run without an observer or timeline prices
+// both (CostShape).
 type pricingRun struct {
 	FaultEnv
-	ctx  *Context
-	plan *Plan
-	op   Op
-	opt  sim.Options
-	eng  *sim.Engine
-	co   *costObs // per-rank traffic counters; nil counts none
-	tlr  *timeline.Recorder
-	base []obs.Label // the observer labels: strategy and op
-	pid  int         // the strategy's tracer process
+	direction
+	mirror *direction // the opposite direction; nil when the run prices one
+	ctx    *Context
+	plan   *Plan
+	opt    sim.Options
+	co     *costObs // per-rank traffic counters; nil counts none
+	tlr    *timeline.Recorder
+	base   []obs.Label // the observer labels: strategy and op
+	pid    int         // the strategy's tracer process
 
 	nodes int
 	ioBW  float64     // per-target streaming bandwidth for op
@@ -59,7 +65,13 @@ type pricingRun struct {
 	msgCap, ioCap int // the round buffers' size before the first round
 	slice         []pfs.Extent
 	mapper        *pfs.Mapper
+}
 
+// direction is one direction a run prices, with the engine that prices
+// it and its result.
+type direction struct {
+	op  Op
+	eng *sim.Engine
 	res *FaultResult
 }
 
@@ -70,16 +82,13 @@ type nodeFault struct {
 	severity float64 // the worst paging severity declared, so recoveries never lower it
 }
 
-// newPricingRun readies a run of plan priced from sh, the shape built
-// from it. src derives the items' per-rank lists.
-func newPricingRun(ctx *Context, plan *Plan, sh *Shape, src *rankSource, op Op, opt sim.Options,
+// newPricingRun readies a run of plan in the directions ops, priced
+// from sh, the shape built from it. src derives the items' per-rank
+// lists.
+func newPricingRun(ctx *Context, plan *Plan, sh *Shape, src *rankSource, ops []Op, opt sim.Options,
 	env FaultEnv, co *costObs) (*pricingRun, error) {
-	eng, err := ctx.NewEngine(opt)
-	if err != nil {
-		return nil, err
-	}
-	r := &pricingRun{FaultEnv: env, ctx: ctx, plan: plan, op: op, opt: opt, eng: eng, co: co,
-		nodes: ctx.Topo.Nodes(), meta: sh.MetaExchanges, live: plan.Domains, res: &FaultResult{}}
+	r := &pricingRun{FaultEnv: env, ctx: ctx, plan: plan, opt: opt, co: co,
+		nodes: ctx.Topo.Nodes(), meta: sh.MetaExchanges, live: plan.Domains}
 	r.items, r.totalRounds = sh.workItems(plan, src)
 	// A clean run prices its longest item's rounds plus the metadata
 	// round; recovery rounds, if any, grow the trace past that.
@@ -87,26 +96,40 @@ func newPricingRun(ctx *Context, plan *Plan, sh *Shape, src *rankSource, op Op, 
 	for _, it := range r.items {
 		maxRounds = max(maxRounds, it.Rounds)
 	}
-	eng.ReserveTrace(maxRounds + 1)
-	r.base = []obs.Label{obs.L("strategy", plan.Strategy), obs.L("op", op.String())}
-	if ctx.Obs != nil {
-		r.pid = ctx.Obs.Tracer().PID(plan.Strategy)
-		eng.SetObserver(ctx.Obs, r.pid, r.base...)
-	}
 	placements := make([]sim.AggregatorPlacement, len(plan.Domains))
 	for i, d := range plan.Domains {
 		placements[i] = sim.AggregatorPlacement{Node: d.AggNode, BufferBytes: d.BufferBytes, PagedSeverity: d.PagedSeverity}
 	}
-	eng.SetAggregators(placements)
+	for i, op := range ops {
+		eng, err := ctx.NewEngine(opt)
+		if err != nil {
+			return nil, err
+		}
+		eng.ReserveTrace(maxRounds + 1)
+		d := direction{op: op, eng: eng, res: &FaultResult{}}
+		if i == 0 {
+			r.direction = d
+			// The observer, which only a run of one direction has,
+			// attaches before the placements are set: it counts them.
+			r.base = []obs.Label{obs.L("strategy", plan.Strategy), obs.L("op", op.String())}
+			if ctx.Obs != nil {
+				r.pid = ctx.Obs.Tracer().PID(plan.Strategy)
+				eng.SetObserver(ctx.Obs, r.pid, r.base...)
+			}
+		} else {
+			r.mirror = &d
+		}
+		eng.SetAggregators(placements)
+	}
 	if r.tlr = ctx.Timeline; r.tlr != nil {
-		eng.SetTimeline(r.tlr)
+		r.eng.SetTimeline(r.tlr)
 		r.tlr.SetMeta("strategy", plan.Strategy)
-		r.tlr.SetMeta("op", op.String())
+		r.tlr.SetMeta("op", r.op.String())
 		r.tlr.SetMeta("mem_min_bytes", strconv.FormatInt(ctx.Params.MemMin, 10))
 	}
 	tlBufferGauges(ctx, plan.Domains, 0)
 	r.ioBW = ctx.FS.TargetBW
-	if op == Read && ctx.FS.ReadBWFactor > 0 {
+	if r.op == Read && ctx.FS.ReadBWFactor > 0 {
 		r.ioBW *= ctx.FS.ReadBWFactor
 	}
 	// Only a fault that can make a node's messages, or a target's
@@ -151,10 +174,15 @@ func newPricingRun(ctx *Context, plan *Plan, sh *Shape, src *rankSource, op Op, 
 }
 
 // price runs the access-list exchange, then data rounds until no item
-// has work left.
-func (r *pricingRun) price() (*FaultResult, error) {
+// has work left, and returns one result per direction.
+func (r *pricingRun) price() ([]*FaultResult, error) {
 	if len(r.meta) > 0 {
-		r.eng.RunAggRound(sim.AggRound{Kind: sim.RoundMetadata, Exchanges: r.meta})
+		// The access-list exchange is the same in either direction.
+		meta := sim.AggRound{Kind: sim.RoundMetadata, Exchanges: r.meta}
+		r.eng.RunAggRound(meta)
+		if r.mirror != nil {
+			r.mirror.eng.RunAggRound(meta)
+		}
 	}
 	// The guard bounds pathological refold cascades; a correct handler
 	// converges far below it.
@@ -187,6 +215,9 @@ func (r *pricingRun) price() (*FaultResult, error) {
 			r.eng.AddLatency(r.extraLat)
 		}
 		r.eng.RunAggRound(r.round)
+		if r.mirror != nil {
+			r.mirror.eng.RunAggRoundMirrored(r.round)
+		}
 		r.executed++
 		if r.executed > guard {
 			return nil, fmt.Errorf("collio: fault recovery did not converge after %d rounds", r.executed)
@@ -716,16 +747,36 @@ func (r *pricingRun) access(io *sim.IOOp, now float64) {
 	}
 }
 
-// finish builds the run's result and, under an observer, its span and
-// fault counters.
-func (r *pricingRun) finish() *FaultResult {
+// finish builds each direction's result, in the order the run was
+// given them.
+func (r *pricingRun) finish() []*FaultResult {
 	if cap(r.round.Messages) != r.msgCap || cap(r.round.IOOps) != r.ioCap {
 		regrownRuns.Add(1)
 	}
-	plan, res := r.plan, r.res
+	paged := 0
+	buffers := make([]float64, 0, len(r.plan.Domains))
+	for _, d := range r.plan.Domains {
+		buffers = append(buffers, float64(d.BufferBytes))
+		if d.PagedSeverity > 0 {
+			paged++
+		}
+	}
+	summary := stats.Summarize(buffers)
+	out := []*FaultResult{r.result(r.direction, paged, summary)}
+	if r.mirror != nil {
+		out = append(out, r.result(*r.mirror, paged, summary))
+	}
+	return out
+}
+
+// result builds direction d's result from its engine, with the plan's
+// paged aggregator count and buffer summary, and, under an observer,
+// its span and fault counters.
+func (r *pricingRun) result(d direction, paged int, buffers stats.Summary) *FaultResult {
+	plan, res := r.plan, d.res
 	userBytes := plan.TotalBytes()
 	if r.ctx.Obs != nil {
-		name := plan.Strategy + " " + r.op.String()
+		name := plan.Strategy + " " + d.op.String()
 		if r.Injector != nil {
 			name += " (faults)"
 		}
@@ -734,22 +785,15 @@ func (r *pricingRun) finish() *FaultResult {
 			obs.A("domains", strconv.Itoa(len(plan.Domains))),
 			obs.A("rounds", strconv.Itoa(r.executed)),
 			obs.A("user_bytes", strconv.FormatInt(userBytes, 10)))
-		span.End(r.eng.Elapsed())
+		span.End(d.eng.Elapsed())
 	}
-	totals := r.eng.Totals()
-	res.CostResult = CostResult{Strategy: plan.Strategy, Op: r.op, UserBytes: userBytes,
-		Seconds: r.eng.Elapsed(), Bandwidth: r.eng.Bandwidth(userBytes), Totals: totals,
-		Aggregators: len(plan.Aggregators()), Domains: len(plan.Domains), Groups: plan.Groups, MaxRounds: r.executed}
-	buffers := make([]float64, 0, len(plan.Domains))
-	for _, d := range plan.Domains {
-		buffers = append(buffers, float64(d.BufferBytes))
-		if d.PagedSeverity > 0 {
-			res.PagedAggregators++
-		}
-	}
-	res.BufferSummary = stats.Summarize(buffers)
+	totals := d.eng.Totals()
+	res.CostResult = CostResult{Strategy: plan.Strategy, Op: d.op, UserBytes: userBytes,
+		Seconds: d.eng.Elapsed(), Bandwidth: d.eng.Bandwidth(userBytes), Totals: totals,
+		Aggregators: len(plan.Aggregators()), Domains: len(plan.Domains), Groups: plan.Groups, MaxRounds: r.executed,
+		PagedAggregators: paged, BufferSummary: buffers}
 	if r.opt.Trace {
-		res.Trace = r.eng.TakeTrace()
+		res.Trace = d.eng.TakeTrace()
 	}
 	if r.Injector == nil {
 		res.Injected = map[string]int{}

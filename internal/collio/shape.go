@@ -263,6 +263,13 @@ func buildShape(ctx *Context, plan *Plan, rs *RequestSet) (*Shape, error) {
 		buckets[i] = d.Extents
 	}
 	if len(plan.Domains) > 0 {
+		// Each domain's list starts in one shared backing array, with
+		// room for the two nodes most domains' data spans; a longer list
+		// moves out on its own, as append does.
+		backing := make([]NodeContrib, 2*len(plan.Domains))
+		for i := range sh.Contribs {
+			sh.Contribs[i] = backing[2*i : 2*i : 2*i+2]
+		}
 		index := NewExtentIndex(buckets)
 		var overlaps []BucketBytes // one scratch allocation for all requests
 		for i := range rs.Len() {
@@ -276,8 +283,12 @@ func buildShape(ctx *Context, plan *Plan, rs *RequestSet) (*Shape, error) {
 			}
 		}
 	}
-	for i := range sh.Contribs {
-		sh.Contribs[i] = sealContribs(sh.Contribs[i])
+	for i, cs := range sh.Contribs {
+		if len(cs) == 0 {
+			sh.Contribs[i] = nil // a domain no rank shuffles with
+			continue
+		}
+		sh.Contribs[i] = sealContribs(cs)
 	}
 	return sh, nil
 }

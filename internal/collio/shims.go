@@ -64,5 +64,9 @@ func CostWithFaults(ctx *Context, plan *Plan, reqs []RankRequest, op Op, opt sim
 	if err != nil {
 		return nil, err
 	}
-	return CostShape(ctx, plan, sh, rs, op, opt, FaultEnv{Injector: inj, Handler: handler})
+	res, err := CostShape(ctx, plan, sh, rs, []Op{op}, opt, FaultEnv{Injector: inj, Handler: handler})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }

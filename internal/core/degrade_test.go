@@ -214,11 +214,12 @@ func TestFailoverUnderCombinedFaultSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := collio.CostShape(ctx, plan, sh, rs, collio.Write, sim.DefaultOptions(),
+	results, err := collio.CostShape(ctx, plan, sh, rs, []collio.Op{collio.Write}, sim.DefaultOptions(),
 		collio.FaultEnv{Injector: faults.NewInjector(fplan), Handler: handler})
 	if err != nil {
 		t.Fatalf("combined fault schedule did not complete: %v", err)
 	}
+	res := results[0]
 	if res.Failovers == 0 {
 		t.Fatal("crash + collapse produced no failovers")
 	}

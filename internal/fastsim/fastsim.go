@@ -44,11 +44,11 @@ func (s *Sim) Shape() *collio.Shape { return s.shape }
 //
 // Deprecated: use collio.CostShape.
 func (s *Sim) Cost(op collio.Op, opt sim.Options) (*collio.CostResult, error) {
-	res, err := collio.CostShape(s.ctx, s.plan, s.shape, s.rs, op, opt, collio.FaultEnv{})
+	res, err := collio.CostShape(s.ctx, s.plan, s.shape, s.rs, []collio.Op{op}, opt, collio.FaultEnv{})
 	if err != nil {
 		return nil, err
 	}
-	return &res.CostResult, nil
+	return &res[0].CostResult, nil
 }
 
 // CostWithFaults prices a faulted run.

@@ -51,8 +51,12 @@ func perRank(ctx *collio.Context, plan *collio.Plan, reqs []collio.RankRequest, 
 	if err != nil {
 		return nil, err
 	}
-	return collio.CostShape(ctx, plan, sh, rs, op, opt,
+	res, err := collio.CostShape(ctx, plan, sh, rs, []collio.Op{op}, opt,
 		collio.FaultEnv{Injector: inj, Handler: handler, Adaptive: &collio.Adaptive{HedgeMinSamples: math.MaxInt}})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // priceBoth prices the plan through Sim.Cost (bundled per node) and on

@@ -149,11 +149,11 @@ func (f *File) collective(args []CollArgs, op collio.Op) (*collio.CostResult, er
 	if err := collio.Exec(f.ctx, plan, data, f.file, op); err != nil {
 		return nil, err
 	}
-	res, err := collio.CostShape(f.ctx, plan, sh, rs, op, f.opt, collio.FaultEnv{})
+	res, err := collio.CostShape(f.ctx, plan, sh, rs, []collio.Op{op}, f.opt, collio.FaultEnv{})
 	if err != nil {
 		return nil, err
 	}
-	return &res.CostResult, nil
+	return &res[0].CostResult, nil
 }
 
 // PlanOnly plans and prices a collective operation without moving bytes —

@@ -294,8 +294,13 @@ func SliceDataAppend(out []Extent, exts []Extent, dataOff, n int64) []Extent {
 	if n == 0 {
 		return out
 	}
+	if len(exts) != 1 || exts[0].Length <= 0 {
+		// One extent of positive length is canonical already: the
+		// round slices of a contiguous domain skip the check.
+		exts = Normalized(exts)
+	}
 	var pos int64
-	for _, e := range Normalized(exts) {
+	for _, e := range exts {
 		if n <= 0 {
 			break
 		}
@@ -435,10 +440,14 @@ func (c Config) NewMapper() *Mapper {
 // Map decomposes the extents into spans: runs of consecutive targets,
 // ascending and disjoint, each of whose targets sees the span's access.
 // Expanding the spans gives MapExtents. A single extent maps in closed
-// form to at most five spans whatever its length (see spanExtent); a
-// list of several extents maps target by target into spans of one.
+// form to at most five spans whatever its length, and to at most four
+// when it touches no more stripe units than there are targets (see
+// spanExtent); a list of several extents maps target by target into
+// spans of one.
 func (m *Mapper) Map(exts []Extent) []TargetAccess {
-	exts = Normalized(exts)
+	if len(exts) != 1 || exts[0].Length <= 0 {
+		exts = Normalized(exts) // one extent of positive length is canonical already
+	}
 	m.out = m.out[:0]
 	if len(exts) == 1 {
 		m.spanExtent(exts[0])
@@ -507,9 +516,11 @@ func (m *Mapper) Map(exts []Extent) []TargetAccess {
 // (i = iTail, the last unit's offset) are trimmed, and iTail+1 = r
 // whenever r > 0, so the offsets fall into four runs of equal access,
 // [0,1), [1,iTail), [iTail,iTail+1) and [iTail+1,touched), some empty.
-// Each run is split where it wraps to target 0, at i = Targets -
-// first%Targets; wrapped pieces come first, so the spans ascend by
-// target.
+// The last is empty unless the extent touches more units than there
+// are targets, so otherwise at most three runs are non-empty. Each run
+// is split where it wraps to target 0, at i = Targets - first%Targets,
+// which adds at most one span; wrapped pieces come first, so the spans
+// ascend by target.
 func (m *Mapper) spanExtent(e Extent) {
 	su, tn := m.cfg.StripeUnit, int64(m.cfg.Targets)
 	first, last := e.Offset/su, (e.End()-1)/su

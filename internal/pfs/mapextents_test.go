@@ -90,7 +90,8 @@ func expandSpans(t *testing.T, spans []TargetAccess, targets int) []TargetAccess
 // Extents start anywhere in a stripe cycle, so runs wrap past the last
 // target, and reach several cycles long; a script of more than one
 // extent exercises the multi-extent path. A single extent maps to at
-// most five spans whatever its length.
+// most four spans when it touches no more stripe units than there are
+// targets, and to at most five whatever its length.
 func FuzzMapSpans(f *testing.F) {
 	f.Add(uint8(4), uint8(3), []byte{5, 40})
 	f.Add(uint8(7), uint8(16), []byte{200, 255, 255})
@@ -118,8 +119,16 @@ func FuzzMapSpans(f *testing.F) {
 			t.Fatalf("targets=%d su=%d exts=%v:\nspans:     %+v\nexpanded:  %+v\nunit walk: %+v",
 				cfg.Targets, cfg.StripeUnit, exts, spans, got, want)
 		}
-		if len(Normalized(exts)) == 1 && len(spans) > 5 {
-			t.Fatalf("one extent %v mapped to %d spans: %+v", exts, len(spans), spans)
+		if norm := Normalized(exts); len(norm) == 1 {
+			e := norm[0]
+			bound := 5
+			if units := (e.End()-1)/cfg.StripeUnit - e.Offset/cfg.StripeUnit + 1; units <= int64(cfg.Targets) {
+				bound = 4
+			}
+			if len(spans) > bound {
+				t.Fatalf("one extent %v over %d targets mapped to %d spans, want at most %d: %+v",
+					exts, cfg.Targets, len(spans), bound, spans)
+			}
 		}
 		if !reflect.DeepEqual(cfg.MapExtents(exts), want) {
 			t.Fatalf("MapExtents(%v) differs from the unit walk", exts)

@@ -111,6 +111,73 @@ func TestRunAggRoundBundlesMatchSingleMessages(t *testing.T) {
 	}
 }
 
+// mirror returns r run in the opposite direction: each message swapped
+// end for end, each access's Write negated.
+func mirror(r AggRound) AggRound {
+	m := AggRound{Kind: r.Kind, Exchanges: r.Exchanges}
+	for _, msg := range r.Messages {
+		msg.SrcNode, msg.DstNode = msg.DstNode, msg.SrcNode
+		m.Messages = append(m.Messages, msg)
+	}
+	for _, op := range r.IOOps {
+		op.Write = !op.Write
+		m.IOOps = append(m.IOOps, op)
+	}
+	return m
+}
+
+// TestMirroredRoundMatchesSwapped feeds randomized rounds to one engine
+// through RunAggRoundMirrored and their mirror images to another
+// through RunAggRound, and demands bit-identical costs, totals and
+// trace entries: a mirrored round is exactly the opposite direction's
+// round, and the round itself is left unchanged.
+func TestMirroredRoundMatchesSwapped(t *testing.T) {
+	mc := machine.Testbed640()
+	st := StorageParams{Targets: 8, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
+	opt := DefaultOptions()
+	opt.Trace = true
+	mirEng, err := NewEngine(mc, st, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapEng, err := NewEngine(mc, st, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs := []AggregatorPlacement{{Node: 0, BufferBytes: 16 << 20}, {Node: 2, BufferBytes: 16 << 20, PagedSeverity: 0.5}}
+	for _, e := range []*Engine{mirEng, swapEng} {
+		e.SetAggregators(aggs)
+		e.SetNodeSlowdown(1, 1.5)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 30; round++ {
+		var r AggRound
+		for i := rng.Intn(20); i > 0; i-- {
+			r.Messages = append(r.Messages, AggMessage{SrcNode: rng.Intn(5), DstNode: rng.Intn(5),
+				Bytes: int64(rng.Intn(1 << 20)), Count: 1 + rng.Intn(3)})
+		}
+		for i := rng.Intn(6); i > 0; i-- {
+			r.IOOps = append(r.IOOps, IOOp{Target: rng.Intn(4), Count: 1 + rng.Intn(4), Node: rng.Intn(5),
+				Bytes: int64(rng.Intn(4 << 20)), Requests: 1 + rng.Intn(3), Contiguous: rng.Intn(2) == 0,
+				Write: round%3 != 0})
+		}
+		before := mirror(mirror(r))
+		got, want := mirEng.RunAggRoundMirrored(r), swapEng.RunAggRound(mirror(r))
+		if got != want {
+			t.Fatalf("round %d: mirrored cost %+v, swapped cost %+v", round, got, want)
+		}
+		if !reflect.DeepEqual(r, before) {
+			t.Fatalf("round %d: pricing a mirrored round changed it", round)
+		}
+	}
+	if g, w := mirEng.Totals(), swapEng.Totals(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("totals diverge:\nmirrored: %+v\nswapped:  %+v", g, w)
+	}
+	if g, w := mirEng.TakeTrace(), swapEng.TakeTrace(); !reflect.DeepEqual(g, w) {
+		t.Fatal("traces diverge")
+	}
+}
+
 // TestAccExchangeMatchesMessages expands randomized all-to-all bundles
 // into their constituent per-rank messages (Count 1 each) and demands
 // that an Exchange prices bit-identically to the dense message form —

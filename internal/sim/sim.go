@@ -685,15 +685,23 @@ type AggRound struct {
 // computed once per bundle instead of once per message: for integral
 // MemCopyFactor (the default 2) the two are bit-identical; otherwise
 // they differ by at most one byte per constituent message.
-func (e *Engine) RunAggRound(r AggRound) RoundCost { return e.runAggRound(r, false) }
+func (e *Engine) RunAggRound(r AggRound) RoundCost { return e.runAggRound(r, false, false) }
+
+// RunAggRoundMirrored prices r run in the opposite direction: each
+// message travels from its DstNode to its SrcNode and each access's
+// Write is negated; nothing else changes. A clean read and write of one
+// schedule differ in only that, so one assembled round can feed both
+// directions' engines, each accumulating what a round built for its own
+// direction would give it.
+func (e *Engine) RunAggRoundMirrored(r AggRound) RoundCost { return e.runAggRound(r, false, true) }
 
 // RunAggRecoveryRound prices a round of failure-handling traffic (e.g.
 // the metadata re-exchange after an aggregator failover) by the same
 // bottleneck model as RunAggRound, attributed to recovery in the totals
 // and trace.
-func (e *Engine) RunAggRecoveryRound(r AggRound) RoundCost { return e.runAggRound(r, true) }
+func (e *Engine) RunAggRecoveryRound(r AggRound) RoundCost { return e.runAggRound(r, true, false) }
 
-func (e *Engine) runAggRound(r AggRound, recovery bool) RoundCost {
+func (e *Engine) runAggRound(r AggRound, recovery, mirrored bool) RoundCost {
 	e.beginRound()
 	var commBytes int64
 	nMsgs := 0
@@ -701,7 +709,11 @@ func (e *Engine) runAggRound(r AggRound, recovery bool) RoundCost {
 		if m.Count < 0 {
 			panic("sim: negative message count")
 		}
-		e.accMessage(m.SrcNode, m.DstNode, m.Bytes, m.Count)
+		src, dst := m.SrcNode, m.DstNode
+		if mirrored {
+			src, dst = dst, src
+		}
+		e.accMessage(src, dst, m.Bytes, m.Count)
 		commBytes += m.Bytes
 		nMsgs += m.Count
 	}
@@ -710,20 +722,22 @@ func (e *Engine) runAggRound(r AggRound, recovery bool) RoundCost {
 		commBytes += cb
 		nMsgs += n
 	}
-	ops, ioBytes, ioDir := e.accIOOps(r.IOOps)
+	ops, ioBytes, ioDir := e.accIOOps(r.IOOps, mirrored)
 	return e.finishRound(r.Kind, recovery, nMsgs, ops, commBytes, ioBytes, ioDir)
 }
 
-// accIOOps accumulates a round's storage accesses and summarizes them
-// for the trace: the number of single-target accesses they stand for,
-// their bytes and the round's direction tag.
-func (e *Engine) accIOOps(ops []IOOp) (n int, bytes int64, dir string) {
+// accIOOps accumulates a round's storage accesses, each access's Write
+// negated when mirrored, and summarizes them for the trace: the number
+// of single-target accesses they stand for, their bytes and the round's
+// direction tag.
+func (e *Engine) accIOOps(ops []IOOp, mirrored bool) (n int, bytes int64, dir string) {
 	for i := range ops {
 		op := &ops[i]
-		k := e.accIOOp(op)
+		write := op.Write != mirrored
+		k := e.accIOOp(op, write)
 		n += k
 		bytes += int64(k) * op.Bytes
-		dir = mergeIODir(dir, op.Write)
+		dir = mergeIODir(dir, write)
 	}
 	return n, bytes, dir
 }
@@ -894,7 +908,8 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 // computed once; each target then gets the float adds a single access
 // would give it, in the same order, and the integer loads are
 // multiplied out, so a span prices bit-identically to its accesses.
-func (e *Engine) accIOOp(op *IOOp) int {
+// write stands for op.Write, which a mirrored round negates.
+func (e *Engine) accIOOp(op *IOOp, write bool) int {
 	n := max(op.Count, 1)
 	if op.Bytes < 0 {
 		panic("sim: negative I/O size")
@@ -912,7 +927,7 @@ func (e *Engine) accIOOp(op *IOOp) int {
 	e.totals.IOBytes += bytes
 	e.totals.Requests += n * op.Requests
 	l := e.load(op.Node)
-	if op.Write {
+	if write {
 		l.out += bytes
 	} else {
 		l.in += bytes
@@ -921,7 +936,7 @@ func (e *Engine) accIOOp(op *IOOp) int {
 	// A paged or straggling issuing node drains/fills its aggregation
 	// buffer at degraded speed, throttling the storage access it
 	// drives; injected retry/degradation delay is charged on top.
-	unpaged := e.stp.ServiceTime(op.Bytes, op.Requests, op.Contiguous, op.Write) * e.nodeSlowdown(op.Node)
+	unpaged := e.stp.ServiceTime(op.Bytes, op.Requests, op.Contiguous, write) * e.nodeSlowdown(op.Node)
 	paged := e.pagedSlowdown(op.Node)
 	for t := op.Target; t < op.Target+n; t++ {
 		ts := e.target(t)
@@ -944,7 +959,7 @@ func (e *Engine) accIOOp(op *IOOp) int {
 		}
 		if eo := e.eo; eo != nil {
 			metric := "pfs.bytes_read"
-			if op.Write {
+			if write {
 				metric = "pfs.bytes_written"
 			}
 			eo.counter(metric, "ost", t).Add(op.Bytes)
