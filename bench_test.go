@@ -38,13 +38,19 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-func benchFigure(b *testing.B, run func(int64, uint64) (*bench.Series, error)) {
+func benchFigure(b *testing.B, name string) {
 	b.Helper()
+	e, err := bench.Lookup(bench.ViewLedger, name)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var s *bench.Series
-	var err error
 	for i := 0; i < b.N; i++ {
-		s, err = run(benchScale, 42)
+		cfg, wl, wlName, err := e.Figure(benchScale, 42)
 		if err != nil {
+			b.Fatal(err)
+		}
+		if s, err = bench.RunSweep(cfg, wl, wlName); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,15 +63,15 @@ func benchFigure(b *testing.B, run func(int64, uint64) (*bench.Series, error)) {
 
 // BenchmarkFig6 regenerates Figure 6: coll_perf write/read bandwidth vs
 // per-aggregator memory at 120 processes, two-phase vs memory-conscious.
-func BenchmarkFig6(b *testing.B) { benchFigure(b, bench.Fig6) }
+func BenchmarkFig6(b *testing.B) { benchFigure(b, "fig6") }
 
 // BenchmarkFig7 regenerates Figure 7: IOR bandwidth vs per-aggregator
 // memory at 120 processes.
-func BenchmarkFig7(b *testing.B) { benchFigure(b, bench.Fig7) }
+func BenchmarkFig7(b *testing.B) { benchFigure(b, "fig7") }
 
 // BenchmarkFig8 regenerates Figure 8: IOR bandwidth vs per-aggregator
 // memory at 1080 processes.
-func BenchmarkFig8(b *testing.B) { benchFigure(b, bench.Fig8) }
+func BenchmarkFig8(b *testing.B) { benchFigure(b, "fig8") }
 
 // BenchmarkAblationGrouping prices the contribution of aggregation-group
 // division (§3.1).
@@ -213,26 +219,6 @@ func BenchmarkStripedWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkMPIAllgather measures the message-passing runtime's collective
-// path at 64 ranks.
-func BenchmarkMPIAllgather(b *testing.B) {
-	topo, err := mpi.BlockTopology(64, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := []byte{1, 2, 3, 4}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := mpi.NewWorld(topo)
-		err := w.Run(func(p *mpi.Proc) {
-			p.Allgather(payload)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkExecRoundTrip measures the real data path: plan + byte
 // movement through the runtime onto the striped store.
 func BenchmarkExecRoundTrip(b *testing.B) {
@@ -254,18 +240,16 @@ func BenchmarkExecRoundTrip(b *testing.B) {
 		data[r] = collio.RankData{Req: req, Buf: make([]byte, req.Bytes())}
 		total += req.Bytes()
 	}
-	fs, err := pfs.NewFileSystem(ctx.FS)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.SetBytes(total)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		file := fs.Open("exec-bench")
-		if err := collio.Exec(ctx, plan, data, file, collio.Write); err != nil {
+		fs, err := pfs.NewFileSystem(ctx.FS)
+		if err != nil {
 			b.Fatal(err)
 		}
-		fs.Remove("exec-bench")
+		if err := collio.Exec(ctx, plan, data, fs.Open("exec-bench"), collio.Write); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

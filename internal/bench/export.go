@@ -83,17 +83,3 @@ func (s *Series) SaveJSON(path string) error {
 	}
 	return f.Close()
 }
-
-// tableJSON is the stable export schema for ablation-style tables.
-type tableJSON struct {
-	Name   string     `json:"name"`
-	Header []string   `json:"header"`
-	Rows   [][]string `json:"rows"`
-}
-
-// WriteJSON serializes the table.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tableJSON{Name: t.Name, Header: t.Header, Rows: t.Rows})
-}

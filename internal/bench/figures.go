@@ -49,10 +49,6 @@ func Fig6Workload(cfg Config) (Workload, string, error) {
 	return c, name, nil
 }
 
-// Fig6 regenerates Figure 6: coll_perf write and read bandwidth vs
-// per-aggregator memory, two-phase vs memory-conscious, 120 processes.
-func Fig6(scale int64, seed uint64) (*Series, error) { return sweep(fig6, scale, seed) }
-
 func fig6(scale int64, seed uint64) (Config, Workload, string, error) {
 	cfg := Fig6Config(scale, seed)
 	wl, name, err := Fig6Workload(cfg)
@@ -89,10 +85,6 @@ func Fig7Workload(cfg Config) (Workload, string) {
 	return w, name
 }
 
-// Fig7 regenerates Figure 7: IOR write and read bandwidth vs
-// per-aggregator memory at 120 cores.
-func Fig7(scale int64, seed uint64) (*Series, error) { return sweep(fig7, scale, seed) }
-
 func fig7(scale int64, seed uint64) (Config, Workload, string, error) {
 	cfg := Fig7Config(scale, seed)
 	wl, name := Fig7Workload(cfg)
@@ -127,10 +119,6 @@ func Fig8Workload(cfg Config) (Workload, string) {
 	name := fmt.Sprintf("IOR interleaved %d ranks, %d MB/proc", cfg.Ranks, w.BytesPerRank()*cfg.Scale/MB)
 	return w, name
 }
-
-// Fig8 regenerates Figure 8: IOR write and read bandwidth vs
-// per-aggregator memory at 1080 cores.
-func Fig8(scale int64, seed uint64) (*Series, error) { return sweep(fig8, scale, seed) }
 
 func fig8(scale int64, seed uint64) (Config, Workload, string, error) {
 	cfg := Fig8Config(scale, seed)
@@ -174,9 +162,6 @@ func FigExaWorkload(cfg Config) (Workload, string) {
 	name := fmt.Sprintf("IOR interleaved %d ranks, %d MB/proc", cfg.Ranks, w.BytesPerRank()*cfg.Scale/MB)
 	return w, name
 }
-
-// FigExa runs the exascale sweep.
-func FigExa(scale int64, seed uint64) (*Series, error) { return sweep(figExa, scale, seed) }
 
 func figExa(scale int64, seed uint64) (Config, Workload, string, error) {
 	cfg := FigExaConfig(scale, seed)

@@ -18,7 +18,7 @@ import (
 // summary table, the details table and the JSON export.
 func renderAll(t testing.TB, scale int64, seed uint64) string {
 	t.Helper()
-	s, err := Fig7(scale, seed)
+	s, err := sweep(fig7, scale, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func BenchmarkFig6Sweep(b *testing.B) {
 			SetParallelism(workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Fig6(testScale, 42); err != nil {
+				if _, err := sweep(fig6, testScale, 42); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,7 +9,7 @@ import (
 // independent, deterministic cells — (memory point × strategy) for the
 // figure sweeps, (rate × strategy) for the resilience sweep, one design
 // point for the trajectory — and ForEach fans them out across at most
-// Parallelism() goroutines. Cells are pure plan+cost simulations, so the
+// pool.n goroutines. Cells are pure plan+cost simulations, so the
 // schedule cannot change any result: outputs land in per-cell slots and
 // are rendered in index order, byte-identical to the serial run.
 var pool = struct {
@@ -34,15 +34,8 @@ func SetParallelism(n int) {
 	pool.sem = make(chan struct{}, n-1)
 }
 
-// Parallelism returns the current worker budget.
-func Parallelism() int {
-	pool.Lock()
-	defer pool.Unlock()
-	return pool.n
-}
-
 // ForEach runs fn(0) … fn(n-1), fanning the calls across at most
-// Parallelism() concurrent goroutines. The token budget is global, so
+// pool.n concurrent goroutines. The token budget is global, so
 // nested ForEach calls (an experiment fanning out sweeps that fan out
 // cells) share one bound and can never deadlock: an item that cannot get
 // a token simply runs inline on the goroutine that wanted to spawn it.

@@ -8,20 +8,27 @@ import (
 	"testing"
 )
 
+// parallelism returns the current worker budget.
+func parallelism() int {
+	pool.Lock()
+	defer pool.Unlock()
+	return pool.n
+}
+
 func TestSetParallelism(t *testing.T) {
 	defer SetParallelism(0)
 	SetParallelism(3)
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism() = %d, want 3", got)
+	if got := parallelism(); got != 3 {
+		t.Fatalf("parallelism() = %d, want 3", got)
 	}
 	// Non-positive resets to the default worker budget.
 	SetParallelism(0)
-	if got, want := Parallelism(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("default Parallelism() = %d, want GOMAXPROCS %d", got, want)
+	if got, want := parallelism(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default parallelism() = %d, want GOMAXPROCS %d", got, want)
 	}
 	SetParallelism(-5)
-	if got, want := Parallelism(), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("Parallelism() after -5 = %d, want GOMAXPROCS %d", got, want)
+	if got, want := parallelism(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("parallelism() after -5 = %d, want GOMAXPROCS %d", got, want)
 	}
 }
 
@@ -106,7 +113,7 @@ func TestForEachNestedDoesNotDeadlock(t *testing.T) {
 }
 
 // The semaphore holds n-1 tokens and the caller is the n-th worker, so
-// at most Parallelism() items may ever run concurrently.
+// at most parallelism() items may ever run concurrently.
 func TestForEachBoundsConcurrency(t *testing.T) {
 	defer SetParallelism(0)
 	SetParallelism(3)

@@ -121,9 +121,6 @@ func TestNodeCrashFailsOverToSibling(t *testing.T) {
 	if res.Seconds <= ref.Seconds {
 		t.Fatalf("faulted run (%.4fs) not slower than fault-free (%.4fs)", res.Seconds, ref.Seconds)
 	}
-	if !state.Down(victim) {
-		t.Fatal("crashed node not marked down in recovery state")
-	}
 }
 
 // The baseline stalls and retries in place: no failover, and at least

@@ -98,14 +98,6 @@ func (dc *DegradationController) Plan(ctx *collio.Context, reqs []collio.RankReq
 	return dp, nil
 }
 
-// Rung returns the rung of the most recent Plan (0 before any).
-func (dc *DegradationController) Rung() int {
-	if dc == nil {
-		return 0
-	}
-	return dc.rung
-}
-
 // Transitions returns every rung change recorded so far, in order.
 func (dc *DegradationController) Transitions() []RungTransition {
 	if dc == nil {

@@ -77,8 +77,8 @@ func TestDegradationControllerMasksSuspectsAndRecordsTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dp.Independent || dp.Shrinks != 0 || dc.Rung() != 0 {
-		t.Fatalf("healthy machine degraded: %+v rung=%d", dp, dc.Rung())
+	if dp.Independent || dp.Shrinks != 0 || dc.rung != 0 {
+		t.Fatalf("healthy machine degraded: %+v rung=%d", dp, dc.rung)
 	}
 	if n := len(dc.Transitions()); n != 1 || dc.Transitions()[0].From != -1 || dc.Transitions()[0].To != 0 {
 		t.Fatalf("initial plan transitions = %+v, want one -1->0", dc.Transitions())
@@ -103,7 +103,7 @@ func TestDegradationControllerMasksSuspectsAndRecordsTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only node 0 is trusted; its 300 bytes force rung 1.
-	if dp.Independent || dp.Shrinks != 1 || dc.Rung() != 1 {
+	if dp.Independent || dp.Shrinks != 1 || dc.rung != 1 {
 		t.Fatalf("masked replan rung = %d (independent=%v), want 1", dp.Shrinks, dp.Independent)
 	}
 	for i, d := range dp.Plan.Domains {

@@ -269,7 +269,7 @@ func TestFailoverUnderCombinedFaultSchedule(t *testing.T) {
 	}
 	var live int64
 	for _, d := range recovered.Domains {
-		if state2.Down(d.AggNode) {
+		if state2.down[d.AggNode] {
 			t.Fatalf("remerged plan aggregates on failed node %d", d.AggNode)
 		}
 		live += d.Bytes

@@ -28,10 +28,6 @@ type RecoveryState struct {
 	leakBase map[int]int64
 }
 
-// Down reports whether a node has been declared failed (crashed, or
-// memory-collapsed past hosting aggregators).
-func (st *RecoveryState) Down(node int) bool { return st.down[node] }
-
 // Fork returns a copy of st that recovers independently: a Failover
 // over the fork never changes st, so one plan's state serves any number
 // of faulted runs, each from its own fork. The partition trees are

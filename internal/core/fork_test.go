@@ -8,6 +8,7 @@ import (
 
 	"mcio/internal/collio"
 	"mcio/internal/faults"
+	"mcio/internal/memmodel"
 	"mcio/internal/pfs"
 )
 
@@ -23,12 +24,12 @@ type stateVertex struct {
 // stateSnap is a deep copy of everything a Failover can change in a
 // RecoveryState, plus the identity of the leaves domainLeaf points at.
 type stateSnap struct {
-	Trees                    [][]stateVertex
-	DomainLeaf               []*TreeNode
-	LeafDomain               map[*TreeNode]int
-	Avail, Reserved, Overrun []int64
-	Down                     []bool
-	LeakBase                 map[int]int64
+	Trees      [][]stateVertex
+	DomainLeaf []*TreeNode
+	LeafDomain map[*TreeNode]int
+	Tracker    *memmodel.Tracker
+	Down       []int
+	LeakBase   map[int]int64
 }
 
 func snapshot(st *RecoveryState) stateSnap {
@@ -55,12 +56,15 @@ func snapshot(st *RecoveryState) stateSnap {
 		walk(t.Root)
 		s.Trees = append(s.Trees, vs)
 	}
-	for n := 0; n < st.tracker.Nodes(); n++ {
-		s.Avail = append(s.Avail, st.tracker.Avail(n))
-		s.Reserved = append(s.Reserved, st.tracker.Reserved(n))
-		s.Overrun = append(s.Overrun, st.tracker.Overrun(n))
-		s.Down = append(s.Down, st.Down(n))
+	if st.tracker != nil {
+		s.Tracker = st.tracker.Clone()
 	}
+	for n, down := range st.down {
+		if down {
+			s.Down = append(s.Down, n)
+		}
+	}
+	slices.Sort(s.Down)
 	return s
 }
 

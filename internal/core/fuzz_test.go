@@ -69,7 +69,7 @@ func FuzzRemergeTiling(f *testing.F) {
 
 		for evi, b := range crashes {
 			node := int(b) % mc.Nodes
-			if state.Down(node) {
+			if state.down[node] {
 				continue
 			}
 			kind := faults.NodeCrash
@@ -92,7 +92,7 @@ func FuzzRemergeTiling(f *testing.F) {
 				// relocate onto.
 				liveHosts := 0
 				for n := 0; n < mc.Nodes; n++ {
-					if !state.Down(n) {
+					if !state.down[n] {
 						liveHosts++
 					}
 				}
@@ -118,7 +118,7 @@ func FuzzRemergeTiling(f *testing.F) {
 				if got := pfs.TotalBytes(d.Extents); got != d.Bytes {
 					t.Fatalf("event %d: domain %d extents sum %d != Bytes %d", evi, di, got, d.Bytes)
 				}
-				if state.Down(d.AggNode) {
+				if state.down[d.AggNode] {
 					t.Fatalf("event %d: domain %d still placed on failed node %d", evi, di, d.AggNode)
 				}
 				all = append(all, d.Extents...)

@@ -358,7 +358,7 @@ func TestFailureDrivenRemergesPreserveTiling(t *testing.T) {
 				if d.Bytes == 0 {
 					continue
 				}
-				if state.Down(d.AggNode) {
+				if state.down[d.AggNode] {
 					t.Logf("seed %d: domain %d still on failed host %d", seed, i, d.AggNode)
 					return false
 				}

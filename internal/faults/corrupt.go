@@ -79,17 +79,6 @@ func NewCorrupter(plan *Plan, ranksByNode [][]int) *Corrupter {
 	return c
 }
 
-// Empty reports whether the corrupter has nothing left to inject;
-// executors use it to skip per-message bookkeeping entirely.
-func (c *Corrupter) Empty() bool {
-	if c == nil {
-		return true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.flipPending) == 0 && len(c.tornEvents) == 0
-}
-
 // CorruptMsg consumes one pending bit flip on rank, flipping a
 // deterministically chosen bit of data in place. It reports whether the
 // message was corrupted; empty messages are never flipped (there is no

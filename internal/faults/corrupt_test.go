@@ -219,9 +219,6 @@ func TestCorrupterDeterministicFlips(t *testing.T) {
 	}
 
 	var nilCorr *Corrupter = NewCorrupter(nil, nil)
-	if !nilCorr.Empty() {
-		t.Fatal("corrupter over nil plan is not Empty")
-	}
 	buf := []byte{1, 2, 3}
 	if nilCorr.CorruptMsg(0, buf) {
 		t.Fatal("empty corrupter corrupted a message")

@@ -130,7 +130,7 @@ func TestInjectorAdvanceAndQueries(t *testing.T) {
 	if len(evs) != 3 {
 		t.Fatalf("expected 3 events by t=1.1, got %v", evs)
 	}
-	if !in.NodeDead(2) || in.NodeDead(1) {
+	if !in.dead[2] || in.dead[1] {
 		t.Fatal("crash state wrong")
 	}
 	if got := in.NodeSlowdown(1, 1.1); got != 4 {

@@ -235,11 +235,6 @@ func (in *Injector) apply(ev Event) {
 	}
 }
 
-// NodeDead reports whether node has crashed as of the last Advance.
-func (in *Injector) NodeDead(node int) bool {
-	return in != nil && in.dead[node]
-}
-
 // DeadNodes returns the crashed hosts in ascending order.
 func (in *Injector) DeadNodes() []int {
 	if in == nil {

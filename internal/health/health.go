@@ -115,9 +115,6 @@ func NewDetector(cfg Config) *Detector {
 	}
 }
 
-// Config returns the detector's effective (defaulted) configuration.
-func (d *Detector) Config() Config { return d.cfg }
-
 // SetObserver attaches metrics: health.suspicion{kind,id} gauges,
 // health.suspected{kind} entity counts, health.suspect_events{kind,id}
 // transition counters.

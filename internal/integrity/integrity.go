@@ -89,9 +89,6 @@ func NewChecker(cfg Config) *Checker {
 	return &Checker{cfg: cfg}
 }
 
-// Config returns the checker's policy.
-func (c *Checker) Config() Config { return c.cfg }
-
 // Enabled reports whether verification is active; an executor given a
 // nil checker takes the exact legacy byte path.
 func (c *Checker) Enabled() bool { return c != nil }

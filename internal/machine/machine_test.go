@@ -128,21 +128,6 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew(cfg)
 }
 
-func TestNodeLookup(t *testing.T) {
-	cfg := Testbed640()
-	cfg.Nodes = 3
-	m := MustNew(cfg)
-	if _, err := m.Node(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Node(3); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-	if _, err := m.Node(-1); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-}
-
 func TestScaled(t *testing.T) {
 	cfg := Exascale2018().Scaled(90)
 	if cfg.Nodes != 90 {

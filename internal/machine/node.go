@@ -1,7 +1,5 @@
 package machine
 
-import "fmt"
-
 // Node is one compute node instance of a Machine. Resource figures start
 // out uniform (copied from the Config); the memory model perturbs
 // Avail per node to create the availability variance the paper studies.
@@ -47,14 +45,6 @@ func MustNew(cfg Config) *Machine {
 		panic(err)
 	}
 	return m
-}
-
-// Node returns the node with the given ID, or an error if out of range.
-func (m *Machine) Node(id int) (*Node, error) {
-	if id < 0 || id >= len(m.Nodes) {
-		return nil, fmt.Errorf("machine: node %d out of range [0,%d)", id, len(m.Nodes))
-	}
-	return m.Nodes[id], nil
 }
 
 // AvailMemory returns each node's available memory, indexed by node ID.

@@ -122,19 +122,6 @@ type Tracker struct {
 	o        *obs.Observer
 }
 
-// NewTracker builds a tracker over the current availability of m's nodes.
-func NewTracker(m *machine.Machine) *Tracker {
-	t := &Tracker{
-		avail:    make([]int64, len(m.Nodes)),
-		reserved: make([]int64, len(m.Nodes)),
-		overrun:  make([]int64, len(m.Nodes)),
-	}
-	for i, n := range m.Nodes {
-		t.avail[i] = n.Avail
-	}
-	return t
-}
-
 // NewTrackerFromAvail builds a tracker directly from an availability
 // vector (bytes per node).
 func NewTrackerFromAvail(avail []int64) *Tracker {
@@ -175,9 +162,6 @@ func RecordAvailability(o *obs.Observer, avail []int64) {
 	}
 }
 
-// Nodes returns the number of nodes tracked.
-func (t *Tracker) Nodes() int { return len(t.avail) }
-
 // Avail returns the remaining un-reserved memory of a node in bytes.
 // Over-committed nodes report 0, never negative.
 func (t *Tracker) Avail(node int) int64 {
@@ -186,13 +170,6 @@ func (t *Tracker) Avail(node int) int64 {
 	}
 	return t.avail[node]
 }
-
-// Reserved returns the total bytes reserved on a node.
-func (t *Tracker) Reserved(node int) int64 { return t.reserved[node] }
-
-// Overrun returns how many reserved bytes exceed the node's initial
-// availability — the amount that would page.
-func (t *Tracker) Overrun(node int) int64 { return t.overrun[node] }
 
 // Reserve books bytes of aggregation buffer on a node. It returns true
 // when the reservation fits entirely in the remaining availability; false
@@ -218,26 +195,6 @@ func (t *Tracker) Reserve(node int, bytes int64) bool {
 		}
 	}
 	return fits
-}
-
-// Release returns bytes of a previous reservation to the node. Releasing
-// more than is reserved panics: it indicates an accounting bug in the
-// caller.
-func (t *Tracker) Release(node int, bytes int64) {
-	if bytes < 0 {
-		panic("memmodel: negative release")
-	}
-	if bytes > t.reserved[node] {
-		panic(fmt.Sprintf("memmodel: release %d exceeds reserved %d on node %d",
-			bytes, t.reserved[node], node))
-	}
-	t.reserved[node] -= bytes
-	t.avail[node] += bytes
-	if t.avail[node] >= 0 {
-		t.overrun[node] = 0
-	} else {
-		t.overrun[node] = -t.avail[node]
-	}
 }
 
 // SetAvail rewrites a node's total memory budget to bytes mid-run,
@@ -312,17 +269,4 @@ func (t *Tracker) Severity(node int) float64 {
 		s = 1
 	}
 	return s
-}
-
-// ConsumptionSummary summarizes the reserved bytes per node that host at
-// least one reservation. The paper reports aggregator memory-consumption
-// variance; this is the sample it is computed over.
-func (t *Tracker) ConsumptionSummary() stats.Summary {
-	var xs []float64
-	for _, r := range t.reserved {
-		if r > 0 {
-			xs = append(xs, float64(r))
-		}
-	}
-	return stats.Summarize(xs)
 }

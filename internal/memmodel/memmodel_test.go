@@ -75,97 +75,65 @@ func TestApplyAvailabilityVariance(t *testing.T) {
 	}
 }
 
-func TestTrackerReserveRelease(t *testing.T) {
+func TestTrackerReserveOvercommits(t *testing.T) {
 	tr := NewTrackerFromAvail([]int64{100, 50})
 	if !tr.Reserve(0, 60) {
 		t.Fatal("reservation within availability must fit")
 	}
-	if tr.Avail(0) != 40 || tr.Reserved(0) != 60 || tr.Overrun(0) != 0 {
+	if tr.Avail(0) != 40 || tr.reserved[0] != 60 || tr.overrun[0] != 0 {
 		t.Fatalf("state after reserve: avail=%d reserved=%d overrun=%d",
-			tr.Avail(0), tr.Reserved(0), tr.Overrun(0))
+			tr.Avail(0), tr.reserved[0], tr.overrun[0])
 	}
 	if tr.Reserve(0, 60) {
 		t.Fatal("second reservation must over-commit")
 	}
-	if tr.Overrun(0) != 20 {
-		t.Fatalf("overrun = %d, want 20", tr.Overrun(0))
+	if tr.overrun[0] != 20 {
+		t.Fatalf("overrun = %d, want 20", tr.overrun[0])
 	}
 	if tr.Avail(0) != 0 {
 		t.Fatalf("over-committed avail = %d, want 0", tr.Avail(0))
-	}
-	tr.Release(0, 60)
-	if tr.Overrun(0) != 0 || tr.Avail(0) != 40 {
-		t.Fatalf("release did not restore: avail=%d overrun=%d", tr.Avail(0), tr.Overrun(0))
 	}
 }
 
 func TestTrackerOverrunCappedByReservation(t *testing.T) {
 	tr := NewTrackerFromAvail([]int64{0})
 	tr.Reserve(0, 10)
-	if tr.Overrun(0) != 10 {
-		t.Fatalf("overrun = %d, want 10", tr.Overrun(0))
+	if tr.overrun[0] != 10 {
+		t.Fatalf("overrun = %d, want 10", tr.overrun[0])
 	}
 }
 
 func TestTrackerPanics(t *testing.T) {
 	tr := NewTrackerFromAvail([]int64{10})
-	for _, f := range []func(){
-		func() { tr.Reserve(0, -1) },
-		func() { tr.Release(0, -1) },
-		func() { tr.Release(0, 1) }, // nothing reserved yet
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative reservation did not panic")
+		}
+	}()
+	tr.Reserve(0, -1)
 }
 
-func TestTrackerFromMachine(t *testing.T) {
-	m := testMachine(3)
-	m.Nodes[1].Avail = 777
-	tr := NewTracker(m)
-	if tr.Nodes() != 3 {
-		t.Fatalf("Nodes = %d", tr.Nodes())
-	}
-	if tr.Avail(1) != 777 {
-		t.Fatalf("tracker did not copy node availability: %d", tr.Avail(1))
-	}
-	// Tracker must be a snapshot: mutating it leaves the machine alone.
-	tr.Reserve(1, 100)
-	if m.Nodes[1].Avail != 777 {
-		t.Fatal("tracker mutated machine state")
-	}
-}
-
-// Property: for any sequence of reservations, avail + reserved - overrun is
-// conserved per node at the initial availability (when avail is clamped at
-// 0, the overrun accounts for the difference).
+// Property: for any sequence of reservations and budget changes,
+// avail + reserved - overrun equals the node's current budget (when avail
+// is clamped at 0, the overrun accounts for the difference).
 func TestTrackerConservation(t *testing.T) {
 	r := stats.NewRNG(5)
 	err := quick.Check(func(seed uint64, opsRaw uint8) bool {
 		rr := stats.NewRNG(seed)
-		const initial = 1000
-		tr := NewTrackerFromAvail([]int64{initial})
+		budget := int64(1000)
+		tr := NewTrackerFromAvail([]int64{budget})
 		ops := int(opsRaw%20) + 1
 		for i := 0; i < ops; i++ {
 			if rr.Float64() < 0.7 {
 				tr.Reserve(0, rr.Int63n(400))
-			} else if tr.Reserved(0) > 0 {
-				tr.Release(0, rr.Int63n(tr.Reserved(0)+1))
+			} else {
+				budget = rr.Int63n(2000)
+				tr.SetAvail(0, budget)
 			}
-			got := tr.Avail(0) + initial - tr.Avail(0) // avail clamp sanity
-			_ = got
-			// Conservation: reserved - overrun = initial - rawAvail where
-			// rawAvail = Avail when non-negative. Check the public identity:
-			if tr.Avail(0) > 0 && tr.Overrun(0) != 0 {
+			if tr.Avail(0) > 0 && tr.overrun[0] != 0 {
 				return false // cannot have headroom and overrun at once
 			}
-			if tr.Avail(0)+tr.Reserved(0)-tr.Overrun(0) != initial {
+			if tr.Avail(0)+tr.reserved[0]-tr.overrun[0] != budget || tr.Budget(0) != budget {
 				return false
 			}
 		}
@@ -173,19 +141,6 @@ func TestTrackerConservation(t *testing.T) {
 	}, &quick.Config{MaxCount: 300, Rand: quickRand(r)})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestConsumptionSummary(t *testing.T) {
-	tr := NewTrackerFromAvail([]int64{100, 100, 100, 100})
-	tr.Reserve(0, 10)
-	tr.Reserve(2, 30)
-	s := tr.ConsumptionSummary()
-	if s.N != 2 {
-		t.Fatalf("summary over %d nodes, want 2 (only hosts with reservations)", s.N)
-	}
-	if s.Mean != 20 {
-		t.Fatalf("mean = %v, want 20", s.Mean)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestSetAvailRecomputesSeverityMidRun(t *testing.T) {
 	if got := tr.Avail(0); got != 0 {
 		t.Fatalf("Avail on over-committed node = %d, want 0", got)
 	}
-	if got := tr.Overrun(0); got != 60 {
+	if got := tr.overrun[0]; got != 60 {
 		t.Fatalf("overrun = %d, want 60", got)
 	}
 

@@ -3,13 +3,11 @@
 // real byte slices through buffered mailboxes, and are placed onto the
 // simulated machine's nodes by a Topology.
 //
-// Only the semantics MPI-IO needs are implemented — point-to-point send
-// and receive with tags, the collectives ROMIO's two-phase code path uses
-// (barrier, broadcast, gather, allgather, alltoallv, reduce), and
-// rank-to-node placement. Message matching is FIFO per (source, tag) pair,
-// as in MPI. Delivery is deterministic: collectives iterate peers in rank
-// order and point-to-point receives name their source, so a program that
-// is deterministic over ranks produces identical results on every run.
+// Only what the collective executor needs is implemented: point-to-point
+// send and receive with tags, and rank-to-node placement. Message matching
+// is FIFO per (source, tag) pair, as in MPI. Delivery is deterministic:
+// a receive names its source, so a program that is deterministic over
+// ranks produces identical results on every run.
 package mpi
 
 import "fmt"

@@ -34,7 +34,7 @@ func TestWatchdogDiagnosesNeverSendingPeer(t *testing.T) {
 	}
 }
 
-// A rank dying mid-collective must tear the world down: every other
+// A rank dying mid-exchange must tear the world down: every other
 // rank unwinds, Run returns the root cause, and the process does not
 // deadlock even without a watchdog.
 func TestDeadRankTearsDownWorld(t *testing.T) {
@@ -45,7 +45,7 @@ func TestDeadRankTearsDownWorld(t *testing.T) {
 			if p.Rank() == 2 {
 				panic("simulated node crash")
 			}
-			p.Barrier() // blocks on rank 2 forever without teardown
+			p.Recv(2, 0) // blocks on rank 2 forever without teardown
 		})
 	}()
 	select {
@@ -70,7 +70,7 @@ func TestTeardownReportsRootCauseOnly(t *testing.T) {
 			if p.Rank() == 5 {
 				panic("first failure")
 			}
-			p.Barrier()
+			p.Recv(5, 0)
 		})
 		if err == nil || !strings.Contains(err.Error(), "first failure") {
 			t.Fatalf("iteration %d: got %v, want the rank 5 panic", i, err)
@@ -83,16 +83,21 @@ func TestTeardownReportsRootCauseOnly(t *testing.T) {
 func TestWatchdogInertOnHealthyWorld(t *testing.T) {
 	w := NewWorld(mustTopo(t, 4, 2))
 	w.SetTimeout(2 * time.Second)
-	sum := make([]int64, 4)
+	sum := make([]int, 4)
 	err := w.Run(func(p *Proc) {
-		sum[p.Rank()] = p.AllreduceInt64(int64(p.Rank()), func(a, b int64) int64 { return a + b })
+		for dst := 0; dst < p.Size(); dst++ {
+			p.Send(dst, 0, []byte{byte(p.Rank())})
+		}
+		for src := 0; src < p.Size(); src++ {
+			sum[p.Rank()] += int(p.Recv(src, 0)[0])
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r, s := range sum {
 		if s != 6 {
-			t.Fatalf("rank %d reduced to %d, want 6", r, s)
+			t.Fatalf("rank %d summed %d, want 6", r, s)
 		}
 	}
 }

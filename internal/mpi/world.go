@@ -39,7 +39,6 @@ type World struct {
 	sentBytes []*obs.Counter
 	recvMsgs  []*obs.Counter
 	recvBytes []*obs.Counter
-	collCalls map[string]*obs.Counter
 }
 
 // defaultMailboxFactor sizes each rank's mailbox: enough buffering that
@@ -64,13 +63,12 @@ func NewWorld(topo Topology) *World {
 
 // SetObserver attaches metrics to the world: per-rank point-to-point
 // traffic (mpi.msgs_sent{rank}, mpi.bytes_sent{rank}, and the recv
-// counterparts) and per-kind collective call counts
-// (mpi.collective_calls{kind}). Counters are shared by all rank
-// goroutines and atomically updated. A nil observer (or one without a
+// counterparts). Counters are shared by all rank goroutines and
+// atomically updated. A nil observer (or one without a
 // registry) leaves the world uninstrumented. Call before Run.
 func (w *World) SetObserver(o *obs.Observer) {
 	if o == nil || o.Metrics == nil {
-		w.sentMsgs, w.sentBytes, w.recvMsgs, w.recvBytes, w.collCalls = nil, nil, nil, nil, nil
+		w.sentMsgs, w.sentBytes, w.recvMsgs, w.recvBytes = nil, nil, nil, nil
 		return
 	}
 	n := w.topo.Size()
@@ -84,10 +82,6 @@ func (w *World) SetObserver(o *obs.Observer) {
 		w.sentBytes[r] = o.Counter("mpi.bytes_sent", l)
 		w.recvMsgs[r] = o.Counter("mpi.msgs_recv", l)
 		w.recvBytes[r] = o.Counter("mpi.bytes_recv", l)
-	}
-	w.collCalls = map[string]*obs.Counter{}
-	for _, kind := range []string{"barrier", "bcast", "gather", "allgather", "alltoall", "allreduce"} {
-		w.collCalls[kind] = o.Counter("mpi.collective_calls", obs.L("kind", kind))
 	}
 }
 
@@ -122,13 +116,6 @@ func (w *World) failure() error {
 	}
 }
 
-// countCollective bumps the per-kind collective counter when observed.
-func (w *World) countCollective(kind string) {
-	if w.collCalls != nil {
-		w.collCalls[kind].Inc()
-	}
-}
-
 // Proc is one rank's handle onto the world. A Proc is confined to the
 // goroutine Run started for it.
 type Proc struct {
@@ -142,12 +129,6 @@ func (p *Proc) Rank() int { return p.rank }
 
 // Size returns the number of ranks in the world.
 func (p *Proc) Size() int { return p.world.topo.Size() }
-
-// Node returns the machine node hosting this rank.
-func (p *Proc) Node() int { return p.world.topo.NodeOf(p.rank) }
-
-// Topology returns the world's rank placement.
-func (p *Proc) Topology() Topology { return p.world.topo }
 
 // Run executes body once per rank, each in its own goroutine, and waits
 // for all of them. A panic in any rank is recovered and fails the world:
@@ -258,137 +239,4 @@ func (p *Proc) countRecv(m message) {
 		w.recvMsgs[p.rank].Inc()
 		w.recvBytes[p.rank].Add(int64(len(m.data)))
 	}
-}
-
-// Internal tags for collectives; user code must use tags >= 0.
-const (
-	tagBarrier = -1 - iota
-	tagBcast
-	tagGather
-	tagReduce
-	tagAlltoall
-)
-
-// Barrier blocks until every rank has entered it.
-func (p *Proc) Barrier() {
-	p.world.countCollective("barrier")
-	// Linear: everyone checks in with rank 0, rank 0 releases everyone.
-	if p.rank == 0 {
-		for r := 1; r < p.Size(); r++ {
-			p.Recv(r, tagBarrier)
-		}
-		for r := 1; r < p.Size(); r++ {
-			p.Send(r, tagBarrier, nil)
-		}
-		return
-	}
-	p.Send(0, tagBarrier, nil)
-	p.Recv(0, tagBarrier)
-}
-
-// Bcast distributes root's data to every rank and returns it. Non-root
-// callers may pass nil.
-func (p *Proc) Bcast(root int, data []byte) []byte {
-	p.world.countCollective("bcast")
-	if p.rank == root {
-		for r := 0; r < p.Size(); r++ {
-			if r != root {
-				p.Send(r, tagBcast, data)
-			}
-		}
-		return data
-	}
-	return p.Recv(root, tagBcast)
-}
-
-// Gather collects each rank's data at root. On root the result holds one
-// entry per rank (root's own contribution included, by rank order); other
-// ranks get nil.
-func (p *Proc) Gather(root int, data []byte) [][]byte {
-	p.world.countCollective("gather")
-	if p.rank == root {
-		out := make([][]byte, p.Size())
-		out[root] = data
-		for r := 0; r < p.Size(); r++ {
-			if r != root {
-				out[r] = p.Recv(r, tagGather)
-			}
-		}
-		return out
-	}
-	p.Send(root, tagGather, data)
-	return nil
-}
-
-// Allgather collects each rank's data everywhere: the result always holds
-// one entry per rank, in rank order.
-func (p *Proc) Allgather(data []byte) [][]byte {
-	p.world.countCollective("allgather")
-	gathered := p.Gather(0, data)
-	if p.rank == 0 {
-		for r := 1; r < p.Size(); r++ {
-			for i := 0; i < p.Size(); i++ {
-				p.Send(r, tagBcast, gathered[i])
-			}
-		}
-		return gathered
-	}
-	out := make([][]byte, p.Size())
-	for i := 0; i < p.Size(); i++ {
-		out[i] = p.Recv(0, tagBcast)
-	}
-	return out
-}
-
-// Alltoall delivers send[i] to rank i and returns what every rank sent to
-// this one, in rank order. Entries may be nil/empty.
-func (p *Proc) Alltoall(send [][]byte) [][]byte {
-	p.world.countCollective("alltoall")
-	if len(send) != p.Size() {
-		panic(fmt.Sprintf("mpi: Alltoall with %d buffers for %d ranks", len(send), p.Size()))
-	}
-	for r := 0; r < p.Size(); r++ {
-		p.Send(r, tagAlltoall, send[r])
-	}
-	out := make([][]byte, p.Size())
-	for r := 0; r < p.Size(); r++ {
-		out[r] = p.Recv(r, tagAlltoall)
-	}
-	return out
-}
-
-// AllreduceInt64 combines one int64 per rank with op and returns the
-// result everywhere. Op must be associative and commutative.
-func (p *Proc) AllreduceInt64(x int64, op func(a, b int64) int64) int64 {
-	p.world.countCollective("allreduce")
-	buf := make([]byte, 8)
-	putInt64(buf, x)
-	if p.rank == 0 {
-		acc := x
-		for r := 1; r < p.Size(); r++ {
-			acc = op(acc, getInt64(p.Recv(r, tagReduce)))
-		}
-		out := make([]byte, 8)
-		putInt64(out, acc)
-		for r := 1; r < p.Size(); r++ {
-			p.Send(r, tagReduce, out)
-		}
-		return acc
-	}
-	p.Send(0, tagReduce, buf)
-	return getInt64(p.Recv(0, tagReduce))
-}
-
-func putInt64(b []byte, v int64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getInt64(b []byte) int64 {
-	var v int64
-	for i := 0; i < 8; i++ {
-		v |= int64(b[i]) << (8 * i)
-	}
-	return v
 }

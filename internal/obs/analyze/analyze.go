@@ -140,16 +140,6 @@ type Analysis struct {
 	Processes []ProcessAnalysis
 }
 
-// Process returns the analysis for the named process, or nil.
-func (a *Analysis) Process(name string) *ProcessAnalysis {
-	for i := range a.Processes {
-		if a.Processes[i].Name == name {
-			return &a.Processes[i]
-		}
-	}
-	return nil
-}
-
 // attr returns the value of key on s, "" when absent.
 func attr(s obs.Span, key string) string {
 	for _, a := range s.Attrs {
@@ -396,27 +386,6 @@ func (p *ProcessAnalysis) RenderBlame() string {
 			share = v / p.Wall * 100
 		}
 		fmt.Fprintf(&b, "  %-9s %10.4fs  %5.1f%%\n", phase, v, share)
-	}
-	return b.String()
-}
-
-// RenderTracks renders the per-lane (per-node shuffle, per-OST storage)
-// timeline summary of one process, busiest lanes first.
-func (p *ProcessAnalysis) RenderTracks(max int) string {
-	tracks := append([]TrackSummary(nil), p.Tracks...)
-	sort.SliceStable(tracks, func(i, j int) bool { return tracks[i].Busy > tracks[j].Busy })
-	if max > 0 && len(tracks) > max {
-		tracks = tracks[:max]
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "busiest lanes (%s):\n", p.Name)
-	for _, ts := range tracks {
-		name := ts.Name
-		if name == "" {
-			name = fmt.Sprintf("tid %d", ts.TID)
-		}
-		fmt.Fprintf(&b, "  %-16s %10.4fs busy  %5.1f%%  (%d spans)\n",
-			name, ts.Busy, ts.Utilization*100, ts.Spans)
 	}
 	return b.String()
 }

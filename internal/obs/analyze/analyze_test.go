@@ -61,7 +61,7 @@ func TestAnalyzeBlame(t *testing.T) {
 	if len(a.Processes) != 1 {
 		t.Fatalf("got %d processes, want 1", len(a.Processes))
 	}
-	p := a.Process("two-phase")
+	p := process(a, "two-phase")
 	if p == nil {
 		t.Fatal("process two-phase not found")
 	}
@@ -101,7 +101,7 @@ func TestAnalyzeBlame(t *testing.T) {
 }
 
 func TestAnalyzeTracks(t *testing.T) {
-	p := Analyze(syntheticTracer()).Process("two-phase")
+	p := process(Analyze(syntheticTracer()), "two-phase")
 	if len(p.Tracks) != 2 {
 		t.Fatalf("got %d tracks, want 2: %+v", len(p.Tracks), p.Tracks)
 	}
@@ -116,9 +116,6 @@ func TestAnalyzeTracks(t *testing.T) {
 	if math.Abs(sh.Utilization-0.2) > 1e-9 {
 		t.Errorf("shuffle utilization = %v, want 0.2", sh.Utilization)
 	}
-	if out := p.RenderTracks(8); !strings.Contains(out, "node 1 shuffle") {
-		t.Errorf("RenderTracks misses lane:\n%s", out)
-	}
 }
 
 func TestAnalyzeOverlapRescales(t *testing.T) {
@@ -130,7 +127,7 @@ func TestAnalyzeOverlapRescales(t *testing.T) {
 	tr.Begin(pid, sim.TIDTimeline, "comm", 0, obs.A("phase", "shuffle")).End(0.002)
 	tr.Begin(pid, sim.TIDTimeline, "io", 0, obs.A("phase", "read")).End(0.003)
 	r.End(0.003)
-	p := Analyze(tr).Process("mc")
+	p := process(Analyze(tr), "mc")
 	if math.Abs(p.Blame.Total()-0.003) > 1e-9 {
 		t.Fatalf("overlap blame total = %v, want 0.003", p.Blame.Total())
 	}
@@ -184,7 +181,7 @@ func engineRun(t *testing.T, overlap bool) (*obs.Observer, []sim.TraceEntry, flo
 func TestAnalyzeMatchesEngine(t *testing.T) {
 	for _, overlap := range []bool{false, true} {
 		o, entries, elapsed := engineRun(t, overlap)
-		p := Analyze(o.Trace).Process("probe")
+		p := process(Analyze(o.Trace), "probe")
 		if p == nil {
 			t.Fatal("probe process missing")
 		}
@@ -262,4 +259,14 @@ func TestAnalyzeNil(t *testing.T) {
 	if b := BlameFromTrace(nil, false); len(b) != 0 {
 		t.Fatal("empty trace produced blame")
 	}
+}
+
+// process returns the analysis for the named process, or nil.
+func process(a *Analysis, name string) *ProcessAnalysis {
+	for i := range a.Processes {
+		if a.Processes[i].Name == name {
+			return &a.Processes[i]
+		}
+	}
+	return nil
 }

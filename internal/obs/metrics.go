@@ -253,22 +253,6 @@ func (h *Histogram) Observe(v float64) {
 	h.buckets[bucketFor(v)].Add(1)
 }
 
-// Count returns the number of observations; 0 on nil.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations; 0 on nil.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
 // Quantile estimates the p-quantile of the observations by linear
 // interpolation within the power-of-two bucket containing the rank.
 // p <= 0 returns the exact minimum and p >= 1 the exact maximum; the

@@ -69,14 +69,6 @@ func (j *Journal) RecordSeq(kind, entity, detail string) {
 	j.events = append(j.events, Event{T: -1, Seq: len(j.events), Kind: kind, Entity: entity, Detail: detail})
 }
 
-// Len returns the number of recorded events.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.events)
-}
-
 // Events returns the journal sorted by (time, sequence), unstamped
 // events last in sequence order. The sort is stable and the result a
 // copy.

@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"sort"
 	"strconv"
 
 	"mcio/internal/health"
@@ -145,20 +144,4 @@ func (bs *BreakerSet) FastFails() int {
 		n += b.FastFails()
 	}
 	return n
-}
-
-// OpenTargets returns the targets whose breakers are currently open or
-// half-open, ascending.
-func (bs *BreakerSet) OpenTargets() []int {
-	if bs == nil {
-		return nil
-	}
-	var out []int
-	for t, b := range bs.breakers {
-		if b.State() != health.BreakerClosed {
-			out = append(out, t)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -1,75 +1,5 @@
 package pfs
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// FaultFunc decides whether one object access on a target fails. It is
-// consulted once per contiguous object access (plus once per retry);
-// returning nil lets the access proceed. Implementations must be
-// deterministic for reproducible runs and safe for concurrent callers
-// (aggregators access disjoint files in parallel).
-type FaultFunc func(target int, write bool) error
-
-// RetryPolicy bounds the re-issue of failed object accesses: up to
-// MaxRetries attempts after the first failure, the first retry priced
-// at BackoffSeconds of simulated wall time and each further one at
-// double the previous — the client-side exponential backoff a Lustre
-// client performs against a flaky OST.
-type RetryPolicy struct {
-	MaxRetries     int
-	BackoffSeconds float64
-}
-
-// SetFaults installs a fault function and retry policy on the file
-// system. A nil FaultFunc removes injection entirely (the default):
-// no access consults anything and behaviour is identical to a
-// fault-free file system. Call before issuing I/O, like SetObserver.
-func (fs *FileSystem) SetFaults(f FaultFunc, p RetryPolicy) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.fault = f
-	fs.retry = p
-}
-
-// Retries returns how many object accesses were re-issued after a
-// fault across the file system's lifetime.
-func (fs *FileSystem) Retries() int64 { return fs.retries.Load() }
-
-// RetryBackoffSeconds returns the total simulated backoff time the
-// retries above waited, for recovery-overhead accounting.
-func (fs *FileSystem) RetryBackoffSeconds() float64 {
-	return float64(fs.backoffMicros.Load()) / 1e6
-}
-
-// access runs the fault/retry ladder for one object access. The fast
-// path — no fault function installed — is a single nil check.
-func (fs *FileSystem) access(target int, write bool) error {
-	ff := fs.fault
-	if ff == nil {
-		return nil
-	}
-	err := ff(target, write)
-	if err == nil {
-		return nil
-	}
-	backoff := fs.retry.BackoffSeconds
-	for i := 0; i < fs.retry.MaxRetries; i++ {
-		fs.retries.Add(1)
-		fs.backoffMicros.Add(int64(backoff * 1e6))
-		if fs.obsRetries != nil {
-			fs.obsRetries[target].Inc()
-		}
-		if err = ff(target, write); err == nil {
-			return nil
-		}
-		backoff *= 2
-	}
-	return fmt.Errorf("pfs: target %d: %w (gave up after %d retries)",
-		target, err, fs.retry.MaxRetries)
-}
-
 // WriteCorrupter injects silent torn writes: an object write that
 // reports full success while only a prefix of its bytes lands, as a
 // power failure mid-write would leave it. PendingTorn is a cheap gate
@@ -90,19 +20,9 @@ type WriteCorrupter interface {
 // SetCorrupter installs a torn-write corrupter on the file system. A
 // nil corrupter removes injection (the default); the fault-free write
 // path then pays a single nil check per object access. Call before
-// issuing I/O, like SetObserver and SetFaults.
+// issuing I/O.
 func (fs *FileSystem) SetCorrupter(c WriteCorrupter) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.corr = c
-}
-
-// faultState is embedded in FileSystem; split out so pfs.go stays
-// focused on the striping logic.
-type faultState struct {
-	fault         FaultFunc
-	retry         RetryPolicy
-	retries       atomic.Int64
-	backoffMicros atomic.Int64
-	corr          WriteCorrupter
 }

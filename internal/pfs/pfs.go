@@ -13,11 +13,7 @@ package pfs
 import (
 	"bytes"
 	"fmt"
-	"sort"
-	"strconv"
 	"sync"
-
-	"mcio/internal/obs"
 )
 
 // Config describes the file system layout and the performance of its
@@ -74,15 +70,7 @@ type FileSystem struct {
 	stats *TargetStats
 	mu    sync.Mutex
 	files map[string]*File
-
-	// Per-target observability counters, pre-resolved at SetObserver time;
-	// nil when uninstrumented. Concurrent aggregator writers share them.
-	obsWritten []*obs.Counter
-	obsRead    []*obs.Counter
-	obsReqs    []*obs.Counter
-	obsRetries []*obs.Counter
-
-	faultState
+	corr  WriteCorrupter // torn-write injection; nil when fault-free
 }
 
 // NewFileSystem creates an empty file system with the given layout.
@@ -103,44 +91,6 @@ func (fs *FileSystem) Config() Config { return fs.cfg }
 // Stats returns the per-target traffic counters.
 func (fs *FileSystem) Stats() *TargetStats { return fs.stats }
 
-// SetObserver attaches per-OST metrics to the file system:
-// pfs.bytes_written{ost}, pfs.bytes_read{ost}, pfs.requests{ost}
-// (one request per contiguous object access), and pfs.retries{ost}
-// (accesses re-issued after an injected fault). A nil observer detaches.
-// Call before issuing I/O; counters are safe for concurrent writers.
-func (fs *FileSystem) SetObserver(o *obs.Observer) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if o == nil || o.Metrics == nil {
-		fs.obsWritten, fs.obsRead, fs.obsReqs, fs.obsRetries = nil, nil, nil, nil
-		return
-	}
-	fs.obsWritten = make([]*obs.Counter, fs.cfg.Targets)
-	fs.obsRead = make([]*obs.Counter, fs.cfg.Targets)
-	fs.obsReqs = make([]*obs.Counter, fs.cfg.Targets)
-	fs.obsRetries = make([]*obs.Counter, fs.cfg.Targets)
-	for t := 0; t < fs.cfg.Targets; t++ {
-		l := obs.L("ost", strconv.Itoa(t))
-		fs.obsWritten[t] = o.Counter("pfs.bytes_written", l)
-		fs.obsRead[t] = o.Counter("pfs.bytes_read", l)
-		fs.obsReqs[t] = o.Counter("pfs.requests", l)
-		fs.obsRetries[t] = o.Counter("pfs.retries", l)
-	}
-}
-
-// observe accounts one object access on a file-system target.
-func (fs *FileSystem) observe(target int, bytes int64, write bool) {
-	if fs.obsReqs == nil {
-		return
-	}
-	fs.obsReqs[target].Inc()
-	if write {
-		fs.obsWritten[target].Add(bytes)
-	} else {
-		fs.obsRead[target].Add(bytes)
-	}
-}
-
 // Open returns the named file, creating it empty with the file system's
 // default striping if absent.
 func (fs *FileSystem) Open(name string) *File {
@@ -154,25 +104,6 @@ func (fs *FileSystem) Open(name string) *File {
 		return fs.files[name]
 	}
 	return f
-}
-
-// Remove deletes the named file. Removing an absent file is a no-op.
-func (fs *FileSystem) Remove(name string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	delete(fs.files, name)
-}
-
-// Files returns the names of all files, sorted.
-func (fs *FileSystem) Files() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // File is one striped file. Methods are safe for concurrent use; writes to
@@ -235,9 +166,6 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 			f.objects[target] = obj
 		}
 		fsTarget := f.layout.mapTarget(f.fs.cfg, target)
-		if err := f.fs.access(fsTarget, true); err != nil {
-			return pos, fmt.Errorf("pfs: WriteAt %s: %w", f.name, err)
-		}
 		keep := n
 		if wc := f.fs.corr; wc != nil && wc.PendingTorn(fsTarget) {
 			// Tear the write only if dropping the tail actually changes the
@@ -254,7 +182,6 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		// Stats record the full request: the target acknowledged all n
 		// bytes, which is exactly what makes the tear silent.
 		f.fs.stats.RecordWrite(fsTarget, int64(n))
-		f.fs.observe(fsTarget, int64(n), true)
 		pos += n
 	}
 	if end := off + int64(len(p)); end > f.size {
@@ -265,8 +192,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 
 // ReadAt reads len(p) bytes at file offset off. Bytes beyond the file size
 // or never written read as zero, matching sparse-file semantics; n is
-// len(p) with a nil error for non-negative offsets unless an injected
-// fault exhausts its retries.
+// len(p) with a nil error for non-negative offsets.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("pfs: ReadAt %s: negative offset %d", f.name, off)
@@ -285,12 +211,6 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		if rem := len(p) - pos; n > rem {
 			n = rem
 		}
-		fsTarget := f.layout.mapTarget(f.fs.cfg, target)
-		if err := f.fs.access(fsTarget, false); err != nil {
-			return pos, fmt.Errorf("pfs: ReadAt %s: %w", f.name, err)
-		}
-		f.fs.stats.RecordRead(fsTarget, int64(n))
-		f.fs.observe(fsTarget, int64(n), false)
 		obj := f.objects[target]
 		have := int64(len(obj)) - objOff // stored bytes available at objOff
 		if have > int64(n) {
@@ -307,12 +227,4 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 		pos += n
 	}
 	return len(p), nil
-}
-
-// Truncate resets the file to empty, keeping its striping layout.
-func (f *File) Truncate() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.objects = make([][]byte, f.layout.StripeCount)
-	f.size = 0
 }

@@ -113,35 +113,6 @@ func TestOpenIsIdempotent(t *testing.T) {
 	}
 }
 
-func TestRemoveAndList(t *testing.T) {
-	fs := testFS(t, 2, 8)
-	fs.Open("b")
-	fs.Open("a")
-	if got := fs.Files(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Files = %v", got)
-	}
-	fs.Remove("a")
-	if got := fs.Files(); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("Files after remove = %v", got)
-	}
-	fs.Remove("never-existed") // no-op
-}
-
-func TestTruncate(t *testing.T) {
-	fs := testFS(t, 2, 8)
-	f := fs.Open("t")
-	f.WriteAt([]byte("hello"), 0)
-	f.Truncate()
-	if f.Size() != 0 {
-		t.Fatal("truncate did not reset size")
-	}
-	got := make([]byte, 5)
-	f.ReadAt(got, 0)
-	if !bytes.Equal(got, make([]byte, 5)) {
-		t.Fatal("truncate did not clear data")
-	}
-}
-
 func TestStripeLocRoundRobin(t *testing.T) {
 	cfg := Config{Targets: 3, StripeUnit: 10, TargetBW: 1, NoncontigFactor: 1}
 	cases := []struct {

@@ -80,29 +80,17 @@ func (fs *FileSystem) OpenStriped(name string, layout Layout) (*File, error) {
 // Layout returns the file's striping policy.
 func (f *File) Layout() Layout { return f.layout }
 
-// MapFileExtents decomposes file-space extents of this file into accesses
-// on the file system's targets, honouring the file's own layout.
-func (f *File) MapFileExtents(exts []Extent) []TargetAccess {
-	cfg := f.layout.layoutConfig(f.fs.cfg)
-	accs := cfg.MapExtents(exts)
-	for i := range accs {
-		accs[i].Target = f.layout.mapTarget(f.fs.cfg, accs[i].Target)
-	}
-	return accs
-}
-
-// TargetStats accumulates per-target byte counters for a file system —
+// TargetStats accumulates per-target written bytes for a file system —
 // the "which OST is hot" view an administrator would pull from server
 // statistics.
 type TargetStats struct {
 	mu      sync.Mutex
-	read    []int64
 	written []int64
 }
 
 // NewTargetStats creates counters for a file system's targets.
 func NewTargetStats(targets int) *TargetStats {
-	return &TargetStats{read: make([]int64, targets), written: make([]int64, targets)}
+	return &TargetStats{written: make([]int64, targets)}
 }
 
 // RecordWrite adds written bytes for a target.
@@ -112,44 +100,9 @@ func (s *TargetStats) RecordWrite(target int, bytes int64) {
 	s.mu.Unlock()
 }
 
-// RecordRead adds read bytes for a target.
-func (s *TargetStats) RecordRead(target int, bytes int64) {
-	s.mu.Lock()
-	s.read[target] += bytes
-	s.mu.Unlock()
-}
-
 // Written returns per-target written bytes.
 func (s *TargetStats) Written() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]int64(nil), s.written...)
-}
-
-// Read returns per-target read bytes.
-func (s *TargetStats) Read() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int64(nil), s.read...)
-}
-
-// Imbalance returns max/mean of written+read bytes across targets — 1.0
-// is perfectly balanced; large values flag hotspots. Returns 0 when no
-// traffic was recorded.
-func (s *TargetStats) Imbalance() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var max, sum int64
-	for i := range s.written {
-		t := s.written[i] + s.read[i]
-		sum += t
-		if t > max {
-			max = t
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	mean := float64(sum) / float64(len(s.written))
-	return float64(max) / mean
 }

@@ -70,42 +70,36 @@ func TestOpenStripedConflict(t *testing.T) {
 	}
 }
 
-func TestMapFileExtentsHonorsLayout(t *testing.T) {
+func TestWriteHonorsLayout(t *testing.T) {
 	fs := testFS(t, 8, 16)
 	f, err := fs.OpenStriped("m", Layout{StripeUnit: 16, StripeCount: 2, FirstTarget: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 64 bytes = stripes 0..3 → layout targets 0,1,0,1 → fs targets 5,6.
-	accs := f.MapFileExtents([]Extent{{Offset: 0, Length: 64}})
-	if len(accs) != 2 {
-		t.Fatalf("accesses = %v", accs)
-	}
-	seen := map[int]int64{}
-	for _, a := range accs {
-		seen[a.Target] = a.Bytes
-	}
-	if seen[5] != 32 || seen[6] != 32 {
-		t.Fatalf("per-target bytes = %v", seen)
+	f.WriteAt(make([]byte, 64), 0)
+	w := fs.Stats().Written()
+	for target, bytes := range w {
+		want := int64(0)
+		if target == 5 || target == 6 {
+			want = 32
+		}
+		if bytes != want {
+			t.Fatalf("per-target bytes = %v", w)
+		}
 	}
 }
 
-func TestMapFileExtentsWrap(t *testing.T) {
+func TestWriteLayoutWraps(t *testing.T) {
 	fs := testFS(t, 4, 16)
 	f, err := fs.OpenStriped("w", Layout{StripeUnit: 16, StripeCount: 3, FirstTarget: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Layout targets 0,1,2 map to fs targets 3,0,1 (wrap).
-	accs := f.MapFileExtents([]Extent{{Offset: 0, Length: 48}})
-	targets := map[int]bool{}
-	for _, a := range accs {
-		targets[a.Target] = true
-	}
-	for _, want := range []int{3, 0, 1} {
-		if !targets[want] {
-			t.Fatalf("missing fs target %d in %v", want, targets)
-		}
+	f.WriteAt(make([]byte, 48), 0)
+	if w := fs.Stats().Written(); w[3] != 16 || w[0] != 16 || w[1] != 16 || w[2] != 0 {
+		t.Fatalf("per-target bytes = %v", w)
 	}
 }
 
@@ -121,26 +115,6 @@ func TestTargetStats(t *testing.T) {
 		if w[i] != 16 {
 			t.Fatalf("written[%d] = %d, want 16", i, w[i])
 		}
-	}
-	r := stats.Read()
-	if r[0] != 16 || r[1] != 16 || r[2] != 0 {
-		t.Fatalf("read = %v", r)
-	}
-	if imb := stats.Imbalance(); imb <= 1.0 {
-		t.Fatalf("imbalance = %v, want > 1 for uneven reads", imb)
-	}
-}
-
-func TestTargetStatsBalanced(t *testing.T) {
-	s := NewTargetStats(3)
-	if s.Imbalance() != 0 {
-		t.Fatal("no-traffic imbalance should be 0")
-	}
-	for i := 0; i < 3; i++ {
-		s.RecordWrite(i, 100)
-	}
-	if s.Imbalance() != 1.0 {
-		t.Fatalf("balanced imbalance = %v", s.Imbalance())
 	}
 }
 

@@ -173,9 +173,6 @@ type AggregatorPlacement struct {
 	PagedSeverity float64
 }
 
-// Paged reports whether the placement over-commits its host at all.
-func (a AggregatorPlacement) Paged() bool { return a.PagedSeverity > 0 }
-
 // RoundCost is the engine's pricing of one round.
 type RoundCost struct {
 	CommTime float64 // network + memory bottleneck, seconds
@@ -428,9 +425,6 @@ func (e *Engine) SetTimeline(rec *timeline.Recorder) {
 	e.rec = rec
 	e.tlPhase = ""
 }
-
-// Timeline returns the attached recorder, nil when profiling is off.
-func (e *Engine) Timeline() *timeline.Recorder { return e.rec }
 
 // recordRound samples one priced round into the timeline recorder.
 // Spans follow the trace-emission convention: communication starts at

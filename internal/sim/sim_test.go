@@ -107,12 +107,6 @@ func TestPagedNodeSlower(t *testing.T) {
 	if mk(2) != slow || mk(-1) != fast {
 		t.Fatal("severity clamping broken")
 	}
-	if !(AggregatorPlacement{PagedSeverity: 0.1}).Paged() {
-		t.Fatal("Paged() should report severity > 0")
-	}
-	if (AggregatorPlacement{}).Paged() {
-		t.Fatal("Paged() should be false at severity 0")
-	}
 }
 
 func TestAggregatorContention(t *testing.T) {

@@ -15,8 +15,8 @@ import "math"
 // math/rand so that the stream is stable across Go releases; experiment
 // reproducibility depends on it.
 //
-// RNG is not safe for concurrent use; give each goroutine its own stream
-// via Split.
+// RNG is not safe for concurrent use; give each goroutine its own
+// generator.
 type RNG struct {
 	s [4]uint64
 }
@@ -36,13 +36,6 @@ func NewRNG(seed uint64) *RNG {
 		r.s[i] = z ^ (z >> 31)
 	}
 	return r
-}
-
-// Split derives an independent child generator. The child's stream is a
-// pure function of the parent's current state, so calling Split in a fixed
-// order remains reproducible.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xd2b74407b1ce6e93)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -126,12 +119,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using the supplied swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

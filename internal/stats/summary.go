@@ -90,76 +90,3 @@ func Percentile(sorted []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of strictly positive xs, or 0 when the
-// slice is empty. It panics on non-positive values.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logsum float64
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean of non-positive value")
-		}
-		logsum += math.Log(x)
-	}
-	return math.Exp(logsum / float64(len(xs)))
-}
-
-// Histogram is a fixed-width-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	// Under and Over count samples outside [Lo, Hi).
-	Under, Over int
-}
-
-// NewHistogram creates a histogram with nbins equal-width bins spanning
-// [lo, hi). It panics if nbins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 {
-		panic("stats: NewHistogram with non-positive bin count")
-	}
-	if hi <= lo {
-		panic("stats: NewHistogram with empty range")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, nbins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-		if i >= len(h.Bins) { // float edge case at the top boundary
-			i = len(h.Bins) - 1
-		}
-		h.Bins[i]++
-	}
-}
-
-// Total returns the number of recorded samples, including out-of-range ones.
-func (h *Histogram) Total() int {
-	n := h.Under + h.Over
-	for _, b := range h.Bins {
-		n += b
-	}
-	return n
-}

@@ -88,71 +88,3 @@ func TestCV(t *testing.T) {
 		t.Fatal("zero-mean CV should be 0")
 	}
 }
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-12 {
-		t.Fatalf("GeoMean = %v, want 10", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("GeoMean(nil) should be 0")
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) should be 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("Mean([1 2 3]) should be 2")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.99, 10, 15} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under/over = %d/%d, want 1/2", h.Under, h.Over)
-	}
-	if h.Bins[0] != 2 { // 0 and 1.9
-		t.Fatalf("bin0 = %d, want 2", h.Bins[0])
-	}
-	if h.Bins[1] != 1 { // 2
-		t.Fatalf("bin1 = %d, want 1", h.Bins[1])
-	}
-	if h.Bins[4] != 1 { // 9.99
-		t.Fatalf("bin4 = %d, want 1", h.Bins[4])
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d, want 7", h.Total())
-	}
-}
-
-func TestHistogramConservation(t *testing.T) {
-	r := NewRNG(31)
-	h := NewHistogram(-50, 50, 17)
-	const n = 5000
-	for i := 0; i < n; i++ {
-		h.Add(r.Normal(0, 30))
-	}
-	if h.Total() != n {
-		t.Fatalf("histogram lost samples: %d != %d", h.Total(), n)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(10, 10, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}

@@ -226,19 +226,6 @@ func (w IOR) Requests() ([]collio.RankRequest, error) {
 	return reqs, nil
 }
 
-// Contiguous gives each of n ranks one contiguous range of size bytes, in
-// rank order — the simplest well-formed pattern.
-func Contiguous(n int, size int64) []collio.RankRequest {
-	reqs := make([]collio.RankRequest, n)
-	for r := 0; r < n; r++ {
-		reqs[r] = collio.RankRequest{
-			Rank:    r,
-			Extents: []pfs.Extent{{Offset: int64(r) * size, Length: size}},
-		}
-	}
-	return reqs
-}
-
 // Strided gives each rank a vector pattern: count blocks of blockLen,
 // rank-interleaved (rank r's block i at offset (i*n + r)*blockLen).
 func Strided(n int, count int, blockLen int64) []collio.RankRequest {

@@ -191,11 +191,7 @@ func TestIORRandomReproducible(t *testing.T) {
 	}
 }
 
-func TestContiguousAndStrided(t *testing.T) {
-	c := Contiguous(3, 100)
-	if len(c) != 3 || c[2].Extents[0].Offset != 200 {
-		t.Fatalf("Contiguous = %+v", c)
-	}
+func TestStrided(t *testing.T) {
 	s := Strided(2, 3, 10)
 	// rank 1: blocks at (0*2+1)*10=10, (1*2+1)*10=30, (2*2+1)*10=50.
 	want := []pfs.Extent{{Offset: 10, Length: 10}, {Offset: 30, Length: 10}, {Offset: 50, Length: 10}}
