@@ -172,15 +172,14 @@ func observe(args []string) error {
 		fmt.Printf("wrote metrics %s\n", *metricsOut)
 	}
 	if *flameOut != "" {
-		a := analyze.Analyze(res.Obs.Trace)
 		if err := writeFile(*flameOut, func(f *os.File) error {
-			return analyze.WriteFlame(f, a)
+			return analyze.WriteFlame(f, res.Runs)
 		}); err != nil {
 			return err
 		}
 		fmt.Printf("wrote flamegraph %s\n", *flameOut)
-		for _, p := range a.Processes {
-			fmt.Print(p.RenderBlame())
+		for i := range res.Runs {
+			fmt.Print(res.Runs[i].RenderBlame())
 		}
 	}
 	return nil

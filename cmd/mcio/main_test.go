@@ -374,6 +374,54 @@ func TestBenchArchiveChaosFlowsThroughTrendAndReport(t *testing.T) {
 	}
 }
 
+// flameLines writes runs' flamegraph and returns its lines as stack ->
+// microseconds, failing on a malformed line or a repeated stack.
+func flameLines(t *testing.T, runs []analyze.Run) map[string]int64 {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "run.folded")
+	if err := writeFile(path, func(f *os.File) error { return analyze.WriteFlame(f, runs) }); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int64{}
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		line := sc.Text()
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 || strings.Count(line[:sp], ";") != 2 {
+			t.Fatalf("malformed line %q", line)
+		}
+		us, err := strconv.ParseInt(line[sp+1:], 10, 64)
+		if err != nil || us <= 0 {
+			t.Fatalf("bad value in %q: %v", line, err)
+		}
+		if _, dup := out[line[:sp]]; dup {
+			t.Fatalf("stack %q repeated", line[:sp])
+		}
+		out[line[:sp]] = us
+	}
+	if len(out) == 0 {
+		t.Fatal("flame file empty")
+	}
+	return out
+}
+
+// flamePhases sums one process's flame lines by phase, and counts them.
+func flamePhases(lines map[string]int64, process string) (phases map[string]int64, n int) {
+	phases = map[string]int64{}
+	for stack, us := range lines {
+		frames := strings.Split(stack, ";")
+		if frames[0] == strings.ReplaceAll(process, " ", "_") {
+			phases[frames[2]] += us
+			n++
+		}
+	}
+	return phases, n
+}
+
 // TestObserveFlameSumsToWall is the acceptance check: the collapsed
 // stacks exported for a figure run sum (within rounding) to the run's
 // simulated wall time per process.
@@ -382,48 +430,81 @@ func TestObserveFlameSumsToWall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := analyze.Analyze(res.Obs.Trace)
-	flamePath := filepath.Join(t.TempDir(), "fig6.folded")
-	f, err := os.Create(flamePath)
+	lines := flameLines(t, res.Runs)
+	for _, r := range res.Runs {
+		phases, n := flamePhases(lines, r.Name)
+		var got int64
+		for _, us := range phases {
+			got += us
+		}
+		if want := r.Wall * 1e6; math.Abs(float64(got)-want) > float64(n)+1 {
+			t.Errorf("process %s: flame total %d µs, wall %.3f µs — off beyond rounding", r.Name, got, want)
+		}
+	}
+}
+
+// TestObserveFlameMatchesRoundBlame pins the flame of a clean run to the
+// blame of its round records, the numbers the observe summary prints:
+// every phase within a microsecond per line, and no round time lost to
+// "other" (a span tree once dropped io spans whose float end passed
+// their round's, 40 ms of two-phase's write and paging at this point).
+func TestObserveFlameMatchesRoundBlame(t *testing.T) {
+	res, err := bench.Observe("fig6", 64, 42, 16, collio.Write)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := analyze.WriteFlame(f, a); err != nil {
-		t.Fatal(err)
+	if len(res.Runs) != 2 {
+		t.Fatalf("got %d runs, want both strategies", len(res.Runs))
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	lines := flameLines(t, res.Runs)
+	for stack := range lines {
+		if strings.HasSuffix(stack, ";data;other") {
+			t.Errorf("round time charged to other: %s %d µs", stack, lines[stack])
+		}
 	}
-	data, err := os.ReadFile(flamePath)
+	for _, r := range res.Runs {
+		phases, n := flamePhases(lines, r.Name)
+		want := analyze.BlameFromTrace(r.Trace, r.Overlap)
+		for _, phase := range analyze.Phases() {
+			if got := phases[phase]; math.Abs(float64(got)-want[phase]*1e6) > float64(n) {
+				t.Errorf("%s %s: flame %d µs, round records %.3f µs", r.Name, phase, got, want[phase]*1e6)
+			}
+		}
+	}
+}
+
+// TestObserveFaultsFlameRecovery checks a faulted run's flame: recovery
+// is the round records' recovery blame plus the stalls (the run's
+// recovery time minus its recovery rounds'), and the lines sum to wall.
+func TestObserveFaultsFlameRecovery(t *testing.T) {
+	res, err := bench.ObserveFaults(bench.DefaultScale, 42, 16, collio.Write, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	totals := map[string]int64{} // process frame -> µs
-	lineCount := map[string]int{}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	for sc.Scan() {
-		line := sc.Text()
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			t.Fatalf("malformed line %q", line)
+	lines := flameLines(t, res.Runs)
+	stalled := false
+	for _, r := range res.Runs {
+		phases, n := flamePhases(lines, r.Name)
+		stall := r.Recovery
+		for _, e := range r.Trace {
+			if e.Recovery {
+				stall -= e.Cost.Time
+			}
 		}
-		frames := strings.Split(line[:sp], ";")
-		us, err := strconv.ParseInt(line[sp+1:], 10, 64)
-		if err != nil {
-			t.Fatalf("bad value in %q: %v", line, err)
+		stalled = stalled || stall > 1e-6
+		want := analyze.BlameFromTrace(r.Trace, r.Overlap)[analyze.PhaseRecovery] + stall
+		if got := phases[analyze.PhaseRecovery]; math.Abs(float64(got)-want*1e6) > float64(n) {
+			t.Errorf("%s: flame recovery %d µs, want %.3f µs", r.Name, got, want*1e6)
 		}
-		totals[frames[0]] += us
-		lineCount[frames[0]]++
+		var total int64
+		for _, us := range phases {
+			total += us
+		}
+		if math.Abs(float64(total)-r.Wall*1e6) > float64(n)+1 {
+			t.Errorf("%s: flame total %d µs, wall %.3f µs", r.Name, total, r.Wall*1e6)
+		}
 	}
-	if len(totals) == 0 {
-		t.Fatal("flame file empty")
-	}
-	for _, p := range a.Processes {
-		name := strings.ReplaceAll(p.Name, " ", "_")
-		got := totals[name]
-		want := p.Wall * 1e6
-		if math.Abs(float64(got)-want) > float64(lineCount[name])+1 {
-			t.Errorf("process %s: flame total %d µs, wall %.3f µs — off beyond rounding", p.Name, got, want)
-		}
+	if !stalled {
+		t.Fatal("no run stalled; the check needs a stall")
 	}
 }

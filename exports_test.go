@@ -19,28 +19,20 @@ import (
 	"testing"
 )
 
-// exportExemptions names the exported functions that stay without a caller
-// in program code or in another package's tests, each with its reason.
-var exportExemptions = map[string]string{
-	// The watchdog turns a rank blocked forever into a diagnosis naming
-	// each stuck rank: fault detection, kept for any driver of a World
-	// whose ranks can wait on a message that never comes.
-	"mcio/internal/mpi.World.SetTimeout": "fault detection",
-}
-
 // TestEveryExportHasACaller type-checks the root and benchmark modules, test
-// builds included, and fails for each exported function or method under
-// internal/ that nothing calls but its own package's tests. A caller is
-// program code (the root package, cmd/, examples/, internal/ and the
-// benchmark module) or another package's tests. Exempt are methods that
-// implement an interface declaring their name (a call through the
-// interface names no method), methods of the types the root package
-// aliases (public API), and exportExemptions.
+// builds included, and fails for each exported package-level function,
+// method, constant, variable or type under internal/ that nothing uses but
+// its own package's tests. A user is program code (the root package, cmd/,
+// examples/, internal/ and the benchmark module) or another package's
+// tests; a use inside the export's own declaration does not count. Exempt
+// are methods that implement an interface declaring their name (a call
+// through the interface names no method) and methods of the types the root
+// package aliases (public API).
 //
 // go list -test lists the builds of each package's tests: the package with
 // its _test.go files, its external test package, and every module package
 // that imports it rebuilt against that version. All of them are checked as
-// listed; a use in them counts unless the function belongs to the package
+// listed; a use in them counts unless the export belongs to the package
 // under test.
 func TestEveryExportHasACaller(t *testing.T) {
 	if testing.Short() {
@@ -61,7 +53,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 	s := &exportScan{
 		fset:    token.NewFileSet(),
 		checked: map[string]*types.Package{},
-		decls:   map[*types.Func]funcDecl{},
+		decls:   map[types.Object]exportDecl{},
 	}
 	s.gc = importer.ForCompiler(s.fset, "gc", func(path string) (io.ReadCloser, error) {
 		if f, ok := exportData[path]; ok {
@@ -86,37 +78,32 @@ func TestEveryExportHasACaller(t *testing.T) {
 			program = append(program, info)
 			s.record(pkg, info, files)
 		}
-		// Each function's own body, so recursion is not taken for a caller.
-		body := map[*types.Func][2]token.Pos{}
-		for _, f := range files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					body[info.Defs[fd.Name].(*types.Func)] = [2]token.Pos{fd.Pos(), fd.End()}
-				}
-			}
-		}
+		own := ownSpans(info, files)
 		for id, obj := range info.Uses {
-			fn, ok := obj.(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() == p.ForTest {
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+			}
+			if !packageLevel(obj) || obj.Pkg().Path() == p.ForTest {
 				continue
 			}
-			fn = fn.Origin()
-			if b, ok := body[fn]; ok && id.Pos() >= b[0] && id.Pos() < b[1] {
+			if b, ok := own[obj]; ok && id.Pos() >= b[0] && id.Pos() < b[1] {
 				continue
 			}
-			used[funcKey(fn)] = true
+			used[objKey(obj)] = true
 		}
 	}
 
 	aliased := aliasedTypes(s.checked["mcio"])
 	ifaces := interfaces(s.checked, program)
 	var offenders []string
-	for fn, d := range s.decls {
-		if used[d.key] || exportExemptions[d.key] != "" {
+	for obj, d := range s.decls {
+		if used[d.key] {
 			continue
 		}
-		if named := receiverNamed(fn); named != nil && (aliased[named.Obj()] || implements(named, fn.Name(), ifaces)) {
-			continue
+		if fn, ok := obj.(*types.Func); ok {
+			if named := receiverNamed(fn); named != nil && (aliased[named.Obj()] || implements(named, fn.Name(), ifaces)) {
+				continue
+			}
 		}
 		pos := s.fset.Position(d.pos)
 		rel, _ := filepath.Rel(root, pos.Filename)
@@ -124,7 +111,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 	sort.Strings(offenders)
 	for _, o := range offenders {
-		t.Errorf("%s has no caller outside its own package's tests", o)
+		t.Errorf("%s has no user outside its own package's tests", o)
 	}
 }
 
@@ -160,9 +147,9 @@ func goList(t *testing.T, dir string) []listedPackage {
 	}
 }
 
-// funcDecl is an exported function or method: its key and its name and
-// position for the report.
-type funcDecl struct {
+// exportDecl is an exported package-level object: its key and its name
+// and position for the report.
+type exportDecl struct {
 	key, name string
 	pos       token.Pos
 }
@@ -170,8 +157,8 @@ type funcDecl struct {
 type exportScan struct {
 	fset    *token.FileSet
 	gc      types.Importer
-	checked map[string]*types.Package // by listed import path, test builds included
-	decls   map[*types.Func]funcDecl  // exported under internal/, program builds only
+	checked map[string]*types.Package   // by listed import path, test builds included
+	decls   map[types.Object]exportDecl // exported under internal/, program builds only
 }
 
 // check parses and type-checks one listed package, resolving its imports
@@ -212,32 +199,94 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// record notes every exported function and method a package under
-// internal/ declares.
+// record notes every exported package-level object and method a package
+// under internal/ declares.
 func (s *exportScan) record(pkg *types.Package, info *types.Info, files []*ast.File) {
 	if !strings.HasPrefix(pkg.Path(), "mcio/internal/") {
 		return
 	}
 	for _, f := range files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
-				continue
+			for _, id := range declNames(d) {
+				if !id.IsExported() {
+					continue
+				}
+				obj := info.Defs[id]
+				key := objKey(obj)
+				s.decls[obj] = exportDecl{key: key, name: strings.TrimPrefix(key, pkg.Path()+"."), pos: id.Pos()}
 			}
-			fn := info.Defs[fd.Name].(*types.Func)
-			key := funcKey(fn)
-			s.decls[fn] = funcDecl{key: key, name: strings.TrimPrefix(key, pkg.Path()+"."), pos: fd.Pos()}
 		}
 	}
 }
 
-// funcKey names fn the same way in every build of its package: import
-// path, receiver type for a method, and name.
-func funcKey(fn *types.Func) string {
-	if r := receiverNamed(fn); r != nil {
-		return fn.Pkg().Path() + "." + r.Obj().Name() + "." + fn.Name()
+// declNames returns the names a top-level declaration declares.
+func declNames(d ast.Decl) []*ast.Ident {
+	if fd, ok := d.(*ast.FuncDecl); ok {
+		return []*ast.Ident{fd.Name}
 	}
-	return fn.Pkg().Path() + "." + fn.Name()
+	var out []*ast.Ident
+	for _, spec := range d.(*ast.GenDecl).Specs {
+		out = append(out, specNames(spec)...)
+	}
+	return out
+}
+
+// specNames returns the names one const, var or type spec declares.
+func specNames(spec ast.Spec) []*ast.Ident {
+	switch sp := spec.(type) {
+	case *ast.ValueSpec:
+		return sp.Names
+	case *ast.TypeSpec:
+		return []*ast.Ident{sp.Name}
+	}
+	return nil
+}
+
+// ownSpans maps each object a package declares at top level to its own
+// declaration, whose uses of it do not count: a recursive function or
+// type is not its own user.
+func ownSpans(info *types.Info, files []*ast.File) map[types.Object][2]token.Pos {
+	own := map[types.Object][2]token.Pos{}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				own[info.Defs[fd.Name]] = [2]token.Pos{fd.Pos(), fd.End()}
+				continue
+			}
+			for _, spec := range d.(*ast.GenDecl).Specs {
+				for _, id := range specNames(spec) {
+					own[info.Defs[id]] = [2]token.Pos{spec.Pos(), spec.End()}
+				}
+			}
+		}
+	}
+	return own
+}
+
+// packageLevel reports whether obj is a function, method, or a constant,
+// variable or type declared at package level.
+func packageLevel(obj types.Object) bool {
+	if obj.Pkg() == nil {
+		return false
+	}
+	switch obj.(type) {
+	case *types.Func:
+		return true
+	case *types.Const, *types.Var, *types.TypeName:
+		return obj.Parent() == obj.Pkg().Scope()
+	}
+	return false
+}
+
+// objKey names obj the same way in every build of its package: import
+// path, receiver type for a method, and name.
+func objKey(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		if r := receiverNamed(fn); r != nil {
+			return fn.Pkg().Path() + "." + r.Obj().Name() + "." + fn.Name()
+		}
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // aliasedTypes returns the named types the root package aliases.

@@ -8,6 +8,7 @@ import (
 	"mcio/internal/core"
 	"mcio/internal/faults"
 	"mcio/internal/obs"
+	"mcio/internal/obs/analyze"
 	"mcio/internal/sim"
 	"mcio/internal/twophase"
 )
@@ -252,8 +253,11 @@ func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float
 	var b strings.Builder
 	fmt.Fprintf(&b, "observe faults: %s, %s, %d MB per aggregator, fault rate %g\n",
 		p.name, op, p.memMB, rate)
-	for _, pt := range points {
+	runs := make([]analyze.Run, len(points))
+	for i, pt := range points {
 		res := pt.Res
+		runs[i] = analyze.Run{Name: pt.Strategy, Trace: res.Trace, Overlap: pt.Overlap,
+			Wall: res.Seconds, Recovery: res.RecoverySeconds}
 		fmt.Fprintf(&b, "%s: %d rounds, %.4fs simulated (%.1f MB/s), %.4fs in recovery\n",
 			pt.Strategy, len(res.Trace), res.Seconds, res.Bandwidth/1e6, res.RecoverySeconds)
 		fmt.Fprintf(&b, "  failovers %d, stalls %d, replayed rounds %d, ost retries %d, messages delayed %d dropped %d\n",
@@ -266,5 +270,5 @@ func ObserveFaults(scale int64, seed uint64, memMB int, op collio.Op, rate float
 			fmt.Fprintf(&b, "  %s\n", line)
 		}
 	}
-	return &ObserveResult{Obs: p.ctx.Obs, Summary: b.String()}, nil
+	return &ObserveResult{Obs: p.ctx.Obs, Runs: runs, Summary: b.String()}, nil
 }

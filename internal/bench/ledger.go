@@ -285,13 +285,10 @@ func costEntry(name string, res *collio.CostResult, overlap bool) obs.RunEntry {
 		Metrics:       map[string]float64{},
 	}
 	if len(res.Trace) > 0 {
-		b := analyze.BlameFromTrace(res.Trace, overlap)
 		// Whatever wall time the rounds do not cover (e.g. flat recovery
 		// latency) lands in "other" so the blame sums to WallSeconds.
-		if rest := res.Seconds - b.Total(); rest > 1e-12 {
-			b[analyze.PhaseOther] += rest
-		}
-		e.Blame = map[string]float64(b)
+		r := analyze.Run{Trace: res.Trace, Overlap: overlap, Wall: res.Seconds}
+		e.Blame = map[string]float64(r.Blame())
 	}
 	return e
 }
@@ -299,7 +296,10 @@ func costEntry(name string, res *collio.CostResult, overlap bool) obs.RunEntry {
 // topUpRecovery moves stall time the round trace cannot attribute from
 // "other" into "recovery": recoverySeconds is the run's authoritative
 // recovery total. Only time already parked in "other" moves, so the
-// blame total is preserved.
+// blame total is preserved. Unlike analyze's run-level rule it subtracts
+// the io retry delay already blamed on recovery from the stalls, so a run
+// that both retries and stalls keeps part of its stall in "other". The
+// committed fault ledgers pin this rule, so it changes only with them.
 func topUpRecovery(blame map[string]float64, recoverySeconds float64) {
 	if blame == nil {
 		return

@@ -15,9 +15,11 @@ import (
 
 // ObserveResult is one instrumented run of a figure workload: both
 // strategies planned and priced with a shared Observer collecting metrics
-// and simulated-time spans, plus a human-readable summary.
+// and simulated-time spans, each strategy's round records for blame, and
+// a human-readable summary.
 type ObserveResult struct {
 	Obs     *obs.Observer
+	Runs    []analyze.Run // one per strategy, in registration order
 	Summary string
 }
 
@@ -65,6 +67,7 @@ func observeFigure(e *Experiment, a Args) (*ObserveResult, error) {
 		ctx.Obs.Tracer().PID(s.Name())
 	}
 	summaries := make([]string, len(strategies))
+	runs := make([]analyze.Run, len(strategies))
 	err = ForEach(len(strategies), func(i int) error {
 		s := strategies[i]
 		plan, err := s.PlanSet(ctx, rs)
@@ -75,6 +78,7 @@ func observeFigure(e *Experiment, a Args) (*ObserveResult, error) {
 		if err != nil {
 			return err
 		}
+		runs[i] = analyze.Run{Name: s.Name(), Trace: res.Trace, Overlap: opt.Overlap, Wall: res.Seconds}
 		var b strings.Builder
 		fmt.Fprintf(&b, "%s: %d domains, %d rounds, %.4fs simulated (%.1f MB/s)\n",
 			s.Name(), len(plan.Domains), len(res.Trace), res.Seconds,
@@ -82,7 +86,7 @@ func observeFigure(e *Experiment, a Args) (*ObserveResult, error) {
 		for _, line := range bindingTally(res.Trace) {
 			fmt.Fprintf(&b, "  %s\n", line)
 		}
-		fmt.Fprintf(&b, "  %s\n", blameLine(res.Trace, res.Seconds, opt.Overlap))
+		fmt.Fprintf(&b, "  %s\n", blameLine(&runs[i]))
 		summaries[i] = b.String()
 		return nil
 	})
@@ -94,16 +98,13 @@ func observeFigure(e *Experiment, a Args) (*ObserveResult, error) {
 	for _, s := range summaries {
 		b.WriteString(s)
 	}
-	return &ObserveResult{Obs: ctx.Obs, Summary: b.String()}, nil
+	return &ObserveResult{Obs: ctx.Obs, Runs: runs, Summary: b.String()}, nil
 }
 
 // blameLine renders a one-line critical-path breakdown of a traced run:
-// each phase's share of the simulated wall time, largest first.
-func blameLine(tr []sim.TraceEntry, wall float64, overlap bool) string {
-	b := analyze.BlameFromTrace(tr, overlap)
-	if rest := wall - b.Total(); rest > 1e-12 {
-		b[analyze.PhaseOther] += rest
-	}
+// each phase's share of the simulated wall time, in phase order.
+func blameLine(r *analyze.Run) string {
+	b, wall := r.Blame(), r.Wall
 	var parts []string
 	for _, phase := range analyze.Phases() {
 		v := b[phase]

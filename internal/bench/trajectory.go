@@ -159,7 +159,8 @@ func TrajectoryBlame(scale int64, seed uint64) (*Table, error) {
 	for _, pt := range points {
 		for _, strategy := range []string{"two-phase", "memory-conscious"} {
 			res := pt.Results[strategy]
-			b := analyze.BlameFromTrace(res.Trace, pt.Overlap)
+			r := analyze.Run{Trace: res.Trace, Overlap: pt.Overlap, Wall: res.Seconds}
+			b := r.Blame()
 			row := []string{
 				fmt.Sprintf("%.2f", pt.T),
 				strategy,

@@ -3,6 +3,7 @@ package collio
 import (
 	"bytes"
 	"fmt"
+	"time"
 
 	"mcio/internal/faults"
 	"mcio/internal/integrity"
@@ -29,6 +30,12 @@ const (
 	ackResend = 0
 	ackOK     = 1
 )
+
+// execWatchdog bounds every blocking Send and Recv of the executor's
+// ranks: a rank stuck that long fails the call with a diagnosis naming
+// it, instead of hanging the process. Minutes, so that a loaded host
+// under the race detector never trips it on a live rank.
+const execWatchdog = 5 * time.Minute
 
 // ExecVerified is the data executor: it really performs the collective
 // operation described by plan. Ranks run as goroutines, shuffle their
@@ -85,6 +92,7 @@ func ExecVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 
 	world := mpi.NewWorld(ctx.Topo)
 	world.SetObserver(ctx.Obs)
+	world.SetTimeout(execWatchdog)
 	return world.Run(func(p *mpi.Proc) {
 		me := p.Rank()
 		for i, d := range plan.Domains {

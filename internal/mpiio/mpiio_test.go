@@ -77,7 +77,7 @@ func TestSetOptions(t *testing.T) {
 	if err := f.SetOptions(opt); err != nil {
 		t.Fatal(err)
 	}
-	opt.MemCopyFactor = 0
+	opt.NahOpt = 0
 	if err := f.SetOptions(opt); err == nil {
 		t.Fatal("bad options accepted")
 	}

@@ -10,67 +10,36 @@ import (
 
 	"mcio/internal/collio"
 	"mcio/internal/machine"
-	"mcio/internal/obs"
 	"mcio/internal/pfs"
 	"mcio/internal/sim"
 )
 
-// syntheticTracer builds a trace shaped like a faulted engine run: a
-// metadata round, a paged data round, a recovery stall, a recovery
-// round, and a trailing gap of flat latency no span covers.
-func syntheticTracer() *obs.Tracer {
-	tr := obs.NewTracer()
-	pid := tr.PID("two-phase")
-	tr.SetThreadName(pid, sim.TIDTimeline, "rounds")
-	tr.SetThreadName(pid, 101, "node 1 shuffle")
-	tr.SetThreadName(pid, 200, "ost 0")
-
-	op := tr.Begin(pid, sim.TIDTimeline, "two-phase write", 0)
-
-	// Metadata round: comm only, 1 ms.
-	r0 := tr.Begin(pid, sim.TIDTimeline, "round 0", 0, obs.A("kind", "metadata"))
-	tr.Begin(pid, sim.TIDTimeline, "comm", 0, obs.A("phase", "metadata")).End(0.001)
-	r0.End(0.001)
-
-	// Data round: 2 ms comm half-paged, then 3 ms io with 1/3 delay.
-	r1 := tr.Begin(pid, sim.TIDTimeline, "round 1", 0.001, obs.A("kind", "data"))
-	c1 := tr.Begin(pid, sim.TIDTimeline, "comm", 0.001,
-		obs.A("phase", "shuffle"), obs.A("paged_frac", "0.5"))
-	c1.End(0.003)
-	io1 := tr.Begin(pid, sim.TIDTimeline, "io", 0.003,
-		obs.A("phase", "write"), obs.A("delay_frac", "0.333333333333"))
-	io1.End(0.006)
-	r1.End(0.006)
-	tr.Begin(pid, 101, "shuffle", 0.001).End(0.003)
-	tr.Begin(pid, 200, "io", 0.003).End(0.006)
-
-	// Recovery stall then a recovery round.
-	tr.Begin(pid, sim.TIDTimeline, "recovery: node-crash", 0.006,
-		obs.A("phase", "recovery")).End(0.008)
-	r2 := tr.Begin(pid, sim.TIDTimeline, "recovery round 2", 0.008, obs.A("kind", "recovery"))
-	tr.Begin(pid, sim.TIDTimeline, "comm", 0.008, obs.A("phase", "shuffle")).End(0.009)
-	r2.End(0.009)
-
-	// Flat latency: 1 ms of wall time with no round span.
-	op.End(0.010)
-	return tr
+// syntheticRun is shaped like a faulted engine run: a metadata round, a
+// paged data round with injected io delay, a recovery round, 2 ms of
+// recovery stall and 1 ms of flat latency no record covers.
+func syntheticRun() Run {
+	return Run{
+		Name: "two-phase",
+		Trace: []sim.TraceEntry{
+			{Round: 0, Kind: sim.RoundMetadata,
+				Cost: sim.RoundCost{CommTime: 0.001, Time: 0.001}},
+			// 2 ms comm half-paged, then 3 ms io with 1/3 delay.
+			{Round: 1, CommPagedFrac: 0.5, IODelayFrac: 1.0 / 3, IODir: "write",
+				Cost: sim.RoundCost{CommTime: 0.002, IOTime: 0.003, Time: 0.005}},
+			{Round: 2, Recovery: true,
+				Cost: sim.RoundCost{CommTime: 0.001, Time: 0.001}},
+		},
+		Wall:     0.010,
+		Recovery: 0.003, // the recovery round plus the stall
+	}
 }
 
 func TestAnalyzeBlame(t *testing.T) {
-	a := Analyze(syntheticTracer())
-	if len(a.Processes) != 1 {
-		t.Fatalf("got %d processes, want 1", len(a.Processes))
-	}
-	p := process(a, "two-phase")
-	if p == nil {
-		t.Fatal("process two-phase not found")
-	}
-	if got, want := p.Wall, 0.010; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("wall = %v, want %v", got, want)
-	}
+	r := syntheticRun()
+	b := r.Blame()
 	approx := func(phase string, want float64) {
 		t.Helper()
-		if got := p.Blame[phase]; math.Abs(got-want) > 1e-9 {
+		if got := b[phase]; math.Abs(got-want) > 1e-9 {
 			t.Errorf("blame[%s] = %v, want %v", phase, got, want)
 		}
 	}
@@ -78,68 +47,39 @@ func TestAnalyzeBlame(t *testing.T) {
 	approx(PhaseShuffle, 0.001)  // data-round comm minus paging
 	approx(PhasePaging, 0.001)   // half of the 2 ms comm
 	approx(PhaseWrite, 0.002)    // 3 ms io minus 1 ms delay
-	approx(PhaseRecovery, 0.004) // 1 ms delay + 2 ms stall + 1 ms recovery round
-	approx(PhaseOther, 0.001)    // the uncovered trailing latency
-	if got := p.Blame.Total(); math.Abs(got-p.Wall) > 1e-9 {
-		t.Fatalf("blame total %v != wall %v", got, p.Wall)
+	approx(PhaseRecovery, 0.004) // 1 ms delay + 1 ms recovery round + 2 ms stall
+	approx(PhaseOther, 0.001)    // the uncovered flat latency
+	if got := b.Total(); math.Abs(got-r.Wall) > 1e-9 {
+		t.Fatalf("blame total %v != wall %v", got, r.Wall)
 	}
-	if len(p.Rounds) != 3 {
-		t.Fatalf("got %d rounds, want 3", len(p.Rounds))
-	}
-	if p.Rounds[1].Bound != PhaseWrite {
-		t.Errorf("round 1 bound by %q, want write", p.Rounds[1].Bound)
-	}
-	if !p.Rounds[2].Recovery || p.Rounds[2].Bound != PhaseRecovery {
-		t.Errorf("recovery round not attributed: %+v", p.Rounds[2])
-	}
-	// Per-round blame sums to the round duration.
-	for _, rb := range p.Rounds {
-		if math.Abs(rb.Blame.Total()-rb.Dur) > 1e-9 {
-			t.Errorf("round %d blame %v != dur %v", rb.Round, rb.Blame.Total(), rb.Dur)
-		}
-	}
-}
-
-func TestAnalyzeTracks(t *testing.T) {
-	p := process(Analyze(syntheticTracer()), "two-phase")
-	if len(p.Tracks) != 2 {
-		t.Fatalf("got %d tracks, want 2: %+v", len(p.Tracks), p.Tracks)
-	}
-	byName := map[string]TrackSummary{}
-	for _, ts := range p.Tracks {
-		byName[ts.Name] = ts
-	}
-	sh := byName["node 1 shuffle"]
-	if math.Abs(sh.Busy-0.002) > 1e-12 || sh.Spans != 1 {
-		t.Errorf("shuffle lane = %+v, want 2 ms busy, 1 span", sh)
-	}
-	if math.Abs(sh.Utilization-0.2) > 1e-9 {
-		t.Errorf("shuffle utilization = %v, want 0.2", sh.Utilization)
+	// The rounds alone hold everything but the stall and the latency.
+	if got, want := BlameFromTrace(r.Trace, false).Total(), 0.007; math.Abs(got-want) > 1e-9 {
+		t.Fatalf("round blame total %v, want %v", got, want)
 	}
 }
 
 func TestAnalyzeOverlapRescales(t *testing.T) {
-	tr := obs.NewTracer()
-	pid := tr.PID("mc")
-	// Overlapped round: comm 2 ms and io 3 ms both start at t=0; the
-	// round lasts max = 3 ms. Blame must sum to 3 ms, split 2:3.
-	r := tr.Begin(pid, sim.TIDTimeline, "round 0", 0, obs.A("kind", "data"))
-	tr.Begin(pid, sim.TIDTimeline, "comm", 0, obs.A("phase", "shuffle")).End(0.002)
-	tr.Begin(pid, sim.TIDTimeline, "io", 0, obs.A("phase", "read")).End(0.003)
-	r.End(0.003)
-	p := process(Analyze(tr), "mc")
-	if math.Abs(p.Blame.Total()-0.003) > 1e-9 {
-		t.Fatalf("overlap blame total = %v, want 0.003", p.Blame.Total())
+	// Overlapped round: comm 2 ms and io 3 ms ran concurrently; the round
+	// lasts max = 3 ms. Blame must sum to 3 ms, split 2:3.
+	r := Run{
+		Trace: []sim.TraceEntry{{IODir: "read",
+			Cost: sim.RoundCost{CommTime: 0.002, IOTime: 0.003, Time: 0.003}}},
+		Overlap: true,
+		Wall:    0.003,
 	}
-	if math.Abs(p.Blame[PhaseShuffle]-0.0012) > 1e-9 || math.Abs(p.Blame[PhaseRead]-0.0018) > 1e-9 {
-		t.Fatalf("overlap split = %v, want shuffle 0.0012 / read 0.0018", p.Blame)
+	b := r.Blame()
+	if math.Abs(b.Total()-0.003) > 1e-9 {
+		t.Fatalf("overlap blame total = %v, want 0.003", b.Total())
+	}
+	if math.Abs(b[PhaseShuffle]-0.0012) > 1e-9 || math.Abs(b[PhaseRead]-0.0018) > 1e-9 {
+		t.Fatalf("overlap split = %v, want shuffle 0.0012 / read 0.0018", b)
 	}
 }
 
-// engineRun prices a few rounds on a real engine with both the span
-// sink and round tracing on, so span-based and trace-based blame can be
-// cross-checked.
-func engineRun(t *testing.T, overlap bool) (*obs.Observer, []sim.TraceEntry, float64) {
+// engineRun prices a few rounds on a real engine with round tracing on:
+// a metadata round, paged data rounds with io delay, a recovery stall
+// and a recovery round.
+func engineRun(t *testing.T, overlap bool) Run {
 	t.Helper()
 	mc := machine.Testbed640()
 	mc.Nodes = 8
@@ -151,8 +91,6 @@ func engineRun(t *testing.T, overlap bool) (*obs.Observer, []sim.TraceEntry, flo
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := obs.New()
-	e.SetObserver(o, o.Tracer().PID("probe"))
 	e.SetAggregators([]sim.AggregatorPlacement{
 		{Node: 1, BufferBytes: 8 << 20, PagedSeverity: 0.6},
 		{Node: 2, BufferBytes: 8 << 20},
@@ -169,62 +107,51 @@ func engineRun(t *testing.T, overlap bool) (*obs.Observer, []sim.TraceEntry, flo
 			},
 			IOOps: []sim.IOOp{
 				{Target: 1, Node: 1, Bytes: 8 << 20, Requests: 2, Contiguous: true, Write: true},
-				{Target: 2, Node: 2, Bytes: 4 << 20, Requests: 1, Contiguous: false, Write: true, DelaySeconds: 0.002},
+				{Target: 2, Node: 2, Bytes: 4 << 20, Requests: 1, Contiguous: false, Write: true, DelaySeconds: 0.05},
 			},
 		})
 	}
 	e.AddRecoveryLatency(0.005, "node-crash")
 	e.RunAggRecoveryRound(sim.AggRound{Messages: []sim.AggMessage{{SrcNode: 0, DstNode: 2, Bytes: 1 << 10, Count: 1}}})
-	return o, e.TakeTrace(), e.Elapsed()
+	return Run{Name: "probe", Trace: e.TakeTrace(), Overlap: overlap,
+		Wall: e.Elapsed(), Recovery: e.Totals().RecoverySeconds}
 }
 
 func TestAnalyzeMatchesEngine(t *testing.T) {
 	for _, overlap := range []bool{false, true} {
-		o, entries, elapsed := engineRun(t, overlap)
-		p := process(Analyze(o.Trace), "probe")
-		if p == nil {
-			t.Fatal("probe process missing")
-		}
-		if math.Abs(p.Wall-elapsed) > 1e-12 {
-			t.Fatalf("overlap=%v: wall %v != engine elapsed %v", overlap, p.Wall, elapsed)
-		}
-		if math.Abs(p.Blame.Total()-elapsed) > 1e-9*elapsed {
-			t.Fatalf("overlap=%v: blame total %v != elapsed %v", overlap, p.Blame.Total(), elapsed)
+		r := engineRun(t, overlap)
+		b := r.Blame()
+		if math.Abs(b.Total()-r.Wall) > 1e-9*r.Wall {
+			t.Fatalf("overlap=%v: blame total %v != elapsed %v", overlap, b.Total(), r.Wall)
 		}
 		for _, phase := range []string{PhaseMetadata, PhaseShuffle, PhaseWrite, PhasePaging, PhaseRecovery} {
-			if p.Blame[phase] <= 0 {
-				t.Errorf("overlap=%v: phase %s got no blame: %v", overlap, phase, p.Blame)
+			if b[phase] <= 0 {
+				t.Errorf("overlap=%v: phase %s got no blame: %v", overlap, phase, b)
 			}
 		}
-		// The trace-entry path agrees with the span path on everything the
-		// entries can see (stall latency is span-only by contract).
-		tb := BlameFromTrace(entries, overlap)
-		for _, phase := range Phases() {
-			want := p.Blame[phase]
-			if phase == PhaseRecovery {
-				want -= 0.005 // the AddRecoveryLatency stall
-			}
-			if phase == PhaseOther {
-				continue
-			}
-			// paged_frac/delay_frac attrs carry 6 significant digits, so
-			// the span path is quantized relative to the exact trace path.
-			if math.Abs(tb[phase]-want) > 1e-7 {
-				t.Errorf("overlap=%v: BlameFromTrace[%s] = %v, span path %v", overlap, phase, tb[phase], want)
-			}
+		// Recovery is the engine's recovery total (the stall and the
+		// recovery round) plus the io delay the rounds recorded.
+		delay := BlameFromTrace(r.Trace, overlap)[PhaseRecovery] - r.Trace[len(r.Trace)-1].Cost.Time
+		if delay <= 0 {
+			t.Fatalf("overlap=%v: no io delay blamed", overlap)
+		}
+		if got, want := b[PhaseRecovery], r.Recovery+delay; math.Abs(got-want) > 1e-12 {
+			t.Errorf("overlap=%v: recovery %v, want %v", overlap, got, want)
+		}
+		if b[PhaseOther] > 1e-12 {
+			t.Errorf("overlap=%v: %v s in other; every second has a record or a stall", overlap, b[PhaseOther])
 		}
 	}
 }
 
 func TestWriteFlameSumsToWall(t *testing.T) {
-	o, _, elapsed := engineRun(t, false)
-	a := Analyze(o.Trace)
+	r := engineRun(t, false)
 	var buf bytes.Buffer
-	if err := WriteFlame(&buf, a); err != nil {
+	if err := WriteFlame(&buf, []Run{r}); err != nil {
 		t.Fatal(err)
 	}
 	var totalUS int64
-	lines := 0
+	lines, stalls := 0, 0
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
 		line := sc.Text()
@@ -241,32 +168,36 @@ func TestWriteFlameSumsToWall(t *testing.T) {
 		if err != nil || us <= 0 {
 			t.Fatalf("bad value %q in line %q", val, line)
 		}
+		if stack == "probe;stall;recovery" {
+			stalls++
+			if us != 5000 {
+				t.Errorf("stall line %d µs, want the 5000 µs recovery stall", us)
+			}
+		}
 		totalUS += us
 	}
 	if lines == 0 {
 		t.Fatal("flame output empty")
 	}
-	wallUS := elapsed * 1e6
+	if stalls != 1 {
+		t.Errorf("%d stall lines, want 1", stalls)
+	}
+	wallUS := r.Wall * 1e6
 	if math.Abs(float64(totalUS)-wallUS) > float64(lines)+1 {
 		t.Fatalf("flame total %d µs, wall %.3f µs: off by more than rounding", totalUS, wallUS)
 	}
 }
 
 func TestAnalyzeNil(t *testing.T) {
-	if a := Analyze(nil); len(a.Processes) != 0 {
-		t.Fatal("nil tracer produced processes")
-	}
 	if b := BlameFromTrace(nil, false); len(b) != 0 {
 		t.Fatal("empty trace produced blame")
 	}
-}
-
-// process returns the analysis for the named process, or nil.
-func process(a *Analysis, name string) *ProcessAnalysis {
-	for i := range a.Processes {
-		if a.Processes[i].Name == name {
-			return &a.Processes[i]
-		}
+	var r Run
+	if b := r.Blame(); len(b) != 0 {
+		t.Fatalf("empty run produced blame %v", b)
 	}
-	return nil
+	var buf bytes.Buffer
+	if err := WriteFlame(&buf, []Run{r}); err != nil || buf.Len() != 0 {
+		t.Fatalf("empty run flame %q, err %v", buf.String(), err)
+	}
 }

@@ -163,32 +163,6 @@ func (t *Tracer) Spans() []Span {
 	return out
 }
 
-// ProcessNames returns a copy of the pid -> process-name registrations,
-// in no particular order. Nil-safe.
-func (t *Tracer) ProcessNames() map[int]string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[int]string, len(t.procs))
-	for pid, name := range t.procs {
-		out[pid] = name
-	}
-	return out
-}
-
-// ThreadName returns the display name registered for (pid, tid), or ""
-// when the track is unnamed. Nil-safe.
-func (t *Tracer) ThreadName(pid, tid int) string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.threads[[2]int{pid, tid}]
-}
-
 // processes returns (pid, name) pairs sorted by pid.
 func (t *Tracer) processes() []struct {
 	pid  int

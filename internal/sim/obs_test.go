@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mcio/internal/obs"
+	"mcio/internal/sim/pricing"
 )
 
 // tracedEngine is testEngine with round tracing on.
@@ -65,7 +66,7 @@ func TestBindingPagedNodeAttributed(t *testing.T) {
 	if !b.CommBound || b.CommNode != 1 {
 		t.Fatalf("paged destination should bind on node 1, got %v", b)
 	}
-	if b.CommResource != BindMem && b.CommResource != BindNICIn {
+	if b.CommResource != pricing.BindMem && b.CommResource != pricing.BindNICIn {
 		t.Fatalf("paged destination bound by %q, want mem or nic-in", b.CommResource)
 	}
 }

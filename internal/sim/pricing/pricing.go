@@ -23,6 +23,17 @@ const (
 	BindLatency = "latency"
 )
 
+// Memory-model constants of the shipped experiments.
+const (
+	// MemCopyFactor is how many times each shuffled byte crosses a
+	// node's DRAM (copy into the aggregation buffer and out to the NIC).
+	MemCopyFactor = 2
+	// ContentionBeta scales the bandwidth degradation per aggregator
+	// beyond the per-node optimum N_ah:
+	// effBW = memBW / (1 + ContentionBeta*max(0, k-N_ah)).
+	ContentionBeta = 0.35
+)
+
 // NodeLoad is one node's traffic within a round: NIC bytes in/out, DRAM
 // bytes, and the number of latency-charged messages.
 type NodeLoad struct {
@@ -46,26 +57,26 @@ func PagedSlowdown(severity, pagedBWFrac float64) float64 {
 // given its paging and straggler state and aggregator contention: memBW
 // degraded by paging and the straggler divisor, then by contention when
 // more than nahOpt aggregators share the node.
-func EffMemBW(memBW, pagedSlow, nodeSlow float64, aggs, nahOpt int, beta float64) float64 {
+func EffMemBW(memBW, pagedSlow, nodeSlow float64, aggs, nahOpt int) float64 {
 	bw := memBW / pagedSlow / nodeSlow
 	if aggs > nahOpt {
-		bw /= 1 + beta*float64(aggs-nahOpt)
+		bw /= 1 + ContentionBeta*float64(aggs-nahOpt)
 	}
 	return bw
 }
 
 // MemCopy is the DRAM traffic charged for moving bytes through a node
-// once (copy in + copy out ≈ factor crossings).
-func MemCopy(factor float64, bytes int64) int64 {
-	return int64(factor * float64(bytes))
+// once (copy in + copy out: MemCopyFactor crossings).
+func MemCopy(bytes int64) int64 {
+	return int64(MemCopyFactor * float64(bytes))
 }
 
 // IntraMemCopy is the DRAM traffic of an intra-node transfer: both
 // endpoints live on the node, so the bytes cross DRAM twice as often.
 // (Kept as a single float expression — int64(f*b*2), not
 // 2*int64(f*b) — to match the simulator's historical rounding.)
-func IntraMemCopy(factor float64, bytes int64) int64 {
-	return int64(factor * float64(bytes) * 2)
+func IntraMemCopy(bytes int64) int64 {
+	return int64(MemCopyFactor * float64(bytes) * 2)
 }
 
 // CommTime prices one node's communication phase: NIC injection and

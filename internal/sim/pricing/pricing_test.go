@@ -24,11 +24,11 @@ func TestPagedSlowdown(t *testing.T) {
 
 func TestEffMemBW(t *testing.T) {
 	// At or under NahOpt: only paging and straggler divisors apply.
-	if got, want := EffMemBW(100, 2, 1, 4, 4, 0.35), 50.0; got != want {
+	if got, want := EffMemBW(100, 2, 1, 4, 4), 50.0; got != want {
 		t.Fatalf("effMemBW = %v, want %v", got, want)
 	}
 	// One aggregator over: contention divisor kicks in.
-	if got, want := EffMemBW(100, 1, 1, 5, 4, 0.35), 100/1.35; got != want {
+	if got, want := EffMemBW(100, 1, 1, 5, 4), 100/1.35; got != want {
 		t.Fatalf("contended effMemBW = %v, want %v", got, want)
 	}
 }

@@ -8,7 +8,7 @@
 //   - NIC injection/ejection time per node (bytes through the NIC / NIC BW,
 //     plus a per-message latency charge),
 //   - off-chip memory time per node (every byte shuffled through a node
-//     crosses DRAM MemCopyFactor times; the node's memory bandwidth is
+//     crosses DRAM pricing.MemCopyFactor times; the node's memory bandwidth is
 //     degraded when aggregation buffers exceed available memory — paging —
 //     and when more aggregators than the per-node optimum N_ah are active —
 //     contention),
@@ -88,36 +88,24 @@ type Options struct {
 	// Trace records a TraceEntry per round, retrievable via TakeTrace.
 	// Off by default: operations can run hundreds of rounds.
 	Trace bool
-	// MemCopyFactor is how many times each shuffled byte crosses a node's
-	// DRAM (copy into the aggregation buffer and out to the NIC ≈ 2).
-	MemCopyFactor float64
 	// NahOpt is the number of aggregators one node can host before
-	// off-chip contention degrades bandwidth (the paper's N_ah).
+	// off-chip contention degrades bandwidth (the paper's N_ah; each one
+	// beyond it costs pricing.ContentionBeta).
 	NahOpt int
-	// ContentionBeta scales the bandwidth degradation per aggregator
-	// beyond NahOpt: effBW = memBW / (1 + beta*max(0, k-NahOpt)).
-	ContentionBeta float64
 }
 
 // DefaultOptions returns the options used by the shipped experiments.
 func DefaultOptions() Options {
 	return Options{
-		Overlap:        false,
-		MemCopyFactor:  2,
-		NahOpt:         4,
-		ContentionBeta: 0.35,
+		Overlap: false,
+		NahOpt:  4,
 	}
 }
 
 // Validate reports an error for unusable options.
 func (o Options) Validate() error {
-	switch {
-	case o.MemCopyFactor <= 0:
-		return fmt.Errorf("sim: MemCopyFactor must be positive")
-	case o.NahOpt <= 0:
+	if o.NahOpt <= 0 {
 		return fmt.Errorf("sim: NahOpt must be positive")
-	case o.ContentionBeta < 0:
-		return fmt.Errorf("sim: ContentionBeta must be non-negative")
 	}
 	return nil
 }
@@ -201,15 +189,6 @@ type Totals struct {
 	PerNodeShuffle map[int]int64
 }
 
-// Comm-phase binding resources for Binding.CommResource, aliased from
-// the shared pricing core.
-const (
-	BindNICOut  = pricing.BindNICOut
-	BindNICIn   = pricing.BindNICIn
-	BindMem     = pricing.BindMem
-	BindLatency = pricing.BindLatency
-)
-
 // Binding identifies the resources that bounded one round: the node whose
 // communication load set the comm-phase time (and which of its resources
 // dominated), and the storage target that set the I/O-phase time.
@@ -217,8 +196,8 @@ type Binding struct {
 	// CommNode is the node with the largest communication time, -1 when
 	// the round moved no data.
 	CommNode int
-	// CommResource is what bound CommNode: BindNICOut, BindNICIn, BindMem
-	// or BindLatency (per-message latency exceeding every byte-stream
+	// CommResource is what bound CommNode: pricing.BindNICOut, BindNICIn,
+	// BindMem or BindLatency (per-message latency exceeding every byte-stream
 	// term). Empty when CommNode is -1.
 	CommResource string
 	// IOTarget is the storage target with the largest I/O time, -1 when
@@ -599,7 +578,7 @@ func (e *Engine) pagedSlowdown(node int) float64 {
 // traffic given paging state and aggregator contention.
 func (e *Engine) effMemBW(node int) float64 {
 	return pricing.EffMemBW(e.mc.MemBandwidth, e.pagedSlowdown(node), e.nodeSlowdown(node),
-		e.nodes[node].aggs, e.opt.NahOpt, e.opt.ContentionBeta)
+		e.nodes[node].aggs, e.opt.NahOpt)
 }
 
 // nodeLoad accumulates one node's traffic within a round.
@@ -675,10 +654,9 @@ type AggRound struct {
 // RunAggRound prices one round and accumulates it into the totals. The
 // engine reduces messages to per-node byte loads before pricing, so a
 // bundle prices as its constituent messages sent one by one (Count 1
-// each) would, except for the DRAM charge int64(MemCopyFactor*bytes),
-// computed once per bundle instead of once per message: for integral
-// MemCopyFactor (the default 2) the two are bit-identical; otherwise
-// they differ by at most one byte per constituent message.
+// each) would: the DRAM charge int64(MemCopyFactor*bytes), computed once
+// per bundle instead of once per message, is exact for the integral
+// factor.
 func (e *Engine) RunAggRound(r AggRound) RoundCost { return e.runAggRound(r, false, false) }
 
 // RunAggRoundMirrored prices r run in the opposite direction: each
@@ -788,7 +766,7 @@ func (e *Engine) accMessage(src, dst int, bytes int64, count int) {
 	if src == dst {
 		// Intra-node: two extra DRAM crossings, no NIC.
 		l := e.load(src)
-		l.mem += pricing.IntraMemCopy(e.opt.MemCopyFactor, bytes)
+		l.mem += pricing.IntraMemCopy(bytes)
 		l.msgs += count
 		return
 	}
@@ -797,8 +775,8 @@ func (e *Engine) accMessage(src, dst int, bytes int64, count int) {
 	sl, dl := e.load(src), e.load(dst)
 	sl.out += bytes
 	dl.in += bytes
-	sl.mem += pricing.MemCopy(e.opt.MemCopyFactor, bytes)
-	dl.mem += pricing.MemCopy(e.opt.MemCopyFactor, bytes)
+	sl.mem += pricing.MemCopy(bytes)
+	dl.mem += pricing.MemCopy(bytes)
 	sl.msgs += count
 	dl.msgs += count
 }
@@ -808,9 +786,8 @@ func (e *Engine) accMessage(src, dst int, bytes int64, count int) {
 // its own entry and the exchange totals (minus its intra-node share), so
 // the cost is linear in endpoints. Per-node sums equal what accMessage
 // over the dense (src, dst) product would produce; as with AggMessage
-// bundles, the DRAM charge rounds once per aggregate, bit-identical for
-// integral MemCopyFactor. Returns the total bytes moved and the number
-// of constituent point-to-point messages.
+// bundles, the DRAM charge rounds once per aggregate. Returns the total
+// bytes moved and the number of constituent point-to-point messages.
 func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 	var slots int64
 	for _, d := range x.Dsts {
@@ -847,7 +824,6 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 		ns.xBytes += s.Bytes
 		ns.xCount += s.Count
 	}
-	f := e.opt.MemCopyFactor
 	for _, s := range x.Srcs {
 		if s.Bytes == 0 {
 			continue
@@ -858,13 +834,13 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 		ms := e.nodes[s.Node].xSlots
 		if ms > 0 {
 			// Intra-node deliveries: two extra DRAM crossings, no NIC.
-			l.mem += pricing.IntraMemCopy(f, s.Bytes*ms)
+			l.mem += pricing.IntraMemCopy(s.Bytes * ms)
 			l.msgs += s.Count * int(ms)
 		}
 		if inter := slots - ms; inter > 0 {
 			e.totals.NetBytes += s.Bytes * inter
 			l.out += s.Bytes * inter
-			l.mem += pricing.MemCopy(f, s.Bytes*inter)
+			l.mem += pricing.MemCopy(s.Bytes * inter)
 			l.msgs += s.Count * int(inter)
 		}
 		commBytes += s.Bytes * slots
@@ -882,7 +858,7 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 		own.shuffle += recvBytes
 		l := e.load(d.Node)
 		l.in += recvBytes
-		l.mem += pricing.MemCopy(f, recvBytes)
+		l.mem += pricing.MemCopy(recvBytes)
 		l.msgs += (totalCount - own.xCount) * d.Slots
 	}
 	for _, d := range x.Dsts {
@@ -926,7 +902,7 @@ func (e *Engine) accIOOp(op *IOOp, write bool) int {
 	} else {
 		l.in += bytes
 	}
-	l.mem += int64(n) * pricing.MemCopy(e.opt.MemCopyFactor, op.Bytes)
+	l.mem += int64(n) * pricing.MemCopy(op.Bytes)
 	// A paged or straggling issuing node drains/fills its aggregation
 	// buffer at degraded speed, throttling the storage access it
 	// drives; injected retry/degradation delay is charged on top.

@@ -40,9 +40,8 @@ func TestNewEngineValidates(t *testing.T) {
 		}
 	}
 	badOpts := []Options{
-		{MemCopyFactor: 0, NahOpt: 1},
-		{MemCopyFactor: 1, NahOpt: 0},
-		{MemCopyFactor: 1, NahOpt: 1, ContentionBeta: -1},
+		{NahOpt: 0},
+		{NahOpt: -1},
 	}
 	for i, o := range badOpts {
 		if _, err := NewEngine(mc, good, o); err == nil {

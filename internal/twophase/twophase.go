@@ -37,25 +37,36 @@ func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio
 
 // PlanSet implements collio.Strategy.
 func (s *Strategy) PlanSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.Plan, error) {
+	return PlanEven(ctx, rs, s.Name(), s.AggregatorsPerNode, 1)
+}
+
+// PlanEven is the classic two-phase planner, recorded under the strategy
+// name: the first perNode ranks of each node aggregate (ROMIO's
+// cb_config_list; perNode <= 0 means 1), the aggregate access range is
+// split evenly by offset into one file domain per aggregator, and each
+// aggregator takes the fixed collective buffer whatever its node has
+// free. align snaps every domain boundary to a multiple of it: the
+// domain size rounds up to whole units and the first domain starts at
+// the unit boundary at or before the data. 1 is the plain even split.
+func PlanEven(ctx *collio.Context, rs *collio.RequestSet, name string, perNode int, align int64) (*collio.Plan, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
-	perNode := s.AggregatorsPerNode
 	if perNode <= 0 {
 		perNode = 1
 	}
 	if rank, ok := collio.InvalidRank(ctx, rs); ok {
-		return nil, fmt.Errorf("twophase: request for invalid rank %d", rank)
+		return nil, fmt.Errorf("%s: request for invalid rank %d", name, rank)
 	}
 	norm := rs.Union()
-	plan := &collio.Plan{Strategy: s.Name(), Groups: 1, GroupRanks: [][]int{rs.RanksWithData()}}
+	plan := &collio.Plan{Strategy: name, Groups: 1, GroupRanks: [][]int{rs.RanksWithData()}}
 	if len(norm) == 0 {
 		collio.RecordPlanMetrics(ctx.Obs, plan)
 		return plan, nil
 	}
 
 	// ROMIO default: the first rank on each node is an I/O aggregator
-	// (with AggregatorsPerNode > 1, the first k ranks).
+	// (with perNode > 1, the first perNode ranks).
 	var aggs []int
 	for node := 0; node < ctx.Topo.Nodes(); node++ {
 		ranks := ctx.Topo.RanksOnNode(node)
@@ -64,7 +75,7 @@ func (s *Strategy) PlanSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.
 		}
 	}
 	if len(aggs) == 0 {
-		return nil, fmt.Errorf("twophase: topology has no ranks")
+		return nil, fmt.Errorf("%s: topology has no ranks", name)
 	}
 
 	// Divide the aggregate access range evenly by offset — oblivious to
@@ -72,13 +83,15 @@ func (s *Strategy) PlanSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.
 	span := pfs.Span(norm)
 	nAggs := int64(len(aggs))
 	domSize := (span.Length + nAggs - 1) / nAggs
-	for i := int64(0); i < nAggs; i++ {
-		lo := span.Offset + i*domSize
+	domSize = (domSize + align - 1) / align * align
+	lo := span.Offset / align * align
+	for i := int64(0); i < nAggs && lo < span.End(); i++ {
 		hi := lo + domSize
-		if hi > span.End() {
+		if i == nAggs-1 || hi > span.End() {
 			hi = span.End()
 		}
 		exts := pfs.Clip(norm, lo, hi)
+		lo = hi
 		if len(exts) == 0 {
 			continue // aggregator with an empty domain sits the call out
 		}
