@@ -24,7 +24,8 @@ import (
 // method, constant, variable or type under internal/ that nothing uses but
 // its own package's tests. A user is program code (the root package, cmd/,
 // examples/, internal/ and the benchmark module) or another package's
-// tests; a use inside the export's own declaration does not count. Exempt
+// tests; a use inside the export's own declaration does not count, nor
+// does a method's receiver count as a use of its type. Exempt
 // are methods that implement an interface declaring their name (a call
 // through the interface names no method) and methods of the types the root
 // package aliases (public API).
@@ -79,11 +80,12 @@ func TestEveryExportHasACaller(t *testing.T) {
 			s.record(pkg, info, files)
 		}
 		own := ownSpans(info, files)
+		recv := receiverTypes(files)
 		for id, obj := range info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
 				obj = fn.Origin()
 			}
-			if !packageLevel(obj) || obj.Pkg().Path() == p.ForTest {
+			if !packageLevel(obj) || obj.Pkg().Path() == p.ForTest || recv[id] {
 				continue
 			}
 			if b, ok := own[obj]; ok && id.Pos() >= b[0] && id.Pos() < b[1] {
@@ -261,6 +263,25 @@ func ownSpans(info *types.Info, files []*ast.File) map[types.Object][2]token.Pos
 		}
 	}
 	return own
+}
+
+// receiverTypes returns the identifiers naming a method's receiver type:
+// a method does not use its own type.
+func receiverTypes(files []*ast.File) map[*ast.Ident]bool {
+	recv := map[*ast.Ident]bool{}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						recv[id] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	return recv
 }
 
 // packageLevel reports whether obj is a function, method, or a constant,

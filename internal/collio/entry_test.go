@@ -15,7 +15,8 @@ import (
 // TestInvalidPlansAreRefused gives BuildShapeSet and CostSet a plan with
 // each defect Plan.ValidateSet names and checks that both refuse it with
 // that defect: no shape is built for, and no price put on, a plan that
-// does not tile its requests.
+// does not tile its requests. The deprecated []RankRequest shims, which
+// do not validate, still refuse domains out of order with an error.
 func TestInvalidPlansAreRefused(t *testing.T) {
 	c := pricingCases(t, 0)[1]
 	plan, err := twophase.New().PlanSet(c.ctx, c.rs)
@@ -79,6 +80,16 @@ func TestInvalidPlansAreRefused(t *testing.T) {
 		if err == nil || res != nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CostSet = %v, %v; want the refusal %q", tc.name, res != nil, err, tc.want)
 		}
+	}
+	outOfOrder := cases[0]
+	if sh, err := collio.BuildShape(c.ctx, outOfOrder.plan, c.reqs); err == nil || sh != nil || !strings.Contains(err.Error(), outOfOrder.want) {
+		t.Errorf("%s: BuildShape = %v, %v; want the refusal %q", outOfOrder.name, sh != nil, err, outOfOrder.want)
+	}
+	if res, err := collio.Cost(c.ctx, outOfOrder.plan, c.reqs, collio.Write, c.opt); err == nil || res != nil || !strings.Contains(err.Error(), outOfOrder.want) {
+		t.Errorf("%s: Cost = %v, %v; want the refusal %q", outOfOrder.name, res != nil, err, outOfOrder.want)
+	}
+	if res, err := collio.CostWithFaults(c.ctx, outOfOrder.plan, c.reqs, collio.Write, c.opt, nil, nil); err == nil || res != nil || !strings.Contains(err.Error(), outOfOrder.want) {
+		t.Errorf("%s: CostWithFaults = %v, %v; want the refusal %q", outOfOrder.name, res != nil, err, outOfOrder.want)
 	}
 }
 

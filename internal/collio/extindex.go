@@ -14,8 +14,10 @@ import (
 // prohibitive for coll_perf-scale requests. The walk takes one step per
 // run of request extents inside one bucket extent, one per extent that
 // straddles a bucket boundary or lies in a gap, and one gallop per jump
-// over bucket extents; only the run's tight summing loop touches every
-// extent.
+// over bucket extents. On a list the request set keeps running totals
+// for, a run is summed extent by extent for its first runProbe extents
+// only; past them, the walk gallops to the run's end and takes the
+// rest of its bytes from two of the totals.
 type ExtentIndex struct {
 	flat   []pfs.Extent // all bucket extents, ascending, disjoint
 	bucket []int        // bucket id per flat extent
@@ -59,7 +61,7 @@ type BucketBytes struct {
 // between pricing a million-rank operation and timing out on it. The
 // set has already checked the list, so it is walked as it is.
 func (x *ExtentIndex) RequestOverlapAppend(dst []BucketBytes, rs *RequestSet, i int) []BucketBytes {
-	norm := rs.List(i)
+	norm, sums := rs.List(i), rs.partialSums(i)
 	base := len(dst)
 	i, j := 0, 0
 	for i < len(norm) && j < len(x.flat) {
@@ -78,9 +80,17 @@ func (x *ExtentIndex) RequestOverlapAppend(dst []BucketBytes, rs *RequestSet, i 
 		if bEnd := b.End(); a.Offset >= b.Offset && a.End() <= bEnd {
 			// A run of request extents inside the bucket extent: each
 			// lies wholly in it, so its bytes are the run's summed
-			// lengths, taken in one pass instead of one step per extent.
+			// lengths. Past its first runProbe extents, a run of a list
+			// with stored totals is galloped over instead of summed.
 			n = a.Length
+			start := i
 			for i++; i < len(norm) && norm[i].End() <= bEnd; i++ {
+				if i-start == runProbe && sums != nil {
+					var m int64
+					m, i = gallopRun(norm, sums, i, bEnd)
+					n += m
+					break
+				}
 				n += norm[i].Length
 			}
 		} else {
@@ -102,6 +112,45 @@ func (x *ExtentIndex) RequestOverlapAppend(dst []BucketBytes, rs *RequestSet, i 
 		}
 	}
 	return dst
+}
+
+// runProbe is how many extents of a run the walk sums one by one
+// before it gallops: the one- and two-extent runs of contiguous requests
+// end within it, at the cost of the plain loop.
+const runProbe = 8
+
+// gallopRun returns the bytes of the run of list's extents from i that
+// end at or before end (list[i] does), and the index past the run, given
+// list's running totals (RequestSet.partialSums). It doubles its step
+// while the extent the step lands on is still in the run, then searches
+// the last step for the run's end. A run longer than a stride is the
+// difference of two prefix totals.
+func gallopRun(list []pfs.Extent, sums []int64, i int, end int64) (int64, int) {
+	lo, step := i, 1
+	for lo+step < len(list) && list[lo+step].End() <= end {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(list))
+	stop := lo + sort.Search(hi-lo, func(k int) bool { return list[lo+k].End() > end })
+	if stop-i <= partialSumStride {
+		return pfs.TotalBytes(list[i:stop]), stop
+	}
+	return prefixBytes(list, sums, stop) - prefixBytes(list, sums, i), stop
+}
+
+// prefixBytes returns the bytes of list[:k] from the stored total
+// nearest k, adding or subtracting at most half a stride of extents.
+func prefixBytes(list []pfs.Extent, sums []int64, k int) int64 {
+	q, r := k/partialSumStride, k%partialSumStride
+	if r > partialSumStride/2 && q < len(sums) {
+		return sums[q] - pfs.TotalBytes(list[k:(q+1)*partialSumStride])
+	}
+	var n int64
+	if q > 0 {
+		n = sums[q-1]
+	}
+	return n + pfs.TotalBytes(list[q*partialSumStride:k])
 }
 
 // overlapBytes returns the bytes two canonical extent lists share: a

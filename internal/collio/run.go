@@ -160,17 +160,38 @@ func newPricingRun(ctx *Context, plan *Plan, sh *Shape, src *rankSource, ops []O
 		}
 	}
 	// The round buffers are sized once, from the initial items: a round
-	// without a hot node sends at most one bundle per (item, node) and
-	// issues at most spanBound accesses per item. Hot, faulted and
-	// refolded rounds may pass that and grow them.
+	// sends at most one bundle per (item, node), one message per rank
+	// instead from a node the run can find message-hot, and issues at
+	// most spanBound accesses per item. Resends, hot targets and
+	// refolded items may pass that and grow them.
 	for _, it := range r.items {
-		r.msgCap += len(it.aggs)
+		r.msgCap += r.messageBound(it)
 		r.ioCap += it.spanBound(ctx.FS)
 	}
 	r.round.Messages = make([]sim.AggMessage, 0, r.msgCap)
 	r.round.IOOps = make([]sim.IOOp, 0, r.ioCap)
 	r.mapper = ctx.FS.NewMapper()
 	return r, nil
+}
+
+// messageBound is how many messages one of the item's shuffle steps
+// sends at most, resends aside: a bundle per contributing node, or one
+// per rank of a node that can turn message-hot; on a read every
+// message leaves the aggregator's node.
+func (r *pricingRun) messageBound(it *faultItem) int {
+	if r.hot == nil {
+		return len(it.aggs)
+	}
+	hot := func(node int) bool { return r.allHot || r.Injector.MessageFaulted(node) }
+	n := 0
+	for _, nc := range it.aggs {
+		if hot(nc.Node) || (r.op == Read && hot(r.live[it.Domain].AggNode)) {
+			n += nc.Count
+		} else {
+			n++
+		}
+	}
+	return n
 }
 
 // price runs the access-list exchange, then data rounds until no item

@@ -253,15 +253,27 @@ func buildShape(ctx *Context, plan *Plan, rs *RequestSet) (*Shape, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
-	shapeBuilds.Add(1)
-	sh := &Shape{Contribs: make([][]NodeContrib, len(plan.Domains))}
-	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, rs)
 	rounds := make([]int64, len(plan.Domains))
 	buckets := make([][]pfs.Extent, len(plan.Domains))
+	var prevEnd int64 = -1
 	for i, d := range plan.Domains {
+		// The extent index takes the domains as they are, and the shims
+		// do not validate the plan: refuse what the index cannot take.
+		for _, e := range d.Extents {
+			if e.Length <= 0 {
+				return nil, fmt.Errorf("collio: plan %s: domain %d has an empty extent", plan.Strategy, i)
+			}
+			if e.Offset < prevEnd {
+				return nil, fmt.Errorf("collio: plan %s: domain %d overlaps or is out of order", plan.Strategy, i)
+			}
+			prevEnd = e.End()
+		}
 		rounds[i] = int64(d.Rounds())
 		buckets[i] = d.Extents
 	}
+	shapeBuilds.Add(1)
+	sh := &Shape{Contribs: make([][]NodeContrib, len(plan.Domains))}
+	sh.MetaExchanges, sh.MetaMessages = buildMetaExchanges(ctx, plan, rs)
 	if len(plan.Domains) > 0 {
 		// Each domain's list starts in one shared backing array, with
 		// room for the two nodes most domains' data spans; a longer list

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"mcio/internal/collio"
@@ -109,6 +111,34 @@ func TestFastMatchesByteContiguous(t *testing.T) {
 		opt.Trace = true
 		priceBoth(t, ctx, twophase.New(), reqs, opt)
 		priceBoth(t, ctx, core.New(), reqs, opt)
+	}
+}
+
+// TestNewRefusesDomainsOutOfOrder gives New a plan with its first two
+// domains swapped: it does not validate the plan, but it returns the
+// shape build's error instead of panicking in the extent index.
+func TestNewRefusesDomainsOutOfOrder(t *testing.T) {
+	ctx := testContext(t, 12, 4, 4, 4<<10)
+	reqs := make([]collio.RankRequest, 12)
+	for r := range reqs {
+		reqs[r] = collio.RankRequest{Rank: r, Extents: []pfs.Extent{{Offset: int64(r) * 3 << 10, Length: 3 << 10}}}
+	}
+	plan, err := twophase.New().PlanSet(ctx, collio.NewRequestSet(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Domains) < 2 {
+		t.Fatalf("the plan has %d domains, too few to swap", len(plan.Domains))
+	}
+	if _, err := New(ctx, plan, reqs); err != nil {
+		t.Fatalf("the unbroken plan is refused: %v", err)
+	}
+	swapped := *plan
+	swapped.Domains = slices.Clone(plan.Domains)
+	swapped.Domains[0], swapped.Domains[1] = swapped.Domains[1], swapped.Domains[0]
+	s, err := New(ctx, &swapped, reqs)
+	if err == nil || s != nil || !strings.Contains(err.Error(), "overlaps or is out of order") {
+		t.Fatalf("New = %v, %v; want the refusal of domains out of order", s != nil, err)
 	}
 }
 

@@ -31,6 +31,9 @@ type Injector struct {
 	counts    map[Kind]int
 	escalated int    // transient windows that exhausted the retry budget
 	kinds     uint32 // bit k set when the plan holds an event of Kind k
+	// msgFaulted marks the nodes the plan holds a message fault on; nil
+	// when it holds none.
+	msgFaulted []bool
 
 	o        *obs.Observer
 	injected map[Kind]*obs.Counter
@@ -105,6 +108,15 @@ func NewInjector(plan *Plan) *Injector {
 	for _, ev := range plan.Events {
 		if ts := in.target(ev.Target); ev.Kind == OSTPermanent && ts != nil {
 			ts.permAt = min(ts.permAt, ev.Time)
+		}
+		switch ev.Kind {
+		case MsgDelay, MsgDrop, MsgBitFlip, NICFlaky:
+			if in.msgFaulted == nil {
+				in.msgFaulted = make([]bool, nodes)
+			}
+			if ev.Node >= 0 {
+				in.msgFaulted[ev.Node] = true
+			}
 		}
 	}
 	return in
@@ -330,6 +342,13 @@ func (in *Injector) NICDropActive(node int, now float64) bool {
 func (in *Injector) MessageHot(node int, now float64) bool {
 	return in.MsgDelaySeconds(node, now)+in.NICDelaySeconds(node, now) > 0 ||
 		in.PendingDrops(node) > 0 || in.PendingFlips(node) > 0 || in.NICDropActive(node, now)
+}
+
+// MessageFaulted reports whether the schedule holds a message fault —
+// a delay, drop, bit flip or flaky NIC — on node: whether MessageHot
+// can ever be true for it.
+func (in *Injector) MessageFaulted(node int) bool {
+	return in != nil && uint(node) < uint(len(in.msgFaulted)) && in.msgFaulted[node]
 }
 
 // StorageHot is MessageHot's counterpart for storage target: whether a

@@ -12,7 +12,6 @@
 package memmodel
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"strconv"
@@ -22,80 +21,19 @@ import (
 	"mcio/internal/stats"
 )
 
-// Distribution produces per-node available-memory samples in bytes.
-type Distribution interface {
-	// Sample returns one availability draw in bytes. Implementations may
-	// return values outside any sensible range; callers clamp.
-	Sample(r *stats.RNG) float64
-	// String describes the distribution for experiment logs.
-	String() string
-}
-
-// Fixed is a degenerate distribution: every node has exactly Bytes
-// available. Used for baseline/no-variance ablations.
-type Fixed struct{ Bytes int64 }
-
-// Sample implements Distribution.
-func (f Fixed) Sample(*stats.RNG) float64 { return float64(f.Bytes) }
-
-func (f Fixed) String() string { return fmt.Sprintf("fixed(%d)", f.Bytes) }
-
 // Normal draws availability from N(Mean, Sigma²), both in bytes. This is
 // the paper's experimental setup (mean = baseline aggregator buffer size).
 type Normal struct{ Mean, Sigma float64 }
 
-// Sample implements Distribution.
+// Sample returns one availability draw in bytes, which may fall outside
+// any sensible range; callers clamp.
 func (n Normal) Sample(r *stats.RNG) float64 { return r.Normal(n.Mean, n.Sigma) }
-
-func (n Normal) String() string { return fmt.Sprintf("normal(μ=%.0f,σ=%.0f)", n.Mean, n.Sigma) }
-
-// Uniform draws availability uniformly from [Lo, Hi) bytes.
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample implements Distribution.
-func (u Uniform) Sample(r *stats.RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
-func (u Uniform) String() string { return fmt.Sprintf("uniform[%.0f,%.0f)", u.Lo, u.Hi) }
-
-// Pareto draws heavy-tailed availability: most nodes near the scale Xm,
-// a few with much more. Models machines where co-located application state
-// leaves wildly uneven headroom.
-type Pareto struct{ Xm, Alpha float64 }
-
-// Sample implements Distribution.
-func (p Pareto) Sample(r *stats.RNG) float64 { return r.Pareto(p.Xm, p.Alpha) }
-
-func (p Pareto) String() string { return fmt.Sprintf("pareto(xm=%.0f,α=%.2f)", p.Xm, p.Alpha) }
-
-// Bimodal models a machine where nodes are either "busy" (application
-// state consuming most memory) or "idle": with probability PBusy a node
-// draws from N(BusyMean, Sigma²), otherwise from N(IdleMean, Sigma²).
-// This is the adversarial regime for oblivious aggregator placement.
-type Bimodal struct {
-	PBusy    float64
-	BusyMean float64
-	IdleMean float64
-	Sigma    float64
-}
-
-// Sample implements Distribution.
-func (b Bimodal) Sample(r *stats.RNG) float64 {
-	mean := b.IdleMean
-	if r.Float64() < b.PBusy {
-		mean = b.BusyMean
-	}
-	return r.Normal(mean, b.Sigma)
-}
-
-func (b Bimodal) String() string {
-	return fmt.Sprintf("bimodal(p=%.2f,busy=%.0f,idle=%.0f,σ=%.0f)", b.PBusy, b.BusyMean, b.IdleMean, b.Sigma)
-}
 
 // ApplyAvailability samples dist once per node of m and sets each node's
 // Avail to the draw clamped to [floor, node capacity]. It returns the
 // resulting availability vector. A floor of 0 is allowed; draws below it
 // clamp up to it.
-func ApplyAvailability(m *machine.Machine, dist Distribution, r *stats.RNG, floor int64) []int64 {
+func ApplyAvailability(m *machine.Machine, dist Normal, r *stats.RNG, floor int64) []int64 {
 	out := make([]int64, len(m.Nodes))
 	for i, n := range m.Nodes {
 		v := int64(dist.Sample(r))

@@ -15,28 +15,18 @@ func testMachine(nodes int) *machine.Machine {
 	return machine.MustNew(cfg)
 }
 
-func TestFixedDistribution(t *testing.T) {
-	d := Fixed{Bytes: 123}
-	r := stats.NewRNG(1)
-	for i := 0; i < 10; i++ {
-		if d.Sample(r) != 123 {
-			t.Fatal("Fixed must always return Bytes")
-		}
-	}
-}
-
 func TestApplyAvailabilityClamps(t *testing.T) {
 	m := testMachine(8)
 	cap := m.Cfg.MemPerNode
-	// A distribution far beyond capacity must clamp down; far below the
-	// floor must clamp up.
-	ApplyAvailability(m, Fixed{Bytes: cap * 10}, stats.NewRNG(1), 0)
+	// Draws far beyond capacity must clamp down; far below the floor
+	// must clamp up.
+	ApplyAvailability(m, Normal{Mean: float64(cap * 10), Sigma: 1}, stats.NewRNG(1), 0)
 	for _, n := range m.Nodes {
 		if n.Avail != cap {
 			t.Fatalf("avail %d not clamped to capacity %d", n.Avail, cap)
 		}
 	}
-	ApplyAvailability(m, Fixed{Bytes: -5}, stats.NewRNG(1), 4096)
+	ApplyAvailability(m, Normal{Mean: -5, Sigma: 1}, stats.NewRNG(1), 4096)
 	for _, n := range m.Nodes {
 		if n.Avail != 4096 {
 			t.Fatalf("avail %d not clamped to floor", n.Avail)
@@ -141,50 +131,5 @@ func TestTrackerConservation(t *testing.T) {
 	}, &quick.Config{MaxCount: 300, Rand: quickRand(r)})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDistributionStrings(t *testing.T) {
-	for _, d := range []Distribution{
-		Fixed{Bytes: 1}, Normal{Mean: 1, Sigma: 2},
-		Uniform{Lo: 0, Hi: 10}, Pareto{Xm: 1, Alpha: 2},
-	} {
-		if d.String() == "" {
-			t.Errorf("%T has empty String()", d)
-		}
-	}
-}
-
-func TestUniformRange(t *testing.T) {
-	d := Uniform{Lo: 10, Hi: 20}
-	r := stats.NewRNG(3)
-	for i := 0; i < 1000; i++ {
-		v := d.Sample(r)
-		if v < 10 || v >= 20 {
-			t.Fatalf("uniform sample out of range: %v", v)
-		}
-	}
-}
-
-func TestBimodal(t *testing.T) {
-	d := Bimodal{PBusy: 0.5, BusyMean: 100, IdleMean: 10000, Sigma: 1}
-	r := stats.NewRNG(9)
-	var lo, hi int
-	for i := 0; i < 2000; i++ {
-		v := d.Sample(r)
-		switch {
-		case v < 1000:
-			lo++
-		case v > 9000:
-			hi++
-		default:
-			t.Fatalf("bimodal sample %v between modes", v)
-		}
-	}
-	if lo < 800 || hi < 800 {
-		t.Fatalf("modes unbalanced: lo=%d hi=%d", lo, hi)
-	}
-	if d.String() == "" {
-		t.Fatal("empty String")
 	}
 }

@@ -88,16 +88,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// Pareto returns a Pareto-distributed value with scale xm > 0 and shape
-// alpha > 0. Heavy-tailed; used for adversarial memory-variance scenarios.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Exponential returns an exponentially distributed value with the given
 // rate lambda > 0.
 func (r *RNG) Exponential(lambda float64) float64 {

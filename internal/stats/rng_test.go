@@ -101,15 +101,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestParetoLowerBound(t *testing.T) {
-	r := NewRNG(5)
-	for i := 0; i < 10000; i++ {
-		if v := r.Pareto(2.0, 1.5); v < 2.0 {
-			t.Fatalf("Pareto below scale: %v", v)
-		}
-	}
-}
-
 func TestExponentialPositive(t *testing.T) {
 	r := NewRNG(5)
 	var sum float64
