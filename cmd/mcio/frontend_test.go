@@ -29,9 +29,16 @@ func TestMain(m *testing.M) {
 // stderr and exit code.
 func runMain(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
+	return runMainIn(t, t.TempDir(), args...)
+}
+
+// runMainIn is runMain with dir as the working directory, for runs
+// whose output files the test reads back.
+func runMainIn(t *testing.T, dir string, args ...string) (string, string, int) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "MCIO_TEST_MAIN=1")
-	cmd.Dir = t.TempDir()
+	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
@@ -139,6 +146,45 @@ func TestObserveFaultsGolden(t *testing.T) {
 				t.Errorf("mcio %s: output differs from %s (rerun with -update after an intended change):\n%s",
 					strings.Join(args, " "), golden, out)
 			}
+		}
+	}
+}
+
+// TestProfileGrayGolden pins `mcio profile gray` byte for byte: the
+// summary (saturation thresholds, the duel's detection lags) and every
+// sample and journal event of the -csv file. The gray duel runs the
+// detector, the breakers and the proactive move off a suspected host,
+// so their constants all reach this output.
+func TestProfileGrayGolden(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"profile", "gray", "-csv", "gray.csv"}
+	out, stderr, code := runMainIn(t, dir, args...)
+	if code != 0 {
+		t.Fatalf("mcio %s: exit %d: %s", strings.Join(args, " "), code, stderr)
+	}
+	csv, err := os.ReadFile(filepath.Join(dir, "gray.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		golden, got string
+	}{
+		{"profile_gray.golden", out},
+		{"profile_gray_csv.golden", string(csv)},
+	} {
+		golden := filepath.Join("testdata", c.golden)
+		if *update {
+			if err := os.WriteFile(golden, []byte(c.got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.got != string(want) {
+			t.Errorf("mcio %s: output differs from %s (rerun with -update after an intended change)",
+				strings.Join(args, " "), golden)
 		}
 	}
 }
