@@ -455,7 +455,7 @@ func TuneWorkload(cfg Config, wl Workload) (*tuner.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tuner.Tune(p.ctx, p.reqs, collio.Write, cfg.options(), tuner.Grid{})
+	return tuner.Tune(p.ctx, p.reqs, collio.Write, cfg.options())
 }
 
 // PlansAt plans the Figure 7 workload at one memory point with both

@@ -382,10 +382,7 @@ func (s *corruptionSoak) roundTrip(op int, seed uint64, ctx *collio.Context,
 	corr := faults.NewCorrupter(fplan, ranksByNode)
 	s.fsys.SetCorrupter(corr)
 
-	// MaxRepairs well above any plausible per-rank pileup of pending
-	// flips: each resend consumes one more pending corruption event, so
-	// a budget larger than the pileup guarantees the chain ends clean.
-	chk := integrity.NewChecker(integrity.Config{Seed: seed, Repair: s.cfg.Repair, MaxRepairs: 32})
+	chk := integrity.NewChecker(integrity.Config{Seed: seed, Repair: s.cfg.Repair})
 	chk.SetObserver(s.o)
 
 	// Rank buffers and the fault-free oracle.

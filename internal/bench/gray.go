@@ -7,7 +7,6 @@ import (
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/faults"
-	"mcio/internal/health"
 	"mcio/internal/integrity"
 	"mcio/internal/machine"
 	"mcio/internal/mpi"
@@ -81,13 +80,11 @@ func (r *GrayReport) String() string {
 	return b.String()
 }
 
-// grayAdaptive is the campaign's adaptive policy: default detector and
-// breakers, with a short warmup and hedge window so the small per-op
-// workloads cross them. Deterministic — the campaign report is a pure
-// function of its config.
+// grayAdaptive is the campaign's adaptive policy, with a short hedge
+// window so the small per-op workloads cross it. Deterministic — the
+// campaign report is a pure function of its config.
 func grayAdaptive() *collio.Adaptive {
 	ad := collio.NewAdaptive()
-	ad.Detector = health.NewDetector(health.Config{Warmup: 2})
 	ad.HedgeMinSamples = 8
 	return ad
 }
@@ -244,7 +241,7 @@ func Gray(cfg ChaosConfig) (*GrayReport, error) {
 			fail(op, "byte-level plan tiling violated: %v", err)
 			continue
 		}
-		hed := &collio.Hedger{Seed: int64(opSeed), Every: 2}
+		hed := &collio.Hedger{Seed: int64(opSeed)}
 		crep, err := soak.roundTrip(op, opSeed, ctx, breqs, plan.TotalBytes(),
 			func(data []collio.RankData, file *pfs.File, dir collio.Op, chk *integrity.Checker, corr *faults.Corrupter) error {
 				return collio.ExecVerified(ctx, plan, data, file, dir, chk, corr, hed)
@@ -258,8 +255,8 @@ func Gray(cfg ChaosConfig) (*GrayReport, error) {
 		}
 	}
 
-	// Campaign-level engagement check: with repair on, the Every=2
-	// hedger must have hedged real chunks somewhere — a silently inert
+	// Campaign-level engagement check: with repair on, the seeded
+	// hedgers must have hedged real chunks somewhere — a silently inert
 	// hedge path would otherwise pass every per-op invariant.
 	if cfg.Repair && rep.HedgedChunks == 0 {
 		fail(-1, "hedged execution never engaged across %d ops", cfg.Ops)

@@ -40,7 +40,7 @@ func Profile(name string, scale int64, seed uint64, memMB int, op collio.Op, tic
 	if err := e.Profile(e, rec, Args{Scale: scale, Seed: seed, MemMB: memMB, Op: op}, &summary); err != nil {
 		return nil, err
 	}
-	sat := timeline.Analyze(rec, timeline.SatOptions{})
+	sat := timeline.Analyze(rec)
 	summary.WriteString(sat.Render())
 	lags := timeline.DetectionLags(rec.J().Events())
 	for _, l := range lags {

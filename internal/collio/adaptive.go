@@ -1,7 +1,6 @@
 package collio
 
 import (
-	"mcio/internal/faults"
 	"mcio/internal/health"
 	"mcio/internal/pfs"
 )
@@ -11,9 +10,12 @@ import (
 // per-target service signals, circuit breakers taking chronically
 // degraded storage targets out of normal service, hedged re-requests
 // for straggling shuffle messages, and proactive aggregator
-// re-placement off suspected hosts. Fault *pricing* is identical to the
-// static policy's — only the response differs — so an adaptive run and
-// a static run of the same schedule are directly comparable.
+// re-placement off suspected hosts: a suspected node with active work
+// gets a synthetic Straggler host event (HostFault.Proactive=true) so
+// the handler can move its domains before a hard fault fires. Fault
+// *pricing* is identical to the static policy's — only the response
+// differs — so an adaptive run and a static run of the same schedule
+// are directly comparable.
 type Adaptive struct {
 	// Detector accrues per-entity suspicion; nil disables observation,
 	// proactive failover and breaker feeding.
@@ -21,47 +23,28 @@ type Adaptive struct {
 	// Breakers holds the per-OST circuit breakers layered under the
 	// retry ladder; nil disables fast-fail.
 	Breakers *pfs.BreakerSet
-	// Proactive enables health-driven aggregator re-placement: a
-	// suspected node with active work gets a synthetic Straggler host
-	// event (HostFault.Proactive=true) so the handler can move its
-	// domains before a hard fault fires.
-	Proactive bool
 
-	// HedgeQuantile is the delay quantile after which a straggling
-	// shuffle message is hedged with a duplicate re-request (default
-	// 0.95). HedgeMinSamples is how many delay observations the window
-	// needs before hedging arms (default 32). HedgeOverheadSeconds is
-	// the extra latency a hedge pays over the quantile deadline; when
-	// zero it defaults to a quarter of the injector's drop timeout.
-	HedgeQuantile        float64
-	HedgeMinSamples      int
-	HedgeOverheadSeconds float64
+	// HedgeMinSamples is how many delay observations the window needs
+	// before hedging arms (zero means 32). A straggling shuffle message
+	// is hedged with a duplicate re-request at the window's
+	// hedgeQuantile delay plus a quarter of the injector's drop timeout.
+	HedgeMinSamples int
 
 	window  *health.Window
 	handled map[int]bool // nodes already proactively failed over
 }
 
-// NewAdaptive returns an Adaptive with a default-configured detector,
-// breaker set, proactive failover enabled, and default hedging.
+// hedgeQuantile is the delay quantile after which a straggling shuffle
+// message is hedged.
+const hedgeQuantile = 0.95
+
+// NewAdaptive returns an Adaptive with a detector and a breaker set.
 func NewAdaptive() *Adaptive {
-	return &Adaptive{
-		Detector:  health.NewDetector(health.Config{}),
-		Breakers:  pfs.NewBreakerSet(health.BreakerConfig{}),
-		Proactive: true,
-	}
+	return &Adaptive{Detector: health.NewDetector(), Breakers: pfs.NewBreakerSet()}
 }
 
-// init resolves defaults against the injector spec at run start.
-func (ad *Adaptive) init(spec faults.Spec) {
-	if ad.HedgeQuantile <= 0 || ad.HedgeQuantile >= 1 {
-		ad.HedgeQuantile = 0.95
-	}
-	if ad.HedgeMinSamples <= 0 {
-		ad.HedgeMinSamples = 32
-	}
-	if ad.HedgeOverheadSeconds <= 0 {
-		ad.HedgeOverheadSeconds = spec.DropTimeoutSeconds / 4
-	}
+// init readies the run state at run start.
+func (ad *Adaptive) init() {
 	if ad.window == nil {
 		ad.window = health.NewWindow(256)
 	}
@@ -71,13 +54,17 @@ func (ad *Adaptive) init(spec faults.Spec) {
 }
 
 // hedgeDeadline returns the hedged-delivery latency (quantile deadline
-// plus re-request overhead) and whether enough delay samples exist for
-// hedging to be armed.
-func (ad *Adaptive) hedgeDeadline() (float64, bool) {
-	if ad.window == nil || ad.window.Len() < ad.HedgeMinSamples {
+// plus a re-request overhead of a quarter of dropTimeout) and whether
+// enough delay samples exist for hedging to be armed.
+func (ad *Adaptive) hedgeDeadline(dropTimeout float64) (float64, bool) {
+	need := ad.HedgeMinSamples
+	if need <= 0 {
+		need = 32
+	}
+	if ad.window == nil || ad.window.Len() < need {
 		return 0, false
 	}
-	return ad.window.Quantile(ad.HedgeQuantile) + ad.HedgeOverheadSeconds, true
+	return ad.window.Quantile(hedgeQuantile) + dropTimeout/4, true
 }
 
 // MemDecayHandler is implemented by FaultHandlers that own memory

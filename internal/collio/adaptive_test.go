@@ -8,17 +8,15 @@ import (
 	"mcio/internal/collio"
 	"mcio/internal/core"
 	"mcio/internal/faults"
-	"mcio/internal/health"
 	"mcio/internal/integrity"
 	"mcio/internal/pfs"
 	"mcio/internal/sim"
 )
 
-// testAdaptive builds an adaptive policy with a short detector warmup
-// so small test workloads cross it.
+// testAdaptive builds an adaptive policy with a short hedge window so
+// small test workloads cross it.
 func testAdaptive() *collio.Adaptive {
 	ad := collio.NewAdaptive()
-	ad.Detector = health.NewDetector(health.Config{Warmup: 2})
 	ad.HedgeMinSamples = 8
 	return ad
 }
@@ -192,7 +190,7 @@ func TestAdaptiveHedgesStragglingMessages(t *testing.T) {
 			res, err = costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
 				collio.FaultEnv{Injector: inj, Handler: handler})
 		} else {
-			ad.Proactive = false // isolate hedging from failover
+			ad.Detector = nil // no suspicion, so no proactive failover: isolate hedging
 			res, err = costReqs(ctx, plan, reqs, collio.Write, sim.DefaultOptions(),
 				collio.FaultEnv{Injector: inj, Handler: handler, Adaptive: ad})
 		}
@@ -240,13 +238,13 @@ func TestExecVerifiedHedgedDedups(t *testing.T) {
 	}
 	file := fsys.Open("hedged")
 	chk := integrity.NewChecker(integrity.Config{Seed: 9, Repair: true})
-	hed := &collio.Hedger{Seed: 42, Every: 2}
+	hed := &collio.Hedger{Seed: 42}
 
 	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, nil, hed); err != nil {
 		t.Fatal(err)
 	}
 	if hed.Hedged() == 0 {
-		t.Fatal("Every=2 hedger hedged nothing")
+		t.Fatal("hedger hedged nothing")
 	}
 	if hed.DedupedBytes() == 0 {
 		t.Fatal("clean duplicates were not counted as deduped")

@@ -221,13 +221,7 @@ func checkDirections(ctx *Context, ops []Op, env FaultEnv) error {
 // NewEngine builds a pricing engine for the context's machine and file
 // system under options opt.
 func (c *Context) NewEngine(opt sim.Options) (*sim.Engine, error) {
-	return sim.NewEngine(c.Machine, sim.StorageParams{
-		Targets:         c.FS.Targets,
-		TargetBW:        c.FS.TargetBW,
-		ReqOverhead:     c.FS.ReqOverhead,
-		NoncontigFactor: c.FS.NoncontigFactor,
-		ReadBWFactor:    c.FS.ReadBWFactor,
-	}, opt)
+	return sim.NewEngine(c.Machine, c.FS, opt)
 }
 
 // String renders the result in one line for experiment logs.

@@ -97,7 +97,6 @@ type FaultResult struct {
 	// RecoverySeconds is simulated time spent on failure handling
 	// (stalls + recovery rounds), a subset of Seconds.
 	RecoverySeconds float64
-	RecoveryRounds  int
 }
 
 // applyReassignment applies one handler decision to the live domain

@@ -19,21 +19,23 @@ import (
 // the checker has repair enabled. Counters are atomics: verifier
 // goroutines for different domains hedge concurrently.
 type Hedger struct {
-	// Seed pins the hedged subset across runs; Every hedges roughly one
-	// in Every verified remote chunks (0 disables hedging).
-	Seed  int64
-	Every int
+	// Seed pins the hedged subset across runs.
+	Seed int64
 
 	hedged  atomic.Int64
 	deduped atomic.Int64
 }
+
+// hedgeEvery makes a Hedger hedge about one in hedgeEvery verified
+// remote chunks.
+const hedgeEvery = 2
 
 // Hedge reports whether the chunk of domain i from contributor rank is
 // hedged. A pure function of (Seed, i, rank): verifiers decide
 // unilaterally — the producer's ack loop serves any resend request —
 // and the selection is identical across runs and goroutine schedules.
 func (h *Hedger) Hedge(i, rank int) bool {
-	if h == nil || h.Every <= 0 {
+	if h == nil {
 		return false
 	}
 	x := uint64(h.Seed)*0x9E3779B97F4A7C15 ^
@@ -44,7 +46,7 @@ func (h *Hedger) Hedge(i, rank int) bool {
 	x ^= x >> 27
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
-	return x%uint64(h.Every) == 0
+	return x%hedgeEvery == 0
 }
 
 // CountHedged records one hedged duplicate request.

@@ -46,9 +46,9 @@ func TestPairedDirectionsMatchSolo(t *testing.T) {
 				}
 				for i, op := range ops {
 					got, want := paired[i], solo[op]
-					if got.Op != op || len(got.Trace) == 0 || len(got.Totals.PerNodeShuffle) == 0 {
-						t.Fatalf("%s %v: result %d is %s with %d trace entries and %d shuffle nodes",
-							name, ops, i, got.Op, len(got.Trace), len(got.Totals.PerNodeShuffle))
+					if got.Op != op || len(got.Trace) == 0 || got.Totals.ShufBytes == 0 {
+						t.Fatalf("%s %v: result %d is %s with %d trace entries and %d shuffled bytes",
+							name, ops, i, got.Op, len(got.Trace), got.Totals.ShufBytes)
 					}
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s %v: paired %s differs from the solo run\npaired: %+v\nsolo:   %+v", name, ops, op, got, want)

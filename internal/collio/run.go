@@ -128,10 +128,7 @@ func newPricingRun(ctx *Context, plan *Plan, sh *Shape, src *rankSource, ops []O
 		r.tlr.SetMeta("mem_min_bytes", strconv.FormatInt(ctx.Params.MemMin, 10))
 	}
 	tlBufferGauges(ctx, plan.Domains, 0)
-	r.ioBW = ctx.FS.TargetBW
-	if r.op == Read && ctx.FS.ReadBWFactor > 0 {
-		r.ioBW *= ctx.FS.ReadBWFactor
-	}
+	r.ioBW = r.eng.Storage().StreamBW(r.op == Write)
 	// Only a fault that can make a node's messages, or a target's
 	// accesses, cost more gives the run a hot set to decide.
 	if r.allHot || r.Injector.Holds(faults.MsgDelay, faults.MsgDrop, faults.MsgBitFlip, faults.NICFlaky) {
@@ -145,7 +142,7 @@ func newPricingRun(ctx *Context, plan *Plan, sh *Shape, src *rankSource, ops []O
 		r.live = append([]Domain(nil), r.live...)
 		r.spec = r.Injector.Spec()
 		if r.Adaptive != nil {
-			r.Adaptive.init(r.spec)
+			r.Adaptive.init()
 			r.Adaptive.Detector.SetObserver(ctx.Obs)
 			r.Adaptive.Breakers.SetObserver(ctx.Obs)
 		}
@@ -373,9 +370,6 @@ func (r *pricingRun) detect(now float64) error {
 		wasSus := ad.Detector.Suspected("node", n)
 		ad.Detector.Observe("node", n, sig)
 		tlSuspicion(tlr, ad.Detector, "node", n, wasSus, now)
-	}
-	if !ad.Proactive {
-		return nil
 	}
 	for _, n := range ad.Detector.SuspectedIDs("node") {
 		if ad.handled[n] || len(r.itemsOn(n)) == 0 {
@@ -672,7 +666,7 @@ func (r *pricingRun) message(m sim.AggMessage, now float64) {
 	if delay > 0 {
 		charged := delay
 		if ad != nil {
-			if dl, armed := ad.hedgeDeadline(); armed && dl < delay {
+			if dl, armed := ad.hedgeDeadline(r.spec.DropTimeoutSeconds); armed && dl < delay {
 				// Hedge the straggler: at the quantile deadline a
 				// duplicate re-request goes out and the first arrival
 				// wins. The duplicate's bytes move on the wire but the
@@ -821,7 +815,7 @@ func (r *pricingRun) result(d direction, paged int, buffers stats.Summary) *Faul
 		return res
 	}
 	res.Injected = r.Injector.Counts()
-	res.RecoverySeconds, res.RecoveryRounds = totals.RecoverySeconds, totals.RecoveryRounds
+	res.RecoverySeconds = totals.RecoverySeconds
 	if r.Adaptive != nil {
 		res.SuspectEvents = r.Adaptive.Detector.Transitions()
 		res.BreakerOpens = r.Adaptive.Breakers.Opens()

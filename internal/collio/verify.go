@@ -231,7 +231,7 @@ func recvVerified(p *mpi.Proc, src, nd, i int, chk *integrity.Checker, ov []pfs.
 	if verr != nil {
 		if chk.Repair() {
 			healed := false
-			for attempt := 0; attempt < chk.MaxRepairs(); attempt++ {
+			for attempt := 0; attempt < integrity.MaxRepairs; attempt++ {
 				p.Send(src, 2*nd+i, []byte{ackResend})
 				putStage(chunk)
 				chunk = p.Recv(src, 3*nd+i)
@@ -291,7 +291,7 @@ func recvVerified(p *mpi.Proc, src, nd, i int, chk *integrity.Checker, ov []pfs.
 // piece is rewritten and re-read up to the checker's budget; a rewrite
 // that is itself torn counts as a fresh detection.
 func verifyWriteBack(file *pfs.File, exts []pfs.Extent, domBuf []byte, chk *integrity.Checker) {
-	su := file.Layout().StripeUnit
+	su := file.StripeUnit()
 	var pos int64
 	for _, e := range exts {
 		rb := getStage(e.Length)
@@ -310,7 +310,7 @@ func verifyWriteBack(file *pfs.File, exts []pfs.Extent, domBuf []byte, chk *inte
 				chk.CountDetected()
 				if chk.Repair() {
 					healed := false
-					for attempt := 0; attempt < chk.MaxRepairs(); attempt++ {
+					for attempt := 0; attempt < integrity.MaxRepairs; attempt++ {
 						if _, err := file.WriteAt(want, e.Offset+off); err != nil {
 							panic(err)
 						}

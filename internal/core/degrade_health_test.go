@@ -70,7 +70,7 @@ func TestDegradationControllerMasksSuspectsAndRecordsTransitions(t *testing.T) {
 	// Node 0 alone cannot clear Mem_min unshrunk but clears rung 1's.
 	ctx.Avail[0] = 300
 
-	det := health.NewDetector(health.Config{Warmup: 2, SuspectScore: 1})
+	det := health.NewDetector()
 	dc := NewDegradationController(New(), det)
 
 	dp, err := dc.Plan(ctx, reqs)
@@ -137,7 +137,7 @@ func TestDegradationControllerAllSuspectedNoMask(t *testing.T) {
 	params.MemMin = 512
 	ctx, reqs := degradeCtx(t, 1<<20, params)
 
-	det := health.NewDetector(health.Config{Warmup: 2, SuspectScore: 1})
+	det := health.NewDetector()
 	for n := 0; n < ctx.Topo.Nodes(); n++ {
 		for i := 0; i < 4; i++ {
 			det.Observe("node", n, 1.0)

@@ -79,15 +79,12 @@ func (st *RecoveryState) Fork() *RecoveryState {
 // themselves on failed hosts. A group reduced to its last leaf instead
 // relocates that domain to the live related host with the most
 // available memory. Detect is the failure-detection latency charged as
-// stall time per recovery.
+// stall time per recovery; a health-driven proactive re-placement is
+// charged Detect/8, since no failure had to be detected, only a
+// suspicion threshold crossed and the move coordinated.
 type Failover struct {
 	State  *RecoveryState
 	Detect float64
-	// ProactiveDetect is the (much smaller) stall charged for a
-	// health-driven proactive re-placement: no failure had to be
-	// detected, only a suspicion threshold crossed and the move
-	// coordinated. Zero defaults to Detect/8.
-	ProactiveDetect float64
 }
 
 // Name implements collio.FaultHandler.
@@ -104,10 +101,7 @@ func (f *Failover) OnHostFault(ctx *collio.Context, hf collio.HostFault,
 		// alive (its memory accounting stays truthful — being down only
 		// excludes it from future placement), and no detection timeout
 		// was paid, only the suspicion latency.
-		stall = f.ProactiveDetect
-		if stall <= 0 {
-			stall = f.Detect / 8
-		}
+		stall = f.Detect / 8
 		// A proactive move needs somewhere better to go. When every
 		// other host is already down (crashed, collapsed, or itself
 		// suspected away), decline: the node still works — slowly — and

@@ -31,37 +31,19 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes one circuit breaker. The zero value selects the
-// defaults noted on each field.
-type BreakerConfig struct {
-	// FailureThreshold opens the breaker after N suspicion events
-	// without an intervening success (default 3).
-	FailureThreshold int
-	// OpenSeconds is how long the breaker fails fast before letting a
-	// half-open probe through (default 0.05 simulated seconds).
-	OpenSeconds float64
-	// BackoffFactor grows the open window each time a probe fails
-	// (default 2).
-	BackoffFactor float64
-	// MaxOpenSeconds caps the grown open window (default 20×OpenSeconds).
-	MaxOpenSeconds float64
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.OpenSeconds <= 0 {
-		c.OpenSeconds = 0.05
-	}
-	if c.BackoffFactor < 1 {
-		c.BackoffFactor = 2
-	}
-	if c.MaxOpenSeconds <= 0 {
-		c.MaxOpenSeconds = 20 * c.OpenSeconds
-	}
-	return c
-}
+// The circuit breaker's constants.
+const (
+	// failureThreshold opens a breaker after this many suspicion events
+	// without an intervening success.
+	failureThreshold = 3
+	// openSeconds is how long a breaker fails fast before letting a
+	// half-open probe through, in simulated seconds.
+	openSeconds = 0.05
+	// backoffFactor grows the open window each time a probe fails.
+	backoffFactor = 2
+	// maxOpenSeconds caps the grown open window.
+	maxOpenSeconds = 20 * openSeconds
+)
 
 // Breaker is one deterministic circuit breaker driven by an explicit
 // simulated clock: Closed → (N failures) → Open → (deadline) →
@@ -71,7 +53,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // everywhere, so the same call sequence reproduces the same decisions
 // forever.
 type Breaker struct {
-	cfg       BreakerConfig
 	state     BreakerState
 	failures  int
 	probeAt   float64
@@ -80,10 +61,9 @@ type Breaker struct {
 	fastFails int
 }
 
-// NewBreaker builds a breaker; zero-value cfg fields take defaults.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	c := cfg.withDefaults()
-	return &Breaker{cfg: c, openSpan: c.OpenSeconds}
+// NewBreaker builds a closed breaker.
+func NewBreaker() *Breaker {
+	return &Breaker{openSpan: openSeconds}
 }
 
 // Allow reports whether an access may proceed at simulated time now.
@@ -113,15 +93,12 @@ func (b *Breaker) OnFailure(now float64) {
 	switch b.state {
 	case BreakerClosed:
 		b.failures++
-		if b.failures >= b.cfg.FailureThreshold {
+		if b.failures >= failureThreshold {
 			b.open(now)
 		}
 	case BreakerHalfOpen:
 		// Failed probe: back off harder.
-		b.openSpan *= b.cfg.BackoffFactor
-		if b.openSpan > b.cfg.MaxOpenSeconds {
-			b.openSpan = b.cfg.MaxOpenSeconds
-		}
+		b.openSpan = min(b.openSpan*backoffFactor, maxOpenSeconds)
 		b.open(now)
 	case BreakerOpen:
 		// Already failing fast; nothing to learn.
@@ -134,7 +111,7 @@ func (b *Breaker) OnSuccess(now float64) {
 	b.failures = 0
 	if b.state == BreakerHalfOpen {
 		b.state = BreakerClosed
-		b.openSpan = b.cfg.OpenSeconds
+		b.openSpan = openSeconds
 	}
 }
 

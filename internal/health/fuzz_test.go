@@ -17,7 +17,7 @@ func FuzzHealthDetector(f *testing.F) {
 	f.Add(make([]byte, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDetector(Config{})
+		d := NewDetector()
 
 		// Phase 0: arbitrary samples derived from the fuzz input must
 		// never produce a non-finite score — including zeros, huge

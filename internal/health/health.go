@@ -27,50 +27,27 @@ import (
 	"mcio/internal/obs"
 )
 
-// Config tunes the suspicion detector. The zero value selects the
-// defaults noted on each field.
-type Config struct {
-	// BaselineAlpha is the EWMA weight for the baseline mean and
-	// deviation (default 0.1: ~10 samples of memory).
-	BaselineAlpha float64
-	// ScoreBeta is the EWMA weight for the smoothed suspicion score
-	// (default 0.3: suspicion reacts in a few samples, not one).
-	ScoreBeta float64
-	// AnomalyGate is the instantaneous φ beyond which a sample is
-	// considered anomalous and the baseline freezes (default 3).
-	AnomalyGate float64
-	// SuspectScore is the smoothed score at or above which an entity
-	// becomes suspected (default 2).
-	SuspectScore float64
-	// ClearFraction sets the hysteresis: suspicion clears only when the
-	// smoothed score falls to SuspectScore*ClearFraction (default 0.5).
-	ClearFraction float64
-	// Warmup is how many samples an entity needs before suspicion can
-	// fire; the baseline always absorbs warmup samples (default 8).
-	Warmup int
-}
-
-func (c Config) withDefaults() Config {
-	if c.BaselineAlpha <= 0 || c.BaselineAlpha > 1 {
-		c.BaselineAlpha = 0.1
-	}
-	if c.ScoreBeta <= 0 || c.ScoreBeta > 1 {
-		c.ScoreBeta = 0.3
-	}
-	if c.AnomalyGate <= 0 {
-		c.AnomalyGate = 3
-	}
-	if c.SuspectScore <= 0 {
-		c.SuspectScore = 2
-	}
-	if c.ClearFraction <= 0 || c.ClearFraction >= 1 {
-		c.ClearFraction = 0.5
-	}
-	if c.Warmup <= 0 {
-		c.Warmup = 8
-	}
-	return c
-}
+// The detector's constants.
+const (
+	// baselineAlpha is the EWMA weight for the baseline mean and
+	// deviation: about 10 samples of memory.
+	baselineAlpha = 0.1
+	// scoreBeta is the EWMA weight for the smoothed suspicion score:
+	// suspicion reacts in a few samples, not one.
+	scoreBeta = 0.3
+	// anomalyGate is the instantaneous φ beyond which a sample is
+	// considered anomalous and the baseline freezes.
+	anomalyGate = 3.0
+	// suspectScore is the smoothed score at or above which an entity
+	// becomes suspected.
+	suspectScore = 2.0
+	// clearScore sets the hysteresis: suspicion clears only when the
+	// smoothed score falls to half of suspectScore.
+	clearScore = suspectScore * 0.5
+	// warmup is how many samples an entity needs before suspicion can
+	// fire; the baseline always absorbs warmup samples.
+	warmup = 2
+)
 
 // maxPhi caps the instantaneous accrual score so absurd samples (a
 // target 10^6× its baseline) still produce finite, comparable scores.
@@ -94,7 +71,6 @@ type entity struct {
 // or ("node", 7). It is deterministic and not safe for concurrent use;
 // the single-goroutine cost loop owns it.
 type Detector struct {
-	cfg         Config
 	ents        map[key]*entity
 	transitions int
 
@@ -104,10 +80,9 @@ type Detector struct {
 	eventCtr   map[key]*obs.Counter
 }
 
-// NewDetector builds a detector; zero-value cfg fields take defaults.
-func NewDetector(cfg Config) *Detector {
+// NewDetector builds a detector.
+func NewDetector() *Detector {
 	return &Detector{
-		cfg:        cfg.withDefaults(),
 		ents:       map[key]*entity{},
 		scoreGauge: map[key]*obs.Gauge{},
 		suspGauge:  map[string]*obs.Gauge{},
@@ -159,16 +134,15 @@ func (d *Detector) Observe(kind string, id int, value float64) bool {
 	// scored but not absorbed, so sustained degradation keeps looking
 	// degraded instead of becoming the new baseline. Warmup samples
 	// always absorb — there is no baseline to defend yet.
-	if e.n < d.cfg.Warmup || phi < d.cfg.AnomalyGate {
-		a := d.cfg.BaselineAlpha
-		e.mean += a * (value - e.mean)
-		e.dev += a * (math.Abs(value-e.mean) - e.dev)
+	if e.n < warmup || phi < anomalyGate {
+		e.mean += baselineAlpha * (value - e.mean)
+		e.dev += baselineAlpha * (math.Abs(value-e.mean) - e.dev)
 	}
-	e.score += d.cfg.ScoreBeta * (phi - e.score)
+	e.score += scoreBeta * (phi - e.score)
 	e.n++
 
-	if e.n > d.cfg.Warmup {
-		if !e.suspected && e.score >= d.cfg.SuspectScore {
+	if e.n > warmup {
+		if !e.suspected && e.score >= suspectScore {
 			e.suspected = true
 			e.events++
 			d.transitions++
@@ -181,7 +155,7 @@ func (d *Detector) Observe(kind string, id int, value float64) bool {
 				}
 				c.Inc()
 			}
-		} else if e.suspected && e.score <= d.cfg.SuspectScore*d.cfg.ClearFraction {
+		} else if e.suspected && e.score <= clearScore {
 			e.suspected = false
 		}
 	}

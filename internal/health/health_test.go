@@ -14,7 +14,7 @@ func feed(d *Detector, kind string, id int, value float64, n int) {
 }
 
 func TestDetectorSuspectsSustainedDegradation(t *testing.T) {
-	d := NewDetector(Config{})
+	d := NewDetector()
 	feed(d, "ost", 0, 1.0, 30)
 	if d.Suspected("ost", 0) {
 		t.Fatal("healthy baseline must not be suspected")
@@ -35,7 +35,7 @@ func TestDetectorSuspectsSustainedDegradation(t *testing.T) {
 }
 
 func TestDetectorRecoversWithHysteresis(t *testing.T) {
-	d := NewDetector(Config{})
+	d := NewDetector()
 	feed(d, "node", 3, 1.0, 30)
 	feed(d, "node", 3, 6.0, 30)
 	if !d.Suspected("node", 3) {
@@ -60,7 +60,7 @@ func TestDetectorRecoversWithHysteresis(t *testing.T) {
 // The robust baseline must not learn that slow is normal: after a long
 // degradation the baseline mean stays near the healthy level.
 func TestDetectorBaselineFreezesUnderAnomaly(t *testing.T) {
-	d := NewDetector(Config{})
+	d := NewDetector()
 	feed(d, "ost", 1, 1.0, 30)
 	feed(d, "ost", 1, 10.0, 200)
 	e := d.ents[key{"ost", 1}]
@@ -73,7 +73,7 @@ func TestDetectorBaselineFreezesUnderAnomaly(t *testing.T) {
 }
 
 func TestDetectorFlappingDoesNotThrash(t *testing.T) {
-	d := NewDetector(Config{})
+	d := NewDetector()
 	feed(d, "ost", 2, 1.0, 30)
 	// Alternate healthy/degraded: suspicion may enter, but must not
 	// enter-and-clear on every flap cycle.
@@ -91,7 +91,7 @@ func TestDetectorFlappingDoesNotThrash(t *testing.T) {
 
 func TestDetectorExportsGauges(t *testing.T) {
 	o := obs.New()
-	d := NewDetector(Config{})
+	d := NewDetector()
 	d.SetObserver(o)
 	feed(d, "ost", 0, 1.0, 30)
 	feed(d, "ost", 0, 8.0, 30)
@@ -115,7 +115,7 @@ func TestDetectorNilSafe(t *testing.T) {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, OpenSeconds: 1})
+	b := NewBreaker()
 	if b.State() != BreakerClosed || !b.Allow(0) {
 		t.Fatal("new breaker must be closed and allowing")
 	}
@@ -128,50 +128,74 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State() != BreakerOpen || b.Opens() != 1 {
 		t.Fatalf("state=%v opens=%d, want open/1", b.State(), b.Opens())
 	}
-	if b.Allow(0.5) {
+	if b.Allow(0.34) {
 		t.Fatal("open breaker allowed traffic before the probe deadline")
 	}
 	if b.FastFails() != 1 {
 		t.Fatalf("fast fails = %d, want 1", b.FastFails())
 	}
-	// Probe deadline at 0.3+1: the next access is the half-open probe.
-	if !b.Allow(1.5) || b.State() != BreakerHalfOpen {
+	// Probe deadline at 0.3+0.05: the next access is the half-open probe.
+	if !b.Allow(0.36) || b.State() != BreakerHalfOpen {
 		t.Fatalf("probe not admitted at deadline (state %v)", b.State())
 	}
 	// While the probe is in flight, everything else is still denied.
-	if b.Allow(1.5) {
+	if b.Allow(0.36) {
 		t.Fatal("second access admitted during half-open probe")
 	}
-	b.OnSuccess(1.6)
+	b.OnSuccess(0.37)
 	if b.State() != BreakerClosed {
 		t.Fatalf("successful probe left state %v, want closed", b.State())
 	}
+	// A success resets the failure count: two more strikes stay closed.
+	b.OnFailure(0.4)
+	b.OnFailure(0.5)
+	if b.State() != BreakerClosed {
+		t.Fatal("failures before the success counted toward the threshold")
+	}
 }
 
+// A failed probe doubles the open window, up to 20 base windows; a
+// close resets it to the base window.
 func TestBreakerFailedProbeBacksOff(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenSeconds: 1, BackoffFactor: 2})
-	b.OnFailure(0) // opens; probe at 1
-	if !b.Allow(1) {
+	b := NewBreaker()
+	for i := 0; i < 3; i++ {
+		b.OnFailure(0) // the third opens; probe at 0.05
+	}
+	if !b.Allow(0.05) {
 		t.Fatal("probe not admitted")
 	}
-	b.OnFailure(1) // failed probe: reopen with doubled window, probe at 3
+	b.OnFailure(0.05) // failed probe: reopen with doubled window, probe at 0.15
 	if b.State() != BreakerOpen || b.Opens() != 2 {
 		t.Fatalf("state=%v opens=%d, want open/2", b.State(), b.Opens())
 	}
-	if b.Allow(2.5) {
+	if b.Allow(0.12) {
 		t.Fatal("reopened breaker did not back off harder")
 	}
-	if !b.Allow(3.1) {
+	if !b.Allow(0.16) {
 		t.Fatal("second probe not admitted after the grown window")
 	}
-	b.OnSuccess(3.2)
+	b.OnSuccess(0.17)
 	if b.State() != BreakerClosed {
 		t.Fatal("second probe success did not close")
 	}
 	// Closing resets the open span back to the base window.
-	b.OnFailure(4) // opens; probe at 5, not 8
-	if !b.Allow(5.1) {
+	for i := 0; i < 3; i++ {
+		b.OnFailure(1) // the third opens; probe at 1.05, not 1.1
+	}
+	if !b.Allow(1.06) {
 		t.Fatal("open span did not reset after close")
+	}
+	// Failed probes grow the window 0.1, 0.2, 0.4, 0.8, then cap it at 1.
+	now := 1.06
+	for _, span := range []float64{0.1, 0.2, 0.4, 0.8, 1, 1} {
+		b.OnFailure(now)
+		if b.Allow(now + span - 0.01) {
+			t.Fatalf("probe admitted before the %gs window", span)
+		}
+		now += span + 0.01
+		if !b.Allow(now) {
+			t.Fatalf("probe not admitted after the %gs window", span)
+		}
 	}
 }
 
@@ -205,7 +229,7 @@ func TestWindowQuantile(t *testing.T) {
 }
 
 func TestDetectorIgnoresNonFinite(t *testing.T) {
-	d := NewDetector(Config{})
+	d := NewDetector()
 	feed(d, "ost", 0, 1.0, 20)
 	d.Observe("ost", 0, math.NaN())
 	d.Observe("ost", 0, math.Inf(1))

@@ -53,10 +53,13 @@ type Config struct {
 	// domain that fails read-back verification is rewritten. With
 	// Repair false the checker only detects and counts.
 	Repair bool
-	// MaxRepairs bounds repair attempts per chunk or domain; zero means
-	// the default (4).
-	MaxRepairs int
 }
+
+// MaxRepairs bounds repair attempts per chunk or domain. It is well
+// above any plausible per-rank pileup of pending bit flips: each resend
+// consumes one more pending corruption event, so a budget larger than
+// the pileup guarantees a repair chain ends clean.
+const MaxRepairs = 32
 
 // Checker stamps and verifies extent checksums and accounts the
 // campaign: how many sums were stamped, verified, how many corruptions
@@ -83,9 +86,6 @@ type Checker struct {
 
 // NewChecker builds a checker for the given policy.
 func NewChecker(cfg Config) *Checker {
-	if cfg.MaxRepairs <= 0 {
-		cfg.MaxRepairs = 4
-	}
 	return &Checker{cfg: cfg}
 }
 
@@ -95,14 +95,6 @@ func (c *Checker) Enabled() bool { return c != nil }
 
 // Repair reports whether the detect→re-request→rewrite path is on.
 func (c *Checker) Repair() bool { return c != nil && c.cfg.Repair }
-
-// MaxRepairs returns the per-chunk/per-domain repair attempt budget.
-func (c *Checker) MaxRepairs() int {
-	if c == nil {
-		return 0
-	}
-	return c.cfg.MaxRepairs
-}
 
 // SetObserver attaches metrics: integrity.sums_stamped,
 // integrity.sums_verified, integrity.corruptions_detected,

@@ -128,10 +128,10 @@ func TestEncodeDecodeSums(t *testing.T) {
 
 func TestCountersAndObserver(t *testing.T) {
 	o := obs.New()
-	c := NewChecker(Config{Repair: true, MaxRepairs: 9})
+	c := NewChecker(Config{Repair: true})
 	c.SetObserver(o)
-	if !c.Repair() || c.MaxRepairs() != 9 {
-		t.Fatalf("policy lost: repair=%v budget=%d", c.Repair(), c.MaxRepairs())
+	if !c.Repair() {
+		t.Fatal("policy lost: repair off")
 	}
 
 	want := []pfs.Extent{{Offset: 0, Length: 8}}
@@ -165,7 +165,7 @@ func TestCountersAndObserver(t *testing.T) {
 
 func TestNilCheckerIsInert(t *testing.T) {
 	var c *Checker
-	if c.Enabled() || c.Repair() || c.MaxRepairs() != 0 {
+	if c.Enabled() || c.Repair() {
 		t.Fatal("nil checker claims capabilities")
 	}
 	if sums := c.Stamp([]pfs.Extent{{Offset: 0, Length: 4}}, make([]byte, 4)); sums != nil {

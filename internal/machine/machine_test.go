@@ -100,9 +100,6 @@ func TestNewMachine(t *testing.T) {
 		t.Fatalf("got %d nodes", len(m.Nodes))
 	}
 	for i, n := range m.Nodes {
-		if n.ID != i {
-			t.Errorf("node %d has ID %d", i, n.ID)
-		}
 		if n.Avail != cfg.MemPerNode || n.Capacity != cfg.MemPerNode {
 			t.Errorf("node %d memory not initialized from config", i)
 		}

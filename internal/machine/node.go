@@ -1,14 +1,11 @@
 package machine
 
-// Node is one compute node instance of a Machine. Resource figures start
+// Node is one compute node instance of a Machine. Its memory figures start
 // out uniform (copied from the Config); the memory model perturbs
 // Avail per node to create the availability variance the paper studies.
 type Node struct {
-	ID       int
-	Capacity int64   // total DRAM, bytes
-	Avail    int64   // memory currently available for aggregation buffers
-	MemBW    float64 // off-chip bandwidth, bytes/s
-	NICBW    float64 // injection bandwidth, bytes/s
+	Capacity int64 // total DRAM, bytes
+	Avail    int64 // memory currently available for aggregation buffers
 }
 
 // Machine is an instantiated cluster: a validated Config plus one Node per
@@ -26,13 +23,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	m := &Machine{Cfg: cfg, Nodes: make([]*Node, cfg.Nodes)}
 	for i := range m.Nodes {
-		m.Nodes[i] = &Node{
-			ID:       i,
-			Capacity: cfg.MemPerNode,
-			Avail:    cfg.MemPerNode,
-			MemBW:    cfg.MemBandwidth,
-			NICBW:    cfg.NICBandwidth,
-		}
+		m.Nodes[i] = &Node{Capacity: cfg.MemPerNode, Avail: cfg.MemPerNode}
 	}
 	return m, nil
 }

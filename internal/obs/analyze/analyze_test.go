@@ -83,7 +83,7 @@ func engineRun(t *testing.T, overlap bool) Run {
 	t.Helper()
 	mc := machine.Testbed640()
 	mc.Nodes = 8
-	ctx := &collio.Context{Machine: mc, FS: pfs.Config{Targets: 4, TargetBW: 300e6, ReqOverhead: 1e-4, NoncontigFactor: 2}}
+	ctx := &collio.Context{Machine: mc, FS: pfs.Config{Targets: 4, StripeUnit: 1 << 20, TargetBW: 300e6, ReqOverhead: 1e-4, NoncontigFactor: 2}}
 	opt := sim.DefaultOptions()
 	opt.Trace = true
 	opt.Overlap = overlap

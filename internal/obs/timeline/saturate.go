@@ -6,31 +6,16 @@ import (
 	"strings"
 )
 
-// SatOptions tunes the saturation analyzer; the zero value selects the
-// noted defaults.
-type SatOptions struct {
-	// SatUtil is the utilization fraction at which a resource counts as
-	// saturated (default 0.9).
-	SatUtil float64
-	// SustainBins is how many consecutive bins must cross SatUtil
-	// before the crossing counts (default 2) — a single hot bin is
-	// noise, a sustained plateau is a bottleneck.
-	SustainBins int
-}
-
-func (o SatOptions) satUtil() float64 {
-	if o.SatUtil > 0 {
-		return o.SatUtil
-	}
-	return 0.9
-}
-
-func (o SatOptions) sustain() int {
-	if o.SustainBins > 0 {
-		return o.SustainBins
-	}
-	return 2
-}
+// The saturation analyzer's thresholds.
+const (
+	// satUtil is the utilization fraction at which a resource counts as
+	// saturated.
+	satUtil = 0.9
+	// sustainBins is how many consecutive bins must cross satUtil
+	// before the crossing counts — a single hot bin is noise, a
+	// sustained plateau is a bottleneck.
+	sustainBins = 2
+)
 
 // Resource is the saturation verdict for one entity's busy series.
 type Resource struct {
@@ -42,7 +27,7 @@ type Resource struct {
 	// smoothed utilization increase. -1 when the series never ramps
 	// (flat or empty).
 	KneeT float64
-	// SatT is the first sustained crossing of SatUtil; -1 when the
+	// SatT is the first sustained crossing of satUtil; -1 when the
 	// resource never saturates.
 	SatT float64
 }
@@ -57,13 +42,12 @@ type Phase struct {
 	// (Saturated false).
 	First     string
 	FirstT    float64 // saturation time, or -1 when merely busiest
-	FirstUtil float64 // the deciding utilization (SatUtil crossing or mean)
+	FirstUtil float64 // the deciding utilization (satUtil crossing or mean)
 	Saturated bool
 }
 
 // SatReport is the full saturation analysis of one recorded run.
 type SatReport struct {
-	Opt       SatOptions
 	Tick      float64
 	Span      float64
 	Resources []Resource
@@ -73,8 +57,8 @@ type SatReport struct {
 // Analyze runs the saturation analyzer over the recorder's busy
 // series, segmenting phases on the journal's EvPhase events. The
 // result is a pure function of the recorder's contents.
-func Analyze(rec *Recorder, opt SatOptions) *SatReport {
-	rep := &SatReport{Opt: opt, Tick: rec.Tick(), Span: rec.Span()}
+func Analyze(rec *Recorder) *SatReport {
+	rep := &SatReport{Tick: rec.Tick(), Span: rec.Span()}
 	if rec == nil {
 		return rep
 	}
@@ -85,15 +69,15 @@ func Analyze(rec *Recorder, opt SatOptions) *SatReport {
 		}
 	}
 	for _, v := range busies {
-		rep.Resources = append(rep.Resources, analyzeResource(v, opt))
+		rep.Resources = append(rep.Resources, analyzeResource(v))
 	}
-	rep.Phases = analyzePhases(busies, rec.J().Events(), rec.Span(), opt)
+	rep.Phases = analyzePhases(busies, rec.J().Events(), rec.Span())
 	return rep
 }
 
-func analyzeResource(v SeriesView, opt SatOptions) Resource {
+func analyzeResource(v SeriesView) Resource {
 	r := Resource{Entity: v.Entity, Peak: v.Max(), Mean: v.Mean(), KneeT: -1, SatT: -1}
-	if sb := sustainedCross(v, 0, len(v.Values), opt); sb >= 0 {
+	if sb := sustainedCross(v, 0, len(v.Values)); sb >= 0 {
 		r.SatT = float64(sb) * v.Tick
 	}
 	// Knee: the largest bin-to-bin increase of the 3-bin-smoothed
@@ -112,18 +96,17 @@ func analyzeResource(v SeriesView, opt SatOptions) Resource {
 }
 
 // sustainedCross returns the first bin in [lo, hi) where v stays at or
-// above SatUtil for SustainBins consecutive bins (clipped to hi), or
+// above satUtil for sustainBins consecutive bins (clipped to hi), or
 // -1.
-func sustainedCross(v SeriesView, lo, hi int, opt SatOptions) int {
+func sustainedCross(v SeriesView, lo, hi int) int {
 	if hi > len(v.Values) {
 		hi = len(v.Values)
 	}
-	need := opt.sustain()
 	run := 0
 	for i := lo; i < hi; i++ {
-		if v.Values[i] >= opt.satUtil() {
+		if v.Values[i] >= satUtil {
 			run++
-			if run == need || i == hi-1 {
+			if run == sustainBins || i == hi-1 {
 				return i - run + 1
 			}
 		} else {
@@ -151,7 +134,7 @@ func smooth3(xs []float64) []float64 {
 // analyzePhases segments [0, span) on the journal's phase events and
 // names the first-saturating (or, failing that, busiest) resource in
 // each segment. Adjacent segments with the same phase name merge.
-func analyzePhases(busies []SeriesView, events []Event, span float64, opt SatOptions) []Phase {
+func analyzePhases(busies []SeriesView, events []Event, span float64) []Phase {
 	type seg struct {
 		name  string
 		start float64
@@ -185,11 +168,11 @@ func analyzePhases(busies []SeriesView, events []Event, span float64, opt SatOpt
 		for _, v := range busies {
 			lo := int(sg.start / v.Tick)
 			hi := int(end/v.Tick) + 1
-			if sb := sustainedCross(v, lo, hi, opt); sb >= 0 {
+			if sb := sustainedCross(v, lo, hi); sb >= 0 {
 				t := float64(sb) * v.Tick
 				if !p.Saturated || t < p.FirstT {
 					p.Saturated = true
-					p.First, p.FirstT, p.FirstUtil = v.Entity, t, opt.satUtil()
+					p.First, p.FirstT, p.FirstUtil = v.Entity, t, satUtil
 				}
 			}
 		}
@@ -234,7 +217,7 @@ func (s *SatReport) Render() string {
 		return entityLess(res[i].Entity, res[j].Entity)
 	})
 	fmt.Fprintf(&b, "saturation (>= %.0f%% for %d bins, tick %.3gs):\n",
-		s.Opt.satUtil()*100, s.Opt.sustain(), s.Tick)
+		satUtil*100, sustainBins, s.Tick)
 	for _, r := range res {
 		line := fmt.Sprintf("  %-10s peak %3.0f%% mean %3.0f%%", r.Entity, r.Peak*100, r.Mean*100)
 		if r.SatT >= 0 {

@@ -21,7 +21,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.J().Events() != nil {
 		t.Fatal("nil journal leaked state")
 	}
-	rep := Analyze(r, SatOptions{})
+	rep := Analyze(r)
 	if len(rep.Resources) != 0 || len(rep.Phases) != 0 {
 		t.Fatal("nil recorder produced analysis")
 	}
@@ -202,7 +202,7 @@ func TestAnalyzeSaturation(t *testing.T) {
 		r.AddSpan("ost 0", "busy", float64(i), float64(i)+frac)
 		r.AddSpan("ost 1", "busy", float64(i), float64(i)+0.4)
 	}
-	rep := Analyze(r, SatOptions{})
+	rep := Analyze(r)
 	if len(rep.Resources) != 2 {
 		t.Fatalf("want 2 resources, got %d", len(rep.Resources))
 	}
@@ -238,7 +238,7 @@ func TestAnalyzePhaseSegmentation(t *testing.T) {
 	for i := 2; i < 8; i++ {
 		r.AddSpan("ost 0", "busy", float64(i), float64(i)+0.95)
 	}
-	rep := Analyze(r, SatOptions{})
+	rep := Analyze(r)
 	if len(rep.Phases) != 2 {
 		t.Fatalf("want 2 phases, got %+v", rep.Phases)
 	}
@@ -277,7 +277,7 @@ func TestReportDeterministicAndSelfContained(t *testing.T) {
 	render := func() string {
 		r := buildSampleRecorder()
 		var b bytes.Buffer
-		if err := WriteReport(&b, r, Analyze(r, SatOptions{})); err != nil {
+		if err := WriteReport(&b, r, Analyze(r)); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()
@@ -304,7 +304,7 @@ func TestReportEscapesDetails(t *testing.T) {
 	r.J().Record(0.5, EvFault, "ost 0", `<img src=x onerror=alert(1)> & "quotes"`)
 	r.SetMeta("op", "<b>write</b>")
 	var b bytes.Buffer
-	if err := WriteReport(&b, r, Analyze(r, SatOptions{})); err != nil {
+	if err := WriteReport(&b, r, Analyze(r)); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

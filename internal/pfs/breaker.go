@@ -23,7 +23,6 @@ import (
 // runs scheduling-dependent (see WriteCorrupter's determinism
 // contract).
 type BreakerSet struct {
-	cfg      health.BreakerConfig
 	breakers map[int]*health.Breaker
 
 	o     *obs.Observer
@@ -31,11 +30,9 @@ type BreakerSet struct {
 	fast  map[int]*obs.Counter
 }
 
-// NewBreakerSet builds an empty set; zero-value cfg fields take the
-// health package defaults.
-func NewBreakerSet(cfg health.BreakerConfig) *BreakerSet {
+// NewBreakerSet builds an empty set.
+func NewBreakerSet() *BreakerSet {
 	return &BreakerSet{
-		cfg:      cfg,
 		breakers: map[int]*health.Breaker{},
 		opens:    map[int]*obs.Counter{},
 		fast:     map[int]*obs.Counter{},
@@ -56,7 +53,7 @@ func (bs *BreakerSet) SetObserver(o *obs.Observer) {
 func (bs *BreakerSet) breaker(target int) *health.Breaker {
 	b := bs.breakers[target]
 	if b == nil {
-		b = health.NewBreaker(bs.cfg)
+		b = health.NewBreaker()
 		bs.breakers[target] = b
 	}
 	return b

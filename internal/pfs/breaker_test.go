@@ -8,11 +8,12 @@ import (
 )
 
 func TestBreakerSetPerTargetIsolation(t *testing.T) {
-	bs := NewBreakerSet(health.BreakerConfig{FailureThreshold: 2, OpenSeconds: 1})
+	bs := NewBreakerSet()
 	o := obs.New()
 	bs.SetObserver(o)
 
 	bs.OnFailure(0, 0.1)
+	bs.OnFailure(0, 0.15)
 	bs.OnFailure(0, 0.2) // target 0 opens
 	if bs.State(0) != health.BreakerOpen {
 		t.Fatalf("target 0 state = %v, want open", bs.State(0))
@@ -20,15 +21,15 @@ func TestBreakerSetPerTargetIsolation(t *testing.T) {
 	if bs.State(1) != health.BreakerClosed || !bs.Allow(1, 0.3) {
 		t.Fatal("target 1 must be unaffected by target 0's failures")
 	}
-	if bs.Allow(0, 0.3) {
+	if bs.Allow(0, 0.24) {
 		t.Fatal("open target 0 allowed traffic")
 	}
 
-	// Probe at 1.2 (>= 0.2+1), success closes.
-	if !bs.Allow(0, 1.3) {
+	// Probe at 0.25 (0.2 plus the 0.05 s open window), success closes.
+	if !bs.Allow(0, 0.26) {
 		t.Fatal("probe not admitted")
 	}
-	bs.OnSuccess(0, 1.4)
+	bs.OnSuccess(0, 0.27)
 	if bs.State(0) != health.BreakerClosed {
 		t.Fatalf("state after healthy probe = %v, want closed", bs.State(0))
 	}

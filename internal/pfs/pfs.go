@@ -22,7 +22,7 @@ type Config struct {
 	Targets    int   // number of OSTs
 	StripeUnit int64 // bytes per stripe unit (the paper's runs use 1 MB)
 
-	// Cost-model parameters consumed by the sim engine via StorageParams.
+	// Cost-model parameters the sim engine prices target accesses with.
 	TargetBW float64 // streaming write bandwidth per target, bytes/s
 	// ReadBWFactor scales TargetBW for reads (storage reads stream faster
 	// than writes). The zero value means symmetric (factor 1).
@@ -91,35 +91,36 @@ func (fs *FileSystem) Config() Config { return fs.cfg }
 // Stats returns the per-target traffic counters.
 func (fs *FileSystem) Stats() *TargetStats { return fs.stats }
 
-// Open returns the named file, creating it empty with the file system's
-// default striping if absent.
+// Open returns the named file, creating it empty if absent. Every file
+// stripes round-robin over all of the file system's targets in units of
+// Config.StripeUnit, as the paper's runs do.
 func (fs *FileSystem) Open(name string) *File {
-	f, err := fs.OpenStriped(name, Layout{})
-	if err != nil {
-		// The zero layout always normalizes against a valid config; an
-		// error here means the name exists with a custom layout — return
-		// it, matching Open's historical always-succeeds contract.
-		fs.mu.Lock()
-		defer fs.mu.Unlock()
-		return fs.files[name]
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if f := fs.files[name]; f != nil {
+		return f
 	}
+	f := &File{fs: fs, name: name, objects: make([][]byte, fs.cfg.Targets)}
+	fs.files[name] = f
 	return f
 }
 
 // File is one striped file. Methods are safe for concurrent use; writes to
 // disjoint ranges from concurrent aggregators are the normal case.
 type File struct {
-	fs     *FileSystem
-	name   string
-	layout Layout
+	fs   *FileSystem
+	name string
 
 	mu      sync.RWMutex
-	objects [][]byte // per layout-relative target object contents
+	objects [][]byte // per-target object contents
 	size    int64    // file size (highest written offset + 1)
 }
 
 // Name returns the file's name.
 func (f *File) Name() string { return f.name }
+
+// StripeUnit returns the file's stripe unit: the file system's.
+func (f *File) StripeUnit() int64 { return f.fs.cfg.StripeUnit }
 
 // Size returns the current file size in bytes.
 func (f *File) Size() int64 {
@@ -148,7 +149,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cfg := f.layout.layoutConfig(f.fs.cfg)
+	cfg := f.fs.cfg
 	su := cfg.StripeUnit
 	for pos := 0; pos < len(p); {
 		cur := off + int64(pos)
@@ -165,23 +166,22 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 			obj = grown
 			f.objects[target] = obj
 		}
-		fsTarget := f.layout.mapTarget(f.fs.cfg, target)
 		keep := n
-		if wc := f.fs.corr; wc != nil && wc.PendingTorn(fsTarget) {
+		if wc := f.fs.corr; wc != nil && wc.PendingTorn(target) {
 			// Tear the write only if dropping the tail actually changes the
 			// stored bytes — a tear nobody could ever observe is no
 			// corruption, and consuming the event for it would break the
 			// "every injected corruption is detectable" accounting.
 			half := n / 2
 			if !bytes.Equal(obj[objOff+int64(half):objOff+int64(n)], p[pos+half:pos+n]) &&
-				wc.TearWrite(fsTarget, cur) {
+				wc.TearWrite(target, cur) {
 				keep = half
 			}
 		}
 		copy(obj[objOff:objOff+int64(keep)], p[pos:pos+keep])
 		// Stats record the full request: the target acknowledged all n
 		// bytes, which is exactly what makes the tear silent.
-		f.fs.stats.RecordWrite(fsTarget, int64(n))
+		f.fs.stats.RecordWrite(target, int64(n))
 		pos += n
 	}
 	if end := off + int64(len(p)); end > f.size {
@@ -202,7 +202,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	cfg := f.layout.layoutConfig(f.fs.cfg)
+	cfg := f.fs.cfg
 	su := cfg.StripeUnit
 	for pos := 0; pos < len(p); {
 		cur := off + int64(pos)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mcio/internal/machine"
+	"mcio/internal/pfs"
 )
 
 // aggregate folds a round of single messages (Count 1 each) into
@@ -41,7 +42,7 @@ func aggregate(r AggRound) AggRound {
 // on.
 func TestRunAggRoundBundlesMatchSingleMessages(t *testing.T) {
 	mc := machine.Testbed640()
-	st := StorageParams{Targets: 8, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
+	st := pfs.Config{StripeUnit: 1 << 20, Targets: 8, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
 	for _, overlap := range []bool{false, true} {
 		opt := DefaultOptions()
 		opt.Overlap = overlap
@@ -133,7 +134,7 @@ func mirror(r AggRound) AggRound {
 // round, and the round itself is left unchanged.
 func TestMirroredRoundMatchesSwapped(t *testing.T) {
 	mc := machine.Testbed640()
-	st := StorageParams{Targets: 8, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
+	st := pfs.Config{StripeUnit: 1 << 20, Targets: 8, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
 	opt := DefaultOptions()
 	opt.Trace = true
 	mirEng, err := NewEngine(mc, st, opt)
@@ -185,7 +186,7 @@ func TestMirroredRoundMatchesSwapped(t *testing.T) {
 // deliveries).
 func TestAccExchangeMatchesMessages(t *testing.T) {
 	mc := machine.Testbed640()
-	st := StorageParams{Targets: 4, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
+	st := pfs.Config{StripeUnit: 1 << 20, Targets: 4, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 50; trial++ {
 		opt := DefaultOptions()
@@ -247,7 +248,7 @@ func TestAccExchangeMatchesMessages(t *testing.T) {
 // AddRecoveryLatency charges wall time and recovery time together.
 func TestAggRecoveryRoundAccounting(t *testing.T) {
 	mc := machine.Testbed640()
-	st := StorageParams{Targets: 4, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
+	st := pfs.Config{StripeUnit: 1 << 20, Targets: 4, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4, ReadBWFactor: 1.25}
 	newEng := func() *Engine {
 		e, err := NewEngine(mc, st, DefaultOptions())
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mcio/internal/machine"
+	"mcio/internal/pfs"
 )
 
 // denseRound is a round exercising every accumulator: bundled messages
@@ -77,7 +78,7 @@ func denseEngine(t *testing.T, nodes int) *Engine {
 	t.Helper()
 	mc := machine.Testbed640()
 	mc.Nodes = nodes
-	st := StorageParams{Targets: 8, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4}
+	st := pfs.Config{StripeUnit: 1 << 20, Targets: 8, TargetBW: 500e6, ReqOverhead: 0.5e-3, NoncontigFactor: 4}
 	opt := DefaultOptions()
 	opt.Trace = true
 	e, err := NewEngine(mc, st, opt)
@@ -110,7 +111,7 @@ func runDense(e *Engine, far int, order func(AggRound) AggRound) ([]RoundCost, [
 
 // Feeding a round's traffic in any order prices it bit-identically: the
 // same costs, the same bindings (the lowest node and target win the
-// built-in ties) and the same totals, PerNodeShuffle's key set included.
+// built-in ties) and the same totals.
 // A node ID past the machine's node count grows the engine's tables and
 // prices as if they had been that large from the start.
 func TestEngineOrderAndTies(t *testing.T) {
@@ -121,17 +122,8 @@ func TestEngineOrderAndTies(t *testing.T) {
 			t.Fatalf("round %d bound by %v, want the tie's lowest IDs: comm node 3, io ost 2", i, tr.Binding)
 		}
 	}
-	wantKeys := []int{0, 1, 3, 5, far} // the messages' endpoints
-	for n := 6; n <= 19; n++ {
-		wantKeys = append(wantKeys, n) // the exchange's
-	}
-	if len(wantTotals.PerNodeShuffle) != len(wantKeys) {
-		t.Fatalf("PerNodeShuffle = %v, want keys %v", wantTotals.PerNodeShuffle, wantKeys)
-	}
-	for _, n := range wantKeys {
-		if wantTotals.PerNodeShuffle[n] <= 0 {
-			t.Fatalf("PerNodeShuffle = %v, want a positive entry for node %d", wantTotals.PerNodeShuffle, n)
-		}
+	if wantTotals.ShufBytes <= 0 || wantTotals.NetBytes <= 0 || wantTotals.NetBytes > wantTotals.ShufBytes {
+		t.Fatalf("totals = %+v, want shuffled bytes, some of them across NICs", wantTotals)
 	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {

@@ -30,54 +30,9 @@ import (
 	"mcio/internal/machine"
 	"mcio/internal/obs"
 	"mcio/internal/obs/timeline"
+	"mcio/internal/pfs"
 	"mcio/internal/sim/pricing"
 )
-
-// StorageParams prices accesses to the parallel-file-system targets.
-type StorageParams struct {
-	Targets     int     // number of storage targets (OSTs)
-	TargetBW    float64 // streaming write bandwidth per target, bytes/s
-	ReqOverhead float64 // fixed cost per storage request, seconds (seek+RPC)
-	// NoncontigFactor inflates the streaming time of an access marked
-	// noncontiguous (>1: noncontiguous I/O is slower per byte).
-	NoncontigFactor float64
-	// ReadBWFactor scales TargetBW for read accesses; the zero value means
-	// symmetric (factor 1).
-	ReadBWFactor float64
-}
-
-// readBW returns the effective streaming bandwidth for reads.
-func (s StorageParams) readBW() float64 {
-	return s.pricing().StreamBW(false)
-}
-
-// pricing converts the per-target parameters into the shared pricing
-// core's storage model.
-func (s StorageParams) pricing() pricing.Storage {
-	return pricing.Storage{
-		TargetBW:        s.TargetBW,
-		ReadBWFactor:    s.ReadBWFactor,
-		ReqOverhead:     s.ReqOverhead,
-		NoncontigFactor: s.NoncontigFactor,
-	}
-}
-
-// Validate reports an error for parameters the engine cannot price.
-func (s StorageParams) Validate() error {
-	switch {
-	case s.Targets <= 0:
-		return fmt.Errorf("sim: Targets = %d, must be positive", s.Targets)
-	case s.TargetBW <= 0:
-		return fmt.Errorf("sim: TargetBW must be positive")
-	case s.ReqOverhead < 0:
-		return fmt.Errorf("sim: ReqOverhead must be non-negative")
-	case s.NoncontigFactor < 1:
-		return fmt.Errorf("sim: NoncontigFactor must be >= 1")
-	case s.ReadBWFactor < 0:
-		return fmt.Errorf("sim: ReadBWFactor must be non-negative")
-	}
-	return nil
-}
 
 // Options tunes engine behaviour not tied to a machine or storage preset.
 type Options struct {
@@ -184,9 +139,6 @@ type Totals struct {
 	RecoverySeconds float64
 	// RecoveryRounds counts rounds priced via RunAggRecoveryRound.
 	RecoveryRounds int
-	// PerNodeShuffle records shuffled bytes through each node that hosted
-	// an aggregator or endpoint, for memory-pressure reporting.
-	PerNodeShuffle map[int]int64
 }
 
 // Binding identifies the resources that bounded one round: the node whose
@@ -265,16 +217,15 @@ type TraceEntry struct {
 // per target ID, so the per-message and per-access hot path indexes a
 // slice instead of hashing. The node table is sized from
 // machine.Config.Nodes and grows when a larger node ID appears; target
-// IDs are bounded by StorageParams.Targets. Each round lists the IDs it
+// IDs are bounded by pfs.Config.Targets. Each round lists the IDs it
 // touched, so resetting costs what the round used, not the table size.
 type Engine struct {
 	mc      machine.Config
-	st      StorageParams
-	stp     pricing.Storage // st in the pricing core's form
+	stp     pricing.Storage
 	opt     Options
 	nodes   []nodeState
 	targets []targetState
-	totals  Totals // PerNodeShuffle is built by Totals from nodes
+	totals  Totals
 	trace   []TraceEntry
 	eo      *engineObs
 	rec     *timeline.Recorder
@@ -289,12 +240,11 @@ type Engine struct {
 }
 
 // nodeState is one node's engine state: what the operation declared
-// about it, its shuffle total, and the current round's accumulator.
+// about it and the current round's accumulator.
 type nodeState struct {
 	aggs     int     // active aggregator count
 	paged    float64 // worst paging severity present
 	slowdown float64 // straggler bandwidth divisor, 1 = healthy
-	shuffle  int64   // Totals.PerNodeShuffle entry; zero = no entry
 	load     nodeLoad
 	touched  bool // load is in use this round (the node is in nodeIDs)
 	// accExchange scratch, zero outside an exchange: receiving slots
@@ -440,25 +390,35 @@ func (e *Engine) recordRound(start float64, rc RoundCost, kind string, recovery 
 	}
 }
 
-// NewEngine builds an engine. The machine config, storage parameters and
-// options are validated once here.
-func NewEngine(mc machine.Config, st StorageParams, opt Options) (*Engine, error) {
+// NewEngine builds an engine that prices accesses to the targets of the
+// file system fs. The machine config, file-system config and options
+// are validated once here.
+func NewEngine(mc machine.Config, fs pfs.Config, opt Options) (*Engine, error) {
 	if err := mc.Validate(); err != nil {
 		return nil, err
 	}
-	if err := st.Validate(); err != nil {
+	if err := fs.Validate(); err != nil {
 		return nil, err
 	}
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{mc: mc, st: st, stp: st.pricing(), opt: opt, targets: make([]targetState, st.Targets)}
+	e := &Engine{mc: mc, opt: opt, targets: make([]targetState, fs.Targets), stp: pricing.Storage{
+		TargetBW:        fs.TargetBW,
+		ReadBWFactor:    fs.ReadBWFactor,
+		ReqOverhead:     fs.ReqOverhead,
+		NoncontigFactor: fs.NoncontigFactor,
+	}}
 	for t := range e.targets {
 		e.targets[t].slow = 1
 	}
 	e.growNodes(mc.Nodes - 1)
 	return e, nil
 }
+
+// Storage returns the storage model the engine prices target accesses
+// with.
+func (e *Engine) Storage() pricing.Storage { return e.stp }
 
 // growNodes extends the node table to cover node ID n, doubling so a
 // run of rising IDs grows it a logarithmic number of times. Pointers
@@ -762,7 +722,6 @@ func (e *Engine) accMessage(src, dst int, bytes int64, count int) {
 	}
 	e.growNodes(max(src, dst)) // the loads below must not move
 	e.totals.ShufBytes += bytes
-	e.nodes[src].shuffle += bytes
 	if src == dst {
 		// Intra-node: two extra DRAM crossings, no NIC.
 		l := e.load(src)
@@ -771,7 +730,6 @@ func (e *Engine) accMessage(src, dst int, bytes int64, count int) {
 		return
 	}
 	e.totals.NetBytes += bytes
-	e.nodes[dst].shuffle += bytes
 	sl, dl := e.load(src), e.load(dst)
 	sl.out += bytes
 	dl.in += bytes
@@ -829,7 +787,6 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 			continue
 		}
 		e.totals.ShufBytes += s.Bytes * slots
-		e.nodes[s.Node].shuffle += s.Bytes * slots
 		l := e.load(s.Node)
 		ms := e.nodes[s.Node].xSlots
 		if ms > 0 {
@@ -855,7 +812,6 @@ func (e *Engine) accExchange(x Exchange) (commBytes int64, msgs int) {
 		if recvBytes == 0 {
 			continue
 		}
-		own.shuffle += recvBytes
 		l := e.load(d.Node)
 		l.in += recvBytes
 		l.mem += pricing.MemCopy(recvBytes)
@@ -884,8 +840,8 @@ func (e *Engine) accIOOp(op *IOOp, write bool) int {
 	if op.Bytes < 0 {
 		panic("sim: negative I/O size")
 	}
-	if op.Target < 0 || op.Target+n > e.st.Targets {
-		panic(fmt.Sprintf("sim: I/O op for targets [%d,%d) outside [0,%d)", op.Target, op.Target+n, e.st.Targets))
+	if op.Target < 0 || op.Target+n > len(e.targets) {
+		panic(fmt.Sprintf("sim: I/O op for targets [%d,%d) outside [0,%d)", op.Target, op.Target+n, len(e.targets)))
 	}
 	if op.Bytes == 0 && op.Requests == 0 {
 		return n
@@ -1275,20 +1231,8 @@ func (e *Engine) AddRecoveryLatency(seconds float64, kind string) {
 	}
 }
 
-// Totals returns a copy of the accumulated accounting. PerNodeShuffle
-// holds an entry for every node that shuffled bytes: every shuffle
-// charge is positive, so a nonzero total is exactly a node that was
-// charged.
-func (e *Engine) Totals() Totals {
-	t := e.totals
-	t.PerNodeShuffle = map[int]int64{}
-	for n := range e.nodes {
-		if b := e.nodes[n].shuffle; b != 0 {
-			t.PerNodeShuffle[n] = b
-		}
-	}
-	return t
-}
+// Totals returns the accumulated accounting.
+func (e *Engine) Totals() Totals { return e.totals }
 
 // Elapsed returns the operation's accumulated simulated seconds.
 func (e *Engine) Elapsed() float64 { return e.totals.Time }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mcio/internal/machine"
+	"mcio/internal/pfs"
 )
 
 func testEngine(t *testing.T, opt Options) *Engine {
@@ -14,7 +15,7 @@ func testEngine(t *testing.T, opt Options) *Engine {
 	mc := machine.Testbed640()
 	mc.Nodes = 16
 	mc.NetLatency = 0 // most tests want pure bandwidth algebra
-	st := StorageParams{Targets: 8, TargetBW: 500e6, ReqOverhead: 0, NoncontigFactor: 4}
+	st := pfs.Config{StripeUnit: 1 << 20, Targets: 8, TargetBW: 500e6, ReqOverhead: 0, NoncontigFactor: 4}
 	e, err := NewEngine(mc, st, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -24,19 +25,21 @@ func testEngine(t *testing.T, opt Options) *Engine {
 
 func TestNewEngineValidates(t *testing.T) {
 	mc := machine.Testbed640()
-	good := StorageParams{Targets: 1, TargetBW: 1, ReqOverhead: 0, NoncontigFactor: 1}
+	good := pfs.Config{Targets: 1, StripeUnit: 1, TargetBW: 1, ReqOverhead: 0, NoncontigFactor: 1}
 	if _, err := NewEngine(mc, good, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	bads := []StorageParams{
-		{Targets: 0, TargetBW: 1, NoncontigFactor: 1},
-		{Targets: 1, TargetBW: 0, NoncontigFactor: 1},
-		{Targets: 1, TargetBW: 1, ReqOverhead: -1, NoncontigFactor: 1},
-		{Targets: 1, TargetBW: 1, NoncontigFactor: 0.5},
+	bads := []pfs.Config{
+		{Targets: 0, StripeUnit: 1, TargetBW: 1, NoncontigFactor: 1},
+		{Targets: 1, StripeUnit: 0, TargetBW: 1, NoncontigFactor: 1},
+		{Targets: 1, StripeUnit: 1, TargetBW: 0, NoncontigFactor: 1},
+		{Targets: 1, StripeUnit: 1, TargetBW: 1, ReqOverhead: -1, NoncontigFactor: 1},
+		{Targets: 1, StripeUnit: 1, TargetBW: 1, NoncontigFactor: 0.5},
+		{Targets: 1, StripeUnit: 1, TargetBW: 1, NoncontigFactor: 1, ReadBWFactor: -1},
 	}
-	for i, st := range bads {
-		if _, err := NewEngine(mc, st, DefaultOptions()); err == nil {
-			t.Errorf("bad storage params %d accepted", i)
+	for i, fs := range bads {
+		if _, err := NewEngine(mc, fs, DefaultOptions()); err == nil {
+			t.Errorf("bad file-system config %d accepted", i)
 		}
 	}
 	badOpts := []Options{
@@ -133,7 +136,7 @@ func TestAggregatorContention(t *testing.T) {
 func TestIOOpCost(t *testing.T) {
 	mc := machine.Testbed640()
 	mc.NetLatency = 0
-	st := StorageParams{Targets: 4, TargetBW: 100e6, ReqOverhead: 0.001, NoncontigFactor: 4}
+	st := pfs.Config{StripeUnit: 1 << 20, Targets: 4, TargetBW: 100e6, ReqOverhead: 0.001, NoncontigFactor: 4}
 	e, err := NewEngine(mc, st, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +201,7 @@ func TestOverlapOption(t *testing.T) {
 func TestLatencyCharge(t *testing.T) {
 	mc := machine.Testbed640()
 	mc.NetLatency = 1e-3
-	st := StorageParams{Targets: 1, TargetBW: 1e9, NoncontigFactor: 1}
+	st := pfs.Config{StripeUnit: 1 << 20, Targets: 1, TargetBW: 1e9, NoncontigFactor: 1}
 	e, err := NewEngine(mc, st, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -229,14 +232,6 @@ func TestTotalsAccumulate(t *testing.T) {
 	}
 	if tot.IOBytes != 200 || tot.Requests != 3 {
 		t.Fatalf("io bytes/requests = %d/%d", tot.IOBytes, tot.Requests)
-	}
-	if tot.PerNodeShuffle[0] != 150 || tot.PerNodeShuffle[1] != 150 {
-		t.Fatalf("per-node shuffle = %v", tot.PerNodeShuffle)
-	}
-	// Totals must be a defensive copy.
-	tot.PerNodeShuffle[0] = -1
-	if e.Totals().PerNodeShuffle[0] == -1 {
-		t.Fatal("Totals leaked internal map")
 	}
 }
 

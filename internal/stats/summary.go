@@ -14,8 +14,6 @@ type Summary struct {
 	Mean   float64
 	Stddev float64 // sample standard deviation (n-1 denominator)
 	Median float64
-	P05    float64
-	P95    float64
 }
 
 // Summarize computes descriptive statistics over xs. It returns the zero
@@ -47,8 +45,6 @@ func Summarize(xs []float64) Summary {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
 	s.Median = Percentile(sorted, 50)
-	s.P05 = Percentile(sorted, 5)
-	s.P95 = Percentile(sorted, 95)
 	return s
 }
 

@@ -36,85 +36,55 @@ type Result struct {
 	Evaluations int
 }
 
-// Grid controls the search space. Zero values select the defaults.
-type Grid struct {
-	// NahValues are the per-host aggregator limits to try.
-	NahValues []int
-	// MsgIndFactors multiply the collective buffer size to form Msg_ind
+// The search grid.
+var (
+	// nahValues are the per-host aggregator limits to try.
+	nahValues = []int{1, 2, 4, 8}
+	// msgIndFactors multiply the collective buffer size to form Msg_ind
 	// candidates.
-	MsgIndFactors []int64
-	// GroupFactors multiply Msg_ind to form Msg_group candidates.
-	GroupFactors []int64
-}
+	msgIndFactors = []int64{1, 2, 4, 8, 16}
+)
 
-func (g Grid) withDefaults() Grid {
-	if len(g.NahValues) == 0 {
-		g.NahValues = []int{1, 2, 4, 8}
-	}
-	if len(g.MsgIndFactors) == 0 {
-		g.MsgIndFactors = []int64{1, 2, 4, 8, 16}
-	}
-	if len(g.GroupFactors) == 0 {
-		g.GroupFactors = []int64{8}
-	}
-	return g
-}
+// groupFactor multiplies Msg_ind to form Msg_group.
+const groupFactor = 8
 
 // Tune evaluates the grid for the given workload and machine state and
 // returns the candidates ordered best-first. The context's CollBufSize
 // and MemMin are kept; Nah, MsgInd and MsgGroup are searched.
-func Tune(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.Options, grid Grid) (*Result, error) {
+func Tune(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.Options) (*Result, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
-	grid = grid.withDefaults()
 	strategy := core.New()
 	rs := collio.NewRequestSet(reqs)
 	res := &Result{}
-	seen := map[string]bool{}
-	for _, nah := range grid.NahValues {
-		if nah <= 0 {
-			return nil, fmt.Errorf("tuner: non-positive Nah candidate %d", nah)
-		}
-		for _, mf := range grid.MsgIndFactors {
-			for _, gf := range grid.GroupFactors {
-				if mf <= 0 || gf <= 0 {
-					return nil, fmt.Errorf("tuner: non-positive grid factor")
-				}
-				params := ctx.Params
-				params.Nah = nah
-				params.MsgInd = params.CollBufSize * mf
-				params.MsgGroup = params.MsgInd * gf
-				key := fmt.Sprintf("%d/%d/%d", nah, params.MsgInd, params.MsgGroup)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
+	for _, nah := range nahValues {
+		for _, mf := range msgIndFactors {
+			params := ctx.Params
+			params.Nah = nah
+			params.MsgInd = params.CollBufSize * mf
+			params.MsgGroup = params.MsgInd * groupFactor
 
-				cctx := *ctx
-				cctx.Params = params
-				copt := opt
-				copt.NahOpt = nah
-				plan, err := strategy.PlanSet(&cctx, rs)
-				if err != nil {
-					return nil, err
-				}
-				cost, err := collio.CostSet(&cctx, plan, rs, op, copt)
-				if err != nil {
-					return nil, err
-				}
-				res.Candidates = append(res.Candidates, Candidate{
-					Params:    params,
-					Bandwidth: cost.Bandwidth,
-					Domains:   cost.Domains,
-					Paged:     cost.PagedAggregators,
-				})
-				res.Evaluations++
+			cctx := *ctx
+			cctx.Params = params
+			copt := opt
+			copt.NahOpt = nah
+			plan, err := strategy.PlanSet(&cctx, rs)
+			if err != nil {
+				return nil, err
 			}
+			cost, err := collio.CostSet(&cctx, plan, rs, op, copt)
+			if err != nil {
+				return nil, err
+			}
+			res.Candidates = append(res.Candidates, Candidate{
+				Params:    params,
+				Bandwidth: cost.Bandwidth,
+				Domains:   cost.Domains,
+				Paged:     cost.PagedAggregators,
+			})
+			res.Evaluations++
 		}
-	}
-	if res.Evaluations == 0 {
-		return nil, fmt.Errorf("tuner: empty search grid")
 	}
 	sort.SliceStable(res.Candidates, func(i, j int) bool {
 		return res.Candidates[i].Bandwidth > res.Candidates[j].Bandwidth

@@ -40,7 +40,7 @@ func testContext(t *testing.T) (*collio.Context, []collio.RankRequest) {
 
 func TestTuneFindsACandidate(t *testing.T) {
 	ctx, reqs := testContext(t)
-	res, err := Tune(ctx, reqs, collio.Write, sim.DefaultOptions(), Grid{})
+	res, err := Tune(ctx, reqs, collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTuneFindsACandidate(t *testing.T) {
 func TestTuneBestBeatsDefaults(t *testing.T) {
 	ctx, reqs := testContext(t)
 	opt := sim.DefaultOptions()
-	res, err := Tune(ctx, reqs, collio.Write, opt, Grid{})
+	res, err := Tune(ctx, reqs, collio.Write, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestTuneBestBeatsDefaults(t *testing.T) {
 
 func TestTuneDeterministic(t *testing.T) {
 	ctx, reqs := testContext(t)
-	a, err := Tune(ctx, reqs, collio.Read, sim.DefaultOptions(), Grid{})
+	a, err := Tune(ctx, reqs, collio.Read, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Tune(ctx, reqs, collio.Read, sim.DefaultOptions(), Grid{})
+	b, err := Tune(ctx, reqs, collio.Read, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,44 +97,46 @@ func TestTuneDeterministic(t *testing.T) {
 	}
 }
 
-func TestTuneCustomGrid(t *testing.T) {
+// Tune searches every (Nah, Msg_ind factor) pair of the grid once, with
+// Msg_group 8 x Msg_ind and the context's CollBufSize and MemMin kept.
+func TestTuneSearchesTheGrid(t *testing.T) {
 	ctx, reqs := testContext(t)
-	res, err := Tune(ctx, reqs, collio.Write, sim.DefaultOptions(), Grid{
-		NahValues:     []int{2},
-		MsgIndFactors: []int64{4},
-		GroupFactors:  []int64{4, 16},
-	})
+	res, err := Tune(ctx, reqs, collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Evaluations != 2 {
-		t.Fatalf("evaluations = %d", res.Evaluations)
-	}
+	seen := map[[2]int64]bool{}
 	for _, c := range res.Candidates {
-		if c.Params.Nah != 2 || c.Params.MsgInd != 4*ctx.Params.CollBufSize {
-			t.Fatalf("grid not respected: %+v", c.Params)
+		p := c.Params
+		if p.MsgGroup != 8*p.MsgInd || p.CollBufSize != ctx.Params.CollBufSize || p.MemMin != ctx.Params.MemMin {
+			t.Fatalf("grid not respected: %+v", p)
 		}
+		seen[[2]int64{int64(p.Nah), p.MsgInd / p.CollBufSize}] = true
+	}
+	for _, nah := range []int64{1, 2, 4, 8} {
+		for _, mf := range []int64{1, 2, 4, 8, 16} {
+			if !seen[[2]int64{nah, mf}] {
+				t.Fatalf("Nah %d, Msg_ind factor %d not searched", nah, mf)
+			}
+		}
+	}
+	if len(seen) != res.Evaluations || len(res.Candidates) != res.Evaluations {
+		t.Fatalf("%d distinct points, %d candidates, %d evaluations", len(seen), len(res.Candidates), res.Evaluations)
 	}
 }
 
 func TestTuneRejectsBadInput(t *testing.T) {
 	ctx, reqs := testContext(t)
-	if _, err := Tune(ctx, reqs, collio.Write, sim.DefaultOptions(), Grid{NahValues: []int{0}}); err == nil {
-		t.Fatal("zero Nah accepted")
-	}
-	if _, err := Tune(ctx, reqs, collio.Write, sim.DefaultOptions(), Grid{MsgIndFactors: []int64{-1}}); err == nil {
-		t.Fatal("negative factor accepted")
-	}
 	bad := *ctx
 	bad.Avail = nil
-	if _, err := Tune(&bad, reqs, collio.Write, sim.DefaultOptions(), Grid{}); err == nil {
+	if _, err := Tune(&bad, reqs, collio.Write, sim.DefaultOptions()); err == nil {
 		t.Fatal("invalid context accepted")
 	}
 }
 
 func TestRender(t *testing.T) {
 	ctx, reqs := testContext(t)
-	res, err := Tune(ctx, reqs, collio.Write, sim.DefaultOptions(), Grid{})
+	res, err := Tune(ctx, reqs, collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
