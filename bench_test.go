@@ -223,23 +223,16 @@ func BenchmarkStripedWrite(b *testing.B) {
 // movement through the runtime onto the striped store.
 func BenchmarkExecRoundTrip(b *testing.B) {
 	ctx, reqs := benchContext(b, 24, 4)
-	plan, err := core.New().Plan(ctx, reqs)
+	rs := collio.NewRequestSet(reqs)
+	plan, err := core.New().PlanSet(ctx, rs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var total int64
-	data := make([]collio.RankData, ctx.Topo.Size())
-	for r := range data {
-		var req collio.RankRequest
-		req.Rank = r
-		for _, q := range reqs {
-			if q.Rank == r {
-				req = q
-			}
-		}
-		data[r] = collio.RankData{Req: req, Buf: make([]byte, req.Bytes())}
-		total += req.Bytes()
+	bufs := make([][]byte, rs.Len())
+	for r := range bufs {
+		bufs[r] = make([]byte, pfs.TotalBytes(rs.List(r)))
 	}
+	total := rs.TotalBytes()
 	b.SetBytes(total)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -247,7 +240,7 @@ func BenchmarkExecRoundTrip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := collio.Exec(ctx, plan, data, fs.Open("exec-bench"), collio.Write); err != nil {
+		if err := collio.Exec(ctx, plan, rs, bufs, fs.Open("exec-bench"), collio.Write); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -287,7 +287,6 @@ type figurePoint struct {
 	wl    Workload
 	name  string
 	memMB int
-	reqs  []collio.RankRequest
 	rs    *collio.RequestSet
 	ctx   *collio.Context
 }
@@ -316,7 +315,7 @@ func newPoint(cfg Config, wl Workload, name string, memMB int) (*figurePoint, er
 		return nil, err
 	}
 	return &figurePoint{cfg: cfg, wl: wl, name: name, memMB: memMB,
-		reqs: reqs, rs: collio.NewRequestSet(reqs), ctx: ctx}, nil
+		rs: collio.NewRequestSet(reqs), ctx: ctx}, nil
 }
 
 // RunSweep runs the full (strategy × op × memory) grid for one workload,
@@ -455,7 +454,7 @@ func TuneWorkload(cfg Config, wl Workload) (*tuner.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tuner.Tune(p.ctx, p.reqs, collio.Write, cfg.options())
+	return tuner.Tune(p.ctx, p.rs, collio.Write, cfg.options())
 }
 
 // PlansAt plans the Figure 7 workload at one memory point with both

@@ -224,8 +224,9 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 		}
 
 		// Plan through the degradation ladder.
+		rs := collio.NewRequestSet(reqs)
 		fallbackBefore := cFallback.Value()
-		dp, err := core.New().PlanWithDegradation(ctx, reqs)
+		dp, err := core.New().PlanWithDegradation(ctx, rs)
 		if err != nil {
 			fail(op, "planning failed: %v", err)
 			continue
@@ -244,14 +245,10 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 			fail(op, "starved machine produced an undegraded plan")
 		}
 
-		var expectedWritten int64
-		if dp.Independent {
-			for _, q := range reqs {
-				expectedWritten += q.Bytes()
-			}
-		} else {
+		expectedWritten := rs.TotalBytes()
+		if !dp.Independent {
 			// Invariant: domains tile the request union exactly once.
-			if err := dp.Plan.Validate(reqs); err != nil {
+			if err := dp.Plan.ValidateSet(rs); err != nil {
 				fail(op, "plan tiling violated: %v", err)
 				continue
 			}
@@ -277,14 +274,14 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 			expectedWritten = dp.Plan.TotalBytes()
 		}
 
-		exec := func(data []collio.RankData, file *pfs.File, dir collio.Op,
+		exec := func(bufs [][]byte, file *pfs.File, dir collio.Op,
 			chk *integrity.Checker, corr *faults.Corrupter) error {
 			if dp.Independent {
-				return collio.ExecIndependent(&effCtx, data, file, dir, chk)
+				return collio.ExecIndependent(&effCtx, rs, bufs, file, dir, chk)
 			}
-			return collio.ExecVerified(&effCtx, dp.Plan, data, file, dir, chk, corr, nil)
+			return collio.ExecVerified(&effCtx, dp.Plan, rs, bufs, file, dir, chk, corr, nil)
 		}
-		crep, err := soak.roundTrip(op, opSeed, ctx, reqs, expectedWritten, exec)
+		crep, err := soak.roundTrip(op, opSeed, ctx, rs, expectedWritten, exec)
 		if err != nil {
 			return nil, err
 		}
@@ -348,12 +345,13 @@ func soakFS() pfs.Config {
 	return fsCfg
 }
 
-// execFunc runs one direction of an op's real-byte data path: the
-// collective executor, hedged or not, or independent I/O.
-type execFunc func(data []collio.RankData, file *pfs.File, dir collio.Op,
+// execFunc runs one direction of an op's real-byte data path over the
+// rank buffers: the collective executor, hedged or not, or independent
+// I/O.
+type execFunc func(bufs [][]byte, file *pfs.File, dir collio.Op,
 	chk *integrity.Checker, corr *faults.Corrupter) error
 
-// roundTrip writes reqs through exec under the op's seeded
+// roundTrip writes the requests of rs through exec under the op's seeded
 // silent-corruption schedule, reads them back with fresh buffers through
 // the same path, and checks the byte-level invariant battery: written
 // bytes are conserved (the planned bytes plus repair rewrites, even when
@@ -364,7 +362,7 @@ type execFunc func(data []collio.RankData, file *pfs.File, dir collio.Op,
 // tallied and its integrity report returned unless the write or read
 // itself failed, which returns a nil report.
 func (s *corruptionSoak) roundTrip(op int, seed uint64, ctx *collio.Context,
-	reqs []collio.RankRequest, planned int64, exec execFunc) (*integrity.Report, error) {
+	rs *collio.RequestSet, planned int64, exec execFunc) (*integrity.Report, error) {
 	topo := ctx.Topo
 	ranks := topo.Size()
 
@@ -385,29 +383,30 @@ func (s *corruptionSoak) roundTrip(op int, seed uint64, ctx *collio.Context,
 	chk := integrity.NewChecker(integrity.Config{Seed: seed, Repair: s.cfg.Repair})
 	chk.SetObserver(s.o)
 
-	// Rank buffers and the fault-free oracle.
-	data := make([]collio.RankData, ranks)
+	// Rank buffers, sized and laid out by the set's canonical lists, and
+	// the fault-free oracle.
+	bufs := make([][]byte, rs.Len())
 	var size int64
-	for i := range data {
-		buf := make([]byte, reqs[i].Bytes())
-		fillChaosPattern(op, i, buf)
-		data[i] = collio.RankData{Req: reqs[i], Buf: buf}
-		for _, e := range pfs.Normalized(reqs[i].Extents) {
-			size = max(size, e.End())
+	for i := range bufs {
+		list := rs.List(i)
+		bufs[i] = make([]byte, pfs.TotalBytes(list))
+		fillChaosPattern(op, i, bufs[i])
+		if len(list) > 0 {
+			size = max(size, list[len(list)-1].End())
 		}
 	}
 	oracle := make([]byte, size)
-	for i := range data {
+	for i, buf := range bufs {
 		var pos int64
-		for _, e := range pfs.Normalized(reqs[i].Extents) {
-			copy(oracle[e.Offset:e.End()], data[i].Buf[pos:pos+e.Length])
+		for _, e := range rs.List(i) {
+			copy(oracle[e.Offset:e.End()], buf[pos:pos+e.Length])
 			pos += e.Length
 		}
 	}
 
 	file := s.fsys.Open(fmt.Sprintf("%s-%d", s.prefix, op))
 	writtenBefore := sumI64(s.fsys.Stats().Written())
-	if err := exec(data, file, collio.Write, chk, corr); err != nil {
+	if err := exec(bufs, file, collio.Write, chk, corr); err != nil {
 		s.fail(op, "write failed: %v", err)
 		return nil, nil
 	}
@@ -422,11 +421,11 @@ func (s *corruptionSoak) roundTrip(op int, seed uint64, ctx *collio.Context,
 			writtenDelta, planned, rewritten)
 	}
 
-	readData := make([]collio.RankData, ranks)
-	for i := range readData {
-		readData[i] = collio.RankData{Req: reqs[i], Buf: make([]byte, len(data[i].Buf))}
+	readBufs := make([][]byte, len(bufs))
+	for i := range readBufs {
+		readBufs[i] = make([]byte, len(bufs[i]))
 	}
-	if err := exec(readData, file, collio.Read, chk, corr); err != nil {
+	if err := exec(readBufs, file, collio.Read, chk, corr); err != nil {
 		s.fail(op, "read failed: %v", err)
 		return nil, nil
 	}
@@ -460,10 +459,10 @@ func (s *corruptionSoak) roundTrip(op int, seed uint64, ctx *collio.Context,
 		// resolve in rank order, so a lower rank reads back the higher
 		// rank's data — in executor and oracle alike).
 	readCheck:
-		for i := range readData {
+		for i, buf := range readBufs {
 			var pos int64
-			for _, e := range pfs.Normalized(reqs[i].Extents) {
-				if !bytes.Equal(readData[i].Buf[pos:pos+e.Length], oracle[e.Offset:e.End()]) {
+			for _, e := range rs.List(i) {
+				if !bytes.Equal(buf[pos:pos+e.Length], oracle[e.Offset:e.End()]) {
 					s.fail(op, "rank %d read differs from oracle at extent [%d,%d)", i, e.Offset, e.End())
 					break readCheck
 				}

@@ -45,7 +45,7 @@ func checkExaGridMatchesWalk(t *testing.T, ranks, nodes, targets int) {
 	p := smallExaPoint(t, ranks, nodes, targets)
 	opt := p.cfg.options()
 	opt.Trace = true
-	rs := collio.NewRequestSet(p.reqs)
+	rs := p.rs
 	perRank := func(strategy string, spec faults.Spec) *collio.FaultResult {
 		plan, inj, handler, err := freshFaultedSetup(p.ctx, rs, strategy, spec)
 		if err != nil {

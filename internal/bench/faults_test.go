@@ -100,13 +100,13 @@ func TestE2EWriteReadAfterNodeCrashFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, reqs := p.ctx, p.reqs
+	ctx, rs := p.ctx, p.rs
 
-	plan, state, err := core.New().PlanWithState(ctx, reqs)
+	plan, state, err := core.New().PlanWithStateSet(ctx, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.Validate(reqs); err != nil {
+	if err := plan.ValidateSet(rs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -129,7 +129,7 @@ func TestE2EWriteReadAfterNodeCrashFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := plan.Compact()
-	if err := recovered.Validate(reqs); err != nil {
+	if err := recovered.ValidateSet(rs); err != nil {
 		t.Fatalf("recovered plan invalid: %v", err)
 	}
 	for _, d := range recovered.Domains {
@@ -144,37 +144,27 @@ func TestE2EWriteReadAfterNodeCrashFailover(t *testing.T) {
 	}
 	file := fsys.Open("e2e-faults")
 
-	writeData := make([]collio.RankData, ctx.Topo.Size())
+	writeBufs := make([][]byte, rs.Len())
 	var oracleSize int64
-	for rk := range writeData {
-		var req collio.RankRequest
-		req.Rank = rk
-		for _, q := range reqs {
-			if q.Rank == rk {
-				req = q
-			}
+	for rk := range writeBufs {
+		list := rs.List(rk)
+		writeBufs[rk] = make([]byte, pfs.TotalBytes(list))
+		for i := range writeBufs[rk] {
+			writeBufs[rk][i] = byte((rk*131 + i*7 + 3) % 251)
 		}
-		buf := make([]byte, req.Bytes())
-		for i := range buf {
-			buf[i] = byte((rk*131 + i*7 + 3) % 251)
-		}
-		writeData[rk] = collio.RankData{Req: req, Buf: buf}
-		for _, e := range pfs.NormalizeExtents(req.Extents) {
-			if e.End() > oracleSize {
-				oracleSize = e.End()
-			}
+		if len(list) > 0 {
+			oracleSize = max(oracleSize, list[len(list)-1].End())
 		}
 	}
-	if err := collio.Exec(ctx, recovered, writeData, file, collio.Write); err != nil {
+	if err := collio.Exec(ctx, recovered, rs, writeBufs, file, collio.Write); err != nil {
 		t.Fatalf("faulted write exec: %v", err)
 	}
 
 	oracle := make([]byte, oracleSize)
-	for rk := range writeData {
-		exts := pfs.NormalizeExtents(writeData[rk].Req.Extents)
+	for rk, buf := range writeBufs {
 		var pos int64
-		for _, e := range exts {
-			copy(oracle[e.Offset:e.End()], writeData[rk].Buf[pos:pos+e.Length])
+		for _, e := range rs.List(rk) {
+			copy(oracle[e.Offset:e.End()], buf[pos:pos+e.Length])
 			pos += e.Length
 		}
 	}
@@ -187,18 +177,15 @@ func TestE2EWriteReadAfterNodeCrashFailover(t *testing.T) {
 	}
 
 	// Collective read back through the recovered plan round-trips.
-	readData := make([]collio.RankData, ctx.Topo.Size())
-	for rk := range readData {
-		readData[rk] = collio.RankData{
-			Req: writeData[rk].Req,
-			Buf: make([]byte, len(writeData[rk].Buf)),
-		}
+	readBufs := make([][]byte, len(writeBufs))
+	for rk := range readBufs {
+		readBufs[rk] = make([]byte, len(writeBufs[rk]))
 	}
-	if err := collio.Exec(ctx, recovered, readData, file, collio.Read); err != nil {
+	if err := collio.Exec(ctx, recovered, rs, readBufs, file, collio.Read); err != nil {
 		t.Fatalf("faulted read exec: %v", err)
 	}
-	for rk := range readData {
-		if !bytes.Equal(readData[rk].Buf, writeData[rk].Buf) {
+	for rk := range readBufs {
+		if !bytes.Equal(readBufs[rk], writeBufs[rk]) {
 			t.Fatalf("rank %d read back different data", rk)
 		}
 	}

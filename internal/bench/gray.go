@@ -185,7 +185,7 @@ func Gray(cfg ChaosConfig) (*GrayReport, error) {
 		// The controller shares the run's detector, so the post-run
 		// replan sees exactly the suspicion the priced run raised.
 		dc := core.NewDegradationController(s, ad.Detector)
-		if _, err := dc.Plan(ctx, reqs); err != nil {
+		if _, err := dc.Plan(ctx, rs); err != nil {
 			fail(op, "baseline controller plan failed: %v", err)
 			continue
 		}
@@ -209,11 +209,11 @@ func Gray(cfg ChaosConfig) (*GrayReport, error) {
 
 		// Health-driven replan: masking suspected nodes must still
 		// produce a valid tiling (or a lawful independent fallback).
-		dp, err := dc.Plan(ctx, reqs)
+		dp, err := dc.Plan(ctx, rs)
 		if err != nil {
 			fail(op, "health-driven replan failed: %v", err)
 		} else if !dp.Independent {
-			if err := dp.Plan.Validate(reqs); err != nil {
+			if err := dp.Plan.ValidateSet(rs); err != nil {
 				fail(op, "health-masked plan tiling violated: %v", err)
 			}
 		}
@@ -231,20 +231,20 @@ func Gray(cfg ChaosConfig) (*GrayReport, error) {
 
 		// Byte-level section: a real hedged write/read of a small
 		// permuted-block workload under silent corruption.
-		breqs := grayBlocks(r, ranks)
-		plan, err := s.Plan(ctx, breqs)
+		brs := collio.NewRequestSet(grayBlocks(r, ranks))
+		plan, err := s.PlanSet(ctx, brs)
 		if err != nil {
 			fail(op, "byte-level planning failed: %v", err)
 			continue
 		}
-		if err := plan.Validate(breqs); err != nil {
+		if err := plan.ValidateSet(brs); err != nil {
 			fail(op, "byte-level plan tiling violated: %v", err)
 			continue
 		}
 		hed := &collio.Hedger{Seed: int64(opSeed)}
-		crep, err := soak.roundTrip(op, opSeed, ctx, breqs, plan.TotalBytes(),
-			func(data []collio.RankData, file *pfs.File, dir collio.Op, chk *integrity.Checker, corr *faults.Corrupter) error {
-				return collio.ExecVerified(ctx, plan, data, file, dir, chk, corr, hed)
+		crep, err := soak.roundTrip(op, opSeed, ctx, brs, plan.TotalBytes(),
+			func(bufs [][]byte, file *pfs.File, dir collio.Op, chk *integrity.Checker, corr *faults.Corrupter) error {
+				return collio.ExecVerified(ctx, plan, brs, bufs, file, dir, chk, corr, hed)
 			})
 		if err != nil {
 			return nil, err

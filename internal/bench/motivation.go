@@ -43,8 +43,8 @@ func Motivation(scale int64, seed uint64) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctx, reqs, rs := p.ctx, p.reqs, p.rs
-		indep, err := collio.CostIndependent(ctx, reqs, collio.Write, opt)
+		ctx, rs := p.ctx, p.rs
+		indep, err := collio.CostIndependent(ctx, rs, collio.Write, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +54,7 @@ func Motivation(scale int64, seed uint64) (*Table, error) {
 		fctx.Machine.Nodes += 2
 		fctx.Avail = append(append([]int64(nil), ctx.Avail...),
 			fctx.Machine.MemPerNode, fctx.Machine.MemPerNode)
-		fwd, err := forwarding.Cost(&fctx, reqs, collio.Write, opt,
+		fwd, err := forwarding.Cost(&fctx, rs, collio.Write, opt,
 			forwarding.Config{Forwarders: 2, BufferBytes: cfg.scaled(64 * MB)})
 		if err != nil {
 			return nil, err

@@ -55,11 +55,11 @@ func TestMotivationIndependentAndForwardingExact(t *testing.T) {
 		fctx.Avail = append(append([]int64(nil), p.ctx.Avail...),
 			fctx.Machine.MemPerNode, fctx.Machine.MemPerNode)
 		for _, op := range []collio.Op{collio.Write, collio.Read} {
-			indep, err := collio.CostIndependent(p.ctx, p.reqs, op, opt)
+			indep, err := collio.CostIndependent(p.ctx, p.rs, op, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fwd, err := forwarding.Cost(&fctx, p.reqs, op, opt,
+			fwd, err := forwarding.Cost(&fctx, p.rs, op, opt,
 				forwarding.Config{Forwarders: 2, BufferBytes: cfg.scaled(64 * MB)})
 			if err != nil {
 				t.Fatal(err)

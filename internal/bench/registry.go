@@ -214,7 +214,7 @@ func renderFig2(_ *Experiment, w io.Writer, _ Args) error {
 			Extents: []pfs.Extent{{Offset: int64(r) * 512, Length: 512}},
 		})
 	}
-	plan, err := twophase.New().Plan(ctx, reqs)
+	plan, err := twophase.New().PlanSet(ctx, collio.NewRequestSet(reqs))
 	if err != nil {
 		return err
 	}
@@ -255,7 +255,7 @@ func renderFig4(_ *Experiment, w io.Writer, _ Args) error {
 			Extents: []pfs.Extent{{Offset: int64(r) * 300, Length: 300}},
 		})
 	}
-	for _, g := range core.DivideGroups(ctx, reqs) {
+	for _, g := range core.DivideGroupsSet(ctx, collio.NewRequestSet(reqs)) {
 		ranks := make([]string, len(g.Ranks))
 		for i, r := range g.Ranks {
 			ranks[i] = fmt.Sprintf("P%d", r)

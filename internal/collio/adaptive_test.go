@@ -231,7 +231,7 @@ func mustPlan(t *testing.T, s collio.Strategy, ctx *collio.Context, reqs []colli
 // discarded, so the file is byte-identical to the oracle and no
 // duplicate byte is double-counted into user buffers.
 func TestExecVerifiedHedgedDedups(t *testing.T) {
-	ctx, plan, reqs, data, oracle := verifySetup(t, 6, 2)
+	ctx, plan, rs, data, oracle := verifySetup(t, 6, 2)
 	fsys, err := pfs.NewFileSystem(ctx.FS)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestExecVerifiedHedgedDedups(t *testing.T) {
 	chk := integrity.NewChecker(integrity.Config{Seed: 9, Repair: true})
 	hed := &collio.Hedger{Seed: 42}
 
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, nil, hed); err != nil {
+	if err := collio.ExecVerified(ctx, plan, rs, data, file, collio.Write, chk, nil, hed); err != nil {
 		t.Fatal(err)
 	}
 	if hed.Hedged() == 0 {
@@ -258,15 +258,12 @@ func TestExecVerifiedHedgedDedups(t *testing.T) {
 	}
 
 	// Read path hedges too, and the buffers still round-trip exactly.
-	readData := make([]collio.RankData, len(data))
-	for i := range readData {
-		readData[i] = collio.RankData{Req: reqs[i], Buf: make([]byte, len(data[i].Buf))}
-	}
-	if err := collio.ExecVerified(ctx, plan, readData, file, collio.Read, chk, nil, hed); err != nil {
+	readData := freshBufs(data)
+	if err := collio.ExecVerified(ctx, plan, rs, readData, file, collio.Read, chk, nil, hed); err != nil {
 		t.Fatal(err)
 	}
 	for i := range readData {
-		if !bytes.Equal(readData[i].Buf, data[i].Buf) {
+		if !bytes.Equal(readData[i], data[i]) {
 			t.Fatalf("rank %d read back different bytes under hedging", i)
 		}
 	}
@@ -276,13 +273,11 @@ func TestExecVerifiedHedgedDedups(t *testing.T) {
 
 	// A nil hedger writes exactly the unhedged bytes.
 	file2 := fsys.Open("unhedged")
-	data2 := make([]collio.RankData, len(data))
+	data2 := make([][]byte, len(data))
 	for i := range data2 {
-		buf := make([]byte, len(data[i].Buf))
-		copy(buf, data[i].Buf)
-		data2[i] = collio.RankData{Req: reqs[i], Buf: buf}
+		data2[i] = bytes.Clone(data[i])
 	}
-	if err := collio.ExecVerified(ctx, plan, data2, file2, collio.Write, chk, nil, nil); err != nil {
+	if err := collio.ExecVerified(ctx, plan, rs, data2, file2, collio.Write, chk, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got2 := make([]byte, len(oracle))

@@ -221,6 +221,8 @@ func (p *Plan) TotalBytes() int64 {
 }
 
 // Validate is ValidateSet over a set built from reqs.
+//
+// Deprecated: build one set with NewRequestSet and call ValidateSet.
 func (p *Plan) Validate(reqs []RankRequest) error { return p.ValidateSet(NewRequestSet(reqs)) }
 
 // ValidateSet checks the structural invariants every plan must satisfy:
@@ -349,6 +351,8 @@ type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
 	// Plan is PlanSet over a set built from reqs.
+	//
+	// Deprecated: build one set with NewRequestSet and call PlanSet.
 	Plan(ctx *Context, reqs []RankRequest) (*Plan, error)
 	// PlanSet decides groups, domains and aggregators for the requests of
 	// rs. Requests with no extents are permitted (ranks may sit out a

@@ -39,22 +39,43 @@ func putStage(b []byte) {
 	stagePool.Put(&b)
 }
 
-// RankData pairs one rank's request with its in-memory buffer. The buffer
-// is the concatenation of the request's normalized extents in file order
-// (the "data space" of the request): buffer byte 0 is the first byte of
-// the lowest extent, and so on. Its length must equal the request's total
-// bytes.
-type RankData struct {
-	Req RankRequest
-	Buf []byte
-}
-
 // Exec really performs the collective operation described by plan: ranks
 // run as goroutines, shuffle their contributions to the plan's
 // aggregators, and the aggregators read or write the striped file. It is
 // ExecVerified with no checker, corrupter or hedger.
-func Exec(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op Op) error {
-	return ExecVerified(ctx, plan, data, file, op, nil, nil, nil)
+func Exec(ctx *Context, plan *Plan, rs *RequestSet, bufs [][]byte, file *pfs.File, op Op) error {
+	return ExecVerified(ctx, plan, rs, bufs, file, op, nil, nil, nil)
+}
+
+// checkExec is the executors' shared prologue. rs must hold one request
+// per rank of ctx's topology, in rank order, with no extent of negative
+// length. bufs[r] is rank r's memory: the bytes of rs.List(r)'s extents
+// concatenated in file order (the request's data space: byte 0 is the
+// first byte of the lowest extent), so it is exactly as long as that
+// list's bytes.
+func checkExec(ctx *Context, rs *RequestSet, bufs [][]byte) error {
+	if err := ctx.Validate(); err != nil {
+		return err
+	}
+	if n := ctx.Topo.Size(); rs.Len() != n || len(bufs) != n {
+		return fmt.Errorf("collio: got %d requests and %d rank buffers for %d ranks", rs.Len(), len(bufs), n)
+	}
+	if !rs.ranksInOrder {
+		for i := range rs.Len() {
+			if rs.Rank(i) != i {
+				return fmt.Errorf("collio: request %d is for rank %d, not in rank order", i, rs.Rank(i))
+			}
+		}
+	}
+	if rank, e, ok := rs.NegativeExtent(); ok {
+		return fmt.Errorf("collio: rank %d requests an extent of negative length %d", rank, e.Length)
+	}
+	for r, buf := range bufs {
+		if want := pfs.TotalBytes(rs.List(r)); int64(len(buf)) != want {
+			return fmt.Errorf("collio: rank %d buffer is %d bytes, request needs %d", r, len(buf), want)
+		}
+	}
+	return nil
 }
 
 // domSched lists, for one domain, each contributing rank and the extents
@@ -64,27 +85,24 @@ type domSched struct {
 	overlap      [][]pfs.Extent // indexed like contributors
 }
 
-// buildScheds precomputes, per domain, each contributing rank's overlap —
-// every rank derives the identical schedule, as real two-phase code does
-// from the allgathered offset lists.
-func buildScheds(plan *Plan, data []RankData) (normReq [][]pfs.Extent, scheds []domSched) {
-	normReq = make([][]pfs.Extent, len(data))
-	for r := range data {
-		normReq[r] = pfs.Normalized(data[r].Req.Extents)
-	}
-	scheds = make([]domSched, len(plan.Domains))
+// buildScheds precomputes, per domain, each contributing rank's overlap
+// with the rank's canonical list — every rank derives the identical
+// schedule, as real two-phase code does from the allgathered offset
+// lists. rs has passed checkExec, so request r is rank r's.
+func buildScheds(plan *Plan, rs *RequestSet) []domSched {
+	scheds := make([]domSched, len(plan.Domains))
 	for i, d := range plan.Domains {
 		ranks := append([]int(nil), plan.GroupRanks[d.Group]...)
 		sort.Ints(ranks)
 		for _, r := range ranks {
-			ov := pfs.Intersect(normReq[r], d.Extents)
+			ov := pfs.Intersect(rs.List(r), d.Extents)
 			if len(ov) > 0 {
 				scheds[i].contributors = append(scheds[i].contributors, r)
 				scheds[i].overlap = append(scheds[i].overlap, ov)
 			}
 		}
 	}
-	return normReq, scheds
+	return scheds
 }
 
 // dataPos returns the data-space position of file offset off within the

@@ -11,7 +11,7 @@ import (
 // execFixture builds a planned interleaved workload and its write-side
 // rank buffers — the data-movement hot path the staging-buffer pool
 // serves.
-func execFixture(b *testing.B) (*collio.Context, *collio.Plan, []collio.RankData, *pfs.File) {
+func execFixture(b *testing.B) (*collio.Context, *collio.Plan, *collio.RequestSet, [][]byte, *pfs.File) {
 	b.Helper()
 	params := collio.DefaultParams(4096)
 	params.MsgGroup = 1 << 16
@@ -27,48 +27,48 @@ func execFixture(b *testing.B) (*collio.Context, *collio.Plan, []collio.RankData
 				pfs.Extent{Offset: int64(seg*12+r) * unit, Length: unit})
 		}
 	}
-	plan, err := core.New().Plan(ctx, reqs)
+	rs := collio.NewRequestSet(reqs)
+	plan, err := core.New().PlanSet(ctx, rs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := plan.Validate(reqs); err != nil {
+	if err := plan.ValidateSet(rs); err != nil {
 		b.Fatal(err)
 	}
-	data := make([]collio.RankData, 12)
-	for r := range data {
-		buf := make([]byte, reqs[r].Bytes())
-		fillPattern(r, buf)
-		data[r] = collio.RankData{Req: reqs[r], Buf: buf}
+	bufs := make([][]byte, 12)
+	for r := range bufs {
+		bufs[r] = make([]byte, pfs.TotalBytes(rs.List(r)))
+		fillPattern(r, bufs[r])
 	}
 	fsys, err := pfs.NewFileSystem(ctx.FS)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ctx, plan, data, fsys.Open("bench")
+	return ctx, plan, rs, bufs, fsys.Open("bench")
 }
 
 func BenchmarkExecWrite(b *testing.B) {
-	ctx, plan, data, file := execFixture(b)
+	ctx, plan, rs, bufs, file := execFixture(b)
 	b.SetBytes(plan.TotalBytes())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := collio.Exec(ctx, plan, data, file, collio.Write); err != nil {
+		if err := collio.Exec(ctx, plan, rs, bufs, file, collio.Write); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkExecRead(b *testing.B) {
-	ctx, plan, data, file := execFixture(b)
-	if err := collio.Exec(ctx, plan, data, file, collio.Write); err != nil {
+	ctx, plan, rs, bufs, file := execFixture(b)
+	if err := collio.Exec(ctx, plan, rs, bufs, file, collio.Write); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(plan.TotalBytes())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := collio.Exec(ctx, plan, data, file, collio.Read); err != nil {
+		if err := collio.Exec(ctx, plan, rs, bufs, file, collio.Read); err != nil {
 			b.Fatal(err)
 		}
 	}

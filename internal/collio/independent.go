@@ -10,48 +10,34 @@ import (
 
 // ExecIndependent really performs the requests as independent
 // (non-collective) I/O — the degradation ladder's last rung, used when no
-// aggregation plan can be placed. Each rank issues its own normalized
-// extents straight against the file, serially in ascending rank order so
-// overlapping writes resolve exactly as Exec's aggregators would (higher
-// ranks overwrite lower ones). chk, when enabled, read-verifies each
-// rank's write-back just like the collective path, so torn writes are
-// detected (and repaired) even with no aggregator in the loop; there is
-// no shuffle, so there are no messages to checksum.
-func ExecIndependent(ctx *Context, data []RankData, file *pfs.File, op Op, chk *integrity.Checker) error {
-	if err := ctx.Validate(); err != nil {
+// aggregation plan can be placed. rs and bufs are as ExecVerified takes
+// them. Each rank issues its own canonical extents straight against the
+// file, serially in ascending rank order so overlapping writes resolve
+// exactly as Exec's aggregators would (higher ranks overwrite lower
+// ones). chk, when enabled, read-verifies each rank's write-back just
+// like the collective path, so torn writes are detected (and repaired)
+// even with no aggregator in the loop; there is no shuffle, so there are
+// no messages to checksum.
+func ExecIndependent(ctx *Context, rs *RequestSet, bufs [][]byte, file *pfs.File, op Op, chk *integrity.Checker) error {
+	if err := checkExec(ctx, rs, bufs); err != nil {
 		return err
 	}
-	if len(data) != ctx.Topo.Size() {
-		return fmt.Errorf("collio: ExecIndependent got %d rank buffers for %d ranks", len(data), ctx.Topo.Size())
-	}
-	for r, d := range data {
-		if d.Req.Rank != r {
-			return fmt.Errorf("collio: rank buffer %d labeled rank %d", r, d.Req.Rank)
-		}
-		if want := d.Req.Bytes(); int64(len(d.Buf)) != want {
-			return fmt.Errorf("collio: rank %d buffer is %d bytes, request needs %d", r, len(d.Buf), want)
-		}
-	}
-	for r := range data {
-		norm := pfs.Normalized(data[r].Req.Extents)
-		if len(norm) == 0 {
-			continue
-		}
+	for r, buf := range bufs {
 		var pos int64
-		for _, e := range norm {
+		for _, e := range rs.List(r) {
+			var err error
 			if op == Write {
-				if _, err := file.WriteAt(data[r].Buf[pos:pos+e.Length], e.Offset); err != nil {
-					return fmt.Errorf("collio: independent write rank %d: %w", r, err)
-				}
+				_, err = file.WriteAt(buf[pos:pos+e.Length], e.Offset)
 			} else {
-				if _, err := file.ReadAt(data[r].Buf[pos:pos+e.Length], e.Offset); err != nil {
-					return fmt.Errorf("collio: independent read rank %d: %w", r, err)
-				}
+				_, err = file.ReadAt(buf[pos:pos+e.Length], e.Offset)
+			}
+			if err != nil {
+				return fmt.Errorf("collio: independent %s rank %d: %w", op, r, err)
 			}
 			pos += e.Length
 		}
 		if op == Write && chk.Enabled() {
-			verifyWriteBack(file, norm, data[r].Buf, chk)
+			verifyWriteBack(file, rs.List(r), buf, chk)
 		}
 	}
 	return nil
@@ -67,11 +53,10 @@ func ExecIndependent(ctx *Context, data []RankData, file *pfs.File, op Op, chk *
 // Each rank's accesses are priced in one logical round — independent I/O
 // has no collective buffer to cycle — so the bottleneck is the most
 // loaded storage target plus each node's own traffic.
-func CostIndependent(ctx *Context, reqs []RankRequest, op Op, opt sim.Options) (*CostResult, error) {
+func CostIndependent(ctx *Context, rs *RequestSet, op Op, opt sim.Options) (*CostResult, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
-	rs := NewRequestSet(reqs)
 	if rank, ok := InvalidRank(ctx, rs); ok {
 		return nil, fmt.Errorf("collio: independent request for invalid rank %d", rank)
 	}
@@ -83,15 +68,13 @@ func CostIndependent(ctx *Context, reqs []RankRequest, op Op, opt sim.Options) (
 		return nil, err
 	}
 	var round sim.AggRound
+	mapper := ctx.FS.NewMapper()
 	for i := range rs.Len() {
-		norm := rs.List(i)
-		if len(norm) == 0 {
-			continue
-		}
 		node := ctx.Topo.NodeOf(rs.Rank(i))
-		for _, acc := range ctx.FS.MapExtents(norm) {
+		for _, acc := range mapper.Map(rs.List(i)) {
 			round.IOOps = append(round.IOOps, sim.IOOp{
 				Target:     acc.Target,
+				Count:      acc.Count,
 				Node:       node,
 				Bytes:      acc.Bytes,
 				Requests:   acc.Requests,

@@ -1,6 +1,7 @@
 package collio
 
 import (
+	"strings"
 	"testing"
 
 	"mcio/internal/pfs"
@@ -13,7 +14,7 @@ func TestCostIndependentBasics(t *testing.T) {
 		{Rank: 3, Extents: []pfs.Extent{{Offset: 1 << 20, Length: 1 << 20}}},
 		{Rank: 5}, // sits out
 	}
-	res, err := CostIndependent(ctx, reqs, Write, simOptions())
+	res, err := CostIndependent(ctx, NewRequestSet(reqs), Write, simOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func TestCostIndependentPenalizesFragmentation(t *testing.T) {
 	}
 	strided = []RankRequest{{Rank: 0, Extents: exts}}
 
-	a, err := CostIndependent(ctx, contiguous, Write, simOptions())
+	a, err := CostIndependent(ctx, NewRequestSet(contiguous), Write, simOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CostIndependent(ctx, strided, Write, simOptions())
+	b, err := CostIndependent(ctx, NewRequestSet(strided), Write, simOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestCostIndependentPenalizesFragmentation(t *testing.T) {
 
 func TestCostIndependentEmpty(t *testing.T) {
 	ctx := testContext(t)
-	res, err := CostIndependent(ctx, nil, Read, simOptions())
+	res, err := CostIndependent(ctx, NewRequestSet(nil), Read, simOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestCostIndependentEmpty(t *testing.T) {
 func TestCostIndependentValidatesContext(t *testing.T) {
 	ctx := testContext(t)
 	ctx.Avail = nil
-	if _, err := CostIndependent(ctx, nil, Read, simOptions()); err == nil {
+	if _, err := CostIndependent(ctx, NewRequestSet(nil), Read, simOptions()); err == nil {
 		t.Fatal("invalid context accepted")
 	}
 }
@@ -94,18 +95,17 @@ func TestCostIndependentRejectsBadRequests(t *testing.T) {
 		"rank Size":      {Rank: ctx.Topo.Size(), Extents: []pfs.Extent{{Offset: 64, Length: 64}}},
 		"negative bytes": {Rank: 1, Extents: []pfs.Extent{{Offset: 64, Length: -1}}},
 	} {
-		if _, err := CostIndependent(ctx, []RankRequest{ok, bad}, Write, simOptions()); err == nil {
+		if _, err := CostIndependent(ctx, NewRequestSet([]RankRequest{ok, bad}), Write, simOptions()); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 }
 
+// TestExecErrorPaths checks every refusal of the executors' shared
+// prologue, for the collective and the independent executor alike: each
+// is an error, never a panic, and nothing is written.
 func TestExecErrorPaths(t *testing.T) {
 	ctx := testContext(t)
-	reqs := []RankRequest{
-		{Rank: 0, Extents: []pfs.Extent{{Offset: 0, Length: 64}}},
-		{Rank: 1}, {Rank: 2}, {Rank: 3}, {Rank: 4}, {Rank: 5},
-	}
 	plan := &Plan{
 		Strategy:   "test",
 		Groups:     1,
@@ -115,36 +115,81 @@ func TestExecErrorPaths(t *testing.T) {
 			Aggregator: 0, AggNode: 0, BufferBytes: 64,
 		}},
 	}
-	fsys, err := pfs.NewFileSystem(ctx.FS)
-	if err != nil {
-		t.Fatal(err)
+	// good returns six requests, rank 0 the only one with data, and
+	// their buffers.
+	good := func() ([]RankRequest, [][]byte) {
+		reqs := make([]RankRequest, ctx.Topo.Size())
+		for r := range reqs {
+			reqs[r].Rank = r
+		}
+		reqs[0].Extents = []pfs.Extent{{Offset: 0, Length: 64}}
+		bufs := make([][]byte, len(reqs))
+		bufs[0] = make([]byte, 64)
+		return reqs, bufs
 	}
-	file := fsys.Open("errs")
-
-	// Wrong number of rank buffers.
-	if err := Exec(ctx, plan, make([]RankData, 2), file, Write); err == nil {
-		t.Fatal("short data accepted")
+	cases := []struct {
+		name   string
+		mutate func(reqs []RankRequest, bufs [][]byte) ([]RankRequest, [][]byte)
+		want   string
+	}{
+		{"too few requests", func(reqs []RankRequest, bufs [][]byte) ([]RankRequest, [][]byte) {
+			return reqs[:2], bufs[:2]
+		}, "2 requests and 2 rank buffers for 6 ranks"},
+		{"too few buffers", func(reqs []RankRequest, bufs [][]byte) ([]RankRequest, [][]byte) {
+			return reqs, bufs[:5]
+		}, "6 requests and 5 rank buffers for 6 ranks"},
+		{"ranks out of order", func(reqs []RankRequest, bufs [][]byte) ([]RankRequest, [][]byte) {
+			reqs[3].Rank, reqs[4].Rank = 4, 3
+			return reqs, bufs
+		}, "request 3 is for rank 4"},
+		{"rank repeated", func(reqs []RankRequest, bufs [][]byte) ([]RankRequest, [][]byte) {
+			reqs[3].Rank = 4
+			return reqs, bufs
+		}, "request 3 is for rank 4"},
+		{"buffer too short", func(reqs []RankRequest, bufs [][]byte) ([]RankRequest, [][]byte) {
+			bufs[0] = make([]byte, 10)
+			return reqs, bufs
+		}, "rank 0 buffer is 10 bytes, request needs 64"},
+		{"buffer for a rank with no data", func(reqs []RankRequest, bufs [][]byte) ([]RankRequest, [][]byte) {
+			bufs[2] = make([]byte, 1)
+			return reqs, bufs
+		}, "rank 2 buffer is 1 bytes, request needs 0"},
+		{"negative extent", func(reqs []RankRequest, bufs [][]byte) ([]RankRequest, [][]byte) {
+			reqs[1].Extents = []pfs.Extent{{Offset: 64, Length: -5}}
+			return reqs, bufs
+		}, "rank 1 requests an extent of negative length -5"},
 	}
-	// Mislabeled rank.
-	data := make([]RankData, 6)
-	for r := range data {
-		data[r].Req.Rank = r
+	execs := []struct {
+		name string
+		run  func(rs *RequestSet, bufs [][]byte, file *pfs.File) error
+	}{
+		{"Exec", func(rs *RequestSet, bufs [][]byte, file *pfs.File) error {
+			return Exec(ctx, plan, rs, bufs, file, Write)
+		}},
+		{"ExecIndependent", func(rs *RequestSet, bufs [][]byte, file *pfs.File) error {
+			return ExecIndependent(ctx, rs, bufs, file, Write, nil)
+		}},
 	}
-	data[0].Req = reqs[0]
-	data[0].Buf = make([]byte, 64)
-	data[3].Req.Rank = 4
-	if err := Exec(ctx, plan, data, file, Write); err == nil {
-		t.Fatal("mislabeled rank accepted")
-	}
-	data[3].Req.Rank = 3
-	// Wrong buffer size.
-	data[0].Buf = make([]byte, 10)
-	if err := Exec(ctx, plan, data, file, Write); err == nil {
-		t.Fatal("wrong buffer size accepted")
-	}
-	data[0].Buf = make([]byte, 64)
-	if err := Exec(ctx, plan, data, file, Write); err != nil {
-		t.Fatal(err)
+	for _, ex := range execs {
+		fsys, err := pfs.NewFileSystem(ctx.FS)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := fsys.Open("errs")
+		for _, c := range cases {
+			reqs, bufs := c.mutate(good())
+			err := ex.run(NewRequestSet(reqs), bufs, file)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s, %s: err = %v, want one containing %q", ex.name, c.name, err, c.want)
+			}
+		}
+		if n := file.Size(); n != 0 {
+			t.Fatalf("%s: refused calls wrote a file of %d bytes", ex.name, n)
+		}
+		reqs, bufs := good()
+		if err := ex.run(NewRequestSet(reqs), bufs, file); err != nil {
+			t.Fatalf("%s: %v", ex.name, err)
+		}
 	}
 }
 
@@ -171,13 +216,9 @@ func TestExecOverlappingWritesLastRankWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	file := fsys.Open("overlap")
-	data := make([]RankData, 6)
-	for r := range data {
-		data[r].Req.Rank = r
-	}
-	data[0] = RankData{Req: reqs[0], Buf: bytesOf(0xAA, 32)}
-	data[1] = RankData{Req: reqs[1], Buf: bytesOf(0xBB, 32)}
-	if err := Exec(ctx, plan, data, file, Write); err != nil {
+	bufs := make([][]byte, 6)
+	bufs[0], bufs[1] = bytesOf(0xAA, 32), bytesOf(0xBB, 32)
+	if err := Exec(ctx, plan, NewRequestSet(reqs), bufs, file, Write); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 32)

@@ -51,6 +51,15 @@ func fillPattern(rank int, buf []byte) {
 	}
 }
 
+// freshBufs returns zeroed buffers as long as bufs, for a read.
+func freshBufs(bufs [][]byte) [][]byte {
+	out := make([][]byte, len(bufs))
+	for i, b := range bufs {
+		out[i] = make([]byte, len(b))
+	}
+	return out
+}
+
 // roundTrip plans, writes, reads back with fresh buffers, and compares —
 // and additionally verifies the file contents against an oracle built from
 // the declared extents.
@@ -70,36 +79,38 @@ func roundTrip(t *testing.T, ctx *collio.Context, s collio.Strategy, reqs []coll
 	}
 	file := fsys.Open("roundtrip")
 
-	writeData := make([]collio.RankData, ctx.Topo.Size())
-	var oracleSize int64
-	for r := range writeData {
-		var req collio.RankRequest
-		req.Rank = r
+	// The executors take one request per rank, in rank order.
+	byRank := make([]collio.RankRequest, ctx.Topo.Size())
+	for r := range byRank {
+		byRank[r].Rank = r
 		for _, q := range reqs {
 			if q.Rank == r {
-				req = q
-			}
-		}
-		buf := make([]byte, req.Bytes())
-		fillPattern(r, buf)
-		writeData[r] = collio.RankData{Req: req, Buf: buf}
-		for _, e := range pfs.NormalizeExtents(req.Extents) {
-			if e.End() > oracleSize {
-				oracleSize = e.End()
+				byRank[r] = q
 			}
 		}
 	}
-	if err := collio.Exec(ctx, plan, writeData, file, collio.Write); err != nil {
+	rs := collio.NewRequestSet(byRank)
+	writeBufs := make([][]byte, rs.Len())
+	for r := range writeBufs {
+		writeBufs[r] = make([]byte, pfs.TotalBytes(rs.List(r)))
+		fillPattern(r, writeBufs[r])
+	}
+	if err := collio.Exec(ctx, plan, rs, writeBufs, file, collio.Write); err != nil {
 		t.Fatalf("%s: write exec: %v", s.Name(), err)
 	}
 
 	// Oracle: apply every rank's extents to a flat buffer in rank order.
+	var oracleSize int64
+	for _, q := range byRank {
+		for _, e := range pfs.NormalizeExtents(q.Extents) {
+			oracleSize = max(oracleSize, e.End())
+		}
+	}
 	oracle := make([]byte, oracleSize)
-	for r := range writeData {
-		exts := pfs.NormalizeExtents(writeData[r].Req.Extents)
+	for r, q := range byRank {
 		var pos int64
-		for _, e := range exts {
-			copy(oracle[e.Offset:e.End()], writeData[r].Buf[pos:pos+e.Length])
+		for _, e := range pfs.NormalizeExtents(q.Extents) {
+			copy(oracle[e.Offset:e.End()], writeBufs[r][pos:pos+e.Length])
 			pos += e.Length
 		}
 	}
@@ -112,18 +123,12 @@ func roundTrip(t *testing.T, ctx *collio.Context, s collio.Strategy, reqs []coll
 	}
 
 	// Collective read into fresh buffers must reproduce the written data.
-	readData := make([]collio.RankData, ctx.Topo.Size())
-	for r := range readData {
-		readData[r] = collio.RankData{
-			Req: writeData[r].Req,
-			Buf: make([]byte, len(writeData[r].Buf)),
-		}
-	}
-	if err := collio.Exec(ctx, plan, readData, file, collio.Read); err != nil {
+	readBufs := freshBufs(writeBufs)
+	if err := collio.Exec(ctx, plan, rs, readBufs, file, collio.Read); err != nil {
 		t.Fatalf("%s: read exec: %v", s.Name(), err)
 	}
-	for r := range readData {
-		if !bytes.Equal(readData[r].Buf, writeData[r].Buf) {
+	for r := range readBufs {
+		if !bytes.Equal(readBufs[r], writeBufs[r]) {
 			t.Fatalf("%s: rank %d read back different data", s.Name(), r)
 		}
 	}

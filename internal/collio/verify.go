@@ -2,7 +2,6 @@ package collio
 
 import (
 	"bytes"
-	"fmt"
 	"time"
 
 	"mcio/internal/faults"
@@ -40,10 +39,13 @@ const execWatchdog = 5 * time.Minute
 // ExecVerified is the data executor: it really performs the collective
 // operation described by plan. Ranks run as goroutines, shuffle their
 // contributions to the plan's aggregators, and the aggregators read or
-// write the striped file. On write, each aggregator assembles its whole
-// file domain in memory before issuing the writes; tests run at sizes
-// where that is the simplest faithful rendering of the data path (the
-// cost executor models the buffer-cycling rounds).
+// write the striped file. rs holds one request per rank, in rank order,
+// and bufs[r] holds rank r's bytes in the file order of rs.List(r); an
+// argument that breaks this is an error, and nothing moves. On write,
+// each aggregator assembles its whole file domain in memory before
+// issuing the writes; tests run at sizes where that is the simplest
+// faithful rendering of the data path (the cost executor models the
+// buffer-cycling rounds).
 //
 // For overlapping write requests the lowest-ranked writer's bytes may be
 // overwritten by higher ranks, matching the unspecified outcome MPI gives
@@ -70,24 +72,12 @@ const execWatchdog = 5 * time.Minute
 //
 // With all three nil, as Exec calls it, the shuffle ships each chunk
 // once, with no checksum, ack or duplicate messages.
-func ExecVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op Op,
+func ExecVerified(ctx *Context, plan *Plan, rs *RequestSet, bufs [][]byte, file *pfs.File, op Op,
 	chk *integrity.Checker, corr *faults.Corrupter, hed *Hedger) error {
-	if err := ctx.Validate(); err != nil {
+	if err := checkExec(ctx, rs, bufs); err != nil {
 		return err
 	}
-	if len(data) != ctx.Topo.Size() {
-		return fmt.Errorf("collio: got %d rank buffers for %d ranks", len(data), ctx.Topo.Size())
-	}
-	for r, d := range data {
-		if d.Req.Rank != r {
-			return fmt.Errorf("collio: rank buffer %d labeled rank %d", r, d.Req.Rank)
-		}
-		if want := d.Req.Bytes(); int64(len(d.Buf)) != want {
-			return fmt.Errorf("collio: rank %d buffer is %d bytes, request needs %d", r, len(d.Buf), want)
-		}
-	}
-
-	normReq, scheds := buildScheds(plan, data)
+	scheds := buildScheds(plan, rs)
 	nd := len(plan.Domains)
 
 	world := mpi.NewWorld(ctx.Topo)
@@ -107,7 +97,7 @@ func ExecVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 			if op == Write {
 				if myIdx >= 0 && me != d.Aggregator {
 					sendVerified(p, d.Aggregator, nd, i, chk, corr,
-						func() []byte { return gather(normReq[me], data[me].Buf, sched.overlap[myIdx]) },
+						func() []byte { return gather(rs.List(me), bufs[me], sched.overlap[myIdx]) },
 						sched.overlap[myIdx])
 				}
 				if me != d.Aggregator {
@@ -122,7 +112,7 @@ func ExecVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 					var chunk []byte
 					if r == me {
 						// Local copy: no wire hop, nothing to corrupt or verify.
-						chunk = gather(normReq[me], data[me].Buf, ov)
+						chunk = gather(rs.List(me), bufs[me], ov)
 					} else {
 						chunk = recvVerified(p, r, nd, i, chk, ov, hed)
 					}
@@ -159,7 +149,7 @@ func ExecVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 					ov := sched.overlap[j]
 					if r == me {
 						chunk := gather(d.Extents, domBuf, ov)
-						scatter(normReq[me], data[me].Buf, ov, chunk)
+						scatter(rs.List(me), bufs[me], ov, chunk)
 						putStage(chunk)
 						continue
 					}
@@ -171,7 +161,7 @@ func ExecVerified(ctx *Context, plan *Plan, data []RankData, file *pfs.File, op 
 			if myIdx >= 0 && me != d.Aggregator {
 				ov := sched.overlap[myIdx]
 				chunk := recvVerified(p, d.Aggregator, nd, i, chk, ov, hed)
-				scatter(normReq[me], data[me].Buf, ov, chunk)
+				scatter(rs.List(me), bufs[me], ov, chunk)
 				putStage(chunk)
 			}
 		}

@@ -12,9 +12,9 @@ import (
 )
 
 // verifySetup plans a serial write workload and returns everything a
-// verified-execution test needs: context, plan, requests, filled rank
+// verified-execution test needs: context, plan, request set, filled rank
 // buffers and the fault-free oracle.
-func verifySetup(t *testing.T, ranks, perNode int) (*collio.Context, *collio.Plan, []collio.RankRequest, []collio.RankData, []byte) {
+func verifySetup(t *testing.T, ranks, perNode int) (*collio.Context, *collio.Plan, *collio.RequestSet, [][]byte, []byte) {
 	t.Helper()
 	ctx := buildContext(t, ranks, perNode, collio.DefaultParams(256), nil)
 	reqs := make([]collio.RankRequest, ranks)
@@ -24,19 +24,19 @@ func verifySetup(t *testing.T, ranks, perNode int) (*collio.Context, *collio.Pla
 			{Offset: int64(r) * chunk, Length: chunk},
 		}}
 	}
-	plan, err := twophase.New().Plan(ctx, reqs)
+	rs := collio.NewRequestSet(reqs)
+	plan, err := twophase.New().PlanSet(ctx, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([]collio.RankData, ranks)
+	bufs := make([][]byte, ranks)
 	oracle := make([]byte, int64(ranks)*chunk)
-	for r := range data {
-		buf := make([]byte, reqs[r].Bytes())
-		fillPattern(r, buf)
-		data[r] = collio.RankData{Req: reqs[r], Buf: buf}
-		copy(oracle[int64(r)*chunk:], buf)
+	for r := range bufs {
+		bufs[r] = make([]byte, chunk)
+		fillPattern(r, bufs[r])
+		copy(oracle[int64(r)*chunk:], bufs[r])
 	}
-	return ctx, plan, reqs, data, oracle
+	return ctx, plan, rs, bufs, oracle
 }
 
 // flipPlan schedules n MsgBitFlip events on every node of the topology.
@@ -73,7 +73,7 @@ func ranksByNode(ctx *collio.Context) [][]int {
 }
 
 func TestExecVerifiedCleanRoundTrip(t *testing.T) {
-	ctx, plan, reqs, data, oracle := verifySetup(t, 6, 2)
+	ctx, plan, rs, data, oracle := verifySetup(t, 6, 2)
 	fsys, err := pfs.NewFileSystem(ctx.FS)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestExecVerifiedCleanRoundTrip(t *testing.T) {
 	file := fsys.Open("clean")
 	chk := integrity.NewChecker(integrity.Config{Seed: 3, Repair: true})
 
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, nil, nil); err != nil {
+	if err := collio.ExecVerified(ctx, plan, rs, data, file, collio.Write, chk, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(oracle))
@@ -92,15 +92,12 @@ func TestExecVerifiedCleanRoundTrip(t *testing.T) {
 		t.Fatal("verified write differs from oracle")
 	}
 
-	readData := make([]collio.RankData, len(data))
-	for i := range readData {
-		readData[i] = collio.RankData{Req: reqs[i], Buf: make([]byte, len(data[i].Buf))}
-	}
-	if err := collio.ExecVerified(ctx, plan, readData, file, collio.Read, chk, nil, nil); err != nil {
+	readData := freshBufs(data)
+	if err := collio.ExecVerified(ctx, plan, rs, readData, file, collio.Read, chk, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range readData {
-		if !bytes.Equal(readData[i].Buf, data[i].Buf) {
+		if !bytes.Equal(readData[i], data[i]) {
 			t.Fatalf("rank %d read back different bytes", i)
 		}
 	}
@@ -115,13 +112,13 @@ func TestExecVerifiedCleanRoundTrip(t *testing.T) {
 }
 
 func TestExecVerifiedNilCheckerIsExec(t *testing.T) {
-	ctx, plan, _, data, oracle := verifySetup(t, 6, 2)
+	ctx, plan, rs, data, oracle := verifySetup(t, 6, 2)
 	fsys, err := pfs.NewFileSystem(ctx.FS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	file := fsys.Open("legacy")
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, nil, nil, nil); err != nil {
+	if err := collio.ExecVerified(ctx, plan, rs, data, file, collio.Write, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(oracle))
@@ -134,7 +131,7 @@ func TestExecVerifiedNilCheckerIsExec(t *testing.T) {
 }
 
 func TestExecVerifiedRepairsMessageFlips(t *testing.T) {
-	ctx, plan, _, data, oracle := verifySetup(t, 6, 2)
+	ctx, plan, rs, data, oracle := verifySetup(t, 6, 2)
 	fsys, err := pfs.NewFileSystem(ctx.FS)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +140,7 @@ func TestExecVerifiedRepairsMessageFlips(t *testing.T) {
 	corr := faults.NewCorrupter(flipPlan(ctx.Topo.Nodes(), 2), ranksByNode(ctx))
 	chk := integrity.NewChecker(integrity.Config{Seed: 5, Repair: true})
 
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, corr, nil); err != nil {
+	if err := collio.ExecVerified(ctx, plan, rs, data, file, collio.Write, chk, corr, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(oracle))
@@ -169,7 +166,7 @@ func TestExecVerifiedRepairsMessageFlips(t *testing.T) {
 // verifier re-requests it exactly MaxRepairs times, counts each failing
 // resend as a fresh detection, and ends the chunk Unrepaired.
 func TestExecVerifiedRepairBudgetRunsOut(t *testing.T) {
-	ctx, plan, _, data, _ := verifySetup(t, 6, 2)
+	ctx, plan, rs, data, _ := verifySetup(t, 6, 2)
 	fsys, err := pfs.NewFileSystem(ctx.FS)
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +177,7 @@ func TestExecVerifiedRepairBudgetRunsOut(t *testing.T) {
 	corr := faults.NewCorrupter(flipPlan(ctx.Topo.Nodes(), 1000), ranksByNode(ctx))
 	chk := integrity.NewChecker(integrity.Config{Seed: 5, Repair: true})
 
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, corr, nil); err != nil {
+	if err := collio.ExecVerified(ctx, plan, rs, data, file, collio.Write, chk, corr, nil); err != nil {
 		t.Fatal(err)
 	}
 	rep := chk.Report()
@@ -202,7 +199,7 @@ func TestExecVerifiedRepairBudgetRunsOut(t *testing.T) {
 }
 
 func TestExecVerifiedDetectsFlipsWithoutRepair(t *testing.T) {
-	ctx, plan, _, data, _ := verifySetup(t, 6, 2)
+	ctx, plan, rs, data, _ := verifySetup(t, 6, 2)
 	fsys, err := pfs.NewFileSystem(ctx.FS)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +208,7 @@ func TestExecVerifiedDetectsFlipsWithoutRepair(t *testing.T) {
 	corr := faults.NewCorrupter(flipPlan(ctx.Topo.Nodes(), 2), ranksByNode(ctx))
 	chk := integrity.NewChecker(integrity.Config{Seed: 5})
 
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, corr, nil); err != nil {
+	if err := collio.ExecVerified(ctx, plan, rs, data, file, collio.Write, chk, corr, nil); err != nil {
 		t.Fatal(err)
 	}
 	rep := chk.Report()
@@ -230,7 +227,7 @@ func TestExecVerifiedDetectsFlipsWithoutRepair(t *testing.T) {
 }
 
 func TestExecVerifiedRepairsTornWrites(t *testing.T) {
-	ctx, plan, _, data, oracle := verifySetup(t, 6, 2)
+	ctx, plan, rs, data, oracle := verifySetup(t, 6, 2)
 	fsys, err := pfs.NewFileSystem(ctx.FS)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +238,7 @@ func TestExecVerifiedRepairsTornWrites(t *testing.T) {
 	defer fsys.SetCorrupter(nil)
 	chk := integrity.NewChecker(integrity.Config{Seed: 9, Repair: true})
 
-	if err := collio.ExecVerified(ctx, plan, data, file, collio.Write, chk, corr, nil); err != nil {
+	if err := collio.ExecVerified(ctx, plan, rs, data, file, collio.Write, chk, corr, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(oracle))
@@ -264,7 +261,7 @@ func TestExecVerifiedRepairsTornWrites(t *testing.T) {
 }
 
 func TestExecIndependentRoundTrip(t *testing.T) {
-	ctx, _, reqs, data, oracle := verifySetup(t, 6, 2)
+	ctx, _, rs, data, oracle := verifySetup(t, 6, 2)
 	fsys, err := pfs.NewFileSystem(ctx.FS)
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +272,7 @@ func TestExecIndependentRoundTrip(t *testing.T) {
 	fsys.SetCorrupter(corr)
 	defer fsys.SetCorrupter(nil)
 
-	if err := collio.ExecIndependent(ctx, data, file, collio.Write, chk); err != nil {
+	if err := collio.ExecIndependent(ctx, rs, data, file, collio.Write, chk); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(oracle))
@@ -290,15 +287,12 @@ func TestExecIndependentRoundTrip(t *testing.T) {
 		t.Fatalf("independent path accounting: injected %d, report %+v", corr.InjectedTorn(), rep)
 	}
 
-	readData := make([]collio.RankData, len(data))
-	for i := range readData {
-		readData[i] = collio.RankData{Req: reqs[i], Buf: make([]byte, len(data[i].Buf))}
-	}
-	if err := collio.ExecIndependent(ctx, readData, file, collio.Read, chk); err != nil {
+	readData := freshBufs(data)
+	if err := collio.ExecIndependent(ctx, rs, readData, file, collio.Read, chk); err != nil {
 		t.Fatal(err)
 	}
 	for i := range readData {
-		if !bytes.Equal(readData[i].Buf, data[i].Buf) {
+		if !bytes.Equal(readData[i], data[i]) {
 			t.Fatalf("rank %d independent read back different bytes", i)
 		}
 	}

@@ -27,7 +27,7 @@ type DegradedPlan struct {
 	Shrinks int
 }
 
-// PlanWithDegradation is PlanWithState behind the graceful-degradation
+// PlanWithDegradation is PlanWithStateSet behind the graceful-degradation
 // ladder of the tentpole: when no host clears Mem_min (the starvation
 // case §3.3 leaves to "the I/O must proceed anyway"), it does not accept
 // a paged fallback placement outright — it first shrinks the aggregation
@@ -35,12 +35,11 @@ type DegradedPlan struct {
 // per rung) and accepts the first rung that yields an unpaged plan; if
 // no rung does, it falls back to independent I/O, which needs no
 // aggregation memory at all. With at least one host above Mem_min it is
-// exactly PlanWithState.
-func (s *Strategy) PlanWithDegradation(ctx *collio.Context, reqs []collio.RankRequest) (*DegradedPlan, error) {
+// exactly PlanWithStateSet.
+func (s *Strategy) PlanWithDegradation(ctx *collio.Context, rs *collio.RequestSet) (*DegradedPlan, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
-	rs := collio.NewRequestSet(reqs)
 	if !starved(ctx) {
 		plan, state, err := s.PlanWithStateSet(ctx, rs)
 		if err != nil {

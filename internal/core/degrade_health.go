@@ -53,7 +53,7 @@ func NewDegradationController(s *Strategy, det *health.Detector) *DegradationCon
 // the detector distrusts the whole machine there is no better subset
 // to prefer, and planning on zero availability everywhere would turn
 // a gray-slow machine into a spuriously independent run.
-func (dc *DegradationController) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*DegradedPlan, error) {
+func (dc *DegradationController) Plan(ctx *collio.Context, rs *collio.RequestSet) (*DegradedPlan, error) {
 	eff := *ctx
 	masked := 0
 	if dc.Detector != nil {
@@ -68,7 +68,7 @@ func (dc *DegradationController) Plan(ctx *collio.Context, reqs []collio.RankReq
 			eff.Avail = avail
 		}
 	}
-	dp, err := dc.Strategy.PlanWithDegradation(&eff, reqs)
+	dp, err := dc.Strategy.PlanWithDegradation(&eff, rs)
 	if err != nil {
 		return nil, err
 	}

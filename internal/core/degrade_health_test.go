@@ -30,7 +30,7 @@ func TestPlanWithDegradationRungCounters(t *testing.T) {
 			params.MemMin = 512
 			ctx, reqs := degradeCtx(t, tc.availEach, params)
 
-			dp, err := New().PlanWithDegradation(ctx, reqs)
+			dp, err := New().PlanWithDegradation(ctx, collio.NewRequestSet(reqs))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,13 +67,14 @@ func TestDegradationControllerMasksSuspectsAndRecordsTransitions(t *testing.T) {
 	params := collio.DefaultParams(128)
 	params.MemMin = 512
 	ctx, reqs := degradeCtx(t, 1<<20, params)
+	rs := collio.NewRequestSet(reqs)
 	// Node 0 alone cannot clear Mem_min unshrunk but clears rung 1's.
 	ctx.Avail[0] = 300
 
 	det := health.NewDetector()
 	dc := NewDegradationController(New(), det)
 
-	dp, err := dc.Plan(ctx, reqs)
+	dp, err := dc.Plan(ctx, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestDegradationControllerMasksSuspectsAndRecordsTransitions(t *testing.T) {
 		}
 	}
 
-	dp, err = dc.Plan(ctx, reqs)
+	dp, err = dc.Plan(ctx, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestDegradationControllerMasksSuspectsAndRecordsTransitions(t *testing.T) {
 	}
 
 	// A replan at the same rung records nothing new.
-	if _, err := dc.Plan(ctx, reqs); err != nil {
+	if _, err := dc.Plan(ctx, rs); err != nil {
 		t.Fatal(err)
 	}
 	if len(dc.Transitions()) != 2 {
@@ -136,6 +137,7 @@ func TestDegradationControllerAllSuspectedNoMask(t *testing.T) {
 	params := collio.DefaultParams(128)
 	params.MemMin = 512
 	ctx, reqs := degradeCtx(t, 1<<20, params)
+	rs := collio.NewRequestSet(reqs)
 
 	det := health.NewDetector()
 	for n := 0; n < ctx.Topo.Nodes(); n++ {
@@ -147,7 +149,7 @@ func TestDegradationControllerAllSuspectedNoMask(t *testing.T) {
 		}
 	}
 	dc := NewDegradationController(New(), det)
-	dp, err := dc.Plan(ctx, reqs)
+	dp, err := dc.Plan(ctx, rs)
 	if err != nil {
 		t.Fatal(err)
 	}

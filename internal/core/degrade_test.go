@@ -46,7 +46,7 @@ func TestPlanWithDegradationAmplePassThrough(t *testing.T) {
 	params.MemMin = 512
 	ctx, reqs := degradeCtx(t, 1<<20, params)
 
-	dp, err := New().PlanWithDegradation(ctx, reqs)
+	dp, err := New().PlanWithDegradation(ctx, collio.NewRequestSet(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPlanWithDegradationShrinksAppetite(t *testing.T) {
 	// first rung's halved Mem_min of 256.
 	ctx, reqs := degradeCtx(t, 300, params)
 
-	dp, err := New().PlanWithDegradation(ctx, reqs)
+	dp, err := New().PlanWithDegradation(ctx, collio.NewRequestSet(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestPlanWithDegradationIndependentFallback(t *testing.T) {
 	// aggregation is impossible, but the I/O must still proceed.
 	ctx, reqs := degradeCtx(t, 16, params)
 
-	dp, err := New().PlanWithDegradation(ctx, reqs)
+	dp, err := New().PlanWithDegradation(ctx, collio.NewRequestSet(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,17 +137,17 @@ func TestPlanWithDegradationIndependentFallback(t *testing.T) {
 	}
 	file := fsys.Open("independent-fallback")
 	chk := integrity.NewChecker(integrity.Config{Seed: 21, Repair: true})
-	data := make([]collio.RankData, len(reqs))
+	rs := collio.NewRequestSet(reqs)
+	bufs := make([][]byte, rs.Len())
 	oracle := make([]byte, 8*400)
-	for r := range data {
-		buf := make([]byte, reqs[r].Bytes())
-		for i := range buf {
-			buf[i] = byte((r*131 + i*7 + 3) % 251)
+	for r := range bufs {
+		bufs[r] = make([]byte, pfs.TotalBytes(rs.List(r)))
+		for i := range bufs[r] {
+			bufs[r][i] = byte((r*131 + i*7 + 3) % 251)
 		}
-		data[r] = collio.RankData{Req: reqs[r], Buf: buf}
-		copy(oracle[r*400:], buf)
+		copy(oracle[r*400:], bufs[r])
 	}
-	if err := collio.ExecIndependent(ctx, data, file, collio.Write, chk); err != nil {
+	if err := collio.ExecIndependent(ctx, rs, bufs, file, collio.Write, chk); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, len(oracle))

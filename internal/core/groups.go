@@ -38,6 +38,9 @@ type Group struct {
 // swallow it (the paper defers these to file-view analysis), the extension
 // is capped at half a group: boundaries fall back to pure offset
 // calculation, dividing the file region into MsgGroup-sized windows.
+//
+// Deprecated: build one set with collio.NewRequestSet and call
+// DivideGroupsSet.
 func DivideGroups(ctx *collio.Context, reqs []collio.RankRequest) []Group {
 	return DivideGroupsSet(ctx, collio.NewRequestSet(reqs))
 }

@@ -20,20 +20,25 @@ func New() *Strategy { return &Strategy{} }
 // Name implements collio.Strategy.
 func (s *Strategy) Name() string { return "memory-conscious" }
 
-// Plan implements collio.Strategy. It runs the four components of §3 in
-// order: aggregation group division, workload partition, portion
-// remerging, and aggregator location.
+// Plan implements collio.Strategy: PlanSet over a set built from reqs.
+//
+// Deprecated: build one set with collio.NewRequestSet and call PlanSet.
 func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio.Plan, error) {
 	return s.PlanSet(ctx, collio.NewRequestSet(reqs))
 }
 
-// PlanSet implements collio.Strategy; Plan describes the components.
+// PlanSet implements collio.Strategy. It runs the four components of §3
+// in order: aggregation group division, workload partition, portion
+// remerging, and aggregator location.
 func (s *Strategy) PlanSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.Plan, error) {
 	plan, _, err := s.PlanWithStateSet(ctx, rs)
 	return plan, err
 }
 
 // PlanWithState is PlanWithStateSet over a set built from reqs.
+//
+// Deprecated: build one set with collio.NewRequestSet and call
+// PlanWithStateSet.
 func (s *Strategy) PlanWithState(ctx *collio.Context, reqs []collio.RankRequest) (*collio.Plan, *RecoveryState, error) {
 	return s.PlanWithStateSet(ctx, collio.NewRequestSet(reqs))
 }

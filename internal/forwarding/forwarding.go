@@ -45,7 +45,7 @@ func (c Config) Validate() error {
 // compute node ships its processes' data to its assigned forwarder
 // (round-robin by node), and the forwarder performs the merged storage
 // accesses, cycling its staging buffer.
-func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.Options, fcfg Config) (*collio.CostResult, error) {
+func Cost(ctx *collio.Context, rs *collio.RequestSet, op collio.Op, opt sim.Options, fcfg Config) (*collio.CostResult, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
@@ -57,7 +57,6 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 		return nil, fmt.Errorf("forwarding: machine has %d nodes, need %d compute + %d forwarders",
 			ctx.Machine.Nodes, computeNodes, fcfg.Forwarders)
 	}
-	rs := collio.NewRequestSet(reqs)
 	if rank, ok := collio.InvalidRank(ctx, rs); ok {
 		return nil, fmt.Errorf("forwarding: request for invalid rank %d", rank)
 	}
@@ -118,6 +117,7 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 		})
 	}
 
+	mapper := ctx.FS.NewMapper()
 	for k := 0; k < maxRounds; k++ {
 		var round sim.AggRound
 		for i, p := range plans {
@@ -139,9 +139,10 @@ func Cost(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.
 				round.Messages = append(round.Messages, m)
 			}
 			slice := pfs.SliceData(p.extents, int64((k+i)%p.rounds)*fcfg.BufferBytes, fcfg.BufferBytes)
-			for _, acc := range ctx.FS.MapExtents(slice) {
+			for _, acc := range mapper.Map(slice) {
 				round.IOOps = append(round.IOOps, sim.IOOp{
 					Target:     acc.Target,
+					Count:      acc.Count,
 					Node:       p.node,
 					Bytes:      acc.Bytes,
 					Requests:   acc.Requests,

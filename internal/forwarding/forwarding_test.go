@@ -52,7 +52,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestCostBasics(t *testing.T) {
 	ctx, reqs := testContext(t, 2)
-	res, err := Cost(ctx, reqs, collio.Write, sim.DefaultOptions(), Config{Forwarders: 2, BufferBytes: 1 << 20})
+	res, err := Cost(ctx, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions(), Config{Forwarders: 2, BufferBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCostBasics(t *testing.T) {
 
 func TestCostNeedsForwarderNodes(t *testing.T) {
 	ctx, reqs := testContext(t, 0) // no room for forwarders
-	_, err := Cost(ctx, reqs, collio.Write, sim.DefaultOptions(), Config{Forwarders: 2, BufferBytes: 1 << 20})
+	_, err := Cost(ctx, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions(), Config{Forwarders: 2, BufferBytes: 1 << 20})
 	if err == nil {
 		t.Fatal("missing forwarder nodes accepted")
 	}
@@ -81,11 +81,11 @@ func TestCostNeedsForwarderNodes(t *testing.T) {
 
 func TestCostReducesRequestsVsIndependent(t *testing.T) {
 	ctx, reqs := testContext(t, 2)
-	indep, err := collio.CostIndependent(ctx, reqs, collio.Write, sim.DefaultOptions())
+	indep, err := collio.CostIndependent(ctx, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd, err := Cost(ctx, reqs, collio.Write, sim.DefaultOptions(), Config{Forwarders: 2, BufferBytes: 64 << 20})
+	fwd, err := Cost(ctx, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions(), Config{Forwarders: 2, BufferBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +99,11 @@ func TestCostReducesRequestsVsIndependent(t *testing.T) {
 func TestCostDeterministic(t *testing.T) {
 	ctx, reqs := testContext(t, 3)
 	cfg := Config{Forwarders: 3, BufferBytes: 512 << 10}
-	a, err := Cost(ctx, reqs, collio.Read, sim.DefaultOptions(), cfg)
+	a, err := Cost(ctx, collio.NewRequestSet(reqs), collio.Read, sim.DefaultOptions(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cost(ctx, reqs, collio.Read, sim.DefaultOptions(), cfg)
+	b, err := Cost(ctx, collio.NewRequestSet(reqs), collio.Read, sim.DefaultOptions(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCostDeterministic(t *testing.T) {
 
 func TestCostEmptyRequests(t *testing.T) {
 	ctx, _ := testContext(t, 1)
-	res, err := Cost(ctx, nil, collio.Write, sim.DefaultOptions(), Config{Forwarders: 1, BufferBytes: 1})
+	res, err := Cost(ctx, collio.NewRequestSet(nil), collio.Write, sim.DefaultOptions(), Config{Forwarders: 1, BufferBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestCostRejectsBadRequests(t *testing.T) {
 		"rank Size":      {Rank: ctx.Topo.Size(), Extents: []pfs.Extent{{Offset: 0, Length: 64}}},
 		"negative bytes": {Rank: 1, Extents: []pfs.Extent{{Offset: 0, Length: -1}}},
 	} {
-		if _, err := Cost(ctx, append(reqs[:len(reqs):len(reqs)], bad), collio.Write, sim.DefaultOptions(), cfg); err == nil {
+		if _, err := Cost(ctx, collio.NewRequestSet(append(reqs[:len(reqs):len(reqs)], bad)), collio.Write, sim.DefaultOptions(), cfg); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -141,11 +141,11 @@ func TestCostRejectsBadRequests(t *testing.T) {
 
 func TestBufferSizeControlsRounds(t *testing.T) {
 	ctx, reqs := testContext(t, 2)
-	big, err := Cost(ctx, reqs, collio.Write, sim.DefaultOptions(), Config{Forwarders: 2, BufferBytes: 64 << 20})
+	big, err := Cost(ctx, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions(), Config{Forwarders: 2, BufferBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := Cost(ctx, reqs, collio.Write, sim.DefaultOptions(), Config{Forwarders: 2, BufferBytes: 256 << 10})
+	small, err := Cost(ctx, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions(), Config{Forwarders: 2, BufferBytes: 256 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,14 +27,16 @@ func New() *Strategy { return &Strategy{AggregatorsPerNode: 1} }
 // Name implements collio.Strategy.
 func (s *Strategy) Name() string { return "layout-aware" }
 
-// Plan implements collio.Strategy: an even offset split like two-phase,
-// with every domain boundary rounded down to a stripe-unit multiple, so
-// each stripe unit has exactly one owning aggregator.
+// Plan implements collio.Strategy: PlanSet over a set built from reqs.
+//
+// Deprecated: build one set with collio.NewRequestSet and call PlanSet.
 func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio.Plan, error) {
 	return s.PlanSet(ctx, collio.NewRequestSet(reqs))
 }
 
-// PlanSet implements collio.Strategy; Plan describes the split. It is
+// PlanSet implements collio.Strategy: an even offset split like
+// two-phase, with every domain boundary rounded down to a stripe-unit
+// multiple, so each stripe unit has exactly one owning aggregator. It is
 // two-phase's planner with the stripe unit as the alignment.
 func (s *Strategy) PlanSet(ctx *collio.Context, rs *collio.RequestSet) (*collio.Plan, error) {
 	return twophase.PlanEven(ctx, rs, s.Name(), s.AggregatorsPerNode, ctx.FS.StripeUnit)

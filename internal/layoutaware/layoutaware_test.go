@@ -128,8 +128,8 @@ func TestFewerRequestsThanUnaligned(t *testing.T) {
 	}
 	var alignedReqs int
 	for _, d := range plan.Domains {
-		for _, acc := range ctx.FS.MapExtents(d.Extents) {
-			alignedReqs += acc.Requests
+		for _, acc := range ctx.FS.NewMapper().Map(d.Extents) {
+			alignedReqs += acc.Count * acc.Requests
 		}
 	}
 	if alignedReqs == 0 {

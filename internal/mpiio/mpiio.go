@@ -99,22 +99,23 @@ type CollArgs struct {
 	Buf     []byte
 }
 
-// requests resolves each rank's CollArgs through its view.
-func (f *File) requests(args []CollArgs) ([]collio.RankRequest, []collio.RankData, error) {
+// requests resolves each rank's CollArgs through its view, and returns
+// the requests and each rank's buffer.
+func (f *File) requests(args []CollArgs) ([]collio.RankRequest, [][]byte, error) {
 	if len(args) != len(f.views) {
 		return nil, nil, fmt.Errorf("mpiio: collective call with %d args for %d ranks",
 			len(args), len(f.views))
 	}
 	reqs := make([]collio.RankRequest, len(args))
-	data := make([]collio.RankData, len(args))
+	bufs := make([][]byte, len(args))
 	for r, a := range args {
 		reqs[r].Rank = r
 		if len(a.Buf) > 0 {
 			reqs[r].Extents = f.views[r].Extents(a.DataOff, int64(len(a.Buf)))
 		}
-		data[r] = collio.RankData{Req: reqs[r], Buf: a.Buf}
+		bufs[r] = a.Buf
 	}
-	return reqs, data, nil
+	return reqs, bufs, nil
 }
 
 // WriteAll performs a collective write: every rank contributes its args
@@ -131,7 +132,7 @@ func (f *File) ReadAll(args []CollArgs) (*collio.CostResult, error) {
 }
 
 func (f *File) collective(args []CollArgs, op collio.Op) (*collio.CostResult, error) {
-	reqs, data, err := f.requests(args)
+	reqs, bufs, err := f.requests(args)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +147,7 @@ func (f *File) collective(args []CollArgs, op collio.Op) (*collio.CostResult, er
 	if err != nil {
 		return nil, err
 	}
-	if err := collio.Exec(f.ctx, plan, data, f.file, op); err != nil {
+	if err := collio.Exec(f.ctx, plan, rs, bufs, f.file, op); err != nil {
 		return nil, err
 	}
 	res, err := collio.CostShape(f.ctx, plan, sh, rs, []collio.Op{op}, f.opt, collio.FaultEnv{})

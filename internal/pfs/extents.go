@@ -383,10 +383,9 @@ type TargetAccess struct {
 	Contiguous bool
 }
 
-// MapExtents decomposes file-space extents into per-target accesses,
-// one entry per touched target (Count 1), sorted by target; targets
-// untouched by the extents are absent. It is Mapper.Map with the spans
-// expanded.
+// Mapper decomposes file-space extents into per-target accesses, as
+// spans of consecutive targets that see the same access (TargetAccess
+// with its Count). Targets untouched by the extents are absent.
 //
 // With round-robin striping, one contiguous file extent larger than a full
 // stripe cycle lands as one contiguous object-space range on every target —
@@ -401,23 +400,11 @@ type TargetAccess struct {
 // The cost is independent of extent length, which is what lets the
 // analytical engine price exabyte-scale accesses. (mapExtentsByUnit is
 // the per-unit walk this replaces, kept as the property-test oracle.)
-func (c Config) MapExtents(exts []Extent) []TargetAccess {
-	out := []TargetAccess{}
-	for _, s := range c.NewMapper().Map(exts) {
-		for k := 0; k < s.Count; k++ {
-			a := s
-			a.Target, a.Count = s.Target+k, 1
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Mapper is MapExtents with reusable scratch and spans left whole:
-// after warm-up a Map call allocates nothing, which matters to the
-// analytical engine mapping one slice per domain per round — millions
-// of calls at exascale. Not safe for concurrent use; the returned slice
-// is overwritten by the next Map.
+//
+// A Mapper keeps reusable scratch: after warm-up a Map call allocates
+// nothing, which matters to the analytical engine mapping one slice per
+// domain per round — millions of calls at exascale. Not safe for
+// concurrent use; the returned slice is overwritten by the next Map.
 type Mapper struct {
 	cfg     Config
 	accs    []mapAcc
@@ -439,7 +426,7 @@ func (c Config) NewMapper() *Mapper {
 
 // Map decomposes the extents into spans: runs of consecutive targets,
 // ascending and disjoint, each of whose targets sees the span's access.
-// Expanding the spans gives MapExtents. A single extent maps in closed
+// A single extent maps in closed
 // form to at most five spans whatever its length, and to at most four
 // when it touches no more stripe units than there are targets (see
 // spanExtent); a list of several extents maps target by target into
@@ -572,7 +559,7 @@ func (m *Mapper) spanExtent(e Extent) {
 
 // mapExtentsByUnit is the original stripe-unit-by-stripe-unit
 // decomposition, O(bytes/StripeUnit) per extent. It survives as the
-// oracle the closed-form MapExtents is property-tested against.
+// oracle the closed-form Mapper is property-tested against.
 func (c Config) mapExtentsByUnit(exts []Extent) []TargetAccess {
 	type objRange struct{ off, end int64 }
 	perTarget := make(map[int][]objRange)

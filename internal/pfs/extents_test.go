@@ -51,7 +51,7 @@ func TestMapExtentsContiguousSpansAllTargets(t *testing.T) {
 	cfg := Config{Targets: 4, StripeUnit: 10, TargetBW: 1, NoncontigFactor: 1}
 	// A single 80-byte extent covers two full stripe cycles: each target
 	// gets one contiguous 20-byte object range in one request.
-	acc := cfg.MapExtents([]Extent{{Offset: 0, Length: 80}})
+	acc := mapExpanded(t, cfg, []Extent{{Offset: 0, Length: 80}})
 	if len(acc) != 4 {
 		t.Fatalf("got %d targets, want 4", len(acc))
 	}
@@ -66,7 +66,7 @@ func TestMapExtentsFragmented(t *testing.T) {
 	cfg := Config{Targets: 2, StripeUnit: 10, TargetBW: 1, NoncontigFactor: 1}
 	// Two extents both landing on target 0 (stripes 0 and 2), with a gap in
 	// object space: 2 requests, noncontiguous.
-	acc := cfg.MapExtents([]Extent{
+	acc := mapExpanded(t, cfg, []Extent{
 		{Offset: 0, Length: 5},
 		{Offset: 20, Length: 5},
 	})
@@ -84,7 +84,7 @@ func TestMapExtentsMergesAdjacentObjectRanges(t *testing.T) {
 	// Stripes 0 and 2 map to target 0 at object offsets 0..10 and 10..20:
 	// adjacent in object space, so they merge into one request even though
 	// they are 10 bytes apart in file space.
-	acc := cfg.MapExtents([]Extent{
+	acc := mapExpanded(t, cfg, []Extent{
 		{Offset: 0, Length: 10},
 		{Offset: 20, Length: 10},
 	})
@@ -95,15 +95,15 @@ func TestMapExtentsMergesAdjacentObjectRanges(t *testing.T) {
 
 func TestMapExtentsEmpty(t *testing.T) {
 	cfg := Config{Targets: 2, StripeUnit: 10, TargetBW: 1, NoncontigFactor: 1}
-	if acc := cfg.MapExtents(nil); len(acc) != 0 {
-		t.Fatalf("MapExtents(nil) = %v", acc)
+	if acc := mapExpanded(t, cfg, nil); len(acc) != 0 {
+		t.Fatalf("Map(nil) = %v", acc)
 	}
-	if acc := cfg.MapExtents([]Extent{{Offset: 5, Length: 0}}); len(acc) != 0 {
-		t.Fatalf("MapExtents(empty extent) = %v", acc)
+	if acc := mapExpanded(t, cfg, []Extent{{Offset: 5, Length: 0}}); len(acc) != 0 {
+		t.Fatalf("Map(empty extent) = %v", acc)
 	}
 }
 
-// Property: MapExtents conserves bytes and never reports more requests
+// Property: a Mapper conserves bytes and never reports more requests
 // than stripe-unit crossings.
 func TestMapExtentsConservation(t *testing.T) {
 	r := stats.NewRNG(43)
@@ -121,7 +121,7 @@ func TestMapExtentsConservation(t *testing.T) {
 			exts = append(exts, Extent{Offset: rr.Int63n(1000), Length: rr.Int63n(200)})
 		}
 		norm := NormalizeExtents(exts)
-		acc := cfg.MapExtents(exts)
+		acc := mapExpanded(t, cfg, exts)
 		var gotBytes int64
 		var gotReqs int
 		for _, a := range acc {
@@ -147,7 +147,7 @@ func TestMapExtentsConservation(t *testing.T) {
 	}
 }
 
-// Property: the per-target object ranges MapExtents reports agree with
+// Property: the per-target object ranges a Mapper reports agree with
 // what WriteAt actually stores (bytes land on the computed targets).
 func TestMapExtentsAgreesWithStorage(t *testing.T) {
 	cfg := Config{Targets: 3, StripeUnit: 7, TargetBW: 1, NoncontigFactor: 1}
@@ -159,7 +159,7 @@ func TestMapExtentsAgreesWithStorage(t *testing.T) {
 		buf[i] = 0xAB
 	}
 	f.WriteAt(buf, ext.Offset)
-	acc := cfg.MapExtents([]Extent{ext})
+	acc := mapExpanded(t, cfg, []Extent{ext})
 	var total int64
 	for _, a := range acc {
 		obj := f.objects[a.Target]
@@ -170,7 +170,7 @@ func TestMapExtentsAgreesWithStorage(t *testing.T) {
 			}
 		}
 		if stored != a.Bytes {
-			t.Fatalf("target %d: stored %d bytes, MapExtents says %d", a.Target, stored, a.Bytes)
+			t.Fatalf("target %d: stored %d bytes, the Mapper says %d", a.Target, stored, a.Bytes)
 		}
 		total += a.Bytes
 	}

@@ -24,7 +24,7 @@ func TestMapExtentsMatchesUnitWalk(t *testing.T) {
 				Length: int64(rng.Intn(512)),
 			})
 		}
-		got := cfg.MapExtents(exts)
+		got := mapExpanded(t, cfg, exts)
 		want := cfg.mapExtentsByUnit(exts)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (targets=%d su=%d exts=%v):\nclosed-form: %+v\nunit walk:   %+v",
@@ -40,7 +40,7 @@ func TestMapExtentsMatchesUnitWalk(t *testing.T) {
 func TestMapExtentsLargeExtent(t *testing.T) {
 	cfg := Config{Targets: 1024, StripeUnit: 1 << 20}
 	length := int64(1) << 42 // 4 TiB: ~4M stripe units
-	accs := cfg.MapExtents([]Extent{{Offset: 12345, Length: length}})
+	accs := mapExpanded(t, cfg, []Extent{{Offset: 12345, Length: length}})
 	if len(accs) != cfg.Targets {
 		t.Fatalf("touched %d targets, want %d", len(accs), cfg.Targets)
 	}
@@ -57,12 +57,19 @@ func TestMapExtentsLargeExtent(t *testing.T) {
 }
 
 func BenchmarkMapExtentsLarge(b *testing.B) {
-	cfg := DefaultConfig(1024)
+	m := DefaultConfig(1024).NewMapper()
 	exts := []Extent{{Offset: 0, Length: 1 << 40}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg.MapExtents(exts)
+		m.Map(exts)
 	}
+}
+
+// mapExpanded maps exts with a fresh Mapper and expands the spans, one
+// access per touched target in ascending order.
+func mapExpanded(t *testing.T, cfg Config, exts []Extent) []TargetAccess {
+	t.Helper()
+	return expandSpans(t, cfg.NewMapper().Map(exts), cfg.Targets)
 }
 
 // expandSpans lists spans target by target, checking on the way that
@@ -130,14 +137,15 @@ func FuzzMapSpans(f *testing.F) {
 					exts, cfg.Targets, len(spans), bound, spans)
 			}
 		}
-		if !reflect.DeepEqual(cfg.MapExtents(exts), want) {
-			t.Fatalf("MapExtents(%v) differs from the unit walk", exts)
+		if !reflect.DeepEqual(mapExpanded(t, cfg, exts), want) {
+			t.Fatalf("a fresh Mapper's Map(%v) differs from the unit walk", exts)
 		}
 	})
 }
 
 // TestMapSpansLargeExtent: a 4 TiB extent starting mid-cycle maps to a
-// handful of spans covering every target once — the unit-count step,
+// handful of spans covering every target once and carrying every byte —
+// the unit-count step,
 // the trimmed head and tail, and the wrap to target 0 are the only
 // breaks — and mapping it allocates nothing once the Mapper is warm.
 func TestMapSpansLargeExtent(t *testing.T) {
@@ -149,8 +157,12 @@ func TestMapSpansLargeExtent(t *testing.T) {
 	if len(spans) > 5 || len(got) != cfg.Targets {
 		t.Fatalf("%d spans over %d targets, want at most 5 over %d: %+v", len(spans), len(got), cfg.Targets, spans)
 	}
-	if !reflect.DeepEqual(got, cfg.MapExtents(exts)) {
-		t.Fatal("spans disagree with MapExtents")
+	var total int64
+	for _, a := range got {
+		total += a.Bytes
+	}
+	if total != exts[0].Length {
+		t.Fatalf("spans carry %d bytes, want %d", total, exts[0].Length)
 	}
 	if n := testing.AllocsPerRun(100, func() { m.Map(exts) }); n != 0 {
 		t.Fatalf("Map allocates %v times per call after warm-up, want 0", n)

@@ -6,7 +6,7 @@
 // later read — collective or independent — must return.
 //
 // The package also performs the stripe mapping used for cost accounting:
-// MapExtents converts a set of file-space extents into per-target accesses
+// a Mapper converts a set of file-space extents into per-target accesses
 // (bytes, request counts, contiguity) that the sim engine prices.
 package pfs
 

@@ -48,15 +48,14 @@ var (
 // groupFactor multiplies Msg_ind to form Msg_group.
 const groupFactor = 8
 
-// Tune evaluates the grid for the given workload and machine state and
-// returns the candidates ordered best-first. The context's CollBufSize
+// Tune evaluates the grid for the requests of rs under ctx's machine
+// state and returns the candidates ordered best-first. The context's CollBufSize
 // and MemMin are kept; Nah, MsgInd and MsgGroup are searched.
-func Tune(ctx *collio.Context, reqs []collio.RankRequest, op collio.Op, opt sim.Options) (*Result, error) {
+func Tune(ctx *collio.Context, rs *collio.RequestSet, op collio.Op, opt sim.Options) (*Result, error) {
 	if err := ctx.Validate(); err != nil {
 		return nil, err
 	}
 	strategy := core.New()
-	rs := collio.NewRequestSet(reqs)
 	res := &Result{}
 	for _, nah := range nahValues {
 		for _, mf := range msgIndFactors {

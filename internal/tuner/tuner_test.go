@@ -40,7 +40,7 @@ func testContext(t *testing.T) (*collio.Context, []collio.RankRequest) {
 
 func TestTuneFindsACandidate(t *testing.T) {
 	ctx, reqs := testContext(t)
-	res, err := Tune(ctx, reqs, collio.Write, sim.DefaultOptions())
+	res, err := Tune(ctx, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestTuneFindsACandidate(t *testing.T) {
 func TestTuneBestBeatsDefaults(t *testing.T) {
 	ctx, reqs := testContext(t)
 	opt := sim.DefaultOptions()
-	res, err := Tune(ctx, reqs, collio.Write, opt)
+	res, err := Tune(ctx, collio.NewRequestSet(reqs), collio.Write, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +84,11 @@ func TestTuneBestBeatsDefaults(t *testing.T) {
 
 func TestTuneDeterministic(t *testing.T) {
 	ctx, reqs := testContext(t)
-	a, err := Tune(ctx, reqs, collio.Read, sim.DefaultOptions())
+	a, err := Tune(ctx, collio.NewRequestSet(reqs), collio.Read, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Tune(ctx, reqs, collio.Read, sim.DefaultOptions())
+	b, err := Tune(ctx, collio.NewRequestSet(reqs), collio.Read, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestTuneDeterministic(t *testing.T) {
 // Msg_group 8 x Msg_ind and the context's CollBufSize and MemMin kept.
 func TestTuneSearchesTheGrid(t *testing.T) {
 	ctx, reqs := testContext(t)
-	res, err := Tune(ctx, reqs, collio.Write, sim.DefaultOptions())
+	res, err := Tune(ctx, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +129,14 @@ func TestTuneRejectsBadInput(t *testing.T) {
 	ctx, reqs := testContext(t)
 	bad := *ctx
 	bad.Avail = nil
-	if _, err := Tune(&bad, reqs, collio.Write, sim.DefaultOptions()); err == nil {
+	if _, err := Tune(&bad, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions()); err == nil {
 		t.Fatal("invalid context accepted")
 	}
 }
 
 func TestRender(t *testing.T) {
 	ctx, reqs := testContext(t)
-	res, err := Tune(ctx, reqs, collio.Write, sim.DefaultOptions())
+	res, err := Tune(ctx, collio.NewRequestSet(reqs), collio.Write, sim.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

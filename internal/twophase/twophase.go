@@ -30,7 +30,9 @@ func New() *Strategy { return &Strategy{AggregatorsPerNode: 1} }
 // Name implements collio.Strategy.
 func (s *Strategy) Name() string { return "two-phase" }
 
-// Plan implements collio.Strategy.
+// Plan implements collio.Strategy: PlanSet over a set built from reqs.
+//
+// Deprecated: build one set with collio.NewRequestSet and call PlanSet.
 func (s *Strategy) Plan(ctx *collio.Context, reqs []collio.RankRequest) (*collio.Plan, error) {
 	return s.PlanSet(ctx, collio.NewRequestSet(reqs))
 }

@@ -280,7 +280,7 @@ type TuneResult = tuner.Result
 // the paper performs empirically — and installs the best combination as
 // the system's parameters. It returns the full search result.
 func (s *System) AutoTune(reqs []RankRequest, op Op) (*TuneResult, error) {
-	res, err := tuner.Tune(s.ctx, reqs, op, sim.DefaultOptions())
+	res, err := tuner.Tune(s.ctx, collio.NewRequestSet(reqs), op, sim.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
