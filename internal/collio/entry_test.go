@@ -95,11 +95,11 @@ func TestInvalidPlansAreRefused(t *testing.T) {
 
 // TestCostShapeObservedMatchesCostSet pins that pricing from a prebuilt
 // shape is the one observed path: under an observer, CostShape publishes
-// exactly the metrics CostSet does on the same plan — the per-rank mpi.*
-// traffic counters and the per-domain collio.shuffle_bytes included —
-// and returns the same result.
+// exactly the metrics CostSet does on the same plan — the engine's
+// shuffle total and per-node traffic counters included — and returns
+// the same result.
 func TestCostShapeObservedMatchesCostSet(t *testing.T) {
-	perRank := []string{"mpi.bytes_sent", "mpi.msgs_sent", "mpi.bytes_recv", "mpi.msgs_recv", "collio.shuffle_bytes"}
+	traffic := []string{"sim.shuffle_bytes", "net.bytes_out", "net.bytes_in", "net.msgs", "net.mem_bytes"}
 	for ci, c := range pricingCases(t, 0) {
 		plan, err := twophase.New().PlanSet(c.ctx, c.rs)
 		if err != nil {
@@ -133,7 +133,7 @@ func TestCostShapeObservedMatchesCostSet(t *testing.T) {
 			for _, m := range gotSnap {
 				total[m.Name] += m.Value
 			}
-			for _, name := range perRank {
+			for _, name := range traffic {
 				if total[name] == 0 {
 					t.Fatalf("case %d %s: CostShape published no %s", ci, op, name)
 				}

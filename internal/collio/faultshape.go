@@ -26,11 +26,10 @@ type faultContrib struct {
 //
 // Healthy items price from per-node aggregates (aggs). The per-rank
 // contributor list exists only where it is read: the hot branch walks
-// it, recovery folds it (remaining), and the observer counts it
-// (costObs.shuffle and the refold re-exchange). An item built from a
-// Shape derives it from its aggregates on the first of those reads
-// (rankContribs); a folded item is built from its parent's list and
-// derives its aggregates from it instead (nodeAggs).
+// it, and recovery folds it (remaining) and re-ships its extent lists.
+// An item built from a Shape derives it from its aggregates on the
+// first of those reads (rankContribs); a folded item is built from its
+// parent's list and derives its aggregates from it instead (nodeAggs).
 type faultItem struct {
 	Domain int // index into the live domain set; placement is read per round
 	Base   []pfs.Extent

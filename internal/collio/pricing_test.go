@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"mcio/internal/collio"
@@ -414,8 +413,11 @@ func faultedParity(t *testing.T, name string, c pricingCase, strategy string, op
 
 // TestObservedPricingMatchesUnobserved pins that observation never
 // steers pricing: clean and faulted runs with ctx.Obs set return what
-// the same runs return unobserved, and on a clean run the per-rank
-// mpi.bytes_sent counters add up to the engine's shuffle bytes. It runs
+// the same runs return unobserved, and on a clean run the engine's
+// counters add up to its totals: sim.shuffle_bytes to the shuffled
+// bytes, and the per-node net.bytes_out and net.bytes_in to the bytes
+// that crossed a NIC, plus the storage stream on the side that carries
+// it. It runs
 // the strided case on block and on round-robin placement, and the
 // shuffled-request case.
 func TestObservedPricingMatchesUnobserved(t *testing.T) {
@@ -451,13 +453,23 @@ func observedParity(t *testing.T, c pricingCase, faulted *int) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %s: observed CostSet differs\nobserved:   %+v\nunobserved: %+v", strategy, op, got, want)
 			}
-			var sent int64
-			for r := 0; r < c.ctx.Topo.Size(); r++ {
-				sent += octx.Obs.Counter("mpi.bytes_sent", obs.L("strategy", strategy),
-					obs.L("op", op.String()), obs.L("rank", strconv.Itoa(r))).Value()
+			sums := map[string]float64{}
+			for _, p := range octx.Obs.Metrics.Snapshot() {
+				sums[p.Name] += p.Value
 			}
-			if sent == 0 || sent != got.Totals.ShufBytes {
-				t.Fatalf("%s %s: ranks sent %d bytes, the engine shuffled %d", strategy, op, sent, got.Totals.ShufBytes)
+			tot := got.Totals
+			if tot.ShufBytes == 0 || sums["sim.shuffle_bytes"] != float64(tot.ShufBytes) {
+				t.Fatalf("%s %s: sim.shuffle_bytes counted %g, the engine shuffled %d", strategy, op, sums["sim.shuffle_bytes"], tot.ShufBytes)
+			}
+			// A node's NIC also carries its aggregators' storage stream:
+			// out on a write, in on a read.
+			toStorage, fromStorage := sums["net.bytes_out"], sums["net.bytes_in"]
+			if op == collio.Read {
+				toStorage, fromStorage = fromStorage, toStorage
+			}
+			if tot.NetBytes == 0 || fromStorage != float64(tot.NetBytes) || toStorage != float64(tot.NetBytes+tot.IOBytes) {
+				t.Fatalf("%s %s: nodes sent %g and received %g bytes; the engine moved %d across NICs and %d to storage",
+					strategy, op, sums["net.bytes_out"], sums["net.bytes_in"], tot.NetBytes, tot.IOBytes)
 			}
 
 			ref := want.Seconds * 4

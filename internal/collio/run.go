@@ -34,7 +34,6 @@ type pricingRun struct {
 	ctx    *Context
 	plan   *Plan
 	opt    sim.Options
-	co     *costObs // per-rank traffic counters; nil counts none
 	tlr    *timeline.Recorder
 	base   []obs.Label // the observer labels: strategy and op
 	pid    int         // the strategy's tracer process
@@ -86,8 +85,8 @@ type nodeFault struct {
 // from sh, the shape built from it. src derives the items' per-rank
 // lists.
 func newPricingRun(ctx *Context, plan *Plan, sh *Shape, src *rankSource, ops []Op, opt sim.Options,
-	env FaultEnv, co *costObs) (*pricingRun, error) {
-	r := &pricingRun{FaultEnv: env, ctx: ctx, plan: plan, opt: opt, co: co,
+	env FaultEnv) (*pricingRun, error) {
+	r := &pricingRun{FaultEnv: env, ctx: ctx, plan: plan, opt: opt,
 		nodes: ctx.Topo.Nodes(), meta: sh.MetaExchanges, live: plan.Domains}
 	r.items, r.totalRounds = sh.workItems(plan, src)
 	// A clean run prices its longest item's rounds plus the metadata
@@ -505,7 +504,6 @@ func (r *pricingRun) refold(rec *sim.AggRound, src, dst int, reExchange bool) {
 		bytes := nit.recoveryMetaBytes()
 		dstNode := r.live[dst].AggNode
 		for _, c := range nit.rankContribs() {
-			r.co.transfer(c.Rank, r.live[dst].Aggregator, bytes)
 			if k := len(rec.Messages); k > 0 && !r.allHot {
 				if m := &rec.Messages[k-1]; m.SrcNode == c.Node && m.DstNode == dstNode {
 					m.Bytes += bytes
@@ -562,7 +560,6 @@ func (r *pricingRun) assemble(now float64) {
 	r.extraLat = 0
 	for _, it := range r.active {
 		d := &r.live[it.Domain]
-		r.co.shuffle(it, d.Aggregator, r.op)
 		r.assembleShuffle(it, d, now)
 		r.assembleStorage(it, d, anyTgtHot, now)
 		it.Done++

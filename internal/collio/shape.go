@@ -348,8 +348,7 @@ func (sh *Shape) workItems(plan *Plan, src *rankSource) (items []*faultItem, tot
 // aggregators per destination node (duplicate aggregator ranks on one
 // node are slots, each counting); the engine prices the cross product
 // in O(sources + destinations). Returns the exchanges and the
-// point-to-point message count they stand for; costObs.meta counts
-// those messages per rank.
+// point-to-point message count they stand for.
 func buildMetaExchanges(ctx *Context, plan *Plan, rs *RequestSet) ([]sim.Exchange, int) {
 	var exchanges []sim.Exchange
 	messages := 0

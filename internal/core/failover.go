@@ -217,27 +217,12 @@ func (f *Failover) relocate(ctx *collio.Context, di, g int, live []collio.Domain
 		rank = ranks[0]
 	}
 
-	buf := ctx.Params.CollBufSize
-	if live[di].Bytes > 0 && buf > live[di].Bytes {
-		buf = live[di].Bytes
+	// An empty domain keeps a whole collective buffer.
+	bytes := live[di].Bytes
+	if bytes <= 0 {
+		bytes = ctx.Params.CollBufSize
 	}
-	minBuf := ctx.Params.CollBufSize / 8
-	if minBuf < 1 {
-		minBuf = 1
-	}
-	severity := 0.0
-	if avail := st.tracker.Avail(best); avail < buf {
-		buf = avail
-		if buf < minBuf {
-			buf = minBuf
-		}
-		if avail < buf {
-			severity = float64(buf-avail) / float64(buf)
-		}
-	}
-	if buf < 1 {
-		buf = 1
-	}
+	buf, severity := pagedBuffer(ctx.Params.CollBufSize, bytes, st.tracker.Avail(best))
 	st.tracker.Reserve(best, buf)
 	return collio.Reassignment{
 		Domain:        di,

@@ -182,33 +182,7 @@ func (s *Strategy) placeGroup(
 					return nil, nil, ferr
 				}
 				ctx.Obs.Counter("plan.fallback_placements", obs.L("strategy", s.Name())).Inc()
-				// Memory-conscious to the last: shrink the buffer toward
-				// what the least-bad host still has (more rounds, no
-				// paging) before accepting any over-commit; the shrink is
-				// bounded at an eighth of the desired buffer so rounds
-				// cannot explode.
-				buf := ctx.Params.CollBufSize
-				if buf > leaf.Bytes {
-					buf = leaf.Bytes
-				}
-				minBuf := ctx.Params.CollBufSize / 8
-				if minBuf < 1 {
-					minBuf = 1
-				}
-				avail := tracker.Avail(host)
-				if avail < buf {
-					buf = avail
-					if buf < minBuf {
-						buf = minBuf
-					}
-				}
-				if buf < 1 {
-					buf = 1
-				}
-				severity := 0.0
-				if avail < buf {
-					severity = float64(buf-avail) / float64(buf)
-				}
+				buf, severity := pagedBuffer(ctx.Params.CollBufSize, leaf.Bytes, tracker.Avail(host))
 				tracker.Reserve(host, buf)
 				aggsOnHost[host]++
 				placed[leaf] = &collio.Domain{
@@ -469,4 +443,24 @@ func (s *Strategy) fallback(
 		return 0, 0, fmt.Errorf("core: domain in group %d has no related processes", g.Index)
 	}
 	return best, bestRank, nil
+}
+
+// pagedBuffer sizes the aggregation buffer of a domain of bytes bytes
+// placed on a host with avail bytes free where no host meets Mem_min:
+// the collective buffer collBuf, capped at the domain's bytes, then,
+// memory-conscious to the last, shrunk toward avail (more rounds, no
+// paging) before accepting any over-commit. The shrink stops at an
+// eighth of collBuf so rounds cannot explode, and the buffer is at
+// least one byte. severity is the share of the buffer avail does not
+// cover, which pages.
+func pagedBuffer(collBuf, bytes, avail int64) (buf int64, severity float64) {
+	buf = min(collBuf, bytes)
+	if avail < buf {
+		buf = max(avail, collBuf/8, 1)
+	}
+	buf = max(buf, 1)
+	if avail < buf {
+		severity = float64(buf-avail) / float64(buf)
+	}
+	return buf, severity
 }

@@ -341,3 +341,32 @@ func TestPlanDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestPagedBuffer pins the buffer rule of a placement that no host's
+// memory satisfies, shared by planning's fallback and failover's
+// relocation: cap at the domain's bytes, shrink toward the host's free
+// memory no lower than an eighth of the collective buffer, and page
+// the rest.
+func TestPagedBuffer(t *testing.T) {
+	const coll = 1 << 20
+	for _, c := range []struct {
+		name               string
+		collBuf, bytes, av int64
+		wantBuf            int64
+		wantSev            float64
+	}{
+		{"fits", coll, 4 * coll, 2 * coll, coll, 0},
+		{"capped at the domain", coll, 1000, 2 * coll, 1000, 0},
+		{"shrinks to free memory", coll, 4 * coll, coll / 2, coll / 2, 0},
+		{"floor of an eighth pages", coll, 4 * coll, coll / 16, coll / 8, 0.5},
+		{"nothing free pages all", coll, 4 * coll, 0, coll / 8, 1},
+		{"empty domain, nothing free", coll, 0, 0, 1, 1},
+		{"tiny buffer floors at one byte", 4, 100, 0, 1, 1},
+	} {
+		buf, sev := pagedBuffer(c.collBuf, c.bytes, c.av)
+		if buf != c.wantBuf || sev != c.wantSev {
+			t.Errorf("%s: pagedBuffer(%d, %d, %d) = %d, %g; want %d, %g",
+				c.name, c.collBuf, c.bytes, c.av, buf, sev, c.wantBuf, c.wantSev)
+		}
+	}
+}

@@ -272,48 +272,53 @@ const (
 )
 
 // engineObs carries the engine's observability wiring: the sinks, the
-// process track, base labels (e.g. strategy), and per-index instrument
-// caches so the per-round hot path pays atomic updates, not lookups.
+// process track, and one instrument family per metric, each with the
+// base labels (e.g. strategy), so the per-round hot path indexes a
+// slice and pays atomic updates, not lookups.
 type engineObs struct {
 	o    *obs.Observer
 	pid  int
-	base []obs.Label
 	tids map[int]bool // tids already named
-	cs   map[string]*obs.Counter
-	hs   map[string]*obs.Histogram
+
+	// Base labels only, at index 0.
+	rounds, shuffleBytes, ioBytes, recoveryRounds, recoveryStalls family[obs.Counter]
+	roundSeconds, recoverySeconds                                 family[obs.Histogram]
+	// By node.
+	aggregators, pagingEvents, pagedBytes family[obs.Counter]
+	bytesOut, bytesIn, memBytes, msgs     family[obs.Counter]
+	nodeSeconds                           family[obs.Histogram]
+	// By storage target.
+	bytesRead, bytesWritten, requests, streamBytes, noncontigBytes family[obs.Counter]
+	queueDepth, targetSeconds                                      family[obs.Histogram]
 }
 
-// counter resolves (and caches) a counter with the base labels plus one
-// indexed label like ost=3 or node=7; an empty labelKey means base labels
-// only.
-func (eo *engineObs) counter(metric, labelKey string, idx int) *obs.Counter {
-	k := metric + "\x00" + strconv.Itoa(idx)
-	if c, ok := eo.cs[k]; ok {
-		return c
-	}
-	labels := append([]obs.Label(nil), eo.base...)
-	if labelKey != "" {
-		labels = append(labels, obs.L(labelKey, strconv.Itoa(idx)))
-	}
-	c := eo.o.Counter(metric, labels...)
-	eo.cs[k] = c
-	return c
+// family is one metric's instruments by index: a node or target ID, or
+// 0 alone for a metric with only the base labels (key ""). Each is
+// resolved on first use, so an instrument the run never touches is
+// never registered; an index past the slice grows it.
+type family[T any] struct {
+	name, key string
+	base      []obs.Label
+	resolve   func(name string, labels ...obs.Label) *T
+	at        []*T
 }
 
-// histogram is counter's histogram counterpart; an empty labelKey means
-// base labels only.
-func (eo *engineObs) histogram(metric, labelKey string, idx int) *obs.Histogram {
-	k := metric + "\x00" + strconv.Itoa(idx)
-	if h, ok := eo.hs[k]; ok {
-		return h
+// get returns the instrument at index i, resolving it on first use with
+// the base labels plus key=i.
+func (f *family[T]) get(i int) *T {
+	if i >= len(f.at) {
+		f.at = append(f.at, make([]*T, i+1-len(f.at))...)
 	}
-	labels := append([]obs.Label(nil), eo.base...)
-	if labelKey != "" {
-		labels = append(labels, obs.L(labelKey, strconv.Itoa(idx)))
+	if x := f.at[i]; x != nil {
+		return x
 	}
-	h := eo.o.Histogram(metric, labels...)
-	eo.hs[k] = h
-	return h
+	labels := f.base
+	if f.key != "" {
+		labels = append(slices.Clip(f.base), obs.L(f.key, strconv.Itoa(i)))
+	}
+	x := f.resolve(f.name, labels...)
+	f.at[i] = x
+	return x
 }
 
 // nameTID lazily names a thread track once.
@@ -334,13 +339,44 @@ func (e *Engine) SetObserver(o *obs.Observer, pid int, base ...obs.Label) {
 		e.eo = nil
 		return
 	}
+	nodes, targets := len(e.nodes), len(e.targets)
+	// Each family starts sized for its index range: one base-labelled
+	// instrument, or one per node or target.
+	c := func(name, key string, n int) family[obs.Counter] {
+		return family[obs.Counter]{name: name, key: key, base: base, resolve: o.Counter, at: make([]*obs.Counter, n)}
+	}
+	h := func(name, key string, n int) family[obs.Histogram] {
+		return family[obs.Histogram]{name: name, key: key, base: base, resolve: o.Histogram, at: make([]*obs.Histogram, n)}
+	}
 	e.eo = &engineObs{
 		o:    o,
 		pid:  pid,
-		base: base,
 		tids: map[int]bool{},
-		cs:   map[string]*obs.Counter{},
-		hs:   map[string]*obs.Histogram{},
+
+		rounds:          c("sim.rounds", "", 1),
+		shuffleBytes:    c("sim.shuffle_bytes", "", 1),
+		ioBytes:         c("sim.io_bytes", "", 1),
+		recoveryRounds:  c("sim.recovery_rounds", "", 1),
+		recoveryStalls:  c("sim.recovery_stalls", "", 1),
+		roundSeconds:    h("sim.round_seconds", "", 1),
+		recoverySeconds: h("sim.recovery_seconds", "", 1),
+
+		aggregators:  c("sim.aggregators", "node", nodes),
+		pagingEvents: c("memmodel.paging_events", "node", nodes),
+		pagedBytes:   c("memmodel.paged_bytes", "node", nodes),
+		bytesOut:     c("net.bytes_out", "node", nodes),
+		bytesIn:      c("net.bytes_in", "node", nodes),
+		memBytes:     c("net.mem_bytes", "node", nodes),
+		msgs:         c("net.msgs", "node", nodes),
+		nodeSeconds:  h("net.node_seconds", "node", nodes),
+
+		bytesRead:      c("pfs.bytes_read", "ost", targets),
+		bytesWritten:   c("pfs.bytes_written", "ost", targets),
+		requests:       c("pfs.requests", "ost", targets),
+		streamBytes:    c("pfs.stream_bytes", "ost", targets),
+		noncontigBytes: c("pfs.noncontig_bytes", "ost", targets),
+		queueDepth:     h("pfs.queue_depth", "ost", targets),
+		targetSeconds:  h("pfs.target_seconds", "ost", targets),
 	}
 	e.eo.nameTID(TIDTimeline, "rounds")
 }
@@ -355,27 +391,24 @@ func (e *Engine) SetTimeline(rec *timeline.Recorder) {
 	e.tlPhase = ""
 }
 
-// recordRound samples one priced round into the timeline recorder.
-// Spans follow the trace-emission convention: communication starts at
-// the round start; storage starts after it, or alongside it when
-// phases overlap.
-func (e *Engine) recordRound(start float64, rc RoundCost, kind string, recovery bool) {
+// recordRound samples round te, which started at start, into the
+// timeline recorder. Spans follow emitRound's convention: communication
+// starts at the round start; storage starts after it, or alongside it
+// when phases overlap.
+func (e *Engine) recordRound(start float64, te *TraceEntry) {
 	rec := e.rec
 	phase := "data"
 	switch {
-	case recovery:
+	case te.Recovery:
 		phase = "recovery"
-	case kind == RoundMetadata:
+	case te.Kind == RoundMetadata:
 		phase = "metadata"
 	}
 	if phase != e.tlPhase {
 		e.tlPhase = phase
 		rec.J().Record(start, timeline.EvPhase, "run", phase)
 	}
-	commStart, ioStart := start, start+rc.CommTime
-	if e.opt.Overlap {
-		ioStart = start
-	}
+	commStart, ioStart := e.phaseStarts(start, te.Cost)
 	for i, n := range e.nodeIDs {
 		ent := timeline.Ent("node", n)
 		rec.AddSpan(ent, "busy", commStart, commStart+e.nodeTime[i])
@@ -388,6 +421,16 @@ func (e *Engine) recordRound(start float64, rc RoundCost, kind string, recovery 
 		rec.AddSpan(ent, "busy", ioStart, ioStart+load.time)
 		rec.AddGauge(ent, "queue", ioStart, float64(load.requests))
 	}
+}
+
+// phaseStarts returns when a round that started at start and cost rc
+// begins its communication and its storage phase: storage follows
+// communication, or runs alongside it when phases overlap.
+func (e *Engine) phaseStarts(start float64, rc RoundCost) (comm, io float64) {
+	if e.opt.Overlap {
+		return start, start
+	}
+	return start, start + rc.CommTime
 }
 
 // NewEngine builds an engine that prices accesses to the targets of the
@@ -468,13 +511,13 @@ func (e *Engine) SetAggregators(aggs []AggregatorPlacement) {
 			ns.paged = s
 		}
 		if eo := e.eo; eo != nil {
-			eo.counter("sim.aggregators", "node", a.Node).Inc()
+			eo.aggregators.get(a.Node).Inc()
 			// Resolve the paging counter even at zero severity so every
 			// aggregator node reports the family (value 0 = no paging).
-			paging := eo.counter("memmodel.paging_events", "node", a.Node)
+			paging := eo.pagingEvents.get(a.Node)
 			if s > 0 {
 				paging.Inc()
-				eo.counter("memmodel.paged_bytes", "node", a.Node).Add(int64(s * float64(a.BufferBytes)))
+				eo.pagedBytes.get(a.Node).Add(int64(s * float64(a.BufferBytes)))
 			}
 		}
 	}
@@ -884,17 +927,16 @@ func (e *Engine) accIOOp(op *IOOp, write bool) int {
 			tl.seek += op.Bytes
 		}
 		if eo := e.eo; eo != nil {
-			metric := "pfs.bytes_read"
+			moved, kind := &eo.bytesRead, &eo.noncontigBytes
 			if write {
-				metric = "pfs.bytes_written"
+				moved = &eo.bytesWritten
 			}
-			eo.counter(metric, "ost", t).Add(op.Bytes)
-			eo.counter("pfs.requests", "ost", t).Add(int64(op.Requests))
 			if op.Contiguous {
-				eo.counter("pfs.stream_bytes", "ost", t).Add(op.Bytes)
-			} else {
-				eo.counter("pfs.noncontig_bytes", "ost", t).Add(op.Bytes)
+				kind = &eo.streamBytes
 			}
+			moved.get(t).Add(op.Bytes)
+			eo.requests.get(t).Add(int64(op.Requests))
+			kind.get(t).Add(op.Bytes)
 		}
 	}
 	return n
@@ -996,71 +1038,31 @@ func (e *Engine) finishRound(kind string, recovery bool, traceMsgs, traceOps int
 		e.totals.RecoverySeconds += rc.Time
 	}
 
+	te := TraceEntry{
+		Round:         round,
+		Cost:          rc,
+		Messages:      traceMsgs,
+		IOOps:         traceOps,
+		CommBytes:     commBytes,
+		IOBytes:       ioBytes,
+		Binding:       binding,
+		Recovery:      recovery,
+		Kind:          kind,
+		CommPagedFrac: commPagedFrac,
+		IOPagedFrac:   ioPagedFrac,
+		IODelayFrac:   ioDelayFrac,
+		IODir:         ioDir,
+	}
 	if e.opt.Trace {
-		e.trace = append(e.trace, TraceEntry{
-			Round:         round,
-			Cost:          rc,
-			Messages:      traceMsgs,
-			IOOps:         traceOps,
-			CommBytes:     commBytes,
-			IOBytes:       ioBytes,
-			Binding:       binding,
-			Recovery:      recovery,
-			Kind:          kind,
-			CommPagedFrac: commPagedFrac,
-			IOPagedFrac:   ioPagedFrac,
-			IODelayFrac:   ioDelayFrac,
-			IODir:         ioDir,
-		})
+		e.trace = append(e.trace, te)
 	}
 	if e.rec != nil {
-		e.recordRound(start, rc, kind, recovery)
+		e.recordRound(start, &te)
 	}
-	if eo := e.eo; eo != nil {
-		eo.emitRound(roundEmit{
-			round:     round,
-			start:     start,
-			rc:        rc,
-			overlap:   e.opt.Overlap,
-			binding:   binding,
-			nodeIDs:   nodeIDs,
-			nodeTime:  nodeTime,
-			nodes:     e.nodes,
-			targetIDs: targetIDs,
-			targets:   e.targets,
-			commBytes: commBytes, ioBytes: ioBytes,
-			recovery:      recovery,
-			kind:          kind,
-			commPagedFrac: commPagedFrac,
-			ioPagedFrac:   ioPagedFrac,
-			ioDelayFrac:   ioDelayFrac,
-			ioDir:         ioDir,
-		})
+	if e.eo != nil {
+		e.emitRound(start, &te)
 	}
 	return rc
-}
-
-// roundEmit bundles everything emitRound publishes about one round.
-type roundEmit struct {
-	round     int
-	start     float64
-	rc        RoundCost
-	overlap   bool
-	binding   Binding
-	nodeIDs   []int
-	nodeTime  []float64
-	nodes     []nodeState // indexed by node ID
-	targetIDs []int
-	targets   []targetState // indexed by target ID
-	commBytes int64
-	ioBytes   int64
-	recovery  bool
-	kind      string
-
-	commPagedFrac float64
-	ioPagedFrac   float64
-	ioDelayFrac   float64
-	ioDir         string
 }
 
 // formatFrac renders a blame fraction compactly, "" for zero (the
@@ -1072,97 +1074,97 @@ func formatFrac(f float64) string {
 	return strconv.FormatFloat(f, 'g', 6, 64)
 }
 
-// emitRound publishes one round's spans and counters: the round and its
-// comm/io phases on the timeline track, per-node shuffle spans, and
-// per-target storage spans, all at simulated time. Phase spans carry the
-// attributes the critical-path analyzer consumes: "phase" (shuffle,
-// metadata, read, write), "paged_frac" and "delay_frac".
-func (eo *engineObs) emitRound(r roundEmit) {
-	eo.counter("sim.rounds", "", 0).Inc()
-	eo.counter("sim.shuffle_bytes", "", 0).Add(r.commBytes)
-	eo.counter("sim.io_bytes", "", 0).Add(r.ioBytes)
-	eo.histogram("sim.round_seconds", "", 0).Observe(r.rc.Time)
-	if r.recovery {
-		eo.counter("sim.recovery_rounds", "", 0).Inc()
-		eo.histogram("sim.recovery_seconds", "", 0).Observe(r.rc.Time)
+// emitRound publishes round te, which started at start: its counters,
+// the round and its comm/io phases on the timeline track, per-node
+// shuffle spans and per-target storage spans, all at simulated time,
+// from te and the round's node and target loads. Phase spans carry
+// "phase" (shuffle, metadata, read, write), "paged_frac" and
+// "delay_frac" for trace readers; blame reads the same fractions from
+// TraceEntry.
+func (e *Engine) emitRound(start float64, te *TraceEntry) {
+	eo, rc := e.eo, te.Cost
+	eo.rounds.get(0).Inc()
+	eo.shuffleBytes.get(0).Add(te.CommBytes)
+	eo.ioBytes.get(0).Add(te.IOBytes)
+	eo.roundSeconds.get(0).Observe(rc.Time)
+	if te.Recovery {
+		eo.recoveryRounds.get(0).Inc()
+		eo.recoverySeconds.get(0).Observe(rc.Time)
 	}
-	for i, n := range r.nodeIDs {
-		l := &r.nodes[n].load
-		eo.counter("net.bytes_out", "node", n).Add(l.out)
-		eo.counter("net.bytes_in", "node", n).Add(l.in)
-		eo.counter("net.mem_bytes", "node", n).Add(l.mem)
-		eo.counter("net.msgs", "node", n).Add(int64(l.msgs))
-		eo.histogram("net.node_seconds", "node", n).Observe(r.nodeTime[i])
+	for i, n := range e.nodeIDs {
+		l := &e.nodes[n].load
+		eo.bytesOut.get(n).Add(l.out)
+		eo.bytesIn.get(n).Add(l.in)
+		eo.memBytes.get(n).Add(l.mem)
+		eo.msgs.get(n).Add(int64(l.msgs))
+		eo.nodeSeconds.get(n).Observe(e.nodeTime[i])
 	}
-	for _, t := range r.targetIDs {
-		tl := &r.targets[t].load
-		eo.histogram("pfs.queue_depth", "ost", t).Observe(float64(tl.requests))
-		eo.histogram("pfs.target_seconds", "ost", t).Observe(tl.time)
+	for _, t := range e.targetIDs {
+		tl := &e.targets[t].load
+		eo.queueDepth.get(t).Observe(float64(tl.requests))
+		eo.targetSeconds.get(t).Observe(tl.time)
 	}
 
 	tr := eo.o.Tracer()
 	if tr == nil {
 		return
 	}
-	name := fmt.Sprintf("round %d", r.round)
-	kind := r.kind
+	name := fmt.Sprintf("round %d", te.Round)
+	kind := te.Kind
 	if kind == RoundData {
 		kind = "data"
 	}
-	if r.recovery {
-		name = fmt.Sprintf("recovery round %d", r.round)
+	if te.Recovery {
+		name = fmt.Sprintf("recovery round %d", te.Round)
 		kind = "recovery"
 	}
-	roundSpan := tr.Begin(eo.pid, TIDTimeline, name, r.start,
-		obs.A("binding", r.binding.String()),
+	roundSpan := tr.Begin(eo.pid, TIDTimeline, name, start,
+		obs.A("binding", te.Binding.String()),
 		obs.A("kind", kind),
-		obs.A("comm_bytes", strconv.FormatInt(r.commBytes, 10)),
-		obs.A("io_bytes", strconv.FormatInt(r.ioBytes, 10)))
-	roundSpan.End(r.start + r.rc.Time)
-	commStart, ioStart := r.start, r.start+r.rc.CommTime
-	if r.overlap {
-		ioStart = r.start
-	}
-	if r.rc.CommTime > 0 {
+		obs.A("comm_bytes", strconv.FormatInt(te.CommBytes, 10)),
+		obs.A("io_bytes", strconv.FormatInt(te.IOBytes, 10)))
+	roundSpan.End(start + rc.Time)
+	commStart, ioStart := e.phaseStarts(start, rc)
+	if rc.CommTime > 0 {
 		commPhase := "shuffle"
-		if r.kind == RoundMetadata {
+		if te.Kind == RoundMetadata {
 			commPhase = "metadata"
 		}
 		span := tr.Begin(eo.pid, TIDTimeline, "comm", commStart,
 			obs.A("phase", commPhase),
-			obs.A("bound_by", fmt.Sprintf("node %d (%s)", r.binding.CommNode, r.binding.CommResource)))
-		if f := formatFrac(r.commPagedFrac); f != "" {
+			obs.A("bound_by", fmt.Sprintf("node %d (%s)", te.Binding.CommNode, te.Binding.CommResource)))
+		if f := formatFrac(te.CommPagedFrac); f != "" {
 			span.Attr("paged_frac", f)
 		}
-		span.End(commStart + r.rc.CommTime)
+		span.End(commStart + rc.CommTime)
 	}
-	if r.rc.IOTime > 0 {
+	if rc.IOTime > 0 {
 		span := tr.Begin(eo.pid, TIDTimeline, "io", ioStart,
-			obs.A("phase", r.ioDir),
-			obs.A("bound_by", fmt.Sprintf("ost %d", r.binding.IOTarget)))
-		if f := formatFrac(r.ioPagedFrac); f != "" {
+			obs.A("phase", te.IODir),
+			obs.A("bound_by", fmt.Sprintf("ost %d", te.Binding.IOTarget)))
+		if f := formatFrac(te.IOPagedFrac); f != "" {
 			span.Attr("paged_frac", f)
 		}
-		if f := formatFrac(r.ioDelayFrac); f != "" {
+		if f := formatFrac(te.IODelayFrac); f != "" {
 			span.Attr("delay_frac", f)
 		}
-		span.End(ioStart + r.rc.IOTime)
+		span.End(ioStart + rc.IOTime)
 	}
-	for i, n := range r.nodeIDs {
-		if r.nodeTime[i] <= 0 {
+	for i, n := range e.nodeIDs {
+		if e.nodeTime[i] <= 0 {
 			continue
 		}
-		l := &r.nodes[n].load
+		l := &e.nodes[n].load
 		eo.nameTID(tidNodeBase+n, fmt.Sprintf("node %d shuffle", n))
 		span := tr.Begin(eo.pid, tidNodeBase+n, "shuffle", commStart,
 			obs.A("out_bytes", strconv.FormatInt(l.out, 10)),
 			obs.A("in_bytes", strconv.FormatInt(l.in, 10)),
 			obs.A("mem_bytes", strconv.FormatInt(l.mem, 10)),
 			obs.A("msgs", strconv.Itoa(l.msgs)))
-		span.End(commStart + r.nodeTime[i])
+		span.End(commStart + e.nodeTime[i])
 	}
-	for _, t := range r.targetIDs {
-		tl := &r.targets[t].load
+	for _, t := range e.targetIDs {
+		tl := &e.targets[t].load
 		if tl.time <= 0 {
 			continue
 		}
@@ -1221,8 +1223,8 @@ func (e *Engine) AddRecoveryLatency(seconds float64, kind string) {
 		e.rec.AddSpan("run", "stall", start, start+seconds)
 	}
 	if eo := e.eo; eo != nil {
-		eo.counter("sim.recovery_stalls", "", 0).Inc()
-		eo.histogram("sim.recovery_seconds", "", 0).Observe(seconds)
+		eo.recoveryStalls.get(0).Inc()
+		eo.recoverySeconds.get(0).Observe(seconds)
 		if tr := eo.o.Tracer(); tr != nil {
 			span := tr.Begin(eo.pid, TIDTimeline, "recovery: "+kind, start,
 				obs.A("phase", "recovery"))
