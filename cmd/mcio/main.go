@@ -31,11 +31,10 @@
 // a stable versioned JSON record of bandwidth, wall time, per-phase
 // critical-path blame and host provenance (git commit, go version,
 // CPU counts, wall clock and allocator telemetry) — and diff compares
-// ledgers, exiting non-zero when the new one regresses beyond tolerance,
-// or with -exact when any price differs at all (the CI perf gate: prices
-// are deterministic, so only the /harness host-cost entries keep a
-// tolerance). diff accepts directories and globs, comparing the
-// oldest record against the newest by timestamp; bench refuses to
+// ledgers, exiting non-zero when any price differs at all (prices are
+// deterministic; the /harness host-cost entries are listed but never
+// gate). diff accepts directories and globs, comparing the oldest
+// record against the newest by timestamp; bench refuses to
 // overwrite an existing -out file unless -force is given, and -archive
 // appends the record to a history directory under an auto-sequenced
 // name; -cpuprofile and -memprofile write pprof profiles of the run:
@@ -43,18 +42,18 @@
 //	mcio bench fig6 -out BENCH_fig6.json
 //	mcio bench chaos -archive baselines/history
 //	mcio bench fig-exa -cpuprofile cpu.out -memprofile mem.out
-//	mcio diff baselines/BENCH_fig6.json BENCH_fig6.json -tol 0.05
-//	mcio diff -exact baselines/BENCH_fig6.json BENCH_fig6.json
+//	mcio diff baselines/BENCH_fig6.json BENCH_fig6.json
 //	mcio diff baselines/history
 //
-// The trend subcommand is the gate pairwise diff cannot provide: it
-// loads a whole record history (mixed v1/v2 records) and classifies
-// every entry series as ok, an abrupt step (rolling-median changepoint)
-// or slow drift (least-squares slope accumulating past tolerance even
-// though each individual run stayed inside it), exiting non-zero on any
-// flag; report renders the same analysis as a self-contained HTML page
-// with inline SVG sparklines (no JS, no external assets, byte-identical
-// across reruns):
+// The trend subcommand gates a whole record history (mixed v1/v2
+// records): a price series is flagged at the first record whose value
+// differs from the one before it, and a host-cost series (a /harness
+// entry) at an abrupt rise against its rolling median or a slow drift
+// (a least-squares slope accumulating past 5% even though each run
+// stayed inside it), host wall time only across records from like
+// hosts. It exits non-zero on any flag; report renders the same analysis as a
+// self-contained HTML page with inline SVG sparklines (no JS, no
+// external assets, byte-identical across reruns):
 //
 //	mcio trend baselines/history
 //	mcio report baselines/history -out report.html
@@ -271,26 +270,10 @@ func writeAllocProfile(path string) error {
 // expansion the oldest and newest records by timestamp are compared
 // (two explicit files with no timestamps — v1 — keep their given
 // order), so `mcio diff baselines/history/` composes directly with the
-// archive layout. Returns the process exit code — 0 clean, 1 when the
-// new ledger regresses beyond tolerance (with -exact, when any price
-// changed) — plus any hard error.
+// archive layout. Returns the process exit code — 0 clean, 1 when any
+// price changed — plus any hard error.
 func runDiff(args []string, out io.Writer) (int, error) {
-	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mcio diff [flags] <old.json new.json | dir | globs...>")
-		fs.PrintDefaults()
-	}
-	tol := fs.Float64("tol", obs.DefaultDiffTol, "relative bandwidth-drop tolerance (0.05 = 5%)")
-	wallTol := fs.Float64("wall-tol", 0, "relative wall-time-rise tolerance (default: same as -tol)")
-	exact := fs.Bool("exact", false, "gate prices exactly: any changed field of a priced entry, or a priced entry added or missing, is a regression; tolerances apply only to /harness entries")
-	paths, err := parseInterleaved(fs, args)
-	if err != nil {
-		return 2, err
-	}
-	if len(paths) == 0 {
-		return 2, fmt.Errorf("diff wants ledger files, directories or globs")
-	}
-	recs, err := history.LoadArgs(paths, os.Stderr)
+	recs, err := loadPaths("diff", args, "<old.json new.json | dir | globs...>")
 	if err != nil {
 		return 2, err
 	}
@@ -302,11 +285,7 @@ func runDiff(args []string, out io.Writer) (int, error) {
 		fmt.Fprintf(out, "diffing oldest vs newest of %d records: %s -> %s\n",
 			len(recs), oldest.Path, newest.Path)
 	}
-	wt := *wallTol
-	if wt == 0 {
-		wt = *tol
-	}
-	res := obs.DiffRunRecords(oldest.Rec, newest.Rec, obs.DiffOptions{BandwidthTol: *tol, WallTol: wt, Exact: *exact})
+	res := obs.DiffRunRecords(oldest.Rec, newest.Rec)
 	fmt.Fprint(out, res.Render())
 	if len(res.Regressions()) > 0 {
 		return 1, nil
@@ -315,41 +294,36 @@ func runDiff(args []string, out io.Writer) (int, error) {
 }
 
 // runTrend is the `mcio trend` subcommand: load a record history and
-// classify every tracked series as ok, step or drift. Mirrors `mcio
-// diff`'s contract — renders the verdict table and returns exit code 1
-// when anything is flagged, 0 clean, 2 on hard errors.
+// classify every tracked series. Mirrors `mcio diff`'s contract —
+// renders the verdict table and returns exit code 1 when anything is
+// flagged, 0 clean, 2 on hard errors.
 func runTrend(args []string, out io.Writer) (int, error) {
-	fs := flag.NewFlagSet("trend", flag.ContinueOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mcio trend [flags] <dir | globs | files...>")
-		fs.PrintDefaults()
-	}
-	tol := fs.Float64("tol", obs.DefaultDiffTol, "relative tolerance for both detectors (0.05 = 5%)")
-	window := fs.Int("window", 0, "rolling-median changepoint window (default 5)")
-	minRuns := fs.Int("min-runs", 0, "fewest records before the drift detector speaks (default 4)")
-	paths, err := parseInterleaved(fs, args)
+	recs, err := loadPaths("trend", args, "<dir | globs | files...>")
 	if err != nil {
 		return 2, err
 	}
-	// A drift slope needs at least two points; 0 keeps the "use the
-	// default" convention the flag documents, anything else below 2 is
-	// a usage error (exit 2), not a silent no-op gate.
-	if *minRuns != 0 && *minRuns < 2 {
-		return 2, fmt.Errorf("-min-runs %d is below 2: a drift slope needs at least two records (omit the flag for the default)", *minRuns)
-	}
-	if len(paths) == 0 {
-		return 2, fmt.Errorf("trend wants a history directory, globs or record files")
-	}
-	recs, err := history.LoadArgs(paths, os.Stderr)
-	if err != nil {
-		return 2, err
-	}
-	res := history.Trend(recs, history.Options{Tol: *tol, Window: *window, MinRuns: *minRuns})
+	res := history.Trend(recs)
 	fmt.Fprint(out, res.Render())
 	if len(res.Flagged()) > 0 {
 		return 1, nil
 	}
 	return 0, nil
+}
+
+// loadPaths parses a subcommand's command line, which takes only
+// paths, and loads the records they name; operands says what the paths
+// may be.
+func loadPaths(cmd string, args []string, operands string) ([]history.RecordFile, error) {
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.Usage = func() { fmt.Fprintf(os.Stderr, "usage: mcio %s %s\n", cmd, operands) }
+	paths, err := parseInterleaved(fs, args)
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("%s wants %s", cmd, operands)
+	}
+	return history.LoadArgs(paths, os.Stderr)
 }
 
 // runReport is the `mcio report` subcommand: render the perf history as
@@ -363,15 +337,9 @@ func runReport(args []string, out io.Writer) error {
 		fs.PrintDefaults()
 	}
 	outPath := fs.String("out", "report.html", "write the HTML report here")
-	tol := fs.Float64("tol", obs.DefaultDiffTol, "relative tolerance for both detectors (0.05 = 5%)")
-	window := fs.Int("window", 0, "rolling-median changepoint window (default 5)")
-	minRuns := fs.Int("min-runs", 0, "fewest records before the drift detector speaks (default 4)")
 	paths, err := parseInterleaved(fs, args)
 	if err != nil {
 		return err
-	}
-	if *minRuns != 0 && *minRuns < 2 {
-		return fmt.Errorf("-min-runs %d is below 2: a drift slope needs at least two records (omit the flag for the default)", *minRuns)
 	}
 	if len(paths) == 0 {
 		return fmt.Errorf("report wants a history directory, globs or record files")
@@ -380,7 +348,7 @@ func runReport(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res := history.Trend(recs, history.Options{Tol: *tol, Window: *window, MinRuns: *minRuns})
+	res := history.Trend(recs)
 	if err := writeFile(*outPath, func(f *os.File) error {
 		return history.WriteReport(f, res)
 	}); err != nil {

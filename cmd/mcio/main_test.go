@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -58,39 +59,33 @@ func TestRunDiffFlagsInjectedRegression(t *testing.T) {
 	if err := obs.SaveRunRecord(oldPath, rec); err != nil {
 		t.Fatal(err)
 	}
-	// Inject a >5% bandwidth drop into the first entry.
-	rec.Entries[0].BandwidthMBps *= 0.90
-	if err := obs.SaveRunRecord(newPath, rec); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	code, err := runDiff([]string{oldPath, newPath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 1 {
-		t.Fatalf("regressed ledger exit %d, want 1:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("diff output missing REGRESSION marker:\n%s", out.String())
-	}
-	// The same drop passes under a 15% tolerance.
-	out.Reset()
-	code, err = runDiff([]string{"-tol", "0.15", oldPath, newPath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Fatalf("10%% drop under 15%% tolerance exit %d, want 0:\n%s", code, out.String())
+	// Inject a bandwidth drop into the first entry: 10%, then 3%. Both
+	// fail the gate, which compares prices exactly.
+	base := rec.Entries[0].BandwidthMBps
+	for _, f := range []float64{0.90, 0.97} {
+		rec.Entries[0].BandwidthMBps = base * f
+		if err := obs.SaveRunRecord(newPath, rec); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		code, err := runDiff([]string{oldPath, newPath}, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 1 {
+			t.Fatalf("bandwidth ×%v: exit %d, want 1:\n%s", f, code, out.String())
+		}
+		if !strings.Contains(out.String(), "REGRESSION: changed bandwidth_mbps ") {
+			t.Errorf("bandwidth ×%v: diff output does not name the changed field:\n%s", f, out.String())
+		}
 	}
 }
 
 // TestRunDiffExactGate pins the exact price gate: four edits to the
 // committed fig6 ledger — one bandwidth up 10%, another down 3%, seven
 // more rounds on a third entry and a doubled blame term on a fourth —
-// all slip through the tolerant diff, fail the exact one, and each
-// changed field is named. A freshly priced fig6 ledger passes the exact
-// gate against the same baseline.
+// each fail the gate, and each changed field is named. A freshly priced
+// fig6 ledger passes the gate against the same baseline.
 func TestRunDiffExactGate(t *testing.T) {
 	const baseline = "../../baselines/BENCH_fig6.json"
 	dir := t.TempDir()
@@ -114,11 +109,7 @@ func TestRunDiffExactGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if code, err := runDiff([]string{baseline, perturbed}, &out); err != nil || code != 0 {
-		t.Fatalf("tolerant diff: code %d err %v, want 0 (the edits are inside its tolerance):\n%s", code, err, out.String())
-	}
-	out.Reset()
-	code, err := runDiff([]string{"-exact", baseline, perturbed}, &out)
+	code, err := runDiff([]string{baseline, perturbed}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +136,7 @@ func TestRunDiffExactGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.Reset()
-	code, err = runDiff([]string{"-exact", baseline, fresh}, &out)
+	code, err = runDiff([]string{baseline, fresh}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,25 +153,43 @@ func TestRunDiffErrors(t *testing.T) {
 	if code, err := runDiff([]string{"nope-a.json", "nope-b.json"}, &out); code != 2 || err == nil {
 		t.Fatalf("missing-file diff: code %d err %v, want 2 and error", code, err)
 	}
+	// diff and trend take paths only, and report only -out: the price
+	// gate has no tolerance to tune.
+	const ledger = "../../baselines/BENCH_fig6.json"
+	for _, f := range []string{"-tol=0.1", "-wall-tol=0.1", "-exact=true"} {
+		if code, err := runDiff([]string{f, ledger, ledger}, &out); code != 2 || err == nil {
+			t.Errorf("diff %s: code %d err %v, want 2 and an unknown-flag error", f, code, err)
+		}
+	}
+	for _, f := range []string{"-tol=0.1", "-window=3", "-min-runs=3"} {
+		if code, err := runTrend([]string{f, ledger}, &out); code != 2 || err == nil {
+			t.Errorf("trend %s: code %d err %v, want 2 and an unknown-flag error", f, code, err)
+		}
+		if err := runReport([]string{f, "-out", filepath.Join(t.TempDir(), "r.html"), ledger}, &out); err == nil {
+			t.Errorf("report %s: accepted", f)
+		}
+	}
 }
 
-// driftArchive writes a synthetic 10-record history in which every
-// entry's bandwidth decays 1% per run — each adjacent step inside the
-// 5% pairwise tolerance, the accumulated fall far beyond it.
+// driftArchive writes a synthetic 10-record history from one host in
+// which every price stays put while the harness's host wall time rises
+// 1% per run: each run within 5% of the runs before it, the accumulated
+// rise far beyond.
 func driftArchive(t *testing.T, dir string) []string {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	var paths []string
-	bw := 1000.0
+	wall := 100.0
 	for i := 0; i < 10; i++ {
 		rec := &obs.RunRecord{
 			Name:      "fig6",
 			UnixNanos: int64(i+1) * 1_000_000_000,
+			Host:      &obs.HostInfo{GoVersion: "go1.22", GOMAXPROCS: 1, NumCPU: 1},
 			Entries: []obs.RunEntry{
-				{Name: "memory-conscious/write/mem=16", BandwidthMBps: bw, WallSeconds: 1e6 / bw},
-				{Name: "control/steady", BandwidthMBps: 500, WallSeconds: 2},
+				{Name: "memory-conscious/write/mem=16", BandwidthMBps: 1000, WallSeconds: 1},
+				{Name: "fig6" + obs.HarnessSuffix, Metrics: map[string]float64{"host_wall_seconds": wall}},
 			},
 		}
 		p := filepath.Join(dir, fmt.Sprintf("%05d-test-fig6.json", i+1))
@@ -188,16 +197,16 @@ func driftArchive(t *testing.T, dir string) []string {
 			t.Fatal(err)
 		}
 		paths = append(paths, p)
-		bw *= 0.99
+		wall *= 1.01
 	}
 	return paths
 }
 
-// TestTrendCatchesDriftPairwiseDiffMisses is the tentpole acceptance
-// demo at the CLI level: on a 10-record series with an injected
-// 1%-per-run bandwidth drift, `mcio diff` between every adjacent pair
-// exits zero at the default tolerance, while `mcio trend` over the same
-// directory exits non-zero and names the drifting entries.
+// TestTrendCatchesDriftPairwiseDiffMisses is the drift demo at the CLI
+// level: on a 10-record series whose host wall time rises 1% per run on
+// one host, `mcio diff` between every adjacent pair exits zero (host
+// cost never gates the diff), while `mcio trend` over the same
+// directory exits non-zero and names the drifting series.
 func TestTrendCatchesDriftPairwiseDiffMisses(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "history")
 	paths := driftArchive(t, dir)
@@ -209,7 +218,7 @@ func TestTrendCatchesDriftPairwiseDiffMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 		if code != 0 {
-			t.Fatalf("adjacent diff %d exited %d; the 1%% step must pass the 5%% pairwise gate:\n%s",
+			t.Fatalf("adjacent diff %d exited %d; host cost must not gate the diff:\n%s",
 				i, code, out.String())
 		}
 	}
@@ -222,17 +231,12 @@ func TestTrendCatchesDriftPairwiseDiffMisses(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("trend over drifting history exited %d, want 1:\n%s", code, out.String())
 	}
-	for _, must := range []string{"DRIFT", "memory-conscious/write/mem=16"} {
-		if !strings.Contains(out.String(), must) {
-			t.Errorf("trend output does not name the drift (%q missing):\n%s", must, out.String())
-		}
-	}
-	if strings.Contains(out.String(), "control/steady      ") && strings.Contains(out.String(), "DRIFT: control") {
-		t.Errorf("steady control entry flagged:\n%s", out.String())
+	if !strings.Contains(out.String(), "fig6/harness                 host_wall_seconds     10 ") ||
+		!strings.Contains(out.String(), "1 series flagged (0 changed, 0 step, 1 drift)") {
+		t.Errorf("trend output does not name the drift alone:\n%s", out.String())
 	}
 
-	// The clean prefix of the same history (first 4 records, 3% total
-	// drift) stays under tolerance: exit 0.
+	// The first 4 records (3% total drift) stay under tolerance: exit 0.
 	out.Reset()
 	code, err = runTrend(paths[:4], &out)
 	if err != nil {
@@ -240,6 +244,75 @@ func TestTrendCatchesDriftPairwiseDiffMisses(t *testing.T) {
 	}
 	if code != 0 {
 		t.Fatalf("trend over the sub-tolerance prefix exited %d, want 0:\n%s", code, out.String())
+	}
+}
+
+// TestTrendFlagsPerturbedCommittedPrice: the committed history plus its
+// own fig6 record passes trend and diff; with one bandwidth of that
+// record 3% lower, both exit 1 and name the entry and the field.
+func TestTrendFlagsPerturbedCommittedPrice(t *testing.T) {
+	const entry = "memory-conscious/write/mem=16"
+	committed, err := filepath.Glob("../../baselines/history/*.json")
+	if err != nil || len(committed) == 0 {
+		t.Fatalf("committed history: %v, %v", committed, err)
+	}
+	for _, perturb := range []bool{false, true} {
+		dir := t.TempDir()
+		var newest int64
+		for _, p := range committed {
+			rec, err := obs.LoadRunRecord(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newest = max(newest, rec.UnixNanos)
+			if err := obs.SaveRunRecord(filepath.Join(dir, filepath.Base(p)), rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec, err := obs.LoadRunRecord("../../baselines/history/00001-baseline-fig6.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.UnixNanos = newest + 1
+		found := false
+		for i := range rec.Entries {
+			if e := &rec.Entries[i]; e.Name == entry && perturb {
+				e.BandwidthMBps *= 0.97
+				found = true
+			}
+		}
+		if perturb && !found {
+			t.Fatalf("the committed fig6 record has no %s entry", entry)
+		}
+		if err := obs.SaveRunRecord(filepath.Join(dir, "99999-test-fig6.json"), rec); err != nil {
+			t.Fatal(err)
+		}
+
+		want := 0
+		if perturb {
+			want = 1
+		}
+		for name, run := range map[string]func([]string, io.Writer) (int, error){"trend": runTrend, "diff": runDiff} {
+			var out bytes.Buffer
+			code, err := run([]string{dir}, &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != want {
+				t.Fatalf("perturbed=%v: %s exited %d, want %d:\n%s", perturb, name, code, want, out.String())
+			}
+			if !perturb {
+				continue
+			}
+			named := false
+			for _, line := range strings.Split(out.String(), "\n") {
+				named = named || strings.HasPrefix(line, entry+" ") && strings.Contains(line, "bandwidth_mbps") &&
+					(strings.Contains(line, "CHANGED: ") || strings.Contains(line, "REGRESSION: changed "))
+			}
+			if !named {
+				t.Errorf("%s does not name %s bandwidth_mbps:\n%s", name, entry, out.String())
+			}
+		}
 	}
 }
 
@@ -255,7 +328,7 @@ func TestRunDiffDirectoryNewestVsOldest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mk("b-newest.json", 300, 2000) // newest: bandwidth doubled — an improvement
+	mk("b-newest.json", 300, 1000) // newest: the oldest's price
 	mk("a-middle.json", 200, 500)  // a middle dip that must not be compared
 	mk("c-oldest.json", 100, 1000)
 	var out bytes.Buffer
@@ -264,7 +337,7 @@ func TestRunDiffDirectoryNewestVsOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if code != 0 {
-		t.Fatalf("oldest->newest is an improvement, exit %d want 0:\n%s", code, out.String())
+		t.Fatalf("oldest and newest price alike, exit %d want 0:\n%s", code, out.String())
 	}
 	if !strings.Contains(out.String(), "c-oldest.json -> ") || !strings.Contains(out.String(), "b-newest.json") {
 		t.Errorf("diff did not pick oldest vs newest by timestamp:\n%s", out.String())
@@ -318,10 +391,10 @@ func TestRunBenchRefusesOverwriteWithoutForce(t *testing.T) {
 }
 
 // TestBenchArchiveChaosFlowsThroughTrendAndReport covers the archive
-// satellite and the chaos acceptance criterion end to end: two chaos
-// bench runs archived under sequenced names load back, pass the trend
-// gate (identical seeds — steady metrics), and render to a
-// byte-identical report across reruns.
+// and the chaos ledger end to end: two chaos bench runs archived under
+// sequenced names load back, pass the trend gate (identical seeds —
+// identical counts), and render to a byte-identical report across
+// reruns.
 func TestBenchArchiveChaosFlowsThroughTrendAndReport(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "history")
 	var out bytes.Buffer

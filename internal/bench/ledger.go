@@ -179,15 +179,15 @@ func StampedLedger(name string, scale int64, seed uint64) (*obs.RunRecord, error
 		PeakHeapBytes:   after.HeapSys,
 	}
 	// fig-exa exists to prove pricing at scale is affordable, so its
-	// ledger (like every HostCost record's) also carries the host-side cost of producing it as a
-	// metrics-only entry: the trend gate checks those series over
-	// history, turning a slowdown (against like hosts) or an allocation
-	// regression into a flagged series.
-	// (Metrics do not feed the step-regression diff, so cross-machine
-	// wall-clock noise cannot fail the baseline gate.)
+	// ledger (like every HostCost record's) also carries the host-side
+	// cost of producing it as a metrics-only /harness entry: the trend
+	// gate checks those series over history, turning a slowdown (against
+	// like hosts) or an allocation rise into a flagged series. The diff
+	// never gates /harness entries, so cross-machine wall-clock noise
+	// cannot fail the baseline gate.
 	if e.HostCost {
 		rec.Entries = append(rec.Entries, obs.RunEntry{
-			Name: name + "/harness",
+			Name: name + obs.HarnessSuffix,
 			Metrics: map[string]float64{
 				"host_wall_seconds": rec.Telemetry.HostWallSeconds,
 				"total_alloc_bytes": float64(rec.Telemetry.TotalAllocBytes),
@@ -200,9 +200,9 @@ func StampedLedger(name string, scale int64, seed uint64) (*obs.RunRecord, error
 // chaosEntries converts a chaos-campaign report into metrics-only
 // ledger entries — detection counts, repair byte totals and the
 // degradation-ladder rung counts — so resilience behaviour sits under
-// the same trend-over-history gate as the bandwidth sweeps. The trend
-// analyzer treats metrics-only entries as "steady": any sustained move
-// in either direction is a behavioural shift worth flagging.
+// the same trend-over-history gate as the bandwidth sweeps. They are
+// deterministic, so the trend flags any change in them, in either
+// direction, like a price.
 func chaosEntries(rep *ChaosReport) []obs.RunEntry {
 	return []obs.RunEntry{
 		{Name: "chaos/detection", Metrics: map[string]float64{
@@ -230,7 +230,7 @@ func chaosEntries(rep *ChaosReport) []obs.RunEntry {
 // grayEntries converts a gray-campaign report into metrics-only ledger
 // entries — adaptive-policy activity, hedging totals, detection counts
 // and the pinned duel's wall times — so gray-failure behaviour is
-// drift-checked over history like the bandwidth sweeps.
+// checked exactly over history like the bandwidth sweeps.
 func grayEntries(rep *GrayReport) []obs.RunEntry {
 	return []obs.RunEntry{
 		{Name: "gray/adaptive", Metrics: map[string]float64{

@@ -121,7 +121,7 @@ func TestLedgerChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := obs.DiffRunRecords(rec, again, obs.DiffOptions{})
+	res := obs.DiffRunRecords(rec, again)
 	if n := len(res.Regressions()); n != 0 {
 		t.Fatalf("chaos ledger not deterministic: %d regressions", n)
 	}
@@ -159,7 +159,7 @@ func TestLedgerDeterministicAndDiffClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := obs.DiffRunRecords(a, b, obs.DiffOptions{})
+	res := obs.DiffRunRecords(a, b)
 	if n := len(res.Regressions()); n != 0 {
 		t.Fatalf("identical runs diff dirty: %d regressions\n%s", n, res.Render())
 	}

@@ -11,7 +11,7 @@ func AllHot(env FaultEnv) FaultEnv {
 	return env
 }
 
-// RankContrib is one rank's contribution to a work item.
+// RankContrib is one request's contribution to a work item.
 type RankContrib = faultContrib
 
 // WalkContribs is the per-rank walk every faulted, all-hot and observed
@@ -33,11 +33,10 @@ func WalkContribs(ctx *Context, plan *Plan, rs *RequestSet) [][]RankContrib {
 		if len(rs.List(i)) == 0 {
 			continue
 		}
-		rank := rs.Rank(i)
-		node := ctx.Topo.NodeOf(rank)
+		node := ctx.Topo.NodeOf(rs.Rank(i))
 		overlaps = index.RequestOverlapAppend(overlaps[:0], rs, i)
 		for _, bb := range overlaps {
-			contribs[bb.Bucket] = append(contribs[bb.Bucket], RankContrib{Rank: rank, Node: node, Bytes: bb.Bytes})
+			contribs[bb.Bucket] = append(contribs[bb.Bucket], RankContrib{Req: i, Node: node, Bytes: bb.Bytes})
 		}
 	}
 	return contribs

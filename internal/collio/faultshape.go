@@ -9,10 +9,11 @@ import (
 	"mcio/internal/pfs"
 )
 
-// faultContrib is one rank's contribution to a work item: the per-rank
-// granularity the hot branch walks and recovery folds.
+// faultContrib is one request's contribution to a work item: the
+// per-rank granularity the hot branch walks and recovery folds. Req is
+// the request's index in the run's RequestSet.
 type faultContrib struct {
-	Rank  int
+	Req   int
 	Node  int
 	Bytes int64
 }
@@ -92,21 +93,16 @@ func (src *rankSource) derive(base []pfs.Extent, aggs []NodeContrib) []faultCont
 			for k := lo; k < hi; k++ {
 				q := rs.byRankAt(k)
 				if b := overlapBytes(rs.List(q), base); b > 0 {
-					// Rank holds the request index until the list is in
-					// request order.
-					cs = append(cs, faultContrib{Rank: q, Node: node, Bytes: b})
+					cs = append(cs, faultContrib{Req: q, Node: node, Bytes: b})
 				}
 			}
 		}
 	}
 	// Nodes ascending, then ranks ascending, is request order already
 	// for block placement with requests in rank order.
-	byRequest := func(a, b faultContrib) int { return cmp.Compare(a.Rank, b.Rank) }
+	byRequest := func(a, b faultContrib) int { return cmp.Compare(a.Req, b.Req) }
 	if !slices.IsSortedFunc(cs, byRequest) {
 		slices.SortFunc(cs, byRequest)
-	}
-	for i := range cs {
-		cs[i].Rank = rs.Rank(cs[i].Rank)
 	}
 	derivedLists.Add(1)
 	return cs
@@ -178,7 +174,7 @@ func (it *faultItem) remaining() ([]pfs.Extent, []faultContrib) {
 	for _, c := range it.rankContribs() {
 		moved := int64(it.Done)*(c.Bytes/int64(it.Rounds)) + min(int64(it.Done), c.Bytes%int64(it.Rounds))
 		if left := c.Bytes - moved; left > 0 {
-			cs = append(cs, faultContrib{Rank: c.Rank, Node: c.Node, Bytes: left})
+			cs = append(cs, faultContrib{Req: c.Req, Node: c.Node, Bytes: left})
 		}
 	}
 	return pfs.NormalizeExtents(rem), cs

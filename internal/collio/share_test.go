@@ -56,7 +56,7 @@ func randomItem(r *stats.RNG) *faultItem {
 		default:
 			b = 1 + r.Int63n(5000)
 		}
-		cs = append(cs, faultContrib{Rank: rank, Node: r.Intn(nodes), Bytes: b})
+		cs = append(cs, faultContrib{Req: rank, Node: r.Intn(nodes), Bytes: b})
 		total += b
 	}
 	buf := 1 + r.Int63n(total)
@@ -122,14 +122,15 @@ func TestShareCursorsLeaveShapeUnchanged(t *testing.T) {
 	sh := &Shape{Contribs: [][]NodeContrib{aggs}}
 	before := cloneShape(sh)
 	plan := &Plan{Domains: []Domain{{Extents: src.Base, Bytes: src.Bytes, BufferBytes: src.Buf}}}
-	// Rank c.Rank requests the next c.Bytes bytes of the item's one
-	// extent on node c.Node, so its overlap with the item is c.Bytes.
+	// Request c.Req, from rank c.Req, asks for the next c.Bytes bytes of
+	// the item's one extent on node c.Node, so its overlap with the item
+	// is c.Bytes.
 	nodeOf := make([]int, len(src.contribs))
 	reqs := make([]RankRequest, len(src.contribs))
 	var off int64
 	for i, c := range src.contribs {
 		nodeOf[i] = c.Node
-		reqs[i] = RankRequest{Rank: c.Rank, Extents: []pfs.Extent{{Offset: off, Length: c.Bytes}}}
+		reqs[i] = RankRequest{Rank: c.Req, Extents: []pfs.Extent{{Offset: off, Length: c.Bytes}}}
 		off += c.Bytes
 	}
 	topo, err := mpi.ExplicitTopology(nodeOf)

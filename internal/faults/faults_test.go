@@ -209,7 +209,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 }
 
 // TestPendingQueriesAreStateless pins the contract the analytical fast
-// path leans on: PendingDrops, PendingFlips and NICDropActive report
+// path leans on: pendingDrops, pendingFlips and nicDropActive report
 // whether the matching Take query would be stateful, without consuming
 // or mutating anything themselves — so a healthy node's messages can be
 // bundled without ever touching the injector.
@@ -225,49 +225,49 @@ func TestPendingQueriesAreStateless(t *testing.T) {
 	}
 	in := NewInjector(plan)
 
-	if in.PendingDrops(1) != 0 || in.PendingFlips(2) != 0 || in.NICDropActive(3, 0.5) {
+	if in.pendingDrops(1) != 0 || in.pendingFlips(2) != 0 || in.nicDropActive(3, 0.5) {
 		t.Fatal("pending state before any event was applied")
 	}
 	in.Advance(1.5)
-	if got := in.PendingDrops(1); got != 2 {
-		t.Fatalf("PendingDrops = %d, want 2", got)
+	if got := in.pendingDrops(1); got != 2 {
+		t.Fatalf("pendingDrops = %d, want 2", got)
 	}
 	// Queries are pure: asking repeatedly must not consume.
-	if in.PendingDrops(1) != 2 || in.PendingFlips(2) != 1 {
+	if in.pendingDrops(1) != 2 || in.pendingFlips(2) != 1 {
 		t.Fatal("pending queries consumed state")
 	}
 	if !in.TakeDrop(1) {
 		t.Fatal("TakeDrop with pending drops returned false")
 	}
-	if got := in.PendingDrops(1); got != 1 {
-		t.Fatalf("after one TakeDrop, PendingDrops = %d, want 1", got)
+	if got := in.pendingDrops(1); got != 1 {
+		t.Fatalf("after one TakeDrop, pendingDrops = %d, want 1", got)
 	}
-	if !in.TakeMsgFlip(2) || in.PendingFlips(2) != 0 {
+	if !in.TakeMsgFlip(2) || in.pendingFlips(2) != 0 {
 		t.Fatal("TakeMsgFlip did not consume exactly one pending flip")
 	}
 	// Other nodes stay clean throughout.
-	if in.PendingDrops(2) != 0 || in.PendingFlips(1) != 0 {
+	if in.pendingDrops(2) != 0 || in.pendingFlips(1) != 0 {
 		t.Fatal("pending state leaked across nodes")
 	}
 
-	// NICDropActive brackets the flaky window: false before, true inside
+	// nicDropActive brackets the flaky window: false before, true inside
 	// (with a positive drop cadence), false after — and checking it never
 	// advances the in-window message counter, so the first in-window
 	// TakeNICDrop sequence is unperturbed.
 	in.Advance(2.5)
-	if in.NICDropActive(3, 1.9) {
+	if in.nicDropActive(3, 1.9) {
 		t.Fatal("active before window start")
 	}
 	for i := 0; i < 10; i++ {
-		if !in.NICDropActive(3, 2.5) {
+		if !in.nicDropActive(3, 2.5) {
 			t.Fatal("inactive inside window")
 		}
 	}
-	if in.NICDropActive(3, 3.1) {
+	if in.nicDropActive(3, 3.1) {
 		t.Fatal("active after window end")
 	}
 	// DropEvery = 2: first in-window message passes, second drops — the
-	// ten NICDropActive probes above must not have shifted the phase.
+	// ten nicDropActive probes above must not have shifted the phase.
 	if in.TakeNICDrop(3, 2.5) {
 		t.Fatal("first in-window message dropped; cadence phase was perturbed")
 	}
@@ -280,7 +280,7 @@ func TestPendingQueriesAreStateless(t *testing.T) {
 		{Kind: NICFlaky, Time: 0, Node: 0, Target: -1, Duration: 1, Severity: 0.01},
 	}})
 	delayOnly.Advance(0.5)
-	if delayOnly.NICDropActive(0, 0.5) {
+	if delayOnly.nicDropActive(0, 0.5) {
 		t.Fatal("delay-only flaky window reported drop-stateful")
 	}
 }

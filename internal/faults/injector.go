@@ -303,32 +303,32 @@ func (in *Injector) TakeMsgFlip(node int) bool {
 	return true
 }
 
-// PendingDrops returns how many unconsumed MsgDrop events node carries.
+// pendingDrops returns how many unconsumed MsgDrop events node carries.
 // While it is zero, TakeDrop on the node is a no-op returning false, so
 // the pricing loop can bundle the messages of nodes with no pending
 // drops without changing any state or result.
-func (in *Injector) PendingDrops(node int) int {
+func (in *Injector) pendingDrops(node int) int {
 	if ns := in.node(node); ns != nil {
 		return ns.dropPending
 	}
 	return 0
 }
 
-// PendingFlips is PendingDrops's counterpart for MsgBitFlip events:
+// pendingFlips is pendingDrops's counterpart for MsgBitFlip events:
 // while zero, TakeMsgFlip on the node is a pure no-op.
-func (in *Injector) PendingFlips(node int) int {
+func (in *Injector) pendingFlips(node int) int {
 	if ns := in.node(node); ns != nil {
 		return ns.flipPending
 	}
 	return 0
 }
 
-// NICDropActive reports whether TakeNICDrop on node at time now is
+// nicDropActive reports whether TakeNICDrop on node at time now is
 // stateful: inside a flaky-NIC window with a positive drop cadence,
 // every query advances the node's in-window message counter. Outside
 // such a window (or with cadence 0) TakeNICDrop is a pure no-op, which
 // is what lets the pricing loop bundle healthy nodes' messages.
-func (in *Injector) NICDropActive(node int, now float64) bool {
+func (in *Injector) nicDropActive(node int, now float64) bool {
 	ns := in.node(node)
 	return ns != nil && now < ns.nicEnd && now >= ns.nicStart && ns.nicEvery > 0
 }
@@ -341,7 +341,7 @@ func (in *Injector) NICDropActive(node int, now float64) bool {
 // the pricing loop bundles the node's messages.
 func (in *Injector) MessageHot(node int, now float64) bool {
 	return in.MsgDelaySeconds(node, now)+in.NICDelaySeconds(node, now) > 0 ||
-		in.PendingDrops(node) > 0 || in.PendingFlips(node) > 0 || in.NICDropActive(node, now)
+		in.pendingDrops(node) > 0 || in.pendingFlips(node) > 0 || in.nicDropActive(node, now)
 }
 
 // MessageFaulted reports whether the schedule holds a message fault —
@@ -486,7 +486,7 @@ func (in *Injector) NICDelaySeconds(node int, now float64) float64 {
 // TakeDrop there is no fixed per-event budget — the burst lasts as long
 // as the window does.
 func (in *Injector) TakeNICDrop(node int, now float64) bool {
-	if !in.NICDropActive(node, now) {
+	if !in.nicDropActive(node, now) {
 		return false
 	}
 	ns := &in.nodes[node]

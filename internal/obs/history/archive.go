@@ -1,7 +1,8 @@
 // Package history is the perf-history subsystem: an append-only
 // archive of run-ledger records (one obs.RunRecord per benchmark run),
-// a trend analyzer that detects step changes and slow drift across a
-// record series, and a deterministic self-contained HTML/SVG report.
+// a trend analyzer that flags any change in a price and a step or slow
+// drift in host cost across a record series, and a deterministic
+// self-contained HTML/SVG report.
 //
 // The archive layout is one JSON file per run under a directory
 // (conventionally baselines/history/), named

@@ -11,10 +11,10 @@ import (
 
 // WriteReport renders the perf history as a fully self-contained HTML
 // page: no JavaScript, no external assets, every plot an inline SVG
-// sparkline. The output is a pure function of the loaded records and
-// options — byte-identical across reruns — so it can be diffed,
-// archived next to the ledgers it describes, and attached as a CI
-// artifact without a rendering service.
+// sparkline. The output is a pure function of the loaded records —
+// byte-identical across reruns — so it can be diffed, archived next to
+// the ledgers it describes, and attached as a CI artifact without a
+// rendering service.
 func WriteReport(w io.Writer, t *TrendResult) error {
 	b := &strings.Builder{}
 	writeHead(b)
@@ -83,7 +83,7 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
          border: 1.5px solid; }
 .badge-ok { border-color: var(--status-good); }
 .badge-drift { border-color: var(--status-serious); }
-.badge-step { border-color: var(--status-critical); }
+.badge-step, .badge-changed { border-color: var(--status-critical); }
 .spark line.base { stroke: var(--surface-2); stroke-width: 1; }
 .spark polyline { fill: none; stroke: var(--series-1); stroke-width: 2;
                   stroke-linejoin: round; stroke-linecap: round; }
@@ -97,9 +97,8 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
 func writeSummary(b *strings.Builder, t *TrendResult) {
 	flagged := t.Flagged()
 	b.WriteString("<h1>mcio perf history</h1>\n")
-	fmt.Fprintf(b, "<p class=\"sub\">%d records &middot; %d series &middot; %d flagged (tol %.1f%%, window %d, min-runs %d)</p>\n",
-		len(t.Records), len(t.Verdicts), len(flagged),
-		t.Opt.tol()*100, t.Opt.window(), t.Opt.minRuns())
+	fmt.Fprintf(b, "<p class=\"sub\">%d records &middot; %d series &middot; %d flagged (%s)</p>\n",
+		len(t.Records), len(t.Verdicts), len(flagged), settings())
 }
 
 func writeRecordTable(b *strings.Builder, recs []RecordFile) {
@@ -139,9 +138,8 @@ func writeSeriesSections(b *strings.Builder, t *TrendResult) {
 			lastEntry = v.Series.Entry
 			fmt.Fprintf(b, "<section>\n<h3>%s</h3>\n", html.EscapeString(v.Series.Entry))
 		}
-		badge := map[string]string{"ok": "ok", "step": "step", "drift": "drift"}[v.Kind]
 		fmt.Fprintf(b, "<div class=\"series\"><span class=\"badge badge-%s\">%s</span><span class=\"metric\">%s</span>",
-			badge, strings.ToUpper(badge), html.EscapeString(v.Series.Metric))
+			v.Kind, strings.ToUpper(v.Kind), html.EscapeString(v.Series.Metric))
 		writeSparkline(b, v.Series)
 		fmt.Fprintf(b, "<span class=\"vals\">%s &rarr; %s", fmtVal(v.First), fmtVal(v.Last))
 		if v.TotalRel != 0 {
@@ -225,17 +223,10 @@ func writeVerdictTable(b *strings.Builder, t *TrendResult) {
 	b.WriteString("<h2>Verdicts</h2>\n<table>\n<tr><th>entry</th><th>metric</th><th class=\"num\">runs</th><th class=\"num\">first</th><th class=\"num\">last</th><th class=\"num\">slope/run</th><th class=\"num\">total</th><th>status</th></tr>\n")
 	for i := range t.Verdicts {
 		v := &t.Verdicts[i]
-		status := "ok"
-		switch v.Kind {
-		case "step":
-			status = "STEP: " + v.Why
-		case "drift":
-			status = "DRIFT: " + v.Why
-		}
 		fmt.Fprintf(b, "<tr><td>%s</td><td>%s</td><td class=\"num\">%d</td><td class=\"num\">%s</td><td class=\"num\">%s</td><td class=\"num\">%s</td><td class=\"num\">%s</td><td>%s</td></tr>\n",
 			html.EscapeString(v.Series.Entry), html.EscapeString(v.Series.Metric),
 			len(v.Series.Points), fmtVal(v.First), fmtVal(v.Last),
-			fmtPct(v.SlopePerRun), fmtPct(v.TotalRel), html.EscapeString(status))
+			fmtPct(v.SlopePerRun), fmtPct(v.TotalRel), html.EscapeString(v.status()))
 	}
 	b.WriteString("</table>\n")
 }

@@ -17,7 +17,7 @@ func reportHistory() *TrendResult {
 	}
 	recs = append(recs, RecordFile{Path: "chaos.json", Rec: rec("chaos", 7777,
 		obs.RunEntry{Name: "chaos/detection", Metrics: map[string]float64{"detected": 301, "repair_bytes": 1024}})})
-	return Trend(recs, Options{})
+	return Trend(recs)
 }
 
 // TestReportDeterministic is the acceptance check: the HTML report is
@@ -62,7 +62,7 @@ func TestReportSelfContainedHTML(t *testing.T) {
 	}
 	for _, must := range []string{
 		"<!DOCTYPE html>", "<svg", "polyline", "DRIFT",
-		"mc/write/mem=16",                 // the drifting entry is named
+		"fig6/harness",                    // the drifting entry is named
 		"chaos/detection", "repair_bytes", // chaos records flow through
 		"abc123def456", "go1.22", // provenance surfaces
 		"prefers-color-scheme: dark", // dark mode is selected, not flipped
@@ -84,7 +84,7 @@ func TestReportEscapesEntryNames(t *testing.T) {
 		{Path: "b", Rec: rec("fig6", 2, bwEntry(`x<b>&"inject"`, 1001))},
 	}
 	var b bytes.Buffer
-	if err := WriteReport(&b, Trend(recs, Options{})); err != nil {
+	if err := WriteReport(&b, Trend(recs)); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(b.String(), "x<b>") {
@@ -96,7 +96,7 @@ func TestReportEscapesEntryNames(t *testing.T) {
 }
 
 func TestSparklineGeometryStaysInViewport(t *testing.T) {
-	s := &Series{Entry: "e", Metric: "bandwidth_mbps", Better: HigherBetter}
+	s := &Series{Entry: "e", Metric: "bandwidth_mbps"}
 	for i := 0; i < 12; i++ {
 		s.Points = append(s.Points, Point{RecordIndex: i, Value: 100 + float64(i%5)*30})
 	}

@@ -3,35 +3,24 @@ package history
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mcio/internal/obs"
 )
 
-// Direction says which way a metric is allowed to move.
-type Direction int
-
+// The host-cost detectors' settings. hostTol is the relative rise both
+// detectors tolerate: a step is a single run above the rolling median
+// of up to hostWindow preceding runs by more than hostTol, a drift a
+// fitted rise across the series beyond it, judged once a series holds
+// hostMinRuns points.
 const (
-	// HigherBetter metrics (bandwidth) regress by falling.
-	HigherBetter Direction = iota
-	// LowerBetter metrics (wall seconds) regress by rising.
-	LowerBetter
-	// Steady metrics (chaos detection counts, repair bytes, degradation
-	// rungs) regress by moving at all: any sustained change either way
-	// is a behavioural shift worth failing on.
-	Steady
+	hostTol     = 0.05
+	hostWindow  = 5
+	hostMinRuns = 4
 )
-
-// metricDirection classifies one key of a metrics-only entry. The
-// harness's host-cost metrics regress by rising; every other key is a
-// steady behavioural count.
-func metricDirection(key string) Direction {
-	if key == "host_wall_seconds" || key == "total_alloc_bytes" {
-		return LowerBetter
-	}
-	return Steady
-}
 
 // hostKey is the part of a record's host stamp that host wall time
 // depends on; records without a stamp share the zero key.
@@ -47,55 +36,6 @@ func hostOf(r *obs.RunRecord) hostKey {
 	return hostKey{r.Host.GoVersion, r.Host.GOMAXPROCS, r.Host.NumCPU}
 }
 
-func (d Direction) String() string {
-	switch d {
-	case HigherBetter:
-		return "higher-better"
-	case LowerBetter:
-		return "lower-better"
-	default:
-		return "steady"
-	}
-}
-
-// Options tunes the trend detector. Zero values mean defaults.
-type Options struct {
-	// Tol is the relative tolerance shared by both detectors: a step is
-	// a single-run deviation from the rolling median beyond Tol, a
-	// drift is a fitted total change across the series beyond Tol.
-	// Default obs.DefaultDiffTol (5%) — the same tolerance at which
-	// pairwise `mcio diff` runs, which is the point: N sub-tolerance
-	// steps that accumulate past Tol are exactly what diff cannot see.
-	Tol float64
-	// Window is the rolling-median changepoint window. Default 5.
-	Window int
-	// MinRuns is the fewest points a series needs before the drift
-	// (slope) detector speaks; below it only steps are detectable.
-	// Default 4.
-	MinRuns int
-}
-
-func (o Options) tol() float64 {
-	if o.Tol > 0 {
-		return o.Tol
-	}
-	return obs.DefaultDiffTol
-}
-
-func (o Options) window() int {
-	if o.Window > 0 {
-		return o.Window
-	}
-	return 5
-}
-
-func (o Options) minRuns() int {
-	if o.MinRuns > 0 {
-		return o.MinRuns
-	}
-	return 4
-}
-
 // Point is one observation in a metric series.
 type Point struct {
 	RecordIndex int // index into the loaded record series (oldest = 0)
@@ -107,9 +47,12 @@ type Point struct {
 type Series struct {
 	Entry  string // entry name, e.g. "two-phase/write/mem=16"
 	Metric string // "bandwidth_mbps", "wall_seconds", or a Metrics key
-	Better Direction
 	Points []Point
 }
+
+// hostCost reports whether the series is a host cost (a /harness
+// entry's metric) rather than a price.
+func (s *Series) hostCost() bool { return strings.HasSuffix(s.Entry, obs.HarnessSuffix) }
 
 // Values returns just the observation values, oldest first.
 func (s *Series) Values() []float64 {
@@ -120,18 +63,20 @@ func (s *Series) Values() []float64 {
 	return vs
 }
 
-// Verdict classifies one series: ok, step (an abrupt changepoint
-// against the rolling median) or drift (a slow fitted slope whose
-// accumulated change crosses tolerance even though every single run
-// stayed inside it).
+// Verdict classifies one series. A price is ok or changed: prices are
+// deterministic, so any difference between two consecutive records
+// carrying the entry is a change. A host cost is ok, a step (an abrupt
+// rise against the rolling median) or a drift (a slow fitted rise
+// whose accumulated change crosses the tolerance even though every
+// single run stayed inside it).
 type Verdict struct {
 	Series      *Series
-	Kind        string  // "ok", "step", "drift"
+	Kind        string  // "ok", "changed", "step", "drift"
 	First, Last float64 // first and last observed values
-	SlopePerRun float64 // fitted relative change per run
-	TotalRel    float64 // fitted relative change across the whole series
-	StepAt      int     // record index of the first bad step, -1 if none
-	StepRel     float64 // relative deviation from the rolling median at StepAt
+	SlopePerRun float64 // host cost: fitted relative change per run
+	TotalRel    float64 // host cost: fitted relative change across the whole series
+	StepAt      int     // record index of the change or first bad step, -1 if none
+	StepRel     float64 // host cost: relative deviation from the rolling median at StepAt
 	Why         string  // human explanation when Kind != "ok"
 }
 
@@ -142,10 +87,9 @@ func (v *Verdict) Flagged() bool { return v.Kind != "ok" }
 type TrendResult struct {
 	Records  []RecordFile
 	Verdicts []Verdict // sorted by entry name, then metric name
-	Opt      Options
 }
 
-// Flagged returns the verdicts that should fail a gate (step or drift).
+// Flagged returns the verdicts that should fail a gate.
 func (t *TrendResult) Flagged() []Verdict {
 	var out []Verdict
 	for _, v := range t.Verdicts {
@@ -165,15 +109,15 @@ func (t *TrendResult) Flagged() []Verdict {
 // host_wall_seconds series keeps just the records whose host
 // fingerprint (Go version, GOMAXPROCS, CPU count) matches that of the
 // newest record carrying the entry.
-func Trend(recs []RecordFile, opt Options) *TrendResult {
+func Trend(recs []RecordFile) *TrendResult {
 	type key struct{ entry, metric string }
 	series := map[key]*Series{}
 	var order []key
-	add := func(entry, metric string, better Direction, ri int, val float64) {
+	add := func(entry, metric string, ri int, val float64) {
 		k := key{entry, metric}
 		s, ok := series[k]
 		if !ok {
-			s = &Series{Entry: entry, Metric: metric, Better: better}
+			s = &Series{Entry: entry, Metric: metric}
 			series[k] = s
 			order = append(order, k)
 		}
@@ -189,11 +133,11 @@ func Trend(recs []RecordFile, opt Options) *TrendResult {
 		for _, e := range rf.Rec.Entries {
 			tracked := false
 			if e.BandwidthMBps > 0 {
-				add(e.Name, "bandwidth_mbps", HigherBetter, ri, e.BandwidthMBps)
+				add(e.Name, "bandwidth_mbps", ri, e.BandwidthMBps)
 				tracked = true
 			}
 			if e.WallSeconds > 0 {
-				add(e.Name, "wall_seconds", LowerBetter, ri, e.WallSeconds)
+				add(e.Name, "wall_seconds", ri, e.WallSeconds)
 				tracked = true
 			}
 			if !tracked {
@@ -208,7 +152,7 @@ func Trend(recs []RecordFile, opt Options) *TrendResult {
 					if k == "host_wall_seconds" && hostOf(rf.Rec) != newestHost[e.Name] {
 						continue
 					}
-					add(e.Name, k, metricDirection(k), ri, e.Metrics[k])
+					add(e.Name, k, ri, e.Metrics[k])
 				}
 			}
 		}
@@ -219,16 +163,18 @@ func Trend(recs []RecordFile, opt Options) *TrendResult {
 		}
 		return order[i].metric < order[j].metric
 	})
-	res := &TrendResult{Records: recs, Opt: opt}
+	res := &TrendResult{Records: recs}
 	for _, k := range order {
-		res.Verdicts = append(res.Verdicts, classify(series[k], opt))
+		res.Verdicts = append(res.Verdicts, classify(series[k], recs))
 	}
 	return res
 }
 
-// classify runs both detectors over one series. Step takes precedence
-// over drift: an abrupt changepoint explains any fitted slope.
-func classify(s *Series, opt Options) Verdict {
+// classify judges one series: a price by exact comparison of each
+// point with the one before it, a host cost by both detectors. Step
+// takes precedence over drift: an abrupt changepoint explains any
+// fitted slope.
+func classify(s *Series, recs []RecordFile) Verdict {
 	v := Verdict{Series: s, Kind: "ok", StepAt: -1}
 	n := len(s.Points)
 	if n > 0 {
@@ -237,32 +183,32 @@ func classify(s *Series, opt Options) Verdict {
 	if n < 2 {
 		return v
 	}
-	vals := s.Values()
-	tol := opt.tol()
-
-	// Rolling-median changepoint: each point against the median of up
-	// to Window preceding points. The median absorbs single outliers in
-	// the window, so a genuine level shift stands out even if the runs
-	// just before it were noisy.
-	for i := 1; i < n; i++ {
-		lo := i - opt.window()
-		if lo < 0 {
-			lo = 0
-		}
-		m := median(vals[lo:i])
-		if m == 0 {
-			if vals[i] != 0 && s.Better == Steady {
-				v.Kind, v.StepAt, v.StepRel = "step", s.Points[i].RecordIndex, 0
-				v.Why = fmt.Sprintf("value moved off zero to %s at run %d", fmtVal(vals[i]), v.StepAt)
+	if !s.hostCost() {
+		for i := 1; i < n; i++ {
+			if prev, p := s.Points[i-1], s.Points[i]; p.Value != prev.Value {
+				v.Kind, v.StepAt = "changed", p.RecordIndex
+				v.Why = fmt.Sprintf("%s -> %s at run %d (%s)", fmtExact(prev.Value), fmtExact(p.Value),
+					p.RecordIndex, filepath.Base(recs[p.RecordIndex].Path))
 				return v
 			}
+		}
+		return v
+	}
+	vals := s.Values()
+
+	// Rolling-median changepoint: each point against the median of up
+	// to hostWindow preceding points. The median absorbs single outliers
+	// in the window, so a genuine level shift stands out even if the
+	// runs just before it were noisy.
+	for i := 1; i < n; i++ {
+		m := median(vals[max(i-hostWindow, 0):i])
+		if m == 0 {
 			continue
 		}
-		rel := (vals[i] - m) / m
-		if bad(s.Better, rel, tol) {
+		if rel := (vals[i] - m) / m; rel > hostTol {
 			v.Kind, v.StepAt, v.StepRel = "step", s.Points[i].RecordIndex, rel
 			v.Why = fmt.Sprintf("step of %+.1f%% vs rolling median at run %d (tol %.1f%%)",
-				rel*100, v.StepAt, tol*100)
+				rel*100, v.StepAt, hostTol*100)
 			return v
 		}
 	}
@@ -270,8 +216,8 @@ func classify(s *Series, opt Options) Verdict {
 	// Least-squares drift: fit value = a + b·x over the series; the
 	// fitted relative change across the whole series is b·(n-1)/a.
 	// Each individual run may be well inside tolerance — that is the
-	// slow-compounding regression the pairwise gate cannot see.
-	if n >= opt.minRuns() {
+	// slow-compounding regression a pairwise comparison cannot see.
+	if n >= hostMinRuns {
 		a, b := leastSquares(vals)
 		base := a
 		if base == 0 {
@@ -280,27 +226,14 @@ func classify(s *Series, opt Options) Verdict {
 		if base != 0 {
 			v.SlopePerRun = b / base
 			v.TotalRel = b * float64(n-1) / base
-			if bad(s.Better, v.TotalRel, tol) {
+			if v.TotalRel > hostTol {
 				v.Kind = "drift"
 				v.Why = fmt.Sprintf("drift of %+.2f%%/run accumulating to %+.1f%% over %d runs (tol %.1f%%)",
-					v.SlopePerRun*100, v.TotalRel*100, n, tol*100)
+					v.SlopePerRun*100, v.TotalRel*100, n, hostTol*100)
 			}
 		}
 	}
 	return v
-}
-
-// bad reports whether a relative change rel beyond tolerance moves in
-// a failing direction for the metric.
-func bad(d Direction, rel, tol float64) bool {
-	switch d {
-	case HigherBetter:
-		return rel < -tol
-	case LowerBetter:
-		return rel > tol
-	default: // Steady
-		return rel < -tol || rel > tol
-	}
 }
 
 // median of a non-empty slice (copied, input left unsorted).
@@ -342,41 +275,45 @@ func leastSquares(ys []float64) (a, b float64) {
 	return a, b
 }
 
+// settings names the one rule per kind of series, for the headers of
+// the text and HTML renderings.
+func settings() string {
+	return fmt.Sprintf("prices exact; host cost tol %.1f%%, window %d, min-runs %d",
+		hostTol*100, hostWindow, hostMinRuns)
+}
+
+// status is a verdict's status cell: "ok", or its kind and why.
+func (v *Verdict) status() string {
+	if !v.Flagged() {
+		return "ok"
+	}
+	return strings.ToUpper(v.Kind) + ": " + v.Why
+}
+
 // Render formats the verdict table, one row per tracked series,
-// flagged rows marked STEP/DRIFT, mirroring DiffResult.Render.
+// flagged rows marked CHANGED/STEP/DRIFT, mirroring DiffResult.Render.
 func (t *TrendResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "perf trend: %d records, %d series (tol %.1f%%, window %d, min-runs %d)\n",
-		len(t.Records), len(t.Verdicts), t.Opt.tol()*100, t.Opt.window(), t.Opt.minRuns())
+	fmt.Fprintf(&b, "perf trend: %d records, %d series (%s)\n", len(t.Records), len(t.Verdicts), settings())
 	fmt.Fprintf(&b, "%-28s %-18s %5s %12s %12s %11s %9s  %s\n",
 		"entry", "metric", "runs", "first", "last", "slope/run", "total", "status")
 	for i := range t.Verdicts {
 		v := &t.Verdicts[i]
-		status := "ok"
-		switch v.Kind {
-		case "step":
-			status = "STEP: " + v.Why
-		case "drift":
-			status = "DRIFT: " + v.Why
-		}
 		fmt.Fprintf(&b, "%-28s %-18s %5d %12s %12s %11s %9s  %s\n",
 			v.Series.Entry, v.Series.Metric, len(v.Series.Points),
 			fmtVal(v.First), fmtVal(v.Last),
-			fmtPct(v.SlopePerRun), fmtPct(v.TotalRel), status)
+			fmtPct(v.SlopePerRun), fmtPct(v.TotalRel), v.status())
 	}
 	flagged := t.Flagged()
 	if len(flagged) == 0 {
-		fmt.Fprintf(&b, "no steps or drift (%d series analyzed)\n", len(t.Verdicts))
+		fmt.Fprintf(&b, "no changes, steps or drift (%d series analyzed)\n", len(t.Verdicts))
 	} else {
-		steps, drifts := 0, 0
+		kinds := map[string]int{}
 		for _, v := range flagged {
-			if v.Kind == "step" {
-				steps++
-			} else {
-				drifts++
-			}
+			kinds[v.Kind]++
 		}
-		fmt.Fprintf(&b, "%d series flagged (%d step, %d drift)\n", len(flagged), steps, drifts)
+		fmt.Fprintf(&b, "%d series flagged (%d changed, %d step, %d drift)\n",
+			len(flagged), kinds["changed"], kinds["step"], kinds["drift"])
 	}
 	return b.String()
 }
@@ -388,6 +325,10 @@ func fmtVal(v float64) string {
 	}
 	return fmt.Sprintf("%.6g", v)
 }
+
+// fmtExact renders a price exactly: the shortest decimal that parses
+// back to the same float.
+func fmtExact(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // fmtPct renders a relative change. Values that are zero up to float
 // rounding (a least-squares fit of a constant series is only zero to

@@ -11,170 +11,190 @@ import (
 	"mcio/internal/obs"
 )
 
-// driftHistory builds n records where entry "mc/write/mem=16" decays
-// by perRun (relative) each run while "steady" stays put.
+// driftHistory builds n records from one host. Entry
+// "mc/write/mem=16" keeps its price while the harness's host wall time
+// changes by perRun (relative) each run; "steady" and the allocation
+// stay put.
 func driftHistory(n int, perRun float64) []RecordFile {
 	var recs []RecordFile
-	bw := 1000.0
+	wall := 100.0
 	for i := 0; i < n; i++ {
 		r := rec("fig6", int64(i+1)*1000,
-			bwEntry("mc/write/mem=16", bw),
-			bwEntry("steady", 500))
+			bwEntry("mc/write/mem=16", 1000),
+			bwEntry("steady", 500),
+			obs.RunEntry{Name: "fig6" + obs.HarnessSuffix, Metrics: map[string]float64{
+				"host_wall_seconds": wall, "total_alloc_bytes": 4e8}})
+		r.Host = oneCPU
 		recs = append(recs, RecordFile{Path: fmt.Sprintf("run%02d.json", i), Rec: r})
-		bw *= 1 - perRun
+		wall *= 1 + perRun
 	}
 	return recs
 }
 
-// TestDriftFlaggedWherePairwiseDiffPasses is the tentpole acceptance
-// property: a 1%-per-run bandwidth decline over 10 runs is invisible to
-// the pairwise diff gate at the same 5% tolerance (every adjacent step
-// is 1%), yet the trend detector flags it as drift.
+// verdictsByKey indexes a trend's verdicts by "entry/metric".
+func verdictsByKey(recs []RecordFile) map[string]Verdict {
+	out := map[string]Verdict{}
+	for _, v := range Trend(recs).Verdicts {
+		out[v.Series.Entry+"/"+v.Series.Metric] = v
+	}
+	return out
+}
+
+// TestDriftFlaggedWherePairwiseDiffPasses: host wall time rising 1% per
+// run over 10 runs on one host is invisible to the pairwise diff, which
+// never gates /harness entries, and to the step detector (every run is
+// within 5% of its rolling median), yet the trend flags it as drift.
 func TestDriftFlaggedWherePairwiseDiffPasses(t *testing.T) {
 	recs := driftHistory(10, 0.01)
 
-	// Pairwise: every adjacent diff is clean at the default tolerance.
 	for i := 1; i < len(recs); i++ {
-		res := obs.DiffRunRecords(recs[i-1].Rec, recs[i].Rec, obs.DiffOptions{})
+		res := obs.DiffRunRecords(recs[i-1].Rec, recs[i].Rec)
 		if n := len(res.Regressions()); n != 0 {
-			t.Fatalf("adjacent diff %d->%d flagged %d regressions; the drift must be sub-tolerance pairwise", i-1, i, n)
+			t.Fatalf("adjacent diff %d->%d flagged %d regressions; host cost must not gate the diff", i-1, i, n)
 		}
 	}
 
-	// Trend: the decayed entry is flagged as drift, the steady one is ok.
-	tr := Trend(recs, Options{})
-	byKey := map[string]Verdict{}
-	for _, v := range tr.Verdicts {
-		byKey[v.Series.Entry+"/"+v.Series.Metric] = v
-	}
-	drifted := byKey["mc/write/mem=16/bandwidth_mbps"]
+	byKey := verdictsByKey(recs)
+	drifted := byKey["fig6/harness/host_wall_seconds"]
 	if drifted.Kind != "drift" {
-		t.Fatalf("decaying bandwidth verdict = %q, want drift (%s)", drifted.Kind, drifted.Why)
+		t.Fatalf("rising host wall verdict = %q, want drift (%s)", drifted.Kind, drifted.Why)
 	}
-	// ~1%/run decay accumulating to ~9% fitted drop.
-	if drifted.SlopePerRun > -0.005 || drifted.TotalRel > -0.05 {
+	// 1%/run accumulating to a fitted rise of about 9%.
+	if drifted.SlopePerRun < 0.005 || drifted.TotalRel < 0.05 {
 		t.Errorf("drift magnitudes off: slope/run %.4f total %.4f", drifted.SlopePerRun, drifted.TotalRel)
 	}
-	// The corresponding wall series rises 1%/run — flagged too.
-	if v := byKey["mc/write/mem=16/wall_seconds"]; v.Kind != "drift" {
-		t.Errorf("rising wall verdict = %q, want drift", v.Kind)
-	}
-	if v := byKey["steady/bandwidth_mbps"]; v.Kind != "ok" {
-		t.Errorf("steady entry verdict = %q, want ok (%s)", v.Kind, v.Why)
-	}
-	if len(tr.Flagged()) == 0 {
-		t.Fatal("trend result reports nothing flagged")
-	}
-}
-
-func TestImprovementIsNotFlagged(t *testing.T) {
-	// Bandwidth *rising* 1%/run is a trend but not a regression; only
-	// the wall series (falling — also an improvement) must stay ok too.
-	recs := driftHistory(10, -0.01)
-	tr := Trend(recs, Options{})
-	for _, v := range tr.Verdicts {
-		if v.Kind != "ok" {
-			t.Errorf("improving series %s/%s flagged %s: %s", v.Series.Entry, v.Series.Metric, v.Kind, v.Why)
+	for key, v := range byKey {
+		if key != "fig6/harness/host_wall_seconds" && v.Flagged() {
+			t.Errorf("%s flagged %s: %s", key, v.Kind, v.Why)
 		}
 	}
 }
 
+// TestImprovementIsNotFlagged: host cost falling 1% per run is an
+// improvement and flags nothing. A price has no better direction: one
+// rising 1% per run is flagged as changed at its first move.
+func TestImprovementIsNotFlagged(t *testing.T) {
+	recs := driftHistory(10, -0.01)
+	bw := 1000.0
+	for _, rf := range recs {
+		rf.Rec.Entries[0] = bwEntry("mc/write/mem=16", bw)
+		bw *= 1.01
+	}
+	for key, v := range verdictsByKey(recs) {
+		switch key {
+		case "mc/write/mem=16/bandwidth_mbps":
+			if v.Kind != "changed" || v.StepAt != 1 || v.Why != "1000 -> 1010 at run 1 (run01.json)" {
+				t.Errorf("rising price verdict %q at run %d (%s), want changed at run 1", v.Kind, v.StepAt, v.Why)
+			}
+		case "mc/write/mem=16/wall_seconds":
+			if v.Kind != "changed" || v.StepAt != 1 {
+				t.Errorf("falling simulated wall verdict %q at run %d, want changed at run 1", v.Kind, v.StepAt)
+			}
+		default:
+			if v.Flagged() {
+				t.Errorf("improving series %s flagged %s: %s", key, v.Kind, v.Why)
+			}
+		}
+	}
+}
+
+// TestStepChangeDetected: a single 12% level rise in host wall time at
+// run 5 is a step located there; the same move in a price is a change
+// at run 5.
 func TestStepChangeDetected(t *testing.T) {
 	var recs []RecordFile
 	for i := 0; i < 8; i++ {
-		bw := 1000.0
+		wall := 100.0
 		if i >= 5 {
-			bw = 880 // a single 12% level drop at run 5
+			wall = 112
 		}
-		recs = append(recs, RecordFile{
-			Path: fmt.Sprintf("run%d.json", i),
-			Rec:  rec("fig6", int64(i+1), bwEntry("e", bw)),
-		})
+		r := rec("fig6", int64(i+1), bwEntry("e", 10*wall),
+			obs.RunEntry{Name: "e" + obs.HarnessSuffix, Metrics: map[string]float64{"host_wall_seconds": wall}})
+		recs = append(recs, RecordFile{Path: fmt.Sprintf("run%d.json", i), Rec: r})
 	}
-	tr := Trend(recs, Options{})
-	var v Verdict
-	for _, c := range tr.Verdicts {
-		if c.Series.Metric == "bandwidth_mbps" {
-			v = c
-		}
-	}
+	byKey := verdictsByKey(recs)
+	v := byKey["e/harness/host_wall_seconds"]
 	if v.Kind != "step" {
 		t.Fatalf("verdict = %q, want step (%s)", v.Kind, v.Why)
 	}
 	if v.StepAt != 5 {
 		t.Errorf("step located at run %d, want 5", v.StepAt)
 	}
-	if math.Abs(v.StepRel+0.12) > 0.01 {
-		t.Errorf("step magnitude %.3f, want about -0.12", v.StepRel)
+	if math.Abs(v.StepRel-0.12) > 0.01 {
+		t.Errorf("step magnitude %.3f, want about +0.12", v.StepRel)
+	}
+	if p := byKey["e/bandwidth_mbps"]; p.Kind != "changed" || p.StepAt != 5 || p.Why != "1000 -> 1120 at run 5 (run5.json)" {
+		t.Errorf("price verdict %q at run %d (%s), want changed at run 5", p.Kind, p.StepAt, p.Why)
 	}
 }
 
+// TestSteadyMetricsFlagBothDirections: a metrics-only priced entry (the
+// chaos counts) is flagged at any move, up, down or off zero, naming
+// the run and both values.
 func TestSteadyMetricsFlagBothDirections(t *testing.T) {
-	mk := func(vals map[int]float64) []RecordFile {
+	mk := func(key string, vals ...float64) []RecordFile {
 		var recs []RecordFile
-		for i := 0; i < 6; i++ {
-			v := 301.0
-			if alt, ok := vals[i]; ok {
-				v = alt
-			}
+		for i, v := range vals {
 			r := rec("chaos", int64(i+1), obs.RunEntry{
 				Name:    "chaos/detection",
-				Metrics: map[string]float64{"detected": v},
+				Metrics: map[string]float64{key: v},
 			})
 			recs = append(recs, RecordFile{Path: fmt.Sprintf("r%d", i), Rec: r})
 		}
 		return recs
 	}
-	// Constant counts: ok.
-	tr := Trend(mk(nil), Options{})
-	if v := tr.Verdicts[0]; v.Kind != "ok" || v.Series.Better != Steady {
-		t.Fatalf("constant steady metric: %+v", v)
+	if v := Trend(mk("detected", 301, 301, 301, 301, 301, 301)).Verdicts[0]; v.Kind != "ok" {
+		t.Fatalf("constant count: %+v", v)
 	}
-	// A jump *up* — more detections — is still a behavioural step for a
-	// steady metric (the workload or the detector changed).
-	tr = Trend(mk(map[int]float64{5: 400}), Options{})
-	if v := tr.Verdicts[0]; v.Kind != "step" {
-		t.Fatalf("rising steady metric verdict = %q, want step (%s)", v.Kind, v.Why)
-	}
-	// Moving off zero is a step even though the relative change is
-	// undefined.
-	var recs []RecordFile
-	for i := 0; i < 4; i++ {
-		v := 0.0
-		if i == 3 {
-			v = 7
+	for _, c := range []struct {
+		recs []RecordFile
+		why  string
+	}{
+		{mk("detected", 301, 301, 301, 301, 301, 400), "301 -> 400 at run 5 (r5)"},
+		{mk("detected", 301, 301, 300, 301), "301 -> 300 at run 2 (r2)"},
+		{mk("undetected", 0, 0, 0, 7), "0 -> 7 at run 3 (r3)"},
+	} {
+		if v := Trend(c.recs).Verdicts[0]; v.Kind != "changed" || v.Why != c.why {
+			t.Errorf("verdict %q (%s), want changed (%s)", v.Kind, v.Why, c.why)
 		}
-		recs = append(recs, RecordFile{Path: fmt.Sprintf("r%d", i), Rec: rec("chaos", int64(i+1),
-			obs.RunEntry{Name: "chaos/detection", Metrics: map[string]float64{"undetected": v}})})
-	}
-	tr = Trend(recs, Options{})
-	if v := tr.Verdicts[0]; v.Kind != "step" {
-		t.Fatalf("off-zero steady metric verdict = %q, want step", v.Kind)
 	}
 }
 
+// TestShortSeriesAndMissingEntriesAreOk: two runs of host wall time 1%
+// apart are below the step tolerance and too short for the slope fit;
+// an entry present in one record, and a price a record in between does
+// not carry, are ok.
 func TestShortSeriesAndMissingEntriesAreOk(t *testing.T) {
-	// Two runs with a 1% move: below step tolerance, too short for the
-	// slope fit — ok. An entry present in only one record: ok.
-	recs := []RecordFile{
-		{Path: "a", Rec: rec("fig6", 1, bwEntry("e", 1000), bwEntry("once", 10))},
-		{Path: "b", Rec: rec("fig6", 2, bwEntry("e", 990))},
+	host := func(wall float64) obs.RunEntry {
+		return obs.RunEntry{Name: "e" + obs.HarnessSuffix, Metrics: map[string]float64{"host_wall_seconds": wall}}
 	}
-	tr := Trend(recs, Options{})
-	for _, v := range tr.Verdicts {
+	recs := []RecordFile{
+		{Path: "a", Rec: rec("fig6", 1, host(100), bwEntry("e", 1000), bwEntry("once", 10))},
+		{Path: "b", Rec: rec("fig6", 2, host(101))},
+		{Path: "c", Rec: rec("fig6", 3, bwEntry("e", 1000))},
+	}
+	for _, v := range Trend(recs).Verdicts {
 		if v.Kind != "ok" {
 			t.Errorf("%s/%s flagged %s on a short series", v.Series.Entry, v.Series.Metric, v.Kind)
 		}
 	}
 }
 
+// goldenHistory is driftHistory with the priced entry changed from run 6
+// on and a chaos record appended: one series of each verdict kind.
+func goldenHistory() []RecordFile {
+	recs := driftHistory(10, 0.01)
+	for _, rf := range recs[6:] {
+		rf.Rec.Entries[0] = bwEntry("mc/write/mem=16", 970)
+	}
+	return append(recs, RecordFile{Path: "chaos.json", Rec: rec("chaos", 99999,
+		obs.RunEntry{Name: "chaos/detection", Metrics: map[string]float64{"detected": 301, "undetected": 0}})})
+}
+
 // TestTrendRenderGolden pins the verdict-table rendering — the exact
 // bytes `mcio trend` prints for a fixed synthetic history.
 func TestTrendRenderGolden(t *testing.T) {
-	recs := driftHistory(10, 0.01)
-	recs = append(recs, RecordFile{Path: "chaos.json", Rec: rec("chaos", 99999,
-		obs.RunEntry{Name: "chaos/detection", Metrics: map[string]float64{"detected": 301, "undetected": 0}})})
-	got := Trend(recs, Options{}).Render()
+	got := Trend(goldenHistory()).Render()
 	golden := filepath.Join("testdata", "trend_golden.txt")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
@@ -188,13 +208,10 @@ func TestTrendRenderGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("trend table drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	for _, must := range []string{"DRIFT:", "mc/write/mem=16", "no steps or drift", "flagged"} {
-		if must == "no steps or drift" {
-			if strings.Contains(got, must) {
-				t.Errorf("flagged history rendered as clean:\n%s", got)
-			}
-			continue
-		}
+	for _, must := range []string{
+		"CHANGED: 1000 -> 970 at run 6 (run06.json)", "DRIFT:", "mc/write/mem=16",
+		"3 series flagged (2 changed, 0 step, 1 drift)",
+	} {
 		if !strings.Contains(got, must) {
 			t.Errorf("render missing %q:\n%s", must, got)
 		}
@@ -233,7 +250,7 @@ func harnessHistory(runs ...harnessRun) []RecordFile {
 func harnessVerdicts(t *testing.T, recs []RecordFile) map[string]Verdict {
 	t.Helper()
 	out := map[string]Verdict{}
-	for _, v := range Trend(recs, Options{}).Verdicts {
+	for _, v := range Trend(recs).Verdicts {
 		out[v.Series.Metric] = v
 	}
 	return out
@@ -250,8 +267,8 @@ func TestHarnessOtherHostDoesNotFlag(t *testing.T) {
 	} {
 		vs := harnessVerdicts(t, recs)
 		wall := vs["host_wall_seconds"]
-		if wall.Flagged() || wall.Series.Better != LowerBetter {
-			t.Fatalf("wall verdict %+v, want an unflagged lower-better series", wall)
+		if wall.Flagged() {
+			t.Fatalf("wall verdict %+v, want an unflagged series", wall)
 		}
 		if n := len(wall.Series.Points); n != 1 {
 			t.Fatalf("wall series kept %d points across hosts, want 1", n)
@@ -267,8 +284,8 @@ func TestHarnessOtherHostDoesNotFlag(t *testing.T) {
 func TestHarnessAllocRiseFlags(t *testing.T) {
 	vs := harnessVerdicts(t, harnessHistory(
 		harnessRun{oneCPU, 49.2, 10.2e9}, harnessRun{oneCPU, 49.0, 10.2e9}, harnessRun{oneCPU, 49.1, 12e9}))
-	if v := vs["total_alloc_bytes"]; v.Kind != "step" || v.Series.Better != LowerBetter {
-		t.Fatalf("alloc rise verdict = %q (%s), want a lower-better step", v.Kind, v.Why)
+	if v := vs["total_alloc_bytes"]; v.Kind != "step" {
+		t.Fatalf("alloc rise verdict = %q (%s), want a step", v.Kind, v.Why)
 	}
 	if v := vs["host_wall_seconds"]; v.Flagged() {
 		t.Fatalf("flat wall time flagged: %s", v.Why)

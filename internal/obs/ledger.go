@@ -157,41 +157,9 @@ func LoadRunRecord(path string) (*RunRecord, error) {
 	return r, nil
 }
 
-// DiffOptions sets the relative thresholds above which a change counts
-// as a regression. Zero values mean "use the default" (5%).
-type DiffOptions struct {
-	BandwidthTol float64 // relative bandwidth drop tolerated, e.g. 0.05
-	WallTol      float64 // relative wall-time rise tolerated
-	// Exact gates prices exactly: every field of every priced entry —
-	// bandwidth, simulated wall, rounds, blame and metrics — must equal
-	// the old ledger's, and the two ledgers must name the same entries.
-	// Prices are deterministic, so any change is a regression. Host
-	// entries (names ending in HarnessSuffix), whose host wall time and
-	// allocation vary from run to run, keep the tolerances.
-	Exact bool
-}
-
 // HarnessSuffix ends the name of a ledger entry that records the host
 // cost of producing the ledger rather than a price.
 const HarnessSuffix = "/harness"
-
-// DefaultDiffTol is the relative change tolerated before a metric
-// movement counts as a regression.
-const DefaultDiffTol = 0.05
-
-func (o DiffOptions) bandwidthTol() float64 {
-	if o.BandwidthTol > 0 {
-		return o.BandwidthTol
-	}
-	return DefaultDiffTol
-}
-
-func (o DiffOptions) wallTol() float64 {
-	if o.WallTol > 0 {
-		return o.WallTol
-	}
-	return DefaultDiffTol
-}
 
 // EntryDelta is the comparison of one entry across two ledgers.
 type EntryDelta struct {
@@ -206,8 +174,8 @@ type EntryDelta struct {
 	Added         bool // absent in old, present in new
 	Regression    bool
 	RegressionWhy string
-	// Changed names each field that differs, old and new value, when
-	// the diff is exact.
+	// Changed names each field of a priced entry that differs, with its
+	// old and new value.
 	Changed []string
 }
 
@@ -229,26 +197,29 @@ func (d *DiffResult) Regressions() []EntryDelta {
 	return out
 }
 
-// DiffRunRecords compares two ledgers entry-by-entry (matched by entry
-// name). A regression is a bandwidth drop beyond tolerance, a wall-time
-// rise beyond tolerance, or an entry that disappeared. New entries are
-// reported but are not regressions. With opt.Exact, any changed field
-// of a priced entry and any priced entry new to the new ledger are
-// regressions too.
-func DiffRunRecords(old, new *RunRecord, opt DiffOptions) *DiffResult {
+// DiffRunRecords compares two ledgers entry by entry (matched by entry
+// name). Prices are deterministic, so they are compared exactly: a
+// priced entry with any changed field (bandwidth, simulated wall,
+// rounds, blame or metrics), missing from the new ledger, or absent
+// from the old one is a regression. Host-cost entries (names ending in
+// HarnessSuffix), whose host wall time and allocation vary from run to
+// run, are listed but never gate; the same-host trend judges them.
+func DiffRunRecords(old, new *RunRecord) *DiffResult {
 	res := &DiffResult{OldName: old.Name, NewName: new.Name}
 	newByName := make(map[string]RunEntry, len(new.Entries))
 	seen := make(map[string]bool, len(new.Entries))
 	for _, e := range new.Entries {
 		newByName[e.Name] = e
 	}
+	priced := func(name string) bool { return !strings.HasSuffix(name, HarnessSuffix) }
 	for _, oe := range old.Entries {
 		ne, ok := newByName[oe.Name]
 		if !ok {
-			res.Deltas = append(res.Deltas, EntryDelta{
-				Name: oe.Name, OldBandwidth: oe.BandwidthMBps, OldWall: oe.WallSeconds,
-				Missing: true, Regression: true, RegressionWhy: "entry missing from new ledger",
-			})
+			d := EntryDelta{Name: oe.Name, OldBandwidth: oe.BandwidthMBps, OldWall: oe.WallSeconds, Missing: true}
+			if priced(oe.Name) {
+				d.Regression, d.RegressionWhy = true, "entry missing from new ledger"
+			}
+			res.Deltas = append(res.Deltas, d)
 			continue
 		}
 		seen[oe.Name] = true
@@ -263,24 +234,10 @@ func DiffRunRecords(old, new *RunRecord, opt DiffOptions) *DiffResult {
 		if oe.WallSeconds > 0 {
 			d.WallRel = (ne.WallSeconds - oe.WallSeconds) / oe.WallSeconds
 		}
-		var why []string
-		if opt.Exact && !strings.HasSuffix(oe.Name, HarnessSuffix) {
-			d.Changed = changedFields(oe, ne)
-			if len(d.Changed) > 0 {
-				why = append(why, "changed "+strings.Join(d.Changed, ", "))
+		if priced(oe.Name) {
+			if d.Changed = changedFields(oe, ne); len(d.Changed) > 0 {
+				d.Regression, d.RegressionWhy = true, "changed "+strings.Join(d.Changed, ", ")
 			}
-		}
-		if d.BandwidthRel < -opt.bandwidthTol() {
-			why = append(why, fmt.Sprintf("bandwidth %.1f%% below baseline (tol %.1f%%)",
-				-d.BandwidthRel*100, opt.bandwidthTol()*100))
-		}
-		if d.WallRel > opt.wallTol() {
-			why = append(why, fmt.Sprintf("wall time %.1f%% above baseline (tol %.1f%%)",
-				d.WallRel*100, opt.wallTol()*100))
-		}
-		if len(why) > 0 {
-			d.Regression = true
-			d.RegressionWhy = strings.Join(why, "; ")
 		}
 		res.Deltas = append(res.Deltas, d)
 	}
@@ -294,7 +251,7 @@ func DiffRunRecords(old, new *RunRecord, opt DiffOptions) *DiffResult {
 	for _, name := range added {
 		ne := newByName[name]
 		d := EntryDelta{Name: name, NewBandwidth: ne.BandwidthMBps, NewWall: ne.WallSeconds, Added: true}
-		if opt.Exact && !strings.HasSuffix(name, HarnessSuffix) {
+		if priced(name) {
 			d.Regression, d.RegressionWhy = true, "entry absent from old ledger"
 		}
 		res.Deltas = append(res.Deltas, d)
@@ -359,6 +316,8 @@ func (d *DiffResult) Render() string {
 			status = "REGRESSION: " + e.RegressionWhy
 		case e.Added:
 			status = "new entry"
+		case e.Missing:
+			status = "missing entry"
 		}
 		fmt.Fprintf(&b, "%-28s %12s %12s %8s %10s %10s %8s  %s\n",
 			e.Name,

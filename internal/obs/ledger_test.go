@@ -107,7 +107,7 @@ func TestRunRecordV2RoundTripKeepsProvenance(t *testing.T) {
 
 func TestDiffIdenticalLedgersClean(t *testing.T) {
 	old, new := ledgerFixture(), ledgerFixture()
-	res := DiffRunRecords(old, new, DiffOptions{})
+	res := DiffRunRecords(old, new)
 	if n := len(res.Regressions()); n != 0 {
 		t.Fatalf("identical ledgers produced %d regressions: %s", n, res.Render())
 	}
@@ -116,21 +116,27 @@ func TestDiffIdenticalLedgersClean(t *testing.T) {
 	}
 }
 
+// TestDiffFlagsBandwidthDrop: any bandwidth drop is a regression that
+// names the field and both values exactly, a 10% drop and a 3% one
+// alike; prices carry no tolerance.
 func TestDiffFlagsBandwidthDrop(t *testing.T) {
-	old, new := ledgerFixture(), ledgerFixture()
-	new.Entries[0].BandwidthMBps = 900 // -10%, beyond the 5% default
-	res := DiffRunRecords(old, new, DiffOptions{})
-	regs := res.Regressions()
-	if len(regs) != 1 {
-		t.Fatalf("got %d regressions, want 1: %s", len(regs), res.Render())
-	}
-	if regs[0].Name != "two-phase/mem=1.0" || !strings.Contains(regs[0].RegressionWhy, "bandwidth") {
-		t.Errorf("wrong regression: %+v", regs[0])
-	}
-	// A 10% drop passes under a 15% tolerance.
-	res = DiffRunRecords(old, new, DiffOptions{BandwidthTol: 0.15})
-	if n := len(res.Regressions()); n != 0 {
-		t.Errorf("10%% drop flagged under 15%% tolerance: %d", n)
+	for _, c := range []struct {
+		bw  float64
+		why string
+	}{
+		{900, "changed bandwidth_mbps 1000 -> 900"},
+		{970, "changed bandwidth_mbps 1000 -> 970"},
+	} {
+		old, new := ledgerFixture(), ledgerFixture()
+		new.Entries[0].BandwidthMBps = c.bw
+		res := DiffRunRecords(old, new)
+		regs := res.Regressions()
+		if len(regs) != 1 {
+			t.Fatalf("bandwidth %v: got %d regressions, want 1: %s", c.bw, len(regs), res.Render())
+		}
+		if regs[0].Name != "two-phase/mem=1.0" || regs[0].RegressionWhy != c.why {
+			t.Errorf("bandwidth %v: regression %+v, want %q", c.bw, regs[0], c.why)
+		}
 	}
 }
 
@@ -138,7 +144,7 @@ func TestDiffFlagsWallRiseAndMissing(t *testing.T) {
 	old, new := ledgerFixture(), ledgerFixture()
 	new.Entries[1].WallSeconds = 2.0 // +17.6%
 	new.Entries = new.Entries[1:]    // drop the two-phase entry entirely
-	res := DiffRunRecords(old, new, DiffOptions{})
+	res := DiffRunRecords(old, new)
 	regs := res.Regressions()
 	if len(regs) != 2 {
 		t.Fatalf("got %d regressions, want 2: %s", len(regs), res.Render())
@@ -148,7 +154,7 @@ func TestDiffFlagsWallRiseAndMissing(t *testing.T) {
 		if r.Missing {
 			sawMissing = true
 		}
-		if strings.Contains(r.RegressionWhy, "wall time") {
+		if strings.Contains(r.RegressionWhy, "changed wall_seconds 1.7 -> 2") {
 			sawWall = true
 		}
 	}
@@ -157,37 +163,48 @@ func TestDiffFlagsWallRiseAndMissing(t *testing.T) {
 	}
 }
 
+// TestDiffReportsAddedEntries: a priced entry new to the new ledger is
+// a regression; a new /harness entry is only reported.
 func TestDiffReportsAddedEntries(t *testing.T) {
 	old, new := ledgerFixture(), ledgerFixture()
-	new.Entries = append(new.Entries, RunEntry{Name: "extra", BandwidthMBps: 1})
-	res := DiffRunRecords(old, new, DiffOptions{})
+	new.Entries = append(new.Entries, RunEntry{Name: "fig6" + HarnessSuffix, Metrics: map[string]float64{"host_wall_seconds": 10}})
+	res := DiffRunRecords(old, new)
 	if n := len(res.Regressions()); n != 0 {
-		t.Fatalf("added entry counted as regression: %s", res.Render())
+		t.Fatalf("added harness entry counted as regression: %s", res.Render())
 	}
 	if !strings.Contains(res.Render(), "new entry") {
 		t.Errorf("render missing added entry:\n%s", res.Render())
 	}
+	new.Entries = append(new.Entries, RunEntry{Name: "extra", BandwidthMBps: 1})
+	res = DiffRunRecords(old, new)
+	regs := res.Regressions()
+	if len(regs) != 1 || regs[0].Name != "extra" || !regs[0].Added || regs[0].RegressionWhy != "entry absent from old ledger" {
+		t.Fatalf("added priced entry not flagged alone:\n%s", res.Render())
+	}
 }
 
-// The exact diff flags any changed priced field — a metric that
-// appeared, a blame term that moved by one ulp — and a priced entry new
-// to the new ledger, but keeps the tolerances for /harness host-cost
-// entries, whose wall clock and allocation vary between runs.
+// The diff flags any changed priced field — a metric that appeared, a
+// blame term that moved by one ulp — and a priced entry new to the new
+// ledger, but never gates /harness host-cost entries, whose wall clock
+// and allocation vary between runs, even when one goes missing.
 func TestDiffExact(t *testing.T) {
-	exact := DiffOptions{Exact: true}
 	old, new := ledgerFixture(), ledgerFixture()
 	harness := RunEntry{Name: "fig6" + HarnessSuffix, Metrics: map[string]float64{"host_wall_seconds": 10}}
 	old.Entries = append(old.Entries, harness)
 	harness.Metrics = map[string]float64{"host_wall_seconds": 13}
 	new.Entries = append(new.Entries, harness)
-	if res := DiffRunRecords(old, new, exact); len(res.Regressions()) != 0 {
+	if res := DiffRunRecords(old, new); len(res.Regressions()) != 0 {
 		t.Fatalf("harness drift or identical prices flagged:\n%s", res.Render())
+	}
+	if res := DiffRunRecords(old, ledgerFixture()); len(res.Regressions()) != 0 ||
+		!strings.Contains(res.Render(), "missing entry") {
+		t.Fatalf("a missing harness entry gates or goes unlisted:\n%s", res.Render())
 	}
 
 	new.Entries[0].Blame["write"] = math.Nextafter(0.8, 1)
 	new.Entries[1].Metrics = map[string]float64{"domains": 3}
 	new.Entries = append(new.Entries, RunEntry{Name: "extra", BandwidthMBps: 1})
-	res := DiffRunRecords(old, new, exact)
+	res := DiffRunRecords(old, new)
 	if len(res.Regressions()) != 3 {
 		t.Fatalf("got %d regressions, want 3:\n%s", len(res.Regressions()), res.Render())
 	}
@@ -200,8 +217,5 @@ func TestDiffExact(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render misses %q:\n%s", want, out)
 		}
-	}
-	if res := DiffRunRecords(old, new, DiffOptions{}); len(res.Regressions()) != 0 {
-		t.Fatalf("the tolerant diff flags changes inside its tolerance:\n%s", res.Render())
 	}
 }
